@@ -4,11 +4,7 @@ SCALING_OUT ?= bench_scaling.txt
 TELEMETRY_OUT ?= bench_telemetry.txt
 REPLAY_OUT ?= bench_replay.txt
 FRAMES_OUT ?= bench_frames.txt
-FLEET_OUT ?= bench_fleet.txt
-KERNEL_OUT ?= bench_kernels.txt
 TRACE_OUT ?= bench_trace.txt
-FLEET_SIZES ?= 4,32,128,256
-FLEET_COUNT ?= 5
 
 # Hot-path benchmarks whose numbers back the concurrency claims in
 # DESIGN.md. -cpu 1,4 shows the parallel path's scaling; -count=5 gives
@@ -21,13 +17,14 @@ SCALING_BENCH = BenchmarkProcessParallelModes|BenchmarkShardDrain
 
 .PHONY: all check vet build test race race-concurrency chaos chaos-liveness bench bench-allocs \
 	bench-full bench-scaling bench-smoke bench-telemetry bench-telemetry-smoke \
-	bench-replay bench-replay-smoke bench-frames bench-frames-smoke bench-fleet \
-	bench-fleet-smoke bench-trace bench-trace-smoke vet-merge bench-compare clean
+	bench-replay bench-replay-smoke bench-frames bench-frames-smoke \
+	bench-trace bench-trace-smoke vet-merge bench-compare clean
 
 all: check
 
 check: vet build race chaos chaos-liveness vet-merge bench-smoke bench-telemetry-smoke \
-	bench-replay-smoke bench-frames-smoke bench-fleet-smoke bench-trace-smoke bench-allocs
+	bench-replay-smoke bench-frames-smoke bench-trace-smoke bench-allocs
+	$(GO) test -C bench ./...
 
 # chaos runs the control-channel fault-injection suite under -race: the
 # faultnet transport tests, the resilient-client recovery paths (timeouts,
@@ -155,31 +152,13 @@ bench-frames-smoke:
 
 # vet-merge is the merge-tree correctness gate: go vet plus the -race
 # stress pass over the streaming k-ary reduction and the epoch-coherent
-# query plane (bit-identity vs the flat fold, straggler chaos matrix,
-# goroutine-leak gates).
+# query plane (bit-identity vs the sequential oracle, straggler chaos
+# matrix, goroutine-leak gates); 'Epoch' also selects the artifact
+# store's TestEpochArtifact* suite.
 vet-merge:
 	$(GO) vet ./internal/netwide/ ./internal/sketch/ ./internal/rpc/ ./internal/tracing/
 	$(GO) test -race -count=1 -timeout 600s -run 'MergeStream|Epoch|EnginesBitIdentical' \
 		./internal/netwide/
-
-# bench-fleet runs the network-wide query scaling sweep: in-process daemon
-# fleets on loopback, flat sequential fold vs the parallel sketch-merge
-# tree (packed binary frames) over identical register state, verified
-# bit-identical before timing. 5 samples per engine per size; the benchcmp
-# passes print the flat → tree delta (negative = tree faster) and the
-# scalar → unrolled kernel delta. bench_fleet.txt is the committed artifact
-# backing DESIGN.md §17.
-bench-fleet:
-	$(GO) run ./cmd/flymon-bench -fleet $(FLEET_SIZES) -fleet-count $(FLEET_COUNT) | tee $(FLEET_OUT)
-	$(GO) run ./cmd/benchcmp -pair 'engine=flat:engine=tree' $(FLEET_OUT)
-	$(GO) test -run '^$$' -bench 'BenchmarkMergeRegisters' -count=5 -cpu 1 ./internal/sketch/ | tee $(KERNEL_OUT)
-	$(GO) run ./cmd/benchcmp -pair 'kernel=scalar:kernel=unrolled' $(KERNEL_OUT)
-
-# bench-fleet-smoke is the check-gate pass: one tiny fleet per engine to
-# catch bit-rot in the fleet bench harness (an engine divergence or a
-# partial report fails the run outright, not just a slow number).
-bench-fleet-smoke:
-	$(GO) run ./cmd/flymon-bench -fleet 4 -fleet-count 1 > /dev/null
 
 # bench-trace proves the tracing plane's control-op overhead budget: a
 # traced control op (root span + client rpc span + daemon dispatch span)

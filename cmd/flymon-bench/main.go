@@ -7,7 +7,6 @@
 //	flymon-bench -replay trace.fmt[,trace2.fmt ...] [-replay-engine frames|mmap|reader|readbatch]
 //	             [-replay-loop 10s] [-replay-batch N] [-replay-ring N]
 //	             [-replay-tasks N] [-replay-verify] [-workers N] [-sharded]
-//	flymon-bench -fleet 4,32,128,256 [-fleet-count 5] [-seed N]
 //
 // With no experiment arguments it runs everything. Experiments: fig2,
 // table3, fig11, fig12a, fig12b, fig13a, fig13b, fig13c, fig14a, fig14b,
@@ -32,7 +31,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -54,35 +52,12 @@ func main() {
 	replayRing := flag.Int("replay-ring", 0, "replay ring capacity in spans (0 = 1024)")
 	replayTasks := flag.Int("replay-tasks", 9, "CMS tasks deployed for the replay (0 = none: measures pure ingest)")
 	replayVerify := flag.Bool("replay-verify", false, "after the replay, verify register readouts against a sequential ProcessBatch replay")
-	fleet := flag.String("fleet", "", "run the network-wide query scaling bench over these comma-separated fleet sizes (e.g. 4,32,128,256) instead of experiments")
-	fleetCount := flag.Int("fleet-count", 5, "timed samples per engine per fleet size (median-of-N via cmd/benchcmp)")
 	version := flag.Bool("version", false, "print version and build info, then exit")
 	flag.Usage = usage
 	flag.Parse()
 
 	if *version {
 		fmt.Printf("flymon-bench %s\n", telemetry.ReadBuildInfo())
-		return
-	}
-
-	if *fleet != "" {
-		var sizes []int
-		for _, s := range strings.Split(*fleet, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || n <= 0 {
-				fmt.Fprintf(os.Stderr, "flymon-bench: bad fleet size %q\n", s)
-				os.Exit(2)
-			}
-			sizes = append(sizes, n)
-		}
-		tbl, err := experiments.FleetBench(experiments.FleetBenchOptions{
-			Sizes: sizes, Count: *fleetCount, Seed: *seed, Out: os.Stdout,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "flymon-bench: %v\n", err)
-			os.Exit(1)
-		}
-		tbl.Render(os.Stderr)
 		return
 	}
 
@@ -247,13 +222,5 @@ replay mode:
     batches); -replay-loop runs steady-state for a
     duration; -replay-verify asserts bit-identical registers vs a
     sequential replay. -workers and -sharded apply.
-
-fleet mode:
-  flymon-bench -fleet 4,32,128,256 [-fleet-count 5]   boot in-process daemon
-    fleets on loopback and benchmark the network-wide query plane: the flat
-    sequential fold vs the parallel sketch-merge tree (packed binary frames)
-    over identical register state. Engines are verified bit-identical on
-    every mergeable op before timing. Bench lines go to stdout (pipe into
-    benchcmp -pair 'engine=flat:engine=tree'), the summary table to stderr.
 `)
 }

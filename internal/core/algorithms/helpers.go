@@ -44,11 +44,13 @@ func rowSelector(unit, row int) core.Selector {
 }
 
 // rowIndex recomputes the register index row `row` used for canonical key
-// k — the control-plane readout path shared by all query helpers.
+// k — the control-plane readout path shared by all query helpers. The
+// row's selector reads one compressed key, so it is resolved against a
+// one-slot stack array (selector unit 0) instead of a per-call heap
+// slice sized to the group: a point query allocates nothing.
 func rowIndex(g *core.Group, unit, row int, k packet.CanonicalKey, mem core.MemRange, tr core.TranslationMethod) uint32 {
-	keys := make([]uint32, g.Units())
-	keys[unit] = g.HashKey(unit, k)
-	addr := rowSelector(unit, row).Resolve(keys)
+	keys := [1]uint32{g.HashKey(unit, k)}
+	addr := rowSelector(0, row).Resolve(keys[:])
 	return core.Translate(addr, mem, tr)
 }
 

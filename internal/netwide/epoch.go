@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"flymon/internal/controlplane"
@@ -93,12 +94,55 @@ func (q EpochQuery) withDefaults() EpochQuery {
 }
 
 // fleetEpoch is the controller-side handle of one fleet-wide epoch task:
-// the mirror rotator (kept in lockstep with every daemon's) plus the
-// spec. Epoch tasks live outside taskIDs/specs deliberately — the
-// reconciler must never treat a daemon's rotating #k copies as drift.
+// the mirror rotator (kept in lockstep with every daemon's), the spec,
+// and the task's epoch artifacts. Epoch tasks live outside taskIDs/specs
+// deliberately — the reconciler must never treat a daemon's rotating #k
+// copies as drift.
 type fleetEpoch struct {
-	rot  *epoch.Rotator
 	spec controlplane.TaskSpec
+
+	// latest is the newest epoch whose rotation decree has finished its
+	// fan-out: what EpochOf and "epochN <= 0" resolve to. Lock-free, so
+	// neither stalls behind an in-flight rotation nor asks the daemons for
+	// an epoch they have not been told about yet.
+	latest atomic.Int64
+
+	// mu guards rot and window. It is a leaf lock held for mirror-local
+	// work only, never across an RPC, so a stored answer is served while
+	// a rotation is fanning out. Lock order: epochMu, then f.mu, then mu.
+	mu  sync.Mutex
+	rot *epoch.Rotator
+	// window is the artifact store, completed epoch → frozenEpoch: made
+	// when the mirror rotates, dropped rpc.EpochRetain rotations later
+	// like the daemons' snapshots, freed with the task and the fleet.
+	window map[int]*frozenEpoch
+}
+
+// frozenEpoch is one completed epoch as an immutable artifact. A rotated
+// epoch can never change (daemon snapshots are immutable once taken), so
+// its first COMPLETE merge under an op — every switch contributed, none
+// failed, none straggled — is kept with its report and every later query
+// is a read of it. Partial answers are returned to their caller but never
+// stored: the next query goes back to the fleet and picks up a caught-up
+// straggler by itself, which is all the invalidation there is.
+type frozenEpoch struct {
+	// cms is the mirror's frozen copy of this epoch, captured at rotation
+	// (nil for non-counter tasks). The mirror reclaims the copy two
+	// rotations later, but RowIndexFor only needs the unit's fixed CRC
+	// table, the row selector, the partitions and the translation method,
+	// so the handle indexes this epoch's rows for as long as they are kept.
+	cms     *algorithms.CMSTask
+	merged  map[MergeOp]epochArtifact // complete merges only
+	filling map[MergeOp]chan struct{} // closed when the in-flight first merge ends
+}
+
+// epochArtifact is one merge of a completed epoch with its provenance.
+// Stored artifacts are shared between callers: rows and report are
+// read-only.
+type epochArtifact struct {
+	rows   [][]uint32
+	report QueryReport
+	cms    *algorithms.CMSTask
 }
 
 // stragglerError marks "reachable but behind" inside a fan-out, so the
@@ -183,7 +227,7 @@ func (f *RemoteFleet) DeployEpoch(spec controlplane.TaskSpec) (err error) {
 		}
 	}
 	f.mu.Lock()
-	f.epochs[spec.Name] = &fleetEpoch{rot: rot, spec: spec}
+	f.epochs[spec.Name] = &fleetEpoch{rot: rot, spec: spec, window: make(map[int]*frozenEpoch)}
 	f.mu.Unlock()
 	f.journal("epoch_deploy", rot.ActiveID(), spec.Name, nil)
 	return nil
@@ -213,12 +257,15 @@ func (f *RemoteFleet) RemoveEpochTask(name string) (err error) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	delete(f.epochs, name)
+	delete(f.epochs, name) // and with it the task's stored epochs
+	et.mu.Lock()
+	defer et.mu.Unlock()
 	return et.rot.Close()
 }
 
-// EpochOf returns the fleet's current completed epoch for an epoch task
-// (the mirror's rotation count — the epoch queries default to).
+// EpochOf returns the fleet's latest completed epoch for an epoch task:
+// the newest one whose rotation has been decreed to every switch (the
+// epoch queries default to). It never waits on an in-flight rotation.
 func (f *RemoteFleet) EpochOf(name string) (int, error) {
 	f.mu.Lock()
 	et := f.epochs[name]
@@ -226,9 +273,7 @@ func (f *RemoteFleet) EpochOf(name string) (int, error) {
 	if et == nil {
 		return 0, fmt.Errorf("netwide: no epoch task %q", name)
 	}
-	f.epochMu.Lock()
-	defer f.epochMu.Unlock()
-	return et.rot.Epoch(), nil
+	return int(et.latest.Load()), nil
 }
 
 // RotateEpoch ends the current epoch fleet-wide: the mirror rotates
@@ -251,11 +296,25 @@ func (f *RemoteFleet) RotateEpoch(name string) (target int, err error) {
 	}
 	f.epochMu.Lock()
 	defer f.epochMu.Unlock()
-	if _, err := et.rot.Rotate(); err != nil {
+	et.mu.Lock()
+	frozenID, err := et.rot.Rotate()
+	if err != nil {
+		et.mu.Unlock()
 		return 0, fmt.Errorf("netwide: mirror rotate of %q: %w", name, err)
 	}
 	target = et.rot.Epoch()
-	root.SetDetail(fmt.Sprintf("%s to epoch %d", name, target))
+	fe := &frozenEpoch{merged: make(map[MergeOp]epochArtifact), filling: make(map[MergeOp]chan struct{})}
+	if h, err := f.mirror.TaskHandle(frozenID); err == nil {
+		fe.cms, _ = h.(*algorithms.CMSTask)
+	}
+	et.window[target] = fe
+	// Evicted rows go to the GC, not back into rowPool: callers of
+	// QueryEpochRows may still hold them.
+	delete(et.window, target-rpc.EpochRetain)
+	et.mu.Unlock()
+	if root != nil {
+		root.SetDetail(fmt.Sprintf("%s to epoch %d", name, target))
+	}
 	errs := f.fanOut(root.Context(), func(i int, c *rpc.Client, sc tracing.SpanContext) error {
 		_, err := c.EpochRotate(name, target, sc)
 		var te *rpc.TransportError
@@ -269,8 +328,11 @@ func (f *RemoteFleet) RotateEpoch(name string) (target int, err error) {
 		}
 		return nil
 	})
-	f.journal("epoch_rotate", 0, fmt.Sprintf("%s to epoch %d (%d/%d switches)",
-		name, target, len(f.clients)-len(errs), len(f.clients)), nil)
+	et.latest.Store(int64(target))
+	if f.opts.Journal != nil {
+		f.journal("epoch_rotate", 0, fmt.Sprintf("%s to epoch %d (%d/%d switches)",
+			name, target, len(f.clients)-len(errs), len(f.clients)), nil)
+	}
 	if len(errs) > 0 && !f.opts.AllowPartial {
 		return target, &PartialFailureError{Op: "epoch_rotate", Task: name, Failed: errs, Total: len(f.clients)}
 	}
@@ -406,35 +468,122 @@ func fleetSink(st *telemetry.MergeTreeStats) statsSink {
 	return mergeTreeSink{st}
 }
 
-// QueryEpochRows merges the fleet's registers for one completed epoch
-// (epochN <= 0 = the fleet's latest) under the straggler policy, through
-// the merge tree. The report pins the epoch and separates stragglers
-// (reachable, behind) from failures (unreachable); transport failures
-// still honor AllowPartial, and under the wait policy any switch still
-// behind at the bound fails the whole query.
-func (f *RemoteFleet) QueryEpochRows(name string, epochN int, q EpochQuery) (_ [][]uint32, _ QueryReport, err error) {
-	q = q.withDefaults()
+// QueryEpochRows returns the fleet's merged registers for one completed
+// epoch (epochN <= 0 = the fleet's latest) under the straggler policy.
+// The report pins the epoch and separates stragglers (reachable, behind)
+// from failures (unreachable); transport failures still honor
+// AllowPartial, and under the wait policy any switch still behind at the
+// bound fails the whole query.
+//
+// The epoch's first complete merge is kept for rpc.EpochRetain rotations
+// (see frozenEpoch) and later queries are served from it without an RPC
+// (report.Cached), also while a switch is down or ejected. The rows and
+// report.Contributed are therefore shared: treat them as read-only.
+func (f *RemoteFleet) QueryEpochRows(name string, epochN int, q EpochQuery) ([][]uint32, QueryReport, error) {
+	art, err := f.epochArtifact(name, epochN, q.withDefaults())
+	return art.rows, art.report, err
+}
+
+// EstimateKeyEpoch is EstimateKeyPartial pinned to an epoch boundary:
+// the fleet-wide frequency of key k in exactly epoch E's traffic, read
+// out of the same stored merge QueryEpochRows serves (the first estimate
+// on an epoch pays for the merge, the rest read d cells). Any epoch this
+// fleet rotated within the last rpc.EpochRetain rotations qualifies.
+func (f *RemoteFleet) EstimateKeyEpoch(name string, epochN int, k packet.CanonicalKey, q EpochQuery) (uint64, QueryReport, error) {
+	q.Op = MergeAdd
+	art, err := f.epochArtifact(name, epochN, q.withDefaults())
+	if err != nil {
+		return 0, art.report, err
+	}
+	if art.cms == nil {
+		return 0, art.report, fmt.Errorf("netwide: epoch %d of %q is not index-mapped by the mirror (outside the %d-epoch window, or not a counter task)",
+			art.report.Epoch, name, rpc.EpochRetain)
+	}
+	return countMin(art.cms, art.rows, k), art.report, nil
+}
+
+// epochArtifact resolves one (task, epoch, op) readout: from the task's
+// window when a complete merge is stored, from the fleet otherwise.
+// Concurrent first queries on one key fan out once: the rest wait and
+// share the answer if it is complete; after a partial one each runs its
+// own query under its own policy. q has its defaults applied.
+func (f *RemoteFleet) epochArtifact(name string, epochN int, q EpochQuery) (art epochArtifact, err error) {
 	f.mu.Lock()
 	et := f.epochs[name]
 	f.mu.Unlock()
-	var report QueryReport
 	if et == nil {
-		return nil, report, fmt.Errorf("netwide: no epoch task %q", name)
+		return art, fmt.Errorf("netwide: no epoch task %q", name)
 	}
 	if epochN <= 0 {
-		f.epochMu.Lock()
-		epochN = et.rot.Epoch()
-		f.epochMu.Unlock()
+		epochN = int(et.latest.Load())
 	}
 	if epochN == 0 {
-		return nil, report, fmt.Errorf("netwide: epoch task %q has no completed epoch yet (rotate first)", name)
+		return art, fmt.Errorf("netwide: epoch task %q has no completed epoch yet (rotate first)", name)
 	}
-	root := f.startRoot("epoch_query", fmt.Sprintf("%s epoch=%d policy=%s", name, epochN, q.Policy))
+	st := f.mergeStats()
+	if st != nil {
+		st.EpochQueries.Add(1)
+	}
+	et.mu.Lock()
+	fe := et.window[epochN]
+	if fe == nil {
+		// Outside the window (evicted, or never rotated to by this fleet):
+		// asked of the fleet, never stored.
+		et.mu.Unlock()
+		art.rows, art.report, err = f.mergeEpoch(name, epochN, q)
+		return art, err
+	}
+	var lead, wait chan struct{}
+	art, hit := fe.merged[q.Op]
+	if !hit {
+		if wait = fe.filling[q.Op]; wait == nil {
+			lead = make(chan struct{})
+			fe.filling[q.Op] = lead
+		}
+	}
+	et.mu.Unlock()
+	if wait != nil {
+		<-wait
+		et.mu.Lock()
+		art, hit = fe.merged[q.Op]
+		et.mu.Unlock()
+	}
+	if hit {
+		if st != nil {
+			st.EpochCacheHits.Add(1)
+		}
+		if f.opts.Tracer != nil {
+			f.startRoot("epoch_query", fmt.Sprintf("%s epoch=%d op=%s cached", name, epochN, q.Op)).Finish(nil)
+		}
+		art.report.Cached = true
+		return art, nil
+	}
+	art.cms = fe.cms
+	art.rows, art.report, err = f.mergeEpoch(name, epochN, q)
+	et.mu.Lock()
+	if err == nil && !art.report.Partial() && len(art.report.Contributed) == len(f.clients) {
+		fe.merged[q.Op] = art
+	}
+	if lead != nil {
+		delete(fe.filling, q.Op)
+		close(lead)
+	}
+	et.mu.Unlock()
+	return art, err
+}
+
+// mergeEpoch fans the epoch read out to every switch and reduces the
+// answers through the merge tree.
+func (f *RemoteFleet) mergeEpoch(name string, epochN int, q EpochQuery) (_ [][]uint32, report QueryReport, err error) {
+	root := f.opts.Tracer.StartRoot("epoch_query")
+	if root != nil {
+		root.SetDetail(fmt.Sprintf("%s epoch=%d policy=%s", name, epochN, q.Policy))
+	}
 	defer func() { root.Finish(err) }()
 	report.Epoch = epochN
 	st := f.mergeStats()
 	if st != nil {
-		st.EpochQueries.Add(1)
+		st.EpochCacheMisses.Add(1)
 	}
 	// The fan-out deadline must leave room for straggler polling on top
 	// of the usual per-op budget.
@@ -442,7 +591,7 @@ func (f *RemoteFleet) QueryEpochRows(name string, epochN int, q EpochQuery) (_ [
 	if timeout > 0 && q.Policy != StragglerSkip {
 		timeout += q.Wait
 	}
-	stream := f.fanOutRows(root.Context(), timeout, func(i int, c *rpc.Client, sc tracing.SpanContext) ([][]uint32, error) {
+	res, errs, mergeErr := f.mergeFanOut(root.Context(), timeout, name, q.Op, func(i int, c *rpc.Client, sc tracing.SpanContext) ([][]uint32, error) {
 		res, err := pollEpoch(c, name, epochN, q, fleetSink(st), nil, f.opts.Tracer, sc)
 		if err != nil {
 			return nil, err
@@ -451,26 +600,6 @@ func (f *RemoteFleet) QueryEpochRows(name string, epochN int, q EpochQuery) (_ [
 			return nil, fmt.Errorf("netwide: daemon %d answered epoch %d for requested epoch %d", i, res.Epoch, epochN)
 		}
 		return res.FrameRows(f.getRowBuf()), nil
-	})
-	errs := make(map[int]error)
-	leaves := make(chan Leaf, len(f.clients))
-	go func() {
-		defer close(leaves)
-		for r := range stream {
-			if r.err != nil {
-				errs[r.i] = r.err
-				continue
-			}
-			leaves <- Leaf{Switch: r.i, Rows: r.rows}
-		}
-	}()
-	res, mergeErr := MergeStream(leaves, q.Op, TreeOptions{
-		Task:    name,
-		Arity:   f.opts.MergeArity,
-		Stats:   st,
-		Recycle: f.putRowBuf,
-		Tracer:  f.opts.Tracer,
-		Parent:  root.Context(),
 	})
 	report.Contributed = res.Contributed
 	report.Failed = make(map[int]string)
@@ -509,49 +638,4 @@ func (f *RemoteFleet) QueryEpochRows(name string, epochN int, q EpochQuery) (_ [
 		f.opts.Telemetry.PartialMerges.Add(1)
 	}
 	return res.Rows, report, nil
-}
-
-// EstimateKeyEpoch is EstimateKeyPartial pinned to an epoch boundary:
-// the fleet-wide frequency of key k in exactly epoch E's traffic. Only
-// the latest completed epoch can be estimated through the mirror (older
-// frozen copies are reclaimed two rotations later; flymonctl query
-// covers the retention window via the daemons' key_indices).
-func (f *RemoteFleet) EstimateKeyEpoch(name string, epochN int, k packet.CanonicalKey, q EpochQuery) (uint64, QueryReport, error) {
-	f.mu.Lock()
-	et := f.epochs[name]
-	f.mu.Unlock()
-	if et == nil {
-		return 0, QueryReport{}, fmt.Errorf("netwide: no epoch task %q", name)
-	}
-	f.epochMu.Lock()
-	current := et.rot.Epoch()
-	frozenID := et.rot.FrozenID()
-	f.epochMu.Unlock()
-	if epochN <= 0 {
-		epochN = current
-	}
-	if epochN != current {
-		return 0, QueryReport{}, fmt.Errorf("netwide: epoch %d of %q is no longer index-mapped by the mirror (current epoch %d)", epochN, name, current)
-	}
-	q.Op = MergeAdd
-	merged, report, err := f.QueryEpochRows(name, epochN, q)
-	if err != nil {
-		return 0, report, err
-	}
-	h, err := f.mirror.TaskHandle(frozenID)
-	if err != nil {
-		return 0, report, err
-	}
-	cms, ok := h.(*algorithms.CMSTask)
-	if !ok {
-		return 0, report, fmt.Errorf("netwide: epoch task %q is not a counter task", name)
-	}
-	min := ^uint32(0)
-	for i := 0; i < cms.D; i++ {
-		idx := cms.RowIndexFor(i, k) - uint32(cms.Rows[i].Base)
-		if v := merged[i][idx]; v < min {
-			min = v
-		}
-	}
-	return uint64(min), report, nil
 }

@@ -114,6 +114,11 @@ func TestChaosEpochStragglerMatrix(t *testing.T) {
 			if _, ok := report.Failed[2]; !ok || len(report.Stragglers) != 0 {
 				t.Fatalf("partitioned report = %v", report)
 			}
+			// Epoch 1 was merged completely before the partition: that stored
+			// answer is still served, whole, with switch 2 unreachable.
+			if _, report, err := fleet.EstimateKeyEpoch("ep", 1, key, EpochQuery{}); err != nil || !report.Cached || report.Partial() {
+				t.Fatalf("stored epoch-1 answer during partition: report %v err %v", report, err)
+			}
 
 			// Heal: now it is reachable but BEHIND — a straggler.
 			gate.Heal()
@@ -157,6 +162,11 @@ func TestChaosEpochStragglerMatrix(t *testing.T) {
 			if report.Stragglers[2] != 1 || len(report.Contributed) != 2 {
 				t.Fatalf("partial report = %v", report)
 			}
+			// None of the k-of-n answers above was stored: each went back to
+			// the fleet and found the straggler again.
+			if report.Cached || len(fleet.epochs["ep"].window[2].merged) != 0 {
+				t.Fatalf("a partial epoch-2 answer was stored (report %v)", report)
+			}
 
 			// Mid-wait catch-up: a wait query blocks, the straggler is rotated
 			// to the target, and the same query completes with the full fleet.
@@ -178,8 +188,14 @@ func TestChaosEpochStragglerMatrix(t *testing.T) {
 			if r.err != nil {
 				t.Fatalf("wait query after catch-up: %v", r.err)
 			}
-			if len(r.report.Contributed) != 3 || r.report.Partial() {
+			if len(r.report.Contributed) != 3 || r.report.Partial() || r.report.Cached {
 				t.Fatalf("caught-up report = %v", r.report)
+			}
+			// That first complete answer is the one kept: every policy now
+			// reads it, full fleet, no RPC.
+			full, report, err := fleet.EstimateKeyEpoch("ep", 2, key, EpochQuery{Policy: StragglerSkip})
+			if err != nil || !report.Cached || len(report.Contributed) != 3 || full != r.est {
+				t.Fatalf("estimate after catch-up = %d (want %d), report %v, err %v", full, r.est, report, err)
 			}
 			// k-of-n bound: the earlier 2-of-3 estimate cannot exceed the full
 			// 3-of-3 merge (additive registers, non-negative contributions).

@@ -101,8 +101,19 @@ func TestFleetEpochLifecycle(t *testing.T) {
 	// overestimates, never underestimates, so est2 can exceed 0 — but the
 	// epoch-1 estimate must not change).
 	_ = est2
-	if v, _, err := fleet.EstimateKeyEpoch("ep", 1, key, EpochQuery{}); err == nil {
-		t.Fatalf("epoch-1 estimate through the mirror must fail after rotation (mirror maps epoch 2), got %d", v)
+	// Two more rotations reclaim the mirror's frozen copy of epoch 1, but
+	// the epoch's index mapping travels with its stored merge: the
+	// estimate is served from it and equals the value taken while epoch 1
+	// was current.
+	if _, err := fleet.RotateEpoch("ep"); err != nil {
+		t.Fatal(err)
+	}
+	v, report, err := fleet.EstimateKeyEpoch("ep", 1, key, EpochQuery{})
+	if err != nil || v != est1 {
+		t.Fatalf("epoch-1 estimate after two more rotations = %d, %v; want %d", v, err, est1)
+	}
+	if !report.Cached || report.Epoch != 1 || report.Partial() || len(report.Contributed) != 3 {
+		t.Fatalf("epoch-1 report after two more rotations = %+v", report)
 	}
 	// The raw rows for epoch 1 are still readable (retention window).
 	if _, _, err := fleet.QueryEpochRows("ep", 1, EpochQuery{}); err != nil {
@@ -124,7 +135,6 @@ func TestFleetEpochLifecycle(t *testing.T) {
 	if _, err := fleet.RotateEpoch("ep"); err == nil {
 		t.Fatal("rotate after remove must fail")
 	}
-	_ = est1
 }
 
 func TestFetchEpochRowsStandalone(t *testing.T) {

@@ -216,12 +216,16 @@ func (t *healthTracker) snapshot() []SwitchHealth {
 // Epoch-coherent queries additionally carry the epoch the merge was
 // pinned to and the stragglers: switches that were reachable but had not
 // completed that epoch, left out by the skip/partial straggler policy
-// (an unreachable switch is a Failed entry, not a straggler).
+// (an unreachable switch is a Failed entry, not a straggler). Cached marks
+// an answer read from the fleet's stored merge of that epoch instead of
+// a fresh fan-out; a cached report is always complete, and its
+// Contributed slice is shared — read-only.
 type QueryReport struct {
 	Contributed []int          // switch indices merged into the result
 	Failed      map[int]string // switch index → error, for the rest
 	Epoch       int            // epoch the merge was pinned to (0 = live query)
 	Stragglers  map[int]int    // switch index → its epoch, for epoch-behind switches
+	Cached      bool           // served from the epoch artifact store, no RPC issued
 }
 
 // Partial reports whether any switch was left out of the merge.
@@ -233,6 +237,9 @@ func (r QueryReport) String() string {
 	s := fmt.Sprintf("%d/%d switches", len(r.Contributed), total)
 	if r.Epoch > 0 {
 		s += fmt.Sprintf(" @ epoch %d", r.Epoch)
+	}
+	if r.Cached {
+		s += " (cached)"
 	}
 	if len(r.Failed) > 0 {
 		missing := make([]int, 0, len(r.Failed))

@@ -15,7 +15,7 @@ import (
 //
 // A network-wide answer is a fold of per-switch register readouts under a
 // mergeable operation (§3.4: identical hash configuration makes register
-// state element-wise combinable). The flat fold walks switches in index
+// state element-wise combinable). A sequential fold walks switches in index
 // order, so its critical path is O(n) merges *after* the slowest fetch.
 // MergeStream instead treats row sets as tournament entrants: leaves are
 // merged k at a time as soon as they arrive — fetch latency overlaps
@@ -24,7 +24,8 @@ import (
 // algebra (saturating add, max, or, xor) is commutative and associative —
 // saturating add included, since partial sums of non-negative values
 // clamp exactly when the total would — so the tree's merge order cannot
-// change the result: tree output is bit-identical to the flat fold.
+// change the result: tree output is bit-identical to the sequential fold
+// (kept as the test oracle).
 
 // MergeOp selects the element-wise combine applied at every tree node.
 type MergeOp int
@@ -310,9 +311,11 @@ func MergeStream(leaves <-chan Leaf, op MergeOp, opts TreeOptions) (TreeResult, 
 	// The merge span's wall clock is dominated by waiting on the slowest
 	// leaf, so tag it with that leaf's switch: a critical path that lands
 	// on the merge then still names the switch the operation waited on.
-	msp.SetSwitch(lastSwitch)
-	msp.SetDetail(fmt.Sprintf("leaves=%d depth=%d merges=%d", len(res.Contributed), res.Depth, res.Merges))
-	msp.Finish(nil)
+	if msp != nil {
+		msp.SetSwitch(lastSwitch)
+		msp.SetDetail(fmt.Sprintf("leaves=%d depth=%d merges=%d", len(res.Contributed), res.Depth, res.Merges))
+		msp.Finish(nil)
+	}
 	if st := opts.Stats; st != nil {
 		st.Queries.Add(1)
 		st.LastDepth.Store(uint64(res.Depth))
@@ -341,8 +344,10 @@ func runMerge(nodes []treeNode, op MergeOp, stats *telemetry.MergeTreeStats, rec
 		recycle(src.rows)
 	}
 	dst.level++
-	sp.SetDetail(fmt.Sprintf("level=%d fanin=%d", dst.level-1, len(nodes)))
-	sp.Finish(nil)
+	if sp != nil {
+		sp.SetDetail(fmt.Sprintf("level=%d fanin=%d", dst.level-1, len(nodes)))
+		sp.Finish(nil)
+	}
 	if stats != nil {
 		elapsed := time.Since(start)
 		stats.Merges.Add(1)

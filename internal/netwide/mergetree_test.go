@@ -217,8 +217,9 @@ func TestMergeStreamStress(t *testing.T) {
 }
 
 func TestRemoteFleetEnginesBitIdentical(t *testing.T) {
-	// The deployed path: flat and tree engines over the same daemons must
-	// agree bit for bit, and the tree must record its shape telemetry.
+	// The deployed path: the merge tree over packed binary reads must agree
+	// bit for bit with the sequential oracle folded over each daemon's
+	// plain (JSON) register readout, and record its shape telemetry.
 	check := gateFleetGoroutines(t)
 	t.Cleanup(check)
 	cfg := fleetConfig()
@@ -232,17 +233,22 @@ func TestRemoteFleetEnginesBitIdentical(t *testing.T) {
 	for i := range tr.Packets {
 		ctrls[i%len(ctrls)].Process(&tr.Packets[i])
 	}
+	leaves := make([]Leaf, len(clients))
+	for i, c := range clients {
+		rows, err := c.ReadRegisters(fleet.taskIDs["freq"])
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaves[i] = Leaf{Switch: i, Rows: rows}
+	}
 	for _, op := range allMergeOps {
-		flat, freport, err := fleet.MergedRows("freq", op, EngineFlat)
+		flat := flatReference(t, leaves, op)
+		tree, treport, err := fleet.MergedRows("freq", op)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tree, treport, err := fleet.MergedRows("freq", op, EngineTree)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(freport.Contributed) != 4 || len(treport.Contributed) != 4 {
-			t.Fatalf("contributed: flat %v tree %v", freport.Contributed, treport.Contributed)
+		if len(treport.Contributed) != 4 {
+			t.Fatalf("contributed: %v", treport.Contributed)
 		}
 		for r := range flat {
 			for j := range flat[r] {
@@ -254,7 +260,7 @@ func TestRemoteFleetEnginesBitIdentical(t *testing.T) {
 		}
 	}
 	mt := reg.Fleet.MergeTree.Snapshot()
-	if mt.Queries == 0 || mt.FlatFolds == 0 || mt.Merges == 0 {
+	if mt.Queries == 0 || mt.Merges == 0 {
 		t.Fatalf("merge telemetry = %+v", mt)
 	}
 	if mt.LastDepth == 0 || mt.LastFanout != 4 {

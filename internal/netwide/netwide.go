@@ -174,6 +174,12 @@ func (f *Fleet) EstimateKey(name string, k packet.CanonicalKey) (uint64, error) 
 	if !ok {
 		return 0, fmt.Errorf("netwide: task %q is not a counter task", name)
 	}
+	return countMin(cms, merged, k), nil
+}
+
+// countMin reads key k's count-min estimate out of merged rows laid out
+// like cms's partitions: min across rows of the cell cms indexes.
+func countMin(cms *algorithms.CMSTask, merged [][]uint32, k packet.CanonicalKey) uint64 {
 	min := ^uint32(0)
 	for i := 0; i < cms.D; i++ {
 		idx := cms.RowIndexFor(i, k) - uint32(cms.Rows[i].Base)
@@ -181,7 +187,7 @@ func (f *Fleet) EstimateKey(name string, k packet.CanonicalKey) (uint64, error) 
 			min = v
 		}
 	}
-	return uint64(min), nil
+	return uint64(min)
 }
 
 // Cardinality returns the network-wide distinct-flow estimate of an HLL

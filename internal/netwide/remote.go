@@ -15,31 +15,6 @@ import (
 	"flymon/internal/tracing"
 )
 
-// Engine selects how fleet-wide register merges are executed.
-type Engine int
-
-const (
-	// EngineAuto picks the default engine (currently the merge tree).
-	EngineAuto Engine = iota
-	// EngineFlat is the original sequential pairwise fold in switch-index
-	// order — kept selectable as the bench baseline and escape hatch.
-	EngineFlat
-	// EngineTree is the streaming parallel k-ary merge tree: packed
-	// binary register reads, merged as responses arrive (see mergetree.go).
-	EngineTree
-)
-
-func (e Engine) String() string {
-	switch e {
-	case EngineFlat:
-		return "flat"
-	case EngineTree, EngineAuto:
-		return "tree"
-	default:
-		return fmt.Sprintf("Engine(%d)", int(e))
-	}
-}
-
 // FleetOptions tunes the remote fleet's failure behavior.
 type FleetOptions struct {
 	// AllowPartial lets fleet-wide queries return a merged result over the
@@ -66,10 +41,6 @@ type FleetOptions struct {
 	// Clock overrides time.Now for health timestamps and liveness state
 	// machines (tests drive time without sleeping). nil = time.Now.
 	Clock func() time.Time
-	// Engine selects the merge engine for fleet-wide queries (default:
-	// the parallel merge tree). Results are bit-identical across engines;
-	// only latency differs.
-	Engine Engine
 	// MergeArity overrides the merge tree's fan-in (default 4).
 	MergeArity int
 	// Tracer, when set, records a root span per fleet operation plus
@@ -529,6 +500,38 @@ func (f *RemoteFleet) Remove(name string) (err error) {
 	return nil
 }
 
+// mergeFanOut streams fetch's per-switch rows straight into the k-ary
+// merge tree (leaf buffers recycled through the fleet's pool) and returns
+// the reduction plus the per-switch errors.
+func (f *RemoteFleet) mergeFanOut(parent tracing.SpanContext, timeout time.Duration, name string, op MergeOp,
+	fetch func(i int, c *rpc.Client, sc tracing.SpanContext) ([][]uint32, error)) (TreeResult, map[int]error, error) {
+	stream := f.fanOutRows(parent, timeout, fetch)
+	// The converter goroutine finishes all errs writes before closing
+	// leaves, and MergeStream returns only after observing that close, so
+	// reading errs afterwards is race-free.
+	errs := make(map[int]error)
+	leaves := make(chan Leaf, len(f.clients))
+	go func() {
+		defer close(leaves)
+		for r := range stream {
+			if r.err != nil {
+				errs[r.i] = r.err
+				continue
+			}
+			leaves <- Leaf{Switch: r.i, Rows: r.rows}
+		}
+	}()
+	res, err := MergeStream(leaves, op, TreeOptions{
+		Task:    name,
+		Arity:   f.opts.MergeArity,
+		Stats:   f.mergeStats(),
+		Recycle: f.putRowBuf,
+		Tracer:  f.opts.Tracer,
+		Parent:  parent,
+	})
+	return res, errs, err
+}
+
 // mergeStats returns the fleet's merge-tree telemetry section, if any.
 func (f *RemoteFleet) mergeStats() *telemetry.MergeTreeStats {
 	if f.opts.Telemetry == nil {
@@ -554,164 +557,35 @@ func (f *RemoteFleet) putRowBuf(rows [][]uint32) {
 	}
 }
 
-// engine resolves the effective merge engine.
-func (f *RemoteFleet) engine() Engine {
-	if f.opts.Engine == EngineFlat {
-		return EngineFlat
-	}
-	return EngineTree
-}
-
-// MergedRows runs a fleet-wide register merge of the named task under op
-// with an explicit engine (EngineAuto = the fleet's configured default) —
-// the raw-readout query primitive, and the hook the scaling bench uses to
-// compare flat vs tree over identical daemon state. Both engines produce
-// bit-identical rows; only the critical path differs.
-func (f *RemoteFleet) MergedRows(name string, op MergeOp, engine Engine) ([][]uint32, QueryReport, error) {
-	rows, _, report, err := f.mergedRows(name, op, engine)
+// MergedRows runs a live fleet-wide register merge of the named task
+// under op — the raw-readout query primitive. With AllowPartial set, a
+// subset merge succeeds and the QueryReport says which switches
+// contributed; otherwise any unreachable daemon fails the query.
+func (f *RemoteFleet) MergedRows(name string, op MergeOp) ([][]uint32, QueryReport, error) {
+	rows, _, report, err := f.mergedRows(name, op)
 	return rows, report, err
 }
 
-// mergedRows resolves the task and dispatches to the selected engine.
-func (f *RemoteFleet) mergedRows(name string, op MergeOp, engine Engine) ([][]uint32, int, QueryReport, error) {
+// mergedRows resolves the task and merges packed binary register reads.
+// Live readouts are never cached: the registers are still counting.
+func (f *RemoteFleet) mergedRows(name string, op MergeOp) (_ [][]uint32, id int, report QueryReport, err error) {
 	f.mu.Lock()
 	id, ok := f.taskIDs[name]
 	f.mu.Unlock()
 	if !ok {
-		return nil, 0, QueryReport{}, fmt.Errorf("netwide: no task %q", name)
+		return nil, 0, report, fmt.Errorf("netwide: no task %q", name)
 	}
-	if engine == EngineAuto {
-		engine = f.engine()
+	root := f.opts.Tracer.StartRoot("query")
+	if root != nil {
+		root.SetDetail(fmt.Sprintf("%s op=%s", name, op))
 	}
-	root := f.startRoot("query", fmt.Sprintf("%s op=%s engine=%s", name, op, engine))
-	var (
-		rows   [][]uint32
-		report QueryReport
-		err    error
-	)
-	if engine == EngineFlat {
-		rows, report, err = f.flatMergedRows(root.Context(), name, id, op)
-	} else {
-		rows, report, err = f.treeMergedRows(root.Context(), name, id, op)
-	}
-	root.Finish(err)
-	return rows, id, report, err
-}
-
-// mergedRemoteRows is the default-engine query path.
-func (f *RemoteFleet) mergedRemoteRows(name string, op MergeOp) ([][]uint32, int, QueryReport, error) {
-	return f.mergedRows(name, op, EngineAuto)
-}
-
-// flatMergedRows is the sequential baseline: fetch every switch's rows
-// (JSON encoding), then fold pairwise in switch-index order. With
-// AllowPartial set, a subset merge succeeds and the QueryReport says
-// which switches contributed; otherwise any unreachable daemon fails the
-// query.
-func (f *RemoteFleet) flatMergedRows(parent tracing.SpanContext, name string, id int, op MergeOp) ([][]uint32, QueryReport, error) {
-	var report QueryReport
-	// Each slot is owned by its fetch goroutine until the fan-out yields
-	// its result; timed-out slots are never read.
-	rows := make([][][]uint32, len(f.clients))
-	errs := make(map[int]error)
-	for r := range f.fanOutRows(parent, f.opts.OpTimeout, func(i int, c *rpc.Client, sc tracing.SpanContext) ([][]uint32, error) {
-		rr, err := c.ReadRegisters(id, sc)
-		if err != nil {
-			return nil, fmt.Errorf("netwide: reading %q on daemon %d: %w", name, i, err)
-		}
-		return rr, nil
-	}) {
-		if r.err != nil {
-			errs[r.i] = r.err
-			continue
-		}
-		rows[r.i] = r.rows
-	}
-	if st := f.mergeStats(); st != nil {
-		st.FlatFolds.Add(1)
-	}
-	report.Failed = make(map[int]string, len(errs))
-	for i, err := range errs {
-		report.Failed[i] = err.Error()
-	}
-	if len(errs) > 0 && !f.opts.AllowPartial {
-		for _, i := range sortedKeys(errs) {
-			return nil, report, errs[i]
-		}
-	}
-	var merged [][]uint32
-	first := -1
-	for i := range f.clients {
-		if _, failed := errs[i]; failed || rows[i] == nil {
-			continue
-		}
-		if merged == nil {
-			merged = rows[i] // the RPC client already returns fresh slices
-			first = i
-			report.Contributed = append(report.Contributed, i)
-			continue
-		}
-		// Geometry mismatches are typed and name both switches: "which
-		// pair of daemons disagrees" is the actionable part.
-		var refLens []int
-		for _, row := range merged {
-			refLens = append(refLens, len(row))
-		}
-		if err := checkGeometry(name, first, refLens, i, rows[i]); err != nil {
-			return nil, report, err
-		}
-		for r := range rows[i] {
-			if err := op.Combine(merged[r], rows[i][r]); err != nil {
-				return nil, report, err
-			}
-		}
-		report.Contributed = append(report.Contributed, i)
-	}
-	if merged == nil {
-		return nil, report, &PartialFailureError{Op: "read", Task: name, Failed: errs, Total: len(f.clients)}
-	}
-	if len(errs) > 0 && f.opts.Telemetry != nil {
-		// A degraded-mode merge went through without every switch.
-		f.opts.Telemetry.PartialMerges.Add(1)
-	}
-	return merged, report, nil
-}
-
-// treeMergedRows is the parallel path: packed binary register reads
-// streamed straight into the k-ary merge tree, leaf buffers recycled
-// through the fleet's pool. Failure semantics match the flat engine
-// exactly (AllowPartial, OpTimeout, report shape).
-func (f *RemoteFleet) treeMergedRows(parent tracing.SpanContext, name string, id int, op MergeOp) ([][]uint32, QueryReport, error) {
-	var report QueryReport
-	stream := f.fanOutRows(parent, f.opts.OpTimeout, func(i int, c *rpc.Client, sc tracing.SpanContext) ([][]uint32, error) {
+	defer func() { root.Finish(err) }()
+	res, errs, mergeErr := f.mergeFanOut(root.Context(), f.opts.OpTimeout, name, op, func(i int, c *rpc.Client, sc tracing.SpanContext) ([][]uint32, error) {
 		res, err := c.ReadRegistersPacked(id, sc)
 		if err != nil {
 			return nil, fmt.Errorf("netwide: reading %q on daemon %d: %w", name, i, err)
 		}
 		return res.FrameRows(f.getRowBuf()), nil
-	})
-	// The converter goroutine finishes all errs writes before closing
-	// leaves, and MergeStream returns only after observing that close, so
-	// reading errs afterwards is race-free.
-	errs := make(map[int]error)
-	leaves := make(chan Leaf, len(f.clients))
-	go func() {
-		defer close(leaves)
-		for r := range stream {
-			if r.err != nil {
-				errs[r.i] = r.err
-				continue
-			}
-			leaves <- Leaf{Switch: r.i, Rows: r.rows}
-		}
-	}()
-	res, mergeErr := MergeStream(leaves, op, TreeOptions{
-		Task:    name,
-		Arity:   f.opts.MergeArity,
-		Stats:   f.mergeStats(),
-		Recycle: f.putRowBuf,
-		Tracer:  f.opts.Tracer,
-		Parent:  parent,
 	})
 	report.Contributed = res.Contributed
 	report.Failed = make(map[int]string, len(errs))
@@ -719,20 +593,20 @@ func (f *RemoteFleet) treeMergedRows(parent tracing.SpanContext, name string, id
 		report.Failed[i] = err.Error()
 	}
 	if mergeErr != nil {
-		return nil, report, mergeErr
+		return nil, id, report, mergeErr
 	}
 	if len(errs) > 0 && !f.opts.AllowPartial {
 		for _, i := range sortedKeys(errs) {
-			return nil, report, errs[i]
+			return nil, id, report, errs[i]
 		}
 	}
 	if res.Rows == nil {
-		return nil, report, &PartialFailureError{Op: "read", Task: name, Failed: errs, Total: len(f.clients)}
+		return nil, id, report, &PartialFailureError{Op: "read", Task: name, Failed: errs, Total: len(f.clients)}
 	}
 	if len(errs) > 0 && f.opts.Telemetry != nil {
 		f.opts.Telemetry.PartialMerges.Add(1)
 	}
-	return res.Rows, report, nil
+	return res.Rows, id, report, nil
 }
 
 // EstimateKey returns the fleet-wide frequency estimate for key k (counter
@@ -749,7 +623,7 @@ func (f *RemoteFleet) EstimateKey(name string, k packet.CanonicalKey) (uint64, e
 // When report.Partial() is true the estimate is a lower bound over the
 // reachable part of the fleet.
 func (f *RemoteFleet) EstimateKeyPartial(name string, k packet.CanonicalKey) (uint64, QueryReport, error) {
-	merged, id, report, err := f.mergedRemoteRows(name, MergeAdd)
+	merged, id, report, err := f.mergedRows(name, MergeAdd)
 	if err != nil {
 		return 0, report, err
 	}
@@ -761,14 +635,7 @@ func (f *RemoteFleet) EstimateKeyPartial(name string, k packet.CanonicalKey) (ui
 	if !ok {
 		return 0, report, fmt.Errorf("netwide: task %q is not a counter task", name)
 	}
-	min := ^uint32(0)
-	for i := 0; i < cms.D; i++ {
-		idx := cms.RowIndexFor(i, k) - uint32(cms.Rows[i].Base)
-		if v := merged[i][idx]; v < min {
-			min = v
-		}
-	}
-	return uint64(min), report, nil
+	return countMin(cms, merged, k), report, nil
 }
 
 // VerifyAlignment checks that a daemon computes the same register indices

@@ -7,12 +7,14 @@ import (
 	"flymon/internal/epoch"
 )
 
-// epochRetain is how many completed epochs' packed snapshots a daemon
+// EpochRetain is how many completed epochs' packed snapshots a daemon
 // keeps per epoch task. The rotator itself only holds the last frozen
 // copy's registers; snapshots are what let a slow query plane read epoch
 // E-2 after the fleet has moved on. Four epochs comfortably covers a
-// query racing one rotation plus a straggler catching up.
-const epochRetain = 4
+// query racing one rotation plus a straggler catching up. Exported
+// because the fleet controller keeps its merged epochs for exactly the
+// same window (netwide's epoch artifacts): one number, not two.
+const EpochRetain = 4
 
 // frameSnap is one completed epoch's register snapshot, pre-encoded as a
 // binary frame (contiguous little-endian registers plus row lengths).
@@ -98,8 +100,8 @@ func (s *Server) handleEpochRotate(p EpochRotateParams) (EpochTaskResult, error)
 		frame, lens := PackFrame(rows)
 		et.snaps[ep] = frameSnap{frame: frame, lens: lens}
 		et.ids[ep] = frozenID
-		delete(et.snaps, ep-epochRetain)
-		delete(et.ids, ep-epochRetain)
+		delete(et.snaps, ep-EpochRetain)
+		delete(et.ids, ep-EpochRetain)
 		return nil
 	})
 	if err != nil {

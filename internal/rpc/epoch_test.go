@@ -175,7 +175,7 @@ func TestEpochLifecycleOverRPC(t *testing.T) {
 		}
 	}
 
-	// Epoch 5 rotated: retention (epochRetain=4) evicts epoch 1.
+	// Epoch 5 rotated: retention (EpochRetain=4) evicts epoch 1.
 	if _, err := c.EpochRotate("ep", 5); err != nil {
 		t.Fatal(err)
 	}

@@ -108,9 +108,9 @@ func TestMergeXorRegisters(t *testing.T) {
 }
 
 // BenchmarkMergeRegisters measures the kernels against their scalar
-// references over a register row sized like one CMU row in the fleet
-// bench (16K buckets). The Makefile's bench-fleet target compares
-// kernel=scalar vs kernel=unrolled medians via cmd/benchcmp.
+// references over a register row sized like one CMU row of the fleet
+// workloads (16K buckets); cmd/benchcmp -pair
+// 'kernel=scalar:kernel=unrolled' compares the medians.
 func BenchmarkMergeRegisters(b *testing.B) {
 	const n = 16384
 	src := make([]uint32, n)

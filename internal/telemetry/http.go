@@ -227,16 +227,19 @@ func WriteMetricsReport(w io.Writer, rep Report) {
 	writeHistogram(p, "flymon_fleet_detection_seconds", "Liveness failure-detection latency (last good reply to Down).", fl.DetectionTime)
 
 	mt := fl.MergeTree
-	p("# HELP flymon_fleet_merge_queries_total Merge-tree fleet queries executed, by engine.\n")
+	p("# HELP flymon_fleet_merge_queries_total Merge-tree fleet queries executed.\n")
 	p("# TYPE flymon_fleet_merge_queries_total counter\n")
 	p("flymon_fleet_merge_queries_total{engine=\"tree\"} %d\n", mt.Queries)
-	p("flymon_fleet_merge_queries_total{engine=\"flat\"} %d\n", mt.FlatFolds)
 	p("# HELP flymon_fleet_merge_nodes_total Interior merge nodes executed by the merge tree.\n")
 	p("# TYPE flymon_fleet_merge_nodes_total counter\n")
 	p("flymon_fleet_merge_nodes_total %d\n", mt.Merges)
 	p("# HELP flymon_fleet_merge_epoch_queries_total Fleet queries pinned to an epoch boundary.\n")
 	p("# TYPE flymon_fleet_merge_epoch_queries_total counter\n")
 	p("flymon_fleet_merge_epoch_queries_total %d\n", mt.EpochQueries)
+	p("# HELP flymon_fleet_epoch_cache_total Epoch queries by artifact-store result (hit = served from a stored complete merge).\n")
+	p("# TYPE flymon_fleet_epoch_cache_total counter\n")
+	p("flymon_fleet_epoch_cache_total{result=\"hit\"} %d\n", mt.EpochCacheHits)
+	p("flymon_fleet_epoch_cache_total{result=\"miss\"} %d\n", mt.EpochCacheMisses)
 	p("# HELP flymon_fleet_merge_depth Depth of the last completed merge tree.\n")
 	p("# TYPE flymon_fleet_merge_depth gauge\n")
 	p("flymon_fleet_merge_depth %d\n", mt.LastDepth)

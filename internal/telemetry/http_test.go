@@ -34,6 +34,8 @@ func TestMetricsEndpointWireFormat(t *testing.T) {
 	r.MutationLatency.Observe(3 * time.Millisecond)
 	r.RPCServer.Endpoint("add_task").Requests.Add(5)
 	r.Journal.Record(Event{Kind: "deploy", Task: 3, OK: true})
+	r.Fleet.MergeTree.EpochCacheHits.Add(63)
+	r.Fleet.MergeTree.EpochCacheMisses.Add(1)
 
 	body, resp := scrape(t, r.Handler(), "/metrics")
 	if resp.StatusCode != http.StatusOK {
@@ -59,6 +61,10 @@ func TestMetricsEndpointWireFormat(t *testing.T) {
 	}
 	if !strings.Contains(body, "flymon_reconfig_events_total 1") {
 		t.Fatalf("journal counter missing:\n%s", body)
+	}
+	if !strings.Contains(body, `flymon_fleet_epoch_cache_total{result="hit"} 63`) ||
+		!strings.Contains(body, `flymon_fleet_epoch_cache_total{result="miss"} 1`) {
+		t.Fatalf("epoch artifact store counters missing:\n%s", body)
 	}
 
 	// Histogram: TYPE histogram, cumulative buckets ending at +Inf, then

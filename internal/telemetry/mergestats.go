@@ -16,10 +16,13 @@ const MergeLevels = 8
 // tree shape gauges, interior-merge latency by level, and the straggler
 // policy outcomes of epoch queries.
 type MergeTreeStats struct {
-	Queries     atomic.Uint64 // merge-tree queries executed
-	FlatFolds   atomic.Uint64 // queries that took the sequential flat-fold engine instead
-	Merges      atomic.Uint64 // interior merge nodes executed
+	Queries      atomic.Uint64 // merge-tree queries executed
+	Merges       atomic.Uint64 // interior merge nodes executed
 	EpochQueries atomic.Uint64 // queries pinned to an epoch boundary
+
+	// Epoch artifact store: a completed epoch is merged once and then read.
+	EpochCacheHits   atomic.Uint64 // epoch queries served from a stored complete merge
+	EpochCacheMisses atomic.Uint64 // epoch queries that went to the fleet
 
 	LastDepth  atomic.Uint64 // gauge: depth of the last completed tree
 	LastFanout atomic.Uint64 // gauge: leaves merged by the last completed tree
@@ -28,10 +31,10 @@ type MergeTreeStats struct {
 	LevelLatency [MergeLevels]Histogram // merge latency by tree level
 
 	// Straggler policy outcomes (epoch-coherent queries only).
-	StragglerWaits    atomic.Uint64 // switches waited on that caught up in time
-	StragglersSkipped atomic.Uint64 // switches dropped without waiting (skip policy)
+	StragglerWaits     atomic.Uint64 // switches waited on that caught up in time
+	StragglersSkipped  atomic.Uint64 // switches dropped without waiting (skip policy)
 	StragglersTimedOut atomic.Uint64 // switches still behind when the wait bound expired
-	StragglerWait     Histogram      // time spent polling a behind switch
+	StragglerWait      Histogram     // time spent polling a behind switch
 }
 
 // ObserveLevel records one interior merge's latency at a tree level.
@@ -47,12 +50,13 @@ func (m *MergeTreeStats) ObserveLevel(level int, d time.Duration) {
 
 // MergeTreeReport is the serializable form of MergeTreeStats.
 type MergeTreeReport struct {
-	Queries      uint64 `json:"queries"`
-	FlatFolds    uint64 `json:"flat_folds"`
-	Merges       uint64 `json:"merges"`
-	EpochQueries uint64 `json:"epoch_queries"`
-	LastDepth    uint64 `json:"last_depth"`
-	LastFanout   uint64 `json:"last_fanout"`
+	Queries          uint64 `json:"queries"`
+	Merges           uint64 `json:"merges"`
+	EpochQueries     uint64 `json:"epoch_queries"`
+	EpochCacheHits   uint64 `json:"epoch_cache_hits"`
+	EpochCacheMisses uint64 `json:"epoch_cache_misses"`
+	LastDepth        uint64 `json:"last_depth"`
+	LastFanout       uint64 `json:"last_fanout"`
 
 	MergeLatency HistogramSnapshot              `json:"merge_latency"`
 	LevelLatency [MergeLevels]HistogramSnapshot `json:"level_latency"`
@@ -67,9 +71,10 @@ type MergeTreeReport struct {
 func (m *MergeTreeStats) Snapshot() MergeTreeReport {
 	r := MergeTreeReport{
 		Queries:            m.Queries.Load(),
-		FlatFolds:          m.FlatFolds.Load(),
 		Merges:             m.Merges.Load(),
 		EpochQueries:       m.EpochQueries.Load(),
+		EpochCacheHits:     m.EpochCacheHits.Load(),
+		EpochCacheMisses:   m.EpochCacheMisses.Load(),
 		LastDepth:          m.LastDepth.Load(),
 		LastFanout:         m.LastFanout.Load(),
 		MergeLatency:       m.MergeLatency.Snapshot(),
