@@ -4,25 +4,11 @@
 // Usage:
 //
 //	flymon-bench [-scale small|full] [-seed N] [-workers N] [-sharded] [experiment ...]
-//	flymon-bench -replay trace.fmt[,trace2.fmt ...] [-replay-engine frames|mmap|reader|readbatch]
-//	             [-replay-loop 10s] [-replay-batch N] [-replay-ring N]
-//	             [-replay-tasks N] [-replay-verify] [-workers N] [-sharded]
 //
 // With no experiment arguments it runs everything. Experiments: fig2,
 // table3, fig11, fig12a, fig12b, fig13a, fig13b, fig13c, fig14a, fig14b,
 // fig14c, fig14d, fig14e, fig14f, fig14g, appendixe, multitasking,
 // throughput, ablations.
-//
-// With -replay, the tool instead replays the given FLYMTRC trace files
-// through a fully loaded 9-group pipeline and reports sustained pkts/s.
-// The default engine mmaps the traces and feeds the worker pool through
-// the zero-copy span ring (internal/mmtrace); -replay-engine frames runs
-// the spans through the FrameView-native compiled engine (batched digests
-// and grouped register updates, no packet materialization); reader and
-// readbatch select the legacy materialize-then-process and streaming
-// paths for comparison. -replay-loop keeps replaying for at least the
-// given duration (steady-state measurement); -replay-verify afterwards
-// replays sequentially and asserts bit-identical register readouts.
 package main
 
 import (
@@ -45,40 +31,12 @@ func main() {
 	sharded := flag.Bool("sharded", false, "throughput experiment uses sharded register lanes (per-worker plain stores) instead of shared CAS")
 	jsonOut := flag.Bool("json", false, "emit results as a JSON array instead of text tables")
 	seriesDir := flag.String("series-dir", "", "also write fig12a's raw time series as .dat files into this directory")
-	replay := flag.String("replay", "", "replay these comma-separated FLYMTRC trace files instead of running experiments")
-	replayEngine := flag.String("replay-engine", "mmap", "replay ingestion engine: frames, mmap, reader, or readbatch")
-	replayLoop := flag.Duration("replay-loop", 0, "loop the replay for at least this long (steady-state mode)")
-	replayBatch := flag.Int("replay-batch", 0, "replay span/batch size in packets (0 = 512)")
-	replayRing := flag.Int("replay-ring", 0, "replay ring capacity in spans (0 = 1024)")
-	replayTasks := flag.Int("replay-tasks", 9, "CMS tasks deployed for the replay (0 = none: measures pure ingest)")
-	replayVerify := flag.Bool("replay-verify", false, "after the replay, verify register readouts against a sequential ProcessBatch replay")
 	version := flag.Bool("version", false, "print version and build info, then exit")
 	flag.Usage = usage
 	flag.Parse()
 
 	if *version {
 		fmt.Printf("flymon-bench %s\n", telemetry.ReadBuildInfo())
-		return
-	}
-
-	if *replay != "" {
-		opt := experiments.ReplayOptions{
-			Paths:   strings.Split(*replay, ","),
-			Engine:  experiments.ReplayEngine(strings.ToLower(*replayEngine)),
-			Workers: *workers,
-			Sharded: *sharded,
-			Tasks:   *replayTasks,
-			Batch:   *replayBatch,
-			Ring:    *replayRing,
-			Loop:    *replayLoop,
-			Verify:  *replayVerify,
-		}
-		tbl, err := experiments.Replay(opt)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "flymon-bench: %v\n", err)
-			os.Exit(1)
-		}
-		tbl.Render(os.Stdout)
 		return
 	}
 
@@ -212,15 +170,5 @@ experiments:
               (-workers caps the sweep; -sharded switches the register
               state from shared CAS to per-worker plain-store lanes)
   ablations  design-choice ablations (sub-parts, translation, memory modes, XOR keys)
-
-replay mode:
-  flymon-bench -replay trace.fmt[,more.fmt]   replay traces through a loaded
-    pipeline and report sustained pkts/s. -replay-engine picks the ingestion
-    path (frames = FrameView-native compiled engine over the span ring, no
-    packet materialization; mmap = zero-copy span ring with per-worker
-    decode; reader = materialize then process; readbatch = streaming
-    batches); -replay-loop runs steady-state for a
-    duration; -replay-verify asserts bit-identical registers vs a
-    sequential replay. -workers and -sharded apply.
 `)
 }

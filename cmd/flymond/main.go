@@ -42,6 +42,7 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
+	"time"
 
 	"flymon/internal/controlplane"
 	"flymon/internal/faultnet"
@@ -200,6 +201,7 @@ func main() {
 			log.Fatalf("flymond: replay: %v", err)
 		}
 		reg.SetReplaySource(replayer)
+		replayStart := time.Now()
 		replayer.Start()
 		fmt.Printf("flymond: replaying %d trace(s) (loop=%v)\n", len(traces), *replayLoop)
 		go func() {
@@ -209,13 +211,15 @@ func main() {
 			// boundaries (an ineligible snapshot just falls back to
 			// per-frame decode inside the same call).
 			ctrl.ProcessFrameSource(replayer)
+			elapsed := time.Since(replayStart)
 			reg.ClearReplaySource(replayer)
 			for _, t := range traces {
 				t.Close()
 			}
 			st := replayer.Stats()
-			fmt.Printf("flymond: replay finished: %d packets (ring stalls push=%d pop=%d)\n",
-				st.Packets, st.Ring.PushStalls, st.Ring.PopStalls)
+			fmt.Printf("flymond: replay finished: %d packets in %v, %.2f Mpps (ring stalls push=%d pop=%d)\n",
+				st.Packets, elapsed.Round(time.Millisecond), float64(st.Packets)/elapsed.Seconds()/1e6,
+				st.Ring.PushStalls, st.Ring.PopStalls)
 		}()
 	} else {
 		close(replayDone)

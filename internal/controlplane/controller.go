@@ -318,8 +318,7 @@ func (c *Controller) ProcessParallel(ps []packet.Packet, workers int) {
 	}
 	if workers == 1 {
 		// Same pooled-context sequential path as ProcessBatch: identical
-		// results, and no per-batch context allocation (the readbatch
-		// replay engine hits this arm once per batch on one-core hosts).
+		// results, and no per-batch context allocation.
 		c.ProcessBatch(ps)
 		return
 	}
@@ -334,30 +333,18 @@ func (c *Controller) ProcessParallel(ps []packet.Packet, workers int) {
 	pool.Process(snap, ps, workers)
 }
 
-// ProcessSource drains a pull-based packet source (the mmap replay ring,
-// internal/mmtrace) through the controller's persistent worker pool,
-// returning when the source is exhausted. Every worker reloads the
-// RCU-published snapshot per batch, so task deploys, freezes, and resizes
-// issued mid-replay take effect at the next batch boundary — replay
-// behaves exactly like live traffic under on-the-fly reconfiguration. In
-// sharded mode each batch holds the procGate shared, so drains and
-// queries interleave with a long replay instead of stalling behind it.
-func (c *Controller) ProcessSource(src core.BatchSource) {
-	pool := c.workerPool()
-	var gate *sync.RWMutex
-	if c.sharded {
-		gate = &c.procGate
-	}
-	pool.ProcessSource(c.snap.Load, src, gate)
-}
-
-// ProcessFrameSource drains a pull-based frame source through the worker
-// pool with the FrameView-native engine: spans of raw mmapped records
-// execute stage-at-a-time with no packet materialization, falling back to
-// per-frame decode only for snapshots the vectorizer rejects (spliced
-// groups, probabilistic rules). Reconfiguration, gating, and results are
-// identical to ProcessSource over the same frames — only the per-packet
-// decode and dispatch cost is gone.
+// ProcessFrameSource drains a pull-based frame source (the mmap replay
+// ring, internal/mmtrace) through the controller's persistent worker pool
+// with the FrameView-native engine, returning when the source is
+// exhausted: spans of raw mmapped records execute stage-at-a-time with no
+// packet materialization, falling back to per-frame decode only for
+// snapshots the vectorizer rejects (spliced groups, probabilistic rules).
+// Every worker reloads the RCU-published snapshot per span, so task
+// deploys, freezes, and resizes issued mid-replay take effect at the next
+// span boundary — replay behaves exactly like live traffic under
+// on-the-fly reconfiguration. In sharded mode each span holds the procGate
+// shared, so drains and queries interleave with a long replay instead of
+// stalling behind it.
 func (c *Controller) ProcessFrameSource(src core.FrameSource) {
 	pool := c.workerPool()
 	var gate *sync.RWMutex
@@ -476,7 +463,8 @@ func (c *Controller) ShardStats() metrics.ShardStats {
 
 // Close releases the controller's background resources (the worker pool).
 // The controller remains usable for sequential processing and control-
-// plane queries; only ProcessParallel must not be called after Close.
+// plane queries; only ProcessParallel and ProcessFrameSource must not be
+// called after Close.
 func (c *Controller) Close() {
 	if p := c.workers.Swap(nil); p != nil {
 		p.Close()

@@ -134,7 +134,9 @@ func compareTaskRegisters(t *testing.T, want, got *Controller) {
 // TestProcessFrameSourceMatchesSequential drains raw frame spans through
 // the pool (shared and sharded, several widths) over the full task mix and
 // requires register readouts bit-identical to the sequential packet-path
-// replay — the frame engine's controller-level acceptance check.
+// replay — the frame engine's controller-level acceptance check. The ring
+// rows drain a real mmtrace.Replayer instead of the cursor source: the
+// whole replay path, end to end.
 func TestProcessFrameSourceMatchesSequential(t *testing.T) {
 	tr := trace.Generate(trace.Config{Flows: 300, Packets: 30_000, Seed: 15})
 	mt := writeFramesTrace(t, tr.Packets)
@@ -143,11 +145,14 @@ func TestProcessFrameSourceMatchesSequential(t *testing.T) {
 		name    string
 		sharded bool
 		workers int
+		ring    bool
 	}{
-		{"shared-1", false, 1},
-		{"shared-4", false, 4},
-		{"sharded-2", true, 2},
-		{"sharded-4", true, 4},
+		{"shared-1", false, 1, false},
+		{"shared-4", false, 4, false},
+		{"sharded-2", true, 2, false},
+		{"sharded-4", true, 4, false},
+		{"ring-shared-2", false, 2, true},
+		{"ring-sharded-2", true, 2, true},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			// The bus-chained max-interval task is order-dependent across
@@ -156,7 +161,21 @@ func TestProcessFrameSourceMatchesSequential(t *testing.T) {
 			ref := newFramesController(t, false, 1, withChains, nil)
 			ref.ProcessBatch(tr.Packets)
 			ctrl := newFramesController(t, mode.sharded, mode.workers, withChains, nil)
-			ctrl.ProcessFrameSource(&frameSpanSource{t: mt, span: 512})
+			if mode.ring {
+				rep, err := mmtrace.NewReplayer(mmtrace.ReplayConfig{
+					Traces: []*mmtrace.Trace{mt}, Workers: mode.workers,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep.Start()
+				ctrl.ProcessFrameSource(rep)
+				if got := rep.Packets(); got != uint64(len(tr.Packets)) {
+					t.Fatalf("ring delivered %d packets, want %d", got, len(tr.Packets))
+				}
+			} else {
+				ctrl.ProcessFrameSource(&frameSpanSource{t: mt, span: 512})
+			}
 			compareTaskRegisters(t, ref, ctrl)
 		})
 	}
@@ -261,8 +280,7 @@ func TestProcessFrameSourceReconfigDeterministic(t *testing.T) {
 
 // TestControllerBatchPathZeroAlloc gates the pooled-context sequential
 // path: after warmup, ProcessBatch and the single-worker ProcessParallel
-// arm (the readbatch replay engine's per-batch call on one-core hosts)
-// must not allocate.
+// arm must not allocate.
 func TestControllerBatchPathZeroAlloc(t *testing.T) {
 	ctrl := newFramesController(t, false, 1, true, nil)
 	tr := trace.Generate(trace.Config{Flows: 100, Packets: 512, Seed: 18})

@@ -110,6 +110,9 @@ func (c *Controller) TelemetryDataPlane() telemetry.DataPlane {
 	dp.Packets = c.pipeline.Packets()
 	dp.Recirculated = c.pipeline.Recirculated()
 	dp.ShardedRules, dp.FallbackRules = snap.ShardedRules()
+	// Accesses folds the lanes' plain single-writer counters, so no
+	// sharded batch may run during the gauge walk.
+	defer c.quiesce()()
 	for gi, g := range c.groups {
 		for ci := 0; ci < g.CMUs(); ci++ {
 			reg := g.CMU(ci).Register()

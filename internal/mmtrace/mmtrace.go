@@ -2,21 +2,21 @@
 // FLYMTRC trace files into memory and hands the compiled engine views into
 // the mapped buffer instead of materializing every packet up front.
 //
-// The legacy path (trace.Reader → ReadAll → []packet.Packet →
-// ProcessParallel) touches every byte three times — a bufio copy, a decode
+// The sequential path (trace.Reader → ReadAll → []packet.Packet →
+// ProcessBatch) touches every byte three times — a bufio copy, a decode
 // into a freshly grown slice the size of the whole trace, and the engine's
 // walk over that slice — and its allocation of hundreds of megabytes per
 // replay is pure ingest overhead. Here a trace is mmapped (with a portable
 // io.ReaderAt fallback when mapping is unavailable), records are exposed as
-// lazy FrameViews over the mapped bytes, and batch decoding goes straight
-// from the page cache into small per-worker scratch slabs that stay
-// cache-resident — no intermediate buffer, no per-replay allocation, no GC
-// pressure proportional to trace size.
+// lazy FrameViews over the mapped bytes, and the engine extracts key
+// columns straight from the page cache, one span at a time — no
+// intermediate buffer, no per-replay allocation, no GC pressure
+// proportional to trace size.
 //
 // On top of the mapping, a multi-producer/multi-consumer Ring (ring.go)
 // distributes frame ranges to the engine's persistent worker pool, and a
-// Replayer (replay.go) wires the two together as a core.BatchSource so
-// replay saturates the pool without per-batch channel or allocation
+// Replayer (replay.go) wires the two together as a core.FrameSource so
+// replay saturates the pool without per-span channel or allocation
 // overhead.
 package mmtrace
 
@@ -194,9 +194,9 @@ func (t *Trace) DecodeBatch(start int, dst []packet.Packet) (int, error) {
 	return n, nil
 }
 
-// DecodeRange decodes exactly len(dst) frames starting at `start` — the
-// replay hot path, with bounds established once per span rather than per
-// record. start and len(dst) must lie within Frames.
+// DecodeRange decodes exactly len(dst) frames starting at `start`, with
+// bounds established once per range rather than per record. start and
+// len(dst) must lie within Frames.
 func (t *Trace) DecodeRange(start int, dst []packet.Packet) {
 	b := t.recs[start*trace.RecordSize:]
 	for i := range dst {

@@ -160,6 +160,9 @@ func TestOpenRejectsBadMagic(t *testing.T) {
 	if tr, err := Open(path); err == nil || tr != nil {
 		t.Fatalf("bad magic accepted: %v %v", tr, err)
 	}
+	if tr, err := Open(filepath.Join(t.TempDir(), "nope.fmt")); err == nil || tr != nil {
+		t.Fatalf("missing file accepted: %v %v", tr, err)
+	}
 	if _, err := NewFromBytes(nil); !errors.Is(err, trace.ErrBadMagic) {
 		t.Fatalf("nil bytes = %v, want ErrBadMagic", err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"flymon/internal/packet"
 	"flymon/internal/telemetry"
 )
 
@@ -15,14 +14,11 @@ type ReplayConfig struct {
 	// multi-producer on the ring.
 	Traces []*Trace
 	// Workers is the consumer count — must equal the worker-pool width the
-	// replayer will feed (each worker owns one scratch slab).
+	// replayer will feed (each worker owns one span descriptor).
 	Workers int
 	// Batch is the span width in frames (default 512: ~18 KiB of records,
-	// comfortably L2-resident together with the decode scratch).
+	// comfortably L2-resident together with the engine's column scratch).
 	Batch int
-	// RingSpans is the ring capacity in spans (default 1024, rounded up to
-	// a power of two).
-	RingSpans int
 	// Passes is how many times each producer replays its trace: 0 or 1 =
 	// once; n > 1 = n passes; negative = loop until Stop (steady-state
 	// soak / bench mode).
@@ -30,26 +26,26 @@ type ReplayConfig struct {
 }
 
 const (
-	defaultBatch     = 512
+	defaultBatch = 512
+	// defaultRingSpans is the ring capacity in spans.
 	defaultRingSpans = 1024
 )
 
-// workerState is one consumer's private scratch: the packet slab spans
-// decode into and the span descriptor PopBatch fills. Slabs are allocated
-// once at construction, so steady-state replay performs zero allocations.
+// workerState is one consumer's private scratch: the span descriptor
+// PopBatch fills. It is allocated once at construction, so steady-state
+// replay performs zero allocations.
 type workerState struct {
-	buf  []packet.Packet
 	span [1]Span
 }
 
 // Replayer drives traces through the ring into a worker pool. It is the
-// core.BatchSource for replay: each pool worker calls Next(w) in a loop,
-// receiving decoded batches until the producers finish (or Stop is called)
-// and the ring drains.
+// core.FrameSource for replay: each pool worker calls NextFrames(w) in a
+// loop, receiving raw frame spans until the producers finish (or Stop is
+// called) and the ring drains.
 //
 //	replayer := mmtrace.NewReplayer(cfg)
 //	replayer.Start()
-//	ctrl.ProcessSource(replayer) // blocks until the ring drains
+//	ctrl.ProcessFrameSource(replayer) // blocks until the ring drains
 type Replayer struct {
 	traces  []*Trace
 	ring    *Ring
@@ -64,7 +60,7 @@ type Replayer struct {
 }
 
 // NewReplayer validates the config and allocates all replay state up
-// front (ring slots and per-worker scratch slabs).
+// front (ring slots and per-worker span descriptors).
 func NewReplayer(cfg ReplayConfig) (*Replayer, error) {
 	if len(cfg.Traces) == 0 {
 		return nil, fmt.Errorf("mmtrace: replay needs at least one trace")
@@ -81,23 +77,16 @@ func NewReplayer(cfg ReplayConfig) (*Replayer, error) {
 	if batch <= 0 {
 		batch = defaultBatch
 	}
-	ringSpans := cfg.RingSpans
-	if ringSpans <= 0 {
-		ringSpans = defaultRingSpans
-	}
 	passes := cfg.Passes
 	if passes == 0 {
 		passes = 1
 	}
 	r := &Replayer{
 		traces:  cfg.Traces,
-		ring:    NewRing(ringSpans),
+		ring:    NewRing(defaultRingSpans),
 		workers: make([]workerState, cfg.Workers),
 		batch:   batch,
 		passes:  passes,
-	}
-	for i := range r.workers {
-		r.workers[i].buf = make([]packet.Packet, batch)
 	}
 	return r, nil
 }
@@ -155,28 +144,11 @@ func (r *Replayer) produce(src int32) {
 	}
 }
 
-// Next implements core.BatchSource: it claims the next span for worker w,
-// decodes its frames into w's scratch slab, and returns the batch. The
-// returned slice is valid until w's next call. Nil means the replay is
-// complete (producers done, ring drained).
-func (r *Replayer) Next(w int) []packet.Packet {
-	s := &r.workers[w]
-	if r.ring.PopBatch(s.span[:]) == 0 {
-		return nil
-	}
-	sp := s.span[0]
-	n := int(sp.Hi - sp.Lo)
-	r.traces[sp.Src].DecodeRange(int(sp.Lo), s.buf[:n])
-	r.packets.Add(uint64(n))
-	return s.buf[:n]
-}
-
 // NextFrames implements core.FrameSource: it claims the next span for
 // worker w and returns it as (trace, lo, hi) — no decoding, no packet
 // materialization. The FrameView-native engine executes straight over the
-// mapped record bytes. A nil trace means the replay is complete.
-// NextFrames and Next may be mixed freely (a mid-replay engine switch just
-// changes which form the next span is delivered in).
+// mapped record bytes. A nil trace means the replay is complete (producers
+// done, ring drained).
 func (r *Replayer) NextFrames(w int) (*Trace, int, int) {
 	s := &r.workers[w]
 	if r.ring.PopBatch(s.span[:]) == 0 {

@@ -6,32 +6,38 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"flymon/internal/packet"
 )
 
-func openTestTrace(t *testing.T, n int) (*Trace, []packet.Packet) {
+func openTestTrace(t *testing.T, n int) *Trace {
 	t.Helper()
-	ps := genPackets(n)
-	path, _ := writeTraceFile(t, ps)
+	path, _ := writeTraceFile(t, genPackets(n))
 	tr, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { tr.Close() })
-	return tr, ps
+	return tr
+}
+
+// drainFrames pulls spans for worker w until the replay is complete.
+func drainFrames(rep *Replayer, w int) {
+	for {
+		if tr, _, _ := rep.NextFrames(w); tr == nil {
+			return
+		}
+	}
 }
 
 // TestReplayerDeliversEveryFrame drains a replayer with several concurrent
 // consumers and checks that every frame of every pass arrives exactly once
-// (tallied per frame index).
+// (tallied per frame index of the delivered range).
 func TestReplayerDeliversEveryFrame(t *testing.T) {
-	const frames, passes, workers = 10_000, 3, 4
-	tr, ps := openTestTrace(t, frames)
+	const frames, passes, workers, batch = 10_000, 3, 4, 64
+	tr := openTestTrace(t, frames)
 	rep, err := NewReplayer(ReplayConfig{
 		Traces:  []*Trace{tr},
 		Workers: workers,
-		Batch:   64,
+		Batch:   batch,
 		Passes:  passes,
 	})
 	if err != nil {
@@ -44,21 +50,20 @@ func TestReplayerDeliversEveryFrame(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			// Spans are Batch-aligned and whole, so every delivered batch
-			// must be a span-aligned window of the reference slice; locate
-			// it by content and tally its frames.
+			// Spans are Batch-aligned and whole: every delivered range
+			// starts on a span boundary and is Batch wide, except the
+			// trace's tail.
 			for {
-				batch := rep.Next(w)
-				if batch == nil {
+				got, lo, hi := rep.NextFrames(w)
+				if got == nil {
 					return
 				}
-				lo := findAlignedWindow(ps, batch, 64)
-				if lo < 0 {
-					t.Error("batch does not match any span-aligned window of the trace")
+				if got != tr || lo%batch != 0 || hi <= lo || hi > frames || (hi-lo != batch && hi != frames) {
+					t.Errorf("range [%d,%d) of %p is not a span-aligned window of the trace", lo, hi, got)
 					return
 				}
-				for i := range batch {
-					counts[lo+i].Add(1)
+				for i := lo; i < hi; i++ {
+					counts[i].Add(1)
 				}
 			}
 		}(w)
@@ -77,29 +82,11 @@ func TestReplayerDeliversEveryFrame(t *testing.T) {
 	}
 }
 
-// findAlignedWindow locates batch within ps at a batch-size-aligned offset
-// (the only offsets the replayer emits).
-func findAlignedWindow(ps, batch []packet.Packet, align int) int {
-	for lo := 0; lo+len(batch) <= len(ps); lo += align {
-		match := true
-		for i := range batch {
-			if ps[lo+i] != batch[i] {
-				match = false
-				break
-			}
-		}
-		if match {
-			return lo
-		}
-	}
-	return -1
-}
-
 // TestReplayerMultiTrace replays two traces (two ring producers) and
 // checks the combined delivery count.
 func TestReplayerMultiTrace(t *testing.T) {
-	trA, _ := openTestTrace(t, 3000)
-	trB, _ := openTestTrace(t, 2000)
+	trA := openTestTrace(t, 3000)
+	trB := openTestTrace(t, 2000)
 	rep, err := NewReplayer(ReplayConfig{
 		Traces:  []*Trace{trA, trB},
 		Workers: 2,
@@ -116,11 +103,11 @@ func TestReplayerMultiTrace(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for {
-				b := rep.Next(w)
-				if b == nil {
+				tr, lo, hi := rep.NextFrames(w)
+				if tr == nil {
 					return
 				}
-				total.Add(uint64(len(b)))
+				total.Add(uint64(hi - lo))
 			}
 		}(w)
 	}
@@ -131,11 +118,11 @@ func TestReplayerMultiTrace(t *testing.T) {
 }
 
 // TestReplayerStop ends a loop-mode replay: after Stop the consumers must
-// drain and Next must return nil on every worker — the goroutine-leak gate
-// for the producer side.
+// drain and NextFrames must return nil on every worker — the
+// goroutine-leak gate for the producer side.
 func TestReplayerStop(t *testing.T) {
 	before := runtime.NumGoroutine()
-	tr, _ := openTestTrace(t, 1000)
+	tr := openTestTrace(t, 1000)
 	rep, err := NewReplayer(ReplayConfig{
 		Traces:  []*Trace{tr},
 		Workers: 2,
@@ -151,8 +138,7 @@ func TestReplayerStop(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for rep.Next(w) != nil {
-			}
+			drainFrames(rep, w)
 		}(w)
 	}
 	time.Sleep(20 * time.Millisecond) // let it loop a few passes
@@ -177,9 +163,9 @@ func TestReplayerStop(t *testing.T) {
 }
 
 // TestReplayerNextZeroAlloc is the steady-state allocation gate: once the
-// replay is running, Next must not allocate.
+// replay is running, NextFrames must not allocate.
 func TestReplayerNextZeroAlloc(t *testing.T) {
-	tr, _ := openTestTrace(t, 100_000)
+	tr := openTestTrace(t, 100_000)
 	rep, err := NewReplayer(ReplayConfig{
 		Traces:  []*Trace{tr},
 		Workers: 1,
@@ -192,26 +178,25 @@ func TestReplayerNextZeroAlloc(t *testing.T) {
 	rep.Start()
 	defer func() {
 		rep.Stop()
-		for rep.Next(0) != nil {
-		}
+		drainFrames(rep, 0)
 	}()
 	for i := 0; i < 16; i++ { // warm up
-		if rep.Next(0) == nil {
+		if tr, _, _ := rep.NextFrames(0); tr == nil {
 			t.Fatal("replay ended during warmup")
 		}
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if rep.Next(0) == nil {
+		if tr, _, _ := rep.NextFrames(0); tr == nil {
 			t.Fatal("replay ended mid-measurement")
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("Next allocates %.1f objects per call in steady state, want 0", allocs)
+		t.Fatalf("NextFrames allocates %.1f objects per call in steady state, want 0", allocs)
 	}
 }
 
 func TestReplayerConfigValidation(t *testing.T) {
-	tr, _ := openTestTrace(t, 10)
+	tr := openTestTrace(t, 10)
 	if _, err := NewReplayer(ReplayConfig{Workers: 1}); err == nil {
 		t.Fatal("no traces accepted")
 	}
@@ -227,8 +212,7 @@ func TestReplayerConfigValidation(t *testing.T) {
 		if recover() == nil {
 			t.Fatal("second Start must panic")
 		}
-		for rep.Next(0) != nil {
-		}
+		drainFrames(rep, 0)
 	}()
 	rep.Start()
 }

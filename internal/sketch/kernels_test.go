@@ -109,8 +109,8 @@ func TestMergeXorRegisters(t *testing.T) {
 
 // BenchmarkMergeRegisters measures the kernels against their scalar
 // references over a register row sized like one CMU row of the fleet
-// workloads (16K buckets); cmd/benchcmp -pair
-// 'kernel=scalar:kernel=unrolled' compares the medians.
+// workloads (16K buckets): the kernel=scalar and kernel=unrolled
+// sub-benchmarks pair up per op.
 func BenchmarkMergeRegisters(b *testing.B) {
 	const n = 16384
 	src := make([]uint32, n)

@@ -30,6 +30,21 @@ func TestNilTracerIsDisabled(t *testing.T) {
 		t.Fatalf("nil tracer dump = %v %d %d", spans, total, dropped)
 	}
 	tr.WriteMetrics(&strings.Builder{})
+
+	// The structural form of "tracing armed but op untraced ≡ tracing
+	// off": the sequence every control op runs around its RPC costs no
+	// allocation when there is no root span or no tracer. The timed form
+	// is the benchmark's harness.trace_overhead_pct.
+	if n := testing.AllocsPerRun(100, func() {
+		var root *ActiveSpan
+		_ = root.Context()
+		root.Finish(nil)
+	}); n != 0 {
+		t.Fatalf("untraced op allocates %.1f times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { tr.StartRoot("query").Finish(nil) }); n != 0 {
+		t.Fatalf("nil-tracer StartRoot allocates %.1f times, want 0", n)
+	}
 }
 
 func TestSpanParentage(t *testing.T) {
