@@ -19,9 +19,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
-	"sync"
 	"time"
 
 	"flymon/internal/cli"
@@ -107,8 +107,7 @@ global:
 	// query likewise fans out to its own -addrs list and must keep going
 	// when a switch is down (that is what the straggler report is for).
 	if cmd == "query" {
-		cmdQuery(addr, opts, args)
-		return
+		os.Exit(cmdQuery(os.Stdout, addr, opts, args))
 	}
 	// trace and watch read many daemons too and tolerate dead ones.
 	if cmd == "trace" {
@@ -464,12 +463,11 @@ func printFleet(m *netwide.LivenessManager, opts rpc.Options) {
 }
 
 // cmdQuery runs an epoch-coherent network-wide readout without a resident
-// fleet controller: dial every switch, fetch its epoch-E snapshot under
-// the straggler policy (FetchEpochRows polls behind switches up to the
-// wait bound), and stream the leaves through the parallel sketch-merge
-// tree. The per-switch outcome table separates stragglers from failures —
-// the CLI rendering of the QueryReport the fleet plane produces.
-func cmdQuery(defaultAddr string, opts rpc.Options, args []string) {
+// fleet controller: dial every switch, hand the reachable ones to a
+// RemoteFleet (which owns the fan-out, the straggler policy and the merge
+// tree) and render its rows and QueryReport — a per-switch outcome table
+// separating stragglers from failures — to w. It returns the exit code.
+func cmdQuery(w io.Writer, defaultAddr string, opts rpc.Options, args []string) int {
 	fs := flag.NewFlagSet("query", flag.ExitOnError)
 	addrsFlag := fs.String("addrs", defaultAddr, "comma-separated daemon control-channel addresses")
 	name := fs.String("name", "", "epoch task name")
@@ -482,25 +480,24 @@ func cmdQuery(defaultAddr string, opts rpc.Options, args []string) {
 	traceQ := fs.Bool("trace", false, "trace the query end-to-end and print the assembled span tree")
 	p, keyStr := packetFromFlags(fs, args) // parses the flag set
 
+	fail := func(err error) int {
+		fmt.Fprintf(os.Stderr, "flymonctl: %v\n", err)
+		return 1
+	}
 	if *name == "" {
-		fatal(fmt.Errorf("query: -name is required"))
+		return fail(fmt.Errorf("query: -name is required"))
 	}
 	policy, err := netwide.ParseStragglerPolicy(*policyStr)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	op, err := netwide.ParseMergeOp(*opStr)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	var addrs []string
-	for _, a := range strings.Split(*addrsFlag, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			addrs = append(addrs, a)
-		}
-	}
+	addrs := splitAddrs(*addrsFlag)
 	if len(addrs) == 0 {
-		fatal(fmt.Errorf("query: no addresses"))
+		return fail(fmt.Errorf("query: no addresses"))
 	}
 
 	// Tracing is opt-in per query: the CLI process holds the controller
@@ -509,112 +506,66 @@ func cmdQuery(defaultAddr string, opts rpc.Options, args []string) {
 	var tr *tracing.Tracer
 	if *traceQ {
 		tr = tracing.New(0)
-		opts.Tracer = tr
 	}
 
 	// Dial everything up front; a dead switch becomes a failure row, not a
-	// command abort.
-	clients := make([]*rpc.Client, len(addrs))
-	outcome := make([]string, len(addrs)) // "" = contributed
+	// command abort. fleetIdx maps an address to its index in the fleet of
+	// reachable switches.
+	var clients []*rpc.Client
+	fleetIdx := make([]int, len(addrs))
+	dialErr := make([]error, len(addrs))
 	for i, a := range addrs {
 		c, err := rpc.DialOptions(a, opts)
 		if err != nil {
-			outcome[i] = fmt.Sprintf("failed: %v", err)
+			dialErr[i] = err
 			continue
 		}
-		clients[i] = c
 		defer c.Close()
+		fleetIdx[i] = len(clients)
+		clients = append(clients, c)
+	}
+	if len(clients) == 0 {
+		return fail(fmt.Errorf("query: no reachable switch: %v", dialErr[0]))
 	}
 
 	// Pin the epoch: coherence means every switch answers for the SAME E,
 	// so "latest" is resolved once, not per switch.
 	pinned := *epochN
 	if pinned <= 0 {
-		for _, c := range clients {
-			if c == nil {
-				continue
-			}
-			res, err := c.ReadEpoch(*name, 0)
-			if err != nil {
-				fatal(fmt.Errorf("query: resolving latest epoch: %w", err))
-			}
-			pinned = res.Epoch
-			break
+		res, err := clients[0].ReadEpoch(*name, 0)
+		if err != nil {
+			return fail(fmt.Errorf("query: resolving latest epoch: %w", err))
 		}
-		if pinned <= 0 {
-			fatal(fmt.Errorf("query: no reachable switch to resolve the latest epoch"))
-		}
+		pinned = res.Epoch
 	}
 
-	root := tr.StartRoot("query")
-	root.SetDetail(fmt.Sprintf("%s epoch=%d policy=%s", *name, pinned, policy))
-	q := netwide.EpochQuery{Policy: policy, Wait: *waitBound, Op: op}
-	leaves := make(chan netwide.Leaf, len(addrs))
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		frozenID int
-	)
-	for i, c := range clients {
-		if c == nil {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, c *rpc.Client) {
-			defer wg.Done()
-			var sw *tracing.ActiveSpan
-			if tr != nil {
-				sw = tr.StartSpan(root.Context(), "switch")
-				sw.SetSwitch(i)
-				sw.SetDetail(addrs[i])
-			}
-			rows, fid, err := netwide.FetchEpochRows(c, *name, pinned, q, sw.Context())
-			sw.Finish(err)
-			if err != nil {
-				mu.Lock()
-				if have, ok := netwide.StragglerEpoch(err); ok {
-					outcome[i] = fmt.Sprintf("straggler: behind @ epoch %d", have)
-				} else {
-					outcome[i] = fmt.Sprintf("failed: %v", err)
-				}
-				mu.Unlock()
-				return
-			}
-			mu.Lock()
-			if frozenID == 0 {
-				frozenID = fid
-			}
-			mu.Unlock()
-			leaves <- netwide.Leaf{Switch: i, Rows: rows}
-		}(i, c)
-	}
-	go func() { wg.Wait(); close(leaves) }()
-	res, err := netwide.MergeStream(leaves, op, netwide.TreeOptions{
-		Task: *name, Arity: *arity, Tracer: tr, Parent: root.Context(),
+	// The fleet here is a visitor: it deployed nothing, so its mirror (and
+	// with it the switch configuration) is never consulted — QueryEpochRows
+	// reads an undeployed name straight from the switches.
+	var stats telemetry.FleetStats
+	fleet := netwide.NewRemoteFleetOptions(clients, controlplane.Config{}, netwide.FleetOptions{
+		AllowPartial: true, MergeArity: *arity, Tracer: tr, Telemetry: &stats,
 	})
-	root.Finish(err)
-	if err != nil {
-		fatal(err)
-	}
+	rows, report, qerr := fleet.QueryEpochRows(*name, pinned, netwide.EpochQuery{Policy: policy, Wait: *waitBound, Op: op})
 
-	fmt.Printf("epoch %d, op %s, policy %s: %d/%d switches contributed\n",
-		pinned, op, policy, len(res.Contributed), len(addrs))
-	stragglers := 0
+	fmt.Fprintf(w, "epoch %d, op %s, policy %s: %d/%d switches contributed\n",
+		pinned, op, policy, len(report.Contributed), len(addrs))
 	for i, a := range addrs {
-		o := outcome[i]
-		if o == "" {
-			o = "ok"
+		o := "ok"
+		if dialErr[i] != nil {
+			o = fmt.Sprintf("failed: %v", dialErr[i])
+		} else if have, ok := report.Stragglers[fleetIdx[i]]; ok {
+			o = fmt.Sprintf("straggler: behind @ epoch %d", have)
+		} else if msg, ok := report.Failed[fleetIdx[i]]; ok {
+			o = "failed: " + msg
 		}
-		if strings.HasPrefix(o, "straggler") {
-			stragglers++
-		}
-		fmt.Printf("  %-22s %s\n", a, o)
+		fmt.Fprintf(w, "  %-22s %s\n", a, o)
 	}
-	if res.Rows == nil {
-		fatal(fmt.Errorf("query: no switch contributed rows"))
+	if qerr != nil {
+		return fail(qerr)
 	}
 	buckets, nonzero := 0, 0
-	for _, row := range res.Rows {
+	for _, row := range rows {
 		buckets += len(row)
 		for _, v := range row {
 			if v != 0 {
@@ -622,64 +573,59 @@ func cmdQuery(defaultAddr string, opts rpc.Options, args []string) {
 			}
 		}
 	}
-	fmt.Printf("merged %d rows × %d buckets (%d nonzero), tree depth %d, %d merges\n",
-		len(res.Rows), buckets/max(len(res.Rows), 1), nonzero, res.Depth, res.Merges)
+	fmt.Fprintf(w, "merged %d rows × %d buckets (%d nonzero), tree depth %d, %d merges\n",
+		len(rows), buckets/max(len(rows), 1), nonzero, stats.MergeTree.LastDepth.Load(), stats.MergeTree.Merges.Load())
 
 	if *estimate {
 		spec, err := cli.ParseKeySpec(keyStr)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		key := spec.Extract(p)
+		// No mirror: a contributing switch maps the key to register
+		// indices itself, on the frozen task its snapshot was read from.
 		var idx []uint32
-		for i, c := range clients {
-			if c == nil || outcome[i] != "" {
+		for _, j := range report.Contributed {
+			var snap rpc.EpochRegistersResult
+			if snap, err = clients[j].ReadEpoch(*name, pinned); err != nil {
 				continue
 			}
-			if idx, err = c.KeyIndices(frozenID, key); err == nil {
+			if idx, err = clients[j].KeyIndices(snap.FrozenID, spec.Extract(p)); err == nil {
 				break
 			}
 		}
 		if idx == nil {
-			fatal(fmt.Errorf("query: no contributing switch answered key_indices: %v", err))
+			return fail(fmt.Errorf("query: no contributing switch answered key_indices: %v", err))
 		}
 		min := ^uint32(0)
 		for i, ix := range idx {
-			if i >= len(res.Rows) || int(ix) >= len(res.Rows[i]) {
-				fatal(fmt.Errorf("query: index %d out of range for merged row %d", ix, i))
+			if i >= len(rows) || int(ix) >= len(rows[i]) {
+				return fail(fmt.Errorf("query: index %d out of range for merged row %d", ix, i))
 			}
-			if v := res.Rows[i][ix]; v < min {
+			if v := rows[i][ix]; v < min {
 				min = v
 			}
 		}
-		fmt.Printf("estimate for %s @ epoch %d: %d (%d-of-%d lower bound)\n",
-			spec, pinned, min, len(res.Contributed), len(addrs))
+		fmt.Fprintf(w, "estimate for %s @ epoch %d: %d (%d-of-%d lower bound)\n",
+			spec, pinned, min, len(report.Contributed), len(addrs))
 	}
 	if *traceQ {
 		// Knit the end-to-end tree: this process's spans plus every
-		// reachable daemon's buffer, filtered to this query's trace.
-		spans, _, _ := tr.Dump()
-		for i, c := range clients {
-			if c == nil {
-				continue
-			}
-			dump, err := c.TraceDump(0)
-			if err != nil {
-				logger.Warnf("trace: %s: %v", addrs[i], err)
-				continue
-			}
-			spans = append(spans, dump.Spans...)
+		// reachable daemon's buffer. Only this query has its root here.
+		trees, errs := fleet.CollectTrace(0)
+		for j, err := range errs {
+			logger.Warnf("trace: %s: %v", clients[j].Addr(), err)
 		}
-		fmt.Println()
-		for _, tree := range tracing.Assemble(spans) {
-			if tree.ID == root.Context().Trace {
-				tree.Render(os.Stdout)
+		fmt.Fprintln(w)
+		for _, tree := range trees {
+			if tree.Root != nil {
+				tree.Render(w)
 			}
 		}
 	}
-	if policy == netwide.StragglerWait && (stragglers > 0 || len(res.Contributed) < len(addrs)) {
-		os.Exit(1) // a wait-policy caller asked for all-or-nothing
+	if policy == netwide.StragglerWait && len(report.Contributed) < len(addrs) {
+		return 1 // a wait-policy caller asked for all-or-nothing
 	}
+	return 0
 }
 
 func cmdList(c *rpc.Client) {

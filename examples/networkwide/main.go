@@ -1,6 +1,7 @@
 // Network-wide measurement: one task spec deployed across a fleet of
-// FlyMon switches; the central controller merges per-switch register
-// readouts to answer queries about the whole network — heavy hitters whose
+// FlyMon switches (here four in-process daemons behind the same control
+// channel flymond serves, over an in-memory transport); the central
+// controller merges per-switch register readouts to answer queries about the whole network — heavy hitters whose
 // traffic is spread over several ingresses, fleet-wide flow cardinality,
 // and a DDoS attack no single switch sees enough of (§3.4's SDM use case).
 package main
@@ -17,9 +18,10 @@ import (
 )
 
 func main() {
-	fleet := netwide.NewFleet(4, controlplane.Config{
+	fleet, switches, stop := netwide.NewLoopbackFleet(4, controlplane.Config{
 		Groups: 3, Buckets: 65536, BitWidth: 32,
-	})
+	}, netwide.FleetOptions{})
+	defer stop()
 	fmt.Printf("fleet: %d switches, identical configurations\n", fleet.Size())
 
 	// Deploy three network-wide tasks everywhere with one call each.
@@ -45,7 +47,7 @@ func main() {
 	victim := packet.IPv4(100, 64, 9, 9)
 	tr.InjectDDoS(victim, 2048, 1, 91)
 	for i := range tr.Packets {
-		fleet.Process(i%fleet.Size(), &tr.Packets[i])
+		switches[i%len(switches)].Process(&tr.Packets[i])
 	}
 
 	exact := sketch.NewExactFrequency(packet.KeyFiveTuple)
@@ -61,20 +63,20 @@ func main() {
 		cands = append(cands, k)
 	}
 	truth := exact.HeavyHitters(2048)
-	reported, err := fleet.HeavyHitters("hh", cands, 2048)
+	reported, _, err := fleet.HeavyHitters("hh", cands, 2048)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("heavy hitters ≥2048 pkts: truth %d, network-wide reported %d\n",
 		len(truth), len(reported))
 
-	got, err := fleet.Cardinality("card")
+	got, _, err := fleet.Cardinality("card")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("fleet-wide cardinality: est %.0f, truth %d\n", got, card.Cardinality())
 
-	ddos, err := fleet.Reported("ddos", cands2(tr))
+	ddos, _, err := fleet.Reported("ddos", cands2(tr))
 	if err != nil {
 		log.Fatal(err)
 	}

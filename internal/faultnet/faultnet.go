@@ -4,7 +4,8 @@
 // delays, injected connection resets, partial writes, and corrupt or
 // truncated frames — so any test in the repo can assert that a component
 // survives the fault taxonomy of DESIGN.md §11 without depending on a real
-// lossy network.
+// lossy network. MemListener is the socket-free link the same wrappers
+// apply to: an in-memory net.Listener with its own Dial.
 //
 // Determinism: every wrapped connection draws faults from its own
 // math/rand stream seeded from Plan.Seed and a per-connection ordinal, so
@@ -17,6 +18,7 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -314,4 +316,66 @@ func (d *Dialer) Dial(network, addr string) (net.Conn, error) {
 		return nil, err
 	}
 	return WrapConn(conn, d.Plan, d.next.Add(1)), nil
+}
+
+// MemListener is an in-memory net.Listener: Dial hands Accept one end of a
+// synchronous net.Pipe, so a server and its clients in one process speak
+// the full wire protocol (deadlines included) without a socket. It wraps
+// like any listener — WrapListener(NewMemListener(..), plan) puts a fault
+// Plan or a Gate on an in-memory link.
+type MemListener struct {
+	addr  memAddr
+	conns chan net.Conn
+	done  chan struct{}
+	once  sync.Once
+}
+
+type memAddr string
+
+func (memAddr) Network() string  { return "mem" }
+func (a memAddr) String() string { return string(a) }
+
+// NewMemListener returns a listening in-memory endpoint whose Addr reads
+// "mem:<name>".
+func NewMemListener(name string) *MemListener {
+	return &MemListener{addr: memAddr("mem:" + name), conns: make(chan net.Conn), done: make(chan struct{})}
+}
+
+func (l *MemListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+
+// Close refuses further dials and unblocks Accept. Accepted connections
+// stay open, as on a TCP listener.
+func (l *MemListener) Close() error {
+	l.once.Do(func() { close(l.done) })
+	return nil
+}
+
+func (l *MemListener) Addr() net.Addr { return l.addr }
+
+// Dial connects to the listener; it has the shape of rpc.Options.Dialer
+// (the address is ignored: the listener is the address). A closed listener
+// refuses; one nobody accepts on times out (timeout 0 = wait).
+func (l *MemListener) Dial(_ string, timeout time.Duration) (net.Conn, error) {
+	var expired <-chan time.Time
+	if timeout > 0 {
+		t := time.NewTimer(timeout)
+		defer t.Stop()
+		expired = t.C
+	}
+	client, server := net.Pipe()
+	select {
+	case l.conns <- server:
+		return client, nil
+	case <-l.done:
+		return nil, &net.OpError{Op: "dial", Net: "mem", Addr: l.addr, Err: errors.New("connection refused")}
+	case <-expired:
+		return nil, &net.OpError{Op: "dial", Net: "mem", Addr: l.addr, Err: os.ErrDeadlineExceeded}
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os"
 	"testing"
 	"time"
 )
@@ -181,6 +182,39 @@ func TestListenerWrapsAcceptedConns(t *testing.T) {
 	buf := make([]byte, 16)
 	if n, err := c.Read(buf); err == nil {
 		t.Fatalf("client read %d bytes, want reset", n)
+	}
+}
+
+func TestMemListenerDialAcceptClose(t *testing.T) {
+	ln := NewMemListener("t")
+	if _, err := ln.Dial("", 20*time.Millisecond); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("dial with nobody accepting = %v, want a timeout", err)
+	}
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if c, err := ln.Accept(); err == nil {
+			accepted <- c
+		}
+	}()
+	client, err := ln.Dial(ln.Addr().String(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	server := <-accepted
+	defer client.Close()
+	defer server.Close()
+	go client.Write([]byte("ping"))
+	buf := make([]byte, 4)
+	server.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := io.ReadFull(server, buf); err != nil || string(buf) != "ping" {
+		t.Fatalf("in-memory round trip: %q, %v", buf, err)
+	}
+	ln.Close()
+	if _, err := ln.Accept(); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("accept on a closed listener = %v", err)
+	}
+	if _, err := ln.Dial("", 0); err == nil {
+		t.Fatal("dial on a closed listener must be refused")
 	}
 }
 

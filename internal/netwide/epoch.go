@@ -12,7 +12,6 @@ import (
 	"flymon/internal/epoch"
 	"flymon/internal/packet"
 	"flymon/internal/rpc"
-	"flymon/internal/telemetry"
 	"flymon/internal/tracing"
 )
 
@@ -155,18 +154,6 @@ func (e *stragglerError) Error() string {
 	return fmt.Sprintf("netwide: straggler: wants epoch %d, has %d", e.want, e.have)
 }
 
-// StragglerEpoch reports whether err classifies a switch as a straggler
-// (reachable but behind the requested epoch) and, if so, the epoch it has
-// completed — the hook CLI callers of FetchEpochRows use to render
-// "behind @ E" instead of a failure.
-func StragglerEpoch(err error) (int, bool) {
-	var se *stragglerError
-	if errors.As(err, &se) {
-		return se.have, true
-	}
-	return -1, false
-}
-
 // DeployEpoch installs an epoch task (a rotator) on every daemon and on
 // the mirror, all-or-nothing with rollback like Deploy. The task's name
 // must be unused by both planes.
@@ -189,42 +176,18 @@ func (f *RemoteFleet) DeployEpoch(spec controlplane.TaskSpec) (err error) {
 	}
 	f.mu.Unlock()
 
-	var dmu sync.Mutex
-	deployed := make(map[int]bool)
-	var diverged error
-	errs := f.fanOut(root.Context(), func(i int, c *rpc.Client, sc tracing.SpanContext) error {
-		et, err := c.EpochDeploy(spec, sc)
-		if err != nil {
-			return fmt.Errorf("netwide: epoch deploy of %q on daemon %d: %w", spec.Name, i, err)
-		}
-		dmu.Lock()
-		deployed[i] = true
-		if et.Task.ID != rot.ActiveID() && diverged == nil {
-			diverged = fmt.Errorf("netwide: daemon %d assigned epoch task ID %d, mirror expected %d — configurations diverged",
-				i, et.Task.ID, rot.ActiveID())
-		}
-		dmu.Unlock()
-		return nil
-	})
-	dmu.Lock()
-	defer dmu.Unlock()
-	if len(errs) > 0 || diverged != nil {
-		var wg sync.WaitGroup
-		for i := range deployed {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				_ = f.clients[i].EpochRemove(spec.Name)
-			}(i)
-		}
-		wg.Wait()
+	err = f.installEverywhere(root.Context(), "epoch task", rot.ActiveID(),
+		func(i int, c *rpc.Client, sc tracing.SpanContext) (int, error) {
+			et, err := c.EpochDeploy(spec, sc)
+			if err != nil {
+				return 0, fmt.Errorf("netwide: epoch deploy of %q on daemon %d: %w", spec.Name, i, err)
+			}
+			return et.Task.ID, nil
+		},
+		func(c *rpc.Client, _ int) { _ = c.EpochRemove(spec.Name) })
+	if err != nil {
 		_ = rot.Close()
-		if diverged != nil {
-			return diverged
-		}
-		for _, i := range sortedKeys(errs) {
-			return errs[i]
-		}
+		return err
 	}
 	f.mu.Lock()
 	f.epochs[spec.Name] = &fleetEpoch{rot: rot, spec: spec, window: make(map[int]*frozenEpoch)}
@@ -351,36 +314,15 @@ func pollInterval(wait time.Duration) time.Duration {
 	return p
 }
 
-// FetchEpochRows reads one daemon's epoch-E snapshot with the straggler
-// policy applied locally: a behind daemon is polled until the wait bound
-// (wait/partial) or surfaced immediately (skip). It returns the rows and
-// the frozen task ID the snapshot came from — the handle key_indices
-// needs. This is the mirror-less building block flymonctl query feeds
-// into MergeStream.
-func FetchEpochRows(c *rpc.Client, name string, epochN int, q EpochQuery, parent ...tracing.SpanContext) ([][]uint32, int, error) {
-	q = q.withDefaults()
-	var sc tracing.SpanContext
-	if len(parent) > 0 {
-		sc = parent[0]
-	}
-	res, err := pollEpoch(c, name, epochN, q, nil, nil, c.Tracer(), sc)
-	if err != nil {
-		return nil, 0, err
-	}
-	return res.FrameRows(nil), res.FrozenID, nil
-}
-
 // pollEpoch is the per-switch epoch fetch: read, classify, and — under
-// the wait/partial policies — poll while the daemon is behind. stats
-// (when set) receives the straggler outcome counters. tr + parent (when
-// both live) record the straggler decision: a "straggler_wait" span
-// covering the whole poll (error = still behind at the bound) or an
-// instant "straggler_skip" span under the skip policy.
-func pollEpoch(c *rpc.Client, name string, epochN int, q EpochQuery, stats statsSink, clock func() time.Time, tr *tracing.Tracer, parent tracing.SpanContext) (rpc.EpochRegistersResult, error) {
-	if clock == nil {
-		clock = time.Now
-	}
-	start := clock()
+// the wait/partial policies — poll while the daemon is behind, counting
+// the straggler outcome. When the query is traced, the straggler decision
+// is a span under parent: "straggler_wait" covering the whole poll (error
+// = still behind at the bound) or an instant "straggler_skip" under the
+// skip policy.
+func (f *RemoteFleet) pollEpoch(c *rpc.Client, name string, epochN int, q EpochQuery, parent tracing.SpanContext) (rpc.EpochRegistersResult, error) {
+	st := f.mergeStats()
+	start := time.Now()
 	deadline := start.Add(q.Wait)
 	poll := pollInterval(q.Wait)
 	polled := false
@@ -389,8 +331,9 @@ func pollEpoch(c *rpc.Client, name string, epochN int, q EpochQuery, stats stats
 		res, err := c.ReadEpoch(name, epochN, parent)
 		if err == nil {
 			if polled {
-				if stats != nil {
-					stats.stragglerCaughtUp(clock().Sub(start))
+				if st != nil {
+					st.StragglerWaits.Add(1)
+					st.StragglerWait.Observe(time.Since(start))
 				}
 				waitSp.SetDetail(fmt.Sprintf("epoch=%d caught up", epochN))
 				waitSp.Finish(nil)
@@ -409,63 +352,31 @@ func pollEpoch(c *rpc.Client, name string, epochN int, q EpochQuery, stats stats
 			waitSp.Finish(err)
 			return rpc.EpochRegistersResult{}, err
 		}
+		serr := &stragglerError{want: epochN, have: have}
 		if q.Policy == StragglerSkip {
-			if stats != nil {
-				stats.stragglerSkipped()
+			if st != nil {
+				st.StragglersSkipped.Add(1)
 			}
-			serr := &stragglerError{want: epochN, have: have}
-			sp := traceSpan(tr, parent, "straggler_skip")
+			sp := traceSpan(f.opts.Tracer, parent, "straggler_skip")
 			sp.SetDetail(fmt.Sprintf("want=%d have=%d", epochN, have))
 			sp.Finish(serr)
 			return rpc.EpochRegistersResult{}, serr
 		}
-		if !clock().Before(deadline) {
-			if stats != nil {
-				stats.stragglerTimedOut(clock().Sub(start))
+		if !time.Now().Before(deadline) {
+			if st != nil {
+				st.StragglersTimedOut.Add(1)
+				st.StragglerWait.Observe(time.Since(start))
 			}
-			serr := &stragglerError{want: epochN, have: have}
 			waitSp.SetDetail(fmt.Sprintf("want=%d have=%d", epochN, have))
 			waitSp.Finish(serr)
 			return rpc.EpochRegistersResult{}, serr
 		}
 		if waitSp == nil {
-			waitSp = traceSpan(tr, parent, "straggler_wait")
+			waitSp = traceSpan(f.opts.Tracer, parent, "straggler_wait")
 		}
 		polled = true
 		time.Sleep(poll)
 	}
-}
-
-// statsSink decouples pollEpoch from telemetry so the CLI path can run
-// uninstrumented.
-type statsSink interface {
-	stragglerCaughtUp(waited time.Duration)
-	stragglerSkipped()
-	stragglerTimedOut(waited time.Duration)
-}
-
-// mergeTreeSink adapts telemetry.MergeTreeStats to statsSink.
-type mergeTreeSink struct{ st *telemetry.MergeTreeStats }
-
-func (s mergeTreeSink) stragglerCaughtUp(waited time.Duration) {
-	s.st.StragglerWaits.Add(1)
-	s.st.StragglerWait.Observe(waited)
-}
-
-func (s mergeTreeSink) stragglerSkipped() { s.st.StragglersSkipped.Add(1) }
-
-func (s mergeTreeSink) stragglerTimedOut(waited time.Duration) {
-	s.st.StragglersTimedOut.Add(1)
-	s.st.StragglerWait.Observe(waited)
-}
-
-// fleetSink wraps the fleet's merge-tree stats as a statsSink (nil-safe:
-// a nil stats pointer yields a nil interface, not a typed-nil trap).
-func fleetSink(st *telemetry.MergeTreeStats) statsSink {
-	if st == nil {
-		return nil
-	}
-	return mergeTreeSink{st}
 }
 
 // QueryEpochRows returns the fleet's merged registers for one completed
@@ -479,6 +390,11 @@ func fleetSink(st *telemetry.MergeTreeStats) statsSink {
 // (see frozenEpoch) and later queries are served from it without an RPC
 // (report.Cached), also while a switch is down or ejected. The rows and
 // report.Contributed are therefore shared: treat them as read-only.
+//
+// A name this fleet did not deploy — an epoch task some other controller
+// rotates, which is all a one-shot client like flymonctl query ever sees —
+// is read from the switches at an explicit epoch and never stored, the
+// path epochs outside the window already take.
 func (f *RemoteFleet) QueryEpochRows(name string, epochN int, q EpochQuery) ([][]uint32, QueryReport, error) {
 	art, err := f.epochArtifact(name, epochN, q.withDefaults())
 	return art.rows, art.report, err
@@ -511,8 +427,8 @@ func (f *RemoteFleet) epochArtifact(name string, epochN int, q EpochQuery) (art 
 	f.mu.Lock()
 	et := f.epochs[name]
 	f.mu.Unlock()
-	if et == nil {
-		return art, fmt.Errorf("netwide: no epoch task %q", name)
+	if et == nil && epochN <= 0 {
+		return art, fmt.Errorf("netwide: no epoch task %q (a name this fleet did not deploy needs an explicit epoch)", name)
 	}
 	if epochN <= 0 {
 		epochN = int(et.latest.Load())
@@ -524,12 +440,17 @@ func (f *RemoteFleet) epochArtifact(name string, epochN int, q EpochQuery) (art 
 	if st != nil {
 		st.EpochQueries.Add(1)
 	}
-	et.mu.Lock()
-	fe := et.window[epochN]
+	var fe *frozenEpoch
+	if et != nil {
+		et.mu.Lock()
+		fe = et.window[epochN]
+		if fe == nil {
+			et.mu.Unlock()
+		}
+	}
 	if fe == nil {
-		// Outside the window (evicted, or never rotated to by this fleet):
-		// asked of the fleet, never stored.
-		et.mu.Unlock()
+		// Not this fleet's to keep (evicted from the window, never rotated
+		// to, or never deployed by it): asked of the switches, never stored.
 		art.rows, art.report, err = f.mergeEpoch(name, epochN, q)
 		return art, err
 	}
@@ -574,15 +495,13 @@ func (f *RemoteFleet) epochArtifact(name string, epochN int, q EpochQuery) (art 
 
 // mergeEpoch fans the epoch read out to every switch and reduces the
 // answers through the merge tree.
-func (f *RemoteFleet) mergeEpoch(name string, epochN int, q EpochQuery) (_ [][]uint32, report QueryReport, err error) {
+func (f *RemoteFleet) mergeEpoch(name string, epochN int, q EpochQuery) (_ [][]uint32, _ QueryReport, err error) {
 	root := f.opts.Tracer.StartRoot("epoch_query")
 	if root != nil {
 		root.SetDetail(fmt.Sprintf("%s epoch=%d policy=%s", name, epochN, q.Policy))
 	}
 	defer func() { root.Finish(err) }()
-	report.Epoch = epochN
-	st := f.mergeStats()
-	if st != nil {
+	if st := f.mergeStats(); st != nil {
 		st.EpochCacheMisses.Add(1)
 	}
 	// The fan-out deadline must leave room for straggler polling on top
@@ -591,51 +510,15 @@ func (f *RemoteFleet) mergeEpoch(name string, epochN int, q EpochQuery) (_ [][]u
 	if timeout > 0 && q.Policy != StragglerSkip {
 		timeout += q.Wait
 	}
-	res, errs, mergeErr := f.mergeFanOut(root.Context(), timeout, name, q.Op, func(i int, c *rpc.Client, sc tracing.SpanContext) ([][]uint32, error) {
-		res, err := pollEpoch(c, name, epochN, q, fleetSink(st), nil, f.opts.Tracer, sc)
-		if err != nil {
-			return nil, err
-		}
-		if res.Epoch != epochN {
-			return nil, fmt.Errorf("netwide: daemon %d answered epoch %d for requested epoch %d", i, res.Epoch, epochN)
-		}
-		return res.FrameRows(f.getRowBuf()), nil
-	})
-	report.Contributed = res.Contributed
-	report.Failed = make(map[int]string)
-	report.Stragglers = make(map[int]int)
-	var stragglerErrs []int
-	for i, err := range errs {
-		var se *stragglerError
-		if errors.As(err, &se) {
-			report.Stragglers[i] = se.have
-			stragglerErrs = append(stragglerErrs, i)
-			continue
-		}
-		report.Failed[i] = err.Error()
-	}
-	if mergeErr != nil {
-		return nil, report, mergeErr
-	}
-	if q.Policy == StragglerWait && len(stragglerErrs) > 0 {
-		failed := make(map[int]error, len(stragglerErrs))
-		for _, i := range stragglerErrs {
-			failed[i] = errs[i]
-		}
-		return nil, report, &PartialFailureError{Op: "read_epoch", Task: name, Failed: failed, Total: len(f.clients)}
-	}
-	if len(report.Failed) > 0 && !f.opts.AllowPartial {
-		for _, i := range sortedKeys(errs) {
-			if _, isStraggler := report.Stragglers[i]; !isStraggler {
-				return nil, report, errs[i]
+	return f.mergeQuery(root.Context(), timeout, name, "read_epoch", epochN, q,
+		func(i int, c *rpc.Client, sc tracing.SpanContext) ([][]uint32, error) {
+			res, err := f.pollEpoch(c, name, epochN, q, sc)
+			if err != nil {
+				return nil, err
 			}
-		}
-	}
-	if res.Rows == nil {
-		return nil, report, &PartialFailureError{Op: "read_epoch", Task: name, Failed: errs, Total: len(f.clients)}
-	}
-	if report.Partial() && f.opts.Telemetry != nil {
-		f.opts.Telemetry.PartialMerges.Add(1)
-	}
-	return res.Rows, report, nil
+			if res.Epoch != epochN {
+				return nil, fmt.Errorf("netwide: daemon %d answered epoch %d for requested epoch %d", i, res.Epoch, epochN)
+			}
+			return res.FrameRows(f.getRowBuf()), nil
+		})
 }

@@ -32,17 +32,17 @@ func epochTraffic(ctrls []*controlplane.Controller, seed int64) []packet.Canonic
 }
 
 // epochOracle is the independent readout the store is checked against:
-// every daemon's snapshot fetched through the mirror-less client path and
-// reduced by a fresh MergeStream, no fleet involved.
+// every daemon's snapshot read straight off its client and reduced by a
+// fresh MergeStream, no fleet involved.
 func epochOracle(t *testing.T, clients []*rpc.Client, name string, epochN int, op MergeOp) [][]uint32 {
 	t.Helper()
 	leaves := make(chan Leaf, len(clients))
 	for i, c := range clients {
-		rows, _, err := FetchEpochRows(c, name, epochN, EpochQuery{})
+		res, err := c.ReadEpoch(name, epochN)
 		if err != nil {
 			t.Fatal(err)
 		}
-		leaves <- Leaf{Switch: i, Rows: rows}
+		leaves <- Leaf{Switch: i, Rows: res.FrameRows(nil)}
 	}
 	close(leaves)
 	res, err := MergeStream(leaves, op, TreeOptions{Task: name})

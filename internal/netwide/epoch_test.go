@@ -2,11 +2,12 @@ package netwide
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
+	"flymon/internal/controlplane"
 	"flymon/internal/packet"
-	"flymon/internal/rpc"
 	"flymon/internal/telemetry"
 	"flymon/internal/trace"
 )
@@ -137,48 +138,61 @@ func TestFleetEpochLifecycle(t *testing.T) {
 	}
 }
 
-func TestFetchEpochRowsStandalone(t *testing.T) {
-	// The mirror-less building block flymonctl query uses: one daemon,
-	// straight RPC, straggler policy applied locally.
+func TestQueryEpochRowsUndeployedName(t *testing.T) {
+	// What flymonctl query runs: a fleet that did not deploy the epoch task
+	// (no mirror state for it) reads the switches at an explicit epoch,
+	// with the straggler policy applied, and stores nothing.
 	check := gateFleetGoroutines(t)
 	t.Cleanup(check)
 	cfg := fleetConfig()
 	ctrls, clients := startDaemons(t, 1, cfg)
-	fleet := NewRemoteFleet(clients, cfg)
-	if err := fleet.DeployEpoch(cmsSpec("ep")); err != nil {
+	owner := NewRemoteFleet(clients, cfg)
+	if err := owner.DeployEpoch(cmsSpec("ep")); err != nil {
 		t.Fatal(err)
 	}
 	tr := trace.Generate(trace.Config{Flows: 100, Packets: 4_000, Seed: 43})
 	for i := range tr.Packets {
 		ctrls[0].Process(&tr.Packets[i])
 	}
-	if _, err := fleet.RotateEpoch("ep"); err != nil {
+	if _, err := owner.RotateEpoch("ep"); err != nil {
 		t.Fatal(err)
 	}
-	rows, frozenID, err := FetchEpochRows(clients[0], "ep", 1, EpochQuery{})
+	want, _, err := owner.QueryEpochRows("ep", 1, EpochQuery{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) == 0 || frozenID == 0 {
-		t.Fatalf("rows %d frozenID %d", len(rows), frozenID)
-	}
-	// A skip-policy fetch of a not-yet-completed epoch classifies as a
-	// straggler immediately; a wait-policy fetch blocks only up to Wait.
-	if _, _, err := FetchEpochRows(clients[0], "ep", 7, EpochQuery{Policy: StragglerSkip}); err == nil {
-		t.Fatal("future epoch fetch must fail")
-	} else {
-		var se *stragglerError
-		if !errors.As(err, &se) || se.want != 7 || se.have != 1 {
-			t.Fatalf("skip fetch error = %v, want straggler want=7 have=1", err)
+	visitor := NewRemoteFleetOptions(clients, controlplane.Config{}, FleetOptions{AllowPartial: true})
+	for pass := 0; pass < 2; pass++ {
+		rows, report, err := visitor.QueryEpochRows("ep", 1, EpochQuery{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if report.Cached || report.Epoch != 1 || len(report.Contributed) != 1 {
+			t.Fatalf("pass %d report = %+v, want an uncached 1/1 read of epoch 1", pass, report)
+		}
+		if !reflect.DeepEqual(rows, want) {
+			t.Fatalf("pass %d: visitor rows differ from the owning fleet's", pass)
 		}
 	}
+	if _, _, err := visitor.QueryEpochRows("ep", 0, EpochQuery{}); err == nil {
+		t.Fatal("an undeployed name without an explicit epoch must fail")
+	}
+	if _, _, err := visitor.EstimateKeyEpoch("ep", 1, packet.CanonicalKey{}, EpochQuery{}); err == nil {
+		t.Fatal("an estimate needs the mirror's index mapping; a visitor has none")
+	}
+	// A skip-policy read of a not-yet-completed epoch reports the straggler
+	// immediately; a wait-policy read blocks only up to Wait, then fails.
+	_, report, err := visitor.QueryEpochRows("ep", 7, EpochQuery{Policy: StragglerSkip})
+	if err == nil || report.Stragglers[0] != 1 || len(report.Failed) != 0 {
+		t.Fatalf("skip read of a future epoch: err %v report %+v, want straggler 0@1", err, report)
+	}
 	start := time.Now()
-	_, _, err = FetchEpochRows(clients[0], "ep", 7, EpochQuery{Wait: 150 * time.Millisecond})
-	if err == nil {
-		t.Fatal("wait-policy fetch of a future epoch must time out")
+	_, report, err = visitor.QueryEpochRows("ep", 7, EpochQuery{Wait: 150 * time.Millisecond})
+	var pf *PartialFailureError
+	if !errors.As(err, &pf) || report.Stragglers[0] != 1 {
+		t.Fatalf("wait read of a future epoch: err %v report %+v", err, report)
 	}
 	if el := time.Since(start); el < 100*time.Millisecond || el > 2*time.Second {
-		t.Fatalf("wait-policy fetch blocked %v, want ~150ms", el)
+		t.Fatalf("wait-policy read blocked %v, want ~150ms", el)
 	}
-	_ = rpc.IsEpochUnavailable
 }

@@ -217,9 +217,10 @@ func TestMergeStreamStress(t *testing.T) {
 }
 
 func TestRemoteFleetEnginesBitIdentical(t *testing.T) {
-	// The deployed path: the merge tree over packed binary reads must agree
+	// The deployed path: the merge tree over framed RPC reads must agree
 	// bit for bit with the sequential oracle folded over each daemon's
-	// plain (JSON) register readout, and record its shape telemetry.
+	// in-process register readout (no wire at all), and record its shape
+	// telemetry.
 	check := gateFleetGoroutines(t)
 	t.Cleanup(check)
 	cfg := fleetConfig()
@@ -234,7 +235,7 @@ func TestRemoteFleetEnginesBitIdentical(t *testing.T) {
 		ctrls[i%len(ctrls)].Process(&tr.Packets[i])
 	}
 	leaves := make([]Leaf, len(clients))
-	for i, c := range clients {
+	for i, c := range ctrls {
 		rows, err := c.ReadRegisters(fleet.taskIDs["freq"])
 		if err != nil {
 			t.Fatal(err)

@@ -7,6 +7,11 @@
 // readouts element-wise (add for counters, max for MAX/rank registers, OR
 // for bitmaps) and answer queries about the union of all ingress traffic.
 //
+// There is one fleet, RemoteFleet: switches are flymond daemons behind the
+// control channel, reached over TCP (NewRemoteFleetOptions) or, for a fleet
+// living in this process, over an in-memory transport (NewLoopbackFleet).
+// Either way a query is the same RPC fan-out into the same merge tree.
+//
 // The deployment model follows the standard network-wide measurement
 // assumption: each packet is measured at exactly one switch (its ingress),
 // so counter merges see disjoint streams; HLL/Bloom merges tolerate
@@ -16,165 +21,65 @@ package netwide
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"flymon/internal/controlplane"
 	"flymon/internal/core/algorithms"
+	"flymon/internal/faultnet"
 	"flymon/internal/packet"
+	"flymon/internal/rpc"
 	"flymon/internal/sketch"
 )
 
-// Fleet is a set of identically configured FlyMon switches plus the task
-// registry that keeps their deployments in lockstep.
-type Fleet struct {
-	switches []*controlplane.Controller
-	// taskIDs[name][i] is the task's ID on switch i (identical across
-	// switches by construction, but tracked defensively).
-	taskIDs map[string][]int
-}
-
-// NewFleet builds n switches from one configuration. Determinism of
-// controller construction guarantees identical hash polynomials, unit
-// configurations, and placements across the fleet.
-func NewFleet(n int, cfg controlplane.Config) *Fleet {
+// NewLoopbackFleet builds n identically configured switches inside this
+// process — each a controller behind an rpc.Server on an in-memory
+// listener — and the RemoteFleet over them. The controllers are the
+// ingress handles (feed them packets); stop tears down the fleet's
+// background work, the clients and the servers.
+func NewLoopbackFleet(n int, cfg controlplane.Config, opts FleetOptions) (fleet *RemoteFleet, switches []*controlplane.Controller, stop func()) {
 	if n < 1 {
 		n = 1
 	}
-	f := &Fleet{taskIDs: make(map[string][]int)}
-	for i := 0; i < n; i++ {
-		f.switches = append(f.switches, controlplane.NewController(cfg))
-	}
-	return f
-}
-
-// Size returns the number of switches.
-func (f *Fleet) Size() int { return len(f.switches) }
-
-// Switch returns switch i's controller (for direct inspection).
-func (f *Fleet) Switch(i int) *controlplane.Controller { return f.switches[i] }
-
-// Deploy installs the spec on every switch. Name must be unique per fleet.
-func (f *Fleet) Deploy(spec controlplane.TaskSpec) error {
-	if _, ok := f.taskIDs[spec.Name]; ok {
-		return fmt.Errorf("netwide: task %q already deployed", spec.Name)
-	}
-	ids := make([]int, 0, len(f.switches))
-	for i, sw := range f.switches {
-		t, err := sw.AddTask(spec)
+	switches = make([]*controlplane.Controller, n)
+	servers := make([]*rpc.Server, n)
+	clients := make([]*rpc.Client, n)
+	for i := range switches {
+		switches[i] = controlplane.NewController(cfg)
+		servers[i] = rpc.NewServer(switches[i], nil)
+		ln := faultnet.NewMemListener(fmt.Sprintf("switch%d", i))
+		servers[i].Serve(ln)
+		c, err := rpc.DialOptions(ln.Addr().String(), rpc.Options{Dialer: ln.Dial})
 		if err != nil {
-			// Roll back switches already configured.
-			for j, id := range ids {
-				_ = f.switches[j].RemoveTask(id)
-			}
-			return fmt.Errorf("netwide: deploying %q on switch %d: %w", spec.Name, i, err)
+			panic(err) // a listener just put in service cannot refuse: a bug
 		}
-		ids = append(ids, t.ID)
+		clients[i] = c
 	}
-	f.taskIDs[spec.Name] = ids
-	return nil
-}
-
-// Remove uninstalls the named task fleet-wide.
-func (f *Fleet) Remove(name string) error {
-	ids, ok := f.taskIDs[name]
-	if !ok {
-		return fmt.Errorf("netwide: no task %q", name)
-	}
-	var firstErr error
-	for i, id := range ids {
-		if err := f.switches[i].RemoveTask(id); err != nil && firstErr == nil {
-			firstErr = err
+	fleet = NewRemoteFleetOptions(clients, cfg, opts)
+	return fleet, switches, func() {
+		fleet.Stop()
+		for i := range clients {
+			clients[i].Close()
+			servers[i].Close()
 		}
 	}
-	delete(f.taskIDs, name)
-	return firstErr
 }
 
-// Process measures packet p at its ingress switch.
-func (f *Fleet) Process(ingress int, p *packet.Packet) {
-	f.switches[ingress%len(f.switches)].Process(p)
-}
-
-// ProcessBatch measures a packet batch at one ingress switch through the
-// sequential fast path.
-func (f *Fleet) ProcessBatch(ingress int, ps []packet.Packet) {
-	f.switches[ingress%len(f.switches)].ProcessBatch(ps)
-}
-
-// ProcessParallel fans a batch out across the fleet concurrently: packet i
-// enters switch i mod Size (the round-robin ingress model the tests use),
-// and every switch runs its own worker over its shard — switches are
-// independent data planes, so the shards proceed without coordination.
-func (f *Fleet) ProcessParallel(ps []packet.Packet) {
-	n := len(f.switches)
-	if n == 1 || len(ps) < 2 {
-		f.ProcessBatch(0, ps)
-		return
-	}
-	var wg sync.WaitGroup
-	for si := 0; si < n; si++ {
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			sw := f.switches[si]
-			for i := si; i < len(ps); i += n {
-				sw.Process(&ps[i])
-			}
-		}(si)
-	}
-	wg.Wait()
-}
-
-// mergedRows reads the named task's registers on every switch and merges
-// them with the supplied combiner into fresh slices.
-func (f *Fleet) mergedRows(name string, combine func(dst, src []uint32) error) ([][]uint32, []int, error) {
-	ids, ok := f.taskIDs[name]
-	if !ok {
-		return nil, nil, fmt.Errorf("netwide: no task %q", name)
-	}
-	var merged [][]uint32
-	for i, id := range ids {
-		rows, err := f.switches[i].ReadRegisters(id)
-		if err != nil {
-			return nil, nil, fmt.Errorf("netwide: reading %q on switch %d: %w", name, i, err)
-		}
-		if merged == nil {
-			merged = make([][]uint32, len(rows))
-			for r := range rows {
-				merged[r] = make([]uint32, len(rows[r]))
-				copy(merged[r], rows[r])
-			}
-			continue
-		}
-		if len(rows) != len(merged) {
-			return nil, nil, fmt.Errorf("netwide: switch %d has %d rows for %q, expected %d", i, len(rows), name, len(merged))
-		}
-		for r := range rows {
-			if err := combine(merged[r], rows[r]); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-	return merged, ids, nil
-}
-
-// EstimateKey returns the network-wide frequency estimate for key k on a
-// counter task (FlyMon-CMS): per-row sums across switches, min across rows.
-// Requires each packet to be measured at exactly one switch.
-func (f *Fleet) EstimateKey(name string, k packet.CanonicalKey) (uint64, error) {
-	merged, ids, err := f.mergedRows(name, sketch.MergeAddRegisters)
+// mergedTask merges the named task's live registers under op and resolves
+// the mirror's handle as algorithm type T — the front half of every typed
+// network-wide query. kind names what T answers, for the error.
+func mergedTask[T any](f *RemoteFleet, name string, op MergeOp, kind string) (task T, merged [][]uint32, report QueryReport, err error) {
+	merged, id, report, err := f.mergedRows(name, op)
 	if err != nil {
-		return 0, err
+		return task, nil, report, err
 	}
-	h, err := f.switches[0].TaskHandle(ids[0])
+	h, err := f.mirror.TaskHandle(id)
 	if err != nil {
-		return 0, err
+		return task, nil, report, err
 	}
-	cms, ok := h.(*algorithms.CMSTask)
+	task, ok := h.(T)
 	if !ok {
-		return 0, fmt.Errorf("netwide: task %q is not a counter task", name)
+		return task, nil, report, fmt.Errorf("netwide: task %q is not %s task", name, kind)
 	}
-	return countMin(cms, merged, k), nil
+	return task, merged, report, nil
 }
 
 // countMin reads key k's count-min estimate out of merged rows laid out
@@ -190,21 +95,18 @@ func countMin(cms *algorithms.CMSTask, merged [][]uint32, k packet.CanonicalKey)
 	return uint64(min)
 }
 
+// Each typed query below is one live fleet-wide merge plus a local readout
+// of the merged rows, so it inherits everything MergedRows does: liveness
+// ejection, AllowPartial, the merge tree, tracing. With AllowPartial set
+// the answer may cover a subset of switches; the QueryReport says which.
+
 // Cardinality returns the network-wide distinct-flow estimate of an HLL
 // task: element-wise max of rank registers, then the harmonic-mean
 // estimator. Duplicate observation across switches is harmless.
-func (f *Fleet) Cardinality(name string) (float64, error) {
-	merged, ids, err := f.mergedRows(name, sketch.MergeMaxRegisters)
+func (f *RemoteFleet) Cardinality(name string) (float64, QueryReport, error) {
+	hll, merged, report, err := mergedTask[*algorithms.HLLTask](f, name, MergeMax, "an HLL")
 	if err != nil {
-		return 0, err
-	}
-	h, err := f.switches[0].TaskHandle(ids[0])
-	if err != nil {
-		return 0, err
-	}
-	hll, ok := h.(*algorithms.HLLTask)
-	if !ok {
-		return 0, fmt.Errorf("netwide: task %q is not an HLL task", name)
+		return 0, report, err
 	}
 	ranks := make([]uint8, len(merged[0]))
 	for i, v := range merged[0] {
@@ -213,65 +115,49 @@ func (f *Fleet) Cardinality(name string) (float64, error) {
 		}
 		ranks[i] = uint8(v)
 	}
-	return sketch.HLLEstimateFromRanks(ranks, 32-hll.B), nil
+	return sketch.HLLEstimateFromRanks(ranks, 32-hll.B), report, nil
 }
 
 // Contains reports network-wide Bloom membership for key k: bitmap OR
 // across switches, then the usual probes.
-func (f *Fleet) Contains(name string, k packet.CanonicalKey) (bool, error) {
-	merged, ids, err := f.mergedRows(name, sketch.MergeOrRegisters)
+func (f *RemoteFleet) Contains(name string, k packet.CanonicalKey) (bool, QueryReport, error) {
+	bloom, merged, report, err := mergedTask[*algorithms.BloomTask](f, name, MergeOr, "an existence")
 	if err != nil {
-		return false, err
-	}
-	h, err := f.switches[0].TaskHandle(ids[0])
-	if err != nil {
-		return false, err
-	}
-	bloom, ok := h.(*algorithms.BloomTask)
-	if !ok {
-		return false, fmt.Errorf("netwide: task %q is not an existence task", name)
+		return false, report, err
 	}
 	indices, masks := bloom.ProbeKey(k)
 	for i := range indices {
 		idx := indices[i] - uint32(bloom.Rows[i].Base)
 		if merged[i][idx]&masks[i] == 0 {
-			return false, nil
+			return false, report, nil
 		}
 	}
-	return true, nil
+	return true, report, nil
 }
 
 // HeavyHitters returns the candidates whose network-wide estimate meets
-// the threshold.
-func (f *Fleet) HeavyHitters(name string, candidates []packet.CanonicalKey, threshold uint64) (map[packet.CanonicalKey]bool, error) {
+// the threshold: one merge, then every candidate probed against it.
+func (f *RemoteFleet) HeavyHitters(name string, candidates []packet.CanonicalKey, threshold uint64) (map[packet.CanonicalKey]bool, QueryReport, error) {
+	cms, merged, report, err := mergedTask[*algorithms.CMSTask](f, name, MergeAdd, "a counter")
+	if err != nil {
+		return nil, report, err
+	}
 	out := make(map[packet.CanonicalKey]bool)
 	for _, k := range candidates {
-		v, err := f.EstimateKey(name, k)
-		if err != nil {
-			return nil, err
-		}
-		if v >= threshold {
+		if countMin(cms, merged, k) >= threshold {
 			out[k] = true
 		}
 	}
-	return out, nil
+	return out, report, nil
 }
 
 // Reported returns the candidates a network-wide BeauCoup task reports:
 // coupon bitmaps OR-merge across switches (a coupon collected anywhere is
 // collected), then the usual min-across-tables popcount test.
-func (f *Fleet) Reported(name string, candidates []packet.CanonicalKey) (map[packet.CanonicalKey]bool, error) {
-	merged, ids, err := f.mergedRows(name, sketch.MergeOrRegisters)
+func (f *RemoteFleet) Reported(name string, candidates []packet.CanonicalKey) (map[packet.CanonicalKey]bool, QueryReport, error) {
+	bc, merged, report, err := mergedTask[*algorithms.BeauCoupTask](f, name, MergeOr, "a BeauCoup")
 	if err != nil {
-		return nil, err
-	}
-	h, err := f.switches[0].TaskHandle(ids[0])
-	if err != nil {
-		return nil, err
-	}
-	bc, ok := h.(*algorithms.BeauCoupTask)
-	if !ok {
-		return nil, fmt.Errorf("netwide: task %q is not a BeauCoup task", name)
+		return nil, report, err
 	}
 	out := make(map[packet.CanonicalKey]bool)
 	for _, k := range candidates {
@@ -286,5 +172,5 @@ func (f *Fleet) Reported(name string, candidates []packet.CanonicalKey) (map[pac
 			out[k] = true
 		}
 	}
-	return out, nil
+	return out, report, nil
 }

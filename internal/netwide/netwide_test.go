@@ -21,10 +21,18 @@ func cmsSpec(name string) controlplane.TaskSpec {
 	}
 }
 
-// spread replays tr across the fleet, each packet at one ingress.
-func spread(f *Fleet, tr *trace.Trace) {
+// loopbackFleet builds an in-process fleet torn down with the test.
+func loopbackFleet(t *testing.T, n int, cfg controlplane.Config) (*RemoteFleet, []*controlplane.Controller) {
+	t.Helper()
+	fleet, switches, stop := NewLoopbackFleet(n, cfg, FleetOptions{})
+	t.Cleanup(stop)
+	return fleet, switches
+}
+
+// spread replays tr across the switches, each packet at one ingress.
+func spread(switches []*controlplane.Controller, tr *trace.Trace) {
 	for i := range tr.Packets {
-		f.Process(i%f.Size(), &tr.Packets[i])
+		switches[i%len(switches)].Process(&tr.Packets[i])
 	}
 }
 
@@ -32,8 +40,8 @@ func TestFleetMergedCountsEqualSingleSwitch(t *testing.T) {
 	// The core merge identity: a fleet's merged estimate must equal a
 	// single switch observing the whole stream (same deterministic hash
 	// configuration).
-	fleet := NewFleet(3, fleetConfig())
-	single := NewFleet(1, fleetConfig())
+	fleet, switches := loopbackFleet(t, 3, fleetConfig())
+	single, one := loopbackFleet(t, 1, fleetConfig())
 	if err := fleet.Deploy(cmsSpec("freq")); err != nil {
 		t.Fatal(err)
 	}
@@ -41,8 +49,8 @@ func TestFleetMergedCountsEqualSingleSwitch(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := trace.Generate(trace.Config{Flows: 2000, Packets: 60_000, Seed: 60})
-	spread(fleet, tr)
-	spread(single, tr)
+	spread(switches, tr)
+	spread(one, tr)
 
 	exact := sketch.NewExactFrequency(packet.KeyFiveTuple)
 	for i := range tr.Packets {
@@ -72,12 +80,12 @@ func TestFleetMergedCountsEqualSingleSwitch(t *testing.T) {
 }
 
 func TestFleetHeavyHitters(t *testing.T) {
-	fleet := NewFleet(4, fleetConfig())
+	fleet, switches := loopbackFleet(t, 4, fleetConfig())
 	if err := fleet.Deploy(cmsSpec("hh")); err != nil {
 		t.Fatal(err)
 	}
 	tr := trace.Generate(trace.Config{Flows: 4000, Packets: 200_000, ZipfS: 1.3, Seed: 61})
-	spread(fleet, tr)
+	spread(switches, tr)
 
 	exact := sketch.NewExactFrequency(packet.KeyFiveTuple)
 	for i := range tr.Packets {
@@ -94,7 +102,7 @@ func TestFleetHeavyHitters(t *testing.T) {
 		cands = append(cands, k)
 		universe[k] = true
 	}
-	reported, err := fleet.HeavyHitters("hh", cands, threshold)
+	reported, _, err := fleet.HeavyHitters("hh", cands, threshold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +111,9 @@ func TestFleetHeavyHitters(t *testing.T) {
 	}
 	// Per-switch views must miss hitters whose traffic is spread: check at
 	// least one truth flow is NOT a hitter on switch 0 alone.
-	sw0 := fleet.Switch(0)
-	ids := fleet.taskIDs["hh"]
 	missed := false
 	for k := range truth {
-		v, err := sw0.EstimateKey(ids[0], k)
+		v, err := switches[0].EstimateKey(fleet.taskIDs["hh"], k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +128,7 @@ func TestFleetHeavyHitters(t *testing.T) {
 }
 
 func TestFleetCardinality(t *testing.T) {
-	fleet := NewFleet(3, fleetConfig())
+	fleet, switches := loopbackFleet(t, 3, fleetConfig())
 	spec := controlplane.TaskSpec{
 		Name: "card", Attribute: controlplane.AttrDistinct,
 		Param:      controlplane.ParamSpec{Kind: controlplane.ParamFlowKey, Key: packet.KeyFiveTuple},
@@ -133,14 +139,17 @@ func TestFleetCardinality(t *testing.T) {
 	}
 	const flows = 30_000
 	tr := trace.Generate(trace.Config{Flows: flows, Packets: flows * 2, Seed: 62})
-	spread(fleet, tr)
+	spread(switches, tr)
 	exact := sketch.NewExactCardinality(packet.KeyFiveTuple)
 	for i := range tr.Packets {
 		exact.AddPacket(&tr.Packets[i])
 	}
-	got, err := fleet.Cardinality("card")
+	got, report, err := fleet.Cardinality("card")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if report.Partial() || len(report.Contributed) != 3 {
+		t.Fatalf("cardinality report = %v", report)
 	}
 	if re := metrics.RE(float64(exact.Cardinality()), got); re > 0.1 {
 		t.Fatalf("network-wide cardinality RE %.3f (est %.0f, truth %d)", re, got, exact.Cardinality())
@@ -148,7 +157,7 @@ func TestFleetCardinality(t *testing.T) {
 }
 
 func TestFleetContains(t *testing.T) {
-	fleet := NewFleet(2, fleetConfig())
+	fleet, switches := loopbackFleet(t, 2, fleetConfig())
 	spec := controlplane.TaskSpec{
 		Name: "exists", Attribute: controlplane.AttrExistence,
 		Param:      controlplane.ParamSpec{Kind: controlplane.ParamFlowKey, Key: packet.KeyFiveTuple},
@@ -158,12 +167,12 @@ func TestFleetContains(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := trace.Generate(trace.Config{Flows: 1000, Packets: 3000, Seed: 63})
-	spread(fleet, tr)
+	spread(switches, tr)
 	// Every inserted key must be found network-wide even though each
 	// switch saw only half the stream.
 	for i := 0; i < 200; i++ {
 		k := packet.KeyFiveTuple.Extract(&tr.Packets[i])
-		ok, err := fleet.Contains("exists", k)
+		ok, _, err := fleet.Contains("exists", k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +183,7 @@ func TestFleetContains(t *testing.T) {
 }
 
 func TestFleetDDoSReported(t *testing.T) {
-	fleet := NewFleet(3, fleetConfig())
+	fleet, switches := loopbackFleet(t, 3, fleetConfig())
 	const threshold = 384
 	spec := controlplane.TaskSpec{
 		Name: "ddos", Key: packet.KeyDstIP, Attribute: controlplane.AttrDistinct,
@@ -187,7 +196,7 @@ func TestFleetDDoSReported(t *testing.T) {
 	tr := trace.Generate(trace.Config{Flows: 2000, Packets: 40_000, Seed: 64})
 	victim := packet.IPv4(100, 64, 0, 1)
 	tr.InjectDDoS(victim, 4*threshold, 1, 65)
-	spread(fleet, tr)
+	spread(switches, tr)
 
 	exact := sketch.NewExactDistinct(packet.KeyDstIP, packet.KeySrcIP)
 	for i := range tr.Packets {
@@ -197,7 +206,7 @@ func TestFleetDDoSReported(t *testing.T) {
 	for k := range exact.Counts() {
 		cands = append(cands, k)
 	}
-	reported, err := fleet.Reported("ddos", cands)
+	reported, _, err := fleet.Reported("ddos", cands)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +217,7 @@ func TestFleetDDoSReported(t *testing.T) {
 }
 
 func TestFleetLifecycleErrors(t *testing.T) {
-	fleet := NewFleet(2, fleetConfig())
+	fleet, _ := loopbackFleet(t, 2, fleetConfig())
 	if err := fleet.Deploy(cmsSpec("x")); err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +227,7 @@ func TestFleetLifecycleErrors(t *testing.T) {
 	if _, err := fleet.EstimateKey("nope", packet.CanonicalKey{}); err == nil {
 		t.Fatal("unknown task must fail")
 	}
-	if _, err := fleet.Cardinality("x"); err == nil {
+	if _, _, err := fleet.Cardinality("x"); err == nil {
 		t.Fatal("cardinality on a counter task must fail")
 	}
 	if err := fleet.Remove("x"); err != nil {
@@ -232,18 +241,18 @@ func TestFleetLifecycleErrors(t *testing.T) {
 func TestFleetDeployRollsBackOnFailure(t *testing.T) {
 	// Fill switch 1 so a fleet-wide deploy fails there; switch 0 must be
 	// rolled back.
-	fleet := NewFleet(2, controlplane.Config{Groups: 1, Buckets: 65536, BitWidth: 32})
+	fleet, switches := loopbackFleet(t, 2, controlplane.Config{Groups: 1, Buckets: 65536, BitWidth: 32})
 	full := controlplane.TaskSpec{
 		Name: "hog", Key: packet.KeyFiveTuple, Attribute: controlplane.AttrFrequency,
 		MemBuckets: 65536, D: 3,
 	}
-	if _, err := fleet.Switch(1).AddTask(full); err != nil {
+	if _, err := switches[1].AddTask(full); err != nil {
 		t.Fatal(err)
 	}
 	if err := fleet.Deploy(cmsSpec("doomed")); err == nil {
 		t.Fatal("deploy must fail on the full switch")
 	}
-	if n := len(fleet.Switch(0).Tasks()); n != 0 {
+	if n := len(switches[0].Tasks()); n != 0 {
 		t.Fatalf("switch 0 kept %d tasks after rollback", n)
 	}
 }

@@ -215,7 +215,7 @@ type reconciler struct {
 // every interval, plus immediately after any switch rejoins). Stop (on
 // the fleet) terminates it.
 func (f *RemoteFleet) StartReconciler(interval time.Duration) {
-	if f.recon != nil {
+	if f.recon.Load() != nil {
 		return
 	}
 	if interval <= 0 {
@@ -227,7 +227,9 @@ func (f *RemoteFleet) StartReconciler(interval time.Duration) {
 		poke:     make(chan struct{}, 1),
 		done:     make(chan struct{}),
 	}
-	f.recon = r
+	if !f.recon.CompareAndSwap(nil, r) {
+		return
+	}
 	r.wg.Add(1)
 	go r.run()
 }
@@ -256,7 +258,7 @@ func (r *reconciler) stop() {
 // pokeReconciler requests an immediate pass (coalescing with any pending
 // request). No-op when the background reconciler is not running.
 func (f *RemoteFleet) pokeReconciler() {
-	r := f.recon
+	r := f.recon.Load()
 	if r == nil {
 		return
 	}

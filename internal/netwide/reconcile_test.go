@@ -3,6 +3,7 @@ package netwide
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"flymon/internal/controlplane"
 	"flymon/internal/rpc"
@@ -158,4 +159,30 @@ func TestReconcileCompletesTombstonedRemoval(t *testing.T) {
 	if err := fleet.Deploy(cmsSpec("freq")); err != nil {
 		t.Fatalf("redeploy after finalization: %v", err)
 	}
+}
+
+// TestReconcilerStartedAfterLivenessIsPoked is the -race regression for the
+// fleet's background handles: the liveness goroutines read the reconciler
+// handle (a rejoin pokes it) while StartReconciler publishes it, so the
+// handle must be an atomic. The reconciler's own interval is an hour: only
+// a rejoin poke can make it run.
+func TestReconcilerStartedAfterLivenessIsPoked(t *testing.T) {
+	check := gateFleetGoroutines(t)
+	t.Cleanup(check)
+	cfg := fleetConfig()
+	_, clients, _, _ := resilientDaemons(t, 2, cfg)
+	tele := &telemetry.FleetStats{}
+	fleet := NewRemoteFleetOptions(clients, cfg, FleetOptions{AllowPartial: true, Telemetry: tele})
+	t.Cleanup(fleet.Stop)
+
+	fleet.StartLiveness(drillLiveness(7))
+	fleet.StartReconciler(time.Hour)
+	// A sleep, not a poll, while the sessions flip Up: polling Sessions()
+	// takes locks the liveness goroutines also take, which would order the
+	// handle's write before their read and hide a race from the detector.
+	time.Sleep(10 * drillTx)
+	waitSessions(t, fleet, true, 0, 1)
+	waitFor(t, 5*time.Second, "a rejoin to poke the reconciler", func() bool {
+		return tele.ReconcileRuns.Load() >= 1
+	})
 }

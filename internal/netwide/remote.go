@@ -1,10 +1,12 @@
 package netwide
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"flymon/internal/controlplane"
@@ -60,13 +62,14 @@ func (o FleetOptions) withDefaults() FleetOptions {
 	return o
 }
 
-// RemoteFleet is the deployed form of Fleet: the switches are flymond
-// daemons reached over the control channel. The central controller keeps a
-// local MIRROR controller built from the same configuration and fed the
-// same task sequence — controller construction and placement are
-// deterministic, so the mirror computes the exact hash mappings and
-// register indices the remote switches use, while the remote daemons
-// provide the actual register contents.
+// RemoteFleet is the fleet controller: the switches are flymond daemons
+// (or in-process equivalents, see NewLoopbackFleet) reached over the
+// control channel. The central controller keeps a local MIRROR controller
+// built from the same configuration and fed the same task sequence —
+// controller construction and placement are deterministic, so the mirror
+// computes the exact hash mappings and register indices the remote
+// switches use, while the remote daemons provide the actual register
+// contents.
 //
 // All fleet operations fan out concurrently and track per-switch health;
 // with AllowPartial set, queries degrade gracefully when daemons are
@@ -85,8 +88,10 @@ type RemoteFleet struct {
 	// removal instead of re-deploying the task. name → task ID.
 	tombstones map[string]int
 
-	liveness *LivenessManager
-	recon    *reconciler
+	// Set once by StartLiveness/StartReconciler, read by the liveness
+	// goroutines (rejoin pokes the reconciler) and by Stop: atomic.
+	liveness atomic.Pointer[LivenessManager]
+	recon    atomic.Pointer[reconciler]
 	reconMu  sync.Mutex // serializes Reconcile passes
 	stopOnce sync.Once
 
@@ -190,7 +195,7 @@ func traceSpan(tr *tracing.Tracer, parent tracing.SpanContext, name string) *tra
 // RPC, and readmitted (with its op-failure residue cleared) the moment
 // the session is Up again. Call Stop to tear the sessions down.
 func (f *RemoteFleet) StartLiveness(opts LivenessOptions) {
-	if f.liveness != nil {
+	if f.liveness.Load() != nil {
 		return
 	}
 	if opts.Clock == nil {
@@ -202,7 +207,9 @@ func (f *RemoteFleet) StartLiveness(opts LivenessOptions) {
 	}
 	m := NewLivenessManager(addrs, opts)
 	m.onEvent = f.onSessionEvent
-	f.liveness = m
+	if !f.liveness.CompareAndSwap(nil, m) {
+		return
+	}
 	m.Start()
 }
 
@@ -261,21 +268,22 @@ func (f *RemoteFleet) onSessionEvent(idx int, ev sessionEvent, snap SessionSnaps
 // Sessions returns the liveness sessions' current snapshots (nil when
 // liveness is not running).
 func (f *RemoteFleet) Sessions() []SessionSnapshot {
-	if f.liveness == nil {
+	m := f.liveness.Load()
+	if m == nil {
 		return nil
 	}
-	return f.liveness.Snapshot()
+	return m.Snapshot()
 }
 
 // Stop tears down the liveness sessions and the reconciler, if running.
 // The RPC clients are the caller's and stay open.
 func (f *RemoteFleet) Stop() {
 	f.stopOnce.Do(func() {
-		if f.recon != nil {
-			f.recon.stop()
+		if r := f.recon.Load(); r != nil {
+			r.stop()
 		}
-		if f.liveness != nil {
-			f.liveness.Stop()
+		if m := f.liveness.Load(); m != nil {
+			m.Stop()
 		}
 	})
 }
@@ -406,49 +414,20 @@ func (f *RemoteFleet) Deploy(spec controlplane.TaskSpec) (err error) {
 	}
 	f.mu.Unlock()
 
-	var dmu sync.Mutex
-	deployed := make(map[int]int) // switch index → remote task ID
-	var diverged error
-	errs := f.fanOut(root.Context(), func(i int, c *rpc.Client, sc tracing.SpanContext) error {
-		rt, err := c.AddTask(spec, sc)
-		if err != nil {
-			return fmt.Errorf("netwide: deploying %q on daemon %d: %w", spec.Name, i, err)
-		}
-		dmu.Lock()
-		deployed[i] = rt.ID
-		if rt.ID != mt.ID && diverged == nil {
-			// The daemon has diverged from the mirror (other tasks were
-			// deployed out of band): refuse rather than mis-index.
-			diverged = fmt.Errorf("netwide: daemon %d assigned task ID %d, mirror expected %d — configurations diverged",
-				i, rt.ID, mt.ID)
-		}
-		dmu.Unlock()
-		return nil
-	})
-	dmu.Lock()
-	defer dmu.Unlock()
-	if len(errs) > 0 || diverged != nil {
-		// Roll back the daemons that did install, best effort. Plain
-		// goroutines, not fanOut: a no-op on an untouched daemon must not
-		// be recorded as a health probe.
-		var wg sync.WaitGroup
-		for i, id := range deployed {
-			wg.Add(1)
-			go func(i, id int) {
-				defer wg.Done()
-				_ = f.clients[i].RemoveTask(id)
-			}(i, id)
-		}
-		wg.Wait()
+	err = f.installEverywhere(root.Context(), "task", mt.ID,
+		func(i int, c *rpc.Client, sc tracing.SpanContext) (int, error) {
+			rt, err := c.AddTask(spec, sc)
+			if err != nil {
+				return 0, fmt.Errorf("netwide: deploying %q on daemon %d: %w", spec.Name, i, err)
+			}
+			return rt.ID, nil
+		},
+		func(c *rpc.Client, id int) { _ = c.RemoveTask(id) })
+	if err != nil {
 		f.mu.Lock()
 		_ = f.mirror.RemoveTask(mt.ID)
 		f.mu.Unlock()
-		if diverged != nil {
-			return diverged
-		}
-		for _, i := range sortedKeys(errs) {
-			return errs[i] // first failure in switch order
-		}
+		return err
 	}
 	f.mu.Lock()
 	f.taskIDs[spec.Name] = mt.ID
@@ -456,6 +435,57 @@ func (f *RemoteFleet) Deploy(spec controlplane.TaskSpec) (err error) {
 	f.mu.Unlock()
 	f.pokeReconciler()
 	return nil
+}
+
+// installEverywhere is the daemon half of an all-or-nothing deployment
+// (Deploy, DeployEpoch): fan install out, require every daemon to assign
+// the ID the mirror did, and on any failure or divergence undo the daemons
+// that did install, best effort. It returns the divergence, else the first
+// failure in switch order; the caller rolls its mirror back on error.
+func (f *RemoteFleet) installEverywhere(parent tracing.SpanContext, kind string, mirrorID int,
+	install func(i int, c *rpc.Client, sc tracing.SpanContext) (id int, err error),
+	undo func(c *rpc.Client, id int)) error {
+	// Guards installed: with OpTimeout set, a late install still completes
+	// (and records itself) after fanOut gave up on it.
+	var mu sync.Mutex
+	installed := make(map[int]int) // switch index → remote task ID
+	var failure error
+	errs := f.fanOut(parent, func(i int, c *rpc.Client, sc tracing.SpanContext) error {
+		id, err := install(i, c, sc)
+		if err != nil {
+			return err
+		}
+		mu.Lock()
+		installed[i] = id
+		if id != mirrorID && failure == nil {
+			// The daemon has diverged from the mirror (other tasks were
+			// deployed out of band): refuse rather than mis-index.
+			failure = fmt.Errorf("netwide: daemon %d assigned %s ID %d, mirror expected %d — configurations diverged",
+				i, kind, id, mirrorID)
+		}
+		mu.Unlock()
+		return nil
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	if failure == nil && len(errs) > 0 {
+		failure = errs[sortedKeys(errs)[0]]
+	}
+	if failure == nil {
+		return nil
+	}
+	// Plain goroutines, not fanOut: a no-op on an untouched daemon must not
+	// be recorded as a health probe.
+	var wg sync.WaitGroup
+	for i, id := range installed {
+		wg.Add(1)
+		go func(c *rpc.Client, id int) {
+			defer wg.Done()
+			undo(c, id)
+		}(f.clients[i], id)
+	}
+	wg.Wait()
+	return failure
 }
 
 // Remove uninstalls the named task everywhere. On partial failure the
@@ -500,11 +530,14 @@ func (f *RemoteFleet) Remove(name string) (err error) {
 	return nil
 }
 
-// mergeFanOut streams fetch's per-switch rows straight into the k-ary
-// merge tree (leaf buffers recycled through the fleet's pool) and returns
-// the reduction plus the per-switch errors.
-func (f *RemoteFleet) mergeFanOut(parent tracing.SpanContext, timeout time.Duration, name string, op MergeOp,
-	fetch func(i int, c *rpc.Client, sc tracing.SpanContext) ([][]uint32, error)) (TreeResult, map[int]error, error) {
+// mergeQuery is the one query path: stream fetch's per-switch rows straight
+// into the k-ary merge tree (leaf buffers recycled through the fleet's
+// pool), sort the per-switch errors into the report — stragglers apart
+// from failures — and apply the partial policies. epochN pins the report
+// (0 = a live query, which has no stragglers and only uses q.Op); readOp
+// names the read in errors.
+func (f *RemoteFleet) mergeQuery(parent tracing.SpanContext, timeout time.Duration, name, readOp string, epochN int, q EpochQuery,
+	fetch func(i int, c *rpc.Client, sc tracing.SpanContext) ([][]uint32, error)) ([][]uint32, QueryReport, error) {
 	stream := f.fanOutRows(parent, timeout, fetch)
 	// The converter goroutine finishes all errs writes before closing
 	// leaves, and MergeStream returns only after observing that close, so
@@ -521,7 +554,7 @@ func (f *RemoteFleet) mergeFanOut(parent tracing.SpanContext, timeout time.Durat
 			leaves <- Leaf{Switch: r.i, Rows: r.rows}
 		}
 	}()
-	res, err := MergeStream(leaves, op, TreeOptions{
+	res, mergeErr := MergeStream(leaves, q.Op, TreeOptions{
 		Task:    name,
 		Arity:   f.opts.MergeArity,
 		Stats:   f.mergeStats(),
@@ -529,7 +562,42 @@ func (f *RemoteFleet) mergeFanOut(parent tracing.SpanContext, timeout time.Durat
 		Tracer:  f.opts.Tracer,
 		Parent:  parent,
 	})
-	return res, errs, err
+	report := QueryReport{
+		Contributed: res.Contributed,
+		Failed:      make(map[int]string),
+		Epoch:       epochN,
+		Stragglers:  make(map[int]int),
+	}
+	var firstFailure error
+	for _, i := range sortedKeys(errs) {
+		var se *stragglerError
+		if errors.As(errs[i], &se) {
+			report.Stragglers[i] = se.have
+			continue
+		}
+		report.Failed[i] = errs[i].Error()
+		if firstFailure == nil {
+			firstFailure = errs[i]
+		}
+	}
+	switch {
+	case mergeErr != nil:
+		return nil, report, mergeErr
+	case q.Policy == StragglerWait && len(report.Stragglers) > 0:
+		behind := make(map[int]error, len(report.Stragglers))
+		for i := range report.Stragglers {
+			behind[i] = errs[i]
+		}
+		return nil, report, &PartialFailureError{Op: readOp, Task: name, Failed: behind, Total: len(f.clients)}
+	case firstFailure != nil && !f.opts.AllowPartial:
+		return nil, report, firstFailure
+	case res.Rows == nil:
+		return nil, report, &PartialFailureError{Op: readOp, Task: name, Failed: errs, Total: len(f.clients)}
+	}
+	if report.Partial() && f.opts.Telemetry != nil {
+		f.opts.Telemetry.PartialMerges.Add(1)
+	}
+	return res.Rows, report, nil
 }
 
 // mergeStats returns the fleet's merge-tree telemetry section, if any.
@@ -541,7 +609,7 @@ func (f *RemoteFleet) mergeStats() *telemetry.MergeTreeStats {
 }
 
 // getRowBuf pulls a recycled leaf buffer from the pool (nil when empty —
-// rpc.UnpackRows then allocates fresh).
+// rpc.UnpackFrame then allocates fresh).
 func (f *RemoteFleet) getRowBuf() [][]uint32 {
 	if v := f.rowPool.Get(); v != nil {
 		return v.([][]uint32)
@@ -566,7 +634,7 @@ func (f *RemoteFleet) MergedRows(name string, op MergeOp) ([][]uint32, QueryRepo
 	return rows, report, err
 }
 
-// mergedRows resolves the task and merges packed binary register reads.
+// mergedRows resolves the task and merges every switch's live registers.
 // Live readouts are never cached: the registers are still counting.
 func (f *RemoteFleet) mergedRows(name string, op MergeOp) (_ [][]uint32, id int, report QueryReport, err error) {
 	f.mu.Lock()
@@ -580,33 +648,15 @@ func (f *RemoteFleet) mergedRows(name string, op MergeOp) (_ [][]uint32, id int,
 		root.SetDetail(fmt.Sprintf("%s op=%s", name, op))
 	}
 	defer func() { root.Finish(err) }()
-	res, errs, mergeErr := f.mergeFanOut(root.Context(), f.opts.OpTimeout, name, op, func(i int, c *rpc.Client, sc tracing.SpanContext) ([][]uint32, error) {
-		res, err := c.ReadRegistersPacked(id, sc)
-		if err != nil {
-			return nil, fmt.Errorf("netwide: reading %q on daemon %d: %w", name, i, err)
-		}
-		return res.FrameRows(f.getRowBuf()), nil
-	})
-	report.Contributed = res.Contributed
-	report.Failed = make(map[int]string, len(errs))
-	for i, err := range errs {
-		report.Failed[i] = err.Error()
-	}
-	if mergeErr != nil {
-		return nil, id, report, mergeErr
-	}
-	if len(errs) > 0 && !f.opts.AllowPartial {
-		for _, i := range sortedKeys(errs) {
-			return nil, id, report, errs[i]
-		}
-	}
-	if res.Rows == nil {
-		return nil, id, report, &PartialFailureError{Op: "read", Task: name, Failed: errs, Total: len(f.clients)}
-	}
-	if len(errs) > 0 && f.opts.Telemetry != nil {
-		f.opts.Telemetry.PartialMerges.Add(1)
-	}
-	return res.Rows, id, report, nil
+	rows, report, err := f.mergeQuery(root.Context(), f.opts.OpTimeout, name, "read", 0, EpochQuery{Op: op},
+		func(i int, c *rpc.Client, sc tracing.SpanContext) ([][]uint32, error) {
+			rows, err := c.ReadRegisters(id, f.getRowBuf(), sc)
+			if err != nil {
+				return nil, fmt.Errorf("netwide: reading %q on daemon %d: %w", name, i, err)
+			}
+			return rows, nil
+		})
+	return rows, id, report, err
 }
 
 // EstimateKey returns the fleet-wide frequency estimate for key k (counter
@@ -623,17 +673,9 @@ func (f *RemoteFleet) EstimateKey(name string, k packet.CanonicalKey) (uint64, e
 // When report.Partial() is true the estimate is a lower bound over the
 // reachable part of the fleet.
 func (f *RemoteFleet) EstimateKeyPartial(name string, k packet.CanonicalKey) (uint64, QueryReport, error) {
-	merged, id, report, err := f.mergedRows(name, MergeAdd)
+	cms, merged, report, err := mergedTask[*algorithms.CMSTask](f, name, MergeAdd, "a counter")
 	if err != nil {
 		return 0, report, err
-	}
-	h, err := f.mirror.TaskHandle(id)
-	if err != nil {
-		return 0, report, err
-	}
-	cms, ok := h.(*algorithms.CMSTask)
-	if !ok {
-		return 0, report, fmt.Errorf("netwide: task %q is not a counter task", name)
 	}
 	return countMin(cms, merged, k), report, nil
 }
@@ -653,7 +695,7 @@ func (f *RemoteFleet) VerifyAlignment(name string) error {
 		return err
 	}
 	for i, c := range f.clients {
-		rrows, err := c.ReadRegisters(id)
+		rrows, err := c.ReadRegisters(id, nil)
 		if err != nil {
 			return err
 		}

@@ -187,45 +187,20 @@ type frameProvider interface{ frameBytes() []byte }
 // result the raw frame bytes it consumed off the stream.
 type frameReceiver interface{ setFrameBytes([]byte) }
 
-// RegistersResult is a raw register readout (one slice per CMU row).
-// Exactly one encoding is populated: Rows is the legacy JSON-array form;
-// RowLens announces a binary frame of little-endian uint32 registers
-// following the response line, sliced into rows of the given lengths. A
-// profile of 256-switch fleet queries showed the earlier base64-in-JSON
-// packing still spending most of each query inside encoding/json
-// (validate + compact + unquote passes over the bulk); the frame is the
-// difference between the codec dominating query latency and the merge
-// kernels dominating it.
+// RegistersResult is a raw register readout: RowLens announces a binary
+// frame of little-endian uint32 registers following the response line,
+// sliced into rows (one per CMU row) of the given lengths. A profile of
+// 256-switch fleet queries showed register data carried inside the JSON
+// body spending most of each query in encoding/json (validate + compact +
+// unquote passes over the bulk); the frame is the difference between the
+// codec dominating query latency and the merge kernels dominating it.
 type RegistersResult struct {
-	Rows    [][]uint32 `json:"rows,omitempty"`
-	RowLens []int      `json:"row_lens,omitempty"`
+	RowLens []int `json:"row_lens"`
 	frame   []byte
 }
 
 func (r RegistersResult) frameBytes() []byte      { return r.frame }
 func (r *RegistersResult) setFrameBytes(b []byte) { r.frame = b }
-
-// ReadRegistersParams addresses a task readout. Packed requests the
-// binary frame encoding; a legacy {"id": N} request (TaskIDParams) decodes
-// with Packed=false, so old clients keep getting JSON arrays.
-type ReadRegistersParams struct {
-	ID     int  `json:"id"`
-	Packed bool `json:"packed,omitempty"`
-}
-
-// RegisterRows decodes a RegistersResult into plain rows, whichever
-// encoding the daemon used.
-func (r *RegistersResult) RegisterRows() [][]uint32 { return r.FrameRows(nil) }
-
-// FrameRows decodes the readout into dst (geometry-matched buffers are
-// reused — the fleet merge tree recycles leaf buffers through this path).
-// Legacy JSON-array responses return Rows directly.
-func (r *RegistersResult) FrameRows(dst [][]uint32) [][]uint32 {
-	if r.RowLens != nil {
-		return UnpackFrame(r.frame, r.RowLens, dst)
-	}
-	return r.Rows
-}
 
 // ResourcesResult reports free memory per CMU and deployed task count.
 type ResourcesResult struct {

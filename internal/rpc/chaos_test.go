@@ -237,7 +237,7 @@ func TestChaosSeedMatrix(t *testing.T) {
 						t.Fatalf("op %d ping: %v", i, err)
 					}
 				case 1:
-					if _, err := c.ReadRegisters(taskID); err != nil {
+					if _, err := c.ReadRegisters(taskID, nil); err != nil {
 						t.Fatalf("op %d read_registers: %v", i, err)
 					}
 				case 2:

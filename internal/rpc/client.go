@@ -216,13 +216,6 @@ func (c *Client) SetTracer(tr *tracing.Tracer) {
 	c.mu.Unlock()
 }
 
-// Tracer returns the tracer attached to this client, if any.
-func (c *Client) Tracer() *tracing.Tracer {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.tracer
-}
-
 // BreakerState reports the circuit breaker's state and the consecutive
 // transport-failure count, for health surfacing.
 func (c *Client) BreakerState() (BreakerState, int) { return c.brk.snapshot() }
@@ -557,21 +550,15 @@ func (c *Client) Distribution(id int) (DistributionResult, error) {
 	return r, err
 }
 
-// ReadRegisters reads a task's raw register partitions.
-func (c *Client) ReadRegisters(id int, parent ...tracing.SpanContext) ([][]uint32, error) {
+// ReadRegisters reads a task's raw register partitions, decoding the
+// binary frame into dst (geometry-matched buffers are reused, see
+// UnpackFrame; nil allocates).
+func (c *Client) ReadRegisters(id int, dst [][]uint32, parent ...tracing.SpanContext) ([][]uint32, error) {
 	var r RegistersResult
-	err := c.callCtx(firstCtx(parent), MethodReadRegisters, TaskIDParams{ID: id}, &r)
-	return r.Rows, err
-}
-
-// ReadRegistersPacked reads a task's raw register partitions using the
-// packed binary row encoding and returns the undecoded result, letting
-// callers (the fleet merge tree) unpack into recycled buffers via
-// UnpackRows.
-func (c *Client) ReadRegistersPacked(id int, parent ...tracing.SpanContext) (RegistersResult, error) {
-	var r RegistersResult
-	err := c.callCtx(firstCtx(parent), MethodReadRegisters, ReadRegistersParams{ID: id, Packed: true}, &r)
-	return r, err
+	if err := c.callCtx(firstCtx(parent), MethodReadRegisters, TaskIDParams{ID: id}, &r); err != nil {
+		return nil, err
+	}
+	return UnpackFrame(r.frame, r.RowLens, dst), nil
 }
 
 // EpochDeploy creates an epoch task (a daemon-side rotator) for spec.

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"reflect"
 	"testing"
 
 	"flymon/internal/packet"
@@ -16,59 +17,32 @@ func feed(t *testing.T, s *Server, seed int64) *trace.Trace {
 }
 
 func TestPackedRegistersMatchPlain(t *testing.T) {
+	// The oracle is the daemon's in-process readout: no wire at all.
 	s, c := startServer(t)
 	task, err := c.AddTask(freqSpec("packed"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	feed(t, s, 1)
-	plain, err := c.ReadRegisters(task.ID)
+	plain, err := s.ctrl.ReadRegisters(task.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	packed, err := c.ReadRegistersPacked(task.ID)
+	rows, err := c.ReadRegisters(task.ID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if packed.Rows != nil {
-		t.Fatal("packed readout must not also carry JSON rows")
+	if len(rows) == 0 || !reflect.DeepEqual(rows, plain) {
+		t.Fatalf("framed readout (%d rows) differs from the controller's (%d rows)", len(rows), len(plain))
 	}
-	rows := packed.RegisterRows()
-	if len(rows) != len(plain) {
-		t.Fatalf("row count %d != %d", len(rows), len(plain))
+	// A recycled buffer of the right geometry is filled in place.
+	keep0 := &rows[0][0]
+	again, err := c.ReadRegisters(task.ID, rows)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range rows {
-		if len(rows[i]) != len(plain[i]) {
-			t.Fatalf("row %d length %d != %d", i, len(rows[i]), len(plain[i]))
-		}
-		for j := range rows[i] {
-			if rows[i][j] != plain[i][j] {
-				t.Fatalf("row %d index %d: packed %d != plain %d", i, j, rows[i][j], plain[i][j])
-			}
-		}
-	}
-}
-
-func TestUnpackRowsReusesBuffers(t *testing.T) {
-	rows := [][]uint32{{1, 2, 3}, {4, 5}}
-	packed := PackRows(rows)
-	dst := [][]uint32{make([]uint32, 3), make([]uint32, 2)}
-	keep0 := &dst[0][0]
-	out := UnpackRows(packed, dst)
-	if &out[0][0] != keep0 {
-		t.Fatal("matching-geometry unpack must reuse the destination buffer")
-	}
-	for i := range rows {
-		for j := range rows[i] {
-			if out[i][j] != rows[i][j] {
-				t.Fatalf("row %d index %d: %d != %d", i, j, out[i][j], rows[i][j])
-			}
-		}
-	}
-	// Mismatched geometry falls back to allocation, never panics.
-	out = UnpackRows(packed, [][]uint32{make([]uint32, 1)})
-	if len(out) != 2 || len(out[0]) != 3 {
-		t.Fatalf("fallback shape = %d rows", len(out))
+	if &again[0][0] != keep0 || !reflect.DeepEqual(again, plain) {
+		t.Fatal("readout into a geometry-matched buffer must reuse it and decode the same rows")
 	}
 }
 
@@ -91,8 +65,12 @@ func TestFrameRoundTripReusesBuffers(t *testing.T) {
 			}
 		}
 	}
-	// Mismatched geometry falls back to allocation; a short frame truncates
-	// instead of reading out of range.
+	// Mismatched geometry falls back to allocation, never panics; a short
+	// frame truncates instead of reading out of range.
+	out = UnpackFrame(frame, lens, [][]uint32{make([]uint32, 1)})
+	if len(out) != 3 || len(out[0]) != 3 || out[1][1] != 5 {
+		t.Fatalf("fallback shape = %v", out)
+	}
 	out = UnpackFrame(frame[:8], lens, nil)
 	if len(out) != 3 || len(out[0]) != 2 || len(out[1]) != 0 {
 		t.Fatalf("short-frame shape = %v", out)
@@ -209,7 +187,7 @@ func TestKeyIndicesMatchDaemonEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := c.ReadRegisters(task.ID)
+	rows, err := c.ReadRegisters(task.ID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,55 +6,6 @@ import (
 	"strings"
 )
 
-// Packed register encoding: each row of uint32 registers is serialized as
-// little-endian bytes and travels as one base64 string inside the JSON
-// frame. Against the legacy per-element JSON arrays this shrinks a 16K-
-// bucket row from ~170 KB of digits to ~88 KB of base64 — and, far more
-// importantly, replaces per-element number parsing with one base64 decode
-// plus a byte-order copy. At 256 switches the codec stops being the fleet
-// query's critical path.
-
-// PackRow serializes one register row as little-endian uint32 bytes.
-func PackRow(row []uint32) []byte {
-	out := make([]byte, 4*len(row))
-	for i, v := range row {
-		binary.LittleEndian.PutUint32(out[4*i:], v)
-	}
-	return out
-}
-
-// PackRows serializes a register readout row by row.
-func PackRows(rows [][]uint32) [][]byte {
-	out := make([][]byte, len(rows))
-	for i, row := range rows {
-		out[i] = PackRow(row)
-	}
-	return out
-}
-
-// UnpackRows decodes packed rows. When dst has the same geometry (row
-// count and per-row lengths) it is filled and returned without
-// allocating — the fleet merge tree recycles leaf buffers through this
-// path. Any shape mismatch falls back to fresh allocation for the
-// offending row.
-func UnpackRows(packed [][]byte, dst [][]uint32) [][]uint32 {
-	if len(dst) != len(packed) {
-		dst = make([][]uint32, len(packed))
-	}
-	for i, p := range packed {
-		n := len(p) / 4
-		row := dst[i]
-		if len(row) != n {
-			row = make([]uint32, n)
-			dst[i] = row
-		}
-		for j := 0; j < n; j++ {
-			row[j] = binary.LittleEndian.Uint32(p[4*j:])
-		}
-	}
-	return dst
-}
-
 // PackFrame serializes a whole readout as one contiguous little-endian
 // buffer — the binary frame side-channel's payload — plus the per-row
 // register counts the receiver needs to slice it back apart. One
@@ -78,9 +29,10 @@ func PackFrame(rows [][]uint32) ([]byte, []int) {
 	return frame, lens
 }
 
-// UnpackFrame decodes a contiguous frame back into rows. Like UnpackRows,
-// a dst with matching geometry is filled in place (the merge tree recycles
-// leaf buffers through here); mismatched rows are allocated fresh. A frame
+// UnpackFrame decodes a contiguous frame back into rows. A dst with
+// matching geometry (row count and per-row lengths) is filled in place and
+// returned without allocating — the fleet merge tree recycles leaf buffers
+// through here; mismatched rows are allocated fresh. A frame
 // shorter than the announced geometry truncates the trailing rows to what
 // is actually present rather than reading out of range.
 func UnpackFrame(frame []byte, lens []int, dst [][]uint32) [][]uint32 {

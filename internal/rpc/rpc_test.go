@@ -97,7 +97,7 @@ func TestWorkloadAndEstimateOverRPC(t *testing.T) {
 	if _, err := c.Estimate(task.ID, packet.CanonicalKey{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := c.ReadRegisters(task.ID)
+	rows, err := c.ReadRegisters(task.ID, nil)
 	if err != nil || len(rows) != 3 {
 		t.Fatalf("ReadRegisters rows = %d, %v", len(rows), err)
 	}
@@ -286,7 +286,7 @@ func TestLargeRegisterReadout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := c.ReadRegisters(task.ID)
+	rows, err := c.ReadRegisters(task.ID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +411,7 @@ func TestConcurrentReplayAndReadout(t *testing.T) {
 	}()
 	go func() {
 		for i := 0; i < 50; i++ {
-			if _, err := reader.ReadRegisters(task.ID); err != nil {
+			if _, err := reader.ReadRegisters(task.ID, nil); err != nil {
 				done <- err
 				return
 			}

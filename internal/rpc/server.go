@@ -519,7 +519,7 @@ func (s *Server) handle(method string, params json.RawMessage, sc tracing.SpanCo
 		return out, nil
 
 	case MethodReadRegisters:
-		p, err := decode[ReadRegistersParams](params)
+		p, err := decode[TaskIDParams](params)
 		if err != nil {
 			return nil, err
 		}
@@ -527,11 +527,8 @@ func (s *Server) handle(method string, params json.RawMessage, sc tracing.SpanCo
 		if err != nil {
 			return nil, err
 		}
-		if p.Packed {
-			frame, lens := PackFrame(rows)
-			return RegistersResult{RowLens: lens, frame: frame}, nil
-		}
-		return RegistersResult{Rows: rows}, nil
+		frame, lens := PackFrame(rows)
+		return RegistersResult{RowLens: lens, frame: frame}, nil
 
 	case MethodEpochDeploy:
 		p, err := decode[AddTaskParams](params)
