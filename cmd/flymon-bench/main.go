@@ -27,7 +27,7 @@ import (
 func main() {
 	scaleFlag := flag.String("scale", "small", "workload scale: small or full")
 	seed := flag.Int64("seed", 42, "workload seed")
-	workers := flag.Int("workers", 0, "worker-count cap for the throughput experiment (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "cap of the throughput experiment's pool-width sweep: each row builds a controller with Config.Workers = 1, 2, 4, … up to this (0 = GOMAXPROCS)")
 	sharded := flag.Bool("sharded", false, "throughput experiment uses sharded register lanes (per-worker plain stores) instead of shared CAS")
 	jsonOut := flag.Bool("json", false, "emit results as a JSON array instead of text tables")
 	seriesDir := flag.String("series-dir", "", "also write fig12a's raw time series as .dat files into this directory")
@@ -166,9 +166,10 @@ experiments:
   fig14g   existence-check false positives vs memory
   appendixe  recirculation splicing: capacity vs bandwidth overhead
   multitasking  96 isolated tasks on one CMU Group (§5.1)
-  throughput  lock-free batch/parallel packet rate vs worker count
-              (-workers caps the sweep; -sharded switches the register
-              state from shared CAS to per-worker plain-store lanes)
+  throughput  frame-engine packet rate vs pool width, Workers=1 as the
+              per-core baseline (-workers caps the sweep; -sharded switches
+              the register state from shared atomics to per-worker
+              plain-store lanes)
   ablations  design-choice ablations (sub-parts, translation, memory modes, XOR keys)
 `)
 }

@@ -375,12 +375,7 @@ func cmdFleet(defaultAddr string, opts rpc.Options, args []string) {
 	watch := fs.Duration("watch", 0, "keep observing, reprinting every interval (0 = one snapshot)")
 	_ = fs.Parse(args)
 
-	var addrs []string
-	for _, a := range strings.Split(*addrsFlag, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			addrs = append(addrs, a)
-		}
-	}
+	addrs := splitAddrs(*addrsFlag)
 	if len(addrs) == 0 {
 		fatal(fmt.Errorf("fleet: no addresses"))
 	}

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"flymon/internal/mmtrace"
 	"flymon/internal/packet"
 	"flymon/internal/trace"
 )
@@ -14,6 +15,12 @@ func freqSpec(name string, filter packet.Filter, buckets int) TaskSpec {
 		Name: name, Filter: filter, Key: packet.KeyFiveTuple,
 		Attribute: AttrFrequency, MemBuckets: buckets, D: 3,
 	}
+}
+
+// replayPackets pushes ps through c the way every product caller does:
+// encoded as a frame trace and drained by the controller's pool.
+func replayPackets(c *Controller, ps []packet.Packet) {
+	c.ReplayTrace(mmtrace.FromPackets(ps))
 }
 
 // readAll reads every register row of a task, failing the test on error.
@@ -57,12 +64,13 @@ func TestBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestParallelSingleWorkerMatchesBatch: ProcessParallel with one worker is
-// bit-for-bit the sequential batch path.
+// TestParallelSingleWorkerMatchesBatch: a one-worker pool drains a trace
+// in order, bit-for-bit the sequential reference.
 func TestParallelSingleWorkerMatchesBatch(t *testing.T) {
 	tr := trace.Generate(trace.Config{Flows: 800, Packets: 30_000, Seed: 12})
 	build := func() (*Controller, int) {
-		c := NewController(Config{Groups: 2, Buckets: 16384, BitWidth: 32})
+		c := NewController(Config{Groups: 2, Buckets: 16384, BitWidth: 32, Workers: 1})
+		t.Cleanup(c.Close)
 		task, err := c.AddTask(freqSpec("hh", packet.MatchAll, 4096))
 		if err != nil {
 			t.Fatal(err)
@@ -73,13 +81,13 @@ func TestParallelSingleWorkerMatchesBatch(t *testing.T) {
 	cBatch, idBatch := build()
 	cBatch.ProcessBatch(tr.Packets)
 	cPar, idPar := build()
-	cPar.ProcessParallel(tr.Packets, 1)
+	replayPackets(cPar, tr.Packets)
 
 	a, b := readAll(t, cBatch, idBatch), readAll(t, cPar, idPar)
 	for r := range a {
 		for i := range a[r] {
 			if a[r][i] != b[r][i] {
-				t.Fatalf("row %d bucket %d: batch %d != 1-worker parallel %d", r, i, a[r][i], b[r][i])
+				t.Fatalf("row %d bucket %d: batch %d != 1-worker replay %d", r, i, a[r][i], b[r][i])
 			}
 		}
 	}
@@ -89,12 +97,13 @@ func TestParallelSingleWorkerMatchesBatch(t *testing.T) {
 // a many-worker replay keeps every row's total mass exact.
 func TestParallelExactMass(t *testing.T) {
 	tr := trace.Generate(trace.Config{Flows: 500, Packets: 40_000, Seed: 13})
-	c := NewController(Config{Groups: 1, Buckets: 16384, BitWidth: 32})
+	c := NewController(Config{Groups: 1, Buckets: 16384, BitWidth: 32, Workers: 8})
+	defer c.Close()
 	task, err := c.AddTask(freqSpec("hh", packet.MatchAll, 4096))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.ProcessParallel(tr.Packets, 8)
+	replayPackets(c, tr.Packets)
 	for r, row := range readAll(t, c, task.ID) {
 		var mass uint64
 		for _, v := range row {
@@ -106,7 +115,7 @@ func TestParallelExactMass(t *testing.T) {
 	}
 }
 
-// TestConcurrentReconfigStress hammers the parallel packet path while the
+// TestConcurrentReconfigStress hammers the pool's frame drain while the
 // control plane adds, freezes, thaws, resizes, and removes tasks — the
 // paper's on-the-fly reconfiguration claim, verified under -race. A stable
 // task owns a disjoint traffic slice throughout; its counters must stay
@@ -116,7 +125,8 @@ func TestConcurrentReconfigStress(t *testing.T) {
 		batches   = 40
 		batchSize = 2_000
 	)
-	c := NewController(Config{Groups: 4, Buckets: 16384, BitWidth: 32})
+	c := NewController(Config{Groups: 4, Buckets: 16384, BitWidth: 32, Workers: 4})
+	defer c.Close()
 
 	// The stable task measures DstPort=9 traffic only.
 	stable, err := c.AddTask(freqSpec("stable", packet.Filter{DstPort: 9}, 2048))
@@ -132,13 +142,13 @@ func TestConcurrentReconfigStress(t *testing.T) {
 	var processed atomic.Uint64
 	var wg sync.WaitGroup
 
-	// Data-plane workers: replay the trace in parallel batches.
+	// Data plane: replay the trace through the pool, one drain per batch.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for b := 0; b < batches; b++ {
 			seg := tr.Packets[b*batchSize : (b+1)*batchSize]
-			c.ProcessParallel(seg, 4)
+			c.ReplayTrace(mmtrace.FromPackets(seg))
 			processed.Add(uint64(len(seg)))
 		}
 	}()
@@ -230,39 +240,37 @@ func TestSnapshotPublishedOnMutation(t *testing.T) {
 	}
 }
 
-// TestProcessParallelReusesWorkerPool: the controller's ProcessParallel
-// must route batches through one persistent worker pool instead of
-// spawning goroutines per call. The pool starts lazily on the first
-// multi-worker call, and its started-worker count stays flat over any
-// number of subsequent batches.
-func TestProcessParallelReusesWorkerPool(t *testing.T) {
-	c := NewController(Config{Groups: 2, Buckets: 16384, BitWidth: 32})
+// TestReplayTraceReusesWorkerPool: every drain must run on one persistent
+// worker pool instead of spawning goroutines per call. The pool starts
+// lazily on the first drain — the sequential reference never starts it —
+// and its started-worker count stays flat over any number of drains.
+func TestReplayTraceReusesWorkerPool(t *testing.T) {
+	c := NewController(Config{Groups: 2, Buckets: 16384, BitWidth: 32, Workers: 4})
 	defer c.Close()
 	if _, err := c.AddTask(freqSpec("hh", packet.MatchAll, 4096)); err != nil {
 		t.Fatal(err)
 	}
 	tr := trace.Generate(trace.Config{Flows: 200, Packets: 4096, Seed: 21})
 
-	// workers == 1 is the deterministic sequential path: no pool.
-	c.ProcessParallel(tr.Packets, 1)
+	c.ProcessBatch(tr.Packets)
 	if c.workers.Load() != nil {
-		t.Fatal("single-worker ProcessParallel must not start the pool")
+		t.Fatal("the sequential reference must not start the pool")
 	}
 
-	c.ProcessParallel(tr.Packets, 4)
+	replayPackets(c, tr.Packets)
 	pool := c.workers.Load()
 	if pool == nil {
-		t.Fatal("multi-worker ProcessParallel must start the persistent pool")
+		t.Fatal("ReplayTrace must start the persistent pool")
 	}
 	started := pool.Started()
-	if started != int64(pool.Workers()) {
-		t.Fatalf("pool started %d workers, want %d", started, pool.Workers())
+	if started != int64(pool.Workers()) || pool.Workers() != c.Workers() {
+		t.Fatalf("pool started %d of %d workers, controller reports %d", started, pool.Workers(), c.Workers())
 	}
 	for call := 0; call < 20; call++ {
-		c.ProcessParallel(tr.Packets, 4)
+		replayPackets(c, tr.Packets)
 	}
 	if got := c.workers.Load(); got != pool {
-		t.Fatal("ProcessParallel rebuilt the pool between calls")
+		t.Fatal("ReplayTrace rebuilt the pool between calls")
 	}
 	if got := pool.Started(); got != started {
 		t.Fatalf("pool started-worker count moved from %d to %d across calls: goroutines are being spawned per call", started, got)
@@ -272,12 +280,12 @@ func TestProcessParallelReusesWorkerPool(t *testing.T) {
 // TestControllerCloseShutsPool: Close releases the pool; a double Close is
 // harmless.
 func TestControllerCloseShutsPool(t *testing.T) {
-	c := NewController(Config{Groups: 1, Buckets: 4096, BitWidth: 32})
+	c := NewController(Config{Groups: 1, Buckets: 4096, BitWidth: 32, Workers: 2})
 	if _, err := c.AddTask(freqSpec("hh", packet.MatchAll, 1024)); err != nil {
 		t.Fatal(err)
 	}
 	tr := trace.Generate(trace.Config{Flows: 50, Packets: 512, Seed: 23})
-	c.ProcessParallel(tr.Packets, 2)
+	replayPackets(c, tr.Packets)
 	if c.workers.Load() == nil {
 		t.Fatal("pool should be running before Close")
 	}

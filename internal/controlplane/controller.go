@@ -13,6 +13,7 @@ import (
 	"flymon/internal/core/algorithms"
 	"flymon/internal/dataplane"
 	"flymon/internal/metrics"
+	"flymon/internal/mmtrace"
 	"flymon/internal/packet"
 	"flymon/internal/telemetry"
 )
@@ -58,19 +59,19 @@ type Controller struct {
 	snap atomic.Pointer[core.Snapshot]
 	// ctxPool recycles per-worker scratch contexts for the packet path.
 	ctxPool sync.Pool
-	// workers is the controller's persistent batch-processing pool,
-	// started lazily on the first ProcessParallel call and reused for
-	// every batch thereafter (no per-call goroutine spawning). Closed by
-	// Close.
+	// workers is the controller's persistent frame-drain pool, started
+	// lazily on the first ProcessFrameSource / ReplayTrace call and reused
+	// for every drain thereafter (no per-call goroutine spawning). Closed
+	// by Close.
 	workers atomic.Pointer[core.WorkerPool]
 
 	// sharded enables the mergeable-op lane engine: pool workers write
 	// private cache-line-padded register lanes with plain stores and the
 	// control plane reduces them on read. shardWorkers is the lane (and
-	// pool) count. procGate orders lane access: ProcessParallel batches
-	// hold it shared; drains and lane-clearing mutations hold it exclusive
-	// (lane loads/stores are plain, so they must never overlap a batch).
-	// Lock order is always mu before procGate.
+	// pool) count. procGate orders lane access: pool workers hold it
+	// shared around each span; drains and lane-clearing mutations hold it
+	// exclusive (lane loads/stores are plain, so they must never overlap a
+	// span). Lock order is always mu before procGate.
 	sharded      bool
 	shardWorkers int
 	procGate     sync.RWMutex
@@ -118,10 +119,11 @@ type Config struct {
 	// landing there cost bandwidth (Pipeline.Recirculated tracks it).
 	SplicedGroups int
 
-	// Workers sizes the controller's persistent batch-processing pool and,
+	// Workers is the one worker-count knob: it sizes the persistent pool
+	// that drains every FrameSource (ProcessFrameSource, ReplayTrace) and,
 	// in sharded mode, the per-register lane count (0 = GOMAXPROCS).
 	Workers int
-	// ShardedState switches ProcessParallel's register updates from shared
+	// ShardedState switches the pool workers' register updates from shared
 	// CAS buckets to private per-worker lanes for exactly-mergeable ops
 	// (Cond-ADD at the saturation bound, MAX, AND-OR, XOR): workers write
 	// their own cache-line-padded lane with plain stores and the control
@@ -281,13 +283,16 @@ func (c *Controller) Process(p *packet.Packet) {
 }
 
 // ProcessBatch pushes a packet slice through the data plane sequentially
-// on one worker context, against one consistent snapshot. The context comes
-// from the controller's pool with its rng rewound to the fixed seed, so
-// identical batches replay identically — bit-for-bit what a fresh
-// NewProcCtx would compute — while the context's digest and telemetry
-// scratch stay warm across batches, keeping the per-batch path
-// allocation-free. ProcessParallel(ps, 1) is bit-for-bit equal to
-// ProcessBatch(ps).
+// on one worker context, against one consistent snapshot. It is the
+// sequential reference, kept on purpose beside the frame engine: the
+// differential tests and the benchmark's set-up check compare
+// ProcessFrameSource's registers against it, so it never routes through
+// the pool. Product callers with more than one packet use
+// ProcessFrameSource or ReplayTrace. The context comes from the
+// controller's pool with its rng rewound to the fixed seed, so identical
+// batches replay identically — bit-for-bit what a fresh NewProcCtx would
+// compute — while its scratch stays warm, keeping the per-batch path
+// allocation-free.
 func (c *Controller) ProcessBatch(ps []packet.Packet) {
 	if len(ps) == 0 {
 		return
@@ -299,40 +304,6 @@ func (c *Controller) ProcessBatch(ps []packet.Packet) {
 	c.ctxPool.Put(pc)
 }
 
-// ProcessParallel shards a packet batch across the controller's persistent
-// worker pool — the multi-pipe model: every worker executes against the
-// same consistent snapshot with its own reusable scratch context (unique
-// rng stream), and register updates go through per-bucket atomic CAS.
-// workers selects the shard count; <= 0 uses GOMAXPROCS; workers == 1 is
-// bit-for-bit identical to ProcessBatch. The pool's goroutines are started
-// once, on the first call, and reused for every subsequent batch.
-//
-// In sharded mode (Config.ShardedState) each pool worker owns a private
-// register lane: compiled rules whose ops merge exactly write the lane with
-// plain stores — no CAS, no contended counter — and the control plane
-// reduces lanes into shared state before any readout. Batches hold the
-// procGate shared so a drain never overlaps lane writes.
-func (c *Controller) ProcessParallel(ps []packet.Packet, workers int) {
-	if len(ps) == 0 {
-		return
-	}
-	if workers == 1 {
-		// Same pooled-context sequential path as ProcessBatch: identical
-		// results, and no per-batch context allocation.
-		c.ProcessBatch(ps)
-		return
-	}
-	snap := c.snap.Load()
-	// Resolve the pool before taking the gate: workerPool may take c.mu,
-	// and the lock order is mu before procGate everywhere.
-	pool := c.workerPool()
-	if c.sharded {
-		c.procGate.RLock()
-		defer c.procGate.RUnlock()
-	}
-	pool.Process(snap, ps, workers)
-}
-
 // ProcessFrameSource drains a pull-based frame source (the mmap replay
 // ring, internal/mmtrace) through the controller's persistent worker pool
 // with the FrameView-native engine, returning when the source is
@@ -342,16 +313,35 @@ func (c *Controller) ProcessParallel(ps []packet.Packet, workers int) {
 // Every worker reloads the RCU-published snapshot per span, so task
 // deploys, freezes, and resizes issued mid-replay take effect at the next
 // span boundary — replay behaves exactly like live traffic under
-// on-the-fly reconfiguration. In sharded mode each span holds the procGate
-// shared, so drains and queries interleave with a long replay instead of
-// stalling behind it.
+// on-the-fly reconfiguration.
+//
+// In sharded mode (Config.ShardedState) each pool worker owns a private
+// register lane: compiled rules whose ops merge exactly write the lane with
+// plain stores — no CAS, no contended counter — and the control plane
+// reduces lanes into shared state before any readout. Each span holds the
+// procGate shared, so drains and queries interleave with a long replay
+// instead of stalling behind it.
 func (c *Controller) ProcessFrameSource(src core.FrameSource) {
-	pool := c.workerPool()
-	var gate *sync.RWMutex
+	c.workerPool().ProcessFrameSource(c.snap.Load, src, c.spanGate())
+}
+
+// ReplayTrace pushes one pass over t through the pool's Config.Workers
+// workers and returns when every frame has executed — the one-call form of
+// ProcessFrameSource for a caller that holds a whole trace (a mapped file,
+// or packets encoded with mmtrace.FromPackets). With one worker the frames
+// execute in trace order; with several, span order across workers is
+// unspecified and commuting ops keep exact counts.
+func (c *Controller) ReplayTrace(t *mmtrace.Trace) {
+	c.workerPool().ReplayTrace(c.snap.Load, t, c.spanGate())
+}
+
+// spanGate is the gate pool workers hold shared around each span: the
+// procGate in sharded mode, none otherwise.
+func (c *Controller) spanGate() *sync.RWMutex {
 	if c.sharded {
-		gate = &c.procGate
+		return &c.procGate
 	}
-	pool.ProcessFrameSource(c.snap.Load, src, gate)
+	return nil
 }
 
 // workerPool returns the controller's persistent pool, starting it on
@@ -365,12 +355,7 @@ func (c *Controller) workerPool() *core.WorkerPool {
 	if p := c.workers.Load(); p != nil {
 		return p
 	}
-	var p *core.WorkerPool
-	if c.sharded {
-		p = core.NewShardedWorkerPool(c.shardWorkers)
-	} else {
-		p = core.NewWorkerPool(c.shardWorkers)
-	}
+	p := core.NewWorkerPool(c.shardWorkers, c.sharded)
 	c.workers.Store(p)
 	return p
 }
@@ -446,8 +431,8 @@ func (c *Controller) DrainShards() int {
 // Sharded reports whether the controller runs the sharded lane engine.
 func (c *Controller) Sharded() bool { return c.sharded }
 
-// Workers returns the controller's batch-pool width (the lane count in
-// sharded mode).
+// Workers returns the controller's pool width (the lane count in sharded
+// mode) — the consumer count a Replayer feeding ProcessFrameSource needs.
 func (c *Controller) Workers() int { return c.shardWorkers }
 
 // ShardStats summarizes the sharded engine: lane count, the live
@@ -463,7 +448,7 @@ func (c *Controller) ShardStats() metrics.ShardStats {
 
 // Close releases the controller's background resources (the worker pool).
 // The controller remains usable for sequential processing and control-
-// plane queries; only ProcessParallel and ProcessFrameSource must not be
+// plane queries; only ProcessFrameSource and ReplayTrace must not be
 // called after Close.
 func (c *Controller) Close() {
 	if p := c.workers.Swap(nil); p != nil {

@@ -48,7 +48,7 @@ func shardAlgCases() []algCase {
 		{"hll", TaskSpec{Name: "hll", Attribute: AttrDistinct,
 			Param: ParamSpec{Kind: ParamFlowKey, Key: key}, MemBuckets: 1024}, true, true},
 		{"beaucoup", TaskSpec{Name: "bc", Key: packet.KeyDstIP, Attribute: AttrDistinct,
-			Param: ParamSpec{Kind: ParamFlowKey, Key: packet.KeySrcIP},
+			Param:     ParamSpec{Kind: ParamFlowKey, Key: packet.KeySrcIP},
 			Threshold: 16, MemBuckets: 2048, D: 2}, true, true},
 		{"sumaxmax", TaskSpec{Name: "smm", Key: key, Attribute: AttrMax,
 			Param: ParamSpec{Kind: ParamQueueLength}, MemBuckets: 4096, D: 3}, true, true},
@@ -101,14 +101,14 @@ func TestShardedAlgorithmEquivalence(t *testing.T) {
 			}
 
 			seq.ProcessBatch(tr.Packets)
-			// Split the sharded replay into batches with a query in the
+			// Split the sharded replay into two drains with a query in the
 			// middle: the drain-then-continue path must stay exact.
 			half := len(tr.Packets) / 2
-			sh.ProcessParallel(tr.Packets[:half], workers)
+			replayPackets(sh, tr.Packets[:half])
 			if _, err := sh.ReadRegisters(shTask.ID); err != nil {
 				t.Fatalf("mid-run readout: %v", err)
 			}
-			sh.ProcessParallel(tr.Packets[half:], workers)
+			replayPackets(sh, tr.Packets[half:])
 
 			got, err := sh.ReadRegisters(shTask.ID)
 			if err != nil {
@@ -169,7 +169,7 @@ func TestShardedQueryEquivalence(t *testing.T) {
 		}
 	}
 	seq.ProcessBatch(tr.Packets)
-	sh.ProcessParallel(tr.Packets, workers)
+	replayPackets(sh, tr.Packets)
 
 	k := packet.KeyFiveTuple.Extract(&tr.Packets[0])
 	seqEst, err := seq.EstimateKey(ids[0][0], k)
@@ -215,7 +215,7 @@ func TestShardedMutationsDrainLanes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.ProcessParallel(tr.Packets, workers)
+	replayPackets(c, tr.Packets)
 
 	// Resize must return the complete (drained) old state: its total count
 	// equals the packets each row absorbed.
@@ -249,7 +249,7 @@ func TestShardedMutationsDrainLanes(t *testing.T) {
 
 	// Write lanes again, reset, and confirm a following drain folds nothing
 	// back into the cleared partition.
-	c.ProcessParallel(tr.Packets, workers)
+	replayPackets(c, tr.Packets)
 	if err := c.ResetTaskCounters(task.ID); err != nil {
 		t.Fatal(err)
 	}

@@ -167,10 +167,10 @@ func TestTelemetryRekeyUnit(t *testing.T) {
 	}
 }
 
-// TestTelemetryFoldDuringProcessParallel: scraping full reports while the
-// parallel packet path runs must be race-free (the -race build is the
-// point of this test) and end exact once the writers quiesce.
-func TestTelemetryFoldDuringProcessParallel(t *testing.T) {
+// TestTelemetryFoldDuringReplay: scraping full reports while the pool
+// drains a trace must be race-free (the -race build is the point of this
+// test) and end exact once the writers quiesce.
+func TestTelemetryFoldDuringReplay(t *testing.T) {
 	for _, shardedCfg := range []bool{false, true} {
 		name := "shared"
 		if shardedCfg {
@@ -203,7 +203,7 @@ func TestTelemetryFoldDuringProcessParallel(t *testing.T) {
 				}
 			}()
 			for r := 0; r < rounds; r++ {
-				c.ProcessParallel(tr.Packets, 4)
+				replayPackets(c, tr.Packets)
 			}
 			close(stop)
 			wg.Wait()

@@ -60,18 +60,18 @@ func TestSnapshotProcessZeroAlloc(t *testing.T) {
 }
 
 func TestSnapshotProcessBatchZeroAllocSteadyState(t *testing.T) {
-	// ProcessBatch allocates exactly one ProcCtx per call; per packet the
+	// A fresh ProcCtx per call is the one fixed allocation; per packet the
 	// cost must amortize to ~0. Gate on a generous fraction so the test
 	// catches per-packet regressions without flaking on the fixed per-call
 	// overhead.
 	s := allocPipeline(t).Compile()
 	tr := trace.Generate(trace.Config{Flows: 100, Packets: 4096, Seed: 3})
 	allocs := testing.AllocsPerRun(10, func() {
-		s.ProcessBatch(tr.Packets)
+		s.ProcessBatchCtx(NewProcCtx(), tr.Packets)
 	})
 	perPacket := allocs / float64(len(tr.Packets))
 	if perPacket > 0.01 {
-		t.Fatalf("Snapshot.ProcessBatch allocates %.4f per packet, want ~0 (fixed per-call ProcCtx only)", perPacket)
+		t.Fatalf("Snapshot.ProcessBatchCtx allocates %.4f per packet, want ~0 (fixed per-call ProcCtx only)", perPacket)
 	}
 }
 

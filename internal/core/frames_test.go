@@ -172,7 +172,7 @@ func TestProcessFramesMatchesProcessBatch(t *testing.T) {
 	mt := writeFrameTrace(t, tr.Packets)
 
 	want := buildFramesPipeline(t)
-	want.Compile().ProcessBatch(tr.Packets)
+	want.Compile().ProcessBatchCtx(NewProcCtx(), tr.Packets)
 
 	got := buildFramesPipeline(t)
 	s := got.Compile()
@@ -215,7 +215,7 @@ func TestProcessFramesShardedMatchesSequential(t *testing.T) {
 	}
 
 	want := build()
-	want.Compile().ProcessBatch(tr.Packets)
+	want.Compile().ProcessBatchCtx(NewProcCtx(), tr.Packets)
 
 	const shards = 2
 	got := build()
@@ -260,7 +260,7 @@ func TestProcessFramesFallbacks(t *testing.T) {
 			return NewPipelineWith(g)
 		}
 		want := build()
-		want.Compile().ProcessBatch(tr.Packets)
+		want.Compile().ProcessBatchCtx(NewProcCtx(), tr.Packets)
 
 		got := build()
 		s := got.Compile()
@@ -285,7 +285,7 @@ func TestProcessFramesFallbacks(t *testing.T) {
 			return pl
 		}
 		want := build()
-		want.Compile().ProcessBatch(tr.Packets)
+		want.Compile().ProcessBatchCtx(NewProcCtx(), tr.Packets)
 
 		got := build()
 		s := got.Compile()
@@ -340,7 +340,7 @@ func TestProcessFramesQuietAddPath(t *testing.T) {
 				return NewPipelineWith(g)
 			}
 			want := build()
-			want.Compile().ProcessBatch(tr.Packets)
+			want.Compile().ProcessBatchCtx(NewProcCtx(), tr.Packets)
 
 			got := build()
 			s := got.Compile()
@@ -374,7 +374,7 @@ func TestProcessFramesQuietAddPath(t *testing.T) {
 			return NewPipelineWith(g)
 		}
 		want := build()
-		want.Compile().ProcessBatch(tr.Packets)
+		want.Compile().ProcessBatchCtx(NewProcCtx(), tr.Packets)
 
 		got := build()
 		got.EnableSharding(2)

@@ -6,21 +6,21 @@ import (
 	"sync/atomic"
 
 	"flymon/internal/mmtrace"
-	"flymon/internal/packet"
 )
 
 // WorkerPool is a persistent pool of packet-processing workers — the
-// multi-pipe model with the goroutine churn compiled out. Spawning a
-// goroutine and a fresh ProcCtx per chunk per call would make the
-// spawn/alloc tax dominate at millions of batches. A pool
-// starts its workers once: each worker owns one reusable ProcCtx with a
-// unique rng stream (created via NewProcCtxUnique, so probabilistic rules
-// never sample in lockstep across workers) whose digest scratch stays
-// warm across batches, and batches are sharded over a channel.
+// multi-pipe model with the goroutine churn compiled out. A pool starts
+// its workers once: each worker owns one reusable ProcCtx with a unique
+// rng stream (created via NewProcCtxUnique, so probabilistic rules never
+// sample in lockstep across workers) whose digest and column scratch stays
+// warm across drains. The pool has exactly one job kind, the frame drain:
+// every multi-packet caller hands it a FrameSource (ProcessFrameSource, or
+// ReplayTrace for one pass over one trace) and the workers pull raw record
+// spans from it.
 //
-// The pool is snapshot-agnostic: every job carries the snapshot it must
-// execute against, so one pool serves a controller across arbitrarily many
-// RCU republishes.
+// The pool is snapshot-agnostic: every job carries the loader of the
+// snapshot it must execute against, so one pool serves a controller across
+// arbitrarily many RCU republishes.
 type WorkerPool struct {
 	jobs    chan poolJob
 	workers int
@@ -29,16 +29,13 @@ type WorkerPool struct {
 	close   sync.Once
 }
 
+// poolJob is one worker's share of a frame drain: the worker pulls raw
+// frame spans from fsrc until exhaustion and executes them through the
+// FrameView-native engine (Snapshot.ProcessFrames), reloading the snapshot
+// per span so on-the-fly reconfiguration stays visible mid-replay. gate,
+// when non-nil, is held shared around each span (the sharded engine's
+// procGate: drains need lane exclusivity).
 type poolJob struct {
-	snap *Snapshot
-	seg  []packet.Packet
-	// Frame-drain jobs (ProcessFrameSource) set fsrc and load instead of
-	// snap/seg: the worker pulls raw frame spans from fsrc until
-	// exhaustion and executes them through the FrameView-native engine
-	// (Snapshot.ProcessFrames), reloading the snapshot per span so
-	// on-the-fly reconfiguration stays visible mid-replay. gate, when
-	// non-nil, is held shared around each span (the sharded engine's
-	// procGate: drains need lane exclusivity).
 	fsrc FrameSource
 	load func() *Snapshot
 	gate *sync.RWMutex
@@ -57,18 +54,13 @@ type FrameSource interface {
 }
 
 // NewWorkerPool starts a pool of n long-lived workers (n <= 0 takes
-// GOMAXPROCS). The workers live until Close.
-func NewWorkerPool(n int) *WorkerPool { return newWorkerPool(n, false) }
-
-// NewShardedWorkerPool starts a pool whose workers each own one private
-// register lane: worker i processes with ctx.Shard = i, so compiled rules
-// whose ops are exactly mergeable write lane i with plain stores instead
-// of CASing the shared bucket. The pool must be sized to the registers'
-// EnableSharding count — lane indices at or past the lane count are a
-// wiring bug and panic in ShardApply.
-func NewShardedWorkerPool(n int) *WorkerPool { return newWorkerPool(n, true) }
-
-func newWorkerPool(n int, sharded bool) *WorkerPool {
+// GOMAXPROCS) that live until Close. With sharded set each worker owns one
+// private register lane: worker i processes with ctx.Shard = i, so compiled
+// rules whose ops are exactly mergeable write lane i with plain stores
+// instead of CASing the shared bucket. A sharded pool must be sized to the
+// registers' EnableSharding count — lane indices at or past the lane count
+// are a wiring bug and panic in ShardApply.
+func NewWorkerPool(n int, sharded bool) *WorkerPool {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
@@ -80,24 +72,14 @@ func newWorkerPool(n int, sharded bool) *WorkerPool {
 	return p
 }
 
-// run is one worker's loop: a single context, reused for every job.
+// run is one worker's loop: a single context, reused for every drain.
 func (p *WorkerPool) run(id int) {
 	pc := NewProcCtxUnique()
 	if p.sharded {
 		pc.Ctx.Shard = int32(id)
 	}
 	for j := range p.jobs {
-		if j.fsrc != nil {
-			p.drainFrames(pc, id, j)
-			j.wg.Done()
-			continue
-		}
-		for i := range j.seg {
-			j.snap.Process(pc, &j.seg[i])
-		}
-		// Flush pending telemetry before releasing the batch so counts are
-		// scrape-exact once the caller's Process returns.
-		pc.teleFlush()
+		p.drainFrames(pc, id, j)
 		j.wg.Done()
 	}
 }
@@ -131,46 +113,10 @@ func (p *WorkerPool) drainFrames(pc *ProcCtx, id int, j poolJob) {
 // Workers returns the pool's worker count.
 func (p *WorkerPool) Workers() int { return p.workers }
 
-// Sharded reports whether the pool's workers own register lanes.
-func (p *WorkerPool) Sharded() bool { return p.sharded }
-
 // Started returns the number of worker goroutines ever started. It equals
 // Workers for the pool's whole lifetime — the property the pool exists
-// for — and tests assert it stays flat across Process calls.
+// for — and tests assert it stays flat across drains.
 func (p *WorkerPool) Started() int64 { return p.started.Load() }
-
-// Process shards ps into `shards` contiguous chunks (shards <= 0 takes the
-// worker count) and executes them on the pool's workers against one
-// consistent snapshot, returning when every packet is processed. shards <= 1
-// degenerates to the sequential, deterministic ProcessBatch. Safe for
-// concurrent callers; per-bucket register updates are atomic, so commuting
-// ops keep exact counts regardless of sharding.
-func (p *WorkerPool) Process(s *Snapshot, ps []packet.Packet, shards int) {
-	if len(ps) == 0 {
-		return
-	}
-	if shards <= 0 {
-		shards = p.workers
-	}
-	if shards > len(ps) {
-		shards = len(ps)
-	}
-	if shards <= 1 {
-		s.ProcessBatch(ps)
-		return
-	}
-	chunk := (len(ps) + shards - 1) / shards
-	var wg sync.WaitGroup
-	for lo := 0; lo < len(ps); lo += chunk {
-		hi := lo + chunk
-		if hi > len(ps) {
-			hi = len(ps)
-		}
-		wg.Add(1)
-		p.jobs <- poolJob{snap: s, seg: ps[lo:hi], wg: &wg}
-	}
-	wg.Wait()
-}
 
 // ProcessFrameSource runs every pool worker against src until it is
 // exhausted, then returns: each worker drains raw frame spans through the
@@ -189,8 +135,22 @@ func (p *WorkerPool) ProcessFrameSource(load func() *Snapshot, src FrameSource, 
 	wg.Wait()
 }
 
-// Close shuts the workers down. Process must not be called after Close;
-// Close is idempotent.
+// ReplayTrace drains one pass over t through the pool and returns when
+// every frame has executed: a replayer sized to the pool, started, handed
+// to ProcessFrameSource (load and gate as there). It is the one-call form
+// of the replay path for callers that hold a whole trace and need none of
+// the replayer's loop, stop or telemetry controls.
+func (p *WorkerPool) ReplayTrace(load func() *Snapshot, t *mmtrace.Trace, gate *sync.RWMutex) {
+	rep, err := mmtrace.NewReplayer(mmtrace.ReplayConfig{Traces: []*mmtrace.Trace{t}, Workers: p.workers})
+	if err != nil {
+		panic(err) // one trace, a positive width: only a closed trace, a caller bug
+	}
+	rep.Start()
+	p.ProcessFrameSource(load, rep, gate)
+}
+
+// Close shuts the workers down. No drain may be started after Close; Close
+// is idempotent.
 func (p *WorkerPool) Close() {
 	p.close.Do(func() { close(p.jobs) })
 }

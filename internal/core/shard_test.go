@@ -86,8 +86,8 @@ func TestShardedVerdictPerOpShape(t *testing.T) {
 // TestShardedPoolEquivalence runs the same trace through (a) a sequential
 // snapshot replay and (b) a sharded worker pool with private lanes, then
 // drains and compares every register bucket. CMS counts are exactly
-// mergeable, so the states must be bit-identical regardless of how the pool
-// partitioned the batch.
+// mergeable, so the states must be bit-identical regardless of which worker
+// drained which span.
 func TestShardedPoolEquivalence(t *testing.T) {
 	const workers = 4
 	build := func() (*Pipeline, *Group) {
@@ -98,7 +98,7 @@ func TestShardedPoolEquivalence(t *testing.T) {
 	tr := trace.Generate(trace.Config{Flows: 500, Packets: 20_000, Seed: 11})
 
 	seqPl, seqG := build()
-	seqPl.Compile().ProcessBatch(tr.Packets)
+	seqPl.Compile().ProcessBatchCtx(NewProcCtx(), tr.Packets)
 
 	shPl, shG := build()
 	shPl.EnableSharding(workers)
@@ -106,17 +106,17 @@ func TestShardedPoolEquivalence(t *testing.T) {
 	if s, _ := snap.ShardedRules(); s == 0 {
 		t.Fatal("no rules sharded; test would not exercise lanes")
 	}
-	pool := NewShardedWorkerPool(workers)
+	pool := NewWorkerPool(workers, true)
 	defer pool.Close()
-	// Several batches, with a drain in the middle: post-drain lane reuse
+	// Several replays, with a drain in the middle: post-drain lane reuse
 	// must keep folding exactly.
 	third := len(tr.Packets) / 3
-	pool.Process(snap, tr.Packets[:third], workers)
+	replayThrough(pool, snap, tr.Packets[:third])
 	if shPl.DrainShards() == 0 {
 		t.Fatal("first drain folded nothing; lanes were not written")
 	}
-	pool.Process(snap, tr.Packets[third:2*third], workers)
-	pool.Process(snap, tr.Packets[2*third:], workers)
+	replayThrough(pool, snap, tr.Packets[third:2*third])
+	replayThrough(pool, snap, tr.Packets[2*third:])
 	shPl.DrainShards()
 
 	reg, want := shG.CMU(0).Register(), seqG.CMU(0).Register()

@@ -354,19 +354,13 @@ func (sc *snapCMU) process(ctx *Context, hashes []uint32) {
 	}
 }
 
-// ProcessBatch pushes a packet slice through the snapshot sequentially
-// with one worker context. A fresh context is used per call, so replays
-// are deterministic.
-func (s *Snapshot) ProcessBatch(ps []packet.Packet) {
-	s.ProcessBatchCtx(NewProcCtx(), ps)
-}
-
-// ProcessBatchCtx is ProcessBatch with a caller-owned context — the
-// allocation-free sequential path for callers that pool contexts across
-// batches (the controller). For ProcessBatch's deterministic-replay
-// contract the caller must Reseed a recycled context first; without the
-// reseed the rng stream simply continues, which is what a pool that
-// interleaves batches from many callers wants.
+// ProcessBatchCtx pushes a packet slice through the snapshot sequentially
+// on the caller's context. It is the sequential reference, kept on purpose
+// beside the frame engine: the differential tests (and the benchmark's
+// set-up check and core.batch_ns_per_pkt) compare ProcessFrames against
+// it, so it must stay an independent path. A fresh NewProcCtx — or a
+// recycled context after Reseed — replays deterministically; without the
+// reseed the rng stream simply continues.
 func (s *Snapshot) ProcessBatchCtx(pc *ProcCtx, ps []packet.Packet) {
 	for i := range ps {
 		s.Process(pc, &ps[i])

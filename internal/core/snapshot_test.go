@@ -62,7 +62,7 @@ func TestSnapshotMatchesInterpretive(t *testing.T) {
 	}
 
 	plB, b0, b1 := build()
-	plB.Compile().ProcessBatch(tr.Packets)
+	plB.Compile().ProcessBatchCtx(NewProcCtx(), tr.Packets)
 
 	for ci := 0; ci < 3; ci++ {
 		for i := 0; i < 4096; i++ {

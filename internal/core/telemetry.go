@@ -31,8 +31,8 @@ import "flymon/internal/telemetry"
 //     serialize on a counter line; scrapes fold the stripes.
 //
 // Consistency contract: counts are exact once writers quiesce at a batch
-// boundary (ProcessBatch and WorkerPool jobs both
-// flush before returning). A long-idle pooled context can hold at most
+// boundary (ProcessBatchCtx and every WorkerPool span both flush before
+// returning). A long-idle pooled context can hold at most
 // teleFlushEvery-1 packets of pending counts, so live scrapes undercount by
 // a bounded, eventually-flushed amount. Snapshot retirement settles through
 // the controller's retired-snapshot ring: a straggler still flushing into a

@@ -49,7 +49,7 @@ func TestTelemetryExactCounts(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		ps = append(ps, packet.Packet{SrcIP: uint32(i + 1), DstIP: 2, Proto: 17})
 	}
-	s.ProcessBatch(ps)
+	s.ProcessBatchCtx(NewProcCtx(), ps)
 
 	fold := func() map[int]uint64 {
 		dp := reg.FoldDataPlane(s.TelemetryLive())
@@ -104,7 +104,7 @@ func TestTelemetryDerivedDetection(t *testing.T) {
 	pl := allocPipeline(t)
 	pl.SetTelemetry(reg)
 	s := pl.Compile()
-	s.ProcessBatch([]packet.Packet{{SrcIP: 1, DstIP: 2, Proto: 6}})
+	s.ProcessBatchCtx(NewProcCtx(), []packet.Packet{{SrcIP: 1, DstIP: 2, Proto: 6}})
 	// The whole-traffic CMS rules are derived: the snapshot reconstructs
 	// their hits from its packet counter, so it must carry exactly those
 	// three in its derived list and give the filtered/sampled rules live

@@ -395,8 +395,8 @@ func (r *Register) Reset() { r.ClearRange(0, len(r.buckets)) }
 // Synchronization contract. A lane is single-writer (the owning worker)
 // with plain loads/stores. DrainRange/ClearRange read and write lanes with
 // plain access too, so the caller must exclude sharded writers around them
-// (the control plane holds a gate that ProcessParallel batches take in
-// shared mode). The fold into the base buckets goes through the CAS path,
+// (the control plane holds a gate that pool workers take in shared mode
+// around each span). The fold into the base buckets goes through the CAS path,
 // so it may safely overlap single-packet CAS writers and atomic readers.
 
 // EnableSharding allocates n private bucket lanes (one per worker). It is

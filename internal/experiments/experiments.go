@@ -1,8 +1,11 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§5): each Fig*/Table* function runs the corresponding
 // experiment on the simulated data plane and returns a renderable table.
-// The cmd/flymon-bench binary and the repository's testing.B benchmarks are
-// thin wrappers over this package.
+// The cmd/flymon-bench binary is a thin wrapper over this package. Every
+// experiment feeds its packets to the data plane the way flymond -replay
+// and the repo benchmark do: encoded as an mmtrace.Trace and drained by a
+// worker pool through the frame engine (Controller.ReplayTrace, or replay
+// below for a bare pipeline).
 package experiments
 
 import (
@@ -11,6 +14,7 @@ import (
 	"strings"
 
 	"flymon/internal/core"
+	"flymon/internal/mmtrace"
 	"flymon/internal/packet"
 	"flymon/internal/trace"
 )
@@ -105,6 +109,18 @@ func groups32(n, buckets int) []*core.Group {
 		gs[i] = core.NewGroup(core.GroupConfig{ID: i, Buckets: buckets, BitWidth: 32})
 	}
 	return gs
+}
+
+// replay pushes every packet of tr through pl on the frame engine: one
+// snapshot compilation, the packets encoded as an in-memory frame trace,
+// and a one-worker pool draining it. One worker keeps the packets in trace
+// order, which the bus-chained and recirculated figures depend on;
+// probabilistic rules draw from that worker's own rng stream.
+func replay(pl *core.Pipeline, tr *trace.Trace) {
+	snap := pl.Compile()
+	pool := core.NewWorkerPool(1, false)
+	defer pool.Close()
+	pool.ReplayTrace(func() *core.Snapshot { return snap }, mmtrace.FromPackets(tr.Packets), nil)
 }
 
 // baseTrace generates the shared Zipf workload for a scale and seed.

@@ -8,6 +8,7 @@ import (
 
 	"flymon/internal/controlplane"
 	"flymon/internal/metrics"
+	"flymon/internal/mmtrace"
 	"flymon/internal/packet"
 	"flymon/internal/sim"
 	"flymon/internal/sketch"
@@ -84,6 +85,7 @@ func Fig12b(scale Scale, seed int64) *Table {
 	bigBuckets := 16384
 
 	ctrl := controlplane.NewController(controlplane.Config{Groups: 1, Buckets: 65536, BitWidth: 32})
+	defer ctrl.Close()
 	taskA, err := ctrl.AddTask(controlplane.TaskSpec{
 		Name: "taskA", Filter: filterA, Key: packet.KeyFiveTuple,
 		Attribute: controlplane.AttrFrequency, MemBuckets: smallBuckets, D: 3,
@@ -131,13 +133,14 @@ func Fig12b(scale Scale, seed int64) *Table {
 			event = "shrink task A memory"
 		}
 
-		// Fresh measurement window. The epoch replays through the batch
-		// fast path (one snapshot, one worker context); the baselines only
-		// read their own state, so they can consume the epoch afterwards.
+		// Fresh measurement window. The epoch replays through the frame
+		// engine on the controller's pool (frequency counting commutes, so
+		// any pool width gives the same registers); the baselines only read
+		// their own state, so they can consume the epoch afterwards.
 		_ = ctrl.ResetTaskCounters(taskA.ID)
 		static.Reset()
 		exact := sketch.NewExactFrequency(packet.KeyFiveTuple)
-		ctrl.ProcessBatch(ep.Packets)
+		ctrl.ReplayTrace(mmtrace.FromPackets(ep.Packets))
 		for i := range ep.Packets {
 			p := &ep.Packets[i]
 			if filterA.Matches(p) {

@@ -439,11 +439,3 @@ func Fig14g(scale Scale, seed int64) *Table {
 		"bit packing multiplies usable membership bits by the bucket width (32×), collapsing the FP rate (paper: <0.1% at 40 KB)")
 	return t
 }
-
-// replay pushes every packet of tr through pl's compiled fast path: one
-// snapshot compilation, then a sequential batch on a fresh worker context
-// — the same code path the concurrent controller API uses, kept
-// single-worker here so every figure is deterministic.
-func replay(pl *core.Pipeline, tr *trace.Trace) {
-	pl.Compile().ProcessBatch(tr.Packets)
-}

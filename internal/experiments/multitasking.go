@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"flymon/internal/controlplane"
+	"flymon/internal/mmtrace"
 	"flymon/internal/packet"
 	"flymon/internal/trace"
 )
@@ -45,8 +45,9 @@ func Multitasking(scale Scale, seed int64) *Table {
 
 		// Drive traffic across all tenants and verify isolation: each
 		// task's whole register mass must equal its own packet count. The
-		// replay shards across all cores — per-bucket atomic adds make the
-		// mass check exact regardless of packet interleaving.
+		// replay spreads spans over the controller's pool (all cores) —
+		// per-bucket atomic adds make the mass check exact regardless of
+		// packet interleaving.
 		tr := trace.Generate(trace.Config{Flows: 2000, Packets: packets, Seed: seed})
 		perTenant := make([]uint64, n)
 		for i := range tr.Packets {
@@ -54,7 +55,7 @@ func Multitasking(scale Scale, seed int64) *Table {
 			tr.Packets[i].DstPort = uint16(tenant + 1)
 			perTenant[tenant]++
 		}
-		ctrl.ProcessParallel(tr.Packets, runtime.GOMAXPROCS(0))
+		ctrl.ReplayTrace(mmtrace.FromPackets(tr.Packets))
 		isolationErrors := 0
 		for i := 0; i < n; i++ {
 			rows, err := ctrl.ReadRegisters(i + 1)
@@ -71,6 +72,7 @@ func Multitasking(scale Scale, seed int64) *Table {
 				isolationErrors++
 			}
 		}
+		ctrl.Close()
 
 		t.Rows = append(t.Rows, []string{
 			itoa(n), itoa(perTask),

@@ -1,23 +1,19 @@
-// Package mmtrace is FlyMon's zero-copy trace-ingestion layer: it maps
-// FLYMTRC trace files into memory and hands the compiled engine views into
-// the mapped buffer instead of materializing every packet up front.
+// Package mmtrace is FlyMon's trace-ingestion layer — the one form in
+// which more than one packet reaches the compiled engine. A Trace is a flat
+// run of fixed-size FLYMTRC records, either mapped from a file (Open, with
+// a portable io.ReaderAt fallback when mapping is unavailable) or encoded
+// from packets already in memory (FromPackets); records are exposed as lazy
+// FrameViews over those bytes, and the engine extracts key columns straight
+// from them, one span at a time — no per-packet materialization, no
+// per-replay allocation, no GC pressure proportional to trace size.
 //
-// The sequential path (trace.Reader → ReadAll → []packet.Packet →
-// ProcessBatch) touches every byte three times — a bufio copy, a decode
-// into a freshly grown slice the size of the whole trace, and the engine's
-// walk over that slice — and its allocation of hundreds of megabytes per
-// replay is pure ingest overhead. Here a trace is mmapped (with a portable
-// io.ReaderAt fallback when mapping is unavailable), records are exposed as
-// lazy FrameViews over the mapped bytes, and the engine extracts key
-// columns straight from the page cache, one span at a time — no
-// intermediate buffer, no per-replay allocation, no GC pressure
-// proportional to trace size.
-//
-// On top of the mapping, a multi-producer/multi-consumer Ring (ring.go)
+// On top of a Trace, a multi-producer/multi-consumer Ring (ring.go)
 // distributes frame ranges to the engine's persistent worker pool, and a
-// Replayer (replay.go) wires the two together as a core.FrameSource so
+// Replayer (replay.go) wires the two together as the core.FrameSource, so
 // replay saturates the pool without per-span channel or allocation
-// overhead.
+// overhead. Decoding a trace back into []packet.Packet (DecodeRange,
+// DecodeBatch) exists for tools and for the sequential reference the
+// differential tests compare the engine against.
 package mmtrace
 
 import (
@@ -103,6 +99,20 @@ func NewFromBytes(data []byte) (*Trace, error) {
 	return newTrace(data, false)
 }
 
+// FromPackets encodes ps into one in-memory Trace — header plus one
+// trace.EncodeRecord per packet, the inverse of DecodeRange — so packets a
+// caller generated or captured take the same frame path as a trace file.
+func FromPackets(ps []packet.Packet) *Trace {
+	hdr := trace.Header()
+	data := make([]byte, trace.HeaderSize+len(ps)*trace.RecordSize)
+	copy(data, hdr[:])
+	recs := data[trace.HeaderSize:]
+	for i := range ps {
+		trace.EncodeRecord(recs[i*trace.RecordSize:], &ps[i])
+	}
+	return &Trace{recs: recs, frames: len(ps), raw: data}
+}
+
 func newTrace(data []byte, mapped bool) (*Trace, error) {
 	if err := trace.ValidateHeader(data); err != nil {
 		return nil, err
@@ -144,6 +154,16 @@ func readFullAt(r io.ReaderAt, b []byte) (int, error) {
 
 // Frames returns the number of complete records in the trace.
 func (t *Trace) Frames() int { return t.frames }
+
+// Prefix returns a view of the first n frames (n <= 0 or n >= Frames
+// returns t itself). The view aliases t's records and owns no mapping:
+// closing it is a no-op, and it is invalid once t is closed.
+func (t *Trace) Prefix(n int) *Trace {
+	if n <= 0 || n >= t.frames {
+		return t
+	}
+	return &Trace{recs: t.recs[:n*trace.RecordSize], frames: n}
+}
 
 // Mapped reports whether the trace is served by an mmap (false = the
 // io.ReaderAt fallback buffered it in memory).

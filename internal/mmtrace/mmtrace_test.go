@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -194,5 +195,53 @@ func TestCloseIdempotent(t *testing.T) {
 	}
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFromPacketsRoundTrip: FromPackets is the inverse of DecodeRange — the
+// frames decode back to the input, the buffer is byte-for-byte what the
+// file writer emits (so an encoded trace and an opened one are one form),
+// a Prefix aliases the leading frames, and zero packets make a valid empty
+// trace a Replayer accepts.
+func TestFromPacketsRoundTrip(t *testing.T) {
+	ps := genPackets(777)
+	tr := FromPackets(ps)
+	if tr.Frames() != len(ps) || tr.Mapped() || tr.Err() != nil {
+		t.Fatalf("frames = %d (want %d), mapped = %v, err = %v", tr.Frames(), len(ps), tr.Mapped(), tr.Err())
+	}
+	got := make([]packet.Packet, len(ps))
+	tr.DecodeRange(0, got)
+	if !reflect.DeepEqual(got, ps) {
+		t.Fatal("DecodeRange(FromPackets(ps)) differs from ps")
+	}
+	_, file := writeTraceFile(t, ps)
+	if !bytes.Equal(tr.raw, file) {
+		t.Fatal("FromPackets encoding differs from trace.Writer's file bytes")
+	}
+
+	for _, n := range []int{-1, 0, len(ps), len(ps) + 1} {
+		if tr.Prefix(n) != tr {
+			t.Fatalf("Prefix(%d) must be the trace itself", n)
+		}
+	}
+	head := tr.Prefix(100)
+	if head.Frames() != 100 || !bytes.Equal(head.Span(0, 100), tr.Span(0, 100)) {
+		t.Fatalf("Prefix(100): %d frames, or bytes differ from the parent's", head.Frames())
+	}
+	if err := head.Close(); err != nil || tr.Frames() != len(ps) || tr.At(0).SrcIP() != ps[0].SrcIP {
+		t.Fatalf("closing a prefix view must leave the parent readable (err %v)", err)
+	}
+
+	empty := FromPackets(nil)
+	if empty.Frames() != 0 || empty.Bytes() != 0 {
+		t.Fatalf("empty trace: %d frames, %d bytes", empty.Frames(), empty.Bytes())
+	}
+	rep, err := NewReplayer(ReplayConfig{Traces: []*Trace{empty}, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep.Start()
+	if tr, lo, hi := rep.NextFrames(0); tr != nil {
+		t.Fatalf("empty replay handed out frames [%d, %d)", lo, hi)
 	}
 }

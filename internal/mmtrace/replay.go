@@ -167,10 +167,6 @@ func (r *Replayer) Stop() { r.stop.Store(true) }
 // Packets returns the frames delivered to consumers so far.
 func (r *Replayer) Packets() uint64 { return r.packets.Load() }
 
-// Ring exposes the replay ring (telemetry reads its occupancy and stall
-// counters through it).
-func (r *Replayer) Ring() *Ring { return r.ring }
-
 // ReplayStats is a telemetry snapshot of a replay in flight.
 type ReplayStats struct {
 	Packets   uint64 // frames delivered to consumers

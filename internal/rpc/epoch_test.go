@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"flymon/internal/mmtrace"
 	"flymon/internal/packet"
 	"flymon/internal/trace"
 )
@@ -12,7 +13,7 @@ import (
 func feed(t *testing.T, s *Server, seed int64) *trace.Trace {
 	t.Helper()
 	tr := trace.Generate(trace.Config{Flows: 64, Packets: 2000, ZipfS: 1.1, Seed: seed})
-	s.ctrl.ProcessBatch(tr.Packets)
+	s.ctrl.ReplayTrace(mmtrace.FromPackets(tr.Packets))
 	return tr
 }
 

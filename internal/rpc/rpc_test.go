@@ -3,7 +3,6 @@ package rpc
 import (
 	"encoding/json"
 	"net"
-	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -319,24 +318,8 @@ func TestSplitTaskOverRPC(t *testing.T) {
 func TestLoadTraceOverRPC(t *testing.T) {
 	_, c := startServer(t)
 	// Write a trace with trafficgen's format and load it by path.
-	dir := t.TempDir()
-	path := dir + "/t.fmt"
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := trace.NewWriter(f)
-	if err != nil {
-		t.Fatal(err)
-	}
 	tr := trace.Generate(trace.Config{Flows: 50, Packets: 500, Seed: 9})
-	if err := w.WriteTrace(tr); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	path := writeTraceFile(t, tr.Packets, 0)
 
 	n, err := c.LoadTrace(path)
 	if err != nil || n != 500 {
@@ -346,7 +329,7 @@ func TestLoadTraceOverRPC(t *testing.T) {
 	if err != nil || done != 500 {
 		t.Fatalf("Replay = %d, %v", done, err)
 	}
-	if _, err := c.LoadTrace(dir + "/missing.fmt"); err == nil {
+	if _, err := c.LoadTrace(path + ".missing"); err == nil {
 		t.Fatal("loading a missing file must fail")
 	}
 }

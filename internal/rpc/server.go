@@ -6,13 +6,13 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"flymon/internal/controlplane"
+	"flymon/internal/mmtrace"
 	"flymon/internal/packet"
 	"flymon/internal/telemetry"
 	"flymon/internal/trace"
@@ -37,9 +37,13 @@ const DefaultHelloGC = 2 * time.Minute
 type Server struct {
 	ctrl *controlplane.Controller
 
-	mu      sync.Mutex
-	tr      *trace.Trace
-	replays int
+	// tr is the loaded workload in the one form the data plane ingests: a
+	// frame trace, mapped from a file (load_trace) or encoded from a
+	// generated workload (gen_trace). A replay holds mu shared for the
+	// whole drain; replacing the trace (and unmapping the old one) takes it
+	// exclusively, so a mapping is never released under a running replay.
+	mu sync.RWMutex
+	tr *mmtrace.Trace
 
 	// Epoch tasks: per-name rotators plus their per-epoch packed register
 	// snapshots (see epoch.go). epochMu also serializes rotations, which
@@ -206,11 +210,11 @@ func (s *Server) Serve(ln net.Listener) {
 	go s.acceptLoop()
 }
 
-// Close stops the listener, closes every active connection, and waits for
-// connection handlers to drain. Without the active-connection sweep a
-// single idle client would wedge daemon shutdown forever. Close is
-// idempotent: shutdown paths often race a signal handler against a
-// defer.
+// Close stops the listener, closes every active connection, waits for
+// connection handlers to drain, and releases the loaded trace. Without the
+// active-connection sweep a single idle client would wedge daemon shutdown
+// forever. Close is idempotent: shutdown paths often race a signal handler
+// against a defer.
 func (s *Server) Close() error {
 	var err error
 	s.closeOnce.Do(func() {
@@ -224,6 +228,7 @@ func (s *Server) Close() error {
 		}
 		s.connMu.Unlock()
 		s.wg.Wait()
+		s.setTrace(nil)
 	})
 	return err
 }
@@ -601,62 +606,58 @@ func (s *Server) handle(method string, params json.RawMessage, sc tracing.SpanCo
 		if err != nil {
 			return nil, err
 		}
-		f, err := os.Open(p.Path)
+		tr, err := mmtrace.Open(p.Path)
 		if err != nil {
-			return nil, fmt.Errorf("rpc: opening trace: %w", err)
+			// Open hands back the intact prefix of a file that ends
+			// mid-record; the daemon demands integrity and keeps nothing.
+			if tr != nil {
+				tr.Close()
+			}
+			return nil, fmt.Errorf("rpc: loading trace: %w", err)
 		}
-		defer f.Close()
-		r, err := trace.NewReader(f)
-		if err != nil {
-			return nil, err
-		}
-		tr, err := r.ReadAll()
-		if err != nil {
-			return nil, err
-		}
-		s.mu.Lock()
-		s.tr = tr
-		s.mu.Unlock()
-		return ReplayResult{Processed: tr.Len()}, nil
+		s.setTrace(tr)
+		return ReplayResult{Processed: tr.Frames()}, nil
 
 	case MethodGenTrace:
 		p, err := decode[GenTraceParams](params)
 		if err != nil {
 			return nil, err
 		}
-		tr := trace.Generate(trace.Config{
+		if err := checkRange("flows", p.Flows, 1, maxGenFlows); err != nil {
+			return nil, err
+		}
+		if err := checkRange("packets", p.Packets, 0, maxGenPackets); err != nil {
+			return nil, err
+		}
+		tr := mmtrace.FromPackets(trace.Generate(trace.Config{
 			Flows: p.Flows, Packets: p.Packets, ZipfS: p.ZipfS, Seed: p.Seed,
-		})
-		s.mu.Lock()
-		s.tr = tr
-		s.mu.Unlock()
-		return ReplayResult{Processed: tr.Len()}, nil
+		}).Packets)
+		s.setTrace(tr)
+		return ReplayResult{Processed: tr.Frames()}, nil
 
 	case MethodReplay:
 		p, err := decode[ReplayParams](params)
 		if err != nil {
 			return nil, err
 		}
-		s.mu.Lock()
-		tr := s.tr
-		s.mu.Unlock()
-		if tr == nil {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		if s.tr == nil {
 			return nil, fmt.Errorf("rpc: no trace loaded (call %s first)", MethodGenTrace)
 		}
-		n := p.Packets
-		if n <= 0 || n > tr.Len() {
-			n = tr.Len()
-		}
-		s.ctrl.ProcessBatch(tr.Packets[:n])
-		return ReplayResult{Processed: n}, nil
+		// The first N frames (0 = all) through the controller's pool — the
+		// same ProcessFrameSource drain flymond -replay runs.
+		part := s.tr.Prefix(p.Packets)
+		s.ctrl.ReplayTrace(part)
+		return ReplayResult{Processed: part.Frames()}, nil
 
 	case MethodStats:
-		s.mu.Lock()
+		s.mu.RLock()
 		tl := 0
 		if s.tr != nil {
-			tl = s.tr.Len()
+			tl = s.tr.Frames()
 		}
-		s.mu.Unlock()
+		s.mu.RUnlock()
 		return StatsResult{
 			PacketsProcessed: s.ctrl.Pipeline().Packets(),
 			TracePackets:     tl,
@@ -688,6 +689,43 @@ func (s *Server) handle(method string, params json.RawMessage, sc tracing.SpanCo
 
 	default:
 		return nil, fmt.Errorf("rpc: unknown method %q", method)
+	}
+}
+
+// gen_trace allocates what the peer asks for (40 B per packet generated
+// plus 36 B per frame encoded), so both sizes are bounded; a larger
+// workload comes from a file through load_trace, which maps it instead.
+const (
+	maxGenFlows   = 1 << 22
+	maxGenPackets = 1 << 24
+)
+
+// rangeError reports a peer-supplied size outside what the daemon serves.
+type rangeError struct {
+	param       string
+	got, lo, hi int
+}
+
+func (e *rangeError) Error() string {
+	return fmt.Sprintf("rpc: %s %d out of range [%d, %d]", e.param, e.got, e.lo, e.hi)
+}
+
+func checkRange(param string, got, lo, hi int) error {
+	if got < lo || got > hi {
+		return &rangeError{param: param, got: got, lo: lo, hi: hi}
+	}
+	return nil
+}
+
+// setTrace installs tr as the loaded workload and releases the one it
+// replaces, waiting out any replay still draining it.
+func (s *Server) setTrace(tr *mmtrace.Trace) {
+	s.mu.Lock()
+	old := s.tr
+	s.tr = tr
+	s.mu.Unlock()
+	if old != nil {
+		old.Close()
 	}
 }
 

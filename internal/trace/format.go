@@ -226,23 +226,3 @@ func (r *Reader) ReadBatch(dst []packet.Packet) (int, error) {
 		return n, fmt.Errorf("trace: reading record %d: %w", r.n, err)
 	}
 }
-
-// readAllBatch is the batch size ReadAll streams with: large enough that
-// ReadFull bypasses the bufio copy, small enough to stay cache-resident.
-const readAllBatch = 4096
-
-// ReadAll reads the remainder of the stream into an in-memory Trace.
-func (r *Reader) ReadAll() (*Trace, error) {
-	t := &Trace{}
-	buf := make([]packet.Packet, readAllBatch)
-	for {
-		n, err := r.ReadBatch(buf)
-		t.Packets = append(t.Packets, buf[:n]...)
-		if err == io.EOF {
-			return t, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-}

@@ -2,7 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"testing"
+
+	"flymon/internal/packet"
 )
 
 // FuzzReader hardens the binary trace parser against arbitrary input: it
@@ -29,10 +32,13 @@ func FuzzReader(f *testing.F) {
 		if err != nil {
 			return // rejected header: fine
 		}
-		got, err := r.ReadAll()
-		if err != nil {
+		// One batch with room to spare reads the whole stream.
+		ps := make([]packet.Packet, len(data)/RecordSize+1)
+		n, err := r.ReadBatch(ps)
+		if err != nil && err != io.EOF {
 			return // rejected body: fine
 		}
+		got := &Trace{Packets: ps[:n]}
 		// Accepted: re-encoding must reproduce the record bytes.
 		var out bytes.Buffer
 		w, err := NewWriter(&out)

@@ -226,15 +226,17 @@ func TestFormatRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.ReadAll()
+	// One batch with room to spare reads the whole stream.
+	got := make([]packet.Packet, tr.Len()+1)
+	n, err := r.ReadBatch(got)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != tr.Len() {
-		t.Fatalf("read %d packets, wrote %d", got.Len(), tr.Len())
+	if n != tr.Len() {
+		t.Fatalf("read %d packets, wrote %d", n, tr.Len())
 	}
 	for i := range tr.Packets {
-		if got.Packets[i] != tr.Packets[i] {
+		if got[i] != tr.Packets[i] {
 			t.Fatalf("packet %d corrupted in round trip", i)
 		}
 	}
@@ -284,7 +286,7 @@ func TestFormatTruncatedRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = r.ReadAll()
+	_, err = r.ReadBatch(make([]packet.Packet, tr.Len()))
 	if err == nil || err == io.EOF {
 		t.Fatalf("truncated stream must fail with a non-EOF error, got %v", err)
 	}
