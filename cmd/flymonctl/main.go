@@ -12,8 +12,9 @@
 // (mutations are never auto-retried: on a transport failure the daemon may
 // or may not have applied them — re-check with `list`).
 //
-// Commands: add, rm, resize, list, estimate, cardinality, contains,
-// distribution, resources, gen, replay, stats, fleet, query, trace, watch.
+// Commands: add, rm, resize, split, load, list, estimate, cardinality,
+// contains, distribution, resources, report, gen, replay, stats, query,
+// trace, watch.
 package main
 
 import (
@@ -21,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"flymon/internal/cli"
@@ -97,19 +97,13 @@ global:
 	}
 	cmd, args := args[0], args[1:]
 
-	// fleet speaks to MANY daemons (its own -addrs list) and tolerates dead
-	// ones — that is its whole point — so it dispatches before the
-	// single-daemon dial below, which would die on the first dead address.
-	if cmd == "fleet" {
-		cmdFleet(addr, opts, args)
-		return
-	}
-	// query likewise fans out to its own -addrs list and must keep going
-	// when a switch is down (that is what the straggler report is for).
+	// query, trace and watch speak to MANY daemons (their own -addrs lists)
+	// and tolerate dead ones — for query that is what the straggler report
+	// is for — so they dispatch before the single-daemon dial below, which
+	// would die on the first dead address.
 	if cmd == "query" {
 		os.Exit(cmdQuery(os.Stdout, addr, opts, args))
 	}
-	// trace and watch read many daemons too and tolerate dead ones.
 	if cmd == "trace" {
 		cmdTrace(addr, opts, args)
 		return
@@ -180,9 +174,10 @@ global flags:
 
 commands:
   add          deploy a measurement task
-               -name N -key srcip|dstip|ippair|5tuple|srcip/24|... -attr frequency|distinct|existence|max
-               -param count|bytes|qlen|qdelay|interval|<keyspec> -mem BUCKETS [-d N]
+               -name N -key srcip|dstip|ippair|5tuple|srcip/24|... -attr `+controlplane.EnumNames[controlplane.Attribute]()+`
+               -param `+controlplane.EnumNames[controlplane.ParamKind]()+` -mem BUCKETS [-d N]
                [-threshold N] [-filter-src CIDR] [-filter-dst CIDR] [-prob P]
+               [-alg `+controlplane.EnumNames[controlplane.Algorithm]()+`]
   rm           -id N                      remove a task
   resize       -id N -mem BUCKETS         reallocate a task's memory on the fly
   split        -id N                      split a task into two filter-disjoint subtasks
@@ -199,10 +194,6 @@ commands:
   stats        [-metrics] [-events N]     daemon counters + telemetry report
                -metrics dumps Prometheus text; -events N prints the last N
                reconfiguration journal entries
-  fleet        [-addrs a:9177,b:9177] [-tx 100ms] [-mult 3] [-watch 1s]
-               probe a fleet with BFD-style liveness sessions and print the
-               per-switch table (session state, detect time, failures,
-               observed/desired tasks); '*' marks a flap-damped session
   query        -addrs a:9177,b:9177 -name N [-epoch E] [-policy wait|skip|partial]
                [-wait 2s] [-op add|max|or|xor] [-arity K] [-trace]
                [-estimate -key SPEC -src IP -dst IP ...]
@@ -216,12 +207,15 @@ commands:
   trace        [-addrs a:9177,b:9177] [-n 5] [-op NAME]
                dump every daemon's span buffer, knit spans into per-operation
                trace trees, print the newest N with critical-path breakdowns
-  watch        [-addrs a:9177,b:9177] [-interval 1s] [-events 6]
+  watch        [-addrs a:9177,b:9177] [-interval 1s] [-count N] [-events 6]
                [-epoch-task N] [-tx 100ms] [-mult 3]
-               live fleet dashboard: per-switch liveness sessions, task and
+               live fleet dashboard: per-switch BFD-style liveness sessions
+               ('*' marks a flap-damped one; a dead daemon is a down row),
+               deployed tasks out of the fleet-wide union of task names,
                packet counters, drain/mutation latency percentiles, per-switch
                completed epoch ('!' marks a straggler), and the newest
-               reconfiguration journal entries; redraws in place each interval
+               reconfiguration journal entries; redraws in place each
+               interval, -count 1 prints one snapshot and exits
 `)
 }
 
@@ -229,15 +223,15 @@ func cmdAdd(c *rpc.Client, args []string) {
 	fs := flag.NewFlagSet("add", flag.ExitOnError)
 	name := fs.String("name", "", "task name")
 	key := fs.String("key", "5tuple", "flow key spec")
-	attr := fs.String("attr", "frequency", "attribute: frequency|distinct|existence|max")
-	param := fs.String("param", "count", "attribute parameter")
+	attr := fs.String("attr", "frequency", "attribute: "+controlplane.EnumNames[controlplane.Attribute]())
+	param := fs.String("param", "count", "attribute parameter: "+controlplane.EnumNames[controlplane.ParamKind]())
 	mem := fs.Int("mem", 16384, "memory buckets per row")
 	d := fs.Int("d", 0, "rows (0 = algorithm default)")
 	threshold := fs.Int("threshold", 0, "detection threshold")
 	fsrc := fs.String("filter-src", "", "source prefix filter (CIDR)")
 	fdst := fs.String("filter-dst", "", "destination prefix filter (CIDR)")
 	prob := fs.Float64("prob", 0, "probabilistic execution (0 or 1 = always)")
-	alg := fs.String("alg", "", "pin algorithm: cms|sumax|mrac|tower|cb|beaucoup|hll|lc|bloom|sumaxmax|interval")
+	alg := fs.String("alg", "auto", "pin algorithm: "+controlplane.EnumNames[controlplane.Algorithm]())
 	_ = fs.Parse(args)
 
 	spec := controlplane.TaskSpec{Name: *name, MemBuckets: *mem, D: *d,
@@ -252,62 +246,21 @@ func cmdAdd(c *rpc.Client, args []string) {
 	if spec.Filter.DstPrefix, err = cli.ParseCIDR(*fdst); err != nil {
 		fatal(err)
 	}
-	switch strings.ToLower(*attr) {
-	case "frequency":
-		spec.Attribute = controlplane.AttrFrequency
-	case "distinct":
-		spec.Attribute = controlplane.AttrDistinct
-	case "existence":
-		spec.Attribute = controlplane.AttrExistence
-	case "max":
-		spec.Attribute = controlplane.AttrMax
-	default:
-		fatal(fmt.Errorf("unknown attribute %q", *attr))
+	if spec.Attribute, err = controlplane.ParseEnum[controlplane.Attribute](*attr); err != nil {
+		fatal(err)
 	}
-	switch strings.ToLower(*param) {
-	case "count", "":
-		spec.Param.Kind = controlplane.ParamPacketCount
-	case "bytes":
-		spec.Param.Kind = controlplane.ParamPacketBytes
-	case "qlen":
-		spec.Param.Kind = controlplane.ParamQueueLength
-	case "qdelay":
-		spec.Param.Kind = controlplane.ParamQueueDelay
-	case "interval":
-		spec.Param.Kind = controlplane.ParamPacketInterval
-	default:
+	// A parameter that is not one of the metadata words is a flow key.
+	if kind, perr := controlplane.ParseEnum[controlplane.ParamKind](*param); perr == nil && kind != controlplane.ParamFlowKey {
+		spec.Param.Kind = kind
+	} else {
 		ks, err := cli.ParseKeySpec(*param)
 		if err != nil {
 			fatal(err)
 		}
 		spec.Param = controlplane.ParamSpec{Kind: controlplane.ParamFlowKey, Key: ks}
 	}
-	switch strings.ToLower(*alg) {
-	case "":
-	case "cms":
-		spec.Algorithm = controlplane.AlgCMS
-	case "sumax":
-		spec.Algorithm = controlplane.AlgSuMaxSum
-	case "mrac":
-		spec.Algorithm = controlplane.AlgMRAC
-	case "tower":
-		spec.Algorithm = controlplane.AlgTower
-	case "cb":
-		spec.Algorithm = controlplane.AlgCounterBraids
-	case "beaucoup":
-		spec.Algorithm = controlplane.AlgBeauCoup
-	case "hll":
-		spec.Algorithm = controlplane.AlgHLL
-	case "lc":
-		spec.Algorithm = controlplane.AlgLinearCounting
-	case "bloom":
-		spec.Algorithm = controlplane.AlgBloom
-	case "sumaxmax":
-		spec.Algorithm = controlplane.AlgSuMaxMax
-	case "interval":
-		spec.Algorithm = controlplane.AlgMaxInterval
-	default:
-		fatal(fmt.Errorf("unknown algorithm %q", *alg))
+	if spec.Algorithm, err = controlplane.ParseEnum[controlplane.Algorithm](*alg); err != nil {
+		fatal(err)
 	}
 
 	res, err := c.AddTask(spec)
@@ -361,100 +314,6 @@ func cmdLoad(c *rpc.Client, args []string) {
 		fatal(err)
 	}
 	fmt.Printf("loaded %d packets\n", n)
-}
-
-// cmdFleet probes a fleet of daemons with real liveness sessions (the same
-// BFD-style machinery RemoteFleet runs) for a short observation window and
-// prints the per-switch health table. A dead daemon shows up as a down
-// session, not as a command failure.
-func cmdFleet(defaultAddr string, opts rpc.Options, args []string) {
-	fs := flag.NewFlagSet("fleet", flag.ExitOnError)
-	addrsFlag := fs.String("addrs", defaultAddr, "comma-separated daemon control-channel addresses")
-	tx := fs.Duration("tx", 100*time.Millisecond, "hello tx interval")
-	mult := fs.Int("mult", 3, "detection-time multiplier (detect = mult × tx)")
-	watch := fs.Duration("watch", 0, "keep observing, reprinting every interval (0 = one snapshot)")
-	_ = fs.Parse(args)
-
-	addrs := splitAddrs(*addrsFlag)
-	if len(addrs) == 0 {
-		fatal(fmt.Errorf("fleet: no addresses"))
-	}
-	if opts.CallTimeout == 0 {
-		opts.CallTimeout = 2 * time.Second
-	}
-	opts.MaxRetries = -1 // the session machinery owns failure handling
-
-	m := netwide.NewLivenessManager(addrs, netwide.LivenessOptions{
-		TxInterval: *tx,
-		DetectMult: *mult,
-	})
-	m.Start()
-	defer m.Stop()
-
-	// Let the three-way handshakes complete plus one detect interval, so a
-	// dead daemon is already reported down in the first snapshot.
-	time.Sleep(time.Duration(*mult+2) * *tx)
-	for {
-		printFleet(m, opts)
-		if *watch <= 0 {
-			return
-		}
-		time.Sleep(*watch)
-		fmt.Println()
-	}
-}
-
-func printFleet(m *netwide.LivenessManager, opts rpc.Options) {
-	snaps := m.Snapshot()
-	// Observed task lists, over short-lived per-daemon connections; the
-	// desired set is approximated as the union across reachable daemons
-	// (the controller's mirror is not available to an offline CLI).
-	observed := make([]int, len(snaps))
-	union := make(map[int]bool)
-	for i, s := range snaps {
-		observed[i] = -1
-		if s.State != netwide.SessionUp {
-			continue
-		}
-		c, err := rpc.DialOptions(s.Addr, opts)
-		if err != nil {
-			continue
-		}
-		tasks, err := c.ListTasks()
-		c.Close()
-		if err != nil {
-			continue
-		}
-		observed[i] = len(tasks)
-		for _, t := range tasks {
-			union[t.ID] = true
-		}
-	}
-	fmt.Printf("%-22s %-8s %-8s %-6s %-12s %s\n", "ADDR", "SESSION", "DETECT", "FAILS", "LAST-CHANGE", "TASKS")
-	for i, s := range snaps {
-		sess := s.State.String()
-		if s.Damped {
-			sess += "*" // flap-damped: up but held out of service
-		}
-		change := "-"
-		if !s.LastTransition.IsZero() {
-			change = time.Since(s.LastTransition).Round(time.Millisecond).String()
-		}
-		tasks := "?"
-		if observed[i] >= 0 {
-			tasks = fmt.Sprintf("%d/%d", observed[i], len(union))
-		}
-		fmt.Printf("%-22s %-8s %-8s %-6d %-12s %s\n",
-			s.Addr, sess, s.DetectTime, s.ConsecutiveFailures, change, tasks)
-	}
-	if len(union) > 0 {
-		for i, s := range snaps {
-			if observed[i] >= 0 && observed[i] < len(union) {
-				fmt.Printf("fleet: switch %s is missing %d task(s) — a reconciler would re-deploy them\n",
-					s.Addr, len(union)-observed[i])
-			}
-		}
-	}
 }
 
 // cmdQuery runs an epoch-coherent network-wide readout without a resident

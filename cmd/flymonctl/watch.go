@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -90,7 +91,7 @@ type watchRow struct {
 	session string
 	detect  time.Duration
 	fails   int
-	tasks   string
+	tasks   []string // deployed task names; nil = not scraped
 	epoch   string
 	packets string
 	reconf  string
@@ -99,11 +100,12 @@ type watchRow struct {
 }
 
 // cmdWatch is the live fleet dashboard: BFD-style liveness sessions give
-// per-switch health, short-lived scrape connections add task counts,
-// packet totals, query/mutation latency percentiles and (with
-// -epoch-task) each switch's completed epoch, and the newest
-// reconfiguration journal entries stream along the bottom. The screen
-// redraws in place every interval until interrupted.
+// per-switch health (a dead daemon is a down row, not a command failure),
+// short-lived scrape connections add task counts, packet totals,
+// query/mutation latency percentiles and (with -epoch-task) each switch's
+// completed epoch, and the newest reconfiguration journal entries stream
+// along the bottom. The screen redraws in place every interval until
+// interrupted; -count 1 prints one snapshot and exits.
 func cmdWatch(defaultAddr string, opts rpc.Options, args []string) {
 	fs := flag.NewFlagSet("watch", flag.ExitOnError)
 	addrsFlag := fs.String("addrs", defaultAddr, "comma-separated daemon control-channel addresses")
@@ -151,7 +153,7 @@ func drawWatchFrame(m *netwide.LivenessManager, opts rpc.Options, events int, ep
 	up := 0
 	for i, s := range snaps {
 		r := watchRow{addr: s.Addr, session: s.State.String(), detect: s.DetectTime,
-			fails: s.ConsecutiveFailures, tasks: "?", epoch: "-", packets: "-",
+			fails: s.ConsecutiveFailures, epoch: "-", packets: "-",
 			reconf: "-", drain: "-", mut: "-"}
 		if s.Damped {
 			r.session += "*"
@@ -162,14 +164,32 @@ func drawWatchFrame(m *netwide.LivenessManager, opts rpc.Options, events int, ep
 		}
 		rows[i] = r
 	}
+	// An offline CLI has no controller's desired set; the union of task names
+	// across the reachable switches approximates it.
+	union := make(map[string]bool)
+	for _, r := range rows {
+		for _, name := range r.tasks {
+			union[name] = true
+		}
+	}
 
 	fmt.Printf("flymon watch · %s · %d/%d switches up\n\n",
 		time.Now().Format("15:04:05"), up, len(snaps))
 	fmt.Printf("%-22s %-8s %-7s %-5s %-7s %-8s %-9s %-7s %-17s %s\n",
 		"ADDR", "SESSION", "DETECT", "FAILS", "TASKS", "EPOCH", "PACKETS", "RECONF", "DRAIN p50/p99", "MUTATION p50/p99")
 	for _, r := range rows {
+		tasks := "?"
+		if r.tasks != nil {
+			tasks = fmt.Sprintf("%d/%d", len(r.tasks), len(union))
+		}
 		fmt.Printf("%-22s %-8s %-7s %-5d %-7s %-8s %-9s %-7s %-17s %s\n",
-			r.addr, r.session, r.detect, r.fails, r.tasks, r.epoch, r.packets, r.reconf, r.drain, r.mut)
+			r.addr, r.session, r.detect, r.fails, tasks, r.epoch, r.packets, r.reconf, r.drain, r.mut)
+	}
+	for _, r := range rows {
+		if r.tasks != nil && len(r.tasks) < len(union) {
+			fmt.Printf("fleet: switch %s is missing %d task(s) — a reconciler would re-deploy them\n",
+				r.addr, len(union)-len(r.tasks))
+		}
 	}
 	if len(journal) > 0 {
 		fmt.Printf("\nrecent reconfigurations:\n")
@@ -201,8 +221,13 @@ func scrapeSwitch(addr string, opts rpc.Options, epochTask string, r *watchRow, 
 		return
 	}
 	defer c.Close()
+	if tasks, err := c.ListTasks(); err == nil {
+		r.tasks = make([]string, len(tasks))
+		for i, t := range tasks {
+			r.tasks[i] = t.Name
+		}
+	}
 	if st, err := c.Stats(); err == nil {
-		r.tasks = fmt.Sprintf("%d", st.Tasks)
 		r.packets = fmt.Sprintf("%d", st.PacketsProcessed)
 	}
 	if rep, err := c.Telemetry(); err == nil {
@@ -218,10 +243,11 @@ func scrapeSwitch(addr string, opts rpc.Options, epochTask string, r *watchRow, 
 		}
 	}
 	if epochTask != "" {
+		var behind *rpc.Error
 		if res, err := c.ReadEpoch(epochTask, 0); err == nil {
 			r.epoch = fmt.Sprintf("%d", res.Epoch)
-		} else if have := rpc.EpochUnavailableHave(err); have >= 0 && rpc.IsEpochUnavailable(err) {
-			r.epoch = fmt.Sprintf("%d!", have) // behind: completed epoch with a straggler mark
+		} else if errors.As(err, &behind) && behind.Code == rpc.CodeEpochUnavailable {
+			r.epoch = fmt.Sprintf("%d!", behind.Have) // behind: completed epoch with a straggler mark
 		}
 	}
 }

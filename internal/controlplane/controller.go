@@ -1,6 +1,7 @@
 package controlplane
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -18,6 +19,11 @@ import (
 	"flymon/internal/telemetry"
 )
 
+// ErrNoTask is wrapped by every operation addressed to a task ID that is
+// not deployed, so callers (the control channel's error codes) can tell
+// "already gone" from a failure.
+var ErrNoTask = errors.New("no task")
+
 // Task is a deployed measurement task.
 type Task struct {
 	ID        int
@@ -27,6 +33,10 @@ type Task struct {
 	Groups    []int // pipeline group indices hosting the task
 	Buckets   int   // granted buckets per row
 	Delay     time.Duration
+	// Fingerprint identifies the task's register layout — what its rows are
+	// indexed by (see layoutFingerprint). Readouts of two controllers' tasks
+	// merge element-wise iff their fingerprints are equal.
+	Fingerprint uint64
 
 	handle   interface{ Uninstall() }
 	newMasks int // hash-mask rules this deployment installed
@@ -478,7 +488,7 @@ func (c *Controller) Task(id int) (*Task, error) {
 func (c *Controller) taskLocked(id int) (*Task, error) {
 	t, ok := c.tasks[id]
 	if !ok {
-		return nil, fmt.Errorf("controlplane: no task %d", id)
+		return nil, fmt.Errorf("controlplane: %w %d", ErrNoTask, id)
 	}
 	return t, nil
 }
@@ -505,46 +515,6 @@ func (c *Controller) AddTask(spec TaskSpec) (*Task, error) {
 	return t, err
 }
 
-// AddTaskAt deploys a task spec under a caller-chosen ID — the
-// reconciliation primitive: a fleet controller re-deploying a desired task
-// onto a restarted daemon must reproduce the exact ID its mirror assigned,
-// even when removals have left gaps in the sequence. The ID counter is
-// advanced past the pinned ID so later plain AddTask calls never collide,
-// which keeps a re-converged daemon's future assignments aligned with the
-// mirror's.
-func (c *Controller) AddTaskAt(id int, spec TaskSpec) (*Task, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if id <= 0 {
-		return nil, fmt.Errorf("controlplane: task ID %d must be positive", id)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	defer c.quiesce()()
-	done := c.teleMutation("deploy")
-	if _, exists := c.tasks[id]; exists {
-		err := fmt.Errorf("controlplane: task %d already deployed", id)
-		done(id, spec.Name, err)
-		return nil, err
-	}
-	saved := c.nextID
-	c.nextID = id
-	t, err := c.addTaskLocked(spec)
-	if err != nil {
-		c.nextID = saved
-		done(id, spec.Name, err)
-		return nil, err
-	}
-	if id >= saved {
-		c.nextID = id + 1
-	} else {
-		c.nextID = saved
-	}
-	done(id, spec.Name, nil)
-	return t, nil
-}
-
 func (c *Controller) addTaskLocked(spec TaskSpec) (*Task, error) {
 	alg := spec.ChooseAlgorithm()
 	d := spec.D
@@ -559,7 +529,9 @@ func (c *Controller) addTaskLocked(spec TaskSpec) (*Task, error) {
 	}
 	c.nextID++
 	c.tasks[id] = task
-	task.Delay = c.Delay.Delay(c.countRules(task))
+	locs := c.pipeline.Locate(id)
+	task.Delay = c.Delay.Delay(c.countRules(task, locs))
+	task.Fingerprint = layoutFingerprint(locs)
 	c.publishLocked()
 	return task, nil
 }
@@ -812,10 +784,9 @@ func towerWidths(B, d int) []int {
 
 // countRules tallies the runtime rules task deployment installed, for the
 // delay model.
-func (c *Controller) countRules(t *Task) RuleCount {
+func (c *Controller) countRules(t *Task, locs []core.TaskLocation) RuleCount {
 	var rc RuleCount
 	rc.Common = 1 // task filter / task-id assignment
-	locs := c.pipeline.Locate(t.ID)
 	for _, loc := range locs {
 		rc.Common += 2 // key+param selection (init) and operation selection
 		reg := loc.Group.CMU(loc.CMU).Register()
@@ -845,7 +816,7 @@ func (c *Controller) RemoveTask(id int) error {
 func (c *Controller) removeTaskLocked(id int) error {
 	t, ok := c.tasks[id]
 	if !ok {
-		return fmt.Errorf("controlplane: no task %d", id)
+		return fmt.Errorf("controlplane: %w %d", ErrNoTask, id)
 	}
 	// Collect partitions before the rules disappear.
 	type grant struct{ group, cmu, base int }
@@ -881,7 +852,7 @@ func (c *Controller) ResizeTask(id, newBuckets int) (old [][]uint32, err error) 
 	defer func() { done(id, fmt.Sprintf("buckets=%d", newBuckets), err) }()
 	t, ok := c.tasks[id]
 	if !ok {
-		return nil, fmt.Errorf("controlplane: no task %d", id)
+		return nil, fmt.Errorf("controlplane: %w %d", ErrNoTask, id)
 	}
 	// Quiesce, then fold lanes so the readout below is complete and the
 	// memory move never races lane writers.
@@ -922,7 +893,7 @@ func (c *Controller) FreezeTask(id int) error {
 	done := c.teleMutation("freeze")
 	locs := c.pipeline.Locate(id)
 	if len(locs) == 0 {
-		err := fmt.Errorf("controlplane: no task %d", id)
+		err := fmt.Errorf("controlplane: %w %d", ErrNoTask, id)
 		done(id, "", err)
 		return err
 	}
@@ -944,7 +915,7 @@ func (c *Controller) ThawTask(id int) (err error) {
 	defer func() { done(id, "", err) }()
 	locs := c.pipeline.Locate(id)
 	if len(locs) == 0 {
-		return fmt.Errorf("controlplane: no task %d", id)
+		return fmt.Errorf("controlplane: %w %d", ErrNoTask, id)
 	}
 	for _, loc := range locs {
 		for _, other := range loc.Group.CMU(loc.CMU).Rules() {
@@ -984,7 +955,7 @@ func (c *Controller) SplitTask(id int) (lo, hi *Task, err error) {
 	}()
 	t, ok := c.tasks[id]
 	if !ok {
-		return nil, nil, fmt.Errorf("controlplane: no task %d", id)
+		return nil, nil, fmt.Errorf("controlplane: %w %d", ErrNoTask, id)
 	}
 	loF, hiF, ok := t.Spec.Filter.SplitSrc()
 	if !ok {
@@ -1226,7 +1197,7 @@ func (c *Controller) ResetTaskCounters(id int) error {
 	done := c.teleMutation("reset")
 	locs := c.pipeline.Locate(id)
 	if len(locs) == 0 {
-		err := fmt.Errorf("controlplane: no task %d", id)
+		err := fmt.Errorf("controlplane: %w %d", ErrNoTask, id)
 		done(id, "", err)
 		return err
 	}

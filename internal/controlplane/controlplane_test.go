@@ -1,6 +1,7 @@
 package controlplane
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -457,8 +458,11 @@ func TestControllerQueryDispatchErrors(t *testing.T) {
 	if _, _, err := c.Distribution(task.ID); err == nil {
 		t.Error("distribution query on a CMS task must fail")
 	}
-	if _, err := c.EstimateKey(999, packet.CanonicalKey{}); err == nil {
-		t.Error("unknown task must fail")
+	if _, err := c.EstimateKey(999, packet.CanonicalKey{}); !errors.Is(err, ErrNoTask) {
+		t.Errorf("estimate on an unknown task = %v, want ErrNoTask", err)
+	}
+	if err := c.RemoveTask(999); !errors.Is(err, ErrNoTask) {
+		t.Errorf("remove of an unknown task = %v, want ErrNoTask", err)
 	}
 }
 
@@ -496,6 +500,12 @@ func TestControllerAllAlgorithmsDeployAndQuery(t *testing.T) {
 		}
 		if task.Algorithm != alg {
 			t.Fatalf("spec compiled to %s, want %s", task.Algorithm, alg)
+		}
+		// The same spec on an identically configured controller lays out
+		// identically, whatever the algorithm.
+		twin, err := newTestController(3).AddTask(spec)
+		if err != nil || task.Fingerprint == 0 || twin.Fingerprint != task.Fingerprint {
+			t.Fatalf("%s: fingerprints %#x vs twin %#x (%v)", alg, task.Fingerprint, twin.Fingerprint, err)
 		}
 		p := packet.Packet{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: 6, TimestampNs: 1000}
 		c.Process(&p)

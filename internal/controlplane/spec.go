@@ -2,9 +2,51 @@ package controlplane
 
 import (
 	"fmt"
+	"strings"
 
 	"flymon/internal/packet"
 )
+
+// enumName is one enum constant's two spellings: the word a front end
+// accepts (flymonctl add's -attr / -param / -alg) and the one String prints
+// (the paper's Table 1 and Table 3 names).
+type enumName struct{ cli, display string }
+
+// enum is a task-grammar enumeration: its constants index its name table.
+type enum interface {
+	~uint8
+	names() []enumName
+}
+
+// ParseEnum is the inverse of String for Attribute, ParamKind and
+// Algorithm: it resolves either spelling of a constant, ignoring case.
+func ParseEnum[T enum](s string) (T, error) {
+	var zero T
+	for i, n := range zero.names() {
+		if strings.EqualFold(s, n.cli) || strings.EqualFold(s, n.display) {
+			return T(i), nil
+		}
+	}
+	return zero, fmt.Errorf("controlplane: %q is not one of %s", s, EnumNames[T]())
+}
+
+// EnumNames lists T's front-end words as "a|b|c", in constant order — the
+// help text of the flag ParseEnum[T] reads.
+func EnumNames[T enum]() string {
+	var zero T
+	words := make([]string, len(zero.names()))
+	for i, n := range zero.names() {
+		words[i] = n.cli
+	}
+	return strings.Join(words, "|")
+}
+
+func enumString[T enum](v T, kind string) string {
+	if n := v.names(); int(v) < len(n) {
+		return n[v].display
+	}
+	return fmt.Sprintf("%s(%d)", kind, uint8(v))
+}
 
 // Attribute is the flow attribute of a measurement task (§2.1): what
 // statistic is computed over each flow's packets.
@@ -25,21 +67,17 @@ const (
 	AttrMax
 )
 
-// String implements fmt.Stringer.
-func (a Attribute) String() string {
-	switch a {
-	case AttrFrequency:
-		return "Frequency"
-	case AttrDistinct:
-		return "Distinct"
-	case AttrExistence:
-		return "Existence"
-	case AttrMax:
-		return "Max"
-	default:
-		return fmt.Sprintf("Attribute(%d)", uint8(a))
-	}
+var attributeNames = [...]enumName{
+	AttrFrequency: {"frequency", "Frequency"},
+	AttrDistinct:  {"distinct", "Distinct"},
+	AttrExistence: {"existence", "Existence"},
+	AttrMax:       {"max", "Max"},
 }
+
+func (Attribute) names() []enumName { return attributeNames[:] }
+
+// String implements fmt.Stringer.
+func (a Attribute) String() string { return enumString(a, "Attribute") }
 
 // ParamKind is the attribute-parameter source of a task.
 type ParamKind uint8
@@ -62,25 +100,21 @@ const (
 	ParamFlowKey
 )
 
-// String implements fmt.Stringer.
-func (p ParamKind) String() string {
-	switch p {
-	case ParamPacketCount:
-		return "Const(1)"
-	case ParamPacketBytes:
-		return "PktBytes"
-	case ParamQueueLength:
-		return "QueueLength"
-	case ParamQueueDelay:
-		return "QueueDelay"
-	case ParamPacketInterval:
-		return "PktInterval"
-	case ParamFlowKey:
-		return "FlowKey"
-	default:
-		return fmt.Sprintf("ParamKind(%d)", uint8(p))
-	}
+// A flow-key parameter is written as the key spec itself, so ParamFlowKey's
+// front-end word is a placeholder no key spec parses to.
+var paramKindNames = [...]enumName{
+	ParamPacketCount:    {"count", "Const(1)"},
+	ParamPacketBytes:    {"bytes", "PktBytes"},
+	ParamQueueLength:    {"qlen", "QueueLength"},
+	ParamQueueDelay:     {"qdelay", "QueueDelay"},
+	ParamPacketInterval: {"interval", "PktInterval"},
+	ParamFlowKey:        {"<keyspec>", "FlowKey"},
 }
+
+func (ParamKind) names() []enumName { return paramKindNames[:] }
+
+// String implements fmt.Stringer.
+func (p ParamKind) String() string { return enumString(p, "ParamKind") }
 
 // ParamSpec is the attribute parameter with its optional flow-key spec.
 type ParamSpec struct {
@@ -107,37 +141,25 @@ const (
 	AlgMaxInterval
 )
 
-// String implements fmt.Stringer.
-func (a Algorithm) String() string {
-	switch a {
-	case AlgAuto:
-		return "auto"
-	case AlgCMS:
-		return "FlyMon-CMS"
-	case AlgSuMaxSum:
-		return "FlyMon-SuMax(Sum)"
-	case AlgMRAC:
-		return "FlyMon-MRAC"
-	case AlgTower:
-		return "FlyMon-TowerSketch"
-	case AlgCounterBraids:
-		return "FlyMon-CounterBraids"
-	case AlgBeauCoup:
-		return "FlyMon-BeauCoup"
-	case AlgHLL:
-		return "FlyMon-HLL"
-	case AlgLinearCounting:
-		return "FlyMon-LinearCounting"
-	case AlgBloom:
-		return "FlyMon-BloomFilter"
-	case AlgSuMaxMax:
-		return "FlyMon-SuMax(Max)"
-	case AlgMaxInterval:
-		return "FlyMon-MaxInterval"
-	default:
-		return fmt.Sprintf("Algorithm(%d)", uint8(a))
-	}
+var algorithmNames = [...]enumName{
+	AlgAuto:           {"auto", "auto"},
+	AlgCMS:            {"cms", "FlyMon-CMS"},
+	AlgSuMaxSum:       {"sumax", "FlyMon-SuMax(Sum)"},
+	AlgMRAC:           {"mrac", "FlyMon-MRAC"},
+	AlgTower:          {"tower", "FlyMon-TowerSketch"},
+	AlgCounterBraids:  {"cb", "FlyMon-CounterBraids"},
+	AlgBeauCoup:       {"beaucoup", "FlyMon-BeauCoup"},
+	AlgHLL:            {"hll", "FlyMon-HLL"},
+	AlgLinearCounting: {"lc", "FlyMon-LinearCounting"},
+	AlgBloom:          {"bloom", "FlyMon-BloomFilter"},
+	AlgSuMaxMax:       {"sumaxmax", "FlyMon-SuMax(Max)"},
+	AlgMaxInterval:    {"interval", "FlyMon-MaxInterval"},
 }
+
+func (Algorithm) names() []enumName { return algorithmNames[:] }
+
+// String implements fmt.Stringer.
+func (a Algorithm) String() string { return enumString(a, "Algorithm") }
 
 // GroupsNeeded returns how many CMU Groups the algorithm spans for depth d
 // (Table 3's "CMUG Usage").

@@ -133,7 +133,7 @@ func TestFleetStrictModeFailsOnDownDaemon(t *testing.T) {
 	t.Cleanup(check)
 	cfg := fleetConfig()
 	_, clients, srvs, _ := resilientDaemons(t, 2, cfg)
-	fleet := NewRemoteFleet(clients, cfg) // AllowPartial off
+	fleet := NewRemoteFleetOptions(clients, cfg, FleetOptions{}) // AllowPartial off
 	if err := fleet.Deploy(cmsSpec("freq")); err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestFleetDeployRollsBackOnUnreachableDaemon(t *testing.T) {
 	t.Cleanup(check)
 	cfg := fleetConfig()
 	ctrls, clients, srvs, _ := resilientDaemons(t, 3, cfg)
-	fleet := NewRemoteFleet(clients, cfg)
+	fleet := NewRemoteFleetOptions(clients, cfg, FleetOptions{})
 	srvs[2].Close()
 	if err := fleet.Deploy(cmsSpec("freq")); err == nil {
 		t.Fatal("deploy with a dead daemon must fail (deploys are all-or-nothing)")

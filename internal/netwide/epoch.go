@@ -92,14 +92,10 @@ func (q EpochQuery) withDefaults() EpochQuery {
 	return q
 }
 
-// fleetEpoch is the controller-side handle of one fleet-wide epoch task:
-// the mirror rotator (kept in lockstep with every daemon's), the spec,
-// and the task's epoch artifacts. Epoch tasks live outside taskIDs/specs
-// deliberately — the reconciler must never treat a daemon's rotating #k
-// copies as drift.
+// fleetEpoch is the rotation handle of one fleet-wide epoch task (a
+// fleetTask's epoch field): the mirror rotator, kept in lockstep with every
+// daemon's, and the task's epoch artifacts.
 type fleetEpoch struct {
-	spec controlplane.TaskSpec
-
 	// latest is the newest epoch whose rotation decree has finished its
 	// fan-out: what EpochOf and "epochN <= 0" resolve to. Lock-free, so
 	// neither stalls behind an in-flight rotation nor asks the daemons for
@@ -130,9 +126,12 @@ type frozenEpoch struct {
 	// rotations later, but RowIndexFor only needs the unit's fixed CRC
 	// table, the row selector, the partitions and the translation method,
 	// so the handle indexes this epoch's rows for as long as they are kept.
-	cms     *algorithms.CMSTask
-	merged  map[MergeOp]epochArtifact // complete merges only
-	filling map[MergeOp]chan struct{} // closed when the in-flight first merge ends
+	cms *algorithms.CMSTask
+	// fingerprint is the layout of the mirror's frozen copy: what every
+	// switch's snapshot of this epoch must carry to enter its merge.
+	fingerprint uint64
+	merged      map[MergeOp]epochArtifact // complete merges only
+	filling     map[MergeOp]chan struct{} // closed when the in-flight first merge ends
 }
 
 // epochArtifact is one merge of a completed epoch with its provenance.
@@ -155,84 +154,34 @@ func (e *stragglerError) Error() string {
 }
 
 // DeployEpoch installs an epoch task (a rotator) on every daemon and on
-// the mirror, all-or-nothing with rollback like Deploy. The task's name
-// must be unused by both planes.
-func (f *RemoteFleet) DeployEpoch(spec controlplane.TaskSpec) (err error) {
-	root := f.startRoot("epoch_deploy", spec.Name)
-	defer func() { root.Finish(err) }()
-	f.mu.Lock()
-	if _, ok := f.taskIDs[spec.Name]; ok {
-		f.mu.Unlock()
-		return fmt.Errorf("netwide: task %q already deployed", spec.Name)
-	}
-	if _, ok := f.epochs[spec.Name]; ok {
-		f.mu.Unlock()
-		return fmt.Errorf("netwide: epoch task %q already deployed", spec.Name)
-	}
-	rot, err := epoch.NewRotator(f.mirror, spec)
-	if err != nil {
-		f.mu.Unlock()
-		return fmt.Errorf("netwide: mirror epoch deploy of %q: %w", spec.Name, err)
-	}
-	f.mu.Unlock()
-
-	err = f.installEverywhere(root.Context(), "epoch task", rot.ActiveID(),
-		func(i int, c *rpc.Client, sc tracing.SpanContext) (int, error) {
-			et, err := c.EpochDeploy(spec, sc)
-			if err != nil {
-				return 0, fmt.Errorf("netwide: epoch deploy of %q on daemon %d: %w", spec.Name, i, err)
-			}
-			return et.Task.ID, nil
-		},
-		func(c *rpc.Client, _ int) { _ = c.EpochRemove(spec.Name) })
-	if err != nil {
-		_ = rot.Close()
-		return err
-	}
-	f.mu.Lock()
-	f.epochs[spec.Name] = &fleetEpoch{rot: rot, spec: spec, window: make(map[int]*frozenEpoch)}
-	f.mu.Unlock()
-	f.journal("epoch_deploy", rot.ActiveID(), spec.Name, nil)
-	return nil
+// the mirror, all-or-nothing with rollback like Deploy, whose name space it
+// shares.
+func (f *RemoteFleet) DeployEpoch(spec controlplane.TaskSpec) error {
+	return f.install("epoch_deploy", spec, true)
 }
 
 // RemoveEpochTask reclaims an epoch task everywhere. Like Remove, a
-// partial failure keeps the handle so a retry only needs the stragglers
+// partial failure keeps the row so a retry only needs the stragglers
 // ("no epoch task" answers are treated as already removed).
-func (f *RemoteFleet) RemoveEpochTask(name string) (err error) {
-	root := f.startRoot("epoch_remove", name)
-	defer func() { root.Finish(err) }()
-	f.mu.Lock()
-	et := f.epochs[name]
-	f.mu.Unlock()
-	if et == nil {
-		return fmt.Errorf("netwide: no epoch task %q", name)
-	}
-	errs := f.fanOut(root.Context(), func(i int, c *rpc.Client, sc tracing.SpanContext) error {
-		err := c.EpochRemove(name, sc)
-		if err != nil && rpc.IsNoEpochTask(err) {
-			return nil
-		}
-		return err
-	})
-	if len(errs) > 0 {
-		return &PartialFailureError{Op: "epoch_remove", Task: name, Failed: errs, Total: len(f.clients)}
-	}
+func (f *RemoteFleet) RemoveEpochTask(name string) error {
+	return f.uninstall("epoch_remove", name, true)
+}
+
+// epochTask returns the rotation handle of a deployed epoch task, or nil.
+func (f *RemoteFleet) epochTask(name string) *fleetEpoch {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	delete(f.epochs, name) // and with it the task's stored epochs
-	et.mu.Lock()
-	defer et.mu.Unlock()
-	return et.rot.Close()
+	if t := f.tasks[name]; t != nil {
+		return t.epoch
+	}
+	return nil
 }
 
 // EpochOf returns the fleet's latest completed epoch for an epoch task:
 // the newest one whose rotation has been decreed to every switch (the
 // epoch queries default to). It never waits on an in-flight rotation.
 func (f *RemoteFleet) EpochOf(name string) (int, error) {
-	f.mu.Lock()
-	et := f.epochs[name]
-	f.mu.Unlock()
+	et := f.epochTask(name)
 	if et == nil {
 		return 0, fmt.Errorf("netwide: no epoch task %q", name)
 	}
@@ -251,9 +200,7 @@ func (f *RemoteFleet) EpochOf(name string) (int, error) {
 func (f *RemoteFleet) RotateEpoch(name string) (target int, err error) {
 	root := f.startRoot("epoch_rotate", name)
 	defer func() { root.Finish(err) }()
-	f.mu.Lock()
-	et := f.epochs[name]
-	f.mu.Unlock()
+	et := f.epochTask(name)
 	if et == nil {
 		return 0, fmt.Errorf("netwide: no epoch task %q", name)
 	}
@@ -269,6 +216,9 @@ func (f *RemoteFleet) RotateEpoch(name string) (target int, err error) {
 	fe := &frozenEpoch{merged: make(map[MergeOp]epochArtifact), filling: make(map[MergeOp]chan struct{})}
 	if h, err := f.mirror.TaskHandle(frozenID); err == nil {
 		fe.cms, _ = h.(*algorithms.CMSTask)
+	}
+	if mt, err := f.mirror.Task(frozenID); err == nil {
+		fe.fingerprint = mt.Fingerprint
 	}
 	et.window[target] = fe
 	// Evicted rows go to the GC, not back into rowPool: callers of
@@ -340,11 +290,12 @@ func (f *RemoteFleet) pollEpoch(c *rpc.Client, name string, epochN int, q EpochQ
 			}
 			return res, nil
 		}
-		if !rpc.IsEpochUnavailable(err) {
+		var behind *rpc.Error
+		if !errors.As(err, &behind) || behind.Code != rpc.CodeEpochUnavailable {
 			waitSp.Finish(err)
 			return rpc.EpochRegistersResult{}, err
 		}
-		have := rpc.EpochUnavailableHave(err)
+		have := behind.Have
 		if have > epochN {
 			// Not behind — ahead: the snapshot was already evicted by
 			// retention. Waiting cannot bring it back.
@@ -424,9 +375,7 @@ func (f *RemoteFleet) EstimateKeyEpoch(name string, epochN int, k packet.Canonic
 // share the answer if it is complete; after a partial one each runs its
 // own query under its own policy. q has its defaults applied.
 func (f *RemoteFleet) epochArtifact(name string, epochN int, q EpochQuery) (art epochArtifact, err error) {
-	f.mu.Lock()
-	et := f.epochs[name]
-	f.mu.Unlock()
+	et := f.epochTask(name)
 	if et == nil && epochN <= 0 {
 		return art, fmt.Errorf("netwide: no epoch task %q (a name this fleet did not deploy needs an explicit epoch)", name)
 	}
@@ -450,8 +399,9 @@ func (f *RemoteFleet) epochArtifact(name string, epochN int, q EpochQuery) (art 
 	}
 	if fe == nil {
 		// Not this fleet's to keep (evicted from the window, never rotated
-		// to, or never deployed by it): asked of the switches, never stored.
-		art.rows, art.report, err = f.mergeEpoch(name, epochN, q)
+		// to, or never deployed by it): asked of the switches, never stored,
+		// and with no mirror copy to hold their layouts to but each other.
+		art.rows, art.report, err = f.mergeEpoch(name, epochN, q, &layoutRef{})
 		return art, err
 	}
 	var lead, wait chan struct{}
@@ -480,7 +430,7 @@ func (f *RemoteFleet) epochArtifact(name string, epochN int, q EpochQuery) (art 
 		return art, nil
 	}
 	art.cms = fe.cms
-	art.rows, art.report, err = f.mergeEpoch(name, epochN, q)
+	art.rows, art.report, err = f.mergeEpoch(name, epochN, q, pinnedLayout(fe.fingerprint))
 	et.mu.Lock()
 	if err == nil && !art.report.Partial() && len(art.report.Contributed) == len(f.clients) {
 		fe.merged[q.Op] = art
@@ -494,8 +444,8 @@ func (f *RemoteFleet) epochArtifact(name string, epochN int, q EpochQuery) (art 
 }
 
 // mergeEpoch fans the epoch read out to every switch and reduces the
-// answers through the merge tree.
-func (f *RemoteFleet) mergeEpoch(name string, epochN int, q EpochQuery) (_ [][]uint32, _ QueryReport, err error) {
+// answers whose layout ref admits through the merge tree.
+func (f *RemoteFleet) mergeEpoch(name string, epochN int, q EpochQuery, ref *layoutRef) (_ [][]uint32, _ QueryReport, err error) {
 	root := f.opts.Tracer.StartRoot("epoch_query")
 	if root != nil {
 		root.SetDetail(fmt.Sprintf("%s epoch=%d policy=%s", name, epochN, q.Policy))
@@ -510,8 +460,8 @@ func (f *RemoteFleet) mergeEpoch(name string, epochN int, q EpochQuery) (_ [][]u
 	if timeout > 0 && q.Policy != StragglerSkip {
 		timeout += q.Wait
 	}
-	return f.mergeQuery(root.Context(), timeout, name, "read_epoch", epochN, q,
-		func(i int, c *rpc.Client, sc tracing.SpanContext) ([][]uint32, error) {
+	return f.mergeQuery(root.Context(), timeout, name, "read_epoch", epochN, q, ref,
+		func(i int, c *rpc.Client, sc tracing.SpanContext) (*rpc.RegistersResult, error) {
 			res, err := f.pollEpoch(c, name, epochN, q, sc)
 			if err != nil {
 				return nil, err
@@ -519,6 +469,6 @@ func (f *RemoteFleet) mergeEpoch(name string, epochN int, q EpochQuery) (_ [][]u
 			if res.Epoch != epochN {
 				return nil, fmt.Errorf("netwide: daemon %d answered epoch %d for requested epoch %d", i, res.Epoch, epochN)
 			}
-			return res.FrameRows(f.getRowBuf()), nil
+			return &res.RegistersResult, nil
 		})
 }

@@ -74,7 +74,7 @@ func TestEpochArtifactBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The mirror's frozen copy while current: the pre-store indexer.
-	h, err := fleet.mirror.TaskHandle(fleet.epochs["ep"].rot.FrozenID())
+	h, err := fleet.mirror.TaskHandle(fleet.epochTask("ep").rot.FrozenID())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestEpochArtifactLifetime(t *testing.T) {
 	t.Cleanup(check)
 	cfg := fleetConfig()
 	ctrls, clients := startDaemons(t, 2, cfg)
-	fleet := NewRemoteFleet(clients, cfg)
+	fleet := NewRemoteFleetOptions(clients, cfg, FleetOptions{})
 	if err := fleet.DeployEpoch(cmsSpec("ep")); err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestEpochArtifactLifetime(t *testing.T) {
 	}
 	// The fifth epoch evicted the first — same window as the daemons — and
 	// nothing else: at most EpochRetain stored merges per (task, op).
-	et := fleet.epochs["ep"]
+	et := fleet.epochTask("ep")
 	if len(et.window) != rpc.EpochRetain || et.window[1] != nil {
 		t.Fatalf("window holds %d epochs (epoch 1 kept: %v), want %d", len(et.window), et.window[1] != nil, rpc.EpochRetain)
 	}
@@ -273,7 +273,7 @@ func TestEpochArtifactFreedWithFleet(t *testing.T) {
 	ctrls, clients := startDaemons(t, 2, cfg)
 	freed := make(chan struct{})
 	func() {
-		fleet := NewRemoteFleet(clients, cfg)
+		fleet := NewRemoteFleetOptions(clients, cfg, FleetOptions{})
 		if err := fleet.DeployEpoch(cmsSpec("ep")); err != nil {
 			t.Fatal(err)
 		}
@@ -284,7 +284,7 @@ func TestEpochArtifactFreedWithFleet(t *testing.T) {
 		if _, _, err := fleet.QueryEpochRows("ep", 1, EpochQuery{}); err != nil {
 			t.Fatal(err)
 		}
-		fe := fleet.epochs["ep"].window[1]
+		fe := fleet.epochTask("ep").window[1]
 		if len(fe.merged) != 1 {
 			t.Fatalf("epoch 1 stores %d merges, want 1", len(fe.merged))
 		}

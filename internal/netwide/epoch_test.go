@@ -146,7 +146,7 @@ func TestQueryEpochRowsUndeployedName(t *testing.T) {
 	t.Cleanup(check)
 	cfg := fleetConfig()
 	ctrls, clients := startDaemons(t, 1, cfg)
-	owner := NewRemoteFleet(clients, cfg)
+	owner := NewRemoteFleetOptions(clients, cfg, FleetOptions{})
 	if err := owner.DeployEpoch(cmsSpec("ep")); err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func TestLoopbackFleetMatchesTCPFleet(t *testing.T) {
 	cfg.Groups = 4 // four whole-traffic tasks, one CMU group each
 	loop, loopSw := loopbackFleet(t, 3, cfg)
 	tcpSw, clients := startDaemons(t, 3, cfg)
-	tcp := NewRemoteFleet(clients, cfg)
+	tcp := NewRemoteFleetOptions(clients, cfg, FleetOptions{})
 	for _, spec := range parityTasks() {
 		if err := loop.Deploy(spec); err != nil {
 			t.Fatal(err)

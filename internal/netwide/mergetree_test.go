@@ -236,7 +236,7 @@ func TestRemoteFleetEnginesBitIdentical(t *testing.T) {
 	}
 	leaves := make([]Leaf, len(clients))
 	for i, c := range ctrls {
-		rows, err := c.ReadRegisters(fleet.taskIDs["freq"])
+		rows, err := c.ReadRegisters(fleet.tasks["freq"].remote[i])
 		if err != nil {
 			t.Fatal(err)
 		}

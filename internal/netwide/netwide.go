@@ -1,11 +1,13 @@
 // Package netwide implements network-wide measurement over a fleet of
 // FlyMon switches — the SDM-controller use case the paper positions FlyMon
 // underneath (§3.4). The same task spec is deployed on every switch;
-// because controller construction, compressed-key configuration, and
-// placement are deterministic, every switch computes identical hash
-// mappings, so the central controller can merge per-switch register
-// readouts element-wise (add for counters, max for MAX/rank registers, OR
-// for bitmaps) and answer queries about the union of all ingress traffic.
+// controller construction, compressed-key configuration, and placement are
+// deterministic, so identically configured switches fed the same
+// deployments compute identical hash mappings — which every deployment and
+// readout proves with a layout fingerprint before the central controller
+// merges per-switch register readouts element-wise (add for counters, max
+// for MAX/rank registers, OR for bitmaps) and answers queries about the
+// union of all ingress traffic.
 //
 // There is one fleet, RemoteFleet: switches are flymond daemons behind the
 // control channel, reached over TCP (NewRemoteFleetOptions) or, for a fleet

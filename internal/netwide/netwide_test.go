@@ -113,7 +113,7 @@ func TestFleetHeavyHitters(t *testing.T) {
 	// least one truth flow is NOT a hitter on switch 0 alone.
 	missed := false
 	for k := range truth {
-		v, err := switches[0].EstimateKey(fleet.taskIDs["hh"], k)
+		v, err := switches[0].EstimateKey(fleet.tasks["hh"].remote[0], k)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,15 +1,18 @@
 // Reconciler: self-healing anti-entropy for the fleet's task set.
 //
-// The RemoteFleet's taskIDs/specs maps ARE the desired state — every task
-// the operator deployed and has not removed. A daemon that crashes and
-// restarts comes back empty; a Remove that partially failed leaves a
-// straggler holding a tombstoned task. The reconciler periodically (and on
-// every rejoin) diffs each Up switch's observed task list against the
-// desired set and repairs the difference: missing tasks are re-deployed at
-// their PINNED mirror IDs (AddTaskAt), so the restarted daemon's placement
-// and future ID sequence realign with the rest of the fleet, and
+// The RemoteFleet's task table IS the desired state — every task the
+// operator deployed and has not removed. A daemon that crashes and restarts
+// comes back empty; a Remove that partially failed leaves a straggler
+// holding a tombstoned task. The reconciler periodically (and on every
+// rejoin) diffs each Up switch's observed task list, by name, against the
+// desired set and repairs the difference: a missing task is re-deployed with
+// a plain add_task and the ID the switch gave it recorded, then its layout
+// fingerprint is held to the mirror's — a copy that came back indexed
+// differently (the daemon refilled its groups in another order than the
+// fleet first filled them) is reported as diverged, every pass, and queries
+// leave that switch out until an operator re-creates the task fleet-wide;
 // tombstoned removals are driven to completion. Every repair lands in the
-// reconfiguration journal.
+// reconfiguration journal. Epoch tasks are not reconciled.
 package netwide
 
 import (
@@ -19,15 +22,8 @@ import (
 	"sync"
 	"time"
 
-	"flymon/internal/controlplane"
+	"flymon/internal/rpc"
 )
-
-// desiredTask is one entry of the desired state, ordered by pinned ID.
-type desiredTask struct {
-	name string
-	id   int
-	spec controlplane.TaskSpec
-}
 
 // ReconcileResult summarizes one anti-entropy pass.
 type ReconcileResult struct {
@@ -62,31 +58,39 @@ func (f *RemoteFleet) Reconcile() ReconcileResult {
 	}
 	root := f.startRoot("reconcile", "")
 
-	// Snapshot the desired state. Tombstoned tasks are desired-ABSENT.
+	// Snapshot the desired state in deployment order (the mirror's IDs
+	// ascend with it): a wiped daemon refilled in the order the fleet first
+	// filled it places every task where the mirror did, as long as no
+	// removal has left a gap. Tombstoned tasks are desired-ABSENT.
 	f.mu.Lock()
-	var desired []desiredTask
-	tombs := make(map[string]int, len(f.tombstones))
-	for name, id := range f.tombstones {
-		tombs[name] = id
-	}
-	for name, id := range f.taskIDs {
-		if _, dead := tombs[name]; dead {
-			continue
+	var desired, tombs []*fleetTask
+	for _, t := range f.tasks {
+		switch {
+		case t.epoch != nil:
+		case t.tombstoned:
+			tombs = append(tombs, t)
+		default:
+			desired = append(desired, t)
 		}
-		desired = append(desired, desiredTask{name: name, id: id, spec: f.specs[name]})
 	}
 	f.mu.Unlock()
-	// Pinned IDs must be replayed in ascending order so a freshly wiped
-	// daemon's nextID never has to move backwards past a pinned slot.
-	sort.Slice(desired, func(i, j int) bool { return desired[i].id < desired[j].id })
+	sort.Slice(desired, func(i, j int) bool { return desired[i].mirrorID < desired[j].mirrorID })
+	setRemote := func(t *fleetTask, i, id int) {
+		f.mu.Lock()
+		t.remote[i] = id
+		f.mu.Unlock()
+	}
 
 	var res ReconcileResult
+	fail := func(err error) {
+		res.Errors = append(res.Errors, err)
+		if f.opts.Telemetry != nil {
+			f.opts.Telemetry.ReconcileErrors.Add(1)
+		}
+	}
 	// Tombstone completion is fleet-wide: a tombstone may be dropped only
 	// after a pass in which EVERY switch was inspected and confirmed clean.
-	tombClean := make(map[string]bool, len(tombs))
-	for name := range tombs {
-		tombClean[name] = true
-	}
+	tombDirty := make(map[*fleetTask]bool)
 	allInspected := true
 
 	for i, c := range f.clients {
@@ -108,87 +112,74 @@ func (f *RemoteFleet) Reconcile() ReconcileResult {
 			tasks, err = c.ListTasks(sc)
 		}
 		if err != nil {
-			res.Errors = append(res.Errors, fmt.Errorf("switch %d: list: %w", i, err))
-			if f.opts.Telemetry != nil {
-				f.opts.Telemetry.ReconcileErrors.Add(1)
-			}
+			fail(fmt.Errorf("switch %d: list: %w", i, err))
 			allInspected = false
 			swSp.Finish(err)
 			continue
 		}
-		observed := make(map[int]string, len(tasks))
+		observed := make(map[string]rpc.TaskResult, len(tasks))
 		for _, t := range tasks {
-			observed[t.ID] = t.Name
+			observed[t.Name] = t
 		}
 
 		// Complete tombstoned removals on this switch.
-		for name, id := range tombs {
-			if _, present := observed[id]; !present {
-				continue
-			}
-			if err := c.RemoveTask(id, sc); err != nil && !strings.Contains(err.Error(), "no task") {
-				res.Errors = append(res.Errors, fmt.Errorf("switch %d: tombstone %q: %w", i, name, err))
-				if f.opts.Telemetry != nil {
-					f.opts.Telemetry.ReconcileErrors.Add(1)
+		for _, t := range tombs {
+			name := t.spec.Name
+			if ot, present := observed[name]; present {
+				if err := c.RemoveTask(ot.ID, sc); err != nil && !isCode(err, rpc.CodeNoTask) {
+					fail(fmt.Errorf("switch %d: tombstone %q: %w", i, name, err))
+					tombDirty[t] = true
+					continue
 				}
-				tombClean[name] = false
-				continue
+				res.Removed++
+				f.journal("redeploy", ot.ID, fmt.Sprintf("switch %d: completed tombstoned removal of %q", i, name), nil)
 			}
-			delete(observed, id)
-			res.Removed++
-			f.journal("redeploy", id, fmt.Sprintf("switch %d: completed tombstoned removal of %q", i, name), nil)
+			setRemote(t, i, 0)
 		}
 
-		// Re-deploy whatever the desired set has that the switch lost.
-		for _, d := range desired {
-			got, present := observed[d.id]
-			if present {
-				if got != d.name {
-					err := fmt.Errorf("switch %d: task %d is %q, fleet expects %q — diverged, not repairing",
-						i, d.id, got, d.name)
-					res.Errors = append(res.Errors, err)
-					if f.opts.Telemetry != nil {
-						f.opts.Telemetry.ReconcileErrors.Add(1)
-					}
-					f.journal("redeploy", d.id, err.Error(), err)
+		// Re-deploy whatever the desired set has that the switch lost, and
+		// count the tasks it holds the way the mirror does.
+		aligned := 0
+		for _, t := range desired {
+			name := t.spec.Name
+			ot, present := observed[name]
+			if !present {
+				if ot, err = c.AddTask(t.spec, sc); err != nil {
+					fail(fmt.Errorf("switch %d: redeploy %q: %w", i, name, err))
+					f.journal("redeploy", 0, fmt.Sprintf("switch %d: redeploy of %q failed", i, name), err)
+					continue
 				}
-				continue
-			}
-			rt, err := c.AddTaskAt(d.id, d.spec, sc)
-			if err != nil {
-				res.Errors = append(res.Errors, fmt.Errorf("switch %d: redeploy %q: %w", i, d.name, err))
+				res.Redeployed++
 				if f.opts.Telemetry != nil {
-					f.opts.Telemetry.ReconcileErrors.Add(1)
+					f.opts.Telemetry.Redeploys.Add(1)
 				}
-				f.journal("redeploy", d.id, fmt.Sprintf("switch %d: redeploy of %q at id %d failed", i, d.name, d.id), err)
-				continue
 			}
-			observed[rt.ID] = d.name
-			res.Redeployed++
-			if f.opts.Telemetry != nil {
-				f.opts.Telemetry.Redeploys.Add(1)
+			setRemote(t, i, ot.ID)
+			var diverged error
+			if ot.Fingerprint != t.fingerprint {
+				diverged = layoutDiverged(i, name, ot.Fingerprint, t.fingerprint)
+				fail(diverged)
+			} else {
+				aligned++
 			}
-			f.journal("redeploy", d.id, fmt.Sprintf("switch %d: re-deployed %q at pinned id %d", i, d.name, d.id), nil)
+			if !present || diverged != nil {
+				f.journal("redeploy", ot.ID, fmt.Sprintf("switch %d: %q deployed as id %d", i, name, ot.ID), diverged)
+			}
 		}
 
-		f.health.setTasks(i, len(desired), len(observed))
+		f.health.setTasks(i, len(desired), aligned)
 		swSp.Finish(nil)
 	}
 
 	// Finalize tombstones confirmed absent on every switch this pass.
 	if allInspected {
 		f.mu.Lock()
-		for name, id := range tombs {
-			if !tombClean[name] {
-				continue
+		for _, t := range tombs {
+			if tombDirty[t] || f.tasks[t.spec.Name] != t {
+				continue // not clean yet, or a concurrent manual Remove finalized it
 			}
-			if _, still := f.tombstones[name]; !still {
-				continue // a concurrent manual Remove already finalized it
-			}
-			_ = f.mirror.RemoveTask(id)
-			delete(f.taskIDs, name)
-			delete(f.specs, name)
-			delete(f.tombstones, name)
+			_ = f.mirror.RemoveTask(t.mirrorID)
+			delete(f.tasks, t.spec.Name)
 			res.Finalized++
 		}
 		f.mu.Unlock()

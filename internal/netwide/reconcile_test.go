@@ -10,11 +10,26 @@ import (
 	"flymon/internal/telemetry"
 )
 
-// TestReconcileRedeploysWipedDaemonAtPinnedIDs is the core self-healing
-// property: a daemon that crashed and restarted EMPTY gets its tasks back
-// at exactly the fleet's IDs — including across gaps left by removals —
-// and the next plain Deploy stays aligned on every switch.
-func TestReconcileRedeploysWipedDaemonAtPinnedIDs(t *testing.T) {
+// restartEmpty replaces daemon i with a fresh controller of configuration cfg
+// on the same address: a crash that lost every task.
+func restartEmpty(t *testing.T, i int, cfg controlplane.Config, ctrls []*controlplane.Controller, srvs []*rpc.Server, addrs []string) {
+	t.Helper()
+	srvs[i].Close()
+	ctrls[i] = controlplane.NewController(cfg)
+	srvs[i] = rpc.NewServer(ctrls[i], nil)
+	if _, err := srvs[i].Listen(addrs[i]); err != nil {
+		t.Fatal(err)
+	}
+	srv := srvs[i]
+	t.Cleanup(func() { srv.Close() })
+}
+
+// TestReconcileRedeploysWipedDaemon is the core self-healing property: a
+// daemon that crashed and restarted EMPTY gets its tasks back, laid out the
+// way the mirror lays them out — under whatever IDs the daemon hands out,
+// here after a deploy the fleet rolled back had burnt one — and the next
+// plain Deploy stays aligned on every switch.
+func TestReconcileRedeploysWipedDaemon(t *testing.T) {
 	check := gateFleetGoroutines(t)
 	t.Cleanup(check)
 	cfg := fleetConfig()
@@ -27,44 +42,38 @@ func TestReconcileRedeploysWipedDaemonAtPinnedIDs(t *testing.T) {
 		Journal:      journal,
 	})
 
-	// Deploy a, b, c (IDs 1, 2, 3), then remove b — the fleet's desired
-	// state now has an ID gap: {a:1, c:3}.
-	for _, name := range []string{"a", "b", "c"} {
+	for _, name := range []string{"a", "b"} {
 		if err := fleet.Deploy(cmsSpec(name)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := fleet.Remove("b"); err != nil {
+	// Out of band, daemon 1 burns an ID: after its restart the fleet's tasks
+	// come back under other IDs than daemon 0 holds them under.
+	restartEmpty(t, 1, cfg, ctrls, srvs, addrs)
+	burnt, err := ctrls[1].AddTask(cmsSpec("burnt"))
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Daemon 1 crashes and restarts from scratch: fresh controller, same
-	// address, zero tasks.
-	srvs[1].Close()
-	ctrls[1] = controlplane.NewController(cfg)
-	srv := rpc.NewServer(ctrls[1], nil)
-	if _, err := srv.Listen(addrs[1]); err != nil {
+	if err := ctrls[1].RemoveTask(burnt.ID); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { srv.Close() })
 
 	res := fleet.Reconcile()
 	if err := res.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if res.Redeployed != 2 {
-		t.Fatalf("redeployed = %d, want 2 (a and c)", res.Redeployed)
+		t.Fatalf("redeployed = %d, want 2 (a and b)", res.Redeployed)
 	}
-	tasks := ctrls[1].Tasks()
-	if len(tasks) != 2 {
-		t.Fatalf("restarted daemon has %d tasks, want 2", len(tasks))
+	for _, name := range []string{"a", "b"} {
+		want, _ := ctrls[0].Task(fleet.tasks[name].remote[0])
+		got, err := ctrls[1].Task(fleet.tasks[name].remote[1])
+		if err != nil || got.Spec.Name != name || got.Fingerprint != want.Fingerprint || got.ID == want.ID {
+			t.Fatalf("restarted daemon holds %q as %+v (%v), daemon 0 as %+v", name, got, err, want)
+		}
 	}
-	byID := make(map[int]string)
-	for _, task := range tasks {
-		byID[task.ID] = task.Spec.Name
-	}
-	if byID[1] != "a" || byID[3] != "c" {
-		t.Fatalf("restarted daemon tasks = %v, want {1:a, 3:c}", byID)
+	if h := fleet.Health()[1]; h.TasksDesired != 2 || h.TasksObserved != 2 {
+		t.Fatalf("switch 1 task counts = %d/%d, want 2/2", h.TasksObserved, h.TasksDesired)
 	}
 
 	// A second pass is idempotent: nothing left to repair.
@@ -73,20 +82,14 @@ func TestReconcileRedeploysWipedDaemonAtPinnedIDs(t *testing.T) {
 		t.Fatalf("second pass not clean: %+v", res)
 	}
 
-	// The restarted daemon's ID sequence realigned: the next fleet-wide
-	// Deploy gets ID 4 everywhere (no divergence error).
+	// The next fleet-wide Deploy lands aligned everywhere and the fleet reads
+	// every task through each switch's own ID.
 	if err := fleet.Deploy(cmsSpec("d")); err != nil {
 		t.Fatalf("deploy after reconcile: %v", err)
 	}
-	for i, c := range ctrls {
-		found := false
-		for _, task := range c.Tasks() {
-			if task.Spec.Name == "d" && task.ID == 4 {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("daemon %d: task d not at ID 4: %v", i, c.Tasks())
+	for _, name := range []string{"a", "b", "d"} {
+		if _, report, err := fleet.MergedRows(name, MergeAdd); err != nil || report.Partial() {
+			t.Fatalf("merge of %q after reconcile: %v (%v)", name, err, report)
 		}
 	}
 

@@ -4,13 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"flymon/internal/controlplane"
 	"flymon/internal/core/algorithms"
+	"flymon/internal/epoch"
 	"flymon/internal/packet"
 	"flymon/internal/rpc"
 	"flymon/internal/telemetry"
@@ -65,11 +65,18 @@ func (o FleetOptions) withDefaults() FleetOptions {
 // RemoteFleet is the fleet controller: the switches are flymond daemons
 // (or in-process equivalents, see NewLoopbackFleet) reached over the
 // control channel. The central controller keeps a local MIRROR controller
-// built from the same configuration and fed the same task sequence —
-// controller construction and placement are deterministic, so the mirror
-// computes the exact hash mappings and register indices the remote
-// switches use, while the remote daemons provide the actual register
-// contents.
+// built from the same configuration and fed the same deployments; the
+// mirror supplies the index mapping typed queries read merged rows through,
+// the daemons supply the register contents.
+//
+// That the mirror and every switch lay a task out identically is checked,
+// not assumed: every deployed task and every readout carries a layout
+// fingerprint (controlplane.Task.Fingerprint), and a switch whose
+// fingerprint differs from the mirror's — a daemon started with another
+// geometry, or one whose placement drifted because tasks came and went in
+// another order — is refused at deploy time and, at query time, left out of
+// the merge and named in QueryReport.Failed ("layout diverged"). The answer
+// is then an honest k-of-n bound instead of a silent mis-indexed sum.
 //
 // All fleet operations fan out concurrently and track per-switch health;
 // with AllowPartial set, queries degrade gracefully when daemons are
@@ -80,13 +87,11 @@ type RemoteFleet struct {
 	opts    FleetOptions
 	health  *healthTracker
 
-	mu      sync.Mutex
-	taskIDs map[string]int                   // mirror task ID (== remote IDs by construction)
-	specs   map[string]controlplane.TaskSpec // desired spec per task, for reconciler re-deploys
-	// tombstones marks tasks whose Remove partially failed: the handle is
-	// kept (so manual retries work) but the reconciler must finish the
-	// removal instead of re-deploying the task. name → task ID.
-	tombstones map[string]int
+	// tasks is the fleet's one registry, name → desired task: what the
+	// operator deployed and has not removed, plain and epoch tasks alike.
+	// mu guards the map and every entry's remote and tombstoned fields.
+	mu    sync.Mutex
+	tasks map[string]*fleetTask
 
 	// Set once by StartLiveness/StartReconciler, read by the liveness
 	// goroutines (rejoin pokes the reconciler) and by Stop: atomic.
@@ -95,11 +100,7 @@ type RemoteFleet struct {
 	reconMu  sync.Mutex // serializes Reconcile passes
 	stopOnce sync.Once
 
-	// Epoch tasks (see epoch.go): fleet-level rotators living outside
-	// taskIDs/specs so the reconciler never mistakes a daemon-side epoch
-	// copy for drift.
-	epochs  map[string]*fleetEpoch
-	epochMu sync.Mutex // serializes rotations across the fleet
+	epochMu sync.Mutex // serializes epoch rotations across the fleet
 
 	// rowPool recycles leaf row buffers between merge-tree queries: a
 	// steady query load unpacks register readouts into reused slices
@@ -107,17 +108,48 @@ type RemoteFleet struct {
 	rowPool sync.Pool
 }
 
-// NewRemoteFleet wraps daemon connections with default options (strict
-// all-or-nothing queries). cfg MUST equal the configuration every daemon
-// was started with (flymond's -groups/-buckets/-bitwidth flags); a
-// mismatch silently corrupts index computation, so deployments should
-// verify with a known-key probe (see VerifyAlignment).
-func NewRemoteFleet(clients []*rpc.Client, cfg controlplane.Config) *RemoteFleet {
-	return NewRemoteFleetOptions(clients, cfg, FleetOptions{})
+// fleetTask is one row of the desired state.
+type fleetTask struct {
+	spec controlplane.TaskSpec
+	// mirrorID addresses the mirror's copy, whose handle maps keys to
+	// buckets for the typed queries. An epoch task's copies rotate; its
+	// handle is epoch.
+	mirrorID int
+	// fingerprint is the layout of the mirror's copy at deployment: what
+	// every switch's copy, and every live readout, must match. (Each frozen
+	// epoch records its own, see frozenEpoch.)
+	fingerprint uint64
+	// remote[i] is the ID switch i gave the task — IDs are per switch, a
+	// restarted daemon hands out its own — or 0 where the task is not known
+	// to be installed. Plain tasks are addressed by it; epoch tasks by name.
+	remote []int
+	// epoch is the rotation handle of an epoch task, nil for a plain one.
+	// The reconciler leaves epoch tasks alone: a daemon's rotating #k copies
+	// are not drift.
+	epoch *fleetEpoch
+	// tombstoned marks a task whose removal partially failed: the row stays
+	// (so a retry works) but the reconciler finishes the removal on the
+	// stragglers instead of re-deploying the task where it is already gone.
+	tombstoned bool
 }
 
-// NewRemoteFleetOptions wraps daemon connections with explicit failure
-// options.
+// layoutDiverged is the classified refusal to merge, deploy or count switch
+// i's copy of a task: it is indexed differently from the reference.
+func layoutDiverged(i int, task string, got, want uint64) error {
+	return &rpc.Error{Code: rpc.CodeLayoutDiverged, Msg: fmt.Sprintf(
+		"netwide: layout diverged: switch %d lays %q out as %016x, the reference as %016x", i, task, got, want)}
+}
+
+// isCode reports whether err carries the daemon classification code.
+func isCode(err error, code string) bool {
+	var e *rpc.Error
+	return errors.As(err, &e) && e.Code == code
+}
+
+// NewRemoteFleetOptions wraps daemon connections; the zero FleetOptions are
+// strict all-or-nothing queries. cfg is the mirror's configuration: a daemon
+// started with a different one (flymond's -groups/-buckets/-bitwidth flags)
+// is excluded from deployments and merges and named, see RemoteFleet.
 func NewRemoteFleetOptions(clients []*rpc.Client, cfg controlplane.Config, opts FleetOptions) *RemoteFleet {
 	opts = opts.withDefaults()
 	addrs := make([]string, len(clients))
@@ -135,14 +167,11 @@ func NewRemoteFleetOptions(clients []*rpc.Client, cfg controlplane.Config, opts 
 		}
 	}
 	return &RemoteFleet{
-		clients:    clients,
-		mirror:     controlplane.NewController(cfg),
-		opts:       opts,
-		health:     h,
-		taskIDs:    make(map[string]int),
-		specs:      make(map[string]controlplane.TaskSpec),
-		tombstones: make(map[string]int),
-		epochs:     make(map[string]*fleetEpoch),
+		clients: clients,
+		mirror:  controlplane.NewController(cfg),
+		opts:    opts,
+		health:  h,
+		tasks:   make(map[string]*fleetTask),
 	}
 }
 
@@ -395,75 +424,91 @@ func (f *RemoteFleet) fanOut(parent tracing.SpanContext, op func(i int, c *rpc.C
 // fanning out concurrently. Deployment stays all-or-nothing: a task that
 // exists only on part of the fleet would silently under-merge forever, so
 // any failure rolls back the switches that did deploy.
-func (f *RemoteFleet) Deploy(spec controlplane.TaskSpec) (err error) {
-	root := f.startRoot("deploy", spec.Name)
+func (f *RemoteFleet) Deploy(spec controlplane.TaskSpec) error {
+	return f.install("deploy", spec, false)
+}
+
+// install is the one deployment path (Deploy, DeployEpoch): claim the name,
+// deploy on the mirror — a rotator when rotating — then on every switch,
+// and enter the task in the table only if all of them laid it out the way
+// the mirror did.
+func (f *RemoteFleet) install(op string, spec controlplane.TaskSpec, rotating bool) (err error) {
+	root := f.startRoot(op, spec.Name)
 	defer func() { root.Finish(err) }()
+	t := &fleetTask{spec: spec, remote: make([]int, len(f.clients))}
 	f.mu.Lock()
-	if _, ok := f.taskIDs[spec.Name]; ok {
+	if _, ok := f.tasks[spec.Name]; ok {
 		f.mu.Unlock()
 		return fmt.Errorf("netwide: task %q already deployed", spec.Name)
 	}
-	if _, ok := f.epochs[spec.Name]; ok {
-		f.mu.Unlock()
-		return fmt.Errorf("netwide: name %q is an epoch task", spec.Name)
-	}
-	mt, err := f.mirror.AddTask(spec)
-	if err != nil {
-		f.mu.Unlock()
-		return fmt.Errorf("netwide: mirror deploy of %q: %w", spec.Name, err)
+	var mt *controlplane.Task
+	if rotating {
+		t.epoch = &fleetEpoch{window: make(map[int]*frozenEpoch)}
+		if t.epoch.rot, err = epoch.NewRotator(f.mirror, spec); err == nil {
+			mt, err = f.mirror.Task(t.epoch.rot.ActiveID())
+		}
+	} else if mt, err = f.mirror.AddTask(spec); err == nil {
+		t.mirrorID = mt.ID
 	}
 	f.mu.Unlock()
-
-	err = f.installEverywhere(root.Context(), "task", mt.ID,
-		func(i int, c *rpc.Client, sc tracing.SpanContext) (int, error) {
-			rt, err := c.AddTask(spec, sc)
-			if err != nil {
-				return 0, fmt.Errorf("netwide: deploying %q on daemon %d: %w", spec.Name, i, err)
-			}
-			return rt.ID, nil
-		},
-		func(c *rpc.Client, id int) { _ = c.RemoveTask(id) })
 	if err != nil {
+		return fmt.Errorf("netwide: mirror %s of %q: %w", op, spec.Name, err)
+	}
+	t.fingerprint = mt.Fingerprint
+
+	if err = f.installEverywhere(root.Context(), op, t); err != nil {
 		f.mu.Lock()
-		_ = f.mirror.RemoveTask(mt.ID)
-		f.mu.Unlock()
+		defer f.mu.Unlock()
+		if rotating {
+			_ = t.epoch.rot.Close()
+		} else {
+			_ = f.mirror.RemoveTask(t.mirrorID)
+		}
 		return err
 	}
 	f.mu.Lock()
-	f.taskIDs[spec.Name] = mt.ID
-	f.specs[spec.Name] = spec
+	f.tasks[spec.Name] = t
 	f.mu.Unlock()
-	f.pokeReconciler()
+	if rotating {
+		f.journal(op, mt.ID, spec.Name, nil)
+	} else {
+		f.pokeReconciler()
+	}
 	return nil
 }
 
-// installEverywhere is the daemon half of an all-or-nothing deployment
-// (Deploy, DeployEpoch): fan install out, require every daemon to assign
-// the ID the mirror did, and on any failure or divergence undo the daemons
-// that did install, best effort. It returns the divergence, else the first
-// failure in switch order; the caller rolls its mirror back on error.
-func (f *RemoteFleet) installEverywhere(parent tracing.SpanContext, kind string, mirrorID int,
-	install func(i int, c *rpc.Client, sc tracing.SpanContext) (id int, err error),
-	undo func(c *rpc.Client, id int)) error {
-	// Guards installed: with OpTimeout set, a late install still completes
-	// (and records itself) after fanOut gave up on it.
+// installEverywhere is the daemon half of an all-or-nothing deployment: fan
+// the install out, record the ID each switch assigned, require every copy's
+// layout fingerprint to equal the mirror's, and on any failure or divergence
+// undo the switches that did install, best effort. It returns the
+// divergence, else the first failure in switch order; the caller rolls its
+// mirror back on error.
+func (f *RemoteFleet) installEverywhere(parent tracing.SpanContext, op string, t *fleetTask) error {
+	// Guards t.remote and failure: with OpTimeout set, a late install still
+	// completes (and records itself) after fanOut gave up on it.
 	var mu sync.Mutex
-	installed := make(map[int]int) // switch index → remote task ID
 	var failure error
 	errs := f.fanOut(parent, func(i int, c *rpc.Client, sc tracing.SpanContext) error {
-		id, err := install(i, c, sc)
+		var tr rpc.TaskResult
+		var err error
+		if t.epoch != nil {
+			var et rpc.EpochTaskResult
+			et, err = c.EpochDeploy(t.spec, sc)
+			tr = et.Task
+		} else {
+			tr, err = c.AddTask(t.spec, sc)
+		}
 		if err != nil {
-			return err
+			return fmt.Errorf("netwide: %s of %q on daemon %d: %w", op, t.spec.Name, i, err)
 		}
 		mu.Lock()
-		installed[i] = id
-		if id != mirrorID && failure == nil {
-			// The daemon has diverged from the mirror (other tasks were
-			// deployed out of band): refuse rather than mis-index.
-			failure = fmt.Errorf("netwide: daemon %d assigned %s ID %d, mirror expected %d — configurations diverged",
-				i, kind, id, mirrorID)
+		defer mu.Unlock()
+		t.remote[i] = tr.ID
+		if tr.Fingerprint != t.fingerprint && failure == nil {
+			// Other tasks came and went on this daemon in another order, or
+			// it runs another geometry: refuse rather than mis-index.
+			failure = layoutDiverged(i, t.spec.Name, tr.Fingerprint, t.fingerprint)
 		}
-		mu.Unlock()
 		return nil
 	})
 	mu.Lock()
@@ -477,11 +522,18 @@ func (f *RemoteFleet) installEverywhere(parent tracing.SpanContext, kind string,
 	// Plain goroutines, not fanOut: a no-op on an untouched daemon must not
 	// be recorded as a health probe.
 	var wg sync.WaitGroup
-	for i, id := range installed {
+	for i, id := range t.remote {
+		if id == 0 {
+			continue
+		}
 		wg.Add(1)
 		go func(c *rpc.Client, id int) {
 			defer wg.Done()
-			undo(c, id)
+			if t.epoch != nil {
+				_ = c.EpochRemove(t.spec.Name)
+			} else {
+				_ = c.RemoveTask(id)
+			}
 		}(f.clients[i], id)
 	}
 	wg.Wait()
@@ -489,56 +541,110 @@ func (f *RemoteFleet) installEverywhere(parent tracing.SpanContext, kind string,
 }
 
 // Remove uninstalls the named task everywhere. On partial failure the
-// task handle is KEPT so removal can be retried: forgetting the mapping
-// would strand installed tasks on the unreachable switches forever. A
-// retry treats "no task" answers as already-removed (removal is
-// idempotent), so it only needs the stragglers to come back.
-func (f *RemoteFleet) Remove(name string) (err error) {
-	root := f.startRoot("remove", name)
+// task's row is KEPT so removal can be retried: forgetting it would strand
+// installed tasks on the unreachable switches forever. A retry addresses
+// only the switches still holding the task and treats a "no task" answer as
+// already removed (removal is idempotent), so it only needs the stragglers
+// to come back.
+func (f *RemoteFleet) Remove(name string) error {
+	return f.uninstall("remove", name, false)
+}
+
+// uninstall is the one removal path (Remove, RemoveEpochTask).
+func (f *RemoteFleet) uninstall(op, name string, rotating bool) (err error) {
+	root := f.startRoot(op, name)
 	defer func() { root.Finish(err) }()
 	f.mu.Lock()
-	id, ok := f.taskIDs[name]
-	f.mu.Unlock()
-	if !ok {
+	t := f.tasks[name]
+	if t == nil || (t.epoch != nil) != rotating {
+		f.mu.Unlock()
+		if rotating {
+			return fmt.Errorf("netwide: no epoch task %q", name)
+		}
 		return fmt.Errorf("netwide: no task %q", name)
 	}
+	remote := append([]int(nil), t.remote...)
+	f.mu.Unlock()
 	errs := f.fanOut(root.Context(), func(i int, c *rpc.Client, sc tracing.SpanContext) error {
-		err := c.RemoveTask(id, sc)
-		if err != nil && strings.Contains(err.Error(), "no task") {
+		if remote[i] == 0 {
 			return nil // removed by a previous, partially-failed attempt
+		}
+		var err error
+		if rotating {
+			if err = c.EpochRemove(name, sc); isCode(err, rpc.CodeNoEpochTask) {
+				err = nil
+			}
+		} else if err = c.RemoveTask(remote[i], sc); isCode(err, rpc.CodeNoTask) {
+			err = nil
+		}
+		if err == nil {
+			f.mu.Lock()
+			t.remote[i] = 0
+			f.mu.Unlock()
 		}
 		return err
 	})
-	if len(errs) > 0 {
-		// Tombstone the task: the handle stays (so a manual retry works)
-		// but the reconciler now knows to finish the removal on the
-		// stragglers instead of re-deploying the task onto the switches
-		// that did remove it.
-		f.mu.Lock()
-		f.tombstones[name] = id
-		f.mu.Unlock()
-		return &PartialFailureError{Op: "remove", Task: name, Failed: errs, Total: len(f.clients)}
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if err := f.mirror.RemoveTask(id); err != nil {
-		return err
+	if len(errs) > 0 {
+		t.tombstoned = true
+		return &PartialFailureError{Op: op, Task: name, Failed: errs, Total: len(f.clients)}
 	}
-	delete(f.taskIDs, name)
-	delete(f.specs, name)
-	delete(f.tombstones, name)
-	return nil
+	delete(f.tasks, name) // and with it an epoch task's stored epochs
+	if rotating {
+		t.epoch.mu.Lock()
+		defer t.epoch.mu.Unlock()
+		return t.epoch.rot.Close()
+	}
+	return f.mirror.RemoveTask(t.mirrorID)
 }
 
-// mergeQuery is the one query path: stream fetch's per-switch rows straight
+// layoutRef is the fingerprint every leaf of one merge must carry: the
+// mirror's when this fleet deployed the task, else that of the first readout
+// to arrive — a visitor (flymonctl query) has no mirror entry, so what it
+// can check is that the switches agree with each other.
+type layoutRef struct {
+	mu     sync.Mutex
+	pinned bool
+	want   uint64
+}
+
+func pinnedLayout(fingerprint uint64) *layoutRef {
+	return &layoutRef{pinned: true, want: fingerprint}
+}
+
+// admits reports whether a readout with this fingerprint may enter the
+// merge, and the reference it was held to.
+func (r *layoutRef) admits(fingerprint uint64) (want uint64, ok bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.pinned {
+		r.pinned, r.want = true, fingerprint
+	}
+	return r.want, fingerprint == r.want
+}
+
+// mergeQuery is the one query path, and the one place rows enter a merge:
+// fetch one readout per switch, hold its layout fingerprint to ref — a
+// switch indexed differently fails as "layout diverged" instead of being
+// summed into the wrong buckets — and stream the admitted rows straight
 // into the k-ary merge tree (leaf buffers recycled through the fleet's
-// pool), sort the per-switch errors into the report — stragglers apart
+// pool); then sort the per-switch errors into the report — stragglers apart
 // from failures — and apply the partial policies. epochN pins the report
 // (0 = a live query, which has no stragglers and only uses q.Op); readOp
 // names the read in errors.
-func (f *RemoteFleet) mergeQuery(parent tracing.SpanContext, timeout time.Duration, name, readOp string, epochN int, q EpochQuery,
-	fetch func(i int, c *rpc.Client, sc tracing.SpanContext) ([][]uint32, error)) ([][]uint32, QueryReport, error) {
-	stream := f.fanOutRows(parent, timeout, fetch)
+func (f *RemoteFleet) mergeQuery(parent tracing.SpanContext, timeout time.Duration, name, readOp string, epochN int, q EpochQuery, ref *layoutRef,
+	fetch func(i int, c *rpc.Client, sc tracing.SpanContext) (*rpc.RegistersResult, error)) ([][]uint32, QueryReport, error) {
+	stream := f.fanOutRows(parent, timeout, func(i int, c *rpc.Client, sc tracing.SpanContext) ([][]uint32, error) {
+		res, err := fetch(i, c, sc)
+		if err != nil {
+			return nil, err
+		}
+		if want, ok := ref.admits(res.Fingerprint); !ok {
+			return nil, layoutDiverged(i, name, res.Fingerprint, want)
+		}
+		return res.FrameRows(f.getRowBuf()), nil
+	})
 	// The converter goroutine finishes all errs writes before closing
 	// leaves, and MergeStream returns only after observing that close, so
 	// reading errs afterwards is race-free.
@@ -609,7 +715,7 @@ func (f *RemoteFleet) mergeStats() *telemetry.MergeTreeStats {
 }
 
 // getRowBuf pulls a recycled leaf buffer from the pool (nil when empty —
-// rpc.UnpackFrame then allocates fresh).
+// RegistersResult.FrameRows then allocates fresh).
 func (f *RemoteFleet) getRowBuf() [][]uint32 {
 	if v := f.rowPool.Get(); v != nil {
 		return v.([][]uint32)
@@ -634,29 +740,35 @@ func (f *RemoteFleet) MergedRows(name string, op MergeOp) ([][]uint32, QueryRepo
 	return rows, report, err
 }
 
-// mergedRows resolves the task and merges every switch's live registers.
-// Live readouts are never cached: the registers are still counting.
-func (f *RemoteFleet) mergedRows(name string, op MergeOp) (_ [][]uint32, id int, report QueryReport, err error) {
+// mergedRows resolves the task and merges every switch's live registers,
+// returning the mirror's ID of the task for the typed queries. Live
+// readouts are never cached: the registers are still counting.
+func (f *RemoteFleet) mergedRows(name string, op MergeOp) (_ [][]uint32, mirrorID int, report QueryReport, err error) {
 	f.mu.Lock()
-	id, ok := f.taskIDs[name]
-	f.mu.Unlock()
-	if !ok {
+	t := f.tasks[name]
+	if t == nil || t.epoch != nil {
+		f.mu.Unlock()
 		return nil, 0, report, fmt.Errorf("netwide: no task %q", name)
 	}
+	remote := append([]int(nil), t.remote...)
+	f.mu.Unlock()
 	root := f.opts.Tracer.StartRoot("query")
 	if root != nil {
 		root.SetDetail(fmt.Sprintf("%s op=%s", name, op))
 	}
 	defer func() { root.Finish(err) }()
-	rows, report, err := f.mergeQuery(root.Context(), f.opts.OpTimeout, name, "read", 0, EpochQuery{Op: op},
-		func(i int, c *rpc.Client, sc tracing.SpanContext) ([][]uint32, error) {
-			rows, err := c.ReadRegisters(id, f.getRowBuf(), sc)
+	rows, report, err := f.mergeQuery(root.Context(), f.opts.OpTimeout, name, "read", 0, EpochQuery{Op: op}, pinnedLayout(t.fingerprint),
+		func(i int, c *rpc.Client, sc tracing.SpanContext) (*rpc.RegistersResult, error) {
+			if remote[i] == 0 {
+				return nil, fmt.Errorf("netwide: %q is not installed on daemon %d", name, i)
+			}
+			res, err := c.ReadRegisters(remote[i], sc)
 			if err != nil {
 				return nil, fmt.Errorf("netwide: reading %q on daemon %d: %w", name, i, err)
 			}
-			return rows, nil
+			return &res, nil
 		})
-	return rows, id, report, err
+	return rows, t.mirrorID, report, err
 }
 
 // EstimateKey returns the fleet-wide frequency estimate for key k (counter
@@ -678,38 +790,6 @@ func (f *RemoteFleet) EstimateKeyPartial(name string, k packet.CanonicalKey) (ui
 		return 0, report, err
 	}
 	return countMin(cms, merged, k), report, nil
-}
-
-// VerifyAlignment checks that a daemon computes the same register indices
-// as the mirror by comparing the two deployments' placements for a named
-// task (a cheap structural probe; a full check would replay a known key).
-func (f *RemoteFleet) VerifyAlignment(name string) error {
-	f.mu.Lock()
-	id, ok := f.taskIDs[name]
-	f.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("netwide: no task %q", name)
-	}
-	mrows, err := f.mirror.ReadRegisters(id)
-	if err != nil {
-		return err
-	}
-	for i, c := range f.clients {
-		rrows, err := c.ReadRegisters(id, nil)
-		if err != nil {
-			return err
-		}
-		if len(rrows) != len(mrows) {
-			return fmt.Errorf("netwide: daemon %d has %d rows, mirror %d", i, len(rrows), len(mrows))
-		}
-		for r := range rrows {
-			if len(rrows[r]) != len(mrows[r]) {
-				return fmt.Errorf("netwide: daemon %d row %d has %d buckets, mirror %d",
-					i, r, len(rrows[r]), len(mrows[r]))
-			}
-		}
-	}
-	return nil
 }
 
 // CollectTrace gathers the fleet's distributed spans: every reachable

@@ -15,9 +15,20 @@ import (
 // controllers (the test's ingress handles) and connected clients.
 func startDaemons(t *testing.T, n int, cfg controlplane.Config) ([]*controlplane.Controller, []*rpc.Client) {
 	t.Helper()
+	cfgs := make([]controlplane.Config, n)
+	for i := range cfgs {
+		cfgs[i] = cfg
+	}
+	return startDaemonsWith(t, cfgs...)
+}
+
+// startDaemonsWith boots one daemon per configuration.
+func startDaemonsWith(t *testing.T, cfgs ...controlplane.Config) ([]*controlplane.Controller, []*rpc.Client) {
+	t.Helper()
+	n := len(cfgs)
 	ctrls := make([]*controlplane.Controller, n)
 	clients := make([]*rpc.Client, n)
-	for i := 0; i < n; i++ {
+	for i, cfg := range cfgs {
 		ctrls[i] = controlplane.NewController(cfg)
 		srv := rpc.NewServer(ctrls[i], nil)
 		addr, err := srv.Listen("127.0.0.1:0")
@@ -38,11 +49,8 @@ func startDaemons(t *testing.T, n int, cfg controlplane.Config) ([]*controlplane
 func TestRemoteFleetMergedEstimates(t *testing.T) {
 	cfg := fleetConfig()
 	ctrls, clients := startDaemons(t, 3, cfg)
-	fleet := NewRemoteFleet(clients, cfg)
+	fleet := NewRemoteFleetOptions(clients, cfg, FleetOptions{})
 	if err := fleet.Deploy(cmsSpec("freq")); err != nil {
-		t.Fatal(err)
-	}
-	if err := fleet.VerifyAlignment("freq"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -78,31 +86,74 @@ func TestRemoteFleetMergedEstimates(t *testing.T) {
 	_ = clients
 }
 
+// TestRemoteFleetRefusesDivergedDaemon: a deployment that a switch would lay
+// out differently from the mirror is refused — on the layout fingerprint the
+// switch answered with, whatever ID it assigned — and rolled back.
 func TestRemoteFleetRefusesDivergedDaemon(t *testing.T) {
 	cfg := fleetConfig()
-	ctrls, clients := startDaemons(t, 2, cfg)
-	// Daemon 1 has an out-of-band task: its next ID diverges from the
-	// mirror's, which the fleet must detect instead of mis-indexing.
-	if _, err := ctrls[1].AddTask(cmsSpec("rogue")); err != nil {
-		t.Fatal(err)
-	}
-	fleet := NewRemoteFleet(clients, cfg)
-	spec := cmsSpec("freq")
-	spec.Filter = packet.Filter{DstPort: 53}
-	err := fleet.Deploy(spec)
-	if err == nil || !strings.Contains(err.Error(), "diverged") {
-		t.Fatalf("deploy onto a diverged daemon must fail, got %v", err)
-	}
-	// The rollback must leave daemon 0 clean.
-	if len(ctrls[0].Tasks()) != 0 {
-		t.Fatal("daemon 0 kept tasks after failed fleet deploy")
+	for _, tc := range []struct {
+		name   string
+		cfg1   controlplane.Config // daemon 1's configuration
+		rogue  bool                // daemon 1 holds an out-of-band task on group 0
+		spec   controlplane.TaskSpec
+		refuse bool
+	}{
+		// The rogue sits on group 0's CMUs, so a task with overlapping traffic
+		// task moves to group 1's hash units on daemon 1 only.
+		{name: "displaced to another group", cfg1: cfg, rogue: true, spec: cmsSpec("freq"), refuse: true},
+		// A disjoint filter shares the rogue's CMUs: same group, other base
+		// and another ID than daemon 0 assigns — and the same layout.
+		{name: "same group, other ID", cfg1: cfg, rogue: true, spec: func() controlplane.TaskSpec {
+			s := cmsSpec("freq")
+			s.Filter = packet.Filter{DstPort: 53}
+			return s
+		}()},
+		// The "cfg must equal the daemons'" contract: a daemon with smaller
+		// registers grants the whole-register task half the buckets.
+		{name: "another geometry", cfg1: controlplane.Config{Groups: 3, Buckets: 32768, BitWidth: 32}, spec: func() controlplane.TaskSpec {
+			s := cmsSpec("freq")
+			s.MemBuckets = 65536
+			return s
+		}(), refuse: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctrls, clients := startDaemonsWith(t, cfg, tc.cfg1)
+			if tc.rogue {
+				rogue := cmsSpec("rogue")
+				rogue.Filter = packet.Filter{DstPort: 80}
+				if _, err := ctrls[1].AddTask(rogue); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fleet := NewRemoteFleetOptions(clients, cfg, FleetOptions{})
+			err := fleet.Deploy(tc.spec)
+			if !tc.refuse {
+				if err != nil {
+					t.Fatalf("an aligned deployment under another ID must succeed, got %v", err)
+				}
+				if r := fleet.tasks["freq"].remote; r[0] == r[1] {
+					t.Fatalf("setup: both daemons assigned ID %d", r[0])
+				}
+				return
+			}
+			if !isCode(err, rpc.CodeLayoutDiverged) || !strings.Contains(err.Error(), "switch 1") {
+				t.Fatalf("deploy onto a diverged daemon = %v, want layout diverged naming switch 1", err)
+			}
+			// The rollback must leave daemon 0 clean and the name free.
+			if len(ctrls[0].Tasks()) != 0 {
+				t.Fatal("daemon 0 kept tasks after failed fleet deploy")
+			}
+			if _, _, err := fleet.MergedRows("freq", MergeAdd); err == nil {
+				t.Fatal("a refused deployment left a task in the table")
+			}
+		})
 	}
 }
 
 func TestRemoteFleetLifecycleErrors(t *testing.T) {
 	cfg := fleetConfig()
 	_, clients := startDaemons(t, 1, cfg)
-	fleet := NewRemoteFleet(clients, cfg)
+	fleet := NewRemoteFleetOptions(clients, cfg, FleetOptions{})
 	if _, err := fleet.EstimateKey("none", packet.CanonicalKey{}); err == nil {
 		t.Fatal("unknown task must fail")
 	}

@@ -63,15 +63,6 @@ const (
 	MethodTraceDump = "trace_dump"
 )
 
-// AddTaskParams carries a task spec. WantID, when positive, pins the
-// assigned task ID (controlplane.AddTaskAt) — the reconciler's idempotent
-// re-deploy path, which must reproduce the mirror's ID on a restarted
-// daemon even across gaps left by removals.
-type AddTaskParams struct {
-	Spec   controlplane.TaskSpec `json:"spec"`
-	WantID int                   `json:"want_id,omitempty"`
-}
-
 // Liveness session states on the wire (the BFD-style three-way handshake
 // values; AdminDown is not modeled — a closed session simply stops
 // probing).
@@ -131,6 +122,10 @@ type TaskResult struct {
 	Buckets     int           `json:"buckets"`
 	MemoryBytes int           `json:"memory_bytes"`
 	Delay       time.Duration `json:"deploy_delay_ns"`
+	// Fingerprint is the task's layout fingerprint
+	// (controlplane.Task.Fingerprint): what a fleet controller compares
+	// before it merges this switch's rows with another's.
+	Fingerprint uint64 `json:"fingerprint"`
 }
 
 // TaskIDParams addresses an existing task.
@@ -194,13 +189,22 @@ type frameReceiver interface{ setFrameBytes([]byte) }
 // body spending most of each query in encoding/json (validate + compact +
 // unquote passes over the bulk); the frame is the difference between the
 // codec dominating query latency and the merge kernels dominating it.
+// Fingerprint is the layout fingerprint of the task the rows were read from:
+// a readout carries what a merge needs to know about how it is indexed.
 type RegistersResult struct {
-	RowLens []int `json:"row_lens"`
-	frame   []byte
+	RowLens     []int  `json:"row_lens"`
+	Fingerprint uint64 `json:"fingerprint"`
+	frame       []byte
 }
 
 func (r RegistersResult) frameBytes() []byte      { return r.frame }
 func (r *RegistersResult) setFrameBytes(b []byte) { r.frame = b }
+
+// FrameRows decodes the readout into dst (geometry-matched buffers are
+// reused, see unpackFrame).
+func (r *RegistersResult) FrameRows(dst [][]uint32) [][]uint32 {
+	return unpackFrame(r.frame, r.RowLens, dst)
+}
 
 // ResourcesResult reports free memory per CMU and deployed task count.
 type ResourcesResult struct {
@@ -269,9 +273,8 @@ type EpochRotateParams struct {
 // EpochTaskResult describes an epoch task: the active copy and the
 // rotation state.
 type EpochTaskResult struct {
-	Task     TaskResult `json:"task"`
-	Epoch    int        `json:"epoch"`
-	FrozenID int        `json:"frozen_id,omitempty"`
+	Task  TaskResult `json:"task"`
+	Epoch int        `json:"epoch"`
 }
 
 // ReadEpochParams requests one completed epoch's register snapshot.
@@ -281,27 +284,14 @@ type ReadEpochParams struct {
 	Epoch int    `json:"epoch,omitempty"`
 }
 
-// EpochRegistersResult is a register snapshot pinned to an epoch
-// boundary, carried on the binary frame side-channel (RowLens slices the
-// frame into rows). Epoch is the epoch the rows belong to; Current is the
-// daemon's latest completed epoch (so a query plane can tell "behind" from
-// "ahead"); FrozenID is the task ID the snapshot was read from (the handle
-// key_indices needs).
+// EpochRegistersResult is a register readout pinned to an epoch boundary:
+// Epoch is the epoch the rows belong to, FrozenID the task ID they were read
+// from (the handle key_indices needs). The readout was packed when the epoch
+// was frozen, fingerprint included, so serving it costs no encoding work.
 type EpochRegistersResult struct {
-	Epoch    int   `json:"epoch"`
-	Current  int   `json:"current"`
-	FrozenID int   `json:"frozen_id"`
-	RowLens  []int `json:"row_lens"`
-	frame    []byte
-}
-
-func (r EpochRegistersResult) frameBytes() []byte      { return r.frame }
-func (r *EpochRegistersResult) setFrameBytes(b []byte) { r.frame = b }
-
-// FrameRows decodes the snapshot into dst (geometry-matched buffers are
-// reused, see UnpackFrame).
-func (r *EpochRegistersResult) FrameRows(dst [][]uint32) [][]uint32 {
-	return UnpackFrame(r.frame, r.RowLens, dst)
+	Epoch    int `json:"epoch"`
+	FrozenID int `json:"frozen_id"`
+	RegistersResult
 }
 
 // KeyIndicesResult carries a flow key's per-row register indices on a

@@ -166,7 +166,7 @@ func TestDispatchRecoversPanicResponse(t *testing.T) {
 	if resp.ID != 11 {
 		t.Fatalf("response ID = %d", resp.ID)
 	}
-	if !strings.Contains(resp.Error, "internal error") || !strings.Contains(resp.Error, "fault drill") {
+	if resp.Error == nil || !strings.Contains(resp.Error.Msg, "internal error") || !strings.Contains(resp.Error.Msg, "fault drill") {
 		t.Fatalf("panic response = %+v", resp)
 	}
 	if resp.Result != nil {
@@ -237,7 +237,7 @@ func TestChaosSeedMatrix(t *testing.T) {
 						t.Fatalf("op %d ping: %v", i, err)
 					}
 				case 1:
-					if _, err := c.ReadRegisters(taskID, nil); err != nil {
+					if _, err := c.ReadRegisters(taskID); err != nil {
 						t.Fatalf("op %d read_registers: %v", i, err)
 					}
 				case 2:

@@ -412,11 +412,11 @@ func (c *Client) callOnce(parent tracing.SpanContext, method string, attempt int
 		}
 		return fail(fmt.Errorf("response id %d for request %d: stream desynced", resp.ID, req.ID))
 	}
-	if resp.Error != "" {
+	if resp.Error != nil {
 		// The daemon answered: the channel is healthy even if the request
 		// was rejected.
 		c.brk.success()
-		return fmt.Errorf("rpc: %s: %s", method, resp.Error)
+		return fmt.Errorf("rpc: %s: %w", method, resp.Error)
 	}
 	if result != nil {
 		if err := json.Unmarshal(resp.Result, result); err != nil {
@@ -472,15 +472,7 @@ func (c *Client) Hello(session string, state int, txInterval time.Duration) (Hel
 // parents this call's RPC spans (likewise on the other traced methods).
 func (c *Client) AddTask(spec controlplane.TaskSpec, parent ...tracing.SpanContext) (TaskResult, error) {
 	var r TaskResult
-	err := c.callCtx(firstCtx(parent), MethodAddTask, AddTaskParams{Spec: spec}, &r)
-	return r, err
-}
-
-// AddTaskAt deploys a measurement task pinned to a specific task ID — the
-// reconciler's re-deploy primitive (the daemon refuses if the ID is taken).
-func (c *Client) AddTaskAt(id int, spec controlplane.TaskSpec, parent ...tracing.SpanContext) (TaskResult, error) {
-	var r TaskResult
-	err := c.callCtx(firstCtx(parent), MethodAddTask, AddTaskParams{Spec: spec, WantID: id}, &r)
+	err := c.callCtx(firstCtx(parent), MethodAddTask, spec, &r)
 	return r, err
 }
 
@@ -550,21 +542,18 @@ func (c *Client) Distribution(id int) (DistributionResult, error) {
 	return r, err
 }
 
-// ReadRegisters reads a task's raw register partitions, decoding the
-// binary frame into dst (geometry-matched buffers are reused, see
-// UnpackFrame; nil allocates).
-func (c *Client) ReadRegisters(id int, dst [][]uint32, parent ...tracing.SpanContext) ([][]uint32, error) {
+// ReadRegisters reads a task's raw register partitions and their layout
+// fingerprint; RegistersResult.FrameRows decodes the rows.
+func (c *Client) ReadRegisters(id int, parent ...tracing.SpanContext) (RegistersResult, error) {
 	var r RegistersResult
-	if err := c.callCtx(firstCtx(parent), MethodReadRegisters, TaskIDParams{ID: id}, &r); err != nil {
-		return nil, err
-	}
-	return UnpackFrame(r.frame, r.RowLens, dst), nil
+	err := c.callCtx(firstCtx(parent), MethodReadRegisters, TaskIDParams{ID: id}, &r)
+	return r, err
 }
 
 // EpochDeploy creates an epoch task (a daemon-side rotator) for spec.
 func (c *Client) EpochDeploy(spec controlplane.TaskSpec, parent ...tracing.SpanContext) (EpochTaskResult, error) {
 	var r EpochTaskResult
-	err := c.callCtx(firstCtx(parent), MethodEpochDeploy, AddTaskParams{Spec: spec}, &r)
+	err := c.callCtx(firstCtx(parent), MethodEpochDeploy, spec, &r)
 	return r, err
 }
 
@@ -577,9 +566,9 @@ func (c *Client) EpochRotate(name string, toEpoch int, parent ...tracing.SpanCon
 }
 
 // ReadEpoch fetches one completed epoch's packed register snapshot
-// (epoch 0 = the daemon's latest completed epoch). A daemon that has not
-// reached the epoch answers with an error IsEpochUnavailable recognizes,
-// carrying its current epoch in Current of a successful retry.
+// (epoch 0 = the daemon's latest completed epoch). A daemon that cannot
+// serve the epoch answers an *Error coded CodeEpochUnavailable whose Have is
+// the epoch it has reached.
 func (c *Client) ReadEpoch(name string, epoch int, parent ...tracing.SpanContext) (EpochRegistersResult, error) {
 	var r EpochRegistersResult
 	err := c.callCtx(firstCtx(parent), MethodReadEpoch, ReadEpochParams{Name: name, Epoch: epoch}, &r)

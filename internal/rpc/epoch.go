@@ -3,6 +3,7 @@ package rpc
 import (
 	"fmt"
 
+	"flymon/internal/controlplane"
 	"flymon/internal/core/algorithms"
 	"flymon/internal/epoch"
 )
@@ -16,58 +17,47 @@ import (
 // same window (netwide's epoch artifacts): one number, not two.
 const EpochRetain = 4
 
-// frameSnap is one completed epoch's register snapshot, pre-encoded as a
-// binary frame (contiguous little-endian registers plus row lengths).
-// Snapshots are immutable once stored, so read_epoch hands the frame
-// straight to the codec: serving an epoch costs zero encoding work.
-type frameSnap struct {
-	frame []byte
-	lens  []int
-}
-
 // epochTask is the daemon-side state of one epoch task: the rotator that
-// owns the double-buffered deployments, plus a frame snapshot per recent
-// completed epoch.
+// owns the double-buffered deployments, plus each recent completed epoch's
+// readout, packed once when the epoch was frozen. Snapshots are immutable
+// once stored, so read_epoch hands the stored frame straight to the codec:
+// serving an epoch costs zero encoding work.
 type epochTask struct {
 	rot   *epoch.Rotator
-	snaps map[int]frameSnap // completed epoch → frame snapshot
-	ids   map[int]int       // completed epoch → task ID the snapshot was read from
+	snaps map[int]EpochRegistersResult // by completed epoch
 }
 
 // epochUnavailable builds the classified "cannot serve that epoch (yet)"
-// error — IsEpochUnavailable on the client side recognizes it, which is
-// how the fleet's straggler policies tell "behind, poll again" from
-// "broken, fail".
+// answer, which is how the fleet's straggler policies tell "behind, poll
+// again" from "broken, fail".
 func epochUnavailable(name string, want, have int) error {
-	return fmt.Errorf("rpc: %s: task %q epoch %d not readable here (latest completed epoch %d)",
-		epochUnavailableToken, name, want, have)
+	return &Error{
+		Code: CodeEpochUnavailable, Have: have,
+		Msg: fmt.Sprintf("rpc: task %q epoch %d not readable here (latest completed epoch %d)", name, want, have),
+	}
 }
 
 func (s *Server) epochTaskLocked(name string) (*epochTask, error) {
 	et := s.epochs[name]
 	if et == nil {
-		return nil, fmt.Errorf("rpc: no epoch task %q", name)
+		return nil, &Error{Code: CodeNoEpochTask, Msg: fmt.Sprintf("rpc: no epoch task %q", name)}
 	}
 	return et, nil
 }
 
 // handleEpochDeploy creates the rotator for an epoch task (the active
 // copy deploys immediately; epoch 0 = nothing completed yet).
-func (s *Server) handleEpochDeploy(p AddTaskParams) (EpochTaskResult, error) {
+func (s *Server) handleEpochDeploy(spec controlplane.TaskSpec) (EpochTaskResult, error) {
 	s.epochMu.Lock()
 	defer s.epochMu.Unlock()
-	if _, ok := s.epochs[p.Spec.Name]; ok {
-		return EpochTaskResult{}, fmt.Errorf("rpc: epoch task %q already deployed", p.Spec.Name)
+	if _, ok := s.epochs[spec.Name]; ok {
+		return EpochTaskResult{}, fmt.Errorf("rpc: epoch task %q already deployed", spec.Name)
 	}
-	rot, err := epoch.NewRotator(s.ctrl, p.Spec)
+	rot, err := epoch.NewRotator(s.ctrl, spec)
 	if err != nil {
 		return EpochTaskResult{}, err
 	}
-	s.epochs[p.Spec.Name] = &epochTask{
-		rot:   rot,
-		snaps: make(map[int]frameSnap),
-		ids:   make(map[int]int),
-	}
+	s.epochs[spec.Name] = &epochTask{rot: rot, snaps: make(map[int]EpochRegistersResult)}
 	t, err := s.ctrl.Task(rot.ActiveID())
 	if err != nil {
 		return EpochTaskResult{}, err
@@ -93,15 +83,12 @@ func (s *Server) handleEpochRotate(p EpochRotateParams) (EpochTaskResult, error)
 		target = et.rot.Epoch() + 1
 	}
 	err = et.rot.AdvanceTo(target, func(ep, frozenID int) error {
-		rows, err := s.ctrl.ReadRegisters(frozenID)
+		regs, err := s.readRegisters(frozenID)
 		if err != nil {
 			return fmt.Errorf("rpc: snapshotting %q epoch %d: %w", p.Name, ep, err)
 		}
-		frame, lens := PackFrame(rows)
-		et.snaps[ep] = frameSnap{frame: frame, lens: lens}
-		et.ids[ep] = frozenID
+		et.snaps[ep] = EpochRegistersResult{Epoch: ep, FrozenID: frozenID, RegistersResult: regs}
 		delete(et.snaps, ep-EpochRetain)
-		delete(et.ids, ep-EpochRetain)
 		return nil
 	})
 	if err != nil {
@@ -111,7 +98,7 @@ func (s *Server) handleEpochRotate(p EpochRotateParams) (EpochTaskResult, error)
 	if err != nil {
 		return EpochTaskResult{}, err
 	}
-	return EpochTaskResult{Task: taskResult(t), Epoch: et.rot.Epoch(), FrozenID: et.rot.FrozenID()}, nil
+	return EpochTaskResult{Task: taskResult(t), Epoch: et.rot.Epoch()}, nil
 }
 
 // handleReadEpoch serves one completed epoch's packed snapshot. Epoch 0
@@ -132,13 +119,10 @@ func (s *Server) handleReadEpoch(p ReadEpochParams) (EpochRegistersResult, error
 		e = cur
 	}
 	snap, ok := et.snaps[e]
-	if e == 0 || !ok {
+	if !ok {
 		return EpochRegistersResult{}, epochUnavailable(p.Name, e, cur)
 	}
-	return EpochRegistersResult{
-		Epoch: e, Current: cur, FrozenID: et.ids[e],
-		RowLens: snap.lens, frame: snap.frame,
-	}, nil
+	return snap, nil
 }
 
 // handleEpochRemove reclaims an epoch task's two deployments and its

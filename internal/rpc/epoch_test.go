@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -17,6 +18,25 @@ func feed(t *testing.T, s *Server, seed int64) *trace.Trace {
 	return tr
 }
 
+// readRows reads a task's registers over the wire and decodes them into dst.
+func readRows(t *testing.T, c *Client, id int, dst [][]uint32) [][]uint32 {
+	t.Helper()
+	r, err := c.ReadRegisters(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r.FrameRows(dst)
+}
+
+// errCode returns the daemon's classification of err ("" for none).
+func errCode(err error) string {
+	var e *Error
+	if errors.As(err, &e) {
+		return e.Code
+	}
+	return ""
+}
+
 func TestPackedRegistersMatchPlain(t *testing.T) {
 	// The oracle is the daemon's in-process readout: no wire at all.
 	s, c := startServer(t)
@@ -29,19 +49,20 @@ func TestPackedRegistersMatchPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := c.ReadRegisters(task.ID, nil)
+	reg, err := c.ReadRegisters(task.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if local, _ := s.ctrl.Task(task.ID); reg.Fingerprint == 0 || reg.Fingerprint != local.Fingerprint || reg.Fingerprint != task.Fingerprint {
+		t.Fatalf("fingerprints: readout %#x, add_task %#x, controller %#x", reg.Fingerprint, task.Fingerprint, local.Fingerprint)
+	}
+	rows := reg.FrameRows(nil)
 	if len(rows) == 0 || !reflect.DeepEqual(rows, plain) {
 		t.Fatalf("framed readout (%d rows) differs from the controller's (%d rows)", len(rows), len(plain))
 	}
 	// A recycled buffer of the right geometry is filled in place.
 	keep0 := &rows[0][0]
-	again, err := c.ReadRegisters(task.ID, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
+	again := readRows(t, c, task.ID, rows)
 	if &again[0][0] != keep0 || !reflect.DeepEqual(again, plain) {
 		t.Fatal("readout into a geometry-matched buffer must reuse it and decode the same rows")
 	}
@@ -49,13 +70,13 @@ func TestPackedRegistersMatchPlain(t *testing.T) {
 
 func TestFrameRoundTripReusesBuffers(t *testing.T) {
 	rows := [][]uint32{{1, 2, 3}, {4, 5}, {}}
-	frame, lens := PackFrame(rows)
+	frame, lens := packFrame(rows)
 	if len(frame) != 4*5 || len(lens) != 3 || lens[0] != 3 || lens[2] != 0 {
 		t.Fatalf("frame %d bytes lens %v", len(frame), lens)
 	}
 	dst := [][]uint32{make([]uint32, 3), make([]uint32, 2), nil}
 	keep0 := &dst[0][0]
-	out := UnpackFrame(frame, lens, dst)
+	out := unpackFrame(frame, lens, dst)
 	if &out[0][0] != keep0 {
 		t.Fatal("matching-geometry unpack must reuse the destination buffer")
 	}
@@ -68,11 +89,11 @@ func TestFrameRoundTripReusesBuffers(t *testing.T) {
 	}
 	// Mismatched geometry falls back to allocation, never panics; a short
 	// frame truncates instead of reading out of range.
-	out = UnpackFrame(frame, lens, [][]uint32{make([]uint32, 1)})
+	out = unpackFrame(frame, lens, [][]uint32{make([]uint32, 1)})
 	if len(out) != 3 || len(out[0]) != 3 || out[1][1] != 5 {
 		t.Fatalf("fallback shape = %v", out)
 	}
-	out = UnpackFrame(frame[:8], lens, nil)
+	out = unpackFrame(frame[:8], lens, nil)
 	if len(out) != 3 || len(out[0]) != 2 || len(out[1]) != 0 {
 		t.Fatalf("short-frame shape = %v", out)
 	}
@@ -90,8 +111,16 @@ func TestEpochLifecycleOverRPC(t *testing.T) {
 
 	// Nothing completed yet: read_epoch must answer with the classified
 	// straggler signal, not a generic error.
-	if _, err := c.ReadEpoch("ep", 0); !IsEpochUnavailable(err) {
+	if _, err := c.ReadEpoch("ep", 0); errCode(err) != CodeEpochUnavailable {
 		t.Fatalf("pre-rotation read = %v, want epoch-unavailable", err)
+	}
+	// A name or an ID that is not there is classified too: it is what an
+	// idempotent remove reads as "already gone".
+	if err := c.EpochRemove("nope"); errCode(err) != CodeNoEpochTask {
+		t.Fatalf("remove of an unknown epoch task = %v, want %s", err, CodeNoEpochTask)
+	}
+	if err := c.RemoveTask(999); errCode(err) != CodeNoTask {
+		t.Fatalf("remove of an unknown task = %v, want %s", err, CodeNoTask)
 	}
 
 	feed(t, s, 2)
@@ -113,8 +142,16 @@ func TestEpochLifecycleOverRPC(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows1 := snap1.FrameRows(nil)
-	if snap1.Epoch != 1 || snap1.Current != 1 || len(rows1) == 0 {
-		t.Fatalf("snapshot = epoch %d current %d rows %d", snap1.Epoch, snap1.Current, len(rows1))
+	if snap1.Epoch != 1 || len(rows1) == 0 {
+		t.Fatalf("snapshot = epoch %d rows %d", snap1.Epoch, len(rows1))
+	}
+	// The snapshot carries the layout of the copy it froze.
+	frozen, err := s.ctrl.Task(snap1.FrozenID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap1.Fingerprint == 0 || snap1.Fingerprint != frozen.Fingerprint {
+		t.Fatalf("snapshot fingerprint %#x, frozen copy %#x", snap1.Fingerprint, frozen.Fingerprint)
 	}
 	sum := uint64(0)
 	for _, row := range rows1 {
@@ -158,8 +195,9 @@ func TestEpochLifecycleOverRPC(t *testing.T) {
 	if _, err := c.EpochRotate("ep", 5); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.ReadEpoch("ep", 1); !IsEpochUnavailable(err) {
-		t.Fatalf("evicted epoch read = %v, want epoch-unavailable", err)
+	var gone *Error
+	if _, err := c.ReadEpoch("ep", 1); !errors.As(err, &gone) || gone.Code != CodeEpochUnavailable || gone.Have != 5 {
+		t.Fatalf("evicted epoch read = %v, want epoch-unavailable with have=5", err)
 	}
 	if snap, err := c.ReadEpoch("ep", 0); err != nil || snap.Epoch != 5 {
 		t.Fatalf("latest-epoch read = %+v err %v", snap, err)
@@ -188,10 +226,7 @@ func TestKeyIndicesMatchDaemonEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := c.ReadRegisters(task.ID, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := readRows(t, c, task.ID, nil)
 	if len(idx) != len(rows) {
 		t.Fatalf("%d indices for %d rows", len(idx), len(rows))
 	}

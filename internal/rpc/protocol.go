@@ -36,10 +36,41 @@ type Request struct {
 // payload; the frame reduces that to one write and one read.
 type Response struct {
 	ID     uint64          `json:"id"`
-	Error  string          `json:"error,omitempty"`
+	Error  *Error          `json:"error,omitempty"`
 	Result json.RawMessage `json:"result,omitempty"`
 	Frame  int             `json:"frame,omitempty"`
 }
+
+// Error codes classify the daemon answers a caller acts on instead of just
+// reporting; every other error travels with an empty code.
+const (
+	// CodeNoTask: the addressed task ID is not deployed — what an idempotent
+	// remove treats as already removed.
+	CodeNoTask = "no_task"
+	// CodeNoEpochTask: no epoch task by that name, likewise.
+	CodeNoEpochTask = "no_epoch_task"
+	// CodeEpochUnavailable: the daemon cannot serve that epoch (yet); Have
+	// says whether it is behind (a straggler: poll or skip) or past it (the
+	// snapshot was evicted: fail).
+	CodeEpochUnavailable = "epoch_unavailable"
+	// CodeLayoutDiverged: a readout or deployment whose layout fingerprint
+	// differs from the reference it would be merged under. No daemon answers
+	// it — a switch cannot know the reference — the fleet controller raises
+	// it about a switch, in the same shape as the switch's own errors.
+	CodeLayoutDiverged = "layout_diverged"
+)
+
+// Error is an error the daemon answered with, as opposed to a failure of
+// the channel (TransportError). Clients return it wrapped; match with
+// errors.As and compare Code.
+type Error struct {
+	Code string `json:"code,omitempty"`
+	Msg  string `json:"msg"`
+	// Have is the daemon's latest completed epoch (CodeEpochUnavailable).
+	Have int `json:"have,omitempty"`
+}
+
+func (e *Error) Error() string { return e.Msg }
 
 // maxLine bounds a single protocol line (a register readout of a large
 // partition is the biggest payload).

@@ -96,9 +96,8 @@ func TestWorkloadAndEstimateOverRPC(t *testing.T) {
 	if _, err := c.Estimate(task.ID, packet.CanonicalKey{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := c.ReadRegisters(task.ID, nil)
-	if err != nil || len(rows) != 3 {
-		t.Fatalf("ReadRegisters rows = %d, %v", len(rows), err)
+	if rows := readRows(t, c, task.ID, nil); len(rows) != 3 {
+		t.Fatalf("ReadRegisters rows = %d", len(rows))
 	}
 	res, err := c.Resources()
 	if err != nil || res.Tasks != 1 {
@@ -208,7 +207,7 @@ func TestReportedOverRPC(t *testing.T) {
 func TestUnknownMethodAndErrors(t *testing.T) {
 	srv, _ := startServer(t)
 	resp, _ := srv.dispatch(&Request{ID: 7, Method: "bogus"})
-	if resp.Error == "" || !strings.Contains(resp.Error, "unknown method") {
+	if resp.Error == nil || !strings.Contains(resp.Error.Msg, "unknown method") {
 		t.Fatalf("unknown method response = %+v", resp)
 	}
 	if resp.ID != 7 {
@@ -216,7 +215,7 @@ func TestUnknownMethodAndErrors(t *testing.T) {
 	}
 	// Malformed params.
 	resp, _ = srv.dispatch(&Request{ID: 8, Method: MethodAddTask, Params: json.RawMessage(`{"spec": 42}`)})
-	if resp.Error == "" {
+	if resp.Error == nil {
 		t.Fatal("malformed params must error")
 	}
 }
@@ -285,10 +284,7 @@ func TestLargeRegisterReadout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := c.ReadRegisters(task.ID, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := readRows(t, c, task.ID, nil)
 	if len(rows) != 3 || len(rows[0]) != 65536 {
 		t.Fatalf("readout shape = %d rows × %d", len(rows), len(rows[0]))
 	}
@@ -394,7 +390,7 @@ func TestConcurrentReplayAndReadout(t *testing.T) {
 	}()
 	go func() {
 		for i := 0; i < 50; i++ {
-			if _, err := reader.ReadRegisters(task.ID, nil); err != nil {
+			if _, err := reader.ReadRegisters(task.ID); err != nil {
 				done <- err
 				return
 			}

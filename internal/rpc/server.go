@@ -311,8 +311,8 @@ func (s *Server) dispatch(req *Request) (resp *Response, frame []byte) {
 		sc = sp.Context()
 		defer func() {
 			var err error
-			if resp.Error != "" {
-				err = errors.New(resp.Error)
+			if resp.Error != nil {
+				err = resp.Error
 			}
 			sp.Finish(err)
 		}()
@@ -321,7 +321,7 @@ func (s *Server) dispatch(req *Request) (resp *Response, frame []byte) {
 		ep := s.tele.RPCServer.Endpoint(req.Method)
 		ep.Requests.Add(1)
 		defer func() {
-			if resp.Error != "" {
+			if resp.Error != nil {
 				ep.Failures.Add(1)
 			}
 		}()
@@ -337,17 +337,17 @@ func (s *Server) dispatch(req *Request) (resp *Response, frame []byte) {
 			resp.Result = nil
 			resp.Frame = 0
 			frame = nil
-			resp.Error = fmt.Sprintf("rpc: internal error handling %s: %v", req.Method, r)
+			resp.Error = &Error{Msg: fmt.Sprintf("rpc: internal error handling %s: %v", req.Method, r)}
 		}
 	}()
 	result, err := s.handle(req.Method, req.Params, sc)
 	if err != nil {
-		resp.Error = err.Error()
+		resp.Error = wireError(err)
 		return resp, nil
 	}
 	raw, err := json.Marshal(result)
 	if err != nil {
-		resp.Error = fmt.Sprintf("rpc: encoding result: %v", err)
+		resp.Error = &Error{Msg: fmt.Sprintf("rpc: encoding result: %v", err)}
 		return resp, nil
 	}
 	resp.Result = raw
@@ -357,6 +357,35 @@ func (s *Server) dispatch(req *Request) (resp *Response, frame []byte) {
 		}
 	}
 	return resp, frame
+}
+
+// wireError puts a handler's error on the wire: a classified *Error keeps
+// its code and data under the full message, a missing task ID gets its
+// code, everything else travels as text.
+func wireError(err error) *Error {
+	out := Error{Msg: err.Error()}
+	var coded *Error
+	if errors.As(err, &coded) {
+		out.Code, out.Have = coded.Code, coded.Have
+	} else if errors.Is(err, controlplane.ErrNoTask) {
+		out.Code = CodeNoTask
+	}
+	return &out
+}
+
+// readRegisters packs one task's registers with the layout fingerprint of
+// the task they were read from.
+func (s *Server) readRegisters(id int) (RegistersResult, error) {
+	rows, err := s.ctrl.ReadRegisters(id)
+	if err != nil {
+		return RegistersResult{}, err
+	}
+	t, err := s.ctrl.Task(id)
+	if err != nil {
+		return RegistersResult{}, err
+	}
+	frame, lens := packFrame(rows)
+	return RegistersResult{RowLens: lens, Fingerprint: t.Fingerprint, frame: frame}, nil
 }
 
 func decode[T any](params json.RawMessage) (T, error) {
@@ -394,17 +423,12 @@ func (s *Server) handle(method string, params json.RawMessage, sc tracing.SpanCo
 		return s.handleHello(p), nil
 
 	case MethodAddTask:
-		p, err := decode[AddTaskParams](params)
+		spec, err := decode[controlplane.TaskSpec](params)
 		if err != nil {
 			return nil, err
 		}
-		var t *controlplane.Task
 		sp := s.ctlSpan(sc, method)
-		if p.WantID > 0 {
-			t, err = s.ctrl.AddTaskAt(p.WantID, p.Spec)
-		} else {
-			t, err = s.ctrl.AddTask(p.Spec)
-		}
+		t, err := s.ctrl.AddTask(spec)
 		sp.Finish(err)
 		if err != nil {
 			return nil, err
@@ -528,20 +552,15 @@ func (s *Server) handle(method string, params json.RawMessage, sc tracing.SpanCo
 		if err != nil {
 			return nil, err
 		}
-		rows, err := s.ctrl.ReadRegisters(p.ID)
-		if err != nil {
-			return nil, err
-		}
-		frame, lens := PackFrame(rows)
-		return RegistersResult{RowLens: lens, frame: frame}, nil
+		return s.readRegisters(p.ID)
 
 	case MethodEpochDeploy:
-		p, err := decode[AddTaskParams](params)
+		spec, err := decode[controlplane.TaskSpec](params)
 		if err != nil {
 			return nil, err
 		}
 		sp := s.ctlSpan(sc, method)
-		r, err := s.handleEpochDeploy(p)
+		r, err := s.handleEpochDeploy(spec)
 		sp.Finish(err)
 		return r, err
 
@@ -739,5 +758,6 @@ func taskResult(t *controlplane.Task) TaskResult {
 		Buckets:     t.Buckets,
 		MemoryBytes: t.MemoryBytes(),
 		Delay:       t.Delay,
+		Fingerprint: t.Fingerprint,
 	}
 }
