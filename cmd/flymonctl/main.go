@@ -694,9 +694,9 @@ func cmdStats(c *rpc.Client, args []string) {
 			if detail != "" {
 				detail = " " + detail
 			}
-			fmt.Printf("  #%d %s task=%d%s v%d→v%d %v %s\n",
+			fmt.Printf("  #%d %s task=%d%s v%d→v%d %s %s\n",
 				e.Seq, e.Kind, e.Task, detail, e.VersionBefore, e.VersionAfter,
-				time.Duration(e.LatencyNs).Round(time.Microsecond), status)
+				eventLatency(e), status)
 		}
 	}
 }

@@ -205,12 +205,22 @@ func drawWatchFrame(m *netwide.LivenessManager, opts rpc.Options, events int, ep
 			if detail != "" {
 				detail = " " + detail
 			}
-			fmt.Printf("  #%-4d %-14s task=%-3d%s %v %s\n",
-				e.Seq, e.Kind, e.Task, detail,
-				time.Duration(e.LatencyNs).Round(time.Microsecond), status)
+			fmt.Printf("  #%-4d %-14s task=%-3d%s %s %s\n",
+				e.Seq, e.Kind, e.Task, detail, eventLatency(e), status)
 		}
 	}
 	fmt.Printf("\n(ctrl-c to exit)\n")
+}
+
+// eventLatency renders a journal event's latency and, for a mutation that
+// waited out in-flight readers before reclaiming or freezing memory, how
+// much of it was that wait.
+func eventLatency(e telemetry.Event) string {
+	lat := time.Duration(e.LatencyNs).Round(time.Microsecond).String()
+	if e.GraceNs > 0 {
+		lat += fmt.Sprintf(" (grace %v)", time.Duration(e.GraceNs).Round(time.Microsecond))
+	}
+	return lat
 }
 
 // scrapeSwitch fills one dashboard row over a short-lived connection.

@@ -78,14 +78,20 @@ type Controller struct {
 	// sharded enables the mergeable-op lane engine: pool workers write
 	// private cache-line-padded register lanes with plain stores and the
 	// control plane reduces them on read. shardWorkers is the lane (and
-	// pool) count. procGate orders lane access: pool workers hold it
-	// shared around each span; drains and lane-clearing mutations hold it
-	// exclusive (lane loads/stores are plain, so they must never overlap a
-	// span). Lock order is always mu before procGate.
+	// pool) count.
 	sharded      bool
 	shardWorkers int
-	procGate     sync.RWMutex
 	shardCtr     metrics.ShardCounters
+
+	// procGate is the one reader registry, in every mode: each packet entry
+	// point (Process, ProcessBatch, every span of a pool drain) holds it
+	// shared around load-the-snapshot-and-execute. The control plane takes
+	// it exclusive for a grace period (empty), the lane drain (lane loads
+	// are plain) and ResetTaskCounters (the one clear of a live partition).
+	// Lock order is always mu before procGate. graceWaited sums the time
+	// grace periods waited for in-flight readers (under mu).
+	procGate    sync.RWMutex
+	graceWaited time.Duration
 
 	// tele is the runtime telemetry registry (nil = telemetry off).
 	// version counts snapshot publications; retired is a short ring of
@@ -279,17 +285,22 @@ func (c *Controller) Republish() {
 // Pipeline exposes the data plane (the daemon feeds packets through it).
 func (c *Controller) Pipeline() *core.Pipeline { return c.pipeline }
 
-// Process pushes one packet through the data plane. The packet path is
-// lock-free: it loads the RCU-published snapshot and executes against its
-// frozen rule copies, so concurrent control-channel operations (rule
-// installs, freezes, memory moves) never stall traffic — the switch
-// hardware property FlyMon's on-the-fly reconfiguration relies on.
-// Process is safe for concurrent callers.
+// Process pushes one packet through the data plane: it registers as a
+// reader (a shared hold of procGate — two uncontended atomic adds), loads
+// the RCU-published snapshot and executes against its frozen rule copies.
+// Readers never exclude each other and never wait for a control-channel
+// operation's work (rule installs, freezes, memory moves) — the switch
+// hardware property FlyMon's on-the-fly reconfiguration relies on; a
+// pending grace period or lane drain holds a new reader back only until
+// the readers already in flight (one span at most) have left. Process is
+// safe for concurrent callers.
 func (c *Controller) Process(p *packet.Packet) {
+	c.procGate.RLock()
 	snap := c.snap.Load()
 	pc := c.ctxPool.Get().(*core.ProcCtx)
 	snap.Process(pc, p)
 	c.ctxPool.Put(pc)
+	c.procGate.RUnlock()
 }
 
 // ProcessBatch pushes a packet slice through the data plane sequentially
@@ -307,11 +318,13 @@ func (c *Controller) ProcessBatch(ps []packet.Packet) {
 	if len(ps) == 0 {
 		return
 	}
+	c.procGate.RLock()
 	snap := c.snap.Load()
 	pc := c.ctxPool.Get().(*core.ProcCtx)
 	pc.Reseed()
 	snap.ProcessBatchCtx(pc, ps)
 	c.ctxPool.Put(pc)
+	c.procGate.RUnlock()
 }
 
 // ProcessFrameSource drains a pull-based frame source (the mmap replay
@@ -328,11 +341,11 @@ func (c *Controller) ProcessBatch(ps []packet.Packet) {
 // In sharded mode (Config.ShardedState) each pool worker owns a private
 // register lane: compiled rules whose ops merge exactly write the lane with
 // plain stores — no CAS, no contended counter — and the control plane
-// reduces lanes into shared state before any readout. Each span holds the
-// procGate shared, so drains and queries interleave with a long replay
-// instead of stalling behind it.
+// reduces lanes into shared state before any readout. In every mode each
+// span holds the procGate shared, so drains, grace periods and queries
+// interleave with a long replay instead of stalling behind it.
 func (c *Controller) ProcessFrameSource(src core.FrameSource) {
-	c.workerPool().ProcessFrameSource(c.snap.Load, src, c.spanGate())
+	c.workerPool().ProcessFrameSource(c.snap.Load, src, &c.procGate)
 }
 
 // ReplayTrace pushes one pass over t through the pool's Config.Workers
@@ -342,16 +355,7 @@ func (c *Controller) ProcessFrameSource(src core.FrameSource) {
 // execute in trace order; with several, span order across workers is
 // unspecified and commuting ops keep exact counts.
 func (c *Controller) ReplayTrace(t *mmtrace.Trace) {
-	c.workerPool().ReplayTrace(c.snap.Load, t, c.spanGate())
-}
-
-// spanGate is the gate pool workers hold shared around each span: the
-// procGate in sharded mode, none otherwise.
-func (c *Controller) spanGate() *sync.RWMutex {
-	if c.sharded {
-		return &c.procGate
-	}
-	return nil
+	c.workerPool().ReplayTrace(c.snap.Load, t, &c.procGate)
 }
 
 // workerPool returns the controller's persistent pool, starting it on
@@ -371,59 +375,11 @@ func (c *Controller) workerPool() *core.WorkerPool {
 }
 
 // drainShards folds every dirty register lane back into shared state so a
-// control-plane read observes complete counts. It holds the procGate
-// exclusively for the scan (lane loads are plain; no batch may overlap).
-// Callers hold c.mu. No-op in shared mode and when no batch has written a
-// lane since the last drain (the registers' dirtiness cursor).
-func (c *Controller) drainShards() {
-	if !c.sharded {
-		return
-	}
-	start := time.Now()
-	c.procGate.Lock()
-	n := c.pipeline.DrainShards()
-	c.procGate.Unlock()
-	c.shardCtr.RecordDrain(n)
-	if c.tele != nil {
-		// Includes the gate wait: a scrape's drain latency is the time a
-		// reader stalls behind in-flight batches, which is the number that
-		// matters operationally.
-		c.tele.DrainLatency.Observe(time.Since(start))
-	}
-}
-
-// quiesce blocks the sharded batch path for the duration of a mutation
-// that reads or clears register lanes and returns the release func.
-// No-op in shared mode. Callers hold c.mu; the gate is not reentrant, so a
-// quiesced caller must use drainGateHeld, never drainShards.
-func (c *Controller) quiesce() func() {
-	if !c.sharded {
-		return func() {}
-	}
-	c.procGate.Lock()
-	return c.procGate.Unlock
-}
-
-// drainGateHeld folds dirty lanes while the caller already holds the
-// procGate exclusively (via quiesce).
-func (c *Controller) drainGateHeld() {
-	if !c.sharded {
-		return
-	}
-	start := time.Now()
-	c.shardCtr.RecordDrain(c.pipeline.DrainShards())
-	if c.tele != nil {
-		c.tele.DrainLatency.Observe(time.Since(start))
-	}
-}
-
-// DrainShards folds every dirty register lane into shared state and
-// returns the number of lane buckets folded. Query methods drain
-// automatically; this is for callers reading registers directly through
-// Pipeline(). No-op (zero) in shared mode.
-func (c *Controller) DrainShards() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// control-plane read observes complete counts, returning the lane buckets
+// folded. It holds the procGate exclusively for the scan (lane loads are
+// plain; no span may overlap). Callers hold c.mu. No-op without lanes
+// (shared mode) and when no span has written a lane since the last drain.
+func (c *Controller) drainShards() int {
 	if !c.sharded {
 		return 0
 	}
@@ -433,9 +389,35 @@ func (c *Controller) DrainShards() int {
 	c.procGate.Unlock()
 	c.shardCtr.RecordDrain(n)
 	if c.tele != nil {
+		// Includes the gate wait: a scrape's drain latency is the time a
+		// reader stalls behind in-flight spans, which is the number that
+		// matters operationally.
 		c.tele.DrainLatency.Observe(time.Since(start))
 	}
 	return n
+}
+
+// DrainShards folds every dirty register lane into shared state and
+// returns the number of lane buckets folded. Query methods drain
+// automatically; this is for callers reading registers directly through
+// Pipeline(). No-op (zero) in shared mode.
+func (c *Controller) DrainShards() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.drainShards()
+}
+
+// grace waits until every reader that entered the packet path before the
+// call has left it: an empty exclusive hold of the gate readers hold shared.
+// Readers load the snapshot inside their hold, so after publishLocked and
+// grace no reader still executes a snapshot older than the publish — what
+// it unlinked is quiescent and may be read, cleared and re-granted with
+// plain memory operations while traffic runs. Callers hold c.mu.
+func (c *Controller) grace() {
+	start := time.Now()
+	c.procGate.Lock()
+	c.procGate.Unlock() // the empty critical section is the barrier
+	c.graceWaited += time.Since(start)
 }
 
 // Sharded reports whether the controller runs the sharded lane engine.
@@ -495,16 +477,15 @@ func (c *Controller) taskLocked(id int) (*Task, error) {
 
 // AddTask compiles and deploys a task spec, returning the deployed task
 // with its modeled deployment delay. Deployment installs runtime rules
-// only — running traffic and co-resident tasks are untouched.
+// only — running traffic and co-resident tasks are untouched, and nothing
+// waits for a reader: free memory is already zero (reclaimLocked) and a
+// rolled-back placement probe never had a published rule.
 func (c *Controller) AddTask(spec TaskSpec) (*Task, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// A failed placement rolls back via Uninstall, which clears register
-	// lanes — quiesce so no batch writes them concurrently.
-	defer c.quiesce()()
 	done := c.teleMutation("deploy")
 	t, err := c.addTaskLocked(spec)
 	tid := -1
@@ -798,38 +779,36 @@ func (c *Controller) countRules(t *Task, locs []core.TaskLocation) RuleCount {
 	return rc
 }
 
-// RemoveTask uninstalls a task, clears its register partitions, and
-// releases its memory. Removal is a rule deletion — traffic continues.
+// RemoveTask uninstalls a task and returns its memory, zeroed, to the
+// allocator. Removal is a rule deletion — traffic continues; the call waits
+// only for the readers already in flight (one span at most), and no reader
+// that began before it returned can write the freed partitions afterwards.
 func (c *Controller) RemoveTask(id int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// Uninstall clears the task's register lanes with plain stores; its
-	// freed partitions may be re-granted, so stale lane state must not
-	// survive. Quiesce the batch path for the duration.
-	defer c.quiesce()()
 	done := c.teleMutation("remove")
-	err := c.removeTaskLocked(id)
+	_, err := c.reclaimLocked(id, false)
 	done(id, "", err)
 	return err
 }
 
-func (c *Controller) removeTaskLocked(id int) error {
+// reclaimLocked is the one way a task's memory returns to the allocator,
+// in RCU order: unlink the rules, publish, wait out the readers that may
+// still hold them (grace), and only then touch the memory — with read set,
+// fold the partitions' lanes and copy them out (ResizeTask's result);
+// always zero buckets and lanes with plain bulk clears and free. The gate
+// is held for the empty lock only: the rest runs beside live traffic, which
+// can no longer reach the range. This keeps the invariant every grant
+// relies on: each bucket and lane entry outside a granted partition is
+// zero, and no reader that began before a reclaiming mutation returned
+// writes after it.
+func (c *Controller) reclaimLocked(id int, read bool) (old [][]uint32, err error) {
 	t, ok := c.tasks[id]
 	if !ok {
-		return fmt.Errorf("controlplane: %w %d", ErrNoTask, id)
+		return nil, fmt.Errorf("controlplane: %w %d", ErrNoTask, id)
 	}
-	// Collect partitions before the rules disappear.
-	type grant struct{ group, cmu, base int }
-	var grants []grant
-	for _, loc := range c.pipeline.Locate(id) {
-		grants = append(grants, grant{loc.Group.ID(), loc.CMU, loc.Rule.Mem.Base})
-	}
+	locs := c.pipeline.Locate(id) // before the rules disappear
 	t.handle.Uninstall()
-	for _, g := range grants {
-		if err := c.allocs[g.group][g.cmu].Free(g.base); err != nil {
-			return err
-		}
-	}
 	delete(c.tasks, id)
 	// The task's per-rule counters go with it — a re-add (resize keeps the
 	// ID) re-registers fresh counters at the new coordinates.
@@ -837,14 +816,31 @@ func (c *Controller) removeTaskLocked(id int) error {
 		c.tele.DropTask(id)
 	}
 	c.publishLocked()
-	return nil
+	c.grace()
+	folded := 0
+	for _, loc := range locs {
+		reg, mem := loc.Group.CMU(loc.CMU).Register(), loc.Rule.Mem
+		if read {
+			folded += reg.DrainRange(loc.Rule.Op, mem.Base, mem.Buckets)
+			old = append(old, reg.ReadRange(mem.Base, mem.Buckets))
+		}
+		reg.ClearRange(mem.Base, mem.Buckets)
+		if ferr := c.allocs[loc.Group.ID()][loc.CMU].Free(mem.Base); ferr != nil && err == nil {
+			err = ferr
+		}
+	}
+	if folded > 0 {
+		c.shardCtr.RecordDrain(folded)
+	}
+	return old, err
 }
 
 // ResizeTask reallocates a task's memory (§6, memory reallocation
-// strategy): deploy a fresh instance with the new size, divert traffic to
-// it, and reclaim the old partitions. The task keeps its ID; its counters
-// restart (the paper freezes the old task's data for readout — here the
-// old partitions are read out and returned before reclamation).
+// strategy): withdraw the old instance, read its partitions out once they
+// are quiescent, reclaim them, and deploy a fresh instance of the new size
+// under the same ID (placement is exactly remove-then-add). The counters
+// restart; old is the final state of the old partitions, lanes folded —
+// no in-flight reader can still be adding to it.
 func (c *Controller) ResizeTask(id, newBuckets int) (old [][]uint32, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -854,39 +850,32 @@ func (c *Controller) ResizeTask(id, newBuckets int) (old [][]uint32, err error) 
 	if !ok {
 		return nil, fmt.Errorf("controlplane: %w %d", ErrNoTask, id)
 	}
-	// Quiesce, then fold lanes so the readout below is complete and the
-	// memory move never races lane writers.
-	defer c.quiesce()()
-	c.drainGateHeld()
-	old, _ = c.pipeline.ReadTask(id)
 	origSpec := t.Spec
 	spec := origSpec
 	spec.MemBuckets = newBuckets
-	if err := c.removeTaskLocked(id); err != nil {
+	if old, err = c.reclaimLocked(id, true); err != nil {
 		return nil, err
 	}
 	// Re-add under the same ID.
-	savedNext := c.nextID
+	defer func(next int) { c.nextID = next }(c.nextID)
 	c.nextID = id
-	_, err = c.addTaskLocked(spec)
-	if err != nil {
+	if _, err = c.addTaskLocked(spec); err != nil {
 		// The new size does not fit: restore the original deployment so a
 		// failed resize never destroys the task.
 		if _, rerr := c.addTaskLocked(origSpec); rerr != nil {
-			c.nextID = savedNext
 			return old, fmt.Errorf("controlplane: resize of task %d failed (%v) and restore failed: %w", id, err, rerr)
 		}
-		c.nextID = savedNext
 		return old, fmt.Errorf("controlplane: resize of task %d failed: %w", id, err)
 	}
-	c.nextID = savedNext
 	return old, nil
 }
 
 // FreezeTask withdraws a task's data-plane rules so it stops matching
 // traffic while its register partitions stay allocated and readable —
 // the paper's freeze-and-divert strategy (§6). Frozen tasks still answer
-// control-plane queries.
+// control-plane queries. FreezeTask ends with a grace period, so when it
+// returns no reader can still match the task: the frozen copy is immutable
+// until it is thawed or removed.
 func (c *Controller) FreezeTask(id int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -901,6 +890,7 @@ func (c *Controller) FreezeTask(id int) error {
 		loc.Rule.Disabled = true
 	}
 	c.publishLocked()
+	c.grace()
 	done(id, "", nil)
 	return nil
 }
@@ -944,7 +934,6 @@ func (c *Controller) ThawTask(id int) (err error) {
 func (c *Controller) SplitTask(id int) (lo, hi *Task, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	defer c.quiesce()() // removal clears lanes
 	done := c.teleMutation("split")
 	defer func() {
 		detail := ""
@@ -962,7 +951,7 @@ func (c *Controller) SplitTask(id int) (lo, hi *Task, err error) {
 		return nil, nil, fmt.Errorf("controlplane: task %d filter %q cannot split further", id, t.Spec.Filter)
 	}
 	spec := t.Spec
-	if err := c.removeTaskLocked(id); err != nil {
+	if _, err := c.reclaimLocked(id, false); err != nil {
 		return nil, nil, err
 	}
 	loSpec, hiSpec := spec, spec
@@ -1190,10 +1179,12 @@ func (c *Controller) ReadRegisters(id int) ([][]uint32, error) {
 
 // ResetTaskCounters zeroes a task's register partitions — the epoch
 // rollover every sketch-based system performs between measurement windows.
+// The partitions stay live (their rules keep matching), so this one clear
+// excludes the packet path — the gate held exclusive — instead of waiting
+// it out.
 func (c *Controller) ResetTaskCounters(id int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	defer c.quiesce()() // ClearRange zeroes lanes with plain stores
 	done := c.teleMutation("reset")
 	locs := c.pipeline.Locate(id)
 	if len(locs) == 0 {
@@ -1201,9 +1192,11 @@ func (c *Controller) ResetTaskCounters(id int) error {
 		done(id, "", err)
 		return err
 	}
+	c.procGate.Lock()
 	for _, loc := range locs {
 		loc.Group.CMU(loc.CMU).Register().ClearRange(loc.Rule.Mem.Base, loc.Rule.Mem.Buckets)
 	}
+	c.procGate.Unlock()
 	done(id, "", nil)
 	return nil
 }

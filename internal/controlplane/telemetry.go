@@ -35,15 +35,16 @@ func (c *Controller) settleRetiredLocked() {
 // teleMutation starts timing one reconfiguration and returns the recorder
 // to invoke when it completes (with the task ID, a human-readable detail,
 // and the outcome). The recorder observes the mutation-latency histogram
-// and appends a journal event carrying the snapshot-version transition.
-// Both ends run under c.mu, so the version reads are consistent. With
+// and appends a journal event carrying the snapshot-version transition and
+// the time the mutation's grace periods waited for in-flight readers. Both
+// ends run under c.mu, so the version and grace reads are consistent. With
 // telemetry off the recorder is a no-op.
 func (c *Controller) teleMutation(kind string) func(task int, detail string, err error) {
 	if c.tele == nil {
 		return func(int, string, error) {}
 	}
 	start := time.Now()
-	before := c.version
+	before, graceBefore := c.version, c.graceWaited
 	return func(task int, detail string, err error) {
 		lat := time.Since(start)
 		c.tele.MutationLatency.Observe(lat)
@@ -52,6 +53,7 @@ func (c *Controller) teleMutation(kind string) func(task int, detail string, err
 			Task:          task,
 			Detail:        detail,
 			LatencyNs:     lat.Nanoseconds(),
+			GraceNs:       (c.graceWaited - graceBefore).Nanoseconds(),
 			VersionBefore: before,
 			VersionAfter:  c.version,
 			OK:            err == nil,
@@ -110,9 +112,12 @@ func (c *Controller) TelemetryDataPlane() telemetry.DataPlane {
 	dp.Packets = c.pipeline.Packets()
 	dp.Recirculated = c.pipeline.Recirculated()
 	dp.ShardedRules, dp.FallbackRules = snap.ShardedRules()
-	// Accesses folds the lanes' plain single-writer counters, so no
-	// sharded batch may run during the gauge walk.
-	defer c.quiesce()()
+	// Accesses folds the lanes' plain single-writer counters, so no span
+	// may run during the gauge walk of a register that has lanes.
+	if c.sharded {
+		c.procGate.Lock()
+		defer c.procGate.Unlock()
+	}
 	for gi, g := range c.groups {
 		for ci := 0; ci < g.CMUs(); ci++ {
 			reg := g.CMU(ci).Register()

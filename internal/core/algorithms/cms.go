@@ -92,7 +92,8 @@ func (t *CMSTask) MemoryBytes() int {
 	return total
 }
 
-// Uninstall removes the task's rules and clears its partitions.
+// Uninstall removes the task's rules; its partitions keep their contents
+// (core.CMU.RemoveRule).
 func (t *CMSTask) Uninstall() {
 	for i := 0; i < t.Group.CMUs(); i++ {
 		t.Group.CMU(i).RemoveRule(t.TaskID)

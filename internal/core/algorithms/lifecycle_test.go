@@ -94,7 +94,7 @@ func TestAlgorithmLifecycles(t *testing.T) {
 			if len(pl.Locate(1)) != 0 {
 				t.Fatal("uninstall must remove every rule")
 			}
-			// The freed CMUs accept a fresh install (state cleared).
+			// The freed CMUs accept a fresh install.
 			h2, err := tc.install(pl)
 			if err != nil {
 				t.Fatalf("reinstall: %v", err)

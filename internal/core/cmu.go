@@ -382,42 +382,89 @@ func (c *CMU) InstallRule(r *Rule) error {
 }
 
 func (c *CMU) validate(r *Rule) error {
+	reject := func(kind ruleErrKind, prev int) error {
+		return &ruleError{kind: kind, task: r.TaskID, prev: prev, cmu: c.index,
+			mem: r.Mem, size: c.register.Size(), filter: r.Filter}
+	}
 	if r.Mem.Buckets <= 0 || r.Mem.Base < 0 ||
 		r.Mem.Base+r.Mem.Buckets > c.register.Size() {
-		return fmt.Errorf("core: rule task %d memory range %+v exceeds register of %d buckets",
-			r.TaskID, r.Mem, c.register.Size())
+		return reject(ruleErrRange, 0)
 	}
 	if r.Mem.Buckets&(r.Mem.Buckets-1) != 0 {
-		return fmt.Errorf("core: rule task %d partition size %d is not a power of two",
-			r.TaskID, r.Mem.Buckets)
+		return reject(ruleErrPow2, 0)
 	}
 	if r.Mem.Base%r.Mem.Buckets != 0 {
-		return fmt.Errorf("core: rule task %d base %d not aligned to partition size %d",
-			r.TaskID, r.Mem.Base, r.Mem.Buckets)
+		return reject(ruleErrAlign, 0)
 	}
 	for _, prev := range c.rules {
 		if prev.TaskID == r.TaskID {
-			return fmt.Errorf("core: task %d already installed on CMU %d", r.TaskID, c.index)
+			return reject(ruleErrDuplicate, 0)
 		}
 		if prev.Mem.Overlaps(r.Mem) {
-			return fmt.Errorf("core: task %d memory range overlaps task %d on CMU %d",
-				r.TaskID, prev.TaskID, c.index)
+			return reject(ruleErrOverlap, prev.TaskID)
 		}
 		probabilistic := (prev.Prob > 0 && prev.Prob < 1) && (r.Prob > 0 && r.Prob < 1)
 		if prev.Filter.Intersects(r.Filter) && !probabilistic && !prev.Disabled && !r.Disabled {
-			return fmt.Errorf("core: task %d filter %q intersects task %d on CMU %d (one access per packet)",
-				r.TaskID, r.Filter, prev.TaskID, c.index)
+			return reject(ruleErrFilter, prev.TaskID)
 		}
 	}
 	return nil
 }
 
-// RemoveRule uninstalls the rule for taskID and clears its memory
-// partition. It reports whether a rule was removed.
+type ruleErrKind uint8
+
+const (
+	ruleErrRange ruleErrKind = iota
+	ruleErrPow2
+	ruleErrAlign
+	ruleErrDuplicate
+	ruleErrOverlap
+	ruleErrFilter
+)
+
+// ruleError is one InstallRule rejection. It carries the operands and
+// formats them in Error: the control plane's placer probes groups and CMU
+// offsets in order and surfaces only the first rejection, so a miss costs
+// the comparisons that found it, not a formatted filter.
+type ruleError struct {
+	kind       ruleErrKind
+	task, prev int // the rejected rule's task; the installed task it collides with
+	cmu, size  int // CMU index and register size
+	mem        MemRange
+	filter     packet.Filter
+}
+
+func (e *ruleError) Error() string {
+	switch e.kind {
+	case ruleErrRange:
+		return fmt.Sprintf("core: rule task %d memory range %+v exceeds register of %d buckets",
+			e.task, e.mem, e.size)
+	case ruleErrPow2:
+		return fmt.Sprintf("core: rule task %d partition size %d is not a power of two",
+			e.task, e.mem.Buckets)
+	case ruleErrAlign:
+		return fmt.Sprintf("core: rule task %d base %d not aligned to partition size %d",
+			e.task, e.mem.Base, e.mem.Buckets)
+	case ruleErrDuplicate:
+		return fmt.Sprintf("core: task %d already installed on CMU %d", e.task, e.cmu)
+	case ruleErrOverlap:
+		return fmt.Sprintf("core: task %d memory range overlaps task %d on CMU %d",
+			e.task, e.prev, e.cmu)
+	default:
+		return fmt.Sprintf("core: task %d filter %q intersects task %d on CMU %d (one access per packet)",
+			e.task, e.filter, e.prev, e.cmu)
+	}
+}
+
+// RemoveRule unlinks the rule for taskID and reports whether one was
+// installed. The rule's memory partition is left as it is: a snapshot
+// compiled before the removal may still be executing the rule, so only the
+// owner of the memory knows when it is quiescent (the control plane clears
+// a partition after its grace period, before the allocator can grant it
+// again; a rule that was never published has written nothing).
 func (c *CMU) RemoveRule(taskID int) bool {
 	for i, r := range c.rules {
 		if r.TaskID == taskID {
-			c.register.ClearRange(r.Mem.Base, r.Mem.Buckets)
 			c.rules = append(c.rules[:i], c.rules[i+1:]...)
 			return true
 		}

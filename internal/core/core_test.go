@@ -199,7 +199,10 @@ func TestCMUProbabilisticTasksMayShareTraffic(t *testing.T) {
 	}
 }
 
-func TestCMURemoveRuleClearsPartition(t *testing.T) {
+// RemoveRule only unlinks: a snapshot compiled earlier may still execute the
+// rule, so clearing is the memory owner's job once the partition is
+// quiescent (controlplane's reclaim).
+func TestCMURemoveRuleLeavesPartition(t *testing.T) {
 	c := NewCMU(0, 1024, 32)
 	r := testRule(1, MemRange{Base: 256, Buckets: 256})
 	if err := c.InstallRule(r); err != nil {
@@ -207,16 +210,15 @@ func TestCMURemoveRuleClearsPartition(t *testing.T) {
 	}
 	ctx := &Context{Pkt: &packet.Packet{SrcIP: 1}, RunningMin: ^uint32(0)}
 	c.Process(ctx, []uint32{0x12345678})
-	if c.Register().Read(Translate(0x12345678, r.Mem, r.Translation)) == 0 {
+	written := Translate(0x12345678, r.Mem, r.Translation)
+	if c.Register().Read(written) == 0 {
 		t.Fatal("processing must have written the partition")
 	}
 	if !c.RemoveRule(1) {
 		t.Fatal("remove must succeed")
 	}
-	for i := 256; i < 512; i++ {
-		if c.Register().Read(uint32(i)) != 0 {
-			t.Fatal("remove must clear the partition")
-		}
+	if c.Register().Read(written) == 0 {
+		t.Fatal("remove must not touch register memory")
 	}
 	if c.RemoveRule(1) {
 		t.Fatal("second remove must report false")

@@ -276,7 +276,8 @@ func (pl *Pipeline) ReadTask(taskID int) ([][]uint32, error) {
 }
 
 // RemoveTask uninstalls taskID from every CMU (spliced groups included).
-// It reports how many rules were removed.
+// It reports how many rules were removed; register contents stay
+// (CMU.RemoveRule).
 func (pl *Pipeline) RemoveTask(taskID int) int {
 	n := 0
 	for _, g := range pl.allGroups() {

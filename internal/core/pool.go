@@ -33,8 +33,9 @@ type WorkerPool struct {
 // frame spans from fsrc until exhaustion and executes them through the
 // FrameView-native engine (Snapshot.ProcessFrames), reloading the snapshot
 // per span so on-the-fly reconfiguration stays visible mid-replay. gate,
-// when non-nil, is held shared around each span (the sharded engine's
-// procGate: drains need lane exclusivity).
+// when non-nil, is held shared around each span's snapshot load and
+// execution (the controller's reader registry: grace periods and lane
+// drains take it exclusive).
 type poolJob struct {
 	fsrc FrameSource
 	load func() *Snapshot
@@ -122,8 +123,9 @@ func (p *WorkerPool) Started() int64 { return p.started.Load() }
 // exhausted, then returns: each worker drains raw frame spans through the
 // FrameView-native engine. load supplies the snapshot — reloaded per span,
 // so an RCU republish mid-replay takes effect at the next span boundary.
-// gate, when non-nil, is acquired shared around each span (pass the
-// controller's procGate in sharded mode; nil otherwise). The call allocates
+// gate, when non-nil, is acquired shared around each span (the controller
+// always passes its procGate; nil is for a bare snapshot with no control
+// plane behind it). The call allocates
 // only the per-call WaitGroup: the steady-state span loop is
 // allocation-free.
 func (p *WorkerPool) ProcessFrameSource(load func() *Snapshot, src FrameSource, gate *sync.RWMutex) {

@@ -78,8 +78,9 @@ var ExtendedOperationSet = []StatefulOp{OpCondAdd, OpMax, OpAndOr, OpXor}
 //     is promised across buckets (the d rows of a sketch may be observed
 //     mid-update by a concurrent reader, exactly as on hardware).
 //
-// Read/ReadRange/ClearRange use atomic bucket access so control-plane
-// readout can overlap the concurrent path.
+// Read/ReadRange use atomic bucket access so control-plane readout can
+// overlap the concurrent path. ClearRange does not: it is a bulk store for
+// memory nothing else is touching (see its contract).
 //
 // A third, contention-free update path exists for FlyMon's mergeable
 // operation set: EnableSharding gives every data-plane worker a private
@@ -347,20 +348,18 @@ func (r *Register) ReadRange(lo, n int) []uint32 {
 	return out
 }
 
-// ClearRange zeroes buckets [lo, lo+n) — used when a partition is recycled
-// for a new task. Shard lanes are cleared too (a recycled partition must
-// not resurrect a removed task's undrained lane state); lane stores are
-// plain, so on a sharded register the caller must hold whatever gate
-// excludes concurrent ShardApply writers.
+// ClearRange zeroes buckets [lo, lo+n) of the base array and of every shard
+// lane (a recycled partition must not resurrect a removed task's undrained
+// lane state) with one bulk clear each. The stores are plain: the caller
+// guarantees no concurrent access to the range, on any path — either the
+// range is quiescent (its rules are unlinked and every reader that could
+// still hold them has finished: the control plane's grace period) or the
+// caller excludes the packet path for the duration. Other ranges of the
+// same register may be in full use meanwhile.
 func (r *Register) ClearRange(lo, n int) {
-	for i := lo; i < lo+n; i++ {
-		atomic.StoreUint32(&r.buckets[i], 0)
-	}
+	clear(r.buckets[lo : lo+n])
 	for s := range r.shards {
-		lane := r.shards[s].lane
-		for i := lo; i < lo+n; i++ {
-			lane[i] = 0
-		}
+		clear(r.shards[s].lane[lo : lo+n])
 	}
 }
 
@@ -393,11 +392,13 @@ func (r *Register) Reset() { r.ClearRange(0, len(r.buckets)) }
 //   - XOR: XOR is an abelian group; lanes fold exactly, 0 is the identity.
 //
 // Synchronization contract. A lane is single-writer (the owning worker)
-// with plain loads/stores. DrainRange/ClearRange read and write lanes with
-// plain access too, so the caller must exclude sharded writers around them
-// (the control plane holds a gate that pool workers take in shared mode
-// around each span). The fold into the base buckets goes through the CAS path,
-// so it may safely overlap single-packet CAS writers and atomic readers.
+// with plain loads/stores. DrainRange reads and writes lanes with plain
+// access too, so the caller must exclude sharded writers of the range around
+// it (the control plane holds a gate that pool workers take in shared mode
+// around each span, or drains a range it has already retired). The fold
+// into the base buckets goes through the CAS path, so it may safely overlap
+// single-packet CAS writers and atomic readers. ClearRange is stricter: no
+// access of any kind to the range may overlap it.
 
 // EnableSharding allocates n private bucket lanes (one per worker). It is
 // idempotent for the same n; changing the lane count discards the current

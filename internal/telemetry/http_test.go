@@ -103,6 +103,7 @@ func TestDebugEventsEndpoint(t *testing.T) {
 	r := NewRegistry()
 	r.Journal.Record(Event{Kind: "deploy", Task: 1, Detail: "cms", OK: true})
 	r.Journal.Record(Event{Kind: "remove", Task: 1, OK: false, Err: "gone"})
+	r.Journal.Record(Event{Kind: "remove", Task: 2, OK: true, LatencyNs: 900_000, GraceNs: 850_000})
 
 	body, resp := scrape(t, r.Handler(), "/debug/events")
 	if resp.StatusCode != http.StatusOK {
@@ -119,8 +120,13 @@ func TestDebugEventsEndpoint(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &got); err != nil {
 		t.Fatalf("decoding: %v\n%s", err, body)
 	}
-	if got.Total != 2 || got.Dropped != 0 || len(got.Events) != 2 {
+	if got.Total != 3 || got.Dropped != 0 || len(got.Events) != 3 {
 		t.Fatalf("events payload: total=%d dropped=%d n=%d", got.Total, got.Dropped, len(got.Events))
+	}
+	// A mutation that waited for in-flight readers says for how long; one
+	// that did not omits the field.
+	if got.Events[2].GraceNs != 850_000 || strings.Count(body, `"grace_ns"`) != 1 {
+		t.Fatalf("grace_ns: event 2 has %d, payload:\n%s", got.Events[2].GraceNs, body)
 	}
 	if got.Events[0].Kind != "deploy" || got.Events[1].Err != "gone" {
 		t.Fatalf("event content lost: %+v", got.Events)
