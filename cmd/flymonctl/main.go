@@ -649,7 +649,9 @@ func cmdStats(c *rpc.Client, args []string) {
 		return
 	}
 	if *metrics {
-		telemetry.WriteMetricsReport(os.Stdout, rep)
+		if err := telemetry.WriteText(os.Stdout, rep.Families); err != nil {
+			fatal(err)
+		}
 		return
 	}
 	dp, cp := rep.DataPlane, rep.ControlPlane

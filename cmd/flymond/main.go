@@ -116,9 +116,8 @@ func main() {
 	if *traceBuf > 0 {
 		tracer = tracing.New(*traceBuf)
 		srv.SetTracer(tracer)
-		reg.AddMetricsWriter(tracer.WriteMetrics)
+		reg.AddFamilySource(tracer)
 	}
-	reg.AddMetricsWriter(telemetry.WriteBuildInfoMetric)
 	plan := faultnet.Plan{
 		Seed:         *chaosSeed,
 		ReadDelay:    *chaosReadDelay,

@@ -156,16 +156,45 @@ func (d goDecls) missing(tok string) []string {
 	return out
 }
 
-// TestDocsReferenceExistingFiles keeps "no document references a file or an
-// identifier that is not in the tree" true: every back-ticked
+// metricCatalogue is the family names of the tier-1 metric catalogue.
+func metricCatalogue(t *testing.T) []string {
+	body, err := os.ReadFile("internal/telemetry/testdata/catalogue.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, line := range strings.Split(strings.TrimSpace(string(body)), "\n") {
+		names = append(names, strings.Fields(line)[0])
+	}
+	return names
+}
+
+// catalogued reports whether a back-ticked metric name — labels such as
+// {side} ignored, a trailing * meaning "any family with this prefix" —
+// names a family of the catalogue.
+func catalogued(names []string, tok string) bool {
+	tok, _, _ = strings.Cut(tok, "{")
+	prefix, isPrefix := strings.CutSuffix(tok, "*")
+	for _, n := range names {
+		if n == tok || isPrefix && strings.HasPrefix(n, prefix) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestDocsReferenceExistingFiles keeps "no document references a file, an
+// identifier or a metric that is not in the tree" true: every back-ticked
 // *.go|*.txt|*.md|*.json path in the operator-facing documents must name a
 // file that exists (a path with a directory is repo-relative; a bare name
 // may live in any package), every `make <target>` in inline code or a
-// fenced block must be a Makefile target, and every back-ticked
+// fenced block must be a Makefile target, every back-ticked
 // `pkg.Identifier`, `Type.Member` or `pkg.Type.Member` whose package or
-// type lives under internal/ must be declared there.
+// type lives under internal/ must be declared there, and every back-ticked
+// `flymon_*` metric must be in the metric catalogue.
 func TestDocsReferenceExistingFiles(t *testing.T) {
 	decls := parseInternalDecls(t)
+	metrics := metricCatalogue(t)
 	baseNames := map[string]bool{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -196,6 +225,12 @@ func TestDocsReferenceExistingFiles(t *testing.T) {
 		}
 		checkPaths := func(lineNo int, span string) {
 			for _, tok := range strings.Fields(span) {
+				if strings.HasPrefix(tok, "flymon_") {
+					if !catalogued(metrics, tok) {
+						t.Errorf("%s:%d names metric `%s`, which is not in the metric catalogue", doc, lineNo, tok)
+					}
+					continue
+				}
 				p := docPathToken.FindStringSubmatch(tok)
 				if p == nil {
 					for _, id := range decls.missing(tok) {

@@ -81,7 +81,6 @@ type Controller struct {
 	// pool) count.
 	sharded      bool
 	shardWorkers int
-	shardCtr     metrics.ShardCounters
 
 	// procGate is the one reader registry, in every mode: each packet entry
 	// point (Process, ProcessBatch, every span of a pool drain) holds it
@@ -387,8 +386,8 @@ func (c *Controller) drainShards() int {
 	c.procGate.Lock()
 	n := c.pipeline.DrainShards()
 	c.procGate.Unlock()
-	c.shardCtr.RecordDrain(n)
 	if c.tele != nil {
+		c.tele.RecordDrain(n)
 		// Includes the gate wait: a scrape's drain latency is the time a
 		// reader stalls behind in-flight spans, which is the number that
 		// matters operationally.
@@ -426,17 +425,6 @@ func (c *Controller) Sharded() bool { return c.sharded }
 // Workers returns the controller's pool width (the lane count in sharded
 // mode) — the consumer count a Replayer feeding ProcessFrameSource needs.
 func (c *Controller) Workers() int { return c.shardWorkers }
-
-// ShardStats summarizes the sharded engine: lane count, the live
-// snapshot's compile-time routing verdicts, and drain counters.
-func (c *Controller) ShardStats() metrics.ShardStats {
-	st := c.shardCtr.Stats()
-	if c.sharded {
-		st.Workers = c.shardWorkers
-	}
-	st.ShardedRules, st.FallbackRules = c.snap.Load().ShardedRules()
-	return st
-}
 
 // Close releases the controller's background resources (the worker pool).
 // The controller remains usable for sequential processing and control-
@@ -829,8 +817,8 @@ func (c *Controller) reclaimLocked(id int, read bool) (old [][]uint32, err error
 			err = ferr
 		}
 	}
-	if folded > 0 {
-		c.shardCtr.RecordDrain(folded)
+	if folded > 0 && c.tele != nil {
+		c.tele.RecordDrain(folded)
 	}
 	return old, err
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"flymon/internal/packet"
+	"flymon/internal/telemetry"
 	"flymon/internal/trace"
 )
 
@@ -74,7 +75,8 @@ func TestShardedAlgorithmEquivalence(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := Config{Groups: 3, Buckets: 8192, BitWidth: 32}
 			seq := NewController(cfg)
-			cfg.ShardedState, cfg.Workers = true, workers
+			reg := telemetry.NewRegistry()
+			cfg.ShardedState, cfg.Workers, cfg.Telemetry = true, workers, reg
 			sh := NewController(cfg)
 			defer seq.Close()
 			defer sh.Close()
@@ -88,16 +90,18 @@ func TestShardedAlgorithmEquivalence(t *testing.T) {
 				t.Fatalf("sharded deploy: %v", err)
 			}
 
-			stats := sh.ShardStats()
-			if c.sharded && stats.ShardedRules == 0 {
+			// The verdicts as an operator sees them: flymon_sharded_rules
+			// and flymon_fallback_rules.
+			dp := reg.Report().DataPlane
+			if c.sharded && dp.ShardedRules == 0 {
 				t.Fatalf("expected sharded rules, got verdicts (%d, %d)",
-					stats.ShardedRules, stats.FallbackRules)
+					dp.ShardedRules, dp.FallbackRules)
 			}
-			if !c.sharded && stats.ShardedRules != 0 {
-				t.Fatalf("expected full fallback, got %d sharded rules", stats.ShardedRules)
+			if !c.sharded && dp.ShardedRules != 0 {
+				t.Fatalf("expected full fallback, got %d sharded rules", dp.ShardedRules)
 			}
-			if stats.Workers != workers {
-				t.Fatalf("ShardStats.Workers = %d, want %d", stats.Workers, workers)
+			if !sh.Sharded() || sh.Workers() != workers {
+				t.Fatalf("Sharded() = %v, Workers() = %d, want true, %d", sh.Sharded(), sh.Workers(), workers)
 			}
 
 			seq.ProcessBatch(tr.Packets)
@@ -149,7 +153,8 @@ func TestShardedQueryEquivalence(t *testing.T) {
 	tr := trace.Generate(trace.Config{Flows: 500, Packets: 20_000, Seed: 29, ZipfS: 1.3})
 	cfg := Config{Groups: 2, Buckets: 8192, BitWidth: 32}
 	seq := NewController(cfg)
-	cfg.ShardedState, cfg.Workers = true, workers
+	reg := telemetry.NewRegistry()
+	cfg.ShardedState, cfg.Workers, cfg.Telemetry = true, workers, reg
 	sh := NewController(cfg)
 	defer seq.Close()
 	defer sh.Close()
@@ -194,10 +199,18 @@ func TestShardedQueryEquivalence(t *testing.T) {
 	if seqCard != shCard {
 		t.Fatalf("Cardinality: sharded %v, sequential %v", shCard, seqCard)
 	}
-	// The drain counters must show the query path actually folded lanes.
-	stats := sh.ShardStats()
-	if stats.Drains == 0 {
-		t.Fatalf("no drains recorded after queries: %+v", stats)
+	// The drain families must show the query path actually folded lanes.
+	var folded, buckets uint64
+	for _, f := range reg.Report().Families {
+		switch f.Name {
+		case "flymon_lane_drains_total":
+			folded = f.Samples[0].Value // outcome="folded"
+		case "flymon_lane_buckets_folded_total":
+			buckets = f.Samples[0].Value
+		}
+	}
+	if folded == 0 || buckets == 0 {
+		t.Fatalf("drains recorded after queries: %d folding %d buckets, want both > 0", folded, buckets)
 	}
 }
 

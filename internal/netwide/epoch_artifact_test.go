@@ -113,9 +113,9 @@ func TestEpochArtifactBitIdentical(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("a cached EstimateKeyEpoch allocates %v times, want 0", allocs)
 	}
-	mt := reg.Fleet.MergeTree.Snapshot()
-	if mt.EpochCacheMisses != 2 || mt.EpochCacheHits != 4+uint64(len(keys))+201 {
-		t.Fatalf("hits %d misses %d", mt.EpochCacheHits, mt.EpochCacheMisses)
+	mt := &reg.Fleet.MergeTree
+	if mt.EpochCacheMisses.Load() != 2 || mt.EpochCacheHits.Load() != 4+uint64(len(keys))+201 {
+		t.Fatalf("hits %d misses %d", mt.EpochCacheHits.Load(), mt.EpochCacheMisses.Load())
 	}
 	if !strings.Contains(QueryReport{Contributed: []int{0}, Epoch: 1, Cached: true}.String(), "(cached)") {
 		t.Fatal("QueryReport.String does not show a cached answer")
@@ -192,9 +192,9 @@ func TestEpochArtifactSingleFlight(t *testing.T) {
 	if roots != callers || cachedRoots != callers-1 {
 		t.Fatalf("%d epoch_query roots, %d cached; want %d and %d", roots, cachedRoots, callers, callers-1)
 	}
-	mt := tele.MergeTree.Snapshot()
-	if mt.EpochCacheMisses != 1 || mt.EpochCacheHits != callers-1 || mt.EpochQueries != callers {
-		t.Fatalf("queries %d hits %d misses %d", mt.EpochQueries, mt.EpochCacheHits, mt.EpochCacheMisses)
+	mt := &tele.MergeTree
+	if mt.EpochCacheMisses.Load() != 1 || mt.EpochCacheHits.Load() != callers-1 || mt.EpochQueries.Load() != callers {
+		t.Fatalf("queries %d hits %d misses %d", mt.EpochQueries.Load(), mt.EpochCacheHits.Load(), mt.EpochCacheMisses.Load())
 	}
 }
 

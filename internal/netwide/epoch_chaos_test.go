@@ -215,9 +215,10 @@ func TestChaosEpochStragglerMatrix(t *testing.T) {
 			}
 
 			// Straggler outcomes landed in telemetry.
-			mt := tele.MergeTree.Snapshot()
-			if mt.StragglersSkipped == 0 || mt.StragglersTimedOut == 0 || mt.StragglerWaits == 0 {
-				t.Fatalf("straggler telemetry = %+v", mt)
+			mt := &tele.MergeTree
+			if mt.StragglersSkipped.Load() == 0 || mt.StragglersTimedOut.Load() == 0 || mt.StragglerWaits.Load() == 0 {
+				t.Fatalf("straggler telemetry: skipped %d timed out %d caught up %d",
+					mt.StragglersSkipped.Load(), mt.StragglersTimedOut.Load(), mt.StragglerWaits.Load())
 			}
 		})
 	}

@@ -72,7 +72,8 @@ func TestLivenessDetectsKilledDaemon(t *testing.T) {
 	t.Cleanup(check)
 	cfg := fleetConfig()
 	ctrls, clients, srvs, _ := resilientDaemons(t, 3, cfg)
-	tele := &telemetry.FleetStats{}
+	reg := telemetry.NewRegistry()
+	tele := &reg.Fleet
 	journal := telemetry.NewJournal(64)
 	fleet := NewRemoteFleetOptions(clients, cfg, FleetOptions{
 		AllowPartial: true,
@@ -131,9 +132,14 @@ func TestLivenessDetectsKilledDaemon(t *testing.T) {
 	if tele.DetectionTime.Count() == 0 {
 		t.Fatal("detection-time histogram is empty")
 	}
-	rep := tele.Snapshot()
-	if len(rep.Sessions) != 3 || rep.Sessions[2].Up {
-		t.Fatalf("session gauges = %+v", rep.Sessions)
+	var sessions []telemetry.Sample
+	for _, f := range reg.Report().Families {
+		if f.Name == "flymon_fleet_session_state" {
+			sessions = f.Samples
+		}
+	}
+	if len(sessions) != 3 || sessions[2].Value == 2 { // 2 = up
+		t.Fatalf("session gauges = %+v", sessions)
 	}
 	ejects := 0
 	for _, e := range journal.Events() {

@@ -260,11 +260,11 @@ func TestRemoteFleetEnginesBitIdentical(t *testing.T) {
 			}
 		}
 	}
-	mt := reg.Fleet.MergeTree.Snapshot()
-	if mt.Queries == 0 || mt.Merges == 0 {
-		t.Fatalf("merge telemetry = %+v", mt)
+	mt := &reg.Fleet.MergeTree
+	if mt.Queries.Load() == 0 || mt.Merges.Load() == 0 {
+		t.Fatalf("merge telemetry: %d queries, %d merges", mt.Queries.Load(), mt.Merges.Load())
 	}
-	if mt.LastDepth == 0 || mt.LastFanout != 4 {
-		t.Fatalf("tree shape gauges = depth %d fanout %d", mt.LastDepth, mt.LastFanout)
+	if mt.LastDepth.Load() == 0 || mt.LastFanout.Load() != 4 {
+		t.Fatalf("tree shape gauges = depth %d fanout %d", mt.LastDepth.Load(), mt.LastFanout.Load())
 	}
 }

@@ -268,7 +268,6 @@ func (f *RemoteFleet) onSessionEvent(idx int, ev sessionEvent, snap SessionSnaps
 			Switch: idx,
 			Addr:   snap.Addr,
 			State:  snap.State.String(),
-			Up:     snap.ReportedUp,
 			Damped: snap.Damped,
 		})
 	}

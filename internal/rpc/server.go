@@ -317,10 +317,14 @@ func (s *Server) dispatch(req *Request) (resp *Response, frame []byte) {
 			sp.Finish(err)
 		}()
 	}
+	// The peer chooses the method text, so a method the daemon does not
+	// serve is counted under one "unknown" endpoint: junk names must not
+	// become permanent series.
+	method := req.Method
 	if s.tele != nil {
-		ep := s.tele.RPCServer.Endpoint(req.Method)
-		ep.Requests.Add(1)
 		defer func() {
+			ep := s.tele.RPCServer.Endpoint(method)
+			ep.Requests.Add(1)
 			if resp.Error != nil {
 				ep.Failures.Add(1)
 			}
@@ -341,6 +345,9 @@ func (s *Server) dispatch(req *Request) (resp *Response, frame []byte) {
 		}
 	}()
 	result, err := s.handle(req.Method, req.Params, sc)
+	if errors.Is(err, errUnknownMethod) {
+		method = "unknown"
+	}
 	if err != nil {
 		resp.Error = wireError(err)
 		return resp, nil
@@ -707,9 +714,12 @@ func (s *Server) handle(method string, params json.RawMessage, sc tracing.SpanCo
 		panic("operator-requested fault drill")
 
 	default:
-		return nil, fmt.Errorf("rpc: unknown method %q", method)
+		return nil, fmt.Errorf("%w %q", errUnknownMethod, method)
 	}
 }
+
+// errUnknownMethod is a request for a method the daemon does not serve.
+var errUnknownMethod = errors.New("rpc: unknown method")
 
 // gen_trace allocates what the peer asks for (40 B per packet generated
 // plus 36 B per frame encoded), so both sizes are bounded; a larger

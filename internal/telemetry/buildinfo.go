@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"fmt"
-	"io"
 	"runtime/debug"
 	"sync"
 )
@@ -66,16 +64,11 @@ func (b BuildInfo) String() string {
 	return out + " (" + b.GoVersion + ")"
 }
 
-// WriteBuildInfoMetric emits the standard build-info gauge:
+// collect declares the build-info gauge every registry emits, one series
+// with value 1:
 //
 //	flymon_build_info{version="(devel)",commit="...",goversion="go1.24"} 1
-//
-// Register it on a Registry with AddMetricsWriter so every daemon scrape
-// identifies the binary serving it.
-func WriteBuildInfoMetric(w io.Writer) {
-	b := ReadBuildInfo()
-	fmt.Fprintf(w, "# HELP flymon_build_info Build metadata of the running binary (value is always 1).\n")
-	fmt.Fprintf(w, "# TYPE flymon_build_info gauge\n")
-	fmt.Fprintf(w, "flymon_build_info{version=%q,commit=%q,goversion=%q} 1\n",
-		b.Version, b.Commit, b.GoVersion)
+func (b BuildInfo) collect(c *catalogue) {
+	c.gauge("flymon_build_info", "Build metadata of the running binary (value is always 1).",
+		sample(1, "version", b.Version, "commit", b.Commit, "goversion", b.GoVersion))
 }

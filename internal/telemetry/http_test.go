@@ -85,17 +85,22 @@ func TestMetricsEndpointWireFormat(t *testing.T) {
 	}
 }
 
+// staticFamilies is a FamilySource outside the registry.
+type staticFamilies []Family
+
+func (s staticFamilies) Families() []Family { return s }
+
 func TestMetricsEndpointExternalWriters(t *testing.T) {
 	r := NewRegistry()
-	r.AddMetricsWriter(WriteBuildInfoMetric)
-	r.AddMetricsWriter(func(w io.Writer) { io.WriteString(w, "flymon_custom_total 9\n") })
+	r.AddFamilySource(staticFamilies{{Name: "flymon_custom_total", Type: "counter", Help: "A plane outside the registry.",
+		Samples: []Sample{{Value: 9}}}})
 
 	body, _ := scrape(t, r.Handler(), "/metrics")
 	if !strings.Contains(body, "flymon_build_info{version=") {
 		t.Fatalf("build info metric missing:\n%s", body)
 	}
-	if !strings.Contains(body, "flymon_custom_total 9") {
-		t.Fatalf("external writer output missing:\n%s", body)
+	if !strings.Contains(body, "# TYPE flymon_custom_total counter\nflymon_custom_total 9\n") {
+		t.Fatalf("family source output missing:\n%s", body)
 	}
 }
 

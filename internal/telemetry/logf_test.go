@@ -95,8 +95,12 @@ func TestBuildInfo(t *testing.T) {
 	if !strings.Contains(b.String(), b.GoVersion) {
 		t.Fatalf("String() missing go version: %s", b.String())
 	}
+	var c catalogue
+	b.collect(&c)
 	var out strings.Builder
-	WriteBuildInfoMetric(&out)
+	if err := WriteText(&out, c); err != nil {
+		t.Fatal(err)
+	}
 	if !strings.Contains(out.String(), "flymon_build_info{version=") ||
 		!strings.HasSuffix(strings.TrimSpace(out.String()), "} 1") {
 		t.Fatalf("build info metric malformed:\n%s", out.String())

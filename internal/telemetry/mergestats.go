@@ -48,43 +48,28 @@ func (m *MergeTreeStats) ObserveLevel(level int, d time.Duration) {
 	m.LevelLatency[level].Observe(d)
 }
 
-// MergeTreeReport is the serializable form of MergeTreeStats.
-type MergeTreeReport struct {
-	Queries          uint64 `json:"queries"`
-	Merges           uint64 `json:"merges"`
-	EpochQueries     uint64 `json:"epoch_queries"`
-	EpochCacheHits   uint64 `json:"epoch_cache_hits"`
-	EpochCacheMisses uint64 `json:"epoch_cache_misses"`
-	LastDepth        uint64 `json:"last_depth"`
-	LastFanout       uint64 `json:"last_fanout"`
-
-	MergeLatency HistogramSnapshot              `json:"merge_latency"`
-	LevelLatency [MergeLevels]HistogramSnapshot `json:"level_latency"`
-
-	StragglerWaits     uint64            `json:"straggler_waits"`
-	StragglersSkipped  uint64            `json:"stragglers_skipped"`
-	StragglersTimedOut uint64            `json:"stragglers_timed_out"`
-	StragglerWait      HistogramSnapshot `json:"straggler_wait"`
-}
-
-// Snapshot folds the merge-tree counters into a plain value.
-func (m *MergeTreeStats) Snapshot() MergeTreeReport {
-	r := MergeTreeReport{
-		Queries:            m.Queries.Load(),
-		Merges:             m.Merges.Load(),
-		EpochQueries:       m.EpochQueries.Load(),
-		EpochCacheHits:     m.EpochCacheHits.Load(),
-		EpochCacheMisses:   m.EpochCacheMisses.Load(),
-		LastDepth:          m.LastDepth.Load(),
-		LastFanout:         m.LastFanout.Load(),
-		MergeLatency:       m.MergeLatency.Snapshot(),
-		StragglerWaits:     m.StragglerWaits.Load(),
-		StragglersSkipped:  m.StragglersSkipped.Load(),
-		StragglersTimedOut: m.StragglersTimedOut.Load(),
-		StragglerWait:      m.StragglerWait.Snapshot(),
+// collect declares the merge-tree families. Per-level latency is one
+// family labelled level, with a series for each level that has merged.
+func (m *MergeTreeStats) collect(c *catalogue) {
+	c.counter("flymon_fleet_merge_queries_total", "Merge-tree fleet queries executed.", sample(m.Queries.Load()))
+	c.counter("flymon_fleet_merge_nodes_total", "Interior merge nodes executed by the merge tree.", sample(m.Merges.Load()))
+	c.counter("flymon_fleet_merge_epoch_queries_total", "Fleet queries pinned to an epoch boundary.", sample(m.EpochQueries.Load()))
+	c.counter("flymon_fleet_epoch_cache_total", "Epoch queries by artifact-store result (hit = served from a stored complete merge).",
+		sample(m.EpochCacheHits.Load(), "result", "hit"),
+		sample(m.EpochCacheMisses.Load(), "result", "miss"))
+	c.gauge("flymon_fleet_merge_depth", "Depth of the last completed merge tree.", sample(m.LastDepth.Load()))
+	c.gauge("flymon_fleet_merge_fanout", "Leaves merged by the last completed merge tree.", sample(m.LastFanout.Load()))
+	c.counter("flymon_fleet_merge_stragglers_total", "Epoch-query straggler outcomes by policy result.",
+		sample(m.StragglerWaits.Load(), "outcome", "caught_up"),
+		sample(m.StragglersSkipped.Load(), "outcome", "skipped"),
+		sample(m.StragglersTimedOut.Load(), "outcome", "timed_out"))
+	c.histogram("flymon_fleet_merge_latency_seconds", "Latency of one interior merge node.", histSample(m.MergeLatency.Snapshot()))
+	var levels []Sample
+	for lvl := range m.LevelLatency {
+		if h := m.LevelLatency[lvl].Snapshot(); h.Count > 0 {
+			levels = append(levels, histSample(h, "level", itoa(lvl)))
+		}
 	}
-	for i := range m.LevelLatency {
-		r.LevelLatency[i] = m.LevelLatency[i].Snapshot()
-	}
-	return r
+	c.histogram("flymon_fleet_merge_level_latency_seconds", "Latency of interior merges by tree level.", levels...)
+	c.histogram("flymon_fleet_merge_straggler_wait_seconds", "Time spent polling epoch stragglers.", histSample(m.StragglerWait.Snapshot()))
 }

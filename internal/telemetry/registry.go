@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -126,6 +125,47 @@ type DataPlane struct {
 	FallbackRules int             `json:"fallback_rules"`
 }
 
+// collect declares the data-plane families.
+func (dp *DataPlane) collect(c *catalogue) {
+	c.counter("flymon_packets_total", "Packets processed by the data plane.", sample(dp.Packets))
+	c.counter("flymon_recirculated_total", "Packets recirculated into spliced groups.", sample(dp.Recirculated))
+	c.counter("flymon_stage_activity_total", "Per-stage CMU activity (C/I/P/O).",
+		sample(dp.Stages.Compression, "stage", "compression"),
+		sample(dp.Stages.Initialization, "stage", "initialization"),
+		sample(dp.Stages.Preparation, "stage", "preparation"),
+		sample(dp.Stages.Operation, "stage", "operation"))
+	rules := make([]Sample, len(dp.Rules))
+	for i, rs := range dp.Rules {
+		rules[i] = sample(rs.Hits, "group", itoa(rs.Group), "cmu", itoa(rs.CMU), "task", itoa(rs.Task), "op", rs.Op)
+	}
+	c.counter("flymon_rule_hits_total", "Rule executions per installed CMU rule.", rules...)
+	for _, f := range registerFamilies {
+		regs := make([]Sample, len(dp.Registers))
+		for i, g := range dp.Registers {
+			regs[i] = sample(f.value(g), "group", itoa(g.Group), "cmu", itoa(g.CMU))
+		}
+		c.add(f.typ, f.name, f.help, regs)
+	}
+	c.gauge("flymon_sharded_rules", "Rules routed to per-worker register lanes.", sample(uint64(dp.ShardedRules)))
+	c.gauge("flymon_fallback_rules", "Rules pinned to the shared-CAS path.", sample(uint64(dp.FallbackRules)))
+}
+
+// registerFamilies declares one family per register gauge, with a series
+// per CMU register.
+var registerFamilies = [...]struct {
+	typ, name, help string
+	value           func(RegisterGauge) uint64
+}{
+	{"gauge", "flymon_register_buckets", "Configured buckets per CMU register.",
+		func(g RegisterGauge) uint64 { return uint64(g.Buckets) }},
+	{"gauge", "flymon_register_occupied_buckets", "Non-zero buckets per CMU register.",
+		func(g RegisterGauge) uint64 { return uint64(g.Occupied) }},
+	{"counter", "flymon_register_clamps_total", "CondADD saturation clamp events per CMU register.",
+		func(g RegisterGauge) uint64 { return g.Clamps }},
+	{"counter", "flymon_register_accesses_total", "Stateful operations applied per CMU register.",
+		func(g RegisterGauge) uint64 { return g.Accesses }},
+}
+
 // ControlPlane is the control-plane section of a Report.
 type ControlPlane struct {
 	SnapshotVersion uint64            `json:"snapshot_version"`
@@ -136,20 +176,27 @@ type ControlPlane struct {
 	DrainLatency    HistogramSnapshot `json:"drain_latency"`
 }
 
+// collect declares the control-plane families.
+func (cp *ControlPlane) collect(c *catalogue) {
+	c.gauge("flymon_snapshot_version", "Monotonic version of the published pipeline snapshot.", sample(cp.SnapshotVersion))
+	c.counter("flymon_reconfig_events_total", "Reconfiguration events ever journaled.", sample(cp.EventsTotal))
+	c.counter("flymon_reconfig_events_dropped_total", "Journal entries evicted by the bounded ring.", sample(cp.EventsDropped))
+	c.histogram("flymon_reconfig_latency_seconds", "Latency of control-plane mutations (deploy/remove/resize/split/rekey).",
+		histSample(cp.MutationLatency))
+	c.histogram("flymon_drain_latency_seconds", "Latency of register-lane drains on the query path.",
+		histSample(cp.DrainLatency))
+}
+
 // Report is a full scrape of the registry, serializable over the control
-// channel (flymonctl stats fetches one per switch) and renderable as
-// Prometheus text (WriteMetrics).
+// channel (flymonctl stats fetches one per switch). DataPlane and
+// ControlPlane stay typed for readers that compute with them; Families is
+// every metric family of the scrape, those two sections included — what
+// /metrics renders and `flymonctl stats -metrics` prints (WriteText).
 type Report struct {
 	UptimeNs     int64        `json:"uptime_ns"`
 	DataPlane    DataPlane    `json:"data_plane"`
 	ControlPlane ControlPlane `json:"control_plane"`
-	RPCClient    RPCReport    `json:"rpc_client"`
-	RPCServer    RPCReport    `json:"rpc_server"`
-	Fleet        FleetReport  `json:"fleet"`
-	// Replay is present once a trace replay has been attached
-	// (SetReplaySource); it stays after the replay ends, latched at the
-	// final counters.
-	Replay *ReplayReport `json:"replay,omitempty"`
+	Families     []Family     `json:"families"`
 }
 
 // Registry is the root object every layer hangs its instruments off. One
@@ -175,35 +222,23 @@ type Registry struct {
 	RPCServer RPCStats
 	Fleet     FleetStats
 
-	srcMu  sync.Mutex
-	source DataPlaneSource
+	// Lane drains (RecordDrain): passes that folded lane buckets, passes
+	// that found every lane clean, and the lane buckets folded.
+	drains, cleanDrains, drainedBuckets atomic.Uint64
 
-	extMu sync.Mutex
-	ext   []func(io.Writer)
+	srcMu   sync.Mutex
+	source  DataPlaneSource
+	sources []FamilySource
 
 	replay replayHook
 }
 
-// AddMetricsWriter registers an extra Prometheus-text section appended to
-// every /metrics scrape after the registry's own families. This is how
-// planes the registry does not know about (the tracer's span histograms,
-// the process build-info line) join the exposition without telemetry
-// importing them.
-func (r *Registry) AddMetricsWriter(fn func(io.Writer)) {
-	r.extMu.Lock()
-	r.ext = append(r.ext, fn)
-	r.extMu.Unlock()
-}
-
-// writeExternal runs the registered extra metric writers.
-func (r *Registry) writeExternal(w io.Writer) {
-	r.extMu.Lock()
-	ext := make([]func(io.Writer), len(r.ext))
-	copy(ext, r.ext)
-	r.extMu.Unlock()
-	for _, fn := range ext {
-		fn(w)
-	}
+// AddFamilySource attaches a plane the registry does not know about (the
+// tracer): its families join every Report after the registry's own.
+func (r *Registry) AddFamilySource(s FamilySource) {
+	r.srcMu.Lock()
+	r.sources = append(r.sources, s)
+	r.srcMu.Unlock()
 }
 
 // NewRegistry builds an empty registry with a DefaultJournalSize journal.
@@ -231,26 +266,10 @@ func (r *Registry) Rule(key RuleKey, meta RuleMeta) *RuleCounter {
 	return rc
 }
 
-// DropRule forgets a rule's counter (the task was removed). Hits recorded so
-// far disappear from subsequent reports; per-task counters do not outlive
-// their task, matching how hardware rule counters free with the rule.
-func (r *Registry) DropRule(key RuleKey) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.rules[key]; !ok {
-		return
-	}
-	delete(r.rules, key)
-	for i, k := range r.order {
-		if k == key {
-			r.order = append(r.order[:i], r.order[i+1:]...)
-			break
-		}
-	}
-}
-
 // DropTask forgets every rule counter the task owns, across all groups and
-// CMUs — the removal path's bulk DropRule.
+// CMUs. Hits recorded so far disappear from subsequent reports: per-task
+// counters do not outlive their task, as hardware rule counters free with
+// the rule.
 func (r *Registry) DropTask(task int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -339,12 +358,23 @@ func (r *Registry) FoldDataPlane(live LiveSample) DataPlane {
 	return dp
 }
 
+// RecordDrain notes one lane-drain pass that folded `buckets` lane buckets
+// into shared registers; a pass that found every lane clean folds none.
+func (r *Registry) RecordDrain(buckets int) {
+	if buckets == 0 {
+		r.cleanDrains.Add(1)
+		return
+	}
+	r.drains.Add(1)
+	r.drainedBuckets.Add(uint64(buckets))
+}
+
 // Report assembles a full scrape. With a DataPlaneSource attached the
 // data-plane section is folded under the controller's quiescence; otherwise
 // it reflects settled counters only.
 func (r *Registry) Report() Report {
 	r.srcMu.Lock()
-	src := r.source
+	src, sources := r.source, r.sources
 	r.srcMu.Unlock()
 	var dp DataPlane
 	if src != nil {
@@ -352,13 +382,8 @@ func (r *Registry) Report() Report {
 	} else {
 		dp = r.FoldDataPlane(LiveSample{})
 	}
-	var replay *ReplayReport
-	if rep, ok := r.replay.report(); ok {
-		replay = &rep
-	}
-	return Report{
+	rep := Report{
 		UptimeNs:  time.Since(r.start).Nanoseconds(),
-		Replay:    replay,
 		DataPlane: dp,
 		ControlPlane: ControlPlane{
 			SnapshotVersion: r.version.Load(),
@@ -368,8 +393,21 @@ func (r *Registry) Report() Report {
 			MutationLatency: r.MutationLatency.Snapshot(),
 			DrainLatency:    r.DrainLatency.Snapshot(),
 		},
-		RPCClient: r.RPCClient.Snapshot(),
-		RPCServer: r.RPCServer.Snapshot(),
-		Fleet:     r.Fleet.Snapshot(),
 	}
+	var c catalogue
+	c.gauge("flymon_uptime_seconds", "Time since the telemetry registry was created.", sample(uint64(rep.UptimeNs)))
+	rep.DataPlane.collect(&c)
+	r.replay.collect(&c)
+	rep.ControlPlane.collect(&c)
+	c.counter("flymon_lane_drains_total", "Register-lane drain passes by outcome (clean = no lane was dirty).",
+		sample(r.drains.Load(), "outcome", "folded"), sample(r.cleanDrains.Load(), "outcome", "clean"))
+	c.counter("flymon_lane_buckets_folded_total", "Lane buckets folded into shared registers by drains.", sample(r.drainedBuckets.Load()))
+	collectRPC(&c, &r.RPCClient, &r.RPCServer)
+	r.Fleet.collect(&c)
+	ReadBuildInfo().collect(&c)
+	for _, s := range sources {
+		c = append(c, s.Families()...)
+	}
+	rep.Families = c
+	return rep
 }

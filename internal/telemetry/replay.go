@@ -2,20 +2,21 @@ package telemetry
 
 import "sync"
 
-// ReplayReport is the replay-ingestion section of a Report: how far a
-// trace replay has progressed and how the span ring between the mmap
-// producers and the pool workers is behaving. Occupancy near capacity
-// with push stalls means the sketch engine is the bottleneck; occupancy
-// near zero with pop stalls means ingestion is.
+// ReplayReport is what a replay source reports at scrape time (the
+// flymon_replay_* families): how far a trace replay has progressed and how
+// the span ring between the mmap producers and the pool workers is
+// behaving. Occupancy near capacity with push stalls means the sketch
+// engine is the bottleneck; occupancy near zero with pop stalls means
+// ingestion is.
 type ReplayReport struct {
-	Active        bool   `json:"active"`
-	Packets       uint64 `json:"packets"`
-	Producers     int    `json:"producers"`
-	RingCap       int    `json:"ring_cap"`
-	RingOccupancy int    `json:"ring_occupancy"`
-	RingSpans     uint64 `json:"ring_spans"`
-	PushStalls    uint64 `json:"push_stalls"`
-	PopStalls     uint64 `json:"pop_stalls"`
+	Active        bool
+	Packets       uint64
+	Producers     int
+	RingCap       int
+	RingOccupancy int
+	RingSpans     uint64
+	PushStalls    uint64
+	PopStalls     uint64
 }
 
 // ReplaySource is implemented by the replay driver (mmtrace.Replayer); the
@@ -59,6 +60,24 @@ func (h *replayHook) report() (ReplayReport, bool) {
 		return rep, true
 	}
 	return h.final, h.ever
+}
+
+// collect declares the replay families, present once a replay has been
+// attached and latched at its final counters after it ends.
+func (h *replayHook) collect(c *catalogue) {
+	rp, ok := h.report()
+	if !ok {
+		return
+	}
+	c.gauge("flymon_replay_active", "Whether a trace replay is currently attached.", sample(boolValue(rp.Active)))
+	c.counter("flymon_replay_packets_total", "Packets delivered to workers by the replay ring.", sample(rp.Packets))
+	c.gauge("flymon_replay_producers", "Producer goroutines still feeding the ring.", sample(uint64(rp.Producers)))
+	c.gauge("flymon_replay_ring_capacity", "Span capacity of the replay ring.", sample(uint64(rp.RingCap)))
+	c.gauge("flymon_replay_ring_occupancy", "Spans enqueued but not yet consumed.", sample(uint64(rp.RingOccupancy)))
+	c.counter("flymon_replay_ring_spans_total", "Spans ever published to the ring.", sample(rp.RingSpans))
+	c.counter("flymon_replay_ring_stalls_total", "Ring waits by side (push = ring full, pop = ring empty).",
+		sample(rp.PushStalls, "side", "push"),
+		sample(rp.PopStalls, "side", "pop"))
 }
 
 // SetReplaySource attaches a live replay to the registry; /metrics gains

@@ -49,67 +49,81 @@ func (s *RPCStats) Endpoint(method string) *EndpointStats {
 	return ep
 }
 
-// EndpointSnapshot is the plain-value form of one method's counters.
-type EndpointSnapshot struct {
-	Method   string `json:"method"`
-	Requests uint64 `json:"requests"`
-	Failures uint64 `json:"failures"`
-	Retries  uint64 `json:"retries"`
-	Timeouts uint64 `json:"timeouts"`
-}
-
-// RPCReport is the serializable form of an RPCStats.
-type RPCReport struct {
-	Endpoints       []EndpointSnapshot `json:"endpoints,omitempty"`
-	BreakerOpen     uint64             `json:"breaker_open"`
-	BreakerHalfOpen uint64             `json:"breaker_half_open"`
-	BreakerClosed   uint64             `json:"breaker_closed"`
-	Panics          uint64             `json:"panics,omitempty"`
-}
-
-// Snapshot folds the per-endpoint counters, sorted by method name for
-// stable rendering.
-func (s *RPCStats) Snapshot() RPCReport {
-	r := RPCReport{
-		BreakerOpen:     s.Breaker.Open.Load(),
-		BreakerHalfOpen: s.Breaker.HalfOpen.Load(),
-		BreakerClosed:   s.Breaker.Closed.Load(),
-		Panics:          s.Panics.Load(),
-	}
+// sorted returns the endpoints ordered by method name, for stable
+// rendering.
+func (s *RPCStats) sorted() (methods []string, eps []*EndpointStats) {
 	s.mu.Lock()
-	methods := make([]string, 0, len(s.eps))
+	defer s.mu.Unlock()
 	for m := range s.eps {
 		methods = append(methods, m)
 	}
-	eps := make([]*EndpointStats, 0, len(methods))
 	sort.Strings(methods)
 	for _, m := range methods {
 		eps = append(eps, s.eps[m])
 	}
-	s.mu.Unlock()
-	for i, m := range methods {
-		ep := eps[i]
-		r.Endpoints = append(r.Endpoints, EndpointSnapshot{
-			Method:   m,
-			Requests: ep.Requests.Load(),
-			Failures: ep.Failures.Load(),
-			Retries:  ep.Retries.Load(),
-			Timeouts: ep.Timeouts.Load(),
-		})
+	return methods, eps
+}
+
+// endpointFamilies declares one family per endpoint counter, with a series
+// per method of each side.
+var endpointFamilies = [...]struct {
+	name, help string
+	value      func(*EndpointStats) uint64
+}{
+	{"flymon_rpc_requests_total", "Control-channel requests per endpoint.",
+		func(e *EndpointStats) uint64 { return e.Requests.Load() }},
+	{"flymon_rpc_failures_total", "Control-channel request failures per endpoint.",
+		func(e *EndpointStats) uint64 { return e.Failures.Load() }},
+	{"flymon_rpc_retries_total", "Client retry attempts per endpoint.",
+		func(e *EndpointStats) uint64 { return e.Retries.Load() }},
+	{"flymon_rpc_timeouts_total", "Request failures classified as timeouts per endpoint.",
+		func(e *EndpointStats) uint64 { return e.Timeouts.Load() }},
+}
+
+// collectRPC declares both control-channel sides as one family per counter
+// (a family's HELP/TYPE may appear only once in an exposition), labelled
+// side and method.
+func collectRPC(c *catalogue, client, server *RPCStats) {
+	type side struct {
+		name    string
+		stats   *RPCStats
+		methods []string
+		eps     []*EndpointStats
 	}
-	return r
+	sides := [2]side{{name: "client", stats: client}, {name: "server", stats: server}}
+	for i := range sides {
+		sides[i].methods, sides[i].eps = sides[i].stats.sorted()
+	}
+	for _, f := range endpointFamilies {
+		var series []Sample
+		for _, sd := range sides {
+			for i, ep := range sd.eps {
+				series = append(series, sample(f.value(ep), "side", sd.name, "method", sd.methods[i]))
+			}
+		}
+		c.counter(f.name, f.help, series...)
+	}
+	var breaker []Sample
+	for _, sd := range sides {
+		b := &sd.stats.Breaker
+		breaker = append(breaker,
+			sample(b.Open.Load(), "side", sd.name, "to", "open"),
+			sample(b.HalfOpen.Load(), "side", sd.name, "to", "half-open"),
+			sample(b.Closed.Load(), "side", sd.name, "to", "closed"))
+	}
+	c.counter("flymon_rpc_breaker_transitions_total", "Circuit-breaker state transitions.", breaker...)
+	c.counter("flymon_rpc_server_panics_total", "Handler panics recovered into error responses.", sample(server.Panics.Load()))
 }
 
 // SessionGauge is one switch's liveness-session state at scrape time (the
-// per-switch label set of the flymon_fleet_session_state metric). State is
-// the session state name ("down"/"init"/"up"); Damped marks a session that
-// reached Up but is held out of service by flap damping.
+// series of flymon_fleet_session_state and flymon_fleet_session_damped).
+// State is the session state name ("down"/"init"/"up"); Damped marks a
+// session that reached Up but is held out of service by flap damping.
 type SessionGauge struct {
-	Switch int    `json:"switch"`
-	Addr   string `json:"addr"`
-	State  string `json:"state"`
-	Up     bool   `json:"up"` // reported-Up: state Up and not damped
-	Damped bool   `json:"damped"`
+	Switch int
+	Addr   string
+	State  string
+	Damped bool
 }
 
 // FleetStats counts network-wide fan-out health: how often RemoteFleet
@@ -157,57 +171,47 @@ func (f *FleetStats) SetSession(g SessionGauge) {
 	f.mu.Unlock()
 }
 
-// FleetReport is the serializable form of FleetStats.
-type FleetReport struct {
-	FanOuts       uint64 `json:"fan_outs"`
-	OpFailures    uint64 `json:"op_failures"`
-	PartialMerges uint64 `json:"partial_merges"`
-	ToHealthy     uint64 `json:"to_healthy"`
-	ToDegraded    uint64 `json:"to_degraded"`
-	ToDown        uint64 `json:"to_down"`
+// sessionStates maps a session state name to its flymon_fleet_session_state
+// value (anything else is down, 0).
+var sessionStates = map[string]uint64{"init": 1, "up": 2}
 
-	SessionToUp     uint64            `json:"session_to_up"`
-	SessionToInit   uint64            `json:"session_to_init"`
-	SessionToDown   uint64            `json:"session_to_down"`
-	Ejects          uint64            `json:"ejects"`
-	Rejoins         uint64            `json:"rejoins"`
-	DetectionTime   HistogramSnapshot `json:"detection_time"`
-	ReconcileRuns   uint64            `json:"reconcile_runs"`
-	Redeploys       uint64            `json:"redeploys"`
-	ReconcileErrors uint64            `json:"reconcile_errors"`
-	MergeTree       MergeTreeReport   `json:"merge_tree"`
-	Sessions        []SessionGauge    `json:"sessions,omitempty"`
-}
+// collect declares the fleet families.
+func (f *FleetStats) collect(c *catalogue) {
+	c.counter("flymon_fleet_fan_outs_total", "Fleet-wide operations issued by RemoteFleet.", sample(f.FanOuts.Load()))
+	c.counter("flymon_fleet_op_failures_total", "Per-switch operation failures inside fleet fan-outs.", sample(f.OpFailures.Load()))
+	c.counter("flymon_fleet_partial_merges_total", "Degraded-mode merges missing at least one switch.", sample(f.PartialMerges.Load()))
+	c.counter("flymon_fleet_health_transitions_total", "Switch health state transitions.",
+		sample(f.ToHealthy.Load(), "to", "healthy"),
+		sample(f.ToDegraded.Load(), "to", "degraded"),
+		sample(f.ToDown.Load(), "to", "down"))
+	c.counter("flymon_fleet_session_transitions_total", "Liveness session state transitions.",
+		sample(f.SessionToUp.Load(), "to", "up"),
+		sample(f.SessionToInit.Load(), "to", "init"),
+		sample(f.SessionToDown.Load(), "to", "down"))
+	c.counter("flymon_fleet_ejects_total", "Switches pulled from fan-outs/merges by liveness.", sample(f.Ejects.Load()))
+	c.counter("flymon_fleet_rejoins_total", "Switches readmitted after liveness recovery.", sample(f.Rejoins.Load()))
+	c.counter("flymon_fleet_reconcile_runs_total", "Desired-vs-observed anti-entropy passes.", sample(f.ReconcileRuns.Load()))
+	c.counter("flymon_fleet_redeploys_total", "Missing tasks re-deployed by the reconciler.", sample(f.Redeploys.Load()))
+	c.counter("flymon_fleet_reconcile_errors_total", "Per-switch reconcile failures.", sample(f.ReconcileErrors.Load()))
 
-// Snapshot folds the fleet counters into a plain value.
-func (f *FleetStats) Snapshot() FleetReport {
-	r := FleetReport{
-		FanOuts:         f.FanOuts.Load(),
-		OpFailures:      f.OpFailures.Load(),
-		PartialMerges:   f.PartialMerges.Load(),
-		ToHealthy:       f.ToHealthy.Load(),
-		ToDegraded:      f.ToDegraded.Load(),
-		ToDown:          f.ToDown.Load(),
-		SessionToUp:     f.SessionToUp.Load(),
-		SessionToInit:   f.SessionToInit.Load(),
-		SessionToDown:   f.SessionToDown.Load(),
-		Ejects:          f.Ejects.Load(),
-		Rejoins:         f.Rejoins.Load(),
-		DetectionTime:   f.DetectionTime.Snapshot(),
-		ReconcileRuns:   f.ReconcileRuns.Load(),
-		Redeploys:       f.Redeploys.Load(),
-		ReconcileErrors: f.ReconcileErrors.Load(),
-		MergeTree:       f.MergeTree.Snapshot(),
-	}
 	f.mu.Lock()
 	idx := make([]int, 0, len(f.sessions))
 	for i := range f.sessions {
 		idx = append(idx, i)
 	}
 	sort.Ints(idx)
+	var state, damped []Sample
 	for _, i := range idx {
-		r.Sessions = append(r.Sessions, f.sessions[i])
+		g := f.sessions[i]
+		labels := []string{"switch", itoa(g.Switch), "addr", g.Addr}
+		state = append(state, sample(sessionStates[g.State], labels...))
+		damped = append(damped, sample(boolValue(g.Damped), labels...))
 	}
 	f.mu.Unlock()
-	return r
+	c.gauge("flymon_fleet_session_state", "Liveness session state per switch (0=down, 1=init, 2=up).", state...)
+	c.gauge("flymon_fleet_session_damped", "Whether flap damping is holding the switch out of service.", damped...)
+
+	c.histogram("flymon_fleet_detection_seconds", "Liveness failure-detection latency (last good reply to Down).",
+		histSample(f.DetectionTime.Snapshot()))
+	f.MergeTree.collect(c)
 }

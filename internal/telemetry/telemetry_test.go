@@ -123,17 +123,25 @@ func TestJournalPartialFill(t *testing.T) {
 }
 
 func TestRPCStatsSnapshotSorted(t *testing.T) {
-	var s RPCStats
+	var s, idle RPCStats
 	s.Endpoint("stats").Requests.Add(3)
 	s.Endpoint("add_task").Requests.Add(1)
 	s.Endpoint("add_task").Failures.Add(1)
 	s.Breaker.Open.Add(2)
-	r := s.Snapshot()
-	if len(r.Endpoints) != 2 || r.Endpoints[0].Method != "add_task" || r.Endpoints[1].Method != "stats" {
-		t.Fatalf("Endpoints = %+v, want add_task then stats (sorted)", r.Endpoints)
+	var c catalogue
+	collectRPC(&c, &s, &idle)
+	fams := map[string][]Sample{}
+	for _, f := range c {
+		fams[f.Name] = f.Samples
 	}
-	if r.Endpoints[0].Failures != 1 || r.Endpoints[1].Requests != 3 || r.BreakerOpen != 2 {
-		t.Fatalf("counter values lost in snapshot: %+v", r)
+	reqs := fams["flymon_rpc_requests_total"]
+	if len(reqs) != 2 || reqs[0].Labels[3] != "add_task" || reqs[1].Labels[3] != "stats" {
+		t.Fatalf("request series = %+v, want add_task then stats (sorted)", reqs)
+	}
+	fails := fams["flymon_rpc_failures_total"]
+	breaker := fams["flymon_rpc_breaker_transitions_total"]
+	if fails[0].Value != 1 || reqs[1].Value != 3 || breaker[0].Labels[3] != "open" || breaker[0].Value != 2 {
+		t.Fatalf("counter values lost in families: requests %+v, failures %+v, breaker %+v", reqs, fails, breaker)
 	}
 }
 
@@ -149,6 +157,20 @@ func TestRegistryDropTask(t *testing.T) {
 	}
 }
 
+// staticDataPlane is a DataPlaneSource with fixed packet and register
+// readings over the registry's folded rule counters.
+type staticDataPlane struct {
+	reg       *Registry
+	packets   uint64
+	registers []RegisterGauge
+}
+
+func (s staticDataPlane) TelemetryDataPlane() DataPlane {
+	dp := s.reg.FoldDataPlane(LiveSample{})
+	dp.Packets, dp.Registers = s.packets, s.registers
+	return dp
+}
+
 func TestWriteMetricsReport(t *testing.T) {
 	r := NewRegistry()
 	rc := r.Rule(RuleKey{Group: 2, CMU: 1, Task: 7}, RuleMeta{Op: "CondADD"})
@@ -157,13 +179,16 @@ func TestWriteMetricsReport(t *testing.T) {
 	r.SetVersion(3)
 	r.MutationLatency.Observe(800 * time.Nanosecond)
 	r.Journal.Record(Event{Kind: "deploy", Task: 7, OK: true})
+	r.SetSource(staticDataPlane{r, 42, []RegisterGauge{{Group: 0, CMU: 0, Buckets: 64, Occupied: 3, Clamps: 2, Accesses: 9}}})
 	r.RPCServer.Endpoint("stats").Requests.Add(5)
-	rep := r.Report()
-	rep.DataPlane.Packets = 42
-	rep.DataPlane.Registers = []RegisterGauge{{Group: 0, CMU: 0, Buckets: 64, Occupied: 3, Clamps: 2, Accesses: 9}}
+	r.RPCServer.Endpoint("add_task").Requests.Add(1)
+	r.RPCServer.Endpoint("add_task").Failures.Add(1)
+	r.RPCServer.Breaker.Open.Add(2)
 
 	var b strings.Builder
-	WriteMetricsReport(&b, rep)
+	if err := WriteText(&b, r.Report().Families); err != nil {
+		t.Fatal(err)
+	}
 	out := b.String()
 	for _, want := range []string{
 		"flymon_packets_total 42",
@@ -174,6 +199,8 @@ func TestWriteMetricsReport(t *testing.T) {
 		"flymon_reconfig_events_total 1",
 		"flymon_reconfig_latency_seconds_count 1",
 		`flymon_rpc_requests_total{side="server",method="stats"} 5`,
+		`flymon_rpc_failures_total{side="server",method="add_task"} 1`,
+		`flymon_rpc_breaker_transitions_total{side="server",to="open"} 2`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics output missing %q", want)
@@ -182,5 +209,9 @@ func TestWriteMetricsReport(t *testing.T) {
 	// Prometheus text format: each family declared exactly once.
 	if n := strings.Count(out, "# TYPE flymon_rpc_requests_total"); n != 1 {
 		t.Errorf("flymon_rpc_requests_total declared %d times, want exactly 1", n)
+	}
+	// Endpoints render sorted by method, whatever order they were created in.
+	if a, s := strings.Index(out, `{side="server",method="add_task"}`), strings.Index(out, `{side="server",method="stats"}`); a < 0 || s < a {
+		t.Errorf("endpoints not sorted by method (add_task at %d, stats at %d)", a, s)
 	}
 }

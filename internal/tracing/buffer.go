@@ -28,12 +28,11 @@ func (b *buffer) put(sp Span) {
 	b.slots[t&b.mask].Store(&p)
 }
 
-func (b *buffer) dropped() uint64 {
-	total := b.ticket.Load()
-	if c := uint64(len(b.slots)); total > c {
-		return total - c
-	}
-	return 0
+// counts returns how many spans were ever recorded and how many of them
+// the ring has overwritten.
+func (b *buffer) counts() (total, dropped uint64) {
+	total = b.ticket.Load()
+	return total, total - min(total, uint64(len(b.slots)))
 }
 
 // snapshot copies the retained spans oldest-first. Concurrent writers may
@@ -41,15 +40,9 @@ func (b *buffer) dropped() uint64 {
 // always a set of valid spans, merely racing on which generation a lapped
 // slot shows.
 func (b *buffer) snapshot() (spans []Span, total, droppedN uint64) {
-	total = b.ticket.Load()
-	droppedN = 0
-	start := uint64(0)
-	if c := uint64(len(b.slots)); total > c {
-		start = total - c
-		droppedN = start
-	}
-	spans = make([]Span, 0, total-start)
-	for t := start; t < total; t++ {
+	total, droppedN = b.counts()
+	spans = make([]Span, 0, total-droppedN)
+	for t := droppedN; t < total; t++ {
 		if p := b.slots[t&b.mask].Load(); p != nil {
 			spans = append(spans, *p)
 		}

@@ -1,65 +1,40 @@
 package tracing
 
 import (
-	"fmt"
-	"io"
 	"sort"
 
 	"flymon/internal/telemetry"
 )
 
-// WriteMetrics renders the tracer's Prometheus series: total/dropped span
-// counters plus one span-latency histogram per operation name. flymond
-// registers this on the telemetry registry's /metrics exposition via
-// Registry.AddMetricsWriter, so the trace plane shows up next to the
-// telemetry plane without the two packages depending on each other's
-// internals. Safe on a nil tracer (writes nothing but the zero counters'
-// headers are skipped too — a daemon without tracing exposes no trace
-// series).
-func (t *Tracer) WriteMetrics(w io.Writer) {
+// Families returns the tracer's metric families: total and dropped span
+// counters plus one span-latency histogram series per operation name.
+// Attached to a registry (telemetry.Registry.AddFamilySource), they join
+// every scrape of it — /metrics and the telemetry RPC alike. A nil tracer
+// has none, so a daemon without tracing exposes no trace series.
+func (t *Tracer) Families() []telemetry.Family {
 	if t == nil {
-		return
+		return nil
 	}
-	_, total, droppedN := t.buf.snapshot()
-	fmt.Fprintf(w, "# HELP flymon_trace_spans_total Control-plane spans recorded by the tracer.\n")
-	fmt.Fprintf(w, "# TYPE flymon_trace_spans_total counter\n")
-	fmt.Fprintf(w, "flymon_trace_spans_total %d\n", total)
-	fmt.Fprintf(w, "# HELP flymon_trace_dropped_total Spans overwritten by the bounded span buffer.\n")
-	fmt.Fprintf(w, "# TYPE flymon_trace_dropped_total counter\n")
-	fmt.Fprintf(w, "flymon_trace_dropped_total %d\n", droppedN)
+	total, dropped := t.buf.counts()
+	fams := []telemetry.Family{
+		{Name: "flymon_trace_spans_total", Type: "counter", Help: "Control-plane spans recorded by the tracer.",
+			Samples: []telemetry.Sample{{Value: total}}},
+		{Name: "flymon_trace_dropped_total", Type: "counter", Help: "Spans overwritten by the bounded span buffer.",
+			Samples: []telemetry.Sample{{Value: dropped}}},
+	}
 
 	t.mu.Lock()
 	ops := make([]string, 0, len(t.hists))
-	snaps := make(map[string]telemetry.HistogramSnapshot, len(t.hists))
-	for op, h := range t.hists {
+	for op := range t.hists {
 		ops = append(ops, op)
-		snaps[op] = h.Snapshot()
-	}
-	t.mu.Unlock()
-	if len(ops) == 0 {
-		return
 	}
 	sort.Strings(ops)
-
-	const name = "flymon_trace_span_latency_seconds"
-	fmt.Fprintf(w, "# HELP %s Span latency by operation name.\n", name)
-	fmt.Fprintf(w, "# TYPE %s histogram\n", name)
-	for _, op := range ops {
-		h := snaps[op]
-		var cum uint64
-		for i, n := range h.Buckets {
-			cum += n
-			if i == telemetry.HistogramBuckets-1 {
-				break // the open-ended bucket is the +Inf line below
-			}
-			if cum == 0 {
-				continue // skip the empty prefix, like the telemetry writer
-			}
-			fmt.Fprintf(w, "%s_bucket{op=%q,le=\"%g\"} %d\n",
-				name, op, float64(telemetry.BucketUpperNs(i))/1e9, cum)
-		}
-		fmt.Fprintf(w, "%s_bucket{op=%q,le=\"+Inf\"} %d\n", name, op, h.Count)
-		fmt.Fprintf(w, "%s_sum{op=%q} %g\n", name, op, float64(h.SumNs)/1e9)
-		fmt.Fprintf(w, "%s_count{op=%q} %d\n", name, op, h.Count)
+	spans := make([]telemetry.Sample, len(ops))
+	for i, op := range ops {
+		h := t.hists[op].Snapshot()
+		spans[i] = telemetry.Sample{Labels: []string{"op", op}, Hist: &h}
 	}
+	t.mu.Unlock()
+	return append(fams, telemetry.Family{Name: "flymon_trace_span_latency_seconds", Type: "histogram",
+		Help: "Span latency by operation name.", Samples: spans})
 }

@@ -145,7 +145,8 @@ func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0
 	}
-	return t.buf.dropped()
+	_, dropped := t.buf.counts()
+	return dropped
 }
 
 // observe folds a finished span into the buffer and its per-op latency

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"flymon/internal/telemetry"
 )
 
 func TestNilTracerIsDisabled(t *testing.T) {
@@ -29,7 +31,9 @@ func TestNilTracerIsDisabled(t *testing.T) {
 	if spans, total, dropped := tr.Dump(); spans != nil || total != 0 || dropped != 0 {
 		t.Fatalf("nil tracer dump = %v %d %d", spans, total, dropped)
 	}
-	tr.WriteMetrics(&strings.Builder{})
+	if fams := tr.Families(); fams != nil {
+		t.Fatalf("nil tracer has metric families: %+v", fams)
+	}
 
 	// The structural form of "tracing armed but op untraced ≡ tracing
 	// off": the sequence every control op runs around its RPC costs no
@@ -187,7 +191,9 @@ func TestWriteMetrics(t *testing.T) {
 	tr.StartRoot("query").Finish(nil)
 
 	var b strings.Builder
-	tr.WriteMetrics(&b)
+	if err := telemetry.WriteText(&b, tr.Families()); err != nil {
+		t.Fatal(err)
+	}
 	out := b.String()
 	for _, want := range []string{
 		"flymon_trace_spans_total 2",
