@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -103,6 +104,9 @@ type Controller struct {
 
 	tasks  map[int]*Task
 	nextID int
+
+	// touched lists the groups written since the last publish (touch).
+	touched []int
 
 	// Mode selects accurate vs efficient memory allocation (§3.4).
 	Mode MemoryMode
@@ -246,11 +250,16 @@ func NewController(cfg Config) *Controller {
 }
 
 // publishLocked compiles the pipeline's current configuration and swaps in
-// the new snapshot. Callers hold c.mu (or are the constructor). The
-// displaced snapshot joins the retired ring so its unsettled telemetry
-// counts are folded into the durable counters (telemetry.go).
+// the new snapshot. Only the groups marked with touch since the last publish
+// are compiled; every other group keeps the displaced snapshot's program
+// (core.Pipeline.Recompile). Callers hold c.mu (or are the constructor,
+// whose first publish compiles everything). The displaced snapshot joins
+// the retired ring so its unsettled telemetry counts are folded into the
+// durable counters (telemetry.go).
 func (c *Controller) publishLocked() {
-	old := c.snap.Swap(c.pipeline.Compile())
+	next := c.pipeline.Recompile(c.snap.Load(), c.touched)
+	c.touched = c.touched[:0]
+	old := c.snap.Swap(next)
 	c.version++
 	if c.tele == nil {
 		return
@@ -270,13 +279,17 @@ func (c *Controller) SnapshotVersion() uint64 {
 	return c.version
 }
 
-// Republish recompiles and republishes the data-plane snapshot. The
-// controller does this automatically after every task-mutating call; it is
-// needed only after mutating the pipeline directly through Pipeline().
+// Republish recompiles every group and republishes the data-plane snapshot.
+// The controller republishes automatically after every task-mutating call,
+// recompiling only the groups the call wrote; Republish is needed after
+// mutating the pipeline directly through Pipeline().
 func (c *Controller) Republish() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	done := c.teleMutation("republish")
+	for gi := range c.groups {
+		c.touch(gi)
+	}
 	c.publishLocked()
 	done(0, "", nil)
 }
@@ -498,51 +511,63 @@ func (c *Controller) addTaskLocked(spec TaskSpec) (*Task, error) {
 	}
 	c.nextID++
 	c.tasks[id] = task
-	locs := c.pipeline.Locate(id)
+	locs := c.locate(task)
 	task.Delay = c.Delay.Delay(c.countRules(task, locs))
 	task.Fingerprint = layoutFingerprint(locs)
 	c.publishLocked()
 	return task, nil
 }
 
-// place tries candidate placements in greedy preference order and installs
-// the first that fits.
+// place admits candidate placements in greedy preference order and installs
+// the first one the admission check accepts. A rejected candidate costs a
+// few comparisons and writes nothing; an install that fails on something
+// the check cannot predict (compression units, the TCAM budget) is rolled
+// back without a trace and the next candidate is tried.
 func (c *Controller) place(id int, spec TaskSpec, alg Algorithm, d int) (*Task, error) {
 	need := alg.GroupsNeeded(d)
-	n := c.regular
-	if need > n {
-		return nil, fmt.Errorf("controlplane: %s needs %d groups, pipeline has %d", alg, need, n)
+	if need > c.regular {
+		return nil, fmt.Errorf("controlplane: %s needs %d groups, pipeline has %d", alg, need, c.regular)
 	}
+	rows := rowsFor(alg, d, c.groups[0].CMU(0).Register().BitWidth())
 
 	// Candidate starting groups, preferring groups that already produce
 	// the task's compressed key (§3.4 greedy strategy). Spliced
 	// (recirculated) groups host only single-group tasks and come last:
 	// they cost bandwidth (Appendix E).
 	order := make([]int, 0, len(c.groups))
-	var rest, spliced []int
-	for gi := 0; gi+need <= n; gi++ {
-		if c.groups[gi].FindUnit(spec.Key) >= 0 {
-			order = append(order, gi)
-		} else {
-			rest = append(rest, gi)
+	for _, reuse := range [2]bool{true, false} {
+		for gi := 0; gi+need <= c.regular; gi++ {
+			if (c.groups[gi].FindUnit(spec.Key) >= 0) == reuse {
+				order = append(order, gi)
+			}
 		}
 	}
 	if need == 1 {
 		for gi := c.regular; gi < len(c.groups); gi++ {
-			spliced = append(spliced, gi)
+			order = append(order, gi)
 		}
 	}
-	order = append(order, rest...)
-	order = append(order, spliced...)
 
 	var firstErr error
 	for _, gi := range order {
-		task, err := c.installAt(gi, id, spec, alg, d)
-		if err == nil {
-			return task, nil
+		// A single-group task using fewer rows than the group has CMUs can
+		// start at any offset — this is what lets three d=1 tasks per
+		// partition level share one group (the 96-task figure, §5.1).
+		offsets := 1
+		if need == 1 {
+			offsets = c.groups[gi].CMUs() - rows + 1
 		}
-		if firstErr == nil {
-			firstErr = err
+		for off := 0; off < offsets; off++ {
+			err := c.admit(gi, off, id, spec, need, rows)
+			if err == nil {
+				var task *Task
+				if task, err = c.installSpan(gi, off, id, spec, alg, d, need, rows); err == nil {
+					return task, nil
+				}
+			}
+			if firstErr == nil {
+				firstErr = err
+			}
 		}
 	}
 	if firstErr == nil {
@@ -551,120 +576,154 @@ func (c *Controller) place(id int, spec TaskSpec, alg Algorithm, d int) (*Task, 
 	return nil, fmt.Errorf("controlplane: cannot place task %q (%s): %w", spec.Name, alg, firstErr)
 }
 
-// installAt attempts a full installation of the task starting at group gi,
-// trying each feasible CMU offset within the group, rolling back
-// allocations on failure.
-func (c *Controller) installAt(gi, id int, spec TaskSpec, alg Algorithm, d int) (*Task, error) {
-	need := alg.GroupsNeeded(d)
-	rowCount := d
-	if alg == AlgCounterBraids {
-		rowCount = 2
+// rowsFor is the number of rows — register partitions, one rule each — an
+// algorithm of depth d installs over bitWidth-bit buckets.
+func rowsFor(alg Algorithm, d, bitWidth int) int {
+	switch alg {
+	case AlgMRAC, AlgHLL, AlgLinearCounting:
+		return 1
+	case AlgCounterBraids:
+		return 2
+	case AlgMaxInterval:
+		return 3
+	case AlgTower:
+		return len(towerWidths(bitWidth, d))
+	default:
+		return d
 	}
-	if alg == AlgMaxInterval {
-		rowCount = 3
-	}
-
-	if need > 1 {
-		return c.installSpan(gi, id, spec, alg, d, need, rowCount, 0)
-	}
-	// Single-group algorithms: a task using fewer rows than the group has
-	// CMUs can start at any offset — this is what lets three d=1 tasks per
-	// partition level share one group (the 96-task figure, §5.1).
-	cmus := c.groups[gi].CMUs()
-	var firstErr error
-	for off := 0; off+rowCount <= cmus; off++ {
-		task, err := c.installSpan(gi, id, spec, alg, d, need, rowCount, off)
-		if err == nil {
-			return task, nil
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	return nil, firstErr
 }
 
-// installSpan allocates partitions and installs the algorithm with a fixed
-// CMU offset.
-func (c *Controller) installSpan(gi, id int, spec TaskSpec, alg Algorithm,
-	d, need, rowCount, offset int) (*Task, error) {
-	groups := make([]*core.Group, need)
-	groupIdx := make([]int, need)
-	for j := 0; j < need; j++ {
-		groups[j] = c.groups[gi+j]
-		groupIdx[j] = gi + j
+// rowAt locates row i of a candidate placement: consecutive CMUs of group
+// gi from offset off, or CMU 0 of consecutive groups for a multi-group
+// algorithm.
+func rowAt(gi, off, i, need int) (group, cmu int) {
+	if need > 1 {
+		return gi + i, 0
 	}
+	return gi, off + i
+}
 
-	type grant struct {
-		group, cmu, base int
+// admit is the placer's read-only admission check for one candidate: can
+// every row's allocator grant the partition, and may the task's filter join
+// every row's CMU under the one-access-per-packet rule? Its error is the one
+// installSpan would fail with, checked in the same order — memory for every
+// row, then the rules.
+func (c *Controller) admit(gi, off, id int, spec TaskSpec, need, rows int) error {
+	for i := 0; i < rows; i++ {
+		g, cmu := rowAt(gi, off, i, need)
+		a := c.allocs[g][cmu]
+		if err := a.Admit(c.Mode.PartitionFor(spec.MemBuckets, a.minBlock, a.Size())); err != nil {
+			return err
+		}
 	}
-	var grants []grant
-	rollback := func() {
-		for _, g := range grants {
-			_ = c.allocs[g.group][g.cmu].Free(g.base)
+	for i := 0; i < rows; i++ {
+		g, cmu := rowAt(gi, off, i, need)
+		if err := c.groups[g].CMU(cmu).Admit(id, spec.Filter); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// installSpan allocates the rows of an admitted candidate and installs the
+// algorithm there. A failure rolls everything back — partitions, rules and
+// any compression unit the installer configured — so a failed install
+// leaves the pipeline as it found it.
+func (c *Controller) installSpan(gi, off, id int, spec TaskSpec, alg Algorithm,
+	d, need, rowCount int) (*Task, error) {
+	groups := c.groups[gi : gi+need : gi+need]
+	groupIdx := make([]int, need)
+	for j, g := range groups {
+		groupIdx[j] = g.ID()
+		c.touch(g.ID())
+	}
+	// The units the groups digest before the install: newMasks counts the
+	// ones the install configures, a rollback restores them.
+	var before []packet.KeySpec
+	for _, g := range groups {
+		for u := 0; u < g.Units(); u++ {
+			before = append(before, g.UnitSpec(u))
 		}
 	}
 
 	rows := make([]core.MemRange, rowCount)
 	granted := 0
-	for i := 0; i < rowCount; i++ {
-		g, cmu := gi, offset+i
-		if need > 1 {
-			g, cmu = gi+i, 0
+	var err error
+	for ; granted < rowCount; granted++ {
+		g, cmu := rowAt(gi, off, granted, need)
+		a := c.allocs[g][cmu]
+		base, got, aerr := a.Alloc(c.Mode.PartitionFor(spec.MemBuckets, a.minBlock, a.Size()))
+		if aerr != nil {
+			err = aerr
+			break
 		}
-		alloc := c.allocs[g][cmu]
-		want := c.Mode.PartitionFor(spec.MemBuckets, allocMin(alloc), alloc.Size())
-		base, got, err := alloc.Alloc(want)
-		if err != nil {
-			rollback()
-			return nil, err
-		}
-		grants = append(grants, grant{g, cmu, base})
-		rows[i] = core.MemRange{Base: base, Buckets: got}
-		granted = got
+		rows[granted] = core.MemRange{Base: base, Buckets: got}
 	}
-
-	// Snapshot compression-unit occupancy to count how many hash-mask
-	// rules this deployment installs (for the delay model).
-	liveBefore := 0
-	for _, g := range groups {
-		for u := 0; u < g.Units(); u++ {
-			if len(g.UnitSpec(u).Parts) > 0 {
-				liveBefore++
+	var handle interface{ Uninstall() }
+	if err == nil {
+		handle, err = c.installAlgorithm(groups, id, spec, alg, d, rows, off)
+	}
+	if err == nil {
+		// Resource manager: the deployment must fit every touched group's
+		// preparation-stage TCAM budget (address translation + transforms).
+		for _, g := range groups {
+			if used := c.groupTCAMEntries(g); used > c.tcamBudget {
+				err = fmt.Errorf("controlplane: group %d TCAM load %d exceeds budget %d",
+					g.ID(), used, c.tcamBudget)
+				handle.Uninstall()
+				break
 			}
 		}
 	}
-	handle, err := c.installAlgorithm(groups, id, spec, alg, d, rows, offset)
+	newMasks, k := 0, 0
+	for _, g := range groups {
+		for u := 0; u < g.Units(); u++ {
+			if now := g.UnitSpec(u); !now.Equal(before[k]) {
+				newMasks++
+				if err != nil {
+					_ = g.ConfigureUnit(u, before[k])
+				}
+			}
+			k++
+		}
+	}
 	if err != nil {
-		rollback()
+		for i := 0; i < granted; i++ {
+			g, cmu := rowAt(gi, off, i, need)
+			_ = c.allocs[g][cmu].Free(rows[i].Base)
+		}
 		return nil, err
-	}
-	// Resource manager: the deployment must fit every touched group's
-	// preparation-stage TCAM budget (address translation + transforms).
-	for _, g := range groups {
-		if used := c.groupTCAMEntries(g); used > c.tcamBudget {
-			handle.Uninstall()
-			rollback()
-			return nil, fmt.Errorf("controlplane: group %d TCAM load %d exceeds budget %d",
-				g.ID(), used, c.tcamBudget)
-		}
-	}
-	liveAfter := 0
-	for _, g := range groups {
-		for u := 0; u < g.Units(); u++ {
-			if len(g.UnitSpec(u).Parts) > 0 {
-				liveAfter++
-			}
-		}
 	}
 	return &Task{
 		ID: id, Spec: spec, Algorithm: alg, D: d,
-		Groups: groupIdx, Buckets: granted, handle: handle,
-		newMasks: liveAfter - liveBefore,
+		Groups: groupIdx, Buckets: rows[rowCount-1].Buckets, handle: handle,
+		newMasks: newMasks,
 	}, nil
 }
 
-func allocMin(b *BuddyAllocator) int { return b.minBlock }
+// locate returns the task's rule locations in pipeline order, as
+// Pipeline.Locate does, scanning only the groups the task was placed on.
+func (c *Controller) locate(t *Task) []core.TaskLocation {
+	locs := make([]core.TaskLocation, 0, len(t.Groups)*core.CMUsPerGroup)
+	for _, gi := range t.Groups {
+		g := c.groups[gi]
+		for ci := 0; ci < g.CMUs(); ci++ {
+			if r := g.CMU(ci).RuleFor(t.ID); r != nil {
+				locs = append(locs, core.TaskLocation{Group: g, CMU: ci, Rule: r})
+			}
+		}
+	}
+	return locs
+}
+
+// touch marks group gi as changed since the last publish: publishLocked
+// recompiles the marked groups and reuses every other group's program.
+// Every path that writes a group's rules or units marks it.
+func (c *Controller) touch(gi int) {
+	if !slices.Contains(c.touched, gi) {
+		c.touched = append(c.touched, gi)
+	}
+}
 
 // installAlgorithm dispatches to the algorithm installers.
 func (c *Controller) installAlgorithm(groups []*core.Group, id int, spec TaskSpec,
@@ -795,7 +854,7 @@ func (c *Controller) reclaimLocked(id int, read bool) (old [][]uint32, err error
 	if !ok {
 		return nil, fmt.Errorf("controlplane: %w %d", ErrNoTask, id)
 	}
-	locs := c.pipeline.Locate(id) // before the rules disappear
+	locs := c.locate(t) // before the rules disappear
 	t.handle.Uninstall()
 	delete(c.tasks, id)
 	// The task's per-rule counters go with it — a re-add (resize keeps the
@@ -803,14 +862,20 @@ func (c *Controller) reclaimLocked(id int, read bool) (old [][]uint32, err error
 	if c.tele != nil {
 		c.tele.DropTask(id)
 	}
+	for _, loc := range locs {
+		c.touch(loc.Group.ID())
+	}
 	c.publishLocked()
 	c.grace()
 	folded := 0
 	for _, loc := range locs {
 		reg, mem := loc.Group.CMU(loc.CMU).Register(), loc.Rule.Mem
 		if read {
+			// Quiescent: one plain copy, no atomic loads.
 			folded += reg.DrainRange(loc.Rule.Op, mem.Base, mem.Buckets)
-			old = append(old, reg.ReadRange(mem.Base, mem.Buckets))
+			row := make([]uint32, mem.Buckets)
+			reg.CopyRange(row, mem.Base)
+			old = append(old, row)
 		}
 		reg.ClearRange(mem.Base, mem.Buckets)
 		if ferr := c.allocs[loc.Group.ID()][loc.CMU].Free(mem.Base); ferr != nil && err == nil {
@@ -876,6 +941,7 @@ func (c *Controller) FreezeTask(id int) error {
 	}
 	for _, loc := range locs {
 		loc.Rule.Disabled = true
+		c.touch(loc.Group.ID())
 	}
 	c.publishLocked()
 	c.grace()
@@ -908,6 +974,7 @@ func (c *Controller) ThawTask(id int) (err error) {
 	}
 	for _, loc := range locs {
 		loc.Rule.Disabled = false
+		c.touch(loc.Group.ID())
 	}
 	c.publishLocked()
 	return nil

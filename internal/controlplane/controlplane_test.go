@@ -3,6 +3,7 @@ package controlplane
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -129,6 +130,97 @@ func TestBuddyAllocationsDisjointProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// mapBuddy is the allocator's former map representation, kept as the
+// reference for which base each grant gets: free block bases per order,
+// granted base → order.
+type mapBuddy struct {
+	minBlock int
+	free     []map[int]bool
+	granted  map[int]int
+}
+
+func newMapBuddy(size, minBlock int) *mapBuddy {
+	m := &mapBuddy{minBlock: minBlock, granted: map[int]int{}}
+	for s := minBlock; s <= size; s <<= 1 {
+		m.free = append(m.free, map[int]bool{})
+	}
+	m.free[len(m.free)-1][0] = true
+	return m
+}
+
+func (m *mapBuddy) alloc(buckets int) (int, bool) {
+	order := 0
+	for m.minBlock<<order < buckets {
+		order++
+	}
+	for from := order; from < len(m.free); from++ {
+		base := -1
+		for b := range m.free[from] {
+			if base < 0 || b < base {
+				base = b
+			}
+		}
+		if base < 0 {
+			continue
+		}
+		delete(m.free[from], base)
+		for o := from; o > order; o-- {
+			m.free[o-1][base+m.minBlock<<(o-1)] = true
+		}
+		m.granted[base] = order
+		return base, true
+	}
+	return 0, false
+}
+
+func (m *mapBuddy) release(base int) {
+	order := m.granted[base]
+	delete(m.granted, base)
+	for ; order < len(m.free)-1 && m.free[order][base^m.minBlock<<order]; order++ {
+		delete(m.free[order], base^m.minBlock<<order)
+		base &^= m.minBlock << order
+	}
+	m.free[order][base] = true
+}
+
+// TestBuddyBasesMatchMapReference: the bitset allocator grants exactly the
+// bases the map representation granted — smallest order that fits, smallest
+// base within it — so partition placement, and with it every layout
+// fingerprint, is unchanged. Admit agrees with Alloc before every request.
+func TestBuddyBasesMatchMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < 20; round++ {
+		size, minBlock := 1<<(10+rng.Intn(7)), 1<<(2+rng.Intn(5))
+		b, ref := NewBuddyAllocator(size, minBlock), newMapBuddy(size, minBlock)
+		var live []int
+		for op := 0; op < 2000; op++ {
+			if len(live) > 0 && rng.Intn(3) == 0 {
+				i := rng.Intn(len(live))
+				if err := b.Free(live[i]); err != nil {
+					t.Fatal(err)
+				}
+				ref.release(live[i])
+				live = append(live[:i], live[i+1:]...)
+				continue
+			}
+			want := 1 + rng.Intn(size/4)
+			admitted := b.Admit(want) == nil
+			base, _, err := b.Alloc(want)
+			refBase, ok := ref.alloc(want)
+			if admitted != (err == nil) || ok != (err == nil) || (ok && base != refBase) {
+				t.Fatalf("size %d min %d request %d: admit %v, alloc (%d, %v), reference (%d, %v)",
+					size, minBlock, want, admitted, base, err, refBase, ok)
+			}
+			if ok {
+				live = append(live, base)
+			}
+			if b.Allocations() != len(ref.granted) {
+				t.Fatalf("%d allocations, reference holds %d", b.Allocations(), len(ref.granted))
+			}
+		}
 	}
 }
 

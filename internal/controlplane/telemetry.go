@@ -88,6 +88,7 @@ func (c *Controller) rekeyUnitLocked(group, unit int, spec packet.KeySpec) error
 	if err := c.groups[group].ConfigureUnit(unit, spec); err != nil {
 		return err
 	}
+	c.touch(group)
 	c.publishLocked()
 	return nil
 }

@@ -52,7 +52,7 @@ func InstallBeauCoup(g *core.Group, taskID int, filter packet.Filter,
 	if err != nil {
 		return nil, err
 	}
-	paramUnit, err := EnsureUnit(g, param)
+	paramUnit, err := EnsureUnit(g, param, keyUnit)
 	if err != nil {
 		return nil, err
 	}

@@ -21,12 +21,15 @@ const rowRotation = 8
 
 // EnsureUnit returns the index of a compression unit in g configured for
 // spec, configuring a free unit when none matches (the control plane's
-// greedy reuse of compressed keys, §3.4).
-func EnsureUnit(g *core.Group, spec packet.KeySpec) (int, error) {
+// greedy reuse of compressed keys, §3.4). A unit is free when no installed
+// rule reads it (core.Group.FreeUnit), so a task's units return to the pool
+// with its rules. held lists units this installation already configured but
+// has not bound a rule to yet.
+func EnsureUnit(g *core.Group, spec packet.KeySpec, held ...int) (int, error) {
 	if i := g.FindUnit(spec); i >= 0 {
 		return i, nil
 	}
-	i := g.FreeUnit()
+	i := g.FreeUnit(held...)
 	if i < 0 {
 		return -1, fmt.Errorf("algorithms: group %d has no free compression unit for key %s", g.ID(), spec)
 	}

@@ -64,6 +64,17 @@ func (s Selector) Resolve(keys []uint32) uint32 {
 	return v
 }
 
+// units returns the compressed keys the selector reads, one bit per unit.
+func (s Selector) units() uint64 {
+	var m uint64
+	for _, u := range [2]int{s.UnitA, s.UnitB} {
+		if u >= 0 && u < 64 {
+			m |= 1 << uint(u)
+		}
+	}
+	return m
+}
+
 // ParamKind enumerates the sources a CMU's initialization stage can bind to
 // a parameter: constants, standard metadata, compressed keys, and the
 // result bus of an upstream CMU (§3.2: "The parameters can be constant
@@ -296,6 +307,19 @@ type Rule struct {
 	Disabled bool
 }
 
+// units returns the compression units the rule reads — its key selector and
+// any compressed-key parameter — one bit per unit.
+func (r *Rule) units() uint64 {
+	m := r.Key.units()
+	if r.P1.Kind == ParamCompressedKey {
+		m |= r.P1.Sel.units()
+	}
+	if r.P2.Kind == ParamCompressedKey {
+		m |= r.P2.Sel.units()
+	}
+	return m
+}
+
 // Context is the per-packet PHV slice threaded through the CMU pipeline:
 // the packet, the last CMU's result bus, and algorithm-level flags.
 type Context struct {
@@ -403,9 +427,34 @@ func (c *CMU) validate(r *Rule) error {
 		if prev.Mem.Overlaps(r.Mem) {
 			return reject(ruleErrOverlap, prev.TaskID)
 		}
-		probabilistic := (prev.Prob > 0 && prev.Prob < 1) && (r.Prob > 0 && r.Prob < 1)
-		if prev.Filter.Intersects(r.Filter) && !probabilistic && !prev.Disabled && !r.Disabled {
+		if exclusive(prev, r.Filter, r.Prob, r.Disabled) {
 			return reject(ruleErrFilter, prev.TaskID)
+		}
+	}
+	return nil
+}
+
+// exclusive is the one-access-per-packet rule: a rule with filter f,
+// sampling probability prob and the given frozen state may not share a CMU
+// with the installed rule prev when both are enabled, their traffic
+// intersects, and they are not both sampled. InstallRule's validation and
+// the read-only Admit both decide through it.
+func exclusive(prev *Rule, f packet.Filter, prob float64, disabled bool) bool {
+	sampled := prev.Prob > 0 && prev.Prob < 1 && prob > 0 && prob < 1
+	return !sampled && !prev.Disabled && !disabled && prev.Filter.Intersects(f)
+}
+
+// Admit reports, without changing anything, whether an enabled, unsampled
+// rule of task taskID with filter f may join the CMU's installed rules —
+// the rule the control plane installs (it sets a sampling probability after
+// the install). The error is the one InstallRule would return for such a
+// rule. The placer asks it for every candidate CMU before it allocates or
+// installs anything.
+func (c *CMU) Admit(taskID int, f packet.Filter) error {
+	for _, prev := range c.rules {
+		if exclusive(prev, f, 0, false) {
+			return &ruleError{kind: ruleErrFilter, task: taskID, prev: prev.TaskID, cmu: c.index,
+				size: c.register.Size(), filter: f}
 		}
 	}
 	return nil

@@ -171,17 +171,32 @@ func TestCMURejectsOverlapsAndIntersections(t *testing.T) {
 	if err := c.InstallRule(mem); err == nil || !strings.Contains(err.Error(), "overlaps") {
 		t.Errorf("overlapping memory must fail, got %v", err)
 	}
-	// Intersecting filters (one access per packet, §3.3).
+	// Intersecting filters (one access per packet, §3.3). The read-only
+	// Admit gives the install's verdict and error without installing.
 	isect := testRule(3, MemRange{Base: 512, Buckets: 256})
 	isect.Filter = packet.Filter{SrcPrefix: packet.Prefix{Value: packet.IPv4(10, 1, 0, 0), Bits: 16}}
+	admitErr := c.Admit(3, isect.Filter)
 	if err := c.InstallRule(isect); err == nil || !strings.Contains(err.Error(), "one access per packet") {
 		t.Errorf("intersecting filters must fail, got %v", err)
+	} else if admitErr == nil || admitErr.Error() != err.Error() {
+		t.Errorf("Admit = %v, InstallRule = %v", admitErr, err)
 	}
 	// Disjoint filter + disjoint memory is fine.
 	ok := testRule(4, MemRange{Base: 512, Buckets: 256})
 	ok.Filter = packet.Filter{SrcPrefix: packet.Prefix{Value: packet.IPv4(20, 0, 0, 0), Bits: 8}}
+	if err := c.Admit(4, ok.Filter); err != nil {
+		t.Errorf("Admit refused a disjoint task: %v", err)
+	}
 	if err := c.InstallRule(ok); err != nil {
 		t.Errorf("disjoint task must install: %v", err)
+	}
+	// A frozen rule covers no traffic: intersecting it is admitted.
+	c.RuleFor(1).Disabled = true
+	if err := c.Admit(3, isect.Filter); err != nil {
+		t.Errorf("Admit refused traffic only a frozen rule covers: %v", err)
+	}
+	if len(c.Rules()) != 2 {
+		t.Errorf("%d rules installed, want 2: Admit must not install", len(c.Rules()))
 	}
 }
 
@@ -304,6 +319,22 @@ func TestGroupUnitManagement(t *testing.T) {
 	}
 	if err := g.ConfigureUnit(99, packet.KeyDstIP); err == nil {
 		t.Fatal("out-of-range unit must error")
+	}
+	// Configured is not taken: a unit is free until a rule reads it, and
+	// among configured units the highest index goes first.
+	_ = g.ConfigureUnit(1, packet.KeyDstIP)
+	_ = g.ConfigureUnit(2, packet.KeyIPPair)
+	if g.FreeUnit() != 2 || g.FreeUnit(2) != 1 {
+		t.Fatalf("FreeUnit() = %d, FreeUnit(2) = %d; want 2 and 1", g.FreeUnit(), g.FreeUnit(2))
+	}
+	r := testRule(1, MemRange{Base: 0, Buckets: 1024})
+	r.Key = XorKey(1, 2)
+	if err := g.CMU(0).InstallRule(r); err != nil {
+		t.Fatal(err)
+	}
+	r.Disabled = true // a frozen rule still reads its units at readout
+	if g.FreeUnit() != 0 || g.FreeUnit(0) != -1 {
+		t.Fatalf("FreeUnit() = %d, FreeUnit(0) = %d; want 0 and -1", g.FreeUnit(), g.FreeUnit(0))
 	}
 }
 

@@ -117,7 +117,8 @@ func (g *Group) ConfigureUnit(i int, spec packet.KeySpec) error {
 func (g *Group) UnitSpec(i int) packet.KeySpec { return g.keyUse[i] }
 
 // FindUnit returns the index of a compression unit already configured for
-// spec, or -1.
+// spec, or -1. A configured unit no rule reads still matches: reusing it
+// costs no hash-mask rule.
 func (g *Group) FindUnit(spec packet.KeySpec) int {
 	for i, u := range g.units {
 		if u.Live() && g.keyUse[i].Equal(spec) {
@@ -127,14 +128,35 @@ func (g *Group) FindUnit(spec packet.KeySpec) int {
 	return -1
 }
 
-// FreeUnit returns the index of an unconfigured compression unit, or -1.
-func (g *Group) FreeUnit() int {
+// FreeUnit returns the index of a compression unit no installed rule reads
+// (frozen rules included: their readout still hashes through it), or -1. It
+// prefers a unit never configured, then the highest-indexed configured one,
+// so the bootstrap key on unit 0 — the one most tasks reuse — goes last.
+// held lists units the caller configured for rules it has not installed
+// yet; they are not free.
+func (g *Group) FreeUnit(held ...int) int {
+	var busy uint64
+	for _, c := range g.cmus {
+		for _, r := range c.rules {
+			busy |= r.units()
+		}
+	}
+	for _, u := range held {
+		if u >= 0 && u < 64 {
+			busy |= 1 << uint(u)
+		}
+	}
+	free := -1
 	for i, u := range g.units {
+		if i < 64 && busy&(1<<uint(i)) != 0 {
+			continue
+		}
 		if !u.Live() {
 			return i
 		}
+		free = i
 	}
-	return -1
+	return free
 }
 
 // Process pushes one packet through the group: the compression stage

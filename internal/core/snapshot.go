@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"flymon/internal/hashing"
@@ -28,7 +29,8 @@ import (
 //   - filters are specialized by shape (match-all / exact-field / prefix)
 //     and address translation is folded to one shift or one mask,
 //   - groups with zero enabled rules are dropped entirely, so their
-//     compression stage costs nothing,
+//     compression stage costs nothing, and a live group digests only the
+//     units its enabled rules read,
 //   - disabled (frozen) rules are compiled out, including from the
 //     spliced-group mirror decision.
 //
@@ -48,7 +50,8 @@ type Snapshot struct {
 	// the mirror decision.
 	splicedMatch []compiledMatch
 
-	// masks are the distinct per-field masks live units digest; hashes the
+	// masks are the distinct per-field masks of the units enabled rules
+	// read (a configured unit nothing reads is not digested); hashes the
 	// distinct (mask, polynomial) digests. Entries below nMainMasks /
 	// nMainHashes are needed by the first pass; the rest only by the
 	// recirculated pass.
@@ -97,10 +100,50 @@ type Snapshot struct {
 	teleSpl     []*telemetry.RuleCounter
 	teleDigMain int
 	teleDigSpl  int
+
+	// progs holds every pipeline group's share of the snapshot, in pipeline
+	// order (regular groups, then spliced), live or not: what Recompile
+	// reuses for the groups a mutation did not touch.
+	progs []*groupProg
 }
 
 type snapHash struct {
 	mask int // index into Snapshot.masks
+	h    hashing.Hasher
+}
+
+// groupProg is one group's compiled program together with the facts the
+// snapshot-wide passes take from it, kept per group so a republish can
+// reassemble the snapshot without rescanning the rules of groups it did not
+// touch.
+type groupProg struct {
+	sg   snapGroup
+	live bool // at least one enabled rule
+	// busConsumer: an enabled rule reads the cross-CMU result bus (it pins
+	// the snapshot to the shared path and the witness scatter); probGated:
+	// an enabled rule is sampled (the frame engine cannot vectorise it).
+	busConsumer, probGated bool
+	// claims are the digests the group's enabled rules read, in unit order;
+	// slots[u] is the snapshot digest slot unit u resolved to when sg was
+	// compiled (-1: not read). sg is valid only while its claims resolve to
+	// the same slots.
+	claims []unitClaim
+	slots  []int
+	// sharded and fallback count the group's rules per routing verdict.
+	sharded, fallback int
+	// teleBase is the snapshot telemetry slot of the group's first
+	// live-counted rule; teleSlots are those rules' counters, teleDerived the
+	// counters derived from the pass's packet count.
+	teleBase    int
+	teleSlots   []*telemetry.RuleCounter
+	teleDerived []*telemetry.RuleCounter
+}
+
+// unitClaim is one compression unit a group's enabled rules read: the field
+// mask it digests and its polynomial.
+type unitClaim struct {
+	unit int
+	mask [packet.NumFields]uint32
 	h    hashing.Hasher
 }
 
@@ -116,133 +159,134 @@ type snapCMU struct {
 	prog []compiledRule
 }
 
-// Compile freezes the pipeline's current configuration into a Snapshot.
-// The caller must ensure no concurrent mutation of the pipeline's groups
-// or rules during compilation (the controller compiles under its lock).
-func (pl *Pipeline) Compile() *Snapshot {
-	s := &Snapshot{pl: pl}
-	maskIdx := make(map[[packet.NumFields]uint32]int)
-	type hashKey struct {
-		mask, poly int
-	}
-	hashIdx := make(map[hashKey]int)
+// Compile freezes the pipeline's current configuration into a Snapshot,
+// compiling every group. The caller must ensure no concurrent mutation of
+// the pipeline's groups or rules during compilation (the controller
+// compiles under its lock).
+func (pl *Pipeline) Compile() *Snapshot { return pl.Recompile(nil, nil) }
 
-	// Sharding is sound only while nothing can observe a lane-local result
-	// bus: one enabled bus consumer anywhere (SuMax's min chain, Counter
-	// Braids' PrevResult, max-interval's IntervalSub) pins the whole
-	// snapshot to the shared CAS path.
+// Recompile is Compile for a pipeline that changed only in the touched
+// groups (indices in pipeline order: regular groups, then spliced) since
+// prev was compiled from it. Every other group keeps prev's program as long
+// as its digests resolve to the same slots, its telemetry slots start at
+// the same index and the snapshot's sharding verdict stands; otherwise it
+// is compiled again. With a nil prev, or one compiled from another pipeline
+// or telemetry registry, every group is compiled. The result equals
+// Compile's whenever the untouched groups really are unchanged — unit
+// configuration included — which the controller guarantees by marking
+// every group a mutation writes.
+func (pl *Pipeline) Recompile(prev *Snapshot, touched []int) *Snapshot {
+	nReg, n := len(pl.groups), len(pl.groups)+len(pl.spliced)
+	group := func(gi int) *Group {
+		if gi < nReg {
+			return pl.groups[gi]
+		}
+		return pl.spliced[gi-nReg]
+	}
+	if prev != nil && (prev.pl != pl || len(prev.progs) != n || prev.teleReg != pl.tele) {
+		prev = nil
+	}
+	s := &Snapshot{pl: pl, progs: make([]*groupProg, n)}
+
+	// Per-group facts: rescanned for touched groups, shared with prev for
+	// the rest. Sharding is sound only while nothing can observe a
+	// lane-local result bus: one enabled bus consumer anywhere (SuMax's min
+	// chain, Counter Braids' PrevResult, max-interval's IntervalSub) pins
+	// the whole snapshot to the shared CAS path.
 	allowShard := true
-	for _, g := range pl.allGroups() {
-		for i := 0; i < g.CMUs(); i++ {
-			for _, r := range g.CMU(i).Rules() {
-				if !r.Disabled && busConsumer(r) {
-					allowShard = false
-				}
+	live, liveReg := 0, 0
+	for gi := range s.progs {
+		if prev != nil && !slices.Contains(touched, gi) {
+			s.progs[gi] = prev.progs[gi]
+		} else {
+			s.progs[gi] = scanGroup(group(gi))
+		}
+		p := s.progs[gi]
+		if p.busConsumer {
+			allowShard = false
+		}
+		if p.live {
+			live++
+			if gi < nReg {
+				liveReg++
 			}
 		}
 	}
+	keep := prev != nil && prev.busQuiet == allowShard
 
-	compile := func(gi int, g *Group, splicedGroup bool) (snapGroup, bool) {
-		live := false
-		for _, c := range g.cmus {
-			for _, r := range c.rules {
-				if !r.Disabled {
-					live = true
-					break
-				}
-			}
-		}
-		if !live {
-			return snapGroup{}, false
-		}
-		// Claim digest slots for the group's live units, deduplicating
-		// masks and (mask, polynomial) pairs across the whole snapshot.
-		unitHash := make([]int, len(g.units))
-		for ui, u := range g.units {
-			if !u.Live() {
-				unitHash[ui] = -1
-				continue
-			}
-			mask := u.Mask()
-			mi, ok := maskIdx[mask]
-			if !ok {
-				mi = len(s.masks)
-				maskIdx[mask] = mi
-				s.masks = append(s.masks, mask)
-			}
-			hk := hashKey{mask: mi, poly: u.Index()}
-			hi, ok := hashIdx[hk]
-			if !ok {
-				hi = len(s.hashes)
-				hashIdx[hk] = hi
-				s.hashes = append(s.hashes, snapHash{mask: mi, h: u.Hasher()})
-			}
-			unitHash[ui] = hi
-		}
-		var sg snapGroup
-		for ci, c := range g.cmus {
-			var sc snapCMU
-			for _, r := range c.rules {
-				if r.Disabled {
-					continue
-				}
-				cr := compileRule(r, c.register, unitHash, allowShard)
-				if cr.sharded {
-					s.shardedRules++
-				} else {
-					s.fallbackRules++
-				}
-				if pl.tele != nil {
-					// First-match semantics make a match-all, unsampled rule
-					// at program position 0 execute for every packet of its
-					// pass: its hits are derived from the snapshot packet
-					// counter instead of counted per execution. ci is the
-					// CMU's real pipeline position — compiled-out CMUs must
-					// not shift the telemetry coordinates.
-					derived := len(sc.prog) == 0 && cr.match.kind == matchAll && !cr.probGated
-					rc := pl.tele.Rule(
-						telemetry.RuleKey{Group: gi, CMU: ci, Task: r.TaskID},
-						telemetry.RuleMeta{
-							Op:      r.Op.String(),
-							Prep:    cr.hasPrep,
-							Spliced: splicedGroup,
-							Sharded: cr.sharded,
-							Derived: derived,
-						})
-					switch {
-					case !derived:
-						cr.teleSlot = int32(len(s.teleSlots))
-						s.teleSlots = append(s.teleSlots, rc)
-					case splicedGroup:
-						s.teleSpl = append(s.teleSpl, rc)
-					default:
-						s.teleMain = append(s.teleMain, rc)
-					}
-				}
-				sc.prog = append(sc.prog, cr)
-			}
-			if len(sc.prog) > 0 {
-				sg.cmus = append(sg.cmus, sc)
-			}
-		}
-		return sg, true
+	// Digest slots and programs, in pipeline order: the recirculated pass's
+	// digests follow the first pass's. A kept program's claims must resolve
+	// to the slots it was compiled against (claiming is idempotent, so
+	// probing them costs nothing when the group is then recompiled). A
+	// program shared with prev is never written: recompiling it compiles a
+	// copy.
+	capMasks, capHashes := n*CompressionUnits, n*CompressionUnits
+	if prev != nil {
+		capMasks, capHashes = len(prev.masks)+CompressionUnits, len(prev.hashes)+CompressionUnits
 	}
-
-	for gi, g := range pl.groups {
-		if sg, ok := compile(gi, g, false); ok {
-			s.groups = append(s.groups, sg)
+	s.masks = make([][packet.NumFields]uint32, 0, capMasks)
+	s.hashes = make([]snapHash, 0, capHashes)
+	teleN, teleDerived := 0, 0
+	for gi, p := range s.progs {
+		if gi == nReg {
+			s.nMainMasks, s.nMainHashes = len(s.masks), len(s.hashes)
 		}
-	}
-	s.nMainMasks, s.nMainHashes = len(s.masks), len(s.hashes)
-	for si, g := range pl.spliced {
-		sg, ok := compile(len(pl.groups)+si, g, true)
-		if !ok {
+		if !p.live {
 			continue
 		}
-		s.spliced = append(s.spliced, sg)
-		for ci := range sg.cmus {
-			for ri := range sg.cmus[ci].prog {
-				s.splicedMatch = append(s.splicedMatch, sg.cmus[ci].prog[ri].match)
+		shared := prev != nil && p == prev.progs[gi]
+		same := keep && shared && p.teleBase == teleN
+		for _, cl := range p.claims {
+			if same && s.claim(cl) != p.slots[cl.unit] {
+				same = false
+			}
+		}
+		if !same {
+			if shared {
+				cp := *p
+				p, s.progs[gi] = &cp, &cp
+			}
+			p.compile(s, group(gi), gi, gi >= nReg, allowShard, teleN)
+		}
+		teleN += len(p.teleSlots)
+		teleDerived += len(p.teleDerived)
+	}
+	if nReg == n {
+		s.nMainMasks, s.nMainHashes = len(s.masks), len(s.hashes)
+	}
+
+	// Assemble the snapshot-wide views from the per-group parts.
+	s.busQuiet = allowShard
+	s.frameVec = len(pl.spliced) == 0
+	s.groups = make([]snapGroup, 0, liveReg)
+	if live > liveReg {
+		s.spliced = make([]snapGroup, 0, live-liveReg)
+	}
+	if pl.tele != nil {
+		s.teleSlots = make([]*telemetry.RuleCounter, 0, teleN)
+		s.teleMain = make([]*telemetry.RuleCounter, 0, teleDerived)
+	}
+	for gi, p := range s.progs {
+		if !p.live {
+			continue
+		}
+		s.shardedRules += p.sharded
+		s.fallbackRules += p.fallback
+		s.teleSlots = append(s.teleSlots, p.teleSlots...)
+		if gi < nReg {
+			s.groups = append(s.groups, p.sg)
+			s.teleMain = append(s.teleMain, p.teleDerived...)
+			if p.probGated {
+				s.frameVec = false
+			}
+			continue
+		}
+		s.frameVec = false
+		s.spliced = append(s.spliced, p.sg)
+		s.teleSpl = append(s.teleSpl, p.teleDerived...)
+		for ci := range p.sg.cmus {
+			for ri := range p.sg.cmus[ci].prog {
+				s.splicedMatch = append(s.splicedMatch, p.sg.cmus[ci].prog[ri].match)
 			}
 		}
 	}
@@ -252,18 +296,110 @@ func (pl *Pipeline) Compile() *Snapshot {
 		s.teleDigMain = s.nMainHashes
 		s.teleDigSpl = len(s.hashes) - s.nMainHashes
 	}
-	s.busQuiet = allowShard
-	s.frameVec = len(s.spliced) == 0
-	for gi := range s.groups {
-		for ci := range s.groups[gi].cmus {
-			for ri := range s.groups[gi].cmus[ci].prog {
-				if s.groups[gi].cmus[ci].prog[ri].probGated {
-					s.frameVec = false
-				}
+	return s
+}
+
+// scanGroup collects the facts the snapshot-wide passes need from one
+// group: liveness, the bus and sampling verdicts, and the digests its
+// enabled rules read. Only read units are claimed — a configured unit no
+// enabled rule selects costs the packet path nothing.
+func scanGroup(g *Group) *groupProg {
+	p := new(groupProg)
+	var read uint64
+	for _, c := range g.cmus {
+		for _, r := range c.rules {
+			if r.Disabled {
+				continue
 			}
+			p.live = true
+			p.busConsumer = p.busConsumer || busConsumer(r)
+			p.probGated = p.probGated || (r.Prob > 0 && r.Prob < 1)
+			read |= r.units()
 		}
 	}
-	return s
+	for ui, u := range g.units {
+		if ui < 64 && read&(1<<uint(ui)) != 0 && u.Live() {
+			p.claims = append(p.claims, unitClaim{unit: ui, mask: u.Mask(), h: u.Hasher()})
+		}
+	}
+	return p
+}
+
+// claim returns the digest slot of cl, deduplicating masks and (mask,
+// polynomial) pairs across the whole snapshot.
+func (s *Snapshot) claim(cl unitClaim) int {
+	mi := slices.Index(s.masks, cl.mask)
+	if mi < 0 {
+		mi = len(s.masks)
+		s.masks = append(s.masks, cl.mask)
+	}
+	for hi := range s.hashes {
+		if s.hashes[hi].mask == mi && s.hashes[hi].h == cl.h {
+			return hi
+		}
+	}
+	s.hashes = append(s.hashes, snapHash{mask: mi, h: cl.h})
+	return len(s.hashes) - 1
+}
+
+// compile lowers group g (pipeline index gi) into p against s's digest
+// slots, numbering its live-counted telemetry rules from teleBase. p's
+// slices may be shared with an older snapshot's copy of p, so every one is
+// rebuilt.
+func (p *groupProg) compile(s *Snapshot, g *Group, gi int, spliced, allowShard bool, teleBase int) {
+	p.slots = make([]int, len(g.units))
+	for u := range p.slots {
+		p.slots[u] = -1
+	}
+	for _, cl := range p.claims {
+		p.slots[cl.unit] = s.claim(cl)
+	}
+	p.sg = snapGroup{}
+	p.sharded, p.fallback = 0, 0
+	p.teleBase, p.teleSlots, p.teleDerived = teleBase, nil, nil
+	tele := s.pl.tele
+	for ci, c := range g.cmus {
+		var sc snapCMU
+		for _, r := range c.rules {
+			if r.Disabled {
+				continue
+			}
+			cr := compileRule(r, c.register, p.slots, allowShard)
+			if cr.sharded {
+				p.sharded++
+			} else {
+				p.fallback++
+			}
+			if tele != nil {
+				// First-match semantics make a match-all, unsampled rule at
+				// program position 0 execute for every packet of its pass:
+				// its hits are derived from the snapshot packet counter
+				// instead of counted per execution. ci is the CMU's real
+				// pipeline position — compiled-out CMUs must not shift the
+				// telemetry coordinates.
+				derived := len(sc.prog) == 0 && cr.match.kind == matchAll && !cr.probGated
+				rc := tele.Rule(
+					telemetry.RuleKey{Group: gi, CMU: ci, Task: r.TaskID},
+					telemetry.RuleMeta{
+						Op:      r.Op.String(),
+						Prep:    cr.hasPrep,
+						Spliced: spliced,
+						Sharded: cr.sharded,
+						Derived: derived,
+					})
+				if derived {
+					p.teleDerived = append(p.teleDerived, rc)
+				} else {
+					cr.teleSlot = int32(teleBase + len(p.teleSlots))
+					p.teleSlots = append(p.teleSlots, rc)
+				}
+			}
+			sc.prog = append(sc.prog, cr)
+		}
+		if len(sc.prog) > 0 {
+			p.sg.cmus = append(p.sg.cmus, sc)
+		}
+	}
 }
 
 // ShardedRules returns the compile-time routing verdict: how many enabled

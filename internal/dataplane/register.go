@@ -348,6 +348,14 @@ func (r *Register) ReadRange(lo, n int) []uint32 {
 	return out
 }
 
+// CopyRange copies buckets [lo, lo+len(dst)) into dst with one plain bulk
+// copy. The range must be quiescent, under ClearRange's contract: no access
+// of any kind may overlap it (a retired partition after the control plane's
+// grace period). Readers of a live range use ReadRange.
+func (r *Register) CopyRange(dst []uint32, lo int) {
+	copy(dst, r.buckets[lo:lo+len(dst)])
+}
+
 // ClearRange zeroes buckets [lo, lo+n) of the base array and of every shard
 // lane (a recycled partition must not resurrect a removed task's undrained
 // lane state) with one bulk clear each. The stores are plain: the caller
