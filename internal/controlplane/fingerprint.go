@@ -53,15 +53,29 @@ func layoutFingerprint(locs []core.TaskLocation) uint64 {
 		h.Write(word[:])
 	}
 	var keys [len(layoutProbes)][]uint32
+	var digested []bool
 	var of *core.Group
 	for _, loc := range locs {
 		if loc.Group != of {
 			of = loc.Group
-			for i := range layoutProbes {
-				keys[i] = of.CompressedKeys(&layoutProbes[i])
+			units := of.Units()
+			buf := make([]uint32, len(keys)*units)
+			for i := range keys {
+				keys[i] = buf[i*units : (i+1)*units]
 			}
+			digested = make([]bool, units)
 		}
 		r := loc.Rule
+		// Resolve reads only the key selector's units: digest each of them
+		// once per group, and no unit the task does not read.
+		for _, u := range [2]int{r.Key.UnitA, r.Key.UnitB} {
+			if u >= 0 && u < len(digested) && !digested[u] {
+				digested[u] = true
+				for i := range layoutProbes {
+					keys[i][u] = of.CompressedKey(u, &layoutProbes[i])
+				}
+			}
+		}
 		mix(uint32(r.Op))
 		mix(uint32(r.Mem.Buckets))
 		mix(uint32(loc.Group.CMU(loc.CMU).Register().BitWidth()))

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"flymon/internal/core"
 	"flymon/internal/mmtrace"
 	"flymon/internal/packet"
 	"flymon/internal/telemetry"
@@ -276,6 +277,125 @@ func TestProcessFrameSourceReconfigDeterministic(t *testing.T) {
 		t.Fatal("mid-drain deploy never ran")
 	}
 	compareTaskRegisters(t, ref, ctrl)
+}
+
+// TestCombinedReplayConcurrentReadout: ingest_steady's nine CMS tasks —
+// every chunk combined — replayed by two shared-register workers while
+// another goroutine reads the registers mid-replay; once the replay ends
+// every row equals the sequential oracle's. Run under -race (`make race`)
+// this also checks the combining scratch is worker-private.
+func TestCombinedReplayConcurrentReadout(t *testing.T) {
+	tr := trace.Generate(trace.Config{Flows: 2000, Packets: 60_000, ZipfS: 1.1, Seed: 65})
+	build := func(workers int) (*Controller, []int) {
+		c := NewController(Config{Groups: 9, Buckets: 16384, BitWidth: 32, Workers: workers})
+		t.Cleanup(c.Close)
+		var ids []int
+		for i := 0; i < 9; i++ {
+			task, err := c.AddTask(freqSpec("load", packet.MatchAll, 4096))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, task.ID)
+		}
+		return c, ids
+	}
+	ref, _ := build(1)
+	ref.ProcessBatch(tr.Packets)
+	ctrl, ids := build(2)
+
+	src := &frameSpanSource{t: writeFramesTrace(t, tr.Packets), span: 700}
+	done := make(chan struct{})
+	reads := 0
+	go func() {
+		defer close(done)
+		ctrl.ProcessFrameSource(src)
+	}()
+	for replaying := true; replaying; reads++ {
+		select {
+		case <-done:
+			replaying = false
+		default:
+		}
+		if _, err := ctrl.ReadRegisters(ids[reads%len(ids)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	compareTaskRegisters(t, ref, ctrl)
+	t.Logf("%d readouts beside the replay", reads)
+}
+
+// BenchmarkProcessFrames times the frame engine alone — no ring, no pool —
+// on the benchmark's ingest shapes (bench/workloads.go: Groups 9,
+// 65,536-bucket registers, one worker, 3 × 16,384 five-tuple CMS tasks;
+// 100k flows, Zipf 1.1, seed 1). "steady9" is ingest_steady's nine tasks
+// over a 131,072-frame file; "single" one task over a 4,096-frame file, the
+// shape of a fleet_query daemon; "distinct" the nine tasks over 131,072
+// pairwise-distinct five-tuples, duplicate combining's worst case. ns/pkt is
+// per frame; distinct% is the share of a 256-frame chunk's frames that
+// carry a five-tuple not seen earlier in the chunk.
+//
+//	go test -run '^$' -bench ProcessFrames -benchmem ./internal/controlplane/
+func BenchmarkProcessFrames(b *testing.B) {
+	zipf := func(n int) []packet.Packet {
+		return trace.Generate(trace.Config{Flows: 100_000, Packets: n, ZipfS: 1.1, Seed: 1}).Packets
+	}
+	distinct := make([]packet.Packet, 131072)
+	for i := range distinct {
+		distinct[i] = packet.Packet{SrcIP: uint32(i), DstIP: 7, SrcPort: 80, DstPort: 443, Proto: 6, Size: 64}
+	}
+	for _, bc := range []struct {
+		name  string
+		tasks int
+		ps    []packet.Packet
+	}{
+		{"steady9", 9, zipf(131072)},
+		{"single", 1, zipf(4096)},
+		{"distinct", 9, distinct},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			c := NewController(Config{Groups: 9, Buckets: 65536, BitWidth: 32, Workers: 1})
+			defer c.Close()
+			for i := 0; i < bc.tasks; i++ {
+				if _, err := c.AddTask(freqSpec("load", packet.MatchAll, 16384)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			snap := c.Pipeline().Compile()
+			if !snap.FrameVectorized() {
+				b.Fatal("the CMS task set must be frame-vectorisable")
+			}
+			tr := mmtrace.FromPackets(bc.ps)
+			n := tr.Frames()
+			pc := core.NewProcCtx()
+			snap.ProcessFrames(pc, tr, 0, n) // warm the scratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				snap.ProcessFrames(pc, tr, 0, n)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/pkt")
+			b.ReportMetric(100*distinctShare(bc.ps, 256), "distinct%")
+		})
+	}
+}
+
+// distinctShare is the share of ps's frames whose five-tuple is the first
+// of its kind within their chunk of width frames.
+func distinctShare(ps []packet.Packet, width int) float64 {
+	mask := packet.KeyFiveTuple.FieldMask()
+	seen := make(map[packet.CanonicalKey]bool, width)
+	firsts := 0
+	for lo := 0; lo < len(ps); lo += width {
+		clear(seen)
+		for i := lo; i < min(lo+width, len(ps)); i++ {
+			k := packet.ExtractMasked(&ps[i], mask)
+			if !seen[k] {
+				seen[k] = true
+				firsts++
+			}
+		}
+	}
+	return float64(firsts) / float64(len(ps))
 }
 
 // TestControllerBatchPathZeroAlloc gates the pooled-context sequential

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math/bits"
+
+	"flymon/internal/hashing"
 	"flymon/internal/mmtrace"
 	"flymon/internal/packet"
 	"flymon/internal/trace"
@@ -11,23 +14,38 @@ import (
 // restructured from packet-at-a-time to stage-at-a-time over fixed-size
 // chunks:
 //
-//   1. Batch digest kernel. Each of the snapshot's distinct field masks is
-//      extracted for the whole chunk in one tight loop straight from the
-//      record bytes (FrameView.ExtractMasked), then each distinct
-//      (mask, polynomial) digest is computed over the chunk's pre-masked
-//      keys. The dedup decisions were made at Compile time; the loops carry
-//      no per-packet map lookups or dispatch.
-//   2. Grouped register application. For each CMU rule, the chunk's
-//      surviving updates are gathered as (index, p1, p2) triples and applied
-//      by one dataplane.ApplyBatch/ShardApplyBatch call, which hoists the op
+//   1. Extract. Each of the snapshot's distinct field masks is extracted
+//      for the whole chunk in one tight loop straight from the record bytes
+//      (FrameView.ExtractMasked).
+//   2. Fused digest. Each mask's digest slots — every polynomial that mask
+//      feeds — come from one pass of its fused kernel (hashing.Fused) over
+//      the chunk's pre-masked keys. The dedup and block decisions were made
+//      at Compile time; the loops carry no per-packet lookups or dispatch.
+//   3. Combine. In a bus-quiet snapshot with a rule that can use it, the
+//      chunk's frames are grouped by digest vector into (representative,
+//      count) pairs (frameScratch.combine).
+//   4. Update. For each CMU rule, the chunk's surviving updates are
+//      gathered as (index, p1, p2) triples and applied by one
+//      dataplane.ApplyBatch/ShardApplyBatch call, which hoists the op
 //      dispatch out of the loop and prefetches the target counter lines
 //      ahead of the CAS/store loop. Results scatter back onto per-frame
 //      result-bus arrays, preserving the cross-CMU bus semantics
-//      (PrevResult/PrevOld/RunningMin/PrevNewFlow) exactly.
+//      (PrevResult/PrevOld/RunningMin/PrevNewFlow) exactly. A match-all
+//      constant saturating add on a full-width shared register applies one
+//      weighted fetch-and-add per representative instead
+//      (Register.ApplyAddCounts).
+//
+// Combining is exact without comparing keys: a rule's bucket index is a
+// function of the digests alone, so frames with equal digest vectors hit
+// the same bucket in every rule — even distinct keys that collide in all of
+// them — and count·p1 applied once leaves the bucket and its clamp count
+// where count adds of p1 would. Witness-carrying and filtered rules, narrow
+// registers and private lanes stay per-frame.
 //
 // Equivalence to the sequential path. Within one CMU, rules select disjoint
 // frame sets (first-match), every rule's updates are applied in frame
-// order, and distinct rules of a CMU own disjoint bucket ranges (enforced
+// order (a combined rule's are all the same add, so order is moot), and
+// distinct rules of a CMU own disjoint bucket ranges (enforced
 // at install time) on a register no other CMU touches — so the per-bucket
 // update sequence a register observes is identical to the packet-at-a-time
 // order, and with it every result/old witness, clamp event, and telemetry
@@ -45,10 +63,15 @@ import (
 // changing results.
 
 // frameChunk is the stage-at-a-time chunk width in frames. 256 keeps the
-// whole scratch (masked keys, digest matrix, bus and gather arrays) L1/L2
-// resident for the bench pipeline's 9 masks + 9 digests while giving the
-// batched register loops enough depth for prefetch to overlap misses.
+// whole scratch (masked keys, digest matrix, bus, gather and combining
+// arrays) L1/L2 resident for a nine-group five-tuple pipeline — one mask,
+// eight distinct digests, 8 KB of digest matrix — while giving the batched
+// register loops enough depth for prefetch to overlap misses.
 const frameChunk = 256
+
+// combineSlots is the size of the combining open hash: twice the chunk, so
+// its load factor stays at or below one half.
+const combineSlots = 2 * frameChunk
 
 // frameScratch is the chunk engine's per-worker state, embedded in ProcCtx.
 // The dynamic slices are sized to the armed snapshot's digest tables; after
@@ -84,6 +107,19 @@ type frameScratch struct {
 	upP2    [frameChunk]uint32
 	upRes   [frameChunk]uint32
 	upOld   [frameChunk]uint32
+
+	// Duplicate combining: rep[0:nrep] are the first frames of the chunk's
+	// distinct digest vectors, in frame order, and cnt their
+	// multiplicities; nrep 0 means the chunk is not combined. The open hash
+	// maps a digest vector to its rep entry; a slot is live only while its
+	// stamp equals gen, so starting a chunk costs one increment, not a
+	// clear.
+	rep   [frameChunk]int32
+	cnt   [frameChunk]uint32
+	nrep  int
+	gen   uint32
+	stamp [combineSlots]uint32
+	entry [combineSlots]uint16
 }
 
 // arm sizes the digest scratch for s. Only a snapshot with more distinct
@@ -145,7 +181,7 @@ func (s *Snapshot) processFrameChunk(pc *ProcCtx, recs []byte, n int) {
 	fs := &pc.frames
 	fs.arm(s)
 
-	// Stage 1a: masked canonical keys, one mask at a time over the chunk.
+	// Stage 1: masked canonical keys, one mask at a time over the chunk.
 	for m := range s.masks {
 		mask := &s.masks[m]
 		dst := fs.masked[m*frameChunk : m*frameChunk+n]
@@ -155,14 +191,19 @@ func (s *Snapshot) processFrameChunk(pc *ProcCtx, recs []byte, n int) {
 			off += trace.RecordSize
 		}
 	}
-	// Stage 1b: digests, one (mask, polynomial) slot at a time.
-	for h := range s.hashes {
-		sh := &s.hashes[h]
-		src := fs.masked[sh.mask*frameChunk:]
-		dst := fs.hashes[h*frameChunk : h*frameChunk+n]
-		for i := 0; i < n; i++ {
-			dst[i] = sh.h.SumKey(&src[i])
+	// Stage 2: digests, every slot of a mask in one fused pass.
+	for bi := range s.blocks {
+		b := &s.blocks[bi]
+		var dst [hashing.MaxFused][]uint32
+		for q, h := range b.slots[:b.n] {
+			dst[q] = fs.hashes[int(h)*frameChunk : int(h)*frameChunk+n]
 		}
+		b.f.SumKeys(fs.masked[b.mask*frameChunk:b.mask*frameChunk+n], dst[:b.n])
+	}
+	// Stage 3: duplicate combining.
+	fs.nrep = 0
+	if s.combine {
+		fs.combine(len(s.hashes), n)
 	}
 	// Fresh PHV per frame: the result bus starts from reset state.
 	for i := 0; i < n; i++ {
@@ -170,13 +211,62 @@ func (s *Snapshot) processFrameChunk(pc *ProcCtx, recs []byte, n int) {
 		fs.busMin[i] = ^uint32(0)
 		fs.busNew[i] = false
 	}
-	// Stage 2: CMUs in pipeline order, each over the whole chunk.
+	// Stage 4: CMUs in pipeline order, each over the whole chunk.
 	for gi := range s.groups {
 		sg := &s.groups[gi]
 		for ci := range sg.cmus {
 			cmuFrames(pc, &sg.cmus[ci], recs, n)
 		}
 	}
+}
+
+// combine groups the chunk's n frames by their vector of digests over the
+// first slots rows of the digest matrix into rep/cnt, in first-occurrence
+// order. A chunk with no two equal vectors is left uncombined (nrep 0):
+// its per-frame loop is the cheaper form of the same updates.
+func (fs *frameScratch) combine(slots, n int) {
+	fs.gen++
+	if fs.gen == 0 { // wrapped: stamps of 2^32 chunks ago would read as live
+		clear(fs.stamp[:])
+		fs.gen = 1
+	}
+	gen, nrep := fs.gen, 0
+	hashes := fs.hashes[:slots*frameChunk]
+	for i := 0; i < n; i++ {
+		var h uint32 // digests are finalised, so any slot's low bits hash well
+		if slots > 0 {
+			h = hashes[i]
+		}
+		for s := h; ; s++ {
+			s &= combineSlots - 1
+			if fs.stamp[s] != gen {
+				fs.stamp[s], fs.entry[s] = gen, uint16(nrep)
+				fs.rep[nrep], fs.cnt[nrep] = int32(i), 1
+				nrep++
+				break
+			}
+			e := fs.entry[s]
+			if sameDigests(hashes, int(fs.rep[e]), i) {
+				fs.cnt[e]++
+				break
+			}
+		}
+	}
+	if nrep == n {
+		nrep = 0
+	}
+	fs.nrep = nrep
+}
+
+// sameDigests reports whether frames a and b have equal digests in every
+// row of the digest matrix hashes.
+func sameDigests(hashes []uint32, a, b int) bool {
+	for off := 0; off < len(hashes); off += frameChunk {
+		if hashes[off+a] != hashes[off+b] {
+			return false
+		}
+	}
+	return true
 }
 
 // cmuFrames executes one CMU's program over the chunk: first-match rule
@@ -236,10 +326,18 @@ func ruleFrames(pc *ProcCtx, r *compiledRule, recs []byte, n int, sel []int32) {
 	// witnesses are dead, and a constant saturating add needs only the
 	// bucket indexes — resolve them in one hoisted loop and apply with the
 	// witness-free fetch-and-add (shared) or plain-add (lane) batch call.
+	// On a combined chunk a match-all shared rule resolves the
+	// representatives only and adds count·p1 to each.
 	if r.fastAdd && fs.snap.busQuiet {
 		lane := r.sharded && pc.Ctx.Shard >= 0
 		if lane || r.fastAddFull {
 			idx := fs.upIdx[:frameChunk]
+			if !lane && sel == nil && fs.nrep > 0 {
+				reps := fs.rep[:fs.nrep]
+				gatherIdxFrames(r, fs, n, reps, idx)
+				r.reg.ApplyAddCounts(idx[:len(reps)], fs.cnt[:len(reps)], r.p1.value)
+				return
+			}
 			gatherIdxFrames(r, fs, n, sel, idx)
 			if lane {
 				r.reg.ShardApplyAddBatch(int(pc.Ctx.Shard), idx[:m], r.p1.value)
@@ -309,60 +407,63 @@ func ruleFrames(pc *ProcCtx, r *compiledRule, recs []byte, n int, sel []int32) {
 	}
 }
 
+// allFrames selects every frame of a chunk, in order.
+var allFrames = func() (a [frameChunk]int32) {
+	for i := range a {
+		a[i] = int32(i)
+	}
+	return a
+}()
+
 // gatherIdxFrames fills idx[0:m] with the rule's bucket index for each
-// selected frame (sel nil = the whole chunk) — resolveFlat plus the address
-// translation, with the digest-row bases and selector constants hoisted out
-// of the loop so the body is pure array arithmetic.
+// selected frame (sel nil = the first n frames) — resolveFlat plus the
+// address translation, with the digest rows, selector constants and
+// translation hoisted out of the loop so the body is one rotate, two masks,
+// a shift and an add.
 func gatherIdxFrames(r *compiledRule, fs *frameScratch, n int, sel []int32, idx []uint32) {
-	key := &r.key
-	var ha, hb []uint32
-	if key.a >= 0 {
-		ha = fs.hashes[int(key.a)*frameChunk : int(key.a)*frameChunk+n]
-	}
-	if key.b >= 0 {
-		hb = fs.hashes[int(key.b)*frameChunk : int(key.b)*frameChunk+n]
-	}
-	rot, kmask, base := key.rot, key.mask, r.base
 	if sel == nil {
-		for i := 0; i < n; i++ {
-			var v uint32
-			if ha != nil {
-				v = ha[i]
-			}
-			if hb != nil {
-				v ^= hb[i]
-			}
-			if rot != 0 {
-				v = v>>rot | v<<(32-rot)
-			}
-			v &= kmask
-			if r.shifted {
-				idx[i] = base + v>>r.addrShift
-			} else {
-				idx[i] = base + v&r.addrMask
-			}
-		}
-		return
+		sel = allFrames[:n]
 	}
-	for j, si := range sel {
-		i := int(si)
-		var v uint32
-		if ha != nil {
-			v = ha[i]
-		}
-		if hb != nil {
-			v ^= hb[i]
-		}
-		if rot != 0 {
-			v = v>>rot | v<<(32-rot)
-		}
-		v &= kmask
-		if r.shifted {
-			idx[j] = base + v>>r.addrShift
-		} else {
-			idx[j] = base + v&r.addrMask
+	idx = idx[:len(sel)]
+	// The translation as base + (v>>sh)&am, for both methods.
+	sh, am := uint32(0), r.addrMask
+	if r.shifted {
+		sh, am = r.addrShift, ^uint32(0)
+		if sh >= 32 { // a zero-bucket range: every index is the base
+			sh, am = 0, 0
 		}
 	}
+	key := &r.key
+	rot, kmask, base := -int(key.rot), key.mask, r.base
+	ha, hb := fs.digestRow(key.a), fs.digestRow(key.b)
+	if ha == nil {
+		ha, hb = hb, nil
+	}
+	switch {
+	case ha == nil: // no digest: every frame resolves to the base
+		for j := range idx {
+			idx[j] = base
+		}
+	case hb == nil:
+		for j, i := range sel {
+			v := bits.RotateLeft32(ha[i&(frameChunk-1)], rot) & kmask
+			idx[j] = base + (v>>(sh&31))&am
+		}
+	default:
+		for j, i := range sel {
+			v := bits.RotateLeft32(ha[i&(frameChunk-1)]^hb[i&(frameChunk-1)], rot) & kmask
+			idx[j] = base + (v>>(sh&31))&am
+		}
+	}
+}
+
+// digestRow returns digest slot a's row of the chunk's digest matrix, or
+// nil for a < 0 (a selector half that contributes 0).
+func (fs *frameScratch) digestRow(a int32) *[frameChunk]uint32 {
+	if a < 0 {
+		return nil
+	}
+	return (*[frameChunk]uint32)(fs.hashes[int(a)*frameChunk:])
 }
 
 // frameParam resolves a compiled parameter for frame i — the FrameView

@@ -191,6 +191,11 @@ func (g *Group) CompressedKeys(p *packet.Packet) []uint32 {
 	return out
 }
 
+// CompressedKey is compression unit i's entry of CompressedKeys.
+func (g *Group) CompressedKey(i int, p *packet.Packet) uint32 {
+	return g.units[i].Hash(p)
+}
+
 // Footprint returns the hardware resources one CMU Group occupies across
 // its four stages (the Fig. 8 usage table): the compression stage takes
 // half a stage's hash units, the operation stage the other half (the SALU

@@ -60,6 +60,14 @@ type Snapshot struct {
 	nMainMasks  int
 	nMainHashes int
 
+	// blocks partition hashes by mask, one per entry of masks: the frame
+	// engine digests all of a mask's slots in one fused pass (frames.go).
+	// Built only for frame-vectorised snapshots.
+	blocks []digestBlock
+	// combine: some rule applies combined duplicates (frames.go), so the
+	// frame engine groups each chunk's frames by digest vector.
+	combine bool
+
 	// shardedRules / fallbackRules count the compile-time routing verdicts
 	// (mergeable.go): how many enabled rules run on private lanes vs the
 	// shared CAS path. Diagnostics for operators comparing modes.
@@ -112,6 +120,16 @@ type snapHash struct {
 	h    hashing.Hasher
 }
 
+// digestBlock is one mask's digest slots, slots[:n] in slot order, and the
+// fused kernel computing them in that order. A mask has at most one slot
+// per polynomial, so a block is a fixed-size value.
+type digestBlock struct {
+	mask  int
+	n     int
+	slots [hashing.MaxFused]int32
+	f     *hashing.Fused
+}
+
 // groupProg is one group's compiled program together with the facts the
 // snapshot-wide passes take from it, kept per group so a republish can
 // reassemble the snapshot without rescanning the rules of groups it did not
@@ -131,6 +149,10 @@ type groupProg struct {
 	slots  []int
 	// sharded and fallback count the group's rules per routing verdict.
 	sharded, fallback int
+	// combinable: a rule of sg applies combined duplicates (ruleFrames): a
+	// constant saturating add on a full-width register at program position
+	// 0 that matches every frame, on the shared register path.
+	combinable bool
 	// teleBase is the snapshot telemetry slot of the group's first
 	// live-counted rule; teleSlots are those rules' counters, teleDerived the
 	// counters derived from the pass's packet count.
@@ -276,6 +298,7 @@ func (pl *Pipeline) Recompile(prev *Snapshot, touched []int) *Snapshot {
 		if gi < nReg {
 			s.groups = append(s.groups, p.sg)
 			s.teleMain = append(s.teleMain, p.teleDerived...)
+			s.combine = s.combine || p.combinable
 			if p.probGated {
 				s.frameVec = false
 			}
@@ -289,6 +312,10 @@ func (pl *Pipeline) Recompile(prev *Snapshot, touched []int) *Snapshot {
 				s.splicedMatch = append(s.splicedMatch, p.sg.cmus[ci].prog[ri].match)
 			}
 		}
+	}
+	s.combine = s.combine && s.busQuiet && s.frameVec
+	if s.frameVec {
+		s.blocks = s.digestBlocks()
 	}
 	if pl.tele != nil {
 		s.teleOn = true
@@ -342,6 +369,30 @@ func (s *Snapshot) claim(cl unitClaim) int {
 	return len(s.hashes) - 1
 }
 
+// digestBlocks partitions s's digest slots by mask, in slot order, with
+// each mask's fused kernel — a pure function of the slots, so a republish
+// builds the blocks Compile would. Kernels come from the process-wide cache
+// (hashing.NewFused): only a (mask, polynomials) pair no snapshot has used
+// before builds tables.
+func (s *Snapshot) digestBlocks() []digestBlock {
+	blocks := make([]digestBlock, len(s.masks))
+	for h, sh := range s.hashes {
+		b := &blocks[sh.mask]
+		b.slots[b.n] = int32(h)
+		b.n++
+	}
+	for m := range blocks {
+		b := &blocks[m]
+		b.mask = m
+		var hs [hashing.MaxFused]hashing.Hasher
+		for q, h := range b.slots[:b.n] {
+			hs[q] = s.hashes[h].h
+		}
+		b.f = hashing.NewFused(s.masks[m], hs[:b.n])
+	}
+	return blocks
+}
+
 // compile lowers group g (pipeline index gi) into p against s's digest
 // slots, numbering its live-counted telemetry rules from teleBase. p's
 // slices may be shared with an older snapshot's copy of p, so every one is
@@ -355,7 +406,7 @@ func (p *groupProg) compile(s *Snapshot, g *Group, gi int, spliced, allowShard b
 		p.slots[cl.unit] = s.claim(cl)
 	}
 	p.sg = snapGroup{}
-	p.sharded, p.fallback = 0, 0
+	p.sharded, p.fallback, p.combinable = 0, 0, false
 	p.teleBase, p.teleSlots, p.teleDerived = teleBase, nil, nil
 	tele := s.pl.tele
 	for ci, c := range g.cmus {
@@ -393,6 +444,9 @@ func (p *groupProg) compile(s *Snapshot, g *Group, gi int, spliced, allowShard b
 					cr.teleSlot = int32(teleBase + len(p.teleSlots))
 					p.teleSlots = append(p.teleSlots, rc)
 				}
+			}
+			if len(sc.prog) == 0 && cr.fastAddFull && cr.match.kind == matchAll && !cr.sharded {
+				p.combinable = true
 			}
 			sc.prog = append(sc.prog, cr)
 		}

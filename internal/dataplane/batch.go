@@ -1,6 +1,9 @@
 package dataplane
 
-import "sync/atomic"
+import (
+	"math"
+	"sync/atomic"
+)
 
 // Batched register application — the grouped-update half of the
 // FrameView-native engine. The packet-at-a-time paths (Apply/ShardApply)
@@ -146,11 +149,24 @@ func (r *Register) ApplyBatch(op StatefulOp, idx, p1, p2, result, old []uint32) 
 // concurrent writers linearize per update exactly as the CAS path does
 // (clamp accounting under a *concurrent* wrap may attribute events to a
 // different interleaving — unreachable without 2^32 increments to one
-// bucket between drains).
-func (r *Register) ApplyAddBatch(idx []uint32, p1 uint32) {
+// bucket between drains). It is ApplyAddCounts with every count 1.
+func (r *Register) ApplyAddBatch(idx []uint32, p1 uint32) { r.applyAdd(idx, nil, p1) }
+
+// ApplyAddCounts is ApplyAddBatch for combined updates: element k stands
+// for cnt[k] consecutive saturating adds of p1 to bucket idx[k], applied as
+// one fetch-and-add of cnt[k]·p1. Bucket values and clamp counts equal
+// those of applying the cnt[k] updates one at a time: a run saturates at
+// ^0 and counts one clamp iff the bucket was below ^0 and some step
+// overshot it — a run whose steps land exactly on ^0 saturates silently,
+// as the per-update path does. idx and cnt must share a length.
+func (r *Register) ApplyAddCounts(idx, cnt []uint32, p1 uint32) { r.applyAdd(idx, cnt, p1) }
+
+// applyAdd is the one body behind ApplyAddBatch (cnt nil: every count 1)
+// and ApplyAddCounts.
+func (r *Register) applyAdd(idx, cnt []uint32, p1 uint32) {
 	n := len(idx)
-	if n == 0 {
-		return
+	if n == 0 || p1 == 0 {
+		return // adding 0 changes nothing and never clamps
 	}
 	buckets := r.buckets
 	bm := uint32(len(buckets) - 1)
@@ -160,12 +176,23 @@ func (r *Register) ApplyAddBatch(idx []uint32, p1 uint32) {
 			prefetch(&buckets[idx[k+prefetchDist]&bm])
 		}
 		b := &buckets[idx[k]&bm]
-		next := atomic.AddUint32(b, p1)
-		if next < p1 && p1 != 0 { // wrapped past 2^32
-			old := next - p1
+		d := uint64(p1)
+		if cnt != nil {
+			d *= uint64(cnt[k])
+		}
+		if d > math.MaxUint32 {
+			// The run passes 2^32 from any start: the bucket ends at ^0.
+			if overshoots(atomic.SwapUint32(b, ^uint32(0)), p1) {
+				clamps++
+			}
+			continue
+		}
+		next := atomic.AddUint32(b, uint32(d))
+		if next < uint32(d) { // wrapped past 2^32
+			old := next - uint32(d)
 			atomic.StoreUint32(b, ^uint32(0))
-			if old != ^uint32(0) {
-				clamps++ // first saturation; re-adds to ^0 are no-ops
+			if overshoots(old, p1) {
+				clamps++
 			}
 		}
 	}
@@ -173,6 +200,13 @@ func (r *Register) ApplyAddBatch(idx []uint32, p1 uint32) {
 		atomic.AddUint64(&r.clamps, clamps)
 	}
 }
+
+// overshoots reports whether a run of +p1 steps from old, long enough to
+// reach ^0, steps past it rather than onto it — the case in which the
+// per-update path clamps and counts. A run landing exactly on ^0 (old
+// itself included) counts nothing: the bucket is then saturated and every
+// later step is a no-op.
+func overshoots(old, p1 uint32) bool { return (^uint32(0)-old)%p1 != 0 }
 
 // ShardApplyAddBatch is ApplyAddBatch against a private lane: a plain
 // saturating-add loop with the increment hoisted, valid for any register

@@ -175,6 +175,59 @@ func TestApplyAddBatchMatchesApply(t *testing.T) {
 	})
 }
 
+// TestApplyAddCountsMatchesApply: one weighted fetch-and-add per element
+// must leave every bucket and the clamp counter where cnt[k] per-update
+// Apply calls would — from buckets at 0, at ^0, just below it, and at exact
+// multiples of p1 below it (a run that lands on ^0 saturates silently), and
+// for runs whose total count·p1 passes 2^32 from any start.
+func TestApplyAddCountsMatchesApply(t *testing.T) {
+	const buckets, n = 64, 2048
+	rng := rand.New(rand.NewSource(25))
+	for _, p1 := range []uint32{0, 1, 2, 1500, 0x0100_0003, 0x8000_0000, ^uint32(0)} {
+		start := make([]uint32, buckets)
+		for b := range start {
+			switch b % 8 {
+			case 0:
+				start[b] = 0
+			case 1:
+				start[b] = ^uint32(0)
+			case 2:
+				start[b] = ^uint32(0) - uint32(rng.Intn(4))
+			case 3: // an exact number of steps below saturation
+				start[b] = ^uint32(0) - p1*uint32(rng.Intn(40))
+			case 4:
+				start[b] = ^uint32(0) - p1*uint32(rng.Intn(40)) - 1
+			default:
+				start[b] = ^uint32(0) - uint32(rng.Intn(1<<20))
+			}
+		}
+		idx, cnt := make([]uint32, n), make([]uint32, n)
+		for k := range idx {
+			idx[k], cnt[k] = uint32(rng.Intn(buckets)), uint32(1+rng.Intn(300))
+		}
+		ref, got := NewRegister(buckets, 32), NewRegister(buckets, 32)
+		for b, v := range start {
+			ref.Apply(OpMax, uint32(b), v, 0)
+			got.Apply(OpMax, uint32(b), v, 0)
+		}
+		for k, i := range idx {
+			for c := uint32(0); c < cnt[k]; c++ {
+				ref.Apply(OpCondAdd, i, p1, ^uint32(0))
+			}
+		}
+		got.ApplyAddCounts(idx, cnt, p1)
+		for b := uint32(0); b < buckets; b++ {
+			if got.Read(b) != ref.Read(b) {
+				t.Fatalf("p1=%#x bucket %d (from %#x): weighted %#x, per-update %#x",
+					p1, b, start[b], got.Read(b), ref.Read(b))
+			}
+		}
+		if got.Clamps() != ref.Clamps() {
+			t.Fatalf("p1=%#x clamps: weighted %d, per-update %d", p1, got.Clamps(), ref.Clamps())
+		}
+	}
+}
+
 // TestShardApplyAddBatchMatchesShardApply: the lane add with hoisted
 // constants must match per-element ShardApply on a narrow register, where
 // saturation, clamp counting, and the access counter are all live.

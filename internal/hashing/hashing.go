@@ -106,10 +106,11 @@ func (u *Unit) HashBytes(b []byte) uint32 {
 // mask state while the control plane reconfigures it.
 type Hasher struct {
 	table *Table8
+	poly  uint8 // index into polynomials: names the table in a fused kernel's cache key
 }
 
 // Hasher returns the unit's immutable polynomial handle.
-func (u *Unit) Hasher() Hasher { return Hasher{table: u.table} }
+func (u *Unit) Hasher() Hasher { return Hasher{table: u.table, poly: uint8(u.index)} }
 
 // Sum digests a pre-masked canonical key, producing the same compressed
 // key Unit.Hash would for a packet extracted under the unit's mask. The
@@ -119,8 +120,9 @@ func (h Hasher) Sum(k packet.CanonicalKey) uint32 {
 	return fmix32(h.table.ChecksumKey(&k))
 }
 
-// SumKey is Sum over a caller-owned key, skipping the by-value copy — the
-// batch digest kernel hashes whole spans of pre-extracted keys in place.
+// SumKey is Sum over a caller-owned key, skipping the by-value copy. It is
+// the one-polynomial reference the frame engine's fused kernel (Fused)
+// must equal.
 func (h Hasher) SumKey(k *packet.CanonicalKey) uint32 {
 	return fmix32(h.table.ChecksumKey(k))
 }

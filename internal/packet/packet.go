@@ -263,6 +263,19 @@ func ExtractMasked(p *Packet, mask [NumFields]uint32) CanonicalKey {
 	return k
 }
 
+// MaskKey encodes the mask itself in the canonical layout: byte i of a key
+// extracted under mask can be nonzero only where byte i of MaskKey(mask) is.
+func MaskKey(mask [NumFields]uint32) CanonicalKey {
+	var k CanonicalKey
+	put32(k[0:4], mask[FieldSrcIP])
+	put32(k[4:8], mask[FieldDstIP])
+	put16(k[8:10], uint16(mask[FieldSrcPort]))
+	put16(k[10:12], uint16(mask[FieldDstPort]))
+	k[12] = uint8(mask[FieldProto])
+	put32(k[13:17], mask[FieldTimestamp])
+	return k
+}
+
 func put32(b []byte, v uint32) {
 	b[0] = byte(v >> 24)
 	b[1] = byte(v >> 16)
