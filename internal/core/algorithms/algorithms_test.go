@@ -3,6 +3,7 @@ package algorithms
 import (
 	"math"
 	"testing"
+	"testing/quick"
 
 	"flymon/internal/core"
 	"flymon/internal/metrics"
@@ -10,6 +11,10 @@ import (
 	"flymon/internal/sketch"
 	"flymon/internal/trace"
 )
+
+// These tests drive the installers directly and feed packets through the
+// interpretive Pipeline.Process walk; conformance_test.go holds the forms a
+// TaskSpec deploys to their theoretical bounds on the compiled engines.
 
 // pipeline32 builds a pipeline of n groups with 32-bit, `buckets`-bucket
 // registers (accuracy experiments use 32-bit counters).
@@ -153,6 +158,34 @@ func TestSuMaxSumTighterThanCMS(t *testing.T) {
 	}
 }
 
+// TestSuMaxTighterThanCMSUnderPressure holds FlyMon-SuMax(Sum) to the
+// native Count-Min sketch it is compared with in Fig. 12, at equal depth
+// and width under heavy collision load.
+func TestSuMaxTighterThanCMSUnderPressure(t *testing.T) {
+	cms := sketch.NewCMS(packet.KeyFiveTuple, 3, 1<<10)
+	pl := pipeline32(3, 1<<10)
+	sm, err := InstallSuMaxSum([]*core.Group{pl.Group(0), pl.Group(1), pl.Group(2)},
+		1, packet.MatchAll, packet.KeyFiveTuple, core.Const(1), nil)
+	if err != nil {
+		t.Fatalf("InstallSuMaxSum: %v", err)
+	}
+	tr := genTrace(t, 4000, 150_000, 7)
+	exact := sketch.NewExactFrequency(packet.KeyFiveTuple)
+	for i := range tr.Packets {
+		cms.AddPacket(&tr.Packets[i])
+		pl.Process(&tr.Packets[i])
+		exact.AddPacket(&tr.Packets[i])
+	}
+	var cmsTot, smTot float64
+	for k, truth := range exact.Counts() {
+		cmsTot += float64(uint64(cms.EstimateKey(k))-truth) / float64(truth)
+		smTot += float64(uint64(sm.EstimateKey(k))-truth) / float64(truth)
+	}
+	if smTot > cmsTot {
+		t.Fatalf("SuMax total overestimate %.1f exceeds native CMS %.1f", smTot, cmsTot)
+	}
+}
+
 func TestSuMaxSumNeverUnderestimatesWhenAlone(t *testing.T) {
 	pl := pipeline32(3, 1<<14)
 	sm, err := InstallSuMaxSum([]*core.Group{pl.Group(0), pl.Group(1), pl.Group(2)},
@@ -190,6 +223,31 @@ func TestBloomNoFalseNegatives(t *testing.T) {
 			k := packet.KeyFiveTuple.Extract(&tr.Packets[i])
 			if !task.ContainsKey(k) {
 				t.Fatalf("packed=%v: false negative for inserted key", packed)
+			}
+		}
+	}
+}
+
+// TestBloomNoFalseNegativesProperty inserts arbitrary keys one at a time
+// into filters small enough to fill, at every register width and in both
+// bit layouts (packed selects the bit modulo the width), and requires each
+// key to be found right after its insert.
+func TestBloomNoFalseNegativesProperty(t *testing.T) {
+	for _, width := range []int{8, 16, 32} {
+		for _, packed := range []bool{false, true} {
+			g := core.NewGroup(core.GroupConfig{ID: 0, Buckets: 64, BitWidth: width})
+			pl := core.NewPipelineWith(g)
+			task, err := InstallBloom(g, 1, packet.MatchAll, packet.KeyFiveTuple, 3, packed, nil)
+			if err != nil {
+				t.Fatalf("InstallBloom(width=%d, packed=%v): %v", width, packed, err)
+			}
+			f := func(src, dst uint32, sp, dp uint16) bool {
+				p := packet.Packet{SrcIP: src, DstIP: dst, SrcPort: sp, DstPort: dp, Proto: 6}
+				pl.Process(&p)
+				return task.ContainsKey(packet.KeyFiveTuple.Extract(&p))
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+				t.Errorf("width=%d packed=%v: %v", width, packed, err)
 			}
 		}
 	}
@@ -366,6 +424,21 @@ func TestTowerEstimatesSmallFlowsExactly(t *testing.T) {
 	}
 	if are/float64(n) > 0.3 {
 		t.Fatalf("Tower ARE %.3f too high", are/float64(n))
+	}
+}
+
+func TestTowerAllSaturatedReturnsWidest(t *testing.T) {
+	pl := pipeline32(1, 4)
+	task, err := InstallTower(pl.Group(0), 1, packet.MatchAll, packet.KeySrcIP, []int{2, 4}, nil)
+	if err != nil {
+		t.Fatalf("InstallTower: %v", err)
+	}
+	p := packet.Packet{SrcIP: 1}
+	for i := 0; i < 100; i++ {
+		pl.Process(&p)
+	}
+	if got := task.EstimateKey(packet.KeySrcIP.Extract(&p)); got != 15 {
+		t.Fatalf("fully saturated estimate = %d, want the widest level's maximum 15", got)
 	}
 }
 

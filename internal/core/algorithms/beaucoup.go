@@ -41,13 +41,7 @@ func InstallBeauCoup(g *core.Group, taskID int, filter packet.Filter,
 	if err != nil {
 		return nil, err
 	}
-	cfg := sketch.SolveCouponConfig(threshold)
-	if w := g.CMU(base).Register().BitWidth(); cfg.Coupons > w {
-		cfg.Coupons = w // coupons must fit the uniform bucket width
-		if cfg.Collect > w {
-			cfg.Collect = w
-		}
-	}
+	cfg := sketch.SolveCouponConfig(threshold, g.CMU(base).Register().BitWidth())
 	keyUnit, err := EnsureUnit(g, key)
 	if err != nil {
 		return nil, err

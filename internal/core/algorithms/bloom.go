@@ -2,11 +2,12 @@ package algorithms
 
 import (
 	"fmt"
-	"math"
+	"math/bits"
 
 	"flymon/internal/core"
 	"flymon/internal/dataplane"
 	"flymon/internal/packet"
+	"flymon/internal/sketch"
 )
 
 // BloomTask is a FlyMon Bloom filter: d CMUs running AND-OR's OR branch.
@@ -148,26 +149,18 @@ func InstallLinearCounting(g *core.Group, taskID int, filter packet.Filter,
 }
 
 // Estimate returns the Linear Counting cardinality estimate
-// n̂ = −m·ln(zeros/m) over the task's bit array.
+// n̂ = m·ln(m/zeros) over the task's bit array.
 func (t *LinearCountingTask) Estimate() (float64, error) {
 	buckets, err := t.Group.CMU(t.Base).ReadTask(t.TaskID)
 	if err != nil {
 		return 0, err
 	}
 	m := len(buckets) * t.width
-	zeros := 0
+	zeros := m
 	for _, b := range buckets {
-		for bit := 0; bit < t.width; bit++ {
-			if b&(1<<uint(bit)) == 0 {
-				zeros++
-			}
-		}
+		zeros -= bits.OnesCount32(b)
 	}
-	if zeros == 0 {
-		mf := float64(m)
-		return mf * math.Log(mf), nil
-	}
-	return -float64(m) * math.Log(float64(zeros)/float64(m)), nil
+	return sketch.LinearCountingFromZeros(zeros, m), nil
 }
 
 // ProbeKey returns, per row, the register index and the bit mask the

@@ -23,7 +23,6 @@ type HLLTask struct {
 
 	Unit   int
 	CMU    int // CMU index hosting the register
-	B      int // log2(bucket count)
 	Mem    core.MemRange
 	Method core.TranslationMethod
 }
@@ -48,7 +47,7 @@ func InstallHLL(g *core.Group, taskID int, filter packet.Filter, key packet.KeyS
 	if err != nil {
 		return nil, err
 	}
-	t := &HLLTask{Group: g, TaskID: taskID, Unit: unit, CMU: cmu, B: b, Mem: mem, Method: core.TCAMBased}
+	t := &HLLTask{Group: g, TaskID: taskID, Unit: unit, CMU: cmu, Mem: mem, Method: core.TCAMBased}
 	rule := &core.Rule{
 		TaskID: taskID,
 		Filter: filter,
@@ -70,18 +69,11 @@ func InstallHLL(g *core.Group, taskID int, filter packet.Filter, key packet.KeyS
 
 // Estimate reads the rank registers and computes the HyperLogLog estimate.
 func (t *HLLTask) Estimate() (float64, error) {
-	buckets, err := t.Group.CMU(t.CMU).ReadTask(t.TaskID)
+	ranks, err := t.Group.CMU(t.CMU).ReadTask(t.TaskID)
 	if err != nil {
 		return 0, err
 	}
-	ranks := make([]uint8, len(buckets))
-	for i, b := range buckets {
-		if b > 255 {
-			b = 255
-		}
-		ranks[i] = uint8(b)
-	}
-	return sketch.HLLEstimateFromRanks(ranks, 32-t.B), nil
+	return sketch.HLLEstimateFromRanks(ranks), nil
 }
 
 // MemoryBytes returns the register memory the task occupies.

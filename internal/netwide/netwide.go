@@ -106,18 +106,11 @@ func countMin(cms *algorithms.CMSTask, merged [][]uint32, k packet.CanonicalKey)
 // task: element-wise max of rank registers, then the harmonic-mean
 // estimator. Duplicate observation across switches is harmless.
 func (f *RemoteFleet) Cardinality(name string) (float64, QueryReport, error) {
-	hll, merged, report, err := mergedTask[*algorithms.HLLTask](f, name, MergeMax, "an HLL")
+	_, merged, report, err := mergedTask[*algorithms.HLLTask](f, name, MergeMax, "an HLL")
 	if err != nil {
 		return 0, report, err
 	}
-	ranks := make([]uint8, len(merged[0]))
-	for i, v := range merged[0] {
-		if v > 255 {
-			v = 255
-		}
-		ranks[i] = uint8(v)
-	}
-	return sketch.HLLEstimateFromRanks(ranks, 32-hll.B), report, nil
+	return sketch.HLLEstimateFromRanks(merged[0]), report, nil
 }
 
 // Contains reports network-wide Bloom membership for key k: bitmap OR

@@ -64,19 +64,28 @@ func (cc CouponConfig) RelativeStdDev() float64 {
 	return math.Sqrt(varSum) / e
 }
 
+// CouponTolerance is the solver's match window: configurations whose
+// expected draws lie within ±15% (in log terms) of the threshold compete on
+// variance.
+const CouponTolerance = 0.15
+
 // SolveCouponConfig picks the coupon configuration whose expected
 // collection time matches the query threshold, preferring the sharpest
 // (lowest relative variance) among near-matching configurations —
-// BeauCoup's offline query-compilation step.
-func SolveCouponConfig(threshold int) CouponConfig {
+// BeauCoup's offline query-compilation step. Only configurations of at most
+// maxCoupons coupons are searched: a bucket's coupon bitmap is one register
+// word, so a FlyMon task passes its bucket width.
+func SolveCouponConfig(threshold, maxCoupons int) CouponConfig {
 	if threshold < 1 {
 		threshold = 1
 	}
 	best := CouponConfig{Coupons: 1, Collect: 1, ProbLog2: 0}
 	bestErr := math.Inf(1)
 	bestStd := math.Inf(1)
-	const tolerance = 0.15 // configs within ±15% (log) compete on variance
 	for _, c := range []int{1, 2, 4, 8, 16, 32} {
+		if c > maxCoupons {
+			break
+		}
 		minQ := 0
 		for 1<<uint(minQ) < c {
 			minQ++
@@ -88,11 +97,11 @@ func SolveCouponConfig(threshold int) CouponConfig {
 				std := cc.RelativeStdDev()
 				better := false
 				switch {
-				case err <= tolerance && bestErr <= tolerance:
+				case err <= CouponTolerance && bestErr <= CouponTolerance:
 					better = std < bestStd
-				case err <= tolerance && bestErr > tolerance:
+				case err <= CouponTolerance && bestErr > CouponTolerance:
 					better = true
-				case err > tolerance && bestErr > tolerance:
+				case err > CouponTolerance && bestErr > CouponTolerance:
 					better = err < bestErr
 				}
 				if better {
@@ -175,7 +184,7 @@ func NewBeauCoupForBytes(keySpec, paramSpec packet.KeySpec, threshold, d, memByt
 	if m < 1 {
 		m = 1
 	}
-	return NewBeauCoup(keySpec, paramSpec, SolveCouponConfig(threshold), d, m)
+	return NewBeauCoup(keySpec, paramSpec, SolveCouponConfig(threshold, 32), d, m)
 }
 
 // AddPacket performs at most one coupon draw per table for packet p.

@@ -11,7 +11,6 @@ import (
 // counters. Add adds a parameter to one counter per row; Estimate returns
 // the minimum across rows, an overestimate with classic (ε, δ) guarantees.
 type CMS struct {
-	spec packet.KeySpec
 	d, w int
 	rows [][]uint32
 	hash *hashing.Family
@@ -24,7 +23,7 @@ func NewCMS(spec packet.KeySpec, d, w int) *CMS {
 		panic(fmt.Sprintf("sketch: invalid CMS dimensions d=%d w=%d", d, w))
 	}
 	w = ceilPow2(w)
-	s := &CMS{spec: spec, d: d, w: w, hash: hashing.NewFamily(d, spec)}
+	s := &CMS{d: d, w: w, hash: hashing.NewFamily(d, spec)}
 	s.rows = make([][]uint32, d)
 	backing := make([]uint32, d*w)
 	for j := range s.rows {

@@ -1,11 +1,18 @@
-// Package sketch provides from-scratch reference implementations of the
-// sketching algorithms FlyMon composes on CMUs and compares against in its
-// evaluation (Table 1, Fig. 14): Count-Min Sketch, Bloom filter,
-// HyperLogLog, Linear Counting, MRAC, SuMax, TowerSketch, Counter Braids,
-// UnivMon, and BeauCoup — plus exact ground-truth accumulators used to
-// score every accuracy experiment.
+// Package sketch holds what FlyMon's measurements are scored and merged
+// with, beside the CMU compositions in flymon/internal/core/algorithms:
 //
-// These are the *native* (static-deployment) forms of the algorithms; the
-// CMU-composed "FlyMon-X" variants live in flymon/internal/core/algorithms
-// and run on the simulated RMT data plane.
+//   - exact ground-truth accumulators (Exact*) that score every accuracy
+//     experiment and test;
+//   - the control-plane estimators the compositions run on register words
+//     read back (HLLEstimateFromRanks, LinearCountingFromZeros,
+//     OddSketchDifferenceFromOnes, BeauCoup's CouponConfig and
+//     SolveCouponConfig) and the element-wise merge kernels the fleet
+//     folds readouts with (Merge*Registers);
+//   - the native comparators the paper's figures plot FlyMon against: CMS
+//     (Fig. 12 and the ablation), UnivMon with its Count-sketch levels and
+//     the original BeauCoup (Fig. 14).
+//
+// The accuracy of the compositions themselves is checked against their
+// theoretical bounds by the conformance suite in
+// flymon/internal/core/algorithms.
 package sketch

@@ -2,6 +2,7 @@ package sketch_test
 
 import (
 	"fmt"
+	"math"
 
 	"flymon/internal/packet"
 	"flymon/internal/sketch"
@@ -18,20 +19,16 @@ func ExampleCMS() {
 	// Output: 5
 }
 
-// Check set membership with a Bloom filter: no false negatives.
-func ExampleBloom() {
-	bf := sketch.NewBloom(packet.KeySrcIP, 1<<12, 3)
-	in := packet.Packet{SrcIP: packet.IPv4(10, 0, 0, 1)}
-	out := packet.Packet{SrcIP: packet.IPv4(192, 168, 0, 9)}
-	bf.Insert(&in)
-	fmt.Println(bf.Contains(&in), bf.Contains(&out))
-	// Output: true false
-}
-
-// Solve a BeauCoup coupon configuration for a distinct-count threshold.
+// Solve BeauCoup coupon configurations for a distinct-count threshold of
+// 512 on 32-bit and on 8-bit register buckets: each fits its bucket and
+// expects to report within the solver's ±15% of the threshold.
 func ExampleSolveCouponConfig() {
-	cfg := sketch.SolveCouponConfig(512)
-	e := cfg.ExpectedDraws()
-	fmt.Println(e > 256 && e < 1024)
-	// Output: true
+	for _, width := range []int{32, 8} {
+		cfg := sketch.SolveCouponConfig(512, width)
+		e := cfg.ExpectedDraws()
+		fmt.Println(cfg.Coupons <= width, math.Abs(math.Log(e/512)) <= sketch.CouponTolerance)
+	}
+	// Output:
+	// true true
+	// true true
 }

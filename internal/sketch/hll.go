@@ -1,100 +1,6 @@
 package sketch
 
-import (
-	"fmt"
-	"math"
-	"math/bits"
-
-	"flymon/internal/hashing"
-	"flymon/internal/packet"
-)
-
-// HLL is a HyperLogLog cardinality estimator (Flajolet et al.): 2^b
-// registers, each tracking the maximum rank ρ (position of the leftmost
-// 1-bit) of hashed keys routed to it by stochastic averaging; the estimate
-// is the bias-corrected harmonic mean α_m · m² / Σ 2^{−M_j}.
-type HLL struct {
-	spec packet.KeySpec
-	b    int
-	regs []uint8
-	hash *hashing.Unit
-}
-
-// NewHLL builds a HyperLogLog with 2^b registers (4 ≤ b ≤ 16) keyed by spec.
-func NewHLL(spec packet.KeySpec, b int) *HLL {
-	if b < 1 || b > 16 {
-		panic(fmt.Sprintf("sketch: HLL precision b=%d out of range [1,16]", b))
-	}
-	h := hashing.NewUnit(0)
-	h.Configure(spec)
-	return &HLL{spec: spec, b: b, regs: make([]uint8, 1<<b), hash: h}
-}
-
-// NewHLLForBytes sizes an HLL to approximately memBytes of register state
-// (1 byte per register in this implementation).
-func NewHLLForBytes(spec packet.KeySpec, memBytes int) *HLL {
-	b := 1
-	for (1<<(b+1)) <= memBytes && b < 16 {
-		b++
-	}
-	return NewHLL(spec, b)
-}
-
-// AddPacket observes p's flow key.
-func (h *HLL) AddPacket(p *packet.Packet) { h.addHash(h.hash.Hash(p)) }
-
-// AddKey observes a canonical key directly.
-func (h *HLL) AddKey(k packet.CanonicalKey) { h.addHash(h.hash.HashBytes(k[:])) }
-
-func (h *HLL) addHash(x uint32) {
-	idx := x >> (32 - h.b)
-	rest := x << h.b
-	// Rank ρ: position of the leftmost 1-bit of the remaining 32−b bits
-	// (1-based); all-zero remainder gets the maximum rank.
-	rho := uint8(bits.LeadingZeros32(rest)) + 1
-	if rest == 0 {
-		rho = uint8(32 - h.b + 1)
-	}
-	if rho > h.regs[idx] {
-		h.regs[idx] = rho
-	}
-}
-
-// Estimate returns the cardinality estimate with the standard small-range
-// (linear counting) and large-range corrections.
-func (h *HLL) Estimate() float64 {
-	m := float64(len(h.regs))
-	var sum float64
-	zeros := 0
-	for _, r := range h.regs {
-		sum += math.Pow(2, -float64(r))
-		if r == 0 {
-			zeros++
-		}
-	}
-	est := alpha(len(h.regs)) * m * m / sum
-	if est <= 2.5*m && zeros > 0 {
-		// Small-range correction: fall back to linear counting.
-		est = m * math.Log(m/float64(zeros))
-	} else if est > (1.0/30.0)*math.Pow(2, 32) {
-		// Large-range correction for 32-bit hash saturation.
-		est = -math.Pow(2, 32) * math.Log(1-est/math.Pow(2, 32))
-	}
-	return est
-}
-
-// Registers exposes the register file (read-only use) so the FlyMon
-// control-plane estimator can be validated against it.
-func (h *HLL) Registers() []uint8 { return h.regs }
-
-// Precision returns b.
-func (h *HLL) Precision() int { return h.b }
-
-// MemoryBytes returns the register memory footprint.
-func (h *HLL) MemoryBytes() int { return len(h.regs) }
-
-// Reset zeroes the registers.
-func (h *HLL) Reset() { clear(h.regs) }
+import "math"
 
 // alpha returns the HLL bias-correction constant for m registers.
 func alpha(m int) float64 {
@@ -112,10 +18,14 @@ func alpha(m int) float64 {
 	return 0.7213 / (1 + 1.079/float64(m))
 }
 
-// HLLEstimateFromRanks computes the HyperLogLog estimate from a raw rank
-// register file. This is the control-plane half FlyMon runs after reading a
-// CMU's register memory (the data plane tracked ranks with the MAX op).
-func HLLEstimateFromRanks(regs []uint8, hashBits int) float64 {
+// HLLEstimateFromRanks computes the HyperLogLog estimate (Flajolet et al.)
+// from a rank register file: the bias-corrected harmonic mean
+// α_m · m² / Σ 2^{−M_j} with the standard small-range (linear counting) and
+// large-range corrections. This is the control-plane half FlyMon runs after
+// reading a CMU's register words (the data plane tracked ranks with the MAX
+// op). A compressed key is 32 bits wide whatever the bucket count, so the
+// large-range correction is for a 2^32 hash space.
+func HLLEstimateFromRanks(regs []uint32) float64 {
 	m := float64(len(regs))
 	if m == 0 {
 		return 0
@@ -129,13 +39,24 @@ func HLLEstimateFromRanks(regs []uint8, hashBits int) float64 {
 		}
 	}
 	est := alpha(len(regs)) * m * m / sum
+	const full = 1 << 32
 	if est <= 2.5*m && zeros > 0 {
-		est = m * math.Log(m/float64(zeros))
-	} else if hashBits < 64 {
-		full := math.Pow(2, float64(hashBits))
-		if est > full/30 {
-			est = -full * math.Log(1-est/full)
-		}
+		est = LinearCountingFromZeros(zeros, len(regs))
+	} else if est > full/30 {
+		est = -full * math.Log(1-est/full)
 	}
 	return est
+}
+
+// LinearCountingFromZeros is the Linear Counting estimator (Whang et al.):
+// keys hashed into m bits (or registers) of which zeros are still clear
+// number about m·ln(m/zeros). A saturated array (no zeros) reads m·ln m,
+// the estimate one clear bit would give. FlyMon-LinearCounting and HLL's
+// small-range correction share it.
+func LinearCountingFromZeros(zeros, m int) float64 {
+	mf := float64(m)
+	if zeros == 0 {
+		return mf * math.Log(mf)
+	}
+	return mf * math.Log(mf/float64(zeros))
 }

@@ -2,66 +2,11 @@ package sketch
 
 import "fmt"
 
-// Mergeability: sketches built with the SAME key spec and geometry use the
-// same hash functions (the hashing.Unit polynomials are deterministic per
-// index), so their states combine linearly — the property network-wide
+// Mergeability: register readouts of the SAME task layout use the same hash
+// functions (the hashing.Unit polynomials are deterministic per index), so
+// their states combine element-wise — the property network-wide
 // measurement relies on when a central SDM controller aggregates register
-// readouts from many switches (§3.4). Each merge below mutates the
-// receiver in place.
-
-// Merge adds another CMS's counters into s. Valid when each packet was
-// observed by exactly one of the two sketches (e.g. distinct ingress
-// switches): the merged sketch is exactly the CMS of the union stream.
-func (s *CMS) Merge(other *CMS) error {
-	if s.d != other.d || s.w != other.w || !s.spec.Equal(other.spec) {
-		return fmt.Errorf("sketch: CMS geometries differ (d=%d/%d w=%d/%d)", s.d, other.d, s.w, other.w)
-	}
-	for j := 0; j < s.d; j++ {
-		mergeAddKernel(s.rows[j], other.rows[j])
-	}
-	return nil
-}
-
-// Union ORs another Bloom filter into b: the result answers membership for
-// the union of the two inserted sets.
-func (b *Bloom) Union(other *Bloom) error {
-	if b.mBits != other.mBits || b.k != other.k || !b.spec.Equal(other.spec) {
-		return fmt.Errorf("sketch: Bloom geometries differ (m=%d/%d k=%d/%d)", b.mBits, other.mBits, b.k, other.k)
-	}
-	for i := range b.words {
-		b.words[i] |= other.words[i]
-	}
-	return nil
-}
-
-// Merge takes the element-wise register maximum of another HLL into h: the
-// result estimates the cardinality of the union of the two observed sets
-// (duplicate observation across sketches is harmless — HLL merge is
-// idempotent).
-func (h *HLL) Merge(other *HLL) error {
-	if h.b != other.b || !h.spec.Equal(other.spec) {
-		return fmt.Errorf("sketch: HLL precisions differ (b=%d/%d)", h.b, other.b)
-	}
-	for i := range h.regs {
-		if other.regs[i] > h.regs[i] {
-			h.regs[i] = other.regs[i]
-		}
-	}
-	return nil
-}
-
-// Merge XORs another odd sketch into o: the result is the odd sketch of
-// the symmetric difference of the two inserted sets (and, for disjoint
-// sets, of their union).
-func (o *OddSketch) Merge(other *OddSketch) error {
-	if o.mBits != other.mBits || !o.spec.Equal(other.spec) {
-		return fmt.Errorf("sketch: odd-sketch sizes differ (%d vs %d)", o.mBits, other.mBits)
-	}
-	for i := range o.words {
-		o.words[i] ^= other.words[i]
-	}
-	return nil
-}
+// readouts from many switches (§3.4). Each merge below writes into dst.
 
 // MergeMaxRegisters takes the element-wise maximum of two raw register
 // readouts (MAX-operation tasks: per-key maxima, HLL ranks). Both slices

@@ -20,8 +20,10 @@ func TestCMSMergeEqualsUnionStream(t *testing.T) {
 		}
 		whole.AddPacket(&tr.Packets[i])
 	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
+	for j := 0; j < a.Depth(); j++ {
+		if err := MergeAddRegisters(a.Row(j), b.Row(j)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i := 0; i < 500; i++ {
 		k := packet.KeyFiveTuple.Extract(&tr.Packets[i])
@@ -33,98 +35,100 @@ func TestCMSMergeEqualsUnionStream(t *testing.T) {
 
 func TestCMSMergeGeometryMismatch(t *testing.T) {
 	a := NewCMS(packet.KeyFiveTuple, 3, 1<<12)
-	b := NewCMS(packet.KeyFiveTuple, 2, 1<<12)
-	if err := a.Merge(b); err == nil {
-		t.Fatal("depth mismatch must fail")
-	}
-	c := NewCMS(packet.KeySrcIP, 3, 1<<12)
-	if err := a.Merge(c); err == nil {
-		t.Fatal("key-spec mismatch must fail")
+	b := NewCMS(packet.KeyFiveTuple, 3, 1<<11)
+	if err := MergeAddRegisters(a.Row(0), b.Row(0)); err == nil {
+		t.Fatal("rows of different widths must not merge")
 	}
 }
 
 func TestBloomUnion(t *testing.T) {
-	a := NewBloom(packet.KeyFiveTuple, 1<<14, 3)
-	b := NewBloom(packet.KeyFiveTuple, 1<<14, 3)
-	tr := genTrace(600, 1200, 71)
-	for i := range tr.Packets {
-		if i%2 == 0 {
-			a.Insert(&tr.Packets[i])
-		} else {
-			b.Insert(&tr.Packets[i])
+	const m, k = 1 << 14, 3 // bits per bitmap, positions per key
+	positions := randomHashes(600*k, 71)
+	insert := func(words []uint32, key int) {
+		for _, h := range positions[key*k : key*k+k] {
+			words[h%m/32] |= 1 << (h % 32)
 		}
 	}
-	if err := a.Union(b); err != nil {
+	contains := func(words []uint32, key int) bool {
+		for _, h := range positions[key*k : key*k+k] {
+			if words[h%m/32]&(1<<(h%32)) == 0 {
+				return false
+			}
+		}
+		return true
+	}
+	a, b := make([]uint32, m/32), make([]uint32, m/32)
+	for key := range 600 {
+		if key%2 == 0 {
+			insert(a, key)
+		} else {
+			insert(b, key)
+		}
+	}
+	if err := MergeOrRegisters(a, b); err != nil {
 		t.Fatal(err)
 	}
-	for i := range tr.Packets {
-		if !a.Contains(&tr.Packets[i]) {
-			t.Fatalf("union filter lost packet %d's flow", i)
+	for key := range 600 {
+		if !contains(a, key) {
+			t.Fatalf("union bitmap lost key %d", key)
 		}
 	}
-	small := NewBloom(packet.KeyFiveTuple, 1<<10, 3)
-	if err := a.Union(small); err == nil {
+	if err := MergeOrRegisters(a, make([]uint32, m/64)); err == nil {
 		t.Fatal("size mismatch must fail")
 	}
 }
 
 func TestHLLMergeEqualsUnion(t *testing.T) {
-	a := NewHLL(packet.KeyFiveTuple, 12)
-	b := NewHLL(packet.KeyFiveTuple, 12)
-	whole := NewHLL(packet.KeyFiveTuple, 12)
-	tr := genTrace(20_000, 40_000, 72)
-	for i := range tr.Packets {
+	const b = 12
+	keys := randomHashes(40_000, 72)
+	var partA, partB []uint32
+	for i, h := range keys {
 		// Overlapping halves: idempotence matters for HLL merges.
 		if i%3 != 0 {
-			a.AddPacket(&tr.Packets[i])
+			partA = append(partA, h)
 		}
 		if i%3 != 1 {
-			b.AddPacket(&tr.Packets[i])
+			partB = append(partB, h)
 		}
-		whole.AddPacket(&tr.Packets[i])
 	}
-	if err := a.Merge(b); err != nil {
+	a, whole := hllRanks(partA, b), hllRanks(keys, b)
+	if err := MergeMaxRegisters(a, hllRanks(partB, b)); err != nil {
 		t.Fatal(err)
 	}
-	if re := metrics.RE(whole.Estimate(), a.Estimate()); re > 0.02 {
-		t.Fatalf("merged HLL estimate diverges: RE %.4f", re)
+	for i := range whole {
+		if a[i] != whole[i] {
+			t.Fatalf("register %d: merged rank %d, union-stream rank %d", i, a[i], whole[i])
+		}
 	}
-	other := NewHLL(packet.KeyFiveTuple, 10)
-	if err := a.Merge(other); err == nil {
+	if re := metrics.RE(float64(len(keys)), HLLEstimateFromRanks(a)); re > 4*1.04/64 {
+		t.Fatalf("merged HLL estimate RE %.4f exceeds 4σ", re)
+	}
+	if err := MergeMaxRegisters(a, hllRanks(partB, b-2)); err == nil {
 		t.Fatal("precision mismatch must fail")
 	}
 }
 
 func TestOddSketchMergeIsSymmetricDifference(t *testing.T) {
-	a := NewOddSketch(packet.KeyFiveTuple, 1<<14)
-	b := NewOddSketch(packet.KeyFiveTuple, 1<<14)
-	tr := genTrace(2000, 2000, 73)
-	seen := map[packet.CanonicalKey]bool{}
-	shared := 0
-	for i := range tr.Packets {
-		k := packet.KeyFiveTuple.Extract(&tr.Packets[i])
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		switch len(seen) % 2 {
-		case 0:
-			a.Insert(&tr.Packets[i])
-			b.Insert(&tr.Packets[i])
-			shared++
-		default:
-			a.Insert(&tr.Packets[i])
-		}
-	}
-	if err := a.Merge(b); err != nil {
+	const m = 1 << 14
+	keys := randomHashes(2000, 73)
+	a, b := make([]uint32, m/32), make([]uint32, m/32)
+	toggle(a, keys)
+	toggle(b, keys[:len(keys)/2])
+	if err := MergeXorRegisters(a, b); err != nil {
 		t.Fatal(err)
 	}
-	// Shared elements cancel: the merged sketch holds only a's exclusive
-	// elements.
-	onlyA := len(seen) - shared
-	est := OddSketchDifferenceFromOnes(a.OnesCount(), a.Bits())
-	if re := metrics.RE(float64(onlyA), est); re > 0.15 {
-		t.Fatalf("merged odd sketch estimate %.0f vs truth %d (RE %.3f)", est, onlyA, re)
+	// Shared elements cancel: the merged bitmap is exactly the sketch of
+	// a's exclusive elements.
+	onlyA := make([]uint32, m/32)
+	toggle(onlyA, keys[len(keys)/2:])
+	for i := range a {
+		if a[i] != onlyA[i] {
+			t.Fatalf("word %d: merged %#x, sketch of the difference %#x", i, a[i], onlyA[i])
+		}
+	}
+	est := OddSketchDifferenceFromOnes(onesCount(a), m)
+	if re := metrics.RE(float64(len(keys)/2), est); re > 0.15 {
+		t.Fatalf("merged odd sketch estimate %.0f vs truth %d (RE %.3f)", est, len(keys)/2, re)
 	}
 }
 

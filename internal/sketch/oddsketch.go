@@ -1,81 +1,14 @@
 package sketch
 
-import (
-	"fmt"
-	"math"
-	"math/bits"
+import "math"
 
-	"flymon/internal/hashing"
-	"flymon/internal/packet"
-)
-
-// OddSketch (Mitzenmacher et al., WWW '14) is a parity bitmap: inserting an
-// element toggles one bit, so bit i ends up holding the parity of the
-// number of distinct elements hashed to it. The XOR of two odd sketches is
-// the odd sketch of the sets' symmetric difference, whose size is
-// recoverable from the number of set bits:
-// |AΔB| ≈ −(m/2)·ln(1 − 2·ones/m). The paper lists it as the natural use
-// of FlyMon's reserved fourth stateful-operation slot (§6).
-//
-// Note: inserting an element twice cancels it. Callers deduplicate (insert
-// each distinct flow key once), as the similarity use case requires.
-type OddSketch struct {
-	spec  packet.KeySpec
-	mBits int
-	words []uint64
-	hash  *hashing.Unit
-}
-
-// NewOddSketch builds an odd sketch with mBits bits (rounded up to a power
-// of two) keyed by spec.
-func NewOddSketch(spec packet.KeySpec, mBits int) *OddSketch {
-	if mBits <= 0 {
-		panic(fmt.Sprintf("sketch: invalid odd-sketch size %d", mBits))
-	}
-	mBits = ceilPow2(mBits)
-	h := hashing.NewUnit(0)
-	h.Configure(spec)
-	return &OddSketch{spec: spec, mBits: mBits, words: make([]uint64, mBits/64+1), hash: h}
-}
-
-// Insert toggles the bit of p's flow key.
-func (o *OddSketch) Insert(p *packet.Packet) { o.toggle(o.hash.Hash(p)) }
-
-// InsertKey toggles the bit of a canonical key.
-func (o *OddSketch) InsertKey(k packet.CanonicalKey) { o.toggle(o.hash.HashBytes(k[:])) }
-
-func (o *OddSketch) toggle(h uint32) {
-	bit := h & uint32(o.mBits-1)
-	o.words[bit/64] ^= 1 << (bit % 64)
-}
-
-// Bits returns the sketch size in bits.
-func (o *OddSketch) Bits() int { return o.mBits }
-
-// OnesCount returns the number of set (odd-parity) bits.
-func (o *OddSketch) OnesCount() int {
-	n := 0
-	for _, w := range o.words {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// SymmetricDifference estimates |A Δ B| from two same-geometry sketches.
-func (o *OddSketch) SymmetricDifference(other *OddSketch) (float64, error) {
-	if o.mBits != other.mBits {
-		return 0, fmt.Errorf("sketch: odd-sketch sizes differ (%d vs %d)", o.mBits, other.mBits)
-	}
-	ones := 0
-	for i := range o.words {
-		ones += bits.OnesCount64(o.words[i] ^ other.words[i])
-	}
-	return OddSketchDifferenceFromOnes(ones, o.mBits), nil
-}
-
-// OddSketchDifferenceFromOnes inverts a parity-bitmap popcount into a
-// symmetric-difference estimate — the control-plane half shared with the
-// CMU composition.
+// OddSketchDifferenceFromOnes inverts an odd sketch's popcount into a
+// symmetric-difference estimate. An odd sketch (Mitzenmacher et al., WWW
+// '14) is a parity bitmap: inserting an element toggles one bit, and the XOR
+// of two sketches is the sketch of the sets' symmetric difference, whose
+// size is recoverable from its set bits: |AΔB| ≈ −(m/2)·ln(1 − 2·ones/m).
+// This is the control-plane half of the CMU composition
+// (algorithms.OddSketchTask), run on the register words read back.
 func OddSketchDifferenceFromOnes(ones, mBits int) float64 {
 	m := float64(mBits)
 	x := 1 - 2*float64(ones)/m
@@ -85,28 +18,3 @@ func OddSketchDifferenceFromOnes(ones, mBits int) float64 {
 	}
 	return -m / 2 * math.Log(x)
 }
-
-// Jaccard estimates the Jaccard similarity of the two sets given their
-// (known or estimated) cardinalities: J = 1 − |AΔB| / (|A|+|B|).
-// The union size |A∪B| = (|A|+|B|+|AΔB|)/2.
-func (o *OddSketch) Jaccard(other *OddSketch, cardA, cardB float64) (float64, error) {
-	diff, err := o.SymmetricDifference(other)
-	if err != nil {
-		return 0, err
-	}
-	union := (cardA + cardB + diff) / 2
-	if union <= 0 {
-		return 1, nil
-	}
-	j := (union - diff) / union
-	if j < 0 {
-		j = 0
-	}
-	return j, nil
-}
-
-// MemoryBytes returns the bitmap footprint.
-func (o *OddSketch) MemoryBytes() int { return o.mBits / 8 }
-
-// Reset clears the bitmap.
-func (o *OddSketch) Reset() { clear(o.words) }

@@ -1,97 +1,92 @@
 package sketch
 
 import (
+	"math"
+	"math/bits"
 	"testing"
 
 	"flymon/internal/metrics"
-	"flymon/internal/packet"
-	"flymon/internal/trace"
 )
 
-func TestOddSketchParity(t *testing.T) {
-	o := NewOddSketch(packet.KeyFiveTuple, 1024)
-	p := packet.Packet{SrcIP: 1, Proto: 6}
-	o.Insert(&p)
-	if o.OnesCount() != 1 {
-		t.Fatalf("one insert → %d bits", o.OnesCount())
+// toggle inserts compressed keys into a parity bitmap of len(words)·32 bits,
+// the way FlyMon-OddSketch's XOR rule does: each key flips one bit.
+func toggle(words []uint32, hashes []uint32) {
+	m := uint32(len(words) * 32)
+	for _, h := range hashes {
+		bit := h % m
+		words[bit/32] ^= 1 << (bit % 32)
 	}
-	o.Insert(&p) // second insert cancels
-	if o.OnesCount() != 0 {
-		t.Fatalf("double insert → %d bits, want 0", o.OnesCount())
+}
+
+func onesCount(words []uint32) int {
+	n := 0
+	for _, w := range words {
+		n += bits.OnesCount32(w)
+	}
+	return n
+}
+
+func TestOddSketchParity(t *testing.T) {
+	const m = 1024
+	key := randomHashes(1, 11)
+	words := make([]uint32, m/32)
+	toggle(words, key)
+	if ones := onesCount(words); ones != 1 {
+		t.Fatalf("one insert → %d bits", ones)
+	}
+	if got := OddSketchDifferenceFromOnes(1, m); math.Abs(got-1) > 0.01 {
+		t.Fatalf("one set bit estimates %.3f elements, want ≈ 1", got)
+	}
+	// Two switches that both saw the key: their merged sketch is empty.
+	twice := append([]uint32(nil), words...)
+	if err := MergeXorRegisters(twice, words); err != nil {
+		t.Fatal(err)
+	}
+	if ones := onesCount(twice); ones != 0 {
+		t.Fatalf("key seen on both sides → %d bits, want 0", ones)
+	}
+	// Only one switch saw it: the key survives the merge.
+	once := make([]uint32, m/32)
+	if err := MergeXorRegisters(once, words); err != nil {
+		t.Fatal(err)
+	}
+	if ones := onesCount(once); ones != 1 {
+		t.Fatalf("key seen on one side → %d bits, want 1", ones)
+	}
+	toggle(words, key) // second insert cancels
+	if ones := onesCount(words); ones != 0 {
+		t.Fatalf("double insert → %d bits, want 0", ones)
 	}
 }
 
 func TestOddSketchSymmetricDifference(t *testing.T) {
 	const m = 1 << 14
-	a := NewOddSketch(packet.KeyFiveTuple, m)
-	b := NewOddSketch(packet.KeyFiveTuple, m)
-	tr := trace.Generate(trace.Config{Flows: 3000, Packets: 3000, Seed: 50})
-	seen := map[packet.CanonicalKey]bool{}
-	shared, onlyA, onlyB := 0, 0, 0
-	i := 0
-	for j := range tr.Packets {
-		p := &tr.Packets[j]
-		k := packet.KeyFiveTuple.Extract(p)
-		if seen[k] {
-			continue
+	for _, n := range []int{500, 2000, 5000} {
+		words := make([]uint32, m/32)
+		toggle(words, randomHashes(n, int64(n)))
+		got := OddSketchDifferenceFromOnes(onesCount(words), m)
+		if re := metrics.RE(float64(n), got); re > 0.15 {
+			t.Fatalf("symmetric difference RE %.3f (est %.0f, truth %d)", re, got, n)
 		}
-		seen[k] = true
-		switch i % 3 {
-		case 0: // shared
-			a.Insert(p)
-			b.Insert(p)
-			shared++
-		case 1:
-			a.Insert(p)
-			onlyA++
-		default:
-			b.Insert(p)
-			onlyB++
-		}
-		i++
-	}
-	truth := float64(onlyA + onlyB)
-	got, err := a.SymmetricDifference(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re := metrics.RE(truth, got); re > 0.15 {
-		t.Fatalf("symmetric difference RE %.3f (est %.0f, truth %.0f)", re, got, truth)
-	}
-	// Jaccard of the two sets: |A∩B| / |A∪B|.
-	wantJ := float64(shared) / float64(shared+onlyA+onlyB)
-	j, err := a.Jaccard(b, float64(shared+onlyA), float64(shared+onlyB))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := j - wantJ; d > 0.1 || d < -0.1 {
-		t.Fatalf("Jaccard = %.3f, want ≈ %.3f", j, wantJ)
 	}
 }
 
 func TestOddSketchSizeMismatch(t *testing.T) {
-	a := NewOddSketch(packet.KeySrcIP, 512)
-	b := NewOddSketch(packet.KeySrcIP, 1024)
-	if _, err := a.SymmetricDifference(b); err == nil {
-		t.Fatal("size mismatch must error")
+	if err := MergeXorRegisters(make([]uint32, 512/32), make([]uint32, 1024/32)); err == nil {
+		t.Fatal("odd sketches of different sizes must not merge")
 	}
 }
 
 func TestOddSketchSaturation(t *testing.T) {
-	o := NewOddSketch(packet.KeySrcIP, 64)
-	p := NewOddSketch(packet.KeySrcIP, 64)
-	for i := 0; i < 10_000; i++ {
-		o.Insert(&packet.Packet{SrcIP: uint32(i)})
+	const m = 64
+	if got := OddSketchDifferenceFromOnes(0, m); got != 0 {
+		t.Fatalf("an empty sketch estimates %v, want 0", got)
 	}
-	est, err := o.SymmetricDifference(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est <= 0 {
-		t.Fatalf("saturated estimate must degrade gracefully, got %v", est)
-	}
-	o.Reset()
-	if o.OnesCount() != 0 {
-		t.Fatal("reset must clear")
+	below := OddSketchDifferenceFromOnes(m/2-1, m)
+	for _, ones := range []int{m / 2, m} {
+		est := OddSketchDifferenceFromOnes(ones, m)
+		if math.IsInf(est, 1) || math.IsNaN(est) || est < below {
+			t.Fatalf("saturated estimate at %d ones must degrade gracefully, got %v (below saturation %v)", ones, est, below)
+		}
 	}
 }

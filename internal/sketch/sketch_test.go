@@ -2,6 +2,8 @@ package sketch
 
 import (
 	"math"
+	"math/bits"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -75,276 +77,129 @@ func TestCMSSaturatingAdd(t *testing.T) {
 	}
 }
 
-// --- Bloom / Linear Counting ---
+// --- Control-plane estimators ---
+//
+// The estimators are fed registers filled test-side from ideal hashes: n
+// distinct keys are n independent uniform 32-bit compressed keys. How the
+// CMU compositions fill the same registers is the conformance suite's
+// business (flymon/internal/core/algorithms).
 
-func TestBloomNoFalseNegativesProperty(t *testing.T) {
-	b := NewBloom(packet.KeyFiveTuple, 1<<12, 3)
-	f := func(src, dst uint32) bool {
-		p := packet.Packet{SrcIP: src, DstIP: dst, Proto: 6}
-		b.Insert(&p)
-		return b.Contains(&p)
+// hllRanks fills a 2^b-register rank file from 32-bit compressed keys the
+// way FlyMon-HLL's rule does: the low b bits pick the register, the rank is
+// the 1-based leading-one position of the remaining 32−b bits.
+func hllRanks(hashes []uint32, b int) []uint32 {
+	regs := make([]uint32, 1<<b)
+	for _, h := range hashes {
+		rest := h &^ (1<<b - 1)
+		rank := uint32(bits.LeadingZeros32(rest)) + 1
+		if rest == 0 {
+			rank = uint32(32 - b + 1)
+		}
+		regs[h&(1<<b-1)] = max(regs[h&(1<<b-1)], rank)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
+	return regs
+}
+
+func randomHashes(n int, seed int64) []uint32 {
+	rng := rand.New(rand.NewSource(seed))
+	hs := make([]uint32, n)
+	for i := range hs {
+		hs[i] = rng.Uint32()
+	}
+	return hs
+}
+
+func TestHLLAccuracyAcrossScales(t *testing.T) {
+	const b = 12 // 4096 registers: standard error 1.04/√4096 ≈ 1.6%
+	bound := 4 * 1.04 / math.Sqrt(1<<b)
+	// 1M keys is 244× the register count: far past 2^(32−b)/30, where a
+	// large-range correction for the wrong hash space would inflate the
+	// estimate.
+	for _, n := range []int{1000, 20_000, 100_000, 1_000_000} {
+		est := HLLEstimateFromRanks(hllRanks(randomHashes(n, int64(n)), b))
+		if re := metrics.RE(float64(n), est); re > bound {
+			t.Fatalf("HLL RE %.3f at %d keys exceeds 4σ = %.3f (est %.0f)", re, n, bound, est)
+		}
+	}
+	if HLLEstimateFromRanks(nil) != 0 {
+		t.Fatal("an empty register file estimates 0")
 	}
 }
 
-func TestBloomFalsePositiveRate(t *testing.T) {
-	const n = 1000
-	b := NewBloom(packet.KeyFiveTuple, 1<<14, OptimalK(1<<14, n))
-	ins := genTrace(n, n*2, 2)
-	member := NewExactMembership(packet.KeyFiveTuple)
-	for i := range ins.Packets {
-		b.Insert(&ins.Packets[i])
-		member.Insert(&ins.Packets[i])
-	}
-	probe := genTrace(5000, 5000, 3)
-	fp, neg := 0, 0
-	for i := range probe.Packets {
-		if member.Contains(&probe.Packets[i]) {
-			continue
-		}
-		neg++
-		if b.Contains(&probe.Packets[i]) {
-			fp++
+// nativeHLLEstimate is HyperLogLog's estimator as Flajolet et al. (2007,
+// Fig. 3) state it for a 32-bit hash and m ≥ 128 registers: the raw
+// E = α_m·m²/Σ 2^{−M_j}; E* = m·ln(m/V) when E ≤ 5m/2 and V registers are
+// zero; E* = −2^32·ln(1 − E/2^32) when E > 2^32/30.
+func nativeHLLEstimate(regs []uint32) float64 {
+	m := float64(len(regs))
+	var z float64
+	v := 0
+	for _, r := range regs {
+		z += 1 / math.Exp2(float64(r))
+		if r == 0 {
+			v++
 		}
 	}
-	// Theory: (1 − e^{−kn/m})^k ≈ 0.2% for these parameters; allow slack.
-	if rate := float64(fp) / float64(neg); rate > 0.02 {
-		t.Fatalf("FP rate %.4f too high", rate)
+	e := 0.7213 / (1 + 1.079/m) * m * m / z
+	const two32 = 1 << 32
+	switch {
+	case e <= 5*m/2 && v > 0:
+		return m * math.Log(m/float64(v))
+	case e > two32/30:
+		return -two32 * math.Log(1-e/two32)
 	}
+	return e
 }
 
-func TestOptimalK(t *testing.T) {
-	if OptimalK(1<<14, 1000) < 2 {
-		t.Fatal("optimal k for 16:1 bits:keys should exceed 1")
+func TestHLLEstimateFromRanksMatchesNative(t *testing.T) {
+	saturated := make([]uint32, 1<<10)
+	for i := range saturated {
+		saturated[i] = 18 // raw estimate ≈ 1.9e8, past 2^32/30
 	}
-	if OptimalK(64, 10_000) != 1 {
-		t.Fatal("overloaded filter should use k=1")
-	}
-	if OptimalK(1024, 0) != 1 {
-		t.Fatal("zero keys defaults to 1")
+	for _, c := range []struct {
+		name string
+		regs []uint32
+	}{
+		{"small-range", hllRanks(randomHashes(200, 5), 10)},
+		{"raw", hllRanks(randomHashes(5000, 5), 10)},
+		// Past 2^(32−b)/30 but under 2^32/30: no correction applies.
+		{"raw-wide", hllRanks(randomHashes(100_000, 5), 14)},
+		{"large-range", saturated},
+	} {
+		native := nativeHLLEstimate(c.regs)
+		fromRanks := HLLEstimateFromRanks(c.regs)
+		if math.Abs(native-fromRanks)/native > 1e-9 {
+			t.Fatalf("%s: estimates diverge: native %.0f, from-ranks %.0f", c.name, native, fromRanks)
+		}
 	}
 }
 
 func TestLinearCountingAccuracy(t *testing.T) {
-	lc := NewLinearCounting(packet.KeyFiveTuple, 1<<16)
-	const flows = 8000
-	tr := genTrace(flows, flows*2, 4)
-	exact := NewExactCardinality(packet.KeyFiveTuple)
-	for i := range tr.Packets {
-		lc.Insert(&tr.Packets[i])
-		exact.AddPacket(&tr.Packets[i])
-	}
-	if re := metrics.RE(float64(exact.Cardinality()), lc.Estimate()); re > 0.05 {
-		t.Fatalf("LC RE %.3f", re)
+	const m = 1 << 16
+	for _, n := range []int{2000, 8000, 60_000, 120_000} {
+		bitmap := make([]bool, m)
+		zeros := m
+		for _, h := range randomHashes(n, int64(n)) {
+			if !bitmap[h%m] {
+				bitmap[h%m] = true
+				zeros--
+			}
+		}
+		// Whang et al.: the standard error of n̂/n is √(m(eᵗ−t−1))/n at
+		// load t = n/m; allow 4σ.
+		load := float64(n) / m
+		bound := 4 * math.Sqrt(m*(math.Exp(load)-load-1)) / float64(n)
+		if re := metrics.RE(float64(n), LinearCountingFromZeros(zeros, m)); re > bound {
+			t.Fatalf("LC RE %.4f at %d keys exceeds 4σ = %.4f", re, n, bound)
+		}
 	}
 }
 
 func TestLinearCountingSaturated(t *testing.T) {
-	lc := NewLinearCounting(packet.KeySrcIP, 64)
-	for i := 0; i < 10_000; i++ {
-		lc.Insert(&packet.Packet{SrcIP: uint32(i)})
+	est := LinearCountingFromZeros(0, 64)
+	if math.IsInf(est, 1) || math.IsNaN(est) || est <= LinearCountingFromZeros(2, 64) {
+		t.Fatalf("saturated LC must degrade gracefully to its largest finite reading, got %v", est)
 	}
-	est := lc.Estimate()
-	if math.IsInf(est, 1) || math.IsNaN(est) || est <= 0 {
-		t.Fatalf("saturated LC must degrade gracefully, got %v", est)
-	}
-}
-
-// --- HLL ---
-
-func TestHLLAccuracyAcrossScales(t *testing.T) {
-	for _, flows := range []int{1000, 20_000, 100_000} {
-		h := NewHLL(packet.KeyFiveTuple, 12) // 4096 registers
-		exact := NewExactCardinality(packet.KeyFiveTuple)
-		tr := genTrace(flows, flows, int64(flows))
-		for i := range tr.Packets {
-			h.AddPacket(&tr.Packets[i])
-			exact.AddPacket(&tr.Packets[i])
-		}
-		re := metrics.RE(float64(exact.Cardinality()), h.Estimate())
-		// Standard error ≈ 1.04/√4096 ≈ 1.6%; allow 4 sigma.
-		if re > 0.07 {
-			t.Fatalf("HLL RE %.3f at %d flows", re, flows)
-		}
-	}
-}
-
-func TestHLLForBytes(t *testing.T) {
-	h := NewHLLForBytes(packet.KeyFiveTuple, 4096)
-	if h.MemoryBytes() > 4096 {
-		t.Fatalf("HLL exceeded budget: %d", h.MemoryBytes())
-	}
-	if h.Precision() != 12 {
-		t.Fatalf("precision = %d, want 12", h.Precision())
-	}
-}
-
-func TestHLLEstimateFromRanksMatchesNative(t *testing.T) {
-	h := NewHLL(packet.KeyFiveTuple, 10)
-	tr := genTrace(5000, 10_000, 5)
-	for i := range tr.Packets {
-		h.AddPacket(&tr.Packets[i])
-	}
-	native := h.Estimate()
-	fromRanks := HLLEstimateFromRanks(h.Registers(), 32-h.Precision())
-	if math.Abs(native-fromRanks)/native > 0.02 {
-		t.Fatalf("estimates diverge: native %.0f, from-ranks %.0f", native, fromRanks)
-	}
-}
-
-func TestHLLInvalidPrecisionPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("precision 0 must panic")
-		}
-	}()
-	NewHLL(packet.KeySrcIP, 0)
-}
-
-// --- SuMax ---
-
-func TestSuMaxNeverWorseThanTruth(t *testing.T) {
-	s := NewSuMax(packet.KeyFiveTuple, 3, 1<<12)
-	tr := genTrace(1000, 50_000, 6)
-	exact := NewExactFrequency(packet.KeyFiveTuple)
-	for i := range tr.Packets {
-		s.AddPacket(&tr.Packets[i])
-		exact.AddPacket(&tr.Packets[i])
-	}
-	for k, truth := range exact.Counts() {
-		if est := uint64(s.EstimateKey(k)); est < truth {
-			t.Fatalf("SuMax underestimated %d < %d", est, truth)
-		}
-	}
-}
-
-func TestSuMaxTighterThanCMSUnderPressure(t *testing.T) {
-	cms := NewCMS(packet.KeyFiveTuple, 3, 1<<10)
-	sm := NewSuMax(packet.KeyFiveTuple, 3, 1<<10)
-	tr := genTrace(4000, 150_000, 7)
-	exact := NewExactFrequency(packet.KeyFiveTuple)
-	for i := range tr.Packets {
-		cms.AddPacket(&tr.Packets[i])
-		sm.AddPacket(&tr.Packets[i])
-		exact.AddPacket(&tr.Packets[i])
-	}
-	var cmsTot, smTot float64
-	for k, truth := range exact.Counts() {
-		cmsTot += float64(cms.EstimateKey(k)-uint32(truth)) / float64(truth)
-		smTot += float64(sm.EstimateKey(k)-uint32(truth)) / float64(truth)
-	}
-	if smTot > cmsTot {
-		t.Fatalf("SuMax total overestimate %.1f exceeds CMS %.1f", smTot, cmsTot)
-	}
-}
-
-func TestSuMaxMaxMode(t *testing.T) {
-	s := NewSuMax(packet.KeyIPPair, 3, 1<<12)
-	tr := genTrace(500, 20_000, 8)
-	exact := NewExactMax(packet.KeyIPPair)
-	for i := range tr.Packets {
-		s.UpdateMax(&tr.Packets[i], tr.Packets[i].QueueLength)
-		exact.Add(&tr.Packets[i], tr.Packets[i].QueueLength)
-	}
-	for k, truth := range exact.Values() {
-		if est := uint64(s.EstimateKey(k)); est < truth {
-			t.Fatalf("SuMax(Max) lost a maximum: %d < %d", est, truth)
-		}
-	}
-}
-
-// --- Tower ---
-
-func TestTowerAccuracyAndSaturation(t *testing.T) {
-	tw := NewTower(packet.KeyFiveTuple, []TowerLevelSpec{
-		{Bits: 4, Counters: 1 << 14}, {Bits: 8, Counters: 1 << 13}, {Bits: 16, Counters: 1 << 12},
-	})
-	tr := genTrace(2000, 100_000, 9)
-	exact := NewExactFrequency(packet.KeyFiveTuple)
-	for i := range tr.Packets {
-		tw.AddPacket(&tr.Packets[i])
-		exact.AddPacket(&tr.Packets[i])
-	}
-	est := map[packet.CanonicalKey]uint64{}
-	for k := range exact.Counts() {
-		est[k] = uint64(tw.EstimateKey(k))
-	}
-	if are := metrics.ARE(exact.Counts(), est); are > 0.25 {
-		t.Fatalf("Tower ARE %.3f", are)
-	}
-}
-
-func TestTowerAllSaturatedReturnsWidest(t *testing.T) {
-	tw := NewTower(packet.KeySrcIP, []TowerLevelSpec{{Bits: 2, Counters: 4}, {Bits: 4, Counters: 4}})
-	p := packet.Packet{SrcIP: 1}
-	for i := 0; i < 100; i++ {
-		tw.AddPacket(&p)
-	}
-	if got := tw.Estimate(&p); got != 15 {
-		t.Fatalf("fully saturated estimate = %d, want widest level's max 15", got)
-	}
-}
-
-func TestTowerForBytes(t *testing.T) {
-	tw := NewTowerForBytes(packet.KeyFiveTuple, 64*1024)
-	if tw.MemoryBytes() > 96*1024 {
-		t.Fatalf("tower memory %d far above budget", tw.MemoryBytes())
-	}
-}
-
-func TestTowerInvalidLevelPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("invalid level must panic")
-		}
-	}()
-	NewTower(packet.KeySrcIP, []TowerLevelSpec{{Bits: 40, Counters: 8}})
-}
-
-// --- Counter Braids ---
-
-func TestCounterBraidsDecode(t *testing.T) {
-	cb := NewCounterBraids(packet.KeyFiveTuple, 3, 1<<12, 8, 2, 1<<9)
-	tr := genTrace(500, 60_000, 10)
-	exact := NewExactFrequency(packet.KeyFiveTuple)
-	for i := range tr.Packets {
-		cb.AddPacket(&tr.Packets[i])
-		exact.AddPacket(&tr.Packets[i])
-	}
-	flows := make([]packet.CanonicalKey, 0, exact.Flows())
-	for k := range exact.Counts() {
-		flows = append(flows, k)
-	}
-	decoded := cb.Decode(flows, 10)
-	exactCount := 0
-	for k, truth := range exact.Counts() {
-		if decoded[k] == truth {
-			exactCount++
-		}
-	}
-	if frac := float64(exactCount) / float64(len(flows)); frac < 0.85 {
-		t.Fatalf("CB decoded only %.1f%% of flows exactly", frac*100)
-	}
-}
-
-func TestCounterBraidsForBytes(t *testing.T) {
-	cb := NewCounterBraidsForBytes(packet.KeyFiveTuple, 64*1024)
-	if cb.MemoryBytes() > 2*64*1024 {
-		t.Fatalf("CB memory %d far above budget", cb.MemoryBytes())
-	}
-	cb.AddPacket(&packet.Packet{SrcIP: 1})
-	cb.Reset()
-}
-
-func TestCounterBraidsInvalidWidthPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("layer-1 width 32 must panic")
-		}
-	}()
-	NewCounterBraids(packet.KeySrcIP, 3, 64, 32, 2, 16)
 }
 
 // --- Count Sketch / UnivMon ---
@@ -469,14 +324,19 @@ func TestCouponConfigValidate(t *testing.T) {
 }
 
 func TestSolveCouponConfigHitsThreshold(t *testing.T) {
-	for _, threshold := range []int{10, 100, 512, 1024, 10_000} {
-		cc := SolveCouponConfig(threshold)
-		if err := cc.Validate(); err != nil {
-			t.Fatalf("threshold %d: invalid config: %v", threshold, err)
-		}
-		e := cc.ExpectedDraws()
-		if e < float64(threshold)/2 || e > float64(threshold)*2 {
-			t.Fatalf("threshold %d: expected draws %.1f off target", threshold, e)
+	for _, width := range []int{8, 16, 32} {
+		for _, threshold := range []int{10, 100, 512, 1024, 10_000} {
+			cc := SolveCouponConfig(threshold, width)
+			if err := cc.Validate(); err != nil {
+				t.Fatalf("width %d threshold %d: invalid config: %v", width, threshold, err)
+			}
+			if cc.Coupons > width {
+				t.Fatalf("width %d threshold %d: %d coupons do not fit a bucket", width, threshold, cc.Coupons)
+			}
+			e := cc.ExpectedDraws()
+			if math.Abs(math.Log(e/float64(threshold))) > CouponTolerance {
+				t.Fatalf("width %d threshold %d: expected draws %.1f outside ±15%%", width, threshold, e)
+			}
 		}
 	}
 }
@@ -507,7 +367,7 @@ func TestCouponDrawDistribution(t *testing.T) {
 
 func TestBeauCoupDetection(t *testing.T) {
 	const threshold = 256
-	b := NewBeauCoup(packet.KeyDstIP, packet.KeySrcIP, SolveCouponConfig(threshold), 3, 1<<12)
+	b := NewBeauCoup(packet.KeyDstIP, packet.KeySrcIP, SolveCouponConfig(threshold, 32), 3, 1<<12)
 	tr := genTrace(2000, 40_000, 15)
 	victim := packet.IPv4(8, 8, 8, 8)
 	tr.InjectDDoS(victim, 4*threshold, 1, 16)
