@@ -61,8 +61,8 @@ func main() {
 	bitWidth := flag.Int("bitwidth", 32, "register bucket width in bits")
 	partitions := flag.Int("partitions", 32, "memory partitions per CMU")
 	mode := flag.String("mode", "accurate", "memory allocation mode: accurate or efficient")
-	workers := flag.Int("workers", 0, "parallel batch workers and register lanes (0 = GOMAXPROCS)")
-	sharded := flag.Bool("sharded", false, "sharded register state: mergeable ops write per-worker plain-store lanes, reduced on query")
+	workers := flag.Int("workers", 0, "replay pool workers, which fix the register write policy: 1 = the worker is every register's sole writer and stores plainly; more share the buckets atomically, or write lanes with -sharded (0 = GOMAXPROCS)")
+	sharded := flag.Bool("sharded", false, "with -workers above 1: mergeable ops write per-worker plain-store lanes, reduced on query (one worker already stores plainly)")
 	replay := flag.String("replay", "", "soak mode: replay these comma-separated FLYMTRC traces through the data plane while serving the control channel")
 	replayLoop := flag.Bool("replay-loop", false, "loop the -replay traces until shutdown instead of replaying once")
 	chaosSeed := flag.Int64("chaos-seed", 0, "fault-injection seed (0 with other chaos flags = seed 1)")
@@ -143,8 +143,13 @@ func main() {
 	}
 	fmt.Printf("flymond: %d+%d CMU Groups (%d CMUs), %d×%d-bit buckets/CMU, %s allocation\n",
 		*groups, ctrl.Pipeline().SplicedGroups(), (*groups+ctrl.Pipeline().SplicedGroups())*3, *buckets, *bitWidth, memMode)
-	if ctrl.Sharded() {
-		fmt.Printf("flymond: sharded register state: %d plain-store lanes per CMU, reduced on query\n", ctrl.Workers())
+	switch {
+	case ctrl.Workers() == 1:
+		fmt.Println("flymond: register writes: 1 worker, the sole writer: plain stores, queries exclude it")
+	case ctrl.Sharded():
+		fmt.Printf("flymond: register writes: %d workers, sharded: plain-store lanes per CMU, reduced on query\n", ctrl.Workers())
+	default:
+		fmt.Printf("flymond: register writes: %d workers, shared buckets: interlocked updates\n", ctrl.Workers())
 	}
 	fmt.Printf("flymond: control channel on %s\n", addr)
 

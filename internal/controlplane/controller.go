@@ -76,18 +76,27 @@ type Controller struct {
 	// by Close.
 	workers atomic.Pointer[core.WorkerPool]
 
-	// sharded enables the mergeable-op lane engine: pool workers write
-	// private cache-line-padded register lanes with plain stores and the
-	// control plane reduces them on read. shardWorkers is the lane (and
-	// pool) count.
+	// The register write policy, decided once from the worker count.
+	// single: the pool has one worker, the sole writer of every register,
+	// which updates buckets with plain stores (core.Pipeline.SetSingleWriter).
+	// sharded: ShardedState with several workers — each writes private
+	// cache-line-padded register lanes with plain stores and the control
+	// plane reduces them on read. Neither: several workers share the buckets
+	// through CAS and fetch-and-add. shardWorkers is the pool (and lane)
+	// count.
+	single       bool
 	sharded      bool
 	shardWorkers int
 
-	// procGate is the one reader registry, in every mode: each packet entry
-	// point (Process, ProcessBatch, every span of a pool drain) holds it
-	// shared around load-the-snapshot-and-execute. The control plane takes
-	// it exclusive for a grace period (empty), the lane drain (lane loads
-	// are plain) and ResetTaskCounters (the one clear of a live partition).
+	// procGate is the one reader registry, in every mode: each span of a
+	// pool drain holds it shared around load-the-snapshot-and-execute, and
+	// so do Process and ProcessBatch with several workers. With one worker
+	// it is also the single-writer contract: Process and ProcessBatch, being
+	// writers too, hold it exclusive, and so does every read of live
+	// registers (readHold, TelemetryDataPlane), so a plain store never
+	// overlaps another writer or a reader. The control plane takes it
+	// exclusive for a grace period (empty), the lane drain (lane loads are
+	// plain) and ResetTaskCounters (the one clear of a live partition).
 	// Lock order is always mu before procGate. graceWaited sums the time
 	// grace periods waited for in-flight readers (under mu).
 	procGate    sync.RWMutex
@@ -139,18 +148,23 @@ type Config struct {
 	SplicedGroups int
 
 	// Workers is the one worker-count knob: it sizes the persistent pool
-	// that drains every FrameSource (ProcessFrameSource, ReplayTrace) and,
-	// in sharded mode, the per-register lane count (0 = GOMAXPROCS).
+	// that drains every FrameSource (ProcessFrameSource, ReplayTrace) and
+	// with it the register write policy (0 = GOMAXPROCS). One worker is the
+	// sole writer of every register and updates it with plain stores;
+	// Process, ProcessBatch and every query exclude it while they run.
+	// Several workers share the buckets through CAS and fetch-and-add, or
+	// write private lanes with ShardedState (one lane per worker).
 	Workers int
-	// ShardedState switches the pool workers' register updates from shared
-	// CAS buckets to private per-worker lanes for exactly-mergeable ops
-	// (Cond-ADD at the saturation bound, MAX, AND-OR, XOR): workers write
-	// their own cache-line-padded lane with plain stores and the control
-	// plane reduces lanes into shared state before any readout. Ops whose
-	// merge would not be exact (sub-saturation thresholds, result-bus
-	// consumers) transparently keep the CAS path. Query results are
-	// identical in either mode; sharded mode trades a drain pass per
-	// readout for a CAS-free packet path.
+	// ShardedState, with more than one worker, switches the pool workers'
+	// register updates from shared CAS buckets to private per-worker lanes
+	// for exactly-mergeable ops (Cond-ADD at the saturation bound, MAX,
+	// AND-OR, XOR): workers write their own cache-line-padded lane with
+	// plain stores and the control plane reduces lanes into shared state
+	// before any readout. Ops whose merge would not be exact
+	// (sub-saturation thresholds, result-bus consumers) transparently keep
+	// the CAS path. Query results are identical in either mode; sharded
+	// mode trades a drain pass per readout for a CAS-free packet path. With
+	// one worker it changes nothing: the lone worker already stores plainly.
 	ShardedState bool
 
 	// Telemetry attaches a runtime telemetry registry: per-rule hit
@@ -233,7 +247,11 @@ func NewController(cfg Config) *Controller {
 	if c.shardWorkers <= 0 {
 		c.shardWorkers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.ShardedState {
+	switch {
+	case c.shardWorkers == 1:
+		c.single = true
+		pl.SetSingleWriter(true)
+	case cfg.ShardedState:
 		c.sharded = true
 		// Lanes must exist before the first Compile so the snapshot's
 		// routing verdicts see them.
@@ -297,22 +315,43 @@ func (c *Controller) Republish() {
 // Pipeline exposes the data plane (the daemon feeds packets through it).
 func (c *Controller) Pipeline() *core.Pipeline { return c.pipeline }
 
-// Process pushes one packet through the data plane: it registers as a
-// reader (a shared hold of procGate — two uncontended atomic adds), loads
-// the RCU-published snapshot and executes against its frozen rule copies.
-// Readers never exclude each other and never wait for a control-channel
-// operation's work (rule installs, freezes, memory moves) — the switch
-// hardware property FlyMon's on-the-fly reconfiguration relies on; a
-// pending grace period or lane drain holds a new reader back only until
-// the readers already in flight (one span at most) have left. Process is
-// safe for concurrent callers.
+// Process pushes one packet through the data plane: it registers on
+// procGate (enter), loads the RCU-published snapshot and executes against
+// its frozen rule copies. It never waits for a control-channel operation's
+// work (rule installs, freezes, memory moves) — the switch hardware
+// property FlyMon's on-the-fly reconfiguration relies on; a pending grace
+// period, lane drain or query holds it back only until the holders already
+// in flight (one span at most) have left. With several workers packet
+// callers hold the gate shared and never exclude each other; with one
+// worker every packet caller is a plain-store writer and holds it
+// exclusive, so concurrent callers take turns. Process is safe for
+// concurrent callers.
 func (c *Controller) Process(p *packet.Packet) {
-	c.procGate.RLock()
+	c.enter()
 	snap := c.snap.Load()
 	pc := c.ctxPool.Get().(*core.ProcCtx)
 	snap.Process(pc, p)
 	c.ctxPool.Put(pc)
-	c.procGate.RUnlock()
+	c.leave()
+}
+
+// enter registers a packet caller outside the pool on procGate: shared
+// beside the pool's spans, exclusive at one worker, where the caller
+// stores plainly and must be the only writer. leave releases it.
+func (c *Controller) enter() {
+	if c.single {
+		c.procGate.Lock()
+	} else {
+		c.procGate.RLock()
+	}
+}
+
+func (c *Controller) leave() {
+	if c.single {
+		c.procGate.Unlock()
+	} else {
+		c.procGate.RUnlock()
+	}
 }
 
 // ProcessBatch pushes a packet slice through the data plane sequentially
@@ -330,13 +369,13 @@ func (c *Controller) ProcessBatch(ps []packet.Packet) {
 	if len(ps) == 0 {
 		return
 	}
-	c.procGate.RLock()
+	c.enter()
 	snap := c.snap.Load()
 	pc := c.ctxPool.Get().(*core.ProcCtx)
 	pc.Reseed()
 	snap.ProcessBatchCtx(pc, ps)
 	c.ctxPool.Put(pc)
-	c.procGate.RUnlock()
+	c.leave()
 }
 
 // ProcessFrameSource drains a pull-based frame source (the mmap replay
@@ -350,12 +389,14 @@ func (c *Controller) ProcessBatch(ps []packet.Packet) {
 // span boundary — replay behaves exactly like live traffic under
 // on-the-fly reconfiguration.
 //
-// In sharded mode (Config.ShardedState) each pool worker owns a private
-// register lane: compiled rules whose ops merge exactly write the lane with
-// plain stores — no CAS, no contended counter — and the control plane
-// reduces lanes into shared state before any readout. In every mode each
-// span holds the procGate shared, so drains, grace periods and queries
-// interleave with a long replay instead of stalling behind it.
+// With one worker that worker is every register's sole writer and stores
+// plainly. In sharded mode (Config.ShardedState, several workers) each pool
+// worker owns a private register lane: compiled rules whose ops merge
+// exactly write the lane with plain stores — no CAS, no contended counter —
+// and the control plane reduces lanes into shared state before any
+// readout. In every mode each span holds the procGate shared, so drains,
+// grace periods and queries interleave with a long replay instead of
+// stalling behind it.
 func (c *Controller) ProcessFrameSource(src core.FrameSource) {
 	c.workerPool().ProcessFrameSource(c.snap.Load, src, &c.procGate)
 }
@@ -412,7 +453,8 @@ func (c *Controller) drainShards() int {
 // DrainShards folds every dirty register lane into shared state and
 // returns the number of lane buckets folded. Query methods drain
 // automatically; this is for callers reading registers directly through
-// Pipeline(). No-op (zero) in shared mode.
+// Pipeline(). No-op (zero) without lanes; at one worker such a read must
+// not overlap a replay at all (the worker stores plainly).
 func (c *Controller) DrainShards() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -432,7 +474,23 @@ func (c *Controller) grace() {
 	c.graceWaited += time.Since(start)
 }
 
-// Sharded reports whether the controller runs the sharded lane engine.
+// readHold makes the live registers readable for a control-plane query
+// and reports whether the caller must release procGate (Unlock) after
+// reading. With one worker the writer stores plainly, so the read holds
+// the gate exclusive; with lanes, dirty lanes are folded into the base
+// first (drainShards) and the base is read beside the writers, as shared
+// buckets always are. Callers hold c.mu.
+func (c *Controller) readHold() bool {
+	if c.single {
+		c.procGate.Lock()
+		return true
+	}
+	c.drainShards()
+	return false
+}
+
+// Sharded reports whether the controller runs the sharded lane engine:
+// Config.ShardedState with more than one worker. One worker has no lanes.
 func (c *Controller) Sharded() bool { return c.sharded }
 
 // Workers returns the controller's pool width (the lane count in sharded
@@ -1109,17 +1167,20 @@ func (c *Controller) FreeBuckets() [][]int {
 
 // --- Query interface (control-plane readout + analysis) ---
 //
-// Every query drains dirty register lanes first (drainShards) so sharded-
-// mode readouts observe complete, merged counts — identical to what the
-// shared-CAS mode would report. The drain is a no-op in shared mode and
-// skipped entirely when no batch ran since the last drain.
+// Every query reads inside readHold: with one worker it excludes the
+// plain-store writer for the read; in sharded mode it drains dirty lanes
+// first, so readouts observe complete, merged counts — identical to what
+// the shared-CAS mode reports. The drain is skipped entirely when no batch
+// ran since the last drain.
 
 // EstimateKey returns the task's per-key estimate (frequency, max, or
 // distinct count depending on the algorithm).
 func (c *Controller) EstimateKey(id int, k packet.CanonicalKey) (float64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.drainShards()
+	if c.readHold() {
+		defer c.procGate.Unlock()
+	}
 	t, err := c.taskLocked(id)
 	if err != nil {
 		return 0, err
@@ -1150,7 +1211,9 @@ func (c *Controller) EstimateKey(id int, k packet.CanonicalKey) (float64, error)
 func (c *Controller) Cardinality(id int) (float64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.drainShards()
+	if c.readHold() {
+		defer c.procGate.Unlock()
+	}
 	t, err := c.taskLocked(id)
 	if err != nil {
 		return 0, err
@@ -1169,7 +1232,9 @@ func (c *Controller) Cardinality(id int) (float64, error) {
 func (c *Controller) Contains(id int, k packet.CanonicalKey) (bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.drainShards()
+	if c.readHold() {
+		defer c.procGate.Unlock()
+	}
 	t, err := c.taskLocked(id)
 	if err != nil {
 		return false, err
@@ -1185,7 +1250,9 @@ func (c *Controller) Contains(id int, k packet.CanonicalKey) (bool, error) {
 func (c *Controller) Reported(id int, candidates []packet.CanonicalKey) (map[packet.CanonicalKey]bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.drainShards()
+	if c.readHold() {
+		defer c.procGate.Unlock()
+	}
 	t, err := c.taskLocked(id)
 	if err != nil {
 		return nil, err
@@ -1203,20 +1270,10 @@ func (c *Controller) Reported(id int, candidates []packet.CanonicalKey) (map[pac
 }
 
 // Distribution returns an MRAC task's estimated flow-size distribution and
-// entropy.
+// entropy. Only the counter readout holds the controller; the estimation
+// runs beside live traffic.
 func (c *Controller) Distribution(id int) (map[uint64]float64, float64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.drainShards()
-	t, err := c.taskLocked(id)
-	if err != nil {
-		return nil, 0, err
-	}
-	h, ok := t.handle.(*algorithms.MRACTask)
-	if !ok {
-		return nil, 0, fmt.Errorf("controlplane: task %d (%s) is not a distribution task", id, t.Algorithm)
-	}
-	counters, err := h.Counters()
+	counters, err := c.mracCounters(id)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -1224,11 +1281,30 @@ func (c *Controller) Distribution(id int) (map[uint64]float64, float64, error) {
 	return dist, metrics.EntropyFromDistribution(dist), nil
 }
 
+func (c *Controller) mracCounters(id int) ([]uint32, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.readHold() {
+		defer c.procGate.Unlock()
+	}
+	t, err := c.taskLocked(id)
+	if err != nil {
+		return nil, err
+	}
+	h, ok := t.handle.(*algorithms.MRACTask)
+	if !ok {
+		return nil, fmt.Errorf("controlplane: task %d (%s) is not a distribution task", id, t.Algorithm)
+	}
+	return h.Counters()
+}
+
 // ReadRegisters reads a task's raw register partitions.
 func (c *Controller) ReadRegisters(id int) ([][]uint32, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.drainShards()
+	if c.readHold() {
+		defer c.procGate.Unlock()
+	}
 	return c.pipeline.ReadTask(id)
 }
 
@@ -1257,11 +1333,17 @@ func (c *Controller) ResetTaskCounters(id int) error {
 }
 
 // TaskHandle exposes the installed algorithm object for a task (the typed
-// query surface used by the experiment harness).
+// query surface used by the experiment harness). The handle reads the live
+// registers directly, outside every controller hold: a read concurrent
+// with a replay or with Process is the caller's to synchronise — with one
+// worker such a read races the worker's plain stores. The controller's own
+// queries take that exclusion for the caller.
 func (c *Controller) TaskHandle(id int) (any, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.drainShards()
+	if c.readHold() {
+		defer c.procGate.Unlock()
+	}
 	t, err := c.taskLocked(id)
 	if err != nil {
 		return nil, err

@@ -133,11 +133,12 @@ func compareTaskRegisters(t *testing.T, want, got *Controller) {
 }
 
 // TestProcessFrameSourceMatchesSequential drains raw frame spans through
-// the pool (shared and sharded, several widths) over the full task mix and
-// requires register readouts bit-identical to the sequential packet-path
-// replay — the frame engine's controller-level acceptance check. The ring
-// rows drain a real mmtrace.Replayer instead of the cursor source: the
-// whole replay path, end to end.
+// the pool (one worker, which writes plainly, and shared and sharded pools
+// of several widths) over the full task mix and requires register readouts
+// bit-identical to the sequential packet-path replay — the frame engine's
+// controller-level acceptance check. The ring rows drain a real
+// mmtrace.Replayer instead of the cursor source: the whole replay path, end
+// to end.
 func TestProcessFrameSourceMatchesSequential(t *testing.T) {
 	tr := trace.Generate(trace.Config{Flows: 300, Packets: 30_000, Seed: 15})
 	mt := writeFramesTrace(t, tr.Packets)
@@ -148,7 +149,8 @@ func TestProcessFrameSourceMatchesSequential(t *testing.T) {
 		workers int
 		ring    bool
 	}{
-		{"shared-1", false, 1, false},
+		{"shared-1", false, 1, false}, // one worker: the single-writer policy
+		{"shared-2", false, 2, false},
 		{"shared-4", false, 4, false},
 		{"sharded-2", true, 2, false},
 		{"sharded-4", true, 4, false},

@@ -113,9 +113,10 @@ func (c *Controller) TelemetryDataPlane() telemetry.DataPlane {
 	dp.Packets = c.pipeline.Packets()
 	dp.Recirculated = c.pipeline.Recirculated()
 	dp.ShardedRules, dp.FallbackRules = snap.ShardedRules()
-	// Accesses folds the lanes' plain single-writer counters, so no span
-	// may run during the gauge walk of a register that has lanes.
-	if c.sharded {
+	// Accesses folds the lanes' plain single-writer counters, and one
+	// worker's bucket stores are plain, so under either policy no span may
+	// run during the gauge walk.
+	if c.sharded || c.single {
 		c.procGate.Lock()
 		defer c.procGate.Unlock()
 	}

@@ -26,11 +26,13 @@ import (
 // own queries. A row is one algorithm on one workload:
 //
 //   - the bound is checked once, on the frame engine (ReplayTrace on one
-//     worker, which executes in trace order);
-//   - the sequential ProcessBatch reference and a two-worker sharded pool
-//     must reproduce the frame engine's registers bit for bit — the pool
-//     only those register rows whose final state does not depend on
-//     packet order;
+//     worker, which executes in trace order and, as every register's sole
+//     writer, stores plainly);
+//   - the sequential ProcessBatch reference and two-worker pools, one on
+//     shared buckets (CAS and fetch-and-add) and one sharded, must
+//     reproduce the frame engine's registers bit for bit — the pools only
+//     those register rows whose final state does not depend on packet
+//     order;
 //   - for the four algorithms the fleet answers (CMS add, HLL max, Bloom
 //     or, BeauCoup or), the trace is split over a four-switch loopback
 //     fleet, and the merged epoch rows must equal a one-switch fleet's fed
@@ -195,7 +197,7 @@ type row struct {
 	mutation string
 	mutate   func(t *testing.T, d deployment) readout
 	// orderFree lists the register rows whose final state is independent
-	// of packet order (nil: every row) — what a two-worker pool, whose
+	// of packet order (nil: every row) — what the two-worker pools, whose
 	// spans interleave, must reproduce bit for bit.
 	orderFree []int
 	// fleet marks the algorithms the fleet merges, with their merge op.
@@ -371,11 +373,17 @@ func (r row) run(t *testing.T, w *workload) {
 	batch.ctrl.ProcessBatch(w.packets)
 	sameRows(t, "ProcessBatch", want, queries(t, batch).registers(), nil)
 
-	cfg := r.cfg
-	cfg.ShardedState, cfg.Workers = true, 2
-	pool := r.deploy(t, cfg)
-	pool.ctrl.ReplayTrace(w.frames)
-	sameRows(t, "two-worker sharded pool", want, queries(t, pool).registers(), r.orderFree)
+	for _, sharded := range []bool{false, true} {
+		cfg := r.cfg
+		cfg.ShardedState, cfg.Workers = sharded, 2
+		pool := r.deploy(t, cfg)
+		pool.ctrl.ReplayTrace(w.frames)
+		engine := "two-worker shared pool"
+		if sharded {
+			engine = "two-worker sharded pool"
+		}
+		sameRows(t, engine, want, queries(t, pool).registers(), r.orderFree)
+	}
 
 	if r.fleet {
 		sameRows(t, "four-switch fleet merge", r.fleetRows(t, 1, w), r.fleetRows(t, 4, w), nil)

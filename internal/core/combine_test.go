@@ -9,8 +9,8 @@ import (
 )
 
 // Duplicate combining (frames.go, stage 3) must be invisible: on every input
-// the frame engine's registers and clamp counters equal the sequential
-// ProcessBatchCtx oracle's.
+// and under either register write policy the frame engine's registers and
+// clamp counters equal the sequential ProcessBatchCtx oracle's.
 
 // nineCMS builds ingest_steady's shape: nine groups, each carrying one
 // three-row five-tuple CMS. Group i's unit 0 takes polynomial 3i mod 8, so
@@ -38,22 +38,32 @@ func compareClamps(t *testing.T, want, got *Pipeline) {
 	}
 }
 
-// framesMatchBatch replays ps through a fresh pipeline's frame engine and
-// another's sequential oracle, after prepare has run on both, and compares
-// every register and clamp counter. It returns the frame engine's snapshot.
+// framesMatchBatch replays ps through the sequential oracle of a fresh
+// shared-bucket pipeline and through the frame engine of one fresh pipeline
+// per write policy, after prepare has run on each, and compares every
+// register and clamp counter. It returns the frame engine's snapshot.
 func framesMatchBatch(t *testing.T, build func() *Pipeline, prepare func(*Pipeline), ps []packet.Packet) *Snapshot {
 	t.Helper()
-	want, got := build(), build()
+	want := build()
 	if prepare != nil {
 		prepare(want)
-		prepare(got)
 	}
 	want.Compile().ProcessBatchCtx(NewProcCtx(), ps)
-	s := got.Compile()
 	mt := writeFrameTrace(t, ps)
-	s.ProcessFrames(NewProcCtx(), mt, 0, mt.Frames())
-	compareAllRegisters(t, want, got)
-	compareClamps(t, want, got)
+	var s *Snapshot
+	for _, pol := range writePolicies {
+		t.Run(pol.name, func(t *testing.T) {
+			got := build()
+			got.SetSingleWriter(pol.single)
+			if prepare != nil {
+				prepare(got)
+			}
+			s = got.Compile()
+			s.ProcessFrames(NewProcCtx(), mt, 0, mt.Frames())
+			compareAllRegisters(t, want, got)
+			compareClamps(t, want, got)
+		})
+	}
 	return s
 }
 
@@ -203,20 +213,24 @@ func TestCombineGroupsByDigestVector(t *testing.T) {
 }
 
 // TestProcessFramesCombinedZeroAlloc: the combining scratch is fixed-size;
-// a combining snapshot's chunks allocate nothing (matched by `make
-// bench-allocs`).
+// a combining snapshot's chunks allocate nothing under either write policy
+// (matched by `make bench-allocs`).
 func TestProcessFramesCombinedZeroAlloc(t *testing.T) {
 	tr := trace.Generate(trace.Config{Flows: 300, Packets: 4_096, ZipfS: 1.1, Seed: 64})
 	mt := writeFrameTrace(t, tr.Packets)
-	s := nineCMS(t, 4096).Compile()
-	if !s.combine {
-		t.Fatal("the nine-CMS snapshot must combine duplicates")
-	}
-	pc := NewProcCtx()
-	s.ProcessFrames(pc, mt, 0, mt.Frames()) // warm scratch
-	if n := testing.AllocsPerRun(20, func() {
-		s.ProcessFrames(pc, mt, 0, mt.Frames())
-	}); n != 0 {
-		t.Fatalf("ProcessFrames allocates %.1f times per span, want 0", n)
+	for _, pol := range writePolicies {
+		pl := nineCMS(t, 4096)
+		pl.SetSingleWriter(pol.single)
+		s := pl.Compile()
+		if !s.combine {
+			t.Fatal("the nine-CMS snapshot must combine duplicates")
+		}
+		pc := NewProcCtx()
+		s.ProcessFrames(pc, mt, 0, mt.Frames()) // warm scratch
+		if n := testing.AllocsPerRun(20, func() {
+			s.ProcessFrames(pc, mt, 0, mt.Frames())
+		}); n != 0 {
+			t.Fatalf("%s: ProcessFrames allocates %.1f times per span, want 0", pol.name, n)
+		}
 	}
 }

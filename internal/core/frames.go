@@ -28,12 +28,12 @@ import (
 //      gathered as (index, p1, p2) triples and applied by one
 //      dataplane.ApplyBatch/ShardApplyBatch call, which hoists the op
 //      dispatch out of the loop and prefetches the target counter lines
-//      ahead of the CAS/store loop. Results scatter back onto per-frame
-//      result-bus arrays, preserving the cross-CMU bus semantics
+//      ahead of the CAS/store loop (plain stores when the register has a
+//      single writer). Results scatter back onto per-frame result-bus
+//      arrays, preserving the cross-CMU bus semantics
 //      (PrevResult/PrevOld/RunningMin/PrevNewFlow) exactly. A match-all
-//      constant saturating add on a full-width shared register applies one
-//      weighted fetch-and-add per representative instead
-//      (Register.ApplyAddCounts).
+//      constant saturating add on a full-width base register applies one
+//      weighted add per representative instead (Register.ApplyAddCounts).
 //
 // Combining is exact without comparing keys: a rule's bucket index is a
 // function of the digests alone, so frames with equal digest vectors hit
@@ -325,9 +325,10 @@ func ruleFrames(pc *ProcCtx, r *compiledRule, recs []byte, n int, sel []int32) {
 	// Frequency-sketch fast path: with no bus consumers in the snapshot the
 	// witnesses are dead, and a constant saturating add needs only the
 	// bucket indexes — resolve them in one hoisted loop and apply with the
-	// witness-free fetch-and-add (shared) or plain-add (lane) batch call.
-	// On a combined chunk a match-all shared rule resolves the
-	// representatives only and adds count·p1 to each.
+	// witness-free base-bucket add (a fetch-and-add, or a plain add for a
+	// single writer) or the lane add. On a combined chunk a match-all
+	// base-bucket rule resolves the representatives only and adds count·p1
+	// to each.
 	if r.fastAdd && fs.snap.busQuiet {
 		lane := r.sharded && pc.Ctx.Shard >= 0
 		if lane || r.fastAddFull {

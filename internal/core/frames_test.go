@@ -144,6 +144,14 @@ func buildFramesPipeline(t *testing.T) *Pipeline {
 	return NewPipelineWith(g0, g1, g2, g3)
 }
 
+// writePolicies are the register write policies the frame engine must be
+// bit-identical under (dataplane.Register.SetSingleWriter): shared buckets
+// (CAS and fetch-and-add) and a single writer (plain stores).
+var writePolicies = []struct {
+	name   string
+	single bool
+}{{"shared", false}, {"single-writer", true}}
+
 // compareAllRegisters fails on the first bucket where the two pipelines'
 // register state differs.
 func compareAllRegisters(t *testing.T, want, got *Pipeline) {
@@ -163,10 +171,11 @@ func compareAllRegisters(t *testing.T, want, got *Pipeline) {
 }
 
 // TestProcessFramesMatchesProcessBatch is the frame engine's core
-// differential guarantee: over the full feature matrix, ProcessFrames on
-// raw records is bit-identical to decoding and processing the same packets
-// sequentially — including when the span boundaries fall at awkward
-// offsets relative to the engine's internal chunking.
+// differential guarantee: over the full feature matrix and under either
+// register write policy, ProcessFrames on raw records is bit-identical to
+// decoding and processing the same packets sequentially on shared buckets
+// — including when the span boundaries fall at awkward offsets relative to
+// the engine's internal chunking.
 func TestProcessFramesMatchesProcessBatch(t *testing.T) {
 	tr := trace.Generate(trace.Config{Flows: 400, Packets: 20_000, Seed: 11})
 	mt := writeFrameTrace(t, tr.Packets)
@@ -174,30 +183,35 @@ func TestProcessFramesMatchesProcessBatch(t *testing.T) {
 	want := buildFramesPipeline(t)
 	want.Compile().ProcessBatchCtx(NewProcCtx(), tr.Packets)
 
-	got := buildFramesPipeline(t)
-	s := got.Compile()
-	if !s.FrameVectorized() {
-		t.Fatal("feature-matrix pipeline must be frame-vectorizable")
-	}
-	// Uneven spans: smaller than, straddling, and larger than frameChunk.
-	pc := NewProcCtx()
-	spans := []int{1, 3, 100, frameChunk - 1, frameChunk, frameChunk + 1, 1000, 1 << 30}
-	lo := 0
-	for _, n := range spans {
-		hi := lo + n
-		if hi > mt.Frames() {
-			hi = mt.Frames()
-		}
-		s.ProcessFrames(pc, mt, lo, hi)
-		lo = hi
-	}
-	if lo != mt.Frames() {
-		t.Fatalf("span schedule covered %d of %d frames", lo, mt.Frames())
-	}
+	for _, pol := range writePolicies {
+		t.Run(pol.name, func(t *testing.T) {
+			got := buildFramesPipeline(t)
+			got.SetSingleWriter(pol.single)
+			s := got.Compile()
+			if !s.FrameVectorized() {
+				t.Fatal("feature-matrix pipeline must be frame-vectorizable")
+			}
+			// Uneven spans: smaller than, straddling, and larger than frameChunk.
+			pc := NewProcCtx()
+			spans := []int{1, 3, 100, frameChunk - 1, frameChunk, frameChunk + 1, 1000, 1 << 30}
+			lo := 0
+			for _, n := range spans {
+				hi := lo + n
+				if hi > mt.Frames() {
+					hi = mt.Frames()
+				}
+				s.ProcessFrames(pc, mt, lo, hi)
+				lo = hi
+			}
+			if lo != mt.Frames() {
+				t.Fatalf("span schedule covered %d of %d frames", lo, mt.Frames())
+			}
 
-	compareAllRegisters(t, want, got)
-	if want.Packets() != got.Packets() {
-		t.Fatalf("packet counters differ: %d vs %d", want.Packets(), got.Packets())
+			compareAllRegisters(t, want, got)
+			if want.Packets() != got.Packets() {
+				t.Fatalf("packet counters differ: %d vs %d", want.Packets(), got.Packets())
+			}
+		})
 	}
 }
 
@@ -317,10 +331,10 @@ func TestProcessFramesZeroAlloc(t *testing.T) {
 
 // TestProcessFramesQuietAddPath pins the frequency-sketch fast path: in a
 // bus-quiet snapshot the engine routes constant saturating adds through the
-// witness-free fetch-and-add (full-width registers) or falls back to the
-// generic batch loop (narrow registers, where saturation and clamp
-// accounting are live). Both must stay bit-identical to the sequential
-// packet path, clamp counters included.
+// witness-free add (full-width registers) or falls back to the generic
+// batch loop (narrow registers, where saturation and clamp accounting are
+// live). Both must stay bit-identical to the sequential packet path, clamp
+// counters included, under either write policy.
 func TestProcessFramesQuietAddPath(t *testing.T) {
 	tr := trace.Generate(trace.Config{Flows: 300, Packets: 12_000, Seed: 19})
 	mt := writeFrameTrace(t, tr.Packets)
@@ -330,7 +344,7 @@ func TestProcessFramesQuietAddPath(t *testing.T) {
 		width   int
 		buckets int
 	}{
-		{"full-width", 32, 4096}, // ApplyAddBatch: one XADD per update
+		{"full-width", 32, 4096}, // ApplyAddBatch: one add per update
 		{"narrow", 8, 256},       // generic fallback: clamps and saturation live
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -342,25 +356,28 @@ func TestProcessFramesQuietAddPath(t *testing.T) {
 			want := build()
 			want.Compile().ProcessBatchCtx(NewProcCtx(), tr.Packets)
 
-			got := build()
-			s := got.Compile()
-			if !s.busQuiet {
-				t.Fatal("CMS pipeline must compile bus-quiet")
-			}
-			if !s.groups[0].cmus[0].prog[0].fastAdd {
-				t.Fatal("CMS row must compile as fastAdd")
-			}
-			if full := s.groups[0].cmus[0].prog[0].fastAddFull; full != (tc.width == 32) {
-				t.Fatalf("fastAddFull = %v for %d-bit register", full, tc.width)
-			}
-			s.ProcessFrames(NewProcCtx(), mt, 0, mt.Frames())
+			for _, pol := range writePolicies {
+				got := build()
+				got.SetSingleWriter(pol.single)
+				s := got.Compile()
+				if !s.busQuiet {
+					t.Fatal("CMS pipeline must compile bus-quiet")
+				}
+				if !s.groups[0].cmus[0].prog[0].fastAdd {
+					t.Fatal("CMS row must compile as fastAdd")
+				}
+				if full := s.groups[0].cmus[0].prog[0].fastAddFull; full != (tc.width == 32) {
+					t.Fatalf("fastAddFull = %v for %d-bit register", full, tc.width)
+				}
+				s.ProcessFrames(NewProcCtx(), mt, 0, mt.Frames())
 
-			compareAllRegisters(t, want, got)
-			rw := want.Group(0).CMU(0).Register()
-			rg := got.Group(0).CMU(0).Register()
-			if rg.Clamps() != rw.Clamps() {
-				t.Fatalf("clamp counters differ: frame engine %d, packet path %d",
-					rg.Clamps(), rw.Clamps())
+				compareAllRegisters(t, want, got)
+				rw := want.Group(0).CMU(0).Register()
+				rg := got.Group(0).CMU(0).Register()
+				if rg.Clamps() != rw.Clamps() {
+					t.Fatalf("%s: clamp counters differ: frame engine %d, packet path %d",
+						pol.name, rg.Clamps(), rw.Clamps())
+				}
 			}
 		})
 	}

@@ -109,6 +109,18 @@ func (pl *Pipeline) EnableSharding(n int) {
 	}
 }
 
+// SetSingleWriter sets the write policy of every register of the pipeline
+// (dataplane.Register.SetSingleWriter): on when at most one goroutine runs
+// the packet path at a time and no reader overlaps it, so every update is a
+// plain load and store. Call before traffic.
+func (pl *Pipeline) SetSingleWriter(on bool) {
+	for _, g := range pl.allGroups() {
+		for i := 0; i < g.CMUs(); i++ {
+			g.CMU(i).Register().SetSingleWriter(on)
+		}
+	}
+}
+
 // DrainShards folds every register's per-worker lanes into the shared
 // buckets, partition by partition under each rule's merge op, and returns
 // the number of nonzero lane buckets folded. Registers whose shard

@@ -284,9 +284,10 @@ func compileRule(r *Rule, reg *dataplane.Register, unitHash []int, allowShard bo
 
 // exec runs the rule's initialization, preparation, and stateful operation
 // — the compiled counterpart of executeRule. The register update goes
-// through the CAS path (the snapshot engine runs many workers), except for
-// mergeable rules executed by a lane-owning worker, which take the plain
-// sharded path and are reduced at readout.
+// through Apply under the register's write policy (plain stores for a
+// single writer, CAS on shared buckets), except for mergeable rules
+// executed by a lane-owning worker, which take the plain sharded path and
+// are reduced at readout.
 func (r *compiledRule) exec(ctx *Context, hashes []uint32) {
 	if r.teleSlot >= 0 {
 		ctx.Tele[r.teleSlot]++

@@ -26,14 +26,20 @@ const prefetchDist = 8
 func prefetch(b *uint32) { _ = atomic.LoadUint32(b) }
 
 // ApplyBatch performs one stateful operation per element of idx against the
-// shared buckets via the CAS path, writing the per-update (result, old)
-// witnesses into result/old. It is exactly equivalent to calling Apply for
-// each element in order: per-bucket updates linearize, clamp events count
-// once per saturating update, and the witnessed pairs are the committed
-// read-modify-writes. idx, p1, p2, result, old must share a length.
+// base buckets under the register's write policy — the lane loop with plain
+// stores for a single writer, else the CAS path — writing the per-update
+// (result, old) witnesses into result/old. It is exactly equivalent to
+// calling Apply for each element in order: per-bucket updates linearize,
+// clamp events count once per saturating update, and the witnessed pairs
+// are the committed read-modify-writes. idx, p1, p2, result, old must share
+// a length.
 func (r *Register) ApplyBatch(op StatefulOp, idx, p1, p2, result, old []uint32) {
 	n := len(idx)
 	if n == 0 {
+		return
+	}
+	if r.single {
+		r.applyBatchPlain(r.buckets, op, idx, p1, p2, result, old)
 		return
 	}
 	buckets := r.buckets
@@ -149,7 +155,9 @@ func (r *Register) ApplyBatch(op StatefulOp, idx, p1, p2, result, old []uint32) 
 // concurrent writers linearize per update exactly as the CAS path does
 // (clamp accounting under a *concurrent* wrap may attribute events to a
 // different interleaving — unreachable without 2^32 increments to one
-// bucket between drains). It is ApplyAddCounts with every count 1.
+// bucket between drains). A single-writer register runs the same
+// arithmetic with plain loads and stores. It is ApplyAddCounts with every
+// count 1.
 func (r *Register) ApplyAddBatch(idx []uint32, p1 uint32) { r.applyAdd(idx, nil, p1) }
 
 // ApplyAddCounts is ApplyAddBatch for combined updates: element k stands
@@ -162,11 +170,16 @@ func (r *Register) ApplyAddBatch(idx []uint32, p1 uint32) { r.applyAdd(idx, nil,
 func (r *Register) ApplyAddCounts(idx, cnt []uint32, p1 uint32) { r.applyAdd(idx, cnt, p1) }
 
 // applyAdd is the one body behind ApplyAddBatch (cnt nil: every count 1)
-// and ApplyAddCounts.
+// and ApplyAddCounts on shared buckets; applyAddPlain is its single-writer
+// form.
 func (r *Register) applyAdd(idx, cnt []uint32, p1 uint32) {
 	n := len(idx)
 	if n == 0 || p1 == 0 {
 		return // adding 0 changes nothing and never clamps
+	}
+	if r.single {
+		r.applyAddPlain(idx, cnt, p1)
+		return
 	}
 	buckets := r.buckets
 	bm := uint32(len(buckets) - 1)
@@ -195,6 +208,47 @@ func (r *Register) applyAdd(idx, cnt []uint32, p1 uint32) {
 				clamps++
 			}
 		}
+	}
+	if clamps != 0 {
+		atomic.AddUint64(&r.clamps, clamps)
+	}
+}
+
+// applyAddPlain is applyAdd for a single writer: the same wrap and
+// overshoots arithmetic on the base buckets, with one plain load and one
+// plain store per element in place of the interlocked add and its repair
+// store.
+func (r *Register) applyAddPlain(idx, cnt []uint32, p1 uint32) {
+	buckets := r.buckets
+	bm := uint32(len(buckets) - 1)
+	n := len(idx)
+	var clamps uint64
+	for k := 0; k < n; k++ {
+		if k+prefetchDist < n {
+			prefetch(&buckets[idx[k+prefetchDist]&bm])
+		}
+		i := idx[k] & bm
+		d := uint64(p1)
+		if cnt != nil {
+			d *= uint64(cnt[k])
+		}
+		old := buckets[i]
+		if d > math.MaxUint32 {
+			// The run passes 2^32 from any start: the bucket ends at ^0.
+			buckets[i] = ^uint32(0)
+			if overshoots(old, p1) {
+				clamps++
+			}
+			continue
+		}
+		next := old + uint32(d)
+		if next < old { // wrapped past 2^32
+			next = ^uint32(0)
+			if overshoots(old, p1) {
+				clamps++
+			}
+		}
+		buckets[i] = next
 	}
 	if clamps != 0 {
 		atomic.AddUint64(&r.clamps, clamps)
@@ -248,19 +302,24 @@ func (r *Register) ShardApplyAddBatch(shard int, idx []uint32, p1 uint32) {
 }
 
 // ShardApplyBatch is ApplyBatch against the given worker's private lane
-// with plain stores — the contention-free path for mergeable ops. The lane
-// tolerates exactly one writer, so the loops skip the CAS entirely; the
-// prefetch still uses an atomic load (self-owned data, race-free). Clamp
+// with plain stores — the contention-free path for mergeable ops. Clamp
 // events and the lane's access counter account exactly as if ShardApply
 // had been called per element.
 func (r *Register) ShardApplyBatch(shard int, op StatefulOp, idx, p1, p2, result, old []uint32) {
-	n := len(idx)
-	if n == 0 {
+	if len(idx) == 0 {
 		return
 	}
 	sh := &r.shards[shard]
-	sh.accesses += uint64(n)
-	lane := sh.lane
+	sh.accesses += uint64(len(idx))
+	r.applyBatchPlain(sh.lane, op, idx, p1, p2, result, old)
+}
+
+// applyBatchPlain is the plain-store batch loop behind ShardApplyBatch (a
+// lane) and the single-writer ApplyBatch (the base array). lane tolerates
+// exactly one writer, so the loops skip the CAS entirely; the prefetch
+// still uses an atomic load (self-owned data, race-free). idx is non-empty.
+func (r *Register) applyBatchPlain(lane []uint32, op StatefulOp, idx, p1, p2, result, old []uint32) {
+	n := len(idx)
 	bm := uint32(len(lane) - 1)
 	mask := r.mask
 	var clamps uint64

@@ -5,12 +5,20 @@ import (
 	"testing"
 )
 
+// policies are the two base-bucket write policies every batch entry must be
+// bit-identical under, against the shared-bucket Apply oracle: shared
+// buckets (CAS and fetch-and-add) and a single writer (plain stores).
+var policies = []struct {
+	name   string
+	single bool
+}{{"shared", false}, {"single-writer", true}}
+
 // TestApplyBatchMatchesApply is the batched-update property test: for every
-// op, a random update stream applied through ApplyBatch must leave the
-// register — buckets, access and clamp counters — and the per-update
-// (result, old) witnesses bit-identical to applying the same stream one
-// call at a time. An 8-bit register keeps saturation (and its clamp
-// accounting) in play.
+// op and write policy, a random update stream applied through ApplyBatch
+// must leave the register — buckets, access and clamp counters — and the
+// per-update (result, old) witnesses bit-identical to applying the same
+// stream one shared-bucket Apply call at a time. An 8-bit register keeps
+// saturation (and its clamp accounting) in play.
 func TestApplyBatchMatchesApply(t *testing.T) {
 	const buckets, n = 64, 4096
 	rng := rand.New(rand.NewSource(21))
@@ -39,27 +47,30 @@ func TestApplyBatchMatchesApply(t *testing.T) {
 				wantRes[i], wantOld[i] = ref.Apply(op, idx[i], p1[i], p2[i])
 			}
 
-			got := NewRegister(buckets, 8)
-			gotRes := make([]uint32, n)
-			gotOld := make([]uint32, n)
-			got.ApplyBatch(op, idx, p1, p2, gotRes, gotOld)
+			for _, pol := range policies {
+				got := NewRegister(buckets, 8)
+				got.SetSingleWriter(pol.single)
+				gotRes := make([]uint32, n)
+				gotOld := make([]uint32, n)
+				got.ApplyBatch(op, idx, p1, p2, gotRes, gotOld)
 
-			for i := 0; i < n; i++ {
-				if gotRes[i] != wantRes[i] || gotOld[i] != wantOld[i] {
-					t.Fatalf("update %d: batch witnessed (%d,%d), sequential (%d,%d)",
-						i, gotRes[i], gotOld[i], wantRes[i], wantOld[i])
+				for i := 0; i < n; i++ {
+					if gotRes[i] != wantRes[i] || gotOld[i] != wantOld[i] {
+						t.Fatalf("%s update %d: batch witnessed (%d,%d), sequential (%d,%d)",
+							pol.name, i, gotRes[i], gotOld[i], wantRes[i], wantOld[i])
+					}
 				}
-			}
-			for b := uint32(0); b < buckets; b++ {
-				if got.Read(b) != ref.Read(b) {
-					t.Fatalf("bucket %d: batch %d, sequential %d", b, got.Read(b), ref.Read(b))
+				for b := uint32(0); b < buckets; b++ {
+					if got.Read(b) != ref.Read(b) {
+						t.Fatalf("%s bucket %d: batch %d, sequential %d", pol.name, b, got.Read(b), ref.Read(b))
+					}
 				}
-			}
-			if got.Accesses() != ref.Accesses() {
-				t.Fatalf("accesses: batch %d, sequential %d", got.Accesses(), ref.Accesses())
-			}
-			if got.Clamps() != ref.Clamps() {
-				t.Fatalf("clamps: batch %d, sequential %d", got.Clamps(), ref.Clamps())
+				if got.Accesses() != ref.Accesses() {
+					t.Fatalf("%s accesses: batch %d, sequential %d", pol.name, got.Accesses(), ref.Accesses())
+				}
+				if got.Clamps() != ref.Clamps() {
+					t.Fatalf("%s clamps: batch %d, sequential %d", pol.name, got.Clamps(), ref.Clamps())
+				}
 			}
 		})
 	}
@@ -122,11 +133,12 @@ func TestShardApplyBatchMatchesShardApply(t *testing.T) {
 	}
 }
 
-// TestApplyAddBatchMatchesApply: the fetch-and-add specialization must be
-// bit-identical to Apply(OpCondAdd, i, p1, ^0) per element on a full-width
-// register — including at the 32-bit wrap, where the repair store must
-// reproduce Apply's clamp-to-saturation exactly once and leave later adds
-// against the saturated bucket as silent no-ops.
+// TestApplyAddBatchMatchesApply: the saturating-add specialization, under
+// either write policy, must be bit-identical to the shared-bucket
+// Apply(OpCondAdd, i, p1, ^0) per element on a full-width register —
+// including at the 32-bit wrap, where the repair store must reproduce
+// Apply's clamp-to-saturation exactly once and leave later adds against the
+// saturated bucket as silent no-ops.
 func TestApplyAddBatchMatchesApply(t *testing.T) {
 	const buckets = 64
 	rng := rand.New(rand.NewSource(23))
@@ -142,15 +154,18 @@ func TestApplyAddBatchMatchesApply(t *testing.T) {
 			for _, i := range idx {
 				ref.Apply(OpCondAdd, i, p1, ^uint32(0))
 			}
-			got := NewRegister(buckets, 32)
-			got.ApplyAddBatch(idx, p1)
-			for b := uint32(0); b < buckets; b++ {
-				if got.Read(b) != ref.Read(b) {
-					t.Fatalf("p1=%d bucket %d: batch %d, sequential %d", p1, b, got.Read(b), ref.Read(b))
+			for _, pol := range policies {
+				got := NewRegister(buckets, 32)
+				got.SetSingleWriter(pol.single)
+				got.ApplyAddBatch(idx, p1)
+				for b := uint32(0); b < buckets; b++ {
+					if got.Read(b) != ref.Read(b) {
+						t.Fatalf("%s p1=%d bucket %d: batch %d, sequential %d", pol.name, p1, b, got.Read(b), ref.Read(b))
+					}
 				}
-			}
-			if got.Clamps() != ref.Clamps() {
-				t.Fatalf("p1=%d clamps: batch %d, sequential %d", p1, got.Clamps(), ref.Clamps())
+				if got.Clamps() != ref.Clamps() {
+					t.Fatalf("%s p1=%d clamps: batch %d, sequential %d", pol.name, p1, got.Clamps(), ref.Clamps())
+				}
 			}
 		}
 	})
@@ -164,22 +179,26 @@ func TestApplyAddBatchMatchesApply(t *testing.T) {
 		for range idx {
 			ref.Apply(OpCondAdd, 0, p1, ^uint32(0))
 		}
-		got := NewRegister(buckets, 32)
-		got.ApplyAddBatch(idx, p1)
-		if got.Read(0) != ref.Read(0) || got.Read(0) != ^uint32(0) {
-			t.Fatalf("saturated bucket: batch %d, sequential %d, want %d", got.Read(0), ref.Read(0), ^uint32(0))
-		}
-		if got.Clamps() != ref.Clamps() || got.Clamps() != 1 {
-			t.Fatalf("clamps: batch %d, sequential %d, want exactly 1", got.Clamps(), ref.Clamps())
+		for _, pol := range policies {
+			got := NewRegister(buckets, 32)
+			got.SetSingleWriter(pol.single)
+			got.ApplyAddBatch(idx, p1)
+			if got.Read(0) != ref.Read(0) || got.Read(0) != ^uint32(0) {
+				t.Fatalf("%s saturated bucket: batch %d, sequential %d, want %d", pol.name, got.Read(0), ref.Read(0), ^uint32(0))
+			}
+			if got.Clamps() != ref.Clamps() || got.Clamps() != 1 {
+				t.Fatalf("%s clamps: batch %d, sequential %d, want exactly 1", pol.name, got.Clamps(), ref.Clamps())
+			}
 		}
 	})
 }
 
-// TestApplyAddCountsMatchesApply: one weighted fetch-and-add per element
-// must leave every bucket and the clamp counter where cnt[k] per-update
-// Apply calls would — from buckets at 0, at ^0, just below it, and at exact
-// multiples of p1 below it (a run that lands on ^0 saturates silently), and
-// for runs whose total count·p1 passes 2^32 from any start.
+// TestApplyAddCountsMatchesApply: one weighted add per element, under
+// either write policy, must leave every bucket and the clamp counter where
+// cnt[k] per-update shared-bucket Apply calls would — from buckets at 0, at
+// ^0, just below it, and at exact multiples of p1 below it (a run that lands
+// on ^0 saturates silently), and for runs whose total count·p1 passes 2^32
+// from any start.
 func TestApplyAddCountsMatchesApply(t *testing.T) {
 	const buckets, n = 64, 2048
 	rng := rand.New(rand.NewSource(25))
@@ -205,25 +224,31 @@ func TestApplyAddCountsMatchesApply(t *testing.T) {
 		for k := range idx {
 			idx[k], cnt[k] = uint32(rng.Intn(buckets)), uint32(1+rng.Intn(300))
 		}
-		ref, got := NewRegister(buckets, 32), NewRegister(buckets, 32)
+		ref := NewRegister(buckets, 32)
 		for b, v := range start {
 			ref.Apply(OpMax, uint32(b), v, 0)
-			got.Apply(OpMax, uint32(b), v, 0)
 		}
 		for k, i := range idx {
 			for c := uint32(0); c < cnt[k]; c++ {
 				ref.Apply(OpCondAdd, i, p1, ^uint32(0))
 			}
 		}
-		got.ApplyAddCounts(idx, cnt, p1)
-		for b := uint32(0); b < buckets; b++ {
-			if got.Read(b) != ref.Read(b) {
-				t.Fatalf("p1=%#x bucket %d (from %#x): weighted %#x, per-update %#x",
-					p1, b, start[b], got.Read(b), ref.Read(b))
+		for _, pol := range policies {
+			got := NewRegister(buckets, 32)
+			got.SetSingleWriter(pol.single)
+			for b, v := range start {
+				got.Apply(OpMax, uint32(b), v, 0)
 			}
-		}
-		if got.Clamps() != ref.Clamps() {
-			t.Fatalf("p1=%#x clamps: weighted %d, per-update %d", p1, got.Clamps(), ref.Clamps())
+			got.ApplyAddCounts(idx, cnt, p1)
+			for b := uint32(0); b < buckets; b++ {
+				if got.Read(b) != ref.Read(b) {
+					t.Fatalf("%s p1=%#x bucket %d (from %#x): weighted %#x, per-update %#x",
+						pol.name, p1, b, start[b], got.Read(b), ref.Read(b))
+				}
+			}
+			if got.Clamps() != ref.Clamps() {
+				t.Fatalf("%s p1=%#x clamps: weighted %d, per-update %d", pol.name, p1, got.Clamps(), ref.Clamps())
+			}
 		}
 	}
 }

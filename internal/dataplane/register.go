@@ -66,31 +66,35 @@ var ExtendedOperationSet = []StatefulOp{OpCondAdd, OpMax, OpAndOr, OpXor}
 // each stateful op touches exactly one bucket, and the CMU layer never
 // issues two ops for one packet.
 //
-// Two update variants are offered, mirroring the two packet paths above:
+// The write policy follows the writer count, which the deployment fixes:
 //
-//   - ApplySeq/Execute: plain read-modify-write for a single writer — the
-//     interpretive pipeline path and single-threaded replays. Fastest; must
-//     not run concurrently with anything else touching the register.
-//   - Apply: a CAS loop per stateful op, safe for concurrent writers —
-//     the snapshot fast path, modeling the independent pipes of a real
-//     switch where each pipe's SALU performs its read-modify-write in one
+//   - One writer (SetSingleWriter): every update entry — Apply, ApplyBatch,
+//     ApplyAddBatch, ApplyAddCounts — is a plain read-modify-write on the
+//     base array, the kernel ApplySeq/Execute and the lanes use: the
+//     paper's one SALU per pipe updating its own SRAM. Nothing else may
+//     touch the register while the writer runs, readers included; the
+//     caller provides that exclusion (the controller's reader gate).
+//   - Several writers on shared buckets (the default): each update is a
+//     CAS loop or a fetch-and-add, modeling the independent pipes of a
+//     real switch whose SALUs each perform a read-modify-write in one
 //     hardware clock. Per-bucket updates are linearizable, but no atomicity
 //     is promised across buckets (the d rows of a sketch may be observed
 //     mid-update by a concurrent reader, exactly as on hardware).
+//   - Several writers on private lanes (EnableSharding), for FlyMon's
+//     mergeable operation set: each worker writes its own lane with plain
+//     stores through ShardApply, and DrainRange reduces the lanes back into
+//     the shared buckets — see the sharding section below for the
+//     exactness argument and the synchronization contract.
 //
 // Read/ReadRange use atomic bucket access so control-plane readout can
-// overlap the concurrent path. ClearRange does not: it is a bulk store for
-// memory nothing else is touching (see its contract).
-//
-// A third, contention-free update path exists for FlyMon's mergeable
-// operation set: EnableSharding gives every data-plane worker a private
-// bucket lane, written with plain stores through ShardApply and reduced
-// back into the shared buckets by DrainRange — see the sharding section
-// below for the exactness argument and the synchronization contract.
+// overlap shared-bucket writers. ClearRange and CopyRange do not: they are
+// bulk operations on memory nothing else is touching (see their contract).
 type Register struct {
 	buckets  []uint32
 	bitWidth int
 	mask     uint32
+	// single selects the one-writer policy (SetSingleWriter).
+	single bool
 
 	// accesses counts single-writer base updates (ApplySeq/Execute). It is
 	// striped away from the bucket/shard headers by the pads so that stats
@@ -168,11 +172,12 @@ func (r *Register) SRAMBlocks() int { return SRAMBlocksFor(len(r.buckets), r.bit
 // Accesses returns the number of plain-path update calls served
 // (Execute/ApplySeq plus every shard's ShardApply ops), folding the
 // per-stripe counters on read — stats collection pays the fan-in, not the
-// packet path. The concurrent Apply path does not count: a second
-// interlocked operation per update would double the cost of the packet hot
-// path for a number the atomic pipeline packet counters already provide in
-// aggregate. Like the plain update paths themselves, the fold is exact
-// only once the writers have been quiesced (e.g. after a batch returns).
+// packet path. The Apply entries do not count under either policy: on
+// shared buckets a second interlocked operation per update would double
+// the cost of the packet hot path for a number the atomic pipeline packet
+// counters already provide in aggregate. Like the plain update paths
+// themselves, the fold is exact only once the writers have been quiesced
+// (e.g. after a batch returns).
 func (r *Register) Accesses() uint64 {
 	n := atomic.LoadUint64(&r.accesses)
 	for i := range r.shards {
@@ -192,16 +197,24 @@ func (r *Register) Execute(op StatefulOp, index uint32, p1, p2 uint32) uint32 {
 
 // ApplySeq performs one stateful operation with plain (non-atomic) bucket
 // access, returning the result and the value read before updating. It is
-// the single-writer fast path: correct and cheapest when exactly one
-// goroutine updates the register, as on the interpretive pipeline path.
-// Never mix concurrently with Apply or with control-plane readout.
+// the interpretive pipeline's entry: correct and cheapest when exactly one
+// goroutine updates the register, and counted in Accesses. Never mix
+// concurrently with a shared-bucket Apply or with control-plane readout.
 func (r *Register) ApplySeq(op StatefulOp, index uint32, p1, p2 uint32) (result, old uint32) {
 	r.accesses++
 	return r.applyPlain(r.buckets, op, index, p1, p2)
 }
 
+// SetSingleWriter selects the one-writer policy (on) or the shared-bucket
+// policy (off, the default) for Apply, ApplyBatch, ApplyAddBatch and
+// ApplyAddCounts. Results, witnesses and clamp counts are the same under
+// both; only the exclusion the caller owes differs (see Register). Switch
+// only while nothing touches the register — before traffic.
+func (r *Register) SetSingleWriter(on bool) { r.single = on }
+
 // applyPlain is the shared plain (non-atomic) read-modify-write kernel
-// behind ApplySeq and ShardApply; buckets selects the base array or a lane.
+// behind ApplySeq, ShardApply and the one-writer Apply; buckets selects the
+// base array or a lane.
 func (r *Register) applyPlain(buckets []uint32, op StatefulOp, index, p1, p2 uint32) (result, old uint32) {
 	mask := r.mask
 	i := index & uint32(len(buckets)-1)
@@ -245,12 +258,16 @@ func (r *Register) applyPlain(buckets []uint32, op StatefulOp, index, p1, p2 uin
 	}
 }
 
-// Apply performs one stateful operation like ApplySeq but with a CAS loop
-// per op, making it safe for concurrent writers. The (result, old) pair is
-// consistent — it is the witnessed read-modify-write, even under
+// Apply performs one stateful operation on the base buckets under the
+// register's write policy: a plain read-modify-write for a single writer,
+// else a CAS loop per op, safe for concurrent writers. The (result, old)
+// pair is consistent — it is the witnessed read-modify-write, even under
 // concurrency, which is what DetectNew-style predicates depend on. Apply
 // does not bump the Accesses counter (see Accesses).
 func (r *Register) Apply(op StatefulOp, index uint32, p1, p2 uint32) (result, old uint32) {
+	if r.single {
+		return r.applyPlain(r.buckets, op, index, p1, p2)
+	}
 	b := &r.buckets[index&uint32(len(r.buckets)-1)]
 	switch op {
 	case OpCondAdd:

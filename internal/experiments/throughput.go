@@ -20,8 +20,10 @@ import (
 // speedups are relative to — reads against that workload's pkts_per_s.
 //
 // Each width gets its own controller with Config.Workers set to it (the
-// only worker-count knob); workers caps the sweep (0 sweeps
-// 1..GOMAXPROCS doubling). With sharded set, the controllers run in
+// only worker-count knob, which also fixes the register write policy);
+// workers caps the sweep (0 sweeps 1..GOMAXPROCS doubling). The Workers=1
+// row's lone worker is every register's sole writer and stores plainly.
+// Wider rows share atomic buckets, or, with sharded set, run in
 // sharded-state mode: each worker writes a private register lane with
 // plain stores and queries reduce the lanes, replacing the contended
 // atomic on hot buckets.
@@ -34,7 +36,7 @@ func Throughput(scale Scale, seed int64, workers int, sharded bool) *Table {
 	frames := mmtrace.FromPackets(
 		trace.Generate(trace.Config{Flows: 6000, Packets: packets, Seed: seed}).Packets)
 
-	title := "Throughput — frame engine, shared atomic registers, vs pool width (9 groups, 27 CMUs loaded)"
+	title := "Throughput — frame engine, shared registers, vs pool width (9 groups, 27 CMUs loaded)"
 	if sharded {
 		title = "Throughput — frame engine, sharded register lanes, vs pool width (9 groups, 27 CMUs loaded)"
 	}
@@ -69,6 +71,7 @@ func Throughput(scale Scale, seed int64, workers int, sharded bool) *Table {
 	}
 	t.Notes = append(t.Notes,
 		"the Workers=1 row is the per-core baseline: same task load and engine as the repo benchmark's ingest_steady workload, whose pkts_per_s (go run -C bench . -workload ingest_steady) is the accepted figure; this table is a one-shot reading",
+		"at Workers=1 the lone worker is every register's sole writer and updates buckets with plain stores; wider rows pay for sharing",
 		"reconfiguration never stalls this path: the control plane publishes immutable config snapshots (RCU)")
 	if sharded {
 		t.Notes = append(t.Notes,
@@ -76,7 +79,7 @@ func Throughput(scale Scale, seed int64, workers int, sharded bool) *Table {
 			"non-mergeable rules fall back to the shared atomic path automatically")
 	} else {
 		t.Notes = append(t.Notes,
-			"per-bucket register updates are atomic; counts stay exact under any interleaving")
+			"with several workers per-bucket register updates are atomic; counts stay exact under any interleaving")
 	}
 	return t
 }

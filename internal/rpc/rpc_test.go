@@ -350,8 +350,9 @@ func TestResourceReportOverRPC(t *testing.T) {
 func TestConcurrentReplayAndReadout(t *testing.T) {
 	// One client replays traffic while another reads registers and lists
 	// tasks — the daemon must serialize data-plane and control-plane
-	// access (run under -race to verify).
-	ctrl := controlplane.NewController(controlplane.Config{Groups: 3, Buckets: 65536, BitWidth: 32})
+	// access (run under -race to verify). One worker is the policy that
+	// needs it: the worker stores plainly, so every read must exclude it.
+	ctrl := controlplane.NewController(controlplane.Config{Groups: 3, Buckets: 65536, BitWidth: 32, Workers: 1})
 	srv := NewServer(ctrl, nil)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
