@@ -328,10 +328,13 @@ func TestCombinedReplayConcurrentReadout(t *testing.T) {
 
 // BenchmarkProcessFrames times the frame engine alone — no ring, no pool —
 // on the benchmark's ingest shapes (bench/workloads.go: Groups 9,
-// 65,536-bucket registers, one worker, 3 × 16,384 five-tuple CMS tasks;
-// 100k flows, Zipf 1.1, seed 1). "steady9" is ingest_steady's nine tasks
-// over a 131,072-frame file; "single" one task over a 4,096-frame file, the
-// shape of a fleet_query daemon; "distinct" the nine tasks over 131,072
+// 65,536-bucket registers, one worker, 3 × 16,384-bucket tasks; 100k flows,
+// Zipf 1.1, seed 1). "steady9" is ingest_steady's nine five-tuple CMS tasks
+// over a 131,072-frame file; "churn4" ingest_churn's four long-lived shapes
+// (CMS, Distinct src-IP per dst-IP at threshold 512, Existence, Max queue
+// length) over a 32,768-frame file, every rule but the CMS rows on the
+// parameter-column path; "single" one CMS over a 4,096-frame file, the shape
+// of a fleet_query daemon; "distinct" the nine CMS over 131,072
 // pairwise-distinct five-tuples, duplicate combining's worst case. ns/pkt is
 // per frame; distinct% is the share of a 256-frame chunk's frames that
 // carry a five-tuple not seen earlier in the chunk.
@@ -345,26 +348,46 @@ func BenchmarkProcessFrames(b *testing.B) {
 	for i := range distinct {
 		distinct[i] = packet.Packet{SrcIP: uint32(i), DstIP: 7, SrcPort: 80, DstPort: 443, Proto: 6, Size: 64}
 	}
+	cms := func(n int) []TaskSpec {
+		specs := make([]TaskSpec, n)
+		for i := range specs {
+			specs[i] = freqSpec("load", packet.MatchAll, 16384)
+		}
+		return specs
+	}
+	churn4 := []TaskSpec{
+		freqSpec("freq", packet.MatchAll, 16384),
+		{Name: "spread", Key: packet.KeyDstIP, Attribute: AttrDistinct,
+			Param:     ParamSpec{Kind: ParamFlowKey, Key: packet.KeySrcIP},
+			Threshold: 512, MemBuckets: 16384, D: 3},
+		{Name: "seen", Attribute: AttrExistence,
+			Param:      ParamSpec{Kind: ParamFlowKey, Key: packet.KeyFiveTuple},
+			MemBuckets: 16384, D: 3},
+		{Name: "queue", Key: packet.KeyFiveTuple, Attribute: AttrMax,
+			Param:      ParamSpec{Kind: ParamQueueLength},
+			MemBuckets: 16384, D: 3},
+	}
 	for _, bc := range []struct {
 		name  string
-		tasks int
+		specs []TaskSpec
 		ps    []packet.Packet
 	}{
-		{"steady9", 9, zipf(131072)},
-		{"single", 1, zipf(4096)},
-		{"distinct", 9, distinct},
+		{"steady9", cms(9), zipf(131072)},
+		{"churn4", churn4, zipf(32768)},
+		{"single", cms(1), zipf(4096)},
+		{"distinct", cms(9), distinct},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			c := NewController(Config{Groups: 9, Buckets: 65536, BitWidth: 32, Workers: 1})
 			defer c.Close()
-			for i := 0; i < bc.tasks; i++ {
-				if _, err := c.AddTask(freqSpec("load", packet.MatchAll, 16384)); err != nil {
+			for _, spec := range bc.specs {
+				if _, err := c.AddTask(spec); err != nil {
 					b.Fatal(err)
 				}
 			}
 			snap := c.Pipeline().Compile()
 			if !snap.FrameVectorized() {
-				b.Fatal("the CMS task set must be frame-vectorisable")
+				b.Fatal("the task set must be frame-vectorisable")
 			}
 			tr := mmtrace.FromPackets(bc.ps)
 			n := tr.Frames()

@@ -5,6 +5,7 @@ import (
 
 	"flymon/internal/dataplane"
 	"flymon/internal/packet"
+	"flymon/internal/telemetry"
 	"flymon/internal/trace"
 )
 
@@ -38,40 +39,69 @@ func compareClamps(t *testing.T, want, got *Pipeline) {
 	}
 }
 
+// compareTelemetry fails unless two telemetry folds agree on every rule's
+// hits and every stage count; Operation is initializations minus
+// preparation-stage drops, so it compares the drops too.
+func compareTelemetry(t *testing.T, want, got telemetry.DataPlane) {
+	t.Helper()
+	if want.Stages != got.Stages {
+		t.Fatalf("stage counts: frame engine %+v, packet path %+v", got.Stages, want.Stages)
+	}
+	if len(want.Rules) != len(got.Rules) {
+		t.Fatalf("frame engine counts %d rules, packet path %d", len(got.Rules), len(want.Rules))
+	}
+	for i, w := range want.Rules {
+		if g := got.Rules[i]; g.RuleKey != w.RuleKey || g.Hits != w.Hits {
+			t.Fatalf("rule %+v: frame engine %d hits, packet path %+v %d", g.RuleKey, g.Hits, w.RuleKey, w.Hits)
+		}
+	}
+}
+
 // framesMatchBatch replays ps through the sequential oracle of a fresh
 // shared-bucket pipeline and through the frame engine of one fresh pipeline
 // per write policy, after prepare has run on each, and compares every
-// register and clamp counter. It returns the frame engine's snapshot.
-func framesMatchBatch(t *testing.T, build func() *Pipeline, prepare func(*Pipeline), ps []packet.Packet) *Snapshot {
+// register, clamp counter, rule-hit count and stage count (preparation
+// drops included). It returns the frame engine's snapshot and the oracle's
+// telemetry.
+func framesMatchBatch(t *testing.T, build func() *Pipeline, prepare func(*Pipeline), ps []packet.Packet) (*Snapshot, telemetry.DataPlane) {
 	t.Helper()
-	want := build()
-	if prepare != nil {
-		prepare(want)
+	run := func(single bool, replay func(*Snapshot)) (*Pipeline, *Snapshot, telemetry.DataPlane) {
+		pl := build()
+		pl.SetSingleWriter(single)
+		if prepare != nil {
+			prepare(pl)
+		}
+		reg := telemetry.NewRegistry()
+		pl.SetTelemetry(reg)
+		s := pl.Compile()
+		replay(s)
+		return pl, s, reg.FoldDataPlane(s.TelemetryLive())
 	}
-	want.Compile().ProcessBatchCtx(NewProcCtx(), ps)
+	want, _, wantTele := run(false, func(s *Snapshot) { s.ProcessBatchCtx(NewProcCtx(), ps) })
 	mt := writeFrameTrace(t, ps)
 	var s *Snapshot
 	for _, pol := range writePolicies {
 		t.Run(pol.name, func(t *testing.T) {
-			got := build()
-			got.SetSingleWriter(pol.single)
-			if prepare != nil {
-				prepare(got)
-			}
-			s = got.Compile()
-			s.ProcessFrames(NewProcCtx(), mt, 0, mt.Frames())
+			var got *Pipeline
+			var gotTele telemetry.DataPlane
+			got, s, gotTele = run(pol.single, func(s *Snapshot) {
+				pc := NewProcCtx()
+				s.ProcessFrames(pc, mt, 0, mt.Frames())
+				pc.TeleFlush()
+			})
 			compareAllRegisters(t, want, got)
 			compareClamps(t, want, got)
+			compareTelemetry(t, wantTele, gotTele)
 		})
 	}
-	return s
+	return s, wantTele
 }
 
 // TestCombineNineTasksZipf: the nine-task set on Zipf 1.1 traffic, where a
 // chunk repeats about four keys in ten.
 func TestCombineNineTasksZipf(t *testing.T) {
 	tr := trace.Generate(trace.Config{Flows: 5000, Packets: 40_000, ZipfS: 1.1, Seed: 61})
-	s := framesMatchBatch(t, func() *Pipeline { return nineCMS(t, 4096) }, nil, tr.Packets)
+	s, _ := framesMatchBatch(t, func() *Pipeline { return nineCMS(t, 4096) }, nil, tr.Packets)
 	if !s.combine {
 		t.Fatal("the nine-CMS snapshot must combine duplicates")
 	}
@@ -123,7 +153,7 @@ func TestCombineSaturation(t *testing.T) {
 					}
 				}
 			}
-			s := framesMatchBatch(t, build, prefill, ps)
+			s, _ := framesMatchBatch(t, build, prefill, ps)
 			if !s.combine {
 				t.Fatal("constant match-all adds must combine")
 			}
@@ -171,7 +201,7 @@ func TestCombineMatchAllBesideFiltered(t *testing.T) {
 		}
 		return NewPipelineWith(g0, g1)
 	}
-	if s := framesMatchBatch(t, build, nil, tr.Packets); !s.combine {
+	if s, _ := framesMatchBatch(t, build, nil, tr.Packets); !s.combine {
 		t.Fatal("the match-all CMS must combine")
 	}
 }

@@ -24,23 +24,26 @@ import (
 //   3. Combine. In a bus-quiet snapshot with a rule that can use it, the
 //      chunk's frames are grouped by digest vector into (representative,
 //      count) pairs (frameScratch.combine).
-//   4. Update. For each CMU rule, the chunk's surviving updates are
-//      gathered as (index, p1, p2) triples and applied by one
-//      dataplane.ApplyBatch/ShardApplyBatch call, which hoists the op
-//      dispatch out of the loop and prefetches the target counter lines
-//      ahead of the CAS/store loop (plain stores when the register has a
-//      single writer). Results scatter back onto per-frame result-bus
-//      arrays, preserving the cross-CMU bus semantics
-//      (PrevResult/PrevOld/RunningMin/PrevNewFlow) exactly. A match-all
-//      constant saturating add on a full-width base register applies one
-//      weighted add per representative instead (Register.ApplyAddCounts).
+//   4. Update. Each CMU rule runs as a column pipeline over the frames it
+//      won: an index column (gatherIdxFrames), one column per parameter and
+//      one preparation kernel that compacts dropped updates out of every
+//      column, each a loop with its kind switch hoisted out. One
+//      dataplane.ApplyBatch/ShardApplyBatch call applies the survivors,
+//      hoisting the op dispatch and prefetching the target counter lines
+//      (plain stores when the register has a single writer). Results
+//      scatter back onto per-frame result-bus arrays, preserving the
+//      cross-CMU bus semantics (PrevResult/PrevOld/RunningMin/PrevNewFlow)
+//      exactly. A constant saturating add in a bus-quiet snapshot is the
+//      pipeline with no parameter columns: its index column goes to the
+//      witness-free add, or, match-all on a full-width base register, one
+//      weighted add per representative (Register.ApplyAddCounts).
 //
 // Combining is exact without comparing keys: a rule's bucket index is a
 // function of the digests alone, so frames with equal digest vectors hit
 // the same bucket in every rule — even distinct keys that collide in all of
 // them — and count·p1 applied once leaves the bucket and its clamp count
 // where count adds of p1 would. Witness-carrying and filtered rules, narrow
-// registers and private lanes stay per-frame.
+// registers and private lanes stay uncombined.
 //
 // Equivalence to the sequential path. Within one CMU, rules select disjoint
 // frame sets (first-match), every rule's updates are applied in frame
@@ -84,7 +87,7 @@ type frameScratch struct {
 	// [mask][frame] with stride frameChunk.
 	masked []packet.CanonicalKey
 	// hashes holds each distinct digest slot, laid out [slot][frame] with
-	// stride frameChunk; compiledSel.resolveFlat indexes it directly.
+	// stride frameChunk; frameScratch.selColumn reads its rows.
 	hashes []uint32
 
 	// Per-frame result bus: the batch counterparts of Context.PrevResult,
@@ -93,9 +96,6 @@ type frameScratch struct {
 	busOld [frameChunk]uint32
 	busMin [frameChunk]uint32
 	busNew [frameChunk]bool
-	// rule is the per-frame first-match rule selection of the current CMU
-	// (multi-rule CMUs only).
-	rule [frameChunk]uint8
 
 	// Gather buffers for one rule's grouped register application: the
 	// selected frames, then per surviving update its frame, bucket index,
@@ -269,10 +269,12 @@ func sameDigests(hashes []uint32, a, b int) bool {
 	return true
 }
 
-// cmuFrames executes one CMU's program over the chunk: first-match rule
-// selection per frame, then each rule's grouped update over the frames it
-// won. A match-all rule at position 0 wins every frame (the dominant case —
-// whole-traffic sketches), skipping the selection pass entirely.
+// cmuFrames executes one CMU's program over the chunk: each rule in
+// program order selects the frames it matches that no earlier rule claimed
+// (first-match), then runs its grouped update over them. Matching reads
+// only record bytes, so running a rule before the next one selects changes
+// nothing. A match-all rule at position 0 wins every frame (the dominant
+// case — whole-traffic sketches), skipping the selection pass entirely.
 func cmuFrames(pc *ProcCtx, sc *snapCMU, recs []byte, n int) {
 	prog := sc.prog
 	if prog[0].match.kind == matchAll {
@@ -280,27 +282,17 @@ func cmuFrames(pc *ProcCtx, sc *snapCMU, recs []byte, n int) {
 		return
 	}
 	fs := &pc.frames
-	const noRule = 0xFF
-	rsel := fs.rule[:n]
-	off := 0
-	for i := 0; i < n; i++ {
-		v := mmtrace.FrameView(recs[off : off+trace.RecordSize])
-		rsel[i] = noRule
-		for ri := range prog {
-			if prog[ri].match.matchesFrame(v) {
-				rsel[i] = uint8(ri)
-				break
-			}
-		}
-		off += trace.RecordSize
-	}
+	var claimed [frameChunk / 64]uint64
 	for ri := range prog {
-		cnt := 0
+		cnt, off := 0, 0
 		for i := 0; i < n; i++ {
-			if rsel[i] == uint8(ri) {
+			if claimed[i>>6]&(1<<(i&63)) == 0 &&
+				prog[ri].match.matchesFrame(mmtrace.FrameView(recs[off:off+trace.RecordSize])) {
+				claimed[i>>6] |= 1 << (i & 63)
 				fs.sel[cnt] = int32(i)
 				cnt++
 			}
+			off += trace.RecordSize
 		}
 		if cnt > 0 {
 			ruleFrames(pc, &prog[ri], recs, n, fs.sel[:cnt])
@@ -309,101 +301,89 @@ func cmuFrames(pc *ProcCtx, sc *snapCMU, recs []byte, n int) {
 }
 
 // ruleFrames runs one compiled rule over its selected frames (sel nil =
-// every frame in the chunk): gather the surviving (index, p1, p2) updates,
-// apply them with one batched register call, scatter the witnesses back
-// onto the result bus. Mirrors compiledRule.exec stage for stage.
+// every frame in the chunk) as a column pipeline, mirroring
+// compiledRule.exec stage for stage: the bucket-index column, one column
+// per parameter, the preparation kernel, one batched register call, and
+// the witness scatter back onto the result bus. Each column is one loop
+// with its kind switch outside it.
 func ruleFrames(pc *ProcCtx, r *compiledRule, recs []byte, n int, sel []int32) {
 	fs := &pc.frames
-	m := n
-	if sel != nil {
-		m = len(sel)
+	whole := sel == nil
+	if whole {
+		sel = allFrames[:n]
 	}
 	// exec counts a rule hit before the preparation stage can drop.
 	if r.teleSlot >= 0 {
-		pc.tele[r.teleSlot] += uint64(m)
+		pc.tele[r.teleSlot] += uint64(len(sel))
 	}
-	// Frequency-sketch fast path: with no bus consumers in the snapshot the
-	// witnesses are dead, and a constant saturating add needs only the
-	// bucket indexes — resolve them in one hoisted loop and apply with the
+	// Frequency-sketch fast path, the pipeline with no parameter columns:
+	// with no bus consumers in the snapshot the witnesses are dead, and a
+	// constant saturating add needs only the index column, applied with the
 	// witness-free base-bucket add (a fetch-and-add, or a plain add for a
 	// single writer) or the lane add. On a combined chunk a match-all
-	// base-bucket rule resolves the representatives only and adds count·p1
+	// base-bucket rule gathers the representatives only and adds count·p1
 	// to each.
-	if r.fastAdd && fs.snap.busQuiet {
-		lane := r.sharded && pc.Ctx.Shard >= 0
-		if lane || r.fastAddFull {
-			idx := fs.upIdx[:frameChunk]
-			if !lane && sel == nil && fs.nrep > 0 {
-				reps := fs.rep[:fs.nrep]
-				gatherIdxFrames(r, fs, n, reps, idx)
-				r.reg.ApplyAddCounts(idx[:len(reps)], fs.cnt[:len(reps)], r.p1.value)
-				return
-			}
-			gatherIdxFrames(r, fs, n, sel, idx)
-			if lane {
-				r.reg.ShardApplyAddBatch(int(pc.Ctx.Shard), idx[:m], r.p1.value)
-			} else {
-				r.reg.ApplyAddBatch(idx[:m], r.p1.value)
-			}
-			return
+	lane := r.sharded && pc.Ctx.Shard >= 0
+	if r.fastAdd && fs.snap.busQuiet && (lane || r.fastAddFull) {
+		combined := whole && !lane && fs.nrep > 0
+		if combined {
+			sel = fs.rep[:fs.nrep]
 		}
+		idx := fs.upIdx[:len(sel)]
+		gatherIdxFrames(r, fs, sel, idx)
+		switch {
+		case combined:
+			r.reg.ApplyAddCounts(idx, fs.cnt[:len(sel)], r.p1.value)
+		case lane:
+			r.reg.ShardApplyAddBatch(int(pc.Ctx.Shard), idx, r.p1.value)
+		default:
+			r.reg.ApplyAddBatch(idx, r.p1.value)
+		}
+		return
 	}
-	k := 0
-	for j := 0; j < m; j++ {
-		i := j
-		if sel != nil {
-			i = int(sel[j])
+	m := len(sel)
+	idx, p1, p2 := fs.upIdx[:m], fs.upP1[:m], fs.upP2[:m]
+	gatherIdxFrames(r, fs, sel, idx)
+	fs.paramColumn(&r.p1, recs, sel, p1)
+	if r.chainMin {
+		for j, i := range sel {
+			p2[j] = fs.busMin[i&(frameChunk-1)]
 		}
-		addr := r.key.resolveFlat(fs.hashes, i)
-		var index uint32
-		if r.shifted {
-			index = r.base + addr>>r.addrShift
-		} else {
-			index = r.base + addr&r.addrMask
-		}
-		p1 := frameParam(&r.p1, recs, i, fs)
-		p2 := frameParam(&r.p2, recs, i, fs)
-		if r.chainMin {
-			p2 = fs.busMin[i]
-		}
-		if r.hasPrep {
-			var drop bool
-			p1, p2, drop = r.prep.applyVals(p1, p2, fs.busOld[i], fs.busNew[i])
-			if drop {
-				// A dropped update leaves the frame's bus untouched,
-				// exactly like exec's early return.
-				pc.Ctx.PrepDrops++
-				continue
-			}
-		}
-		fs.upFrame[k] = int32(i)
-		fs.upIdx[k], fs.upP1[k], fs.upP2[k] = index, p1, p2
-		k++
+	} else {
+		fs.paramColumn(&r.p2, recs, sel, p2)
 	}
+	// A dropped update leaves its frame's bus untouched, like exec's early
+	// return: the scatter walks the compacted frame column.
+	frames := sel
+	if r.hasPrep {
+		frames = fs.upFrame[:m]
+		copy(frames, sel)
+		frames = frames[:fs.prepare(&r.prep, m, &pc.Ctx)]
+	}
+	k := len(frames)
 	if k == 0 {
 		return
 	}
-	if r.sharded && pc.Ctx.Shard >= 0 {
+	if lane {
 		r.reg.ShardApplyBatch(int(pc.Ctx.Shard), r.op,
-			fs.upIdx[:k], fs.upP1[:k], fs.upP2[:k], fs.upRes[:k], fs.upOld[:k])
+			idx[:k], p1[:k], p2[:k], fs.upRes[:k], fs.upOld[:k])
 	} else {
-		r.reg.ApplyBatch(r.op,
-			fs.upIdx[:k], fs.upP1[:k], fs.upP2[:k], fs.upRes[:k], fs.upOld[:k])
+		r.reg.ApplyBatch(r.op, idx[:k], p1[:k], p2[:k], fs.upRes[:k], fs.upOld[:k])
 	}
 	if fs.snap.busQuiet {
 		// No rule in the snapshot reads the bus: the scatter would only
 		// write dead values.
 		return
 	}
-	for j := 0; j < k; j++ {
-		i := int(fs.upFrame[j])
+	for j, f := range frames {
+		i := f & (frameChunk - 1)
 		res, oldv := fs.upRes[j], fs.upOld[j]
 		fs.busRes[i], fs.busOld[i] = res, oldv
 		if r.chainMin && res > 0 && res < fs.busMin[i] {
 			fs.busMin[i] = res
 		}
 		if r.detectNew {
-			fs.busNew[i] = oldv&fs.upP1[j] == 0
+			fs.busNew[i] = oldv&p1[j] == 0
 		}
 	}
 }
@@ -416,17 +396,10 @@ var allFrames = func() (a [frameChunk]int32) {
 	return a
 }()
 
-// gatherIdxFrames fills idx[0:m] with the rule's bucket index for each
-// selected frame (sel nil = the first n frames) — resolveFlat plus the
-// address translation, with the digest rows, selector constants and
-// translation hoisted out of the loop so the body is one rotate, two masks,
-// a shift and an add.
-func gatherIdxFrames(r *compiledRule, fs *frameScratch, n int, sel []int32, idx []uint32) {
-	if sel == nil {
-		sel = allFrames[:n]
-	}
-	idx = idx[:len(sel)]
-	// The translation as base + (v>>sh)&am, for both methods.
+// gatherIdxFrames fills idx[j] with the rule's bucket index for frame
+// sel[j]: the key selector's column under the rule's address translation,
+// written as base + (v>>sh)&am for both methods.
+func gatherIdxFrames(r *compiledRule, fs *frameScratch, sel []int32, idx []uint32) {
 	sh, am := uint32(0), r.addrMask
 	if r.shifted {
 		sh, am = r.addrShift, ^uint32(0)
@@ -434,26 +407,35 @@ func gatherIdxFrames(r *compiledRule, fs *frameScratch, n int, sel []int32, idx 
 			sh, am = 0, 0
 		}
 	}
-	key := &r.key
-	rot, kmask, base := -int(key.rot), key.mask, r.base
-	ha, hb := fs.digestRow(key.a), fs.digestRow(key.b)
+	fs.selColumn(&r.key, sel, r.base, sh, am, idx)
+}
+
+// selColumn fills dst[j] with base + (v>>sh)&am, where v is selector cs
+// resolved for frame sel[j] against the chunk's digest matrix — the chunk
+// counterpart of compiledSel.resolve. The digest rows and
+// constants are hoisted, so the body is one rotate, two masks, a shift and
+// an add. A compressed-key parameter passes the identity (0, 0, ^0).
+func (fs *frameScratch) selColumn(cs *compiledSel, sel []int32, base, sh, am uint32, dst []uint32) {
+	dst = dst[:len(sel)]
+	rot, kmask := -int(cs.rot), cs.mask
+	ha, hb := fs.digestRow(cs.a), fs.digestRow(cs.b)
 	if ha == nil {
 		ha, hb = hb, nil
 	}
 	switch {
 	case ha == nil: // no digest: every frame resolves to the base
-		for j := range idx {
-			idx[j] = base
+		for j := range dst {
+			dst[j] = base
 		}
 	case hb == nil:
 		for j, i := range sel {
 			v := bits.RotateLeft32(ha[i&(frameChunk-1)], rot) & kmask
-			idx[j] = base + (v>>(sh&31))&am
+			dst[j] = base + (v>>(sh&31))&am
 		}
 	default:
 		for j, i := range sel {
 			v := bits.RotateLeft32(ha[i&(frameChunk-1)]^hb[i&(frameChunk-1)], rot) & kmask
-			idx[j] = base + (v>>(sh&31))&am
+			dst[j] = base + (v>>(sh&31))&am
 		}
 	}
 }
@@ -467,47 +449,120 @@ func (fs *frameScratch) digestRow(a int32) *[frameChunk]uint32 {
 	return (*[frameChunk]uint32)(fs.hashes[int(a)*frameChunk:])
 }
 
-// frameParam resolves a compiled parameter for frame i — the FrameView
-// counterpart of compiledParam.resolve, loading metadata fields lazily from
-// the record bytes and bus parameters from the per-frame arrays.
-func frameParam(cp *compiledParam, recs []byte, i int, fs *frameScratch) uint32 {
+// paramColumn fills dst[j] with parameter cp of frame sel[j], one loop per
+// ParamKind — the FrameView counterpart of compiledParam.resolve: metadata
+// from the record bytes, compressed keys through the index column's
+// selector loop, bus parameters from the per-frame arrays.
+func (fs *frameScratch) paramColumn(cp *compiledParam, recs []byte, sel []int32, dst []uint32) {
+	dst = dst[:len(sel)]
 	switch cp.kind {
 	case ParamConst:
-		return cp.value
+		for j := range dst {
+			dst[j] = cp.value
+		}
 	case ParamPacketSize:
-		return mmtrace.FrameView(recs[i*trace.RecordSize:]).Size()
+		for j, i := range sel {
+			dst[j] = frameAt(recs, i).Size()
+		}
 	case ParamTimestampUs:
-		return uint32(mmtrace.FrameView(recs[i*trace.RecordSize:]).TimestampNs() / 1000)
+		for j, i := range sel {
+			dst[j] = uint32(frameAt(recs, i).TimestampNs() / 1000)
+		}
 	case ParamQueueLength:
-		return mmtrace.FrameView(recs[i*trace.RecordSize:]).QueueLength()
+		for j, i := range sel {
+			dst[j] = frameAt(recs, i).QueueLength()
+		}
 	case ParamQueueDelay:
-		return mmtrace.FrameView(recs[i*trace.RecordSize:]).QueueDelayNs()
+		for j, i := range sel {
+			dst[j] = frameAt(recs, i).QueueDelayNs()
+		}
 	case ParamCompressedKey:
-		return cp.sel.resolveFlat(fs.hashes, i)
+		fs.selColumn(&cp.sel, sel, 0, 0, ^uint32(0), dst)
 	case ParamPrevResult:
-		return fs.busRes[i]
+		for j, i := range sel {
+			dst[j] = fs.busRes[i&(frameChunk-1)]
+		}
 	case ParamPrevOld:
-		return fs.busOld[i]
+		for j, i := range sel {
+			dst[j] = fs.busOld[i&(frameChunk-1)]
+		}
 	default:
-		return 0
+		clear(dst)
 	}
 }
 
-// resolveFlat is compiledSel.resolve against the chunk digest matrix
-// ([slot][frame], stride frameChunk) instead of a single packet's digest
-// vector.
-func (cs *compiledSel) resolveFlat(hashes []uint32, i int) uint32 {
-	var v uint32
-	if cs.a >= 0 {
-		v = hashes[int(cs.a)*frameChunk+i]
+// frameAt is frame i of a chunk's record bytes.
+func frameAt(recs []byte, i int32) mmtrace.FrameView {
+	return mmtrace.FrameView(recs[int(i)*trace.RecordSize:])
+}
+
+// prepare runs preparation stage t over the first m gathered updates
+// (upFrame, upIdx, upP1, upP2), one loop per TransformKind, and returns how
+// many survive: dropped updates are compacted out of all four columns in
+// place, in frame order, and added to ctx.PrepDrops once. Element for
+// element it is Transform.applyVals, the sequential path's kernel.
+func (fs *frameScratch) prepare(t *Transform, m int, ctx *Context) int {
+	frames, idx, p1, p2 := fs.upFrame[:m], fs.upIdx[:m], fs.upP1[:m], fs.upP2[:m]
+	k := m
+	switch t.Kind {
+	case TransformCoupon:
+		if t.ProbLog2 <= 0 {
+			for j := range p1 {
+				p1[j], p2[j] = 1, 1
+			}
+			break
+		}
+		sh := uint(32 - t.ProbLog2)
+		k = 0
+		for j, v := range p1 {
+			if c := int(v >> sh); c < t.Coupons {
+				frames[k], idx[k], p1[k], p2[k] = frames[j], idx[j], 1<<uint(c), 1
+				k++
+			}
+		}
+	case TransformBitSelect:
+		w := t.Width
+		if w <= 0 {
+			w = 32
+		}
+		for j, v := range p1 {
+			p1[j], p2[j] = 1<<(v%uint32(w)), 1
+		}
+	case TransformLZRank:
+		d, top := uint(t.Discard), uint32(32-t.Discard+1)
+		for j, v := range p1 {
+			if rest := v << d; rest != 0 {
+				p1[j] = uint32(bits.LeadingZeros32(rest)) + 1
+			} else {
+				p1[j] = top
+			}
+		}
+	case TransformIntervalSub:
+		k = 0
+		for j, f := range frames {
+			i, v := f&(frameChunk-1), p1[j]
+			switch {
+			case fs.busNew[i]:
+				v = 0
+			case v < fs.busOld[i]:
+				continue
+			default:
+				v -= fs.busOld[i]
+			}
+			frames[k], idx[k], p1[k], p2[k] = f, idx[j], v, p2[j]
+			k++
+		}
+	case TransformZeroGate:
+		for j, v := range p1 {
+			if v == 0 {
+				p1[j] = t.IfZero
+			} else {
+				p1[j] = t.Else
+			}
+		}
 	}
-	if cs.b >= 0 {
-		v ^= hashes[int(cs.b)*frameChunk+i]
-	}
-	if cs.rot != 0 {
-		v = v>>cs.rot | v<<(32-cs.rot)
-	}
-	return v & cs.mask
+	ctx.PrepDrops += uint64(m - k)
+	return k
 }
 
 // matchesFrame is compiledMatch.matches over the raw record — same

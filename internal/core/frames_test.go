@@ -144,6 +144,80 @@ func buildFramesPipeline(t *testing.T) *Pipeline {
 	return NewPipelineWith(g0, g1, g2, g3)
 }
 
+// buildColumnsPipeline assembles the rule shapes buildFramesPipeline does
+// not run, so every parameter and preparation column kernel meets the
+// differential oracle: a QueueDelay maximum, an HLL-style LZRank register, a
+// MaxValue increment, a Coupon with ProbLog2 0 beside a bit select of
+// non-power-of-two width (first-match selected), a narrow bit select, and
+// CondAdd/Max/AndOr on a 16-bit register. With quiet false a fourth group
+// reads the result bus (PrevOld, PrevResult), which turns off the
+// snapshot's bus-quiet shortcuts and switches the witness scatter on.
+func buildColumnsPipeline(t *testing.T, quiet bool) *Pipeline {
+	t.Helper()
+	install := func(g *Group, ci int, r *Rule) {
+		t.Helper()
+		if err := g.CMU(ci).InstallRule(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	units := func(g *Group, keys ...packet.KeySpec) *Group {
+		t.Helper()
+		for u, k := range keys {
+			if err := g.ConfigureUnit(u, k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return g
+	}
+	all := MemRange{Base: 0, Buckets: 4096}
+
+	g0 := units(NewGroup(GroupConfig{ID: 0, Buckets: 4096, BitWidth: 32}),
+		packet.KeyFiveTuple, packet.KeySrcIP, packet.KeyDstIP)
+	install(g0, 0, &Rule{TaskID: 40, Filter: packet.MatchAll,
+		Key: FullKey(0), P1: QueueDelay(), P2: Const(0), Mem: all, Op: dataplane.OpMax})
+	install(g0, 1, &Rule{TaskID: 41, Filter: packet.Filter{Proto: 6},
+		Key: FullKey(1).SubRange(3, 32), P1: MaxValue(), P2: Const(1 << 20), Mem: all, Op: dataplane.OpCondAdd})
+	install(g0, 2, &Rule{TaskID: 42, Filter: packet.MatchAll,
+		Key: FullKey(0).SubRange(9, 32), P1: CompressedKey(FullKey(2).SubRange(12, 20)), P2: Const(0),
+		Prep: Transform{Kind: TransformLZRank, Discard: 12}, Mem: all, Op: dataplane.OpMax})
+
+	g1 := units(NewGroup(GroupConfig{ID: 1, Buckets: 4096, BitWidth: 32}),
+		packet.KeyFiveTuple, packet.KeySrcIP)
+	install(g1, 0, &Rule{TaskID: 50, Filter: packet.Filter{Proto: 6},
+		Key: FullKey(0), P1: CompressedKey(FullKey(1)), P2: Const(0),
+		Prep: Transform{Kind: TransformCoupon, Coupons: 4, ProbLog2: 0},
+		Mem:  MemRange{Base: 0, Buckets: 2048}, Op: dataplane.OpAndOr})
+	install(g1, 0, &Rule{TaskID: 51, Filter: packet.Filter{Proto: 17},
+		Key: FullKey(0).SubRange(5, 32), P1: CompressedKey(FullKey(1).SubRange(7, 32)), P2: Const(1),
+		Prep: Transform{Kind: TransformBitSelect, Width: 5},
+		Mem:  MemRange{Base: 2048, Buckets: 2048}, Op: dataplane.OpAndOr})
+	install(g1, 1, &Rule{TaskID: 52, Filter: packet.MatchAll,
+		Key: FullKey(0).SubRange(13, 32), P1: CompressedKey(XorKey(0, 1)), P2: Const(1),
+		Prep: Transform{Kind: TransformBitSelect, Width: 8}, Mem: all, Op: dataplane.OpAndOr})
+
+	narrow := MemRange{Base: 0, Buckets: 1024}
+	g2 := units(NewGroup(GroupConfig{ID: 2, Buckets: 1024, BitWidth: 16}), packet.KeyFiveTuple)
+	install(g2, 0, &Rule{TaskID: 60, Filter: packet.MatchAll, // 64 buckets: saturates
+		Key: FullKey(0).SubRange(4, 32), P1: PacketSize(), P2: MaxValue(),
+		Mem: MemRange{Base: 0, Buckets: 64}, Op: dataplane.OpCondAdd})
+	install(g2, 1, &Rule{TaskID: 61, Filter: packet.MatchAll,
+		Key: FullKey(0).SubRange(14, 32), P1: TimestampUs(), P2: Const(0), Mem: narrow, Op: dataplane.OpMax})
+	install(g2, 2, &Rule{TaskID: 62, Filter: packet.MatchAll,
+		Key: FullKey(0).SubRange(24, 32), P1: CompressedKey(FullKey(0).SubRange(2, 32)), P2: Const(1),
+		Prep: Transform{Kind: TransformBitSelect, Width: 16}, Mem: narrow, Op: dataplane.OpAndOr})
+	if quiet {
+		return NewPipelineWith(g0, g1, g2)
+	}
+
+	g3 := units(NewGroup(GroupConfig{ID: 3, Buckets: 4096, BitWidth: 32}), packet.KeyFiveTuple)
+	install(g3, 0, &Rule{TaskID: 70, Filter: packet.MatchAll,
+		Key: FullKey(0).SubRange(6, 32), P1: PrevOld(), P2: Const(0),
+		Prep: Transform{Kind: TransformZeroGate, IfZero: 7, Else: 3}, Mem: all, Op: dataplane.OpXor})
+	install(g3, 1, &Rule{TaskID: 71, Filter: packet.MatchAll,
+		Key: FullKey(0).SubRange(17, 32), P1: PrevResult(), P2: MaxValue(), Mem: all, Op: dataplane.OpCondAdd})
+	return NewPipelineWith(g0, g1, g2, g3)
+}
+
 // writePolicies are the register write policies the frame engine must be
 // bit-identical under (dataplane.Register.SetSingleWriter): shared buckets
 // (CAS and fetch-and-add) and a single writer (plain stores).
@@ -315,18 +389,75 @@ func TestProcessFramesFallbacks(t *testing.T) {
 }
 
 // TestProcessFramesZeroAlloc: after the first span of a configuration, the
-// frame engine allocates nothing (matched by `make bench-allocs`).
+// frame engine allocates nothing (matched by `make bench-allocs`) — on the
+// feature matrix and on every column shape, bus-quiet or not.
 func TestProcessFramesZeroAlloc(t *testing.T) {
 	tr := trace.Generate(trace.Config{Flows: 100, Packets: 4_096, Seed: 14})
 	mt := writeFrameTrace(t, tr.Packets)
-	s := buildFramesPipeline(t).Compile()
-	pc := NewProcCtx()
-	s.ProcessFrames(pc, mt, 0, mt.Frames()) // warm scratch
-	if n := testing.AllocsPerRun(20, func() {
-		s.ProcessFrames(pc, mt, 0, mt.Frames())
-	}); n != 0 {
-		t.Fatalf("ProcessFrames allocates %.1f times per span, want 0", n)
+	for name, pl := range map[string]*Pipeline{
+		"features":      buildFramesPipeline(t),
+		"columns-quiet": buildColumnsPipeline(t, true),
+		"columns-bus":   buildColumnsPipeline(t, false),
+	} {
+		s := pl.Compile()
+		pc := NewProcCtx()
+		s.ProcessFrames(pc, mt, 0, mt.Frames()) // warm scratch
+		if n := testing.AllocsPerRun(20, func() {
+			s.ProcessFrames(pc, mt, 0, mt.Frames())
+		}); n != 0 {
+			t.Fatalf("%s: ProcessFrames allocates %.1f times per span, want 0", name, n)
+		}
 	}
+}
+
+// TestProcessFramesColumnShapes runs buildColumnsPipeline, bus-quiet and
+// not, under both write policies against the sequential oracle: registers,
+// clamps (the 16-bit CondAdd saturates), rule hits and preparation drops.
+func TestProcessFramesColumnShapes(t *testing.T) {
+	tr := trace.Generate(trace.Config{Flows: 400, Packets: 12_000, Seed: 15})
+	for _, tc := range []struct {
+		name  string
+		quiet bool
+	}{{"quiet", true}, {"bus", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, tele := framesMatchBatch(t, func() *Pipeline { return buildColumnsPipeline(t, tc.quiet) }, nil, tr.Packets)
+			if !s.FrameVectorized() || s.busQuiet != tc.quiet {
+				t.Fatalf("vectorised %v, bus-quiet %v; want true, %v", s.FrameVectorized(), s.busQuiet, tc.quiet)
+			}
+			if tele.Stages.Preparation == 0 || s.pl.Group(2).CMU(0).Register().Clamps() == 0 {
+				t.Fatal("no preparation-stage work or no 16-bit clamp: the kernels went unexercised")
+			}
+		})
+	}
+}
+
+// TestProcessFramesManyRules: a CMU may hold as many rules as its register
+// has buckets. 300 disjoint DstPort filters on one bucket each must route
+// every frame to its own rule; a first-match selection stored in a byte
+// drops rule 255's frames and credits rule 256 onwards to rule ri−256.
+func TestProcessFramesManyRules(t *testing.T) {
+	const rules = 300
+	build := func() *Pipeline {
+		g := NewGroup(GroupConfig{ID: 0, Buckets: 512, BitWidth: 32})
+		if err := g.ConfigureUnit(0, packet.KeyFiveTuple); err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < rules; r++ {
+			if err := g.CMU(0).InstallRule(&Rule{
+				TaskID: r + 1, Filter: packet.Filter{DstPort: uint16(r + 1)},
+				Key: FullKey(0), P1: Const(1), P2: MaxValue(),
+				Mem: MemRange{Base: r, Buckets: 1}, Op: dataplane.OpCondAdd,
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return NewPipelineWith(g)
+	}
+	ps := make([]packet.Packet, 10*rules)
+	for i := range ps {
+		ps[i] = packet.Packet{SrcIP: uint32(i), DstIP: 9, SrcPort: 80, DstPort: uint16(1 + i%rules), Proto: 6, Size: 64}
+	}
+	framesMatchBatch(t, build, nil, ps)
 }
 
 // TestProcessFramesQuietAddPath pins the frequency-sketch fast path: in a
