@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -399,9 +400,27 @@ func BenchmarkProcessFrames(b *testing.B) {
 				snap.ProcessFrames(pc, tr, 0, n)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/pkt")
-			b.ReportMetric(100*distinctShare(bc.ps, 256), "distinct%")
+			b.StopTimer()
+			b.ReportMetric(100*distinctShare(bc.ps, core.FrameChunk), "distinct%")
+			b.ReportMetric(engineReps(snap, pc, tr), "reps/chunk")
 		})
 	}
+}
+
+// engineReps replays t one chunk at a time and returns the mean number of
+// representatives the frame engine grouped each chunk into, read from the
+// context's chunk scratch (ProcCtx.frames.nrep) — a diagnostic, so it
+// reaches the unexported field by reflection rather than widening the core
+// API.
+func engineReps(snap *core.Snapshot, pc *core.ProcCtx, t *mmtrace.Trace) float64 {
+	nrep := reflect.ValueOf(pc).Elem().FieldByName("frames").FieldByName("nrep")
+	reps, chunks := 0, 0
+	for lo := 0; lo < t.Frames(); lo += core.FrameChunk {
+		snap.ProcessFrames(pc, t, lo, min(lo+core.FrameChunk, t.Frames()))
+		reps += int(nrep.Int())
+		chunks++
+	}
+	return float64(reps) / float64(chunks)
 }
 
 // distinctShare is the share of ps's frames whose five-tuple is the first

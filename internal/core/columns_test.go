@@ -37,7 +37,7 @@ func edgeValue(rng *rand.Rand) uint32 {
 // chunk's frames, as first-match selection produces, and returns it.
 func randomSelection(fs *frameScratch, rng *rand.Rand) []int32 {
 	m := 0
-	for i := 0; i < frameChunk; i++ {
+	for i := 0; i < FrameChunk; i++ {
 		if rng.Intn(4) > 0 {
 			fs.sel[m] = int32(i)
 			m++
@@ -48,7 +48,7 @@ func randomSelection(fs *frameScratch, rng *rand.Rand) []int32 {
 
 // randomBus fills the chunk's result bus with edge values.
 func randomBus(fs *frameScratch, rng *rand.Rand) {
-	for i := 0; i < frameChunk; i++ {
+	for i := 0; i < FrameChunk; i++ {
 		fs.busRes[i], fs.busOld[i], fs.busMin[i] = edgeValue(rng), edgeValue(rng), edgeValue(rng)
 		fs.busNew[i] = rng.Intn(2) == 0
 	}
@@ -128,13 +128,13 @@ func TestPrepareMatchesApplyVals(t *testing.T) {
 
 // TestParamColumnMatchesResolve: for every ParamKind value, named or not,
 // paramColumn over a random selection equals compiledParam.resolve on each
-// frame decoded into a packet, with that frame's digest vector and bus as
-// the context. Compressed keys run with and without an XOR half, rotated and
+// frame decoded into a packet, with the digest vector of that frame's random
+// digest row (its group) and its bus as the context. Compressed keys run with and without an XOR half, rotated and
 // narrowed; the chain's p2 column (the running minimum) is ruleFrames' and
 // has no kind.
 func TestParamColumnMatchesResolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	ps := make([]packet.Packet, frameChunk)
+	ps := make([]packet.Packet, FrameChunk)
 	for i := range ps {
 		ps[i] = packet.Packet{
 			SrcIP: rng.Uint32(), DstIP: rng.Uint32(), Proto: 6,
@@ -142,26 +142,30 @@ func TestParamColumnMatchesResolve(t *testing.T) {
 			QueueLength: edgeValue(rng), QueueDelayNs: edgeValue(rng),
 		}
 	}
-	recs := mmtrace.FromPackets(ps).Span(0, frameChunk)
+	recs := mmtrace.FromPackets(ps).Span(0, FrameChunk)
 	const slots = 3
 	var fs frameScratch
-	fs.hashes = make([]uint32, slots*frameChunk)
+	fs.hashes = make([]uint32, slots*FrameChunk)
 	for i := range fs.hashes {
 		fs.hashes[i] = rng.Uint32()
 	}
 	unitHash := []int{2, -1, 0, 1}
 	sels := []Selector{FullKey(0), XorKey(0, 3).SubRange(7, 20), FullKey(1), XorKey(1, 2).SubRange(31, 1)}
-	var dst [frameChunk]uint32
+	var dst [FrameChunk]uint32
+	var rows [FrameChunk]int32
 	var vec [slots]uint32
 	for k := 0; k < 256; k++ {
 		for _, s := range sels {
 			cp := compileParam(ParamSource{Kind: ParamKind(k), Value: rng.Uint32(), Sel: s}, unitHash)
 			randomBus(&fs, rng)
 			sel := randomSelection(&fs, rng)
-			fs.paramColumn(&cp, recs, sel, dst[:len(sel)])
+			for j := range sel {
+				rows[j] = int32(rng.Intn(FrameChunk))
+			}
+			fs.paramColumn(&cp, recs, sel, rows[:len(sel)], dst[:len(sel)])
 			for j, i := range sel {
 				for h := range vec {
-					vec[h] = fs.hashes[h*frameChunk+int(i)]
+					vec[h] = fs.hashes[h*FrameChunk+int(rows[j])]
 				}
 				var p packet.Packet
 				frameAt(recs, i).Decode(&p)

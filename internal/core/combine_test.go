@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"flymon/internal/dataplane"
@@ -9,9 +10,10 @@ import (
 	"flymon/internal/trace"
 )
 
-// Duplicate combining (frames.go, stage 3) must be invisible: on every input
-// and under either register write policy the frame engine's registers and
-// clamp counters equal the sequential ProcessBatchCtx oracle's.
+// Grouping by key (frames.go, stage 1) and the combined updates it feeds
+// must be invisible: on every input, span schedule and mask shape, and under
+// either register write policy, the frame engine's registers and clamp
+// counters equal the sequential ProcessBatchCtx oracle's.
 
 // nineCMS builds ingest_steady's shape: nine groups, each carrying one
 // three-row five-tuple CMS. Group i's unit 0 takes polynomial 3i mod 8, so
@@ -24,6 +26,24 @@ func nineCMS(t *testing.T, buckets int) *Pipeline {
 		buildCMS(t, groups[i], i+1, 3, buckets)
 	}
 	return NewPipelineWith(groups...)
+}
+
+// combines reports whether some rule of s applies combined updates, one
+// weighted add per group (ruleFrames): a constant saturating add on a
+// full-width register, matching every frame at program position 0 of its
+// CMU, in a bus-quiet frame-vectorised snapshot.
+func combines(s *Snapshot) bool {
+	if !s.busQuiet || !s.frameVec || !s.groupKeys {
+		return false
+	}
+	for _, sg := range s.groups {
+		for _, sc := range sg.cmus {
+			if r := &sc.prog[0]; r.fastAddFull && r.match.kind == matchAll {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // compareClamps fails on the first register whose clamp counter differs.
@@ -61,9 +81,10 @@ func compareTelemetry(t *testing.T, want, got telemetry.DataPlane) {
 // shared-bucket pipeline and through the frame engine of one fresh pipeline
 // per write policy, after prepare has run on each, and compares every
 // register, clamp counter, rule-hit count and stage count (preparation
-// drops included). It returns the frame engine's snapshot and the oracle's
-// telemetry.
-func framesMatchBatch(t *testing.T, build func() *Pipeline, prepare func(*Pipeline), ps []packet.Packet) (*Snapshot, telemetry.DataPlane) {
+// drops included). The frame engine takes the trace in one ProcessFrames
+// call, or, given span widths, in spans of those widths in turn. It returns
+// the frame engine's snapshot and the oracle's telemetry.
+func framesMatchBatch(t *testing.T, build func() *Pipeline, prepare func(*Pipeline), ps []packet.Packet, spans ...int) (*Snapshot, telemetry.DataPlane) {
 	t.Helper()
 	run := func(single bool, replay func(*Snapshot)) (*Pipeline, *Snapshot, telemetry.DataPlane) {
 		pl := build()
@@ -79,6 +100,9 @@ func framesMatchBatch(t *testing.T, build func() *Pipeline, prepare func(*Pipeli
 	}
 	want, _, wantTele := run(false, func(s *Snapshot) { s.ProcessBatchCtx(NewProcCtx(), ps) })
 	mt := writeFrameTrace(t, ps)
+	if len(spans) == 0 {
+		spans = []int{mt.Frames()}
+	}
 	var s *Snapshot
 	for _, pol := range writePolicies {
 		t.Run(pol.name, func(t *testing.T) {
@@ -86,7 +110,11 @@ func framesMatchBatch(t *testing.T, build func() *Pipeline, prepare func(*Pipeli
 			var gotTele telemetry.DataPlane
 			got, s, gotTele = run(pol.single, func(s *Snapshot) {
 				pc := NewProcCtx()
-				s.ProcessFrames(pc, mt, 0, mt.Frames())
+				for lo, k := 0, 0; lo < mt.Frames(); k++ {
+					hi := min(lo+spans[k%len(spans)], mt.Frames())
+					s.ProcessFrames(pc, mt, lo, hi)
+					lo = hi
+				}
 				pc.TeleFlush()
 			})
 			compareAllRegisters(t, want, got)
@@ -102,7 +130,7 @@ func framesMatchBatch(t *testing.T, build func() *Pipeline, prepare func(*Pipeli
 func TestCombineNineTasksZipf(t *testing.T) {
 	tr := trace.Generate(trace.Config{Flows: 5000, Packets: 40_000, ZipfS: 1.1, Seed: 61})
 	s, _ := framesMatchBatch(t, func() *Pipeline { return nineCMS(t, 4096) }, nil, tr.Packets)
-	if !s.combine {
+	if !combines(s) {
 		t.Fatal("the nine-CMS snapshot must combine duplicates")
 	}
 	if len(s.hashes) != 8 || len(s.blocks) != 1 || s.blocks[0].n != 8 {
@@ -111,22 +139,22 @@ func TestCombineNineTasksZipf(t *testing.T) {
 }
 
 // TestCombineSaturation: one key fills whole chunks, so every chunk is one
-// representative with count 256, against registers pre-filled at and near
+// group of FrameChunk frames, against registers pre-filled at and near
 // 2^32. A constant increment of 1500 (a full-size packet's bytes) lands a
 // run exactly on ^0 or overshoots it depending on the start; 0x0100_0003
 // makes count·p1 pass 2^32 from any start, a bucket at 0 included. A
 // per-frame PacketSize rule rides along on another CMU.
 func TestCombineSaturation(t *testing.T) {
 	const buckets = 64
-	ps := make([]packet.Packet, 4*frameChunk+17)
+	ps := make([]packet.Packet, 4*FrameChunk+17)
 	for i := range ps {
 		ps[i] = packet.Packet{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: 6, Size: 1500, TimestampNs: uint64(i) * 1000}
 	}
 	for _, p1 := range []uint32{1500, 0x0100_0003} {
 		for _, start := range []uint32{
 			0, 1, ^uint32(0), ^uint32(0) - 1,
-			^uint32(0) - 300*p1, // lands exactly on ^0 inside the second chunk
-			^uint32(0) - 300*p1 - 7,
+			^uint32(0) - (FrameChunk+44)*p1, // lands exactly on ^0 inside the second chunk
+			^uint32(0) - (FrameChunk+44)*p1 - 7,
 			^uint32(0) - 2000*p1,
 		} {
 			build := func() *Pipeline {
@@ -154,17 +182,17 @@ func TestCombineSaturation(t *testing.T) {
 				}
 			}
 			s, _ := framesMatchBatch(t, build, prefill, ps)
-			if !s.combine {
+			if !combines(s) {
 				t.Fatal("constant match-all adds must combine")
 			}
 		}
 	}
 }
 
-// TestCombineAllDistinct: a trace with no repeated key leaves every chunk
-// uncombined and must still match.
+// TestCombineAllDistinct: a trace with no repeated key makes every frame a
+// group of its own and must still match.
 func TestCombineAllDistinct(t *testing.T) {
-	ps := make([]packet.Packet, 3*frameChunk+5)
+	ps := make([]packet.Packet, 3*FrameChunk+5)
 	for i := range ps {
 		ps[i] = packet.Packet{SrcIP: uint32(i), DstIP: 9, SrcPort: 80, DstPort: 443, Proto: 6, Size: 64}
 	}
@@ -201,44 +229,187 @@ func TestCombineMatchAllBesideFiltered(t *testing.T) {
 		}
 		return NewPipelineWith(g0, g1)
 	}
-	if s, _ := framesMatchBatch(t, build, nil, tr.Packets); !s.combine {
+	if s, _ := framesMatchBatch(t, build, nil, tr.Packets); !combines(s) {
 		t.Fatal("the match-all CMS must combine")
 	}
 }
 
-// TestCombineGroupsByDigestVector: the engine's grouping finds exactly the
-// chunk's distinct keys (a chunk with none repeated is left uncombined),
-// representatives in frame order, counts summing to the chunk.
-func TestCombineGroupsByDigestVector(t *testing.T) {
-	tr := trace.Generate(trace.Config{Flows: 5000, Packets: 20 * frameChunk, ZipfS: 1.1, Seed: 63})
+// TestCombineGroupsByKey: the engine's grouping finds exactly each chunk's
+// distinct keys under the union of the snapshot's masks, representatives in
+// frame order, counts summing to the chunk, and every frame's group holding
+// its key — on the nine-CMS set (one mask) and on the multi-mask churn
+// shape, whose union is the five-tuple. The second half of the trace folds
+// every flow onto four address pairs, so only ports and protocol tell its
+// keys apart.
+func TestCombineGroupsByKey(t *testing.T) {
+	tr := trace.Generate(trace.Config{Flows: 5000, Packets: 20 * FrameChunk, ZipfS: 1.1, Seed: 63})
+	for i := len(tr.Packets) / 2; i < len(tr.Packets); i++ {
+		p := &tr.Packets[i]
+		p.SrcIP, p.DstIP = p.SrcIP%2, p.DstIP%2
+		p.Proto = []uint8{6, 17}[i%2]
+	}
 	mt := writeFrameTrace(t, tr.Packets)
-	s := nineCMS(t, 4096).Compile()
-	pc := NewProcCtx()
 	mask := packet.KeyFiveTuple.FieldMask()
-	for lo := 0; lo < mt.Frames(); lo += frameChunk {
-		s.ProcessFrames(pc, mt, lo, lo+frameChunk)
-		distinct := map[packet.CanonicalKey]bool{}
-		for i := lo; i < lo+frameChunk; i++ {
-			distinct[packet.ExtractMasked(&tr.Packets[i], mask)] = true
+	for _, pl := range []*Pipeline{nineCMS(t, 4096), churnShape(t)} {
+		s := pl.Compile()
+		if !s.groupKeys {
+			t.Fatal("a five-tuple snapshot must group")
 		}
-		fs := &pc.frames
-		want := len(distinct)
-		if want == frameChunk {
-			want = 0
-		}
-		if fs.nrep != want {
-			t.Fatalf("chunk at %d: %d representatives, want %d distinct keys", lo, fs.nrep, want)
-		}
-		sum := uint32(0)
-		for r := 0; r < fs.nrep; r++ {
-			sum += fs.cnt[r]
-			if r > 0 && fs.rep[r] <= fs.rep[r-1] {
-				t.Fatalf("chunk at %d: representatives out of frame order", lo)
+		pc := NewProcCtx()
+		for lo := 0; lo < mt.Frames(); lo += FrameChunk {
+			s.ProcessFrames(pc, mt, lo, lo+FrameChunk)
+			group := map[packet.CanonicalKey]int{}
+			for i := lo; i < lo+FrameChunk; i++ {
+				k := packet.ExtractMasked(&tr.Packets[i], mask)
+				if _, ok := group[k]; !ok {
+					group[k] = len(group)
+				}
+				if fs := &pc.frames; fs.grp[i-lo] != int32(group[k]) {
+					t.Fatalf("chunk at %d, frame %d: group %d, want %d", lo, i-lo, fs.grp[i-lo], group[k])
+				}
+			}
+			fs := &pc.frames
+			if fs.nrep != len(group) {
+				t.Fatalf("chunk at %d: %d representatives, want %d distinct keys", lo, fs.nrep, len(group))
+			}
+			sum := uint32(0)
+			for r := 0; r < fs.nrep; r++ {
+				sum += fs.cnt[r]
+				if r > 0 && fs.rep[r] <= fs.rep[r-1] {
+					t.Fatalf("chunk at %d: representatives out of frame order", lo)
+				}
+				if fs.grp[fs.rep[r]] != int32(r) {
+					t.Fatalf("chunk at %d: representative %d is frame %d of group %d", lo, r, fs.rep[r], fs.grp[fs.rep[r]])
+				}
+			}
+			if sum != FrameChunk {
+				t.Fatalf("chunk at %d: counts sum to %d, want %d", lo, sum, FrameChunk)
 			}
 		}
-		if fs.nrep > 0 && sum != frameChunk {
-			t.Fatalf("chunk at %d: counts sum to %d, want %d", lo, sum, frameChunk)
+	}
+}
+
+// churnShape builds ingest_churn's four long-lived task shapes on three
+// masks — five-tuple, source and destination address: a combined
+// five-tuple CMS, a BeauCoup-style distinct counter keyed on the
+// destination with source-address coupons, a five-tuple Bloom filter and a
+// queue-length maximum.
+func churnShape(t *testing.T) *Pipeline {
+	t.Helper()
+	g0 := NewGroup(GroupConfig{ID: 0, Buckets: 4096, BitWidth: 32})
+	buildCMS(t, g0, 1, 3, 4096)
+	g1 := NewGroup(GroupConfig{ID: 1, Buckets: 4096, BitWidth: 32})
+	for u, k := range []packet.KeySpec{packet.KeyFiveTuple, packet.KeySrcIP, packet.KeyDstIP} {
+		if err := g1.ConfigureUnit(u, k); err != nil {
+			t.Fatal(err)
 		}
+	}
+	all := MemRange{Base: 0, Buckets: 4096}
+	for ci, r := range []*Rule{
+		{TaskID: 2, Filter: packet.MatchAll, Key: FullKey(2), P1: CompressedKey(FullKey(1)), P2: Const(1),
+			Prep: Transform{Kind: TransformCoupon, Coupons: 8, ProbLog2: 4}, Mem: all, Op: dataplane.OpAndOr},
+		{TaskID: 3, Filter: packet.MatchAll, Key: FullKey(0).SubRange(5, 32), P1: CompressedKey(FullKey(0).SubRange(17, 5)),
+			P2: Const(1), Prep: Transform{Kind: TransformBitSelect, Width: 32}, Mem: all, Op: dataplane.OpAndOr},
+		{TaskID: 4, Filter: packet.MatchAll, Key: FullKey(0).SubRange(11, 32), P1: QueueLength(), P2: Const(0),
+			Mem: all, Op: dataplane.OpMax},
+	} {
+		if err := g1.CMU(ci).InstallRule(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return NewPipelineWith(g0, g1)
+}
+
+// TestCombineMultiMask: the churn shape reads three masks; each is
+// extracted and digested for the representatives only, and the per-frame
+// rules read their digests through the group column.
+func TestCombineMultiMask(t *testing.T) {
+	tr := trace.Generate(trace.Config{Flows: 2000, Packets: 30_000, ZipfS: 1.1, Seed: 65})
+	s, _ := framesMatchBatch(t, func() *Pipeline { return churnShape(t) }, nil, tr.Packets)
+	if len(s.masks) != 3 || !combines(s) {
+		t.Fatalf("churn shape: %d masks, combining %v; want 3 masks and combining", len(s.masks), combines(s))
+	}
+}
+
+// TestCombineUnreadFieldsShareGroup: frames that differ only in fields no
+// mask reads — size, queue length, timestamp, and under a source-address
+// mask the rest of the five-tuple — share a representative, while rules
+// reading those fields as parameters still see each frame's own.
+func TestCombineUnreadFieldsShareGroup(t *testing.T) {
+	ps := make([]packet.Packet, 3*FrameChunk+5)
+	for i := range ps {
+		ps[i] = packet.Packet{SrcIP: uint32(i % 3), DstIP: uint32(i), SrcPort: uint16(i), DstPort: 443, Proto: 6,
+			Size: uint32(64 + i), QueueLength: uint32(i * 7 % 100), TimestampNs: uint64(i) * 1000}
+	}
+	build := func() *Pipeline {
+		g := NewGroup(GroupConfig{ID: 0, Buckets: 4096, BitWidth: 32})
+		if err := g.ConfigureUnit(0, packet.KeySrcIP); err != nil {
+			t.Fatal(err)
+		}
+		all := MemRange{Base: 0, Buckets: 4096}
+		for ci, r := range []*Rule{
+			{TaskID: 1, Filter: packet.MatchAll, Key: FullKey(0), P1: Const(1), P2: MaxValue(), Mem: all, Op: dataplane.OpCondAdd},
+			{TaskID: 2, Filter: packet.MatchAll, Key: FullKey(0).SubRange(3, 32), P1: PacketSize(), P2: MaxValue(), Mem: all, Op: dataplane.OpCondAdd},
+			{TaskID: 3, Filter: packet.MatchAll, Key: FullKey(0).SubRange(7, 32), P1: QueueLength(), P2: Const(0), Mem: all, Op: dataplane.OpMax},
+		} {
+			if err := g.CMU(ci).InstallRule(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return NewPipelineWith(g)
+	}
+	s, _ := framesMatchBatch(t, build, nil, ps)
+	mt := writeFrameTrace(t, ps)
+	pc := NewProcCtx()
+	for lo := 0; lo < len(ps); lo += FrameChunk {
+		hi := min(lo+FrameChunk, len(ps))
+		s.ProcessFrames(pc, mt, lo, hi)
+		if want := min(3, hi-lo); pc.frames.nrep != want {
+			t.Fatalf("chunk at %d: %d representatives, want %d source addresses", lo, pc.frames.nrep, want)
+		}
+	}
+}
+
+// TestCombineTimestampKey: a unit keyed on the timestamp puts it in the
+// union mask, so Compile turns grouping off and every frame is its own
+// group — here beside a combinable five-tuple CMS, on frames that repeat
+// both five-tuple and microsecond.
+func TestCombineTimestampKey(t *testing.T) {
+	ps := make([]packet.Packet, 2*FrameChunk+9)
+	for i := range ps {
+		ps[i] = packet.Packet{SrcIP: uint32(i % 5), DstIP: 9, SrcPort: 80, DstPort: 443, Proto: 6, Size: 64,
+			TimestampNs: uint64(i/4) * 1000}
+	}
+	build := func() *Pipeline {
+		g0 := NewGroup(GroupConfig{ID: 0, Buckets: 4096, BitWidth: 32})
+		buildCMS(t, g0, 1, 3, 4096)
+		g1 := NewGroup(GroupConfig{ID: 1, Buckets: 4096, BitWidth: 32})
+		tsKey := packet.KeySpec{Parts: []packet.KeyPart{{Field: packet.FieldSrcIP}, {Field: packet.FieldTimestamp}}}
+		if err := g1.ConfigureUnit(0, tsKey); err != nil {
+			t.Fatal(err)
+		}
+		if err := g1.CMU(0).InstallRule(&Rule{TaskID: 2, Filter: packet.MatchAll, Key: FullKey(0),
+			P1: Const(1), P2: MaxValue(), Mem: MemRange{Base: 0, Buckets: 4096}, Op: dataplane.OpCondAdd}); err != nil {
+			t.Fatal(err)
+		}
+		return NewPipelineWith(g0, g1)
+	}
+	s, _ := framesMatchBatch(t, build, nil, ps)
+	if s.groupKeys {
+		t.Fatal("a timestamp-keyed unit must turn grouping off")
+	}
+}
+
+// TestCombineSpans: spans of 1, w-1, w, w+1 and 3w+5 frames (w the chunk
+// width) cut chunks short of, at and across the width; every schedule
+// matches the oracle, on the nine-CMS set and on the churn shape.
+func TestCombineSpans(t *testing.T) {
+	tr := trace.Generate(trace.Config{Flows: 3000, Packets: 8*FrameChunk + 3, ZipfS: 1.1, Seed: 66})
+	for _, span := range []int{1, FrameChunk - 1, FrameChunk, FrameChunk + 1, 3*FrameChunk + 5} {
+		t.Run(fmt.Sprint(span), func(t *testing.T) {
+			framesMatchBatch(t, func() *Pipeline { return nineCMS(t, 4096) }, nil, tr.Packets, span)
+			framesMatchBatch(t, func() *Pipeline { return churnShape(t) }, nil, tr.Packets, span)
+		})
 	}
 }
 
@@ -252,7 +423,7 @@ func TestProcessFramesCombinedZeroAlloc(t *testing.T) {
 		pl := nineCMS(t, 4096)
 		pl.SetSingleWriter(pol.single)
 		s := pl.Compile()
-		if !s.combine {
+		if !combines(s) {
 			t.Fatal("the nine-CMS snapshot must combine duplicates")
 		}
 		pc := NewProcCtx()

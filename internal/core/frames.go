@@ -11,22 +11,26 @@ import (
 
 // This file is the FrameView-native engine: Snapshot.ProcessFrames executes
 // a span of mmapped trace records with no packet.Packet materialization,
-// restructured from packet-at-a-time to stage-at-a-time over fixed-size
-// chunks:
+// restructured from packet-at-a-time to stage-at-a-time over chunks of
+// FrameChunk frames — one replay span each:
 //
-//   1. Extract. Each of the snapshot's distinct field masks is extracted
-//      for the whole chunk in one tight loop straight from the record bytes
-//      (FrameView.ExtractMasked).
-//   2. Fused digest. Each mask's digest slots — every polynomial that mask
-//      feeds — come from one pass of its fused kernel (hashing.Fused) over
-//      the chunk's pre-masked keys. The dedup and block decisions were made
-//      at Compile time; the loops carry no per-packet lookups or dispatch.
-//   3. Combine. In a bus-quiet snapshot with a rule that can use it, the
-//      chunk's frames are grouped by digest vector into (representative,
-//      count) pairs (frameScratch.combine).
-//   4. Update. Each CMU rule runs as a column pipeline over the frames it
-//      won: an index column (gatherIdxFrames), one column per parameter and
-//      one preparation kernel that compacts dropped updates out of every
+//   1. Group. Each frame's key under the union of the snapshot's field
+//      masks (the per-field OR) is read straight from the record bytes, and
+//      the chunk's frames are grouped by it into (representative, count)
+//      pairs plus a per-frame group column (frameScratch.group). Frames
+//      with equal union keys have equal keys under every mask, so every
+//      digest of theirs is equal too.
+//   2. Extract and digest the representatives. Each distinct field mask is
+//      extracted for the representatives only (FrameView.ExtractMasked),
+//      and each mask's digest slots — every polynomial that mask feeds —
+//      come from one pass of its fused kernel (hashing.Fused) over those
+//      keys. Row g of the digest matrix is group g's. The dedup and block
+//      decisions were made at Compile time; the loops carry no per-packet
+//      lookups or dispatch.
+//   3. Update. Each CMU rule runs as a column pipeline over the frames it
+//      won: an index column (gatherIdxFrames) that reads each frame's
+//      digests through its group, one column per parameter and one
+//      preparation kernel that compacts dropped updates out of every
 //      column, each a loop with its kind switch hoisted out. One
 //      dataplane.ApplyBatch/ShardApplyBatch call applies the survivors,
 //      hoisting the op dispatch and prefetching the target counter lines
@@ -36,14 +40,19 @@ import (
 //      exactly. A constant saturating add in a bus-quiet snapshot is the
 //      pipeline with no parameter columns: its index column goes to the
 //      witness-free add, or, match-all on a full-width base register, one
-//      weighted add per representative (Register.ApplyAddCounts).
+//      weighted add per group (Register.ApplyAddCounts).
 //
-// Combining is exact without comparing keys: a rule's bucket index is a
-// function of the digests alone, so frames with equal digest vectors hit
-// the same bucket in every rule — even distinct keys that collide in all of
-// them — and count·p1 applied once leaves the bucket and its clamp count
-// where count adds of p1 would. Witness-carrying and filtered rules, narrow
-// registers and private lanes stay uncombined.
+// Grouping is exact: frames share a group only when their keys are equal
+// under every mask, so a rule's bucket index — a function of the digests
+// alone — is the same for every frame of a group, and count·p1 applied once
+// leaves the bucket and its clamp count where count adds of p1 would.
+// Distinct keys that collide in every digest get a group each, and their
+// adds land on the same bucket one after the other, which ApplyAddCounts
+// makes equal to adding them frame by frame. Witness-carrying and filtered
+// rules, narrow registers and private lanes stay per-frame. When the union
+// mask reads the timestamp field no frame of a chunk repeats a key, so
+// Compile turns grouping off (Snapshot.groupKeys) and each frame is its own
+// group.
 //
 // Equivalence to the sequential path. Within one CMU, rules select disjoint
 // frame sets (first-match), every rule's updates are applied in frame
@@ -65,16 +74,23 @@ import (
 // configuration is safe: the engine switches form at the next batch, never
 // changing results.
 
-// frameChunk is the stage-at-a-time chunk width in frames. 256 keeps the
-// whole scratch (masked keys, digest matrix, bus, gather and combining
-// arrays) L1/L2 resident for a nine-group five-tuple pipeline — one mask,
-// eight distinct digests, 8 KB of digest matrix — while giving the batched
-// register loops enough depth for prefetch to overlap misses.
-const frameChunk = 256
+// FrameChunk is the frame engine's chunk width in frames: ProcessFrames cuts
+// a span into chunks of at most this many frames and groups each chunk on
+// its own. It equals mmtrace's default replay span (ReplayConfig.Batch), so
+// a replayed span is one chunk and is grouped whole
+// (TestReplaySpanIsWholeChunks holds the two together). 512 frames keep the
+// scratch (digest matrix, bus, gather and grouping arrays) L2 resident for
+// a nine-group five-tuple pipeline — one mask, eight distinct digests, at
+// most 16 KB of digest matrix — while giving the batched register loops
+// enough depth for prefetch to overlap misses.
+const FrameChunk = 512
 
-// combineSlots is the size of the combining open hash: twice the chunk, so
-// its load factor stays at or below one half.
-const combineSlots = 2 * frameChunk
+// groupBits sizes the grouping open hash: 2^groupBits = groupSlots slots,
+// twice the chunk, so its load factor stays at or below one half.
+const (
+	groupBits  = 10
+	groupSlots = 1 << groupBits
+)
 
 // frameScratch is the chunk engine's per-worker state, embedded in ProcCtx.
 // The dynamic slices are sized to the armed snapshot's digest tables; after
@@ -83,43 +99,46 @@ const combineSlots = 2 * frameChunk
 type frameScratch struct {
 	// snap is the snapshot masked/hashes are sized for.
 	snap *Snapshot
-	// masked holds each distinct mask's canonical keys, laid out
-	// [mask][frame] with stride frameChunk.
+	// masked holds each distinct mask's canonical keys of the chunk's
+	// representatives, laid out [mask][group] with stride FrameChunk.
 	masked []packet.CanonicalKey
-	// hashes holds each distinct digest slot, laid out [slot][frame] with
-	// stride frameChunk; frameScratch.selColumn reads its rows.
+	// hashes holds each distinct digest slot, laid out [slot][group] with
+	// stride FrameChunk; frameScratch.selColumn reads its rows.
 	hashes []uint32
 
 	// Per-frame result bus: the batch counterparts of Context.PrevResult,
 	// PrevOld, RunningMin, and PrevNewFlow.
-	busRes [frameChunk]uint32
-	busOld [frameChunk]uint32
-	busMin [frameChunk]uint32
-	busNew [frameChunk]bool
+	busRes [FrameChunk]uint32
+	busOld [FrameChunk]uint32
+	busMin [FrameChunk]uint32
+	busNew [FrameChunk]bool
 
 	// Gather buffers for one rule's grouped register application: the
-	// selected frames, then per surviving update its frame, bucket index,
-	// parameters, and witnessed (result, old).
-	sel     [frameChunk]int32
-	upFrame [frameChunk]int32
-	upIdx   [frameChunk]uint32
-	upP1    [frameChunk]uint32
-	upP2    [frameChunk]uint32
-	upRes   [frameChunk]uint32
-	upOld   [frameChunk]uint32
+	// selected frames and their groups, then per surviving update its
+	// frame, bucket index, parameters, and witnessed (result, old).
+	sel     [FrameChunk]int32
+	selRows [FrameChunk]int32
+	upFrame [FrameChunk]int32
+	upIdx   [FrameChunk]uint32
+	upP1    [FrameChunk]uint32
+	upP2    [FrameChunk]uint32
+	upRes   [FrameChunk]uint32
+	upOld   [FrameChunk]uint32
 
-	// Duplicate combining: rep[0:nrep] are the first frames of the chunk's
-	// distinct digest vectors, in frame order, and cnt their
-	// multiplicities; nrep 0 means the chunk is not combined. The open hash
-	// maps a digest vector to its rep entry; a slot is live only while its
-	// stamp equals gen, so starting a chunk costs one increment, not a
-	// clear.
-	rep   [frameChunk]int32
-	cnt   [frameChunk]uint32
+	// Grouping: rep[0:nrep] are the first frames of the chunk's distinct
+	// keys, in frame order, cnt their multiplicities, key their union keys
+	// and grp[i] frame i's group. An ungrouped chunk (Snapshot.groupKeys
+	// false) fills none of them: every frame is its own group. The open
+	// hash maps a key to its group; a slot is live only while its stamp
+	// equals gen, so starting a chunk costs one increment, not a clear.
+	rep   [FrameChunk]int32
+	cnt   [FrameChunk]uint32
+	grp   [FrameChunk]int32
+	key   [FrameChunk][2]uint64
 	nrep  int
 	gen   uint32
-	stamp [combineSlots]uint32
-	entry [combineSlots]uint16
+	stamp [groupSlots]uint32
+	entry [groupSlots]uint16
 }
 
 // arm sizes the digest scratch for s. Only a snapshot with more distinct
@@ -130,14 +149,14 @@ func (fs *frameScratch) arm(s *Snapshot) {
 		return
 	}
 	fs.snap = s
-	if need := len(s.masks) * frameChunk; cap(fs.masked) < need {
+	if need := len(s.masks) * FrameChunk; cap(fs.masked) < need {
 		fs.masked = make([]packet.CanonicalKey, need)
 	}
-	fs.masked = fs.masked[:len(s.masks)*frameChunk]
-	if need := len(s.hashes) * frameChunk; cap(fs.hashes) < need {
+	fs.masked = fs.masked[:len(s.masks)*FrameChunk]
+	if need := len(s.hashes) * FrameChunk; cap(fs.hashes) < need {
 		fs.hashes = make([]uint32, need)
 	}
-	fs.hashes = fs.hashes[:len(s.hashes)*frameChunk]
+	fs.hashes = fs.hashes[:len(s.hashes)*FrameChunk]
 }
 
 // FrameVectorized reports whether ProcessFrames runs the stage-at-a-time
@@ -163,8 +182,8 @@ func (s *Snapshot) ProcessFrames(pc *ProcCtx, t *mmtrace.Trace, lo, hi int) {
 	}
 	for lo < hi {
 		n := hi - lo
-		if n > frameChunk {
-			n = frameChunk
+		if n > FrameChunk {
+			n = FrameChunk
 		}
 		s.processFrameChunk(pc, t.Span(lo, lo+n), n)
 		lo += n
@@ -181,29 +200,28 @@ func (s *Snapshot) processFrameChunk(pc *ProcCtx, recs []byte, n int) {
 	fs := &pc.frames
 	fs.arm(s)
 
-	// Stage 1: masked canonical keys, one mask at a time over the chunk.
+	// Stage 1: group the chunk's frames by their union key.
+	reps := allFrames[:n]
+	if s.groupKeys {
+		reps = fs.group(&s.keyMask, recs, n)
+	}
+	fs.nrep = len(reps)
+	// Stage 2: the representatives' masked canonical keys, one mask at a
+	// time, then their digests, every slot of a mask in one fused pass.
 	for m := range s.masks {
 		mask := &s.masks[m]
-		dst := fs.masked[m*frameChunk : m*frameChunk+n]
-		off := 0
-		for i := 0; i < n; i++ {
-			mmtrace.FrameView(recs[off:off+trace.RecordSize]).ExtractMasked(mask, &dst[i])
-			off += trace.RecordSize
+		dst := fs.masked[m*FrameChunk : m*FrameChunk+len(reps)]
+		for g, f := range reps {
+			frameAt(recs, f).ExtractMasked(mask, &dst[g])
 		}
 	}
-	// Stage 2: digests, every slot of a mask in one fused pass.
 	for bi := range s.blocks {
 		b := &s.blocks[bi]
 		var dst [hashing.MaxFused][]uint32
 		for q, h := range b.slots[:b.n] {
-			dst[q] = fs.hashes[int(h)*frameChunk : int(h)*frameChunk+n]
+			dst[q] = fs.hashes[int(h)*FrameChunk : int(h)*FrameChunk+len(reps)]
 		}
-		b.f.SumKeys(fs.masked[b.mask*frameChunk:b.mask*frameChunk+n], dst[:b.n])
-	}
-	// Stage 3: duplicate combining.
-	fs.nrep = 0
-	if s.combine {
-		fs.combine(len(s.hashes), n)
+		b.f.SumKeys(fs.masked[b.mask*FrameChunk:b.mask*FrameChunk+len(reps)], dst[:b.n])
 	}
 	// Fresh PHV per frame: the result bus starts from reset state.
 	for i := 0; i < n; i++ {
@@ -211,7 +229,7 @@ func (s *Snapshot) processFrameChunk(pc *ProcCtx, recs []byte, n int) {
 		fs.busMin[i] = ^uint32(0)
 		fs.busNew[i] = false
 	}
-	// Stage 4: CMUs in pipeline order, each over the whole chunk.
+	// Stage 3: CMUs in pipeline order, each over the whole chunk.
 	for gi := range s.groups {
 		sg := &s.groups[gi]
 		for ci := range sg.cmus {
@@ -220,53 +238,89 @@ func (s *Snapshot) processFrameChunk(pc *ProcCtx, recs []byte, n int) {
 	}
 }
 
-// combine groups the chunk's n frames by their vector of digests over the
-// first slots rows of the digest matrix into rep/cnt, in first-occurrence
-// order. A chunk with no two equal vectors is left uncombined (nrep 0):
-// its per-frame loop is the cheaper form of the same updates.
-func (fs *frameScratch) combine(slots, n int) {
+// groupKeyMask packs the union (per-field OR) of masks into the two words
+// frameScratch.group reads from each record: source and destination address
+// in the first, ports and protocol in the second, each field narrowed to its
+// width the way packet.ExtractMasked narrows it. ok is false when the union
+// reads any other field — the timestamp, which no two frames of a chunk
+// share — and the engine then does not group.
+func groupKeyMask(masks [][packet.NumFields]uint32) (km [2]uint64, ok bool) {
+	ok = true
+	for _, m := range masks {
+		for f, v := range m {
+			switch packet.Field(f) {
+			case packet.FieldSrcIP:
+				km[0] |= uint64(v)
+			case packet.FieldDstIP:
+				km[0] |= uint64(v) << 32
+			case packet.FieldSrcPort:
+				km[1] |= uint64(uint16(v))
+			case packet.FieldDstPort:
+				km[1] |= uint64(uint16(v)) << 16
+			case packet.FieldProto:
+				km[1] |= uint64(uint8(v)) << 32
+			default:
+				ok = ok && v == 0
+			}
+		}
+	}
+	return km, ok
+}
+
+// group groups the chunk's n frames by their union key (the record's
+// address and port words under km, groupKeyMask's packing) into rep, cnt,
+// key and grp, in first-occurrence order, and returns the representatives.
+// The open hash is probed by a multiplicative hash of the key and confirmed
+// by comparing it.
+func (fs *frameScratch) group(km *[2]uint64, recs []byte, n int) []int32 {
 	fs.gen++
 	if fs.gen == 0 { // wrapped: stamps of 2^32 chunks ago would read as live
 		clear(fs.stamp[:])
 		fs.gen = 1
 	}
 	gen, nrep := fs.gen, 0
-	hashes := fs.hashes[:slots*frameChunk]
-	for i := 0; i < n; i++ {
-		var h uint32 // digests are finalised, so any slot's low bits hash well
-		if slots > 0 {
-			h = hashes[i]
+	grp := fs.grp[:n]
+	for i := range grp {
+		v := frameAt(recs, int32(i))
+		k := [2]uint64{
+			(uint64(v.SrcIP()) | uint64(v.DstIP())<<32) & km[0],
+			(uint64(v.SrcPort()) | uint64(v.DstPort())<<16 | uint64(v.Proto())<<32) & km[1],
 		}
+		h := uint32(((k[0] ^ bits.RotateLeft64(k[1], 29)) * 0x9e3779b97f4a7c15) >> (64 - groupBits))
 		for s := h; ; s++ {
-			s &= combineSlots - 1
+			s &= groupSlots - 1
 			if fs.stamp[s] != gen {
 				fs.stamp[s], fs.entry[s] = gen, uint16(nrep)
-				fs.rep[nrep], fs.cnt[nrep] = int32(i), 1
+				fs.rep[nrep], fs.cnt[nrep], fs.key[nrep] = int32(i), 1, k
+				grp[i] = int32(nrep)
 				nrep++
 				break
 			}
-			e := fs.entry[s]
-			if sameDigests(hashes, int(fs.rep[e]), i) {
+			if e := fs.entry[s]; fs.key[e] == k {
 				fs.cnt[e]++
+				grp[i] = int32(e)
 				break
 			}
 		}
 	}
-	if nrep == n {
-		nrep = 0
-	}
-	fs.nrep = nrep
+	return fs.rep[:nrep]
 }
 
-// sameDigests reports whether frames a and b have equal digests in every
-// row of the digest matrix hashes.
-func sameDigests(hashes []uint32, a, b int) bool {
-	for off := 0; off < len(hashes); off += frameChunk {
-		if hashes[off+a] != hashes[off+b] {
-			return false
-		}
+// digestRows returns the digest-matrix rows of the selected frames: their
+// groups, or the frames themselves in an ungrouped chunk. whole marks sel
+// as every frame of the chunk, whose rows are the group column itself.
+func (fs *frameScratch) digestRows(sel []int32, whole bool) []int32 {
+	switch {
+	case !fs.snap.groupKeys:
+		return sel
+	case whole:
+		return fs.grp[:len(sel)]
 	}
-	return true
+	rows := fs.selRows[:len(sel)]
+	for j, i := range sel {
+		rows[j] = fs.grp[i&(FrameChunk-1)]
+	}
+	return rows
 }
 
 // cmuFrames executes one CMU's program over the chunk: each rule in
@@ -282,7 +336,7 @@ func cmuFrames(pc *ProcCtx, sc *snapCMU, recs []byte, n int) {
 		return
 	}
 	fs := &pc.frames
-	var claimed [frameChunk / 64]uint64
+	var claimed [FrameChunk / 64]uint64
 	for ri := range prog {
 		cnt, off := 0, 0
 		for i := 0; i < n; i++ {
@@ -305,7 +359,8 @@ func cmuFrames(pc *ProcCtx, sc *snapCMU, recs []byte, n int) {
 // compiledRule.exec stage for stage: the bucket-index column, one column
 // per parameter, the preparation kernel, one batched register call, and
 // the witness scatter back onto the result bus. Each column is one loop
-// with its kind switch outside it.
+// with its kind switch outside it; columns that read digests read each
+// frame's through its group (frameScratch.digestRows).
 func ruleFrames(pc *ProcCtx, r *compiledRule, recs []byte, n int, sel []int32) {
 	fs := &pc.frames
 	whole := sel == nil
@@ -320,37 +375,40 @@ func ruleFrames(pc *ProcCtx, r *compiledRule, recs []byte, n int, sel []int32) {
 	// with no bus consumers in the snapshot the witnesses are dead, and a
 	// constant saturating add needs only the index column, applied with the
 	// witness-free base-bucket add (a fetch-and-add, or a plain add for a
-	// single writer) or the lane add. On a combined chunk a match-all
-	// base-bucket rule gathers the representatives only and adds count·p1
-	// to each.
+	// single writer) or the lane add. A match-all base-bucket rule gathers
+	// one index per group and adds count·p1 to each.
 	lane := r.sharded && pc.Ctx.Shard >= 0
 	if r.fastAdd && fs.snap.busQuiet && (lane || r.fastAddFull) {
-		combined := whole && !lane && fs.nrep > 0
-		if combined {
-			sel = fs.rep[:fs.nrep]
+		if whole && !lane {
+			idx := fs.upIdx[:fs.nrep]
+			gatherIdxFrames(r, fs, allFrames[:fs.nrep], idx)
+			if fs.nrep < n {
+				r.reg.ApplyAddCounts(idx, fs.cnt[:fs.nrep], r.p1.value)
+			} else {
+				r.reg.ApplyAddBatch(idx, r.p1.value)
+			}
+			return
 		}
 		idx := fs.upIdx[:len(sel)]
-		gatherIdxFrames(r, fs, sel, idx)
-		switch {
-		case combined:
-			r.reg.ApplyAddCounts(idx, fs.cnt[:len(sel)], r.p1.value)
-		case lane:
+		gatherIdxFrames(r, fs, fs.digestRows(sel, whole), idx)
+		if lane {
 			r.reg.ShardApplyAddBatch(int(pc.Ctx.Shard), idx, r.p1.value)
-		default:
+		} else {
 			r.reg.ApplyAddBatch(idx, r.p1.value)
 		}
 		return
 	}
 	m := len(sel)
+	rows := fs.digestRows(sel, whole)
 	idx, p1, p2 := fs.upIdx[:m], fs.upP1[:m], fs.upP2[:m]
-	gatherIdxFrames(r, fs, sel, idx)
-	fs.paramColumn(&r.p1, recs, sel, p1)
+	gatherIdxFrames(r, fs, rows, idx)
+	fs.paramColumn(&r.p1, recs, sel, rows, p1)
 	if r.chainMin {
 		for j, i := range sel {
-			p2[j] = fs.busMin[i&(frameChunk-1)]
+			p2[j] = fs.busMin[i&(FrameChunk-1)]
 		}
 	} else {
-		fs.paramColumn(&r.p2, recs, sel, p2)
+		fs.paramColumn(&r.p2, recs, sel, rows, p2)
 	}
 	// A dropped update leaves its frame's bus untouched, like exec's early
 	// return: the scatter walks the compacted frame column.
@@ -376,7 +434,7 @@ func ruleFrames(pc *ProcCtx, r *compiledRule, recs []byte, n int, sel []int32) {
 		return
 	}
 	for j, f := range frames {
-		i := f & (frameChunk - 1)
+		i := f & (FrameChunk - 1)
 		res, oldv := fs.upRes[j], fs.upOld[j]
 		fs.busRes[i], fs.busOld[i] = res, oldv
 		if r.chainMin && res > 0 && res < fs.busMin[i] {
@@ -389,17 +447,17 @@ func ruleFrames(pc *ProcCtx, r *compiledRule, recs []byte, n int, sel []int32) {
 }
 
 // allFrames selects every frame of a chunk, in order.
-var allFrames = func() (a [frameChunk]int32) {
+var allFrames = func() (a [FrameChunk]int32) {
 	for i := range a {
 		a[i] = int32(i)
 	}
 	return a
 }()
 
-// gatherIdxFrames fills idx[j] with the rule's bucket index for frame
-// sel[j]: the key selector's column under the rule's address translation,
+// gatherIdxFrames fills idx[j] with the rule's bucket index for digest row
+// rows[j]: the key selector's column under the rule's address translation,
 // written as base + (v>>sh)&am for both methods.
-func gatherIdxFrames(r *compiledRule, fs *frameScratch, sel []int32, idx []uint32) {
+func gatherIdxFrames(r *compiledRule, fs *frameScratch, rows []int32, idx []uint32) {
 	sh, am := uint32(0), r.addrMask
 	if r.shifted {
 		sh, am = r.addrShift, ^uint32(0)
@@ -407,16 +465,16 @@ func gatherIdxFrames(r *compiledRule, fs *frameScratch, sel []int32, idx []uint3
 			sh, am = 0, 0
 		}
 	}
-	fs.selColumn(&r.key, sel, r.base, sh, am, idx)
+	fs.selColumn(&r.key, rows, r.base, sh, am, idx)
 }
 
 // selColumn fills dst[j] with base + (v>>sh)&am, where v is selector cs
-// resolved for frame sel[j] against the chunk's digest matrix — the chunk
+// resolved for digest row rows[j] of the chunk's digest matrix — the chunk
 // counterpart of compiledSel.resolve. The digest rows and
 // constants are hoisted, so the body is one rotate, two masks, a shift and
 // an add. A compressed-key parameter passes the identity (0, 0, ^0).
-func (fs *frameScratch) selColumn(cs *compiledSel, sel []int32, base, sh, am uint32, dst []uint32) {
-	dst = dst[:len(sel)]
+func (fs *frameScratch) selColumn(cs *compiledSel, rows []int32, base, sh, am uint32, dst []uint32) {
+	dst = dst[:len(rows)]
 	rot, kmask := -int(cs.rot), cs.mask
 	ha, hb := fs.digestRow(cs.a), fs.digestRow(cs.b)
 	if ha == nil {
@@ -428,13 +486,13 @@ func (fs *frameScratch) selColumn(cs *compiledSel, sel []int32, base, sh, am uin
 			dst[j] = base
 		}
 	case hb == nil:
-		for j, i := range sel {
-			v := bits.RotateLeft32(ha[i&(frameChunk-1)], rot) & kmask
+		for j, i := range rows {
+			v := bits.RotateLeft32(ha[i&(FrameChunk-1)], rot) & kmask
 			dst[j] = base + (v>>(sh&31))&am
 		}
 	default:
-		for j, i := range sel {
-			v := bits.RotateLeft32(ha[i&(frameChunk-1)]^hb[i&(frameChunk-1)], rot) & kmask
+		for j, i := range rows {
+			v := bits.RotateLeft32(ha[i&(FrameChunk-1)]^hb[i&(FrameChunk-1)], rot) & kmask
 			dst[j] = base + (v>>(sh&31))&am
 		}
 	}
@@ -442,18 +500,19 @@ func (fs *frameScratch) selColumn(cs *compiledSel, sel []int32, base, sh, am uin
 
 // digestRow returns digest slot a's row of the chunk's digest matrix, or
 // nil for a < 0 (a selector half that contributes 0).
-func (fs *frameScratch) digestRow(a int32) *[frameChunk]uint32 {
+func (fs *frameScratch) digestRow(a int32) *[FrameChunk]uint32 {
 	if a < 0 {
 		return nil
 	}
-	return (*[frameChunk]uint32)(fs.hashes[int(a)*frameChunk:])
+	return (*[FrameChunk]uint32)(fs.hashes[int(a)*FrameChunk:])
 }
 
-// paramColumn fills dst[j] with parameter cp of frame sel[j], one loop per
-// ParamKind — the FrameView counterpart of compiledParam.resolve: metadata
-// from the record bytes, compressed keys through the index column's
-// selector loop, bus parameters from the per-frame arrays.
-func (fs *frameScratch) paramColumn(cp *compiledParam, recs []byte, sel []int32, dst []uint32) {
+// paramColumn fills dst[j] with parameter cp of frame sel[j], whose digest
+// row is rows[j], one loop per ParamKind — the FrameView counterpart of
+// compiledParam.resolve: metadata from the record bytes, compressed keys
+// through the index column's selector loop, bus parameters from the
+// per-frame arrays.
+func (fs *frameScratch) paramColumn(cp *compiledParam, recs []byte, sel, rows []int32, dst []uint32) {
 	dst = dst[:len(sel)]
 	switch cp.kind {
 	case ParamConst:
@@ -477,14 +536,14 @@ func (fs *frameScratch) paramColumn(cp *compiledParam, recs []byte, sel []int32,
 			dst[j] = frameAt(recs, i).QueueDelayNs()
 		}
 	case ParamCompressedKey:
-		fs.selColumn(&cp.sel, sel, 0, 0, ^uint32(0), dst)
+		fs.selColumn(&cp.sel, rows, 0, 0, ^uint32(0), dst)
 	case ParamPrevResult:
 		for j, i := range sel {
-			dst[j] = fs.busRes[i&(frameChunk-1)]
+			dst[j] = fs.busRes[i&(FrameChunk-1)]
 		}
 	case ParamPrevOld:
 		for j, i := range sel {
-			dst[j] = fs.busOld[i&(frameChunk-1)]
+			dst[j] = fs.busOld[i&(FrameChunk-1)]
 		}
 	default:
 		clear(dst)
@@ -540,7 +599,7 @@ func (fs *frameScratch) prepare(t *Transform, m int, ctx *Context) int {
 	case TransformIntervalSub:
 		k = 0
 		for j, f := range frames {
-			i, v := f&(frameChunk-1), p1[j]
+			i, v := f&(FrameChunk-1), p1[j]
 			switch {
 			case fs.busNew[i]:
 				v = 0

@@ -265,9 +265,9 @@ func TestProcessFramesMatchesProcessBatch(t *testing.T) {
 			if !s.FrameVectorized() {
 				t.Fatal("feature-matrix pipeline must be frame-vectorizable")
 			}
-			// Uneven spans: smaller than, straddling, and larger than frameChunk.
+			// Uneven spans: smaller than, straddling, and larger than FrameChunk.
 			pc := NewProcCtx()
-			spans := []int{1, 3, 100, frameChunk - 1, frameChunk, frameChunk + 1, 1000, 1 << 30}
+			spans := []int{1, 3, 100, FrameChunk - 1, FrameChunk, FrameChunk + 1, 1000, 1 << 30}
 			lo := 0
 			for _, n := range spans {
 				hi := lo + n
@@ -540,4 +540,27 @@ func TestProcessFramesQuietAddPath(t *testing.T) {
 		got.DrainShards()
 		compareAllRegisters(t, want, got)
 	})
+}
+
+// TestReplaySpanIsWholeChunks ties the replay span to the chunk width: a
+// replayer left at its default span (ReplayConfig.Batch 0) must hand the
+// engine spans that are a whole number of chunks. Otherwise every span
+// splits into full chunks plus a sliver that groups poorly.
+func TestReplaySpanIsWholeChunks(t *testing.T) {
+	mt := mmtrace.FromPackets(make([]packet.Packet, 64*FrameChunk))
+	r, err := mmtrace.NewReplayer(mmtrace.ReplayConfig{Traces: []*mmtrace.Trace{mt}, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Start()
+	_, lo, hi := r.NextFrames(0)
+	for got := mt; got != nil; got, _, _ = r.NextFrames(0) { // drain: the producer exits
+	}
+	span := hi - lo
+	if span <= 0 || span >= mt.Frames() {
+		t.Fatalf("first default span is %d of %d frames; the trace must be longer than one span", span, mt.Frames())
+	}
+	if span%FrameChunk != 0 {
+		t.Fatalf("default replay span %d is not a whole number of %d-frame chunks", span, FrameChunk)
+	}
 }

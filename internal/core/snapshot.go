@@ -38,9 +38,12 @@ import (
 // heap allocation once a worker's ProcCtx scratch has grown to the
 // snapshot's compiled sizes (enforced by alloc-regression tests).
 //
-// Register state is shared with the master pipeline by pointer: updates go
-// through the registers' atomic CAS ops, and control-plane readouts observe
-// them immediately.
+// Register state is shared with the master pipeline by pointer, and
+// control-plane readouts observe updates immediately. How an update is
+// written follows the register's write policy: plain loads and stores when
+// the one pool worker is every register's sole writer (Workers=1), atomic
+// CAS and fetch-and-add ops on shared buckets otherwise, or plain stores to
+// a worker's private lane for a sharded rule (mergeable.go).
 type Snapshot struct {
 	pl *Pipeline // counters (atomic) shared with the master pipeline
 
@@ -62,11 +65,14 @@ type Snapshot struct {
 
 	// blocks partition hashes by mask, one per entry of masks: the frame
 	// engine digests all of a mask's slots in one fused pass (frames.go).
-	// Built only for frame-vectorised snapshots.
-	blocks []digestBlock
-	// combine: some rule applies combined duplicates (frames.go), so the
-	// frame engine groups each chunk's frames by digest vector.
-	combine bool
+	// keyMask is the union of masks packed as the frame engine's grouping
+	// key; groupKeys is false when that union reads the timestamp, which no
+	// two frames of a chunk share, so the engine does not group
+	// (groupKeyMask). All three are set only for frame-vectorised
+	// snapshots.
+	blocks    []digestBlock
+	keyMask   [2]uint64
+	groupKeys bool
 
 	// shardedRules / fallbackRules count the compile-time routing verdicts
 	// (mergeable.go): how many enabled rules run on private lanes vs the
@@ -149,10 +155,6 @@ type groupProg struct {
 	slots  []int
 	// sharded and fallback count the group's rules per routing verdict.
 	sharded, fallback int
-	// combinable: a rule of sg applies combined duplicates (ruleFrames): a
-	// constant saturating add on a full-width register at program position
-	// 0 that matches every frame, on the shared register path.
-	combinable bool
 	// teleBase is the snapshot telemetry slot of the group's first
 	// live-counted rule; teleSlots are those rules' counters, teleDerived the
 	// counters derived from the pass's packet count.
@@ -298,7 +300,6 @@ func (pl *Pipeline) Recompile(prev *Snapshot, touched []int) *Snapshot {
 		if gi < nReg {
 			s.groups = append(s.groups, p.sg)
 			s.teleMain = append(s.teleMain, p.teleDerived...)
-			s.combine = s.combine || p.combinable
 			if p.probGated {
 				s.frameVec = false
 			}
@@ -313,9 +314,9 @@ func (pl *Pipeline) Recompile(prev *Snapshot, touched []int) *Snapshot {
 			}
 		}
 	}
-	s.combine = s.combine && s.busQuiet && s.frameVec
 	if s.frameVec {
 		s.blocks = s.digestBlocks()
+		s.keyMask, s.groupKeys = groupKeyMask(s.masks)
 	}
 	if pl.tele != nil {
 		s.teleOn = true
@@ -406,7 +407,7 @@ func (p *groupProg) compile(s *Snapshot, g *Group, gi int, spliced, allowShard b
 		p.slots[cl.unit] = s.claim(cl)
 	}
 	p.sg = snapGroup{}
-	p.sharded, p.fallback, p.combinable = 0, 0, false
+	p.sharded, p.fallback = 0, 0
 	p.teleBase, p.teleSlots, p.teleDerived = teleBase, nil, nil
 	tele := s.pl.tele
 	for ci, c := range g.cmus {
@@ -444,9 +445,6 @@ func (p *groupProg) compile(s *Snapshot, g *Group, gi int, spliced, allowShard b
 					cr.teleSlot = int32(teleBase + len(p.teleSlots))
 					p.teleSlots = append(p.teleSlots, rc)
 				}
-			}
-			if len(sc.prog) == 0 && cr.fastAddFull && cr.match.kind == matchAll && !cr.sharded {
-				p.combinable = true
 			}
 			sc.prog = append(sc.prog, cr)
 		}

@@ -16,8 +16,10 @@ import (
 // keeps the batch engine bit-identical to sequential replay.
 
 // prefetchDist is how many updates ahead the batch loops touch the target
-// bucket line. At ~1 memory-latency worth of CAS work per update, 8 keeps
-// the line fill overlapped without running past typical span tails.
+// bucket line, under every write policy: the interlocked update of shared
+// buckets, the plain load and store of a single writer (Workers=1) and the
+// plain lane add. 8 updates ahead keeps the line fill overlapped with the
+// updates before it without running past typical span tails.
 const prefetchDist = 8
 
 // prefetch touches b with an atomic load. A plain blank-assigned load may

@@ -16,8 +16,11 @@ type ReplayConfig struct {
 	// Workers is the consumer count — must equal the worker-pool width the
 	// replayer will feed (each worker owns one span descriptor).
 	Workers int
-	// Batch is the span width in frames (default 512: ~18 KiB of records,
-	// comfortably L2-resident together with the engine's column scratch).
+	// Batch is the span width in frames. The default, 512 (~18 KiB of
+	// records), is one chunk of the frame engine (core.FrameChunk), which
+	// groups each chunk's frames by flow key before digesting: a default
+	// span is grouped whole, and a width that is not a multiple of the
+	// chunk leaves a short chunk at the end of every span.
 	Batch int
 	// Passes is how many times each producer replays its trace: 0 or 1 =
 	// once; n > 1 = n passes; negative = loop until Stop (steady-state

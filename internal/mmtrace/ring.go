@@ -44,13 +44,13 @@ type slot struct {
 // waits yield the processor, so the ring degrades gracefully when workers
 // outnumber cores.
 type Ring struct {
-	slots []slot
-	mask  uint64
-	_     [40]byte
-	head  atomic.Uint64 // next position a producer claims
-	_     [56]byte
-	tail  atomic.Uint64 // next position a consumer claims
-	_     [56]byte
+	slots      []slot
+	mask       uint64
+	_          [40]byte
+	head       atomic.Uint64 // next position a producer claims
+	_          [56]byte
+	tail       atomic.Uint64 // next position a consumer claims
+	_          [56]byte
 	closed     atomic.Bool
 	pushStalls atomic.Uint64
 	popStalls  atomic.Uint64
