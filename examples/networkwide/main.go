@@ -1,9 +1,10 @@
 // Network-wide measurement: one task spec deployed across a fleet of
 // FlyMon switches (here four in-process daemons behind the same control
 // channel flymond serves, over an in-memory transport); the central
-// controller merges per-switch register readouts to answer queries about the whole network — heavy hitters whose
-// traffic is spread over several ingresses, fleet-wide flow cardinality,
-// and a DDoS attack no single switch sees enough of (§3.4's SDM use case).
+// controller merges per-switch register readouts of one epoch to answer
+// queries about the whole network — heavy hitters whose traffic is spread
+// over several ingresses, fleet-wide flow cardinality, and a DDoS attack no
+// single switch sees enough of (§3.4's SDM use case).
 package main
 
 import (
@@ -24,7 +25,7 @@ func main() {
 	defer stop()
 	fmt.Printf("fleet: %d switches, identical configurations\n", fleet.Size())
 
-	// Deploy three network-wide tasks everywhere with one call each.
+	// Deploy three network-wide epoch tasks everywhere with one call each.
 	for _, spec := range []controlplane.TaskSpec{
 		{Name: "hh", Key: packet.KeyFiveTuple, Attribute: controlplane.AttrFrequency,
 			Threshold: 2048, MemBuckets: 16384, D: 3},
@@ -35,10 +36,10 @@ func main() {
 			Param:     controlplane.ParamSpec{Kind: controlplane.ParamFlowKey, Key: packet.KeySrcIP},
 			Threshold: 512, MemBuckets: 16384, D: 3},
 	} {
-		if err := fleet.Deploy(spec); err != nil {
+		if err := fleet.DeployEpoch(spec); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("deployed %q fleet-wide\n", spec.Name)
+		fmt.Printf("deployed %q fleet-wide as an epoch task\n", spec.Name)
 	}
 
 	// Traffic enters at four ingresses; a DDoS attack is spread so thinly
@@ -57,26 +58,41 @@ func main() {
 		card.AddPacket(&tr.Packets[i])
 	}
 
+	// End the epoch everywhere: every answer below covers exactly the
+	// traffic above, read from the switches' frozen copies and merged once.
+	for _, name := range []string{"hh", "card", "ddos"} {
+		if _, err := fleet.RotateEpoch(name); err != nil {
+			log.Fatal(err)
+		}
+	}
+	epoch := func(name string) netwide.EpochArtifact {
+		art, err := fleet.Epoch(name, 0, netwide.EpochQuery{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return art
+	}
+
 	// Fleet-wide heavy hitters: each switch saw only ~1/4 of every flow.
 	cands := make([]packet.CanonicalKey, 0, exact.Flows())
 	for k := range exact.Counts() {
 		cands = append(cands, k)
 	}
 	truth := exact.HeavyHitters(2048)
-	reported, _, err := fleet.HeavyHitters("hh", cands, 2048)
+	reported, err := epoch("hh").HeavyHitters(cands, 2048)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("heavy hitters ≥2048 pkts: truth %d, network-wide reported %d\n",
 		len(truth), len(reported))
 
-	got, _, err := fleet.Cardinality("card")
+	got, err := epoch("card").Cardinality()
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("fleet-wide cardinality: est %.0f, truth %d\n", got, card.Cardinality())
 
-	ddos, _, err := fleet.Reported("ddos", cands2(tr))
+	ddos, err := epoch("ddos").Reported(cands2(tr))
 	if err != nil {
 		log.Fatal(err)
 	}

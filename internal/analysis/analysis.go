@@ -1,7 +1,7 @@
 // Package analysis implements the control-plane halves of measurement
 // algorithms whose data-plane state is a plain counter array: the MRAC
 // Expectation-Maximization inversion of counter values into a flow-size
-// distribution, and the Counter Braids iterative message-passing decoder.
+// distribution, and heavy changers across two epochs' readouts.
 //
 // Keeping these separate from the data-plane structures mirrors FlyMon's
 // decomposition step (§3.1.2): only the stateful update runs on the switch;
@@ -164,87 +164,6 @@ func phiAt(phi []float64, s int) float64 {
 	return phi[s]
 }
 
-// CBDecode runs the Counter Braids iterative message-passing decoder (Lu et
-// al., SIGMETRICS '08). counters[c] holds the sum of the true values of all
-// items whose edge lists include c; edges[i] lists the counters item i
-// hashes to. The decoder alternates counter→item messages
-// ν_{c→i} = max(value_c − Σ_{i'≠i} μ_{i'→c}, 0) and item→counter messages
-// μ_{i→c} = min_{c'≠c} ν_{c'→i}, which produce alternating upper/lower
-// bounds that converge when the braid is decodable; the returned estimate
-// is the final min-message per item.
-func CBDecode(counters []uint64, edges [][]uint32, iters int) []uint64 {
-	nItems := len(edges)
-	// Message storage per (item, edge-slot).
-	nu := make([][]float64, nItems) // counter→item
-	mu := make([][]float64, nItems) // item→counter
-	for i, e := range edges {
-		nu[i] = make([]float64, len(e))
-		mu[i] = make([]float64, len(e))
-		for j := range e {
-			nu[i][j] = float64(counters[e[j]])
-		}
-	}
-	// Per-counter incoming-μ sums, rebuilt each round.
-	sumMu := make([]float64, len(counters))
-	cntMu := make([]int, len(counters))
-
-	for it := 0; it < iters; it++ {
-		// Item→counter: μ_{i→c} = min over other edges' ν (or ν itself for
-		// degree-1 items).
-		for i, e := range edges {
-			for j := range e {
-				best := math.Inf(1)
-				for j2 := range e {
-					if j2 == j {
-						continue
-					}
-					if nu[i][j2] < best {
-						best = nu[i][j2]
-					}
-				}
-				if math.IsInf(best, 1) {
-					best = nu[i][j]
-				}
-				mu[i][j] = best
-			}
-		}
-		// Aggregate μ per counter.
-		clearFloats(sumMu)
-		clearInts(cntMu)
-		for i, e := range edges {
-			for j, c := range e {
-				sumMu[c] += mu[i][j]
-				cntMu[c]++
-			}
-		}
-		// Counter→item: ν_{c→i} = max(value − (Σμ − μ_{i→c}), 0).
-		for i, e := range edges {
-			for j, c := range e {
-				v := float64(counters[c]) - (sumMu[c] - mu[i][j])
-				if v < 0 {
-					v = 0
-				}
-				nu[i][j] = v
-			}
-		}
-	}
-
-	out := make([]uint64, nItems)
-	for i, e := range edges {
-		best := math.Inf(1)
-		for j := range e {
-			if nu[i][j] < best {
-				best = nu[i][j]
-			}
-		}
-		if math.IsInf(best, 1) || best < 0 {
-			best = 0
-		}
-		out[i] = uint64(best + 0.5)
-	}
-	return out
-}
-
 // HeavyChangers reports the keys whose estimated frequency changed by at
 // least `threshold` between two measurement epochs — the heavy-changer
 // task of Table 1, computed in the control plane from two epochs' register
@@ -271,16 +190,4 @@ func HeavyChangers[K comparable](prev, cur map[K]uint64, threshold uint64) map[K
 		}
 	}
 	return out
-}
-
-func clearFloats(x []float64) {
-	for i := range x {
-		x[i] = 0
-	}
-}
-
-func clearInts(x []int) {
-	for i := range x {
-		x[i] = 0
-	}
 }

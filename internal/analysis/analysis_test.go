@@ -6,90 +6,6 @@ import (
 	"testing"
 )
 
-// --- Counter Braids decoder ---
-
-func TestCBDecodeExactOnSparseInstance(t *testing.T) {
-	// 20 items, 64 counters, 3 edges each: heavily over-provisioned, so
-	// message passing must converge to the exact values.
-	rng := rand.New(rand.NewSource(1))
-	const items, counters = 20, 64
-	truth := make([]uint64, items)
-	edges := make([][]uint32, items)
-	sums := make([]uint64, counters)
-	for i := range truth {
-		truth[i] = uint64(rng.Intn(1000) + 1)
-		e := make([]uint32, 3)
-		seen := map[uint32]bool{}
-		for j := range e {
-			for {
-				c := uint32(rng.Intn(counters))
-				if !seen[c] {
-					seen[c] = true
-					e[j] = c
-					break
-				}
-			}
-			sums[e[j]] += truth[i]
-		}
-		edges[i] = e
-	}
-	got := CBDecode(sums, edges, 12)
-	for i := range truth {
-		if got[i] != truth[i] {
-			t.Fatalf("item %d decoded %d, truth %d", i, got[i], truth[i])
-		}
-	}
-}
-
-func TestCBDecodeSingleItemPerCounter(t *testing.T) {
-	// One item per counter decodes trivially.
-	sums := []uint64{5, 9, 0}
-	edges := [][]uint32{{0}, {1}}
-	got := CBDecode(sums, edges, 4)
-	if got[0] != 5 || got[1] != 9 {
-		t.Fatalf("decode = %v", got)
-	}
-}
-
-func TestCBDecodeSharedCounterUpperBounds(t *testing.T) {
-	// Two items sharing every counter cannot be separated; the decoder
-	// must return values bounded by the counter sums (min-style), never
-	// exceed them.
-	sums := []uint64{30, 30}
-	edges := [][]uint32{{0, 1}, {0, 1}}
-	got := CBDecode(sums, edges, 6)
-	for i, v := range got {
-		if v > 30 {
-			t.Fatalf("item %d decoded %d > counter sum", i, v)
-		}
-	}
-}
-
-func TestCBDecodeEmpty(t *testing.T) {
-	if got := CBDecode(nil, nil, 3); len(got) != 0 {
-		t.Fatal("empty instance must decode to empty")
-	}
-	got := CBDecode([]uint64{7}, [][]uint32{{}}, 3)
-	if got[0] != 0 {
-		t.Fatal("item with no edges decodes to 0")
-	}
-}
-
-func TestCBDecodeNeverNegative(t *testing.T) {
-	// Adversarial sums (zeros with nonzero neighbours) must not produce
-	// negative (wrapped) estimates.
-	sums := []uint64{0, 100, 0}
-	edges := [][]uint32{{0, 1}, {1, 2}, {0, 2}}
-	got := CBDecode(sums, edges, 8)
-	for i, v := range got {
-		if v > 100 {
-			t.Fatalf("item %d decoded %d; must stay within counter mass", i, v)
-		}
-	}
-}
-
-// --- MRAC EM ---
-
 func TestMRACDistributionUniformSingletons(t *testing.T) {
 	// 1000 flows of size 1 spread over 4096 counters: EM must attribute
 	// nearly all mass to size 1.

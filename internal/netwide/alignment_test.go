@@ -12,8 +12,8 @@ import (
 // TestReconcileAfterGapNeverUndercounts: a fleet answer is either complete
 // and a true CMS over-estimate, or partial with the mis-aligned switch named
 // — never a complete-looking sum over rows indexed two different ways. Each
-// case feeds one flow's 1,000 packets to each of two switches that lay the
-// task out differently.
+// case feeds one flow's 1,000 packets to each of two switches that lay an
+// epoch task out differently.
 func TestReconcileAfterGapNeverUndercounts(t *testing.T) {
 	const perSwitch = 1000
 	flow := packet.Packet{SrcIP: 0x0A000001, DstIP: 0x0A000002, SrcPort: 1234, DstPort: 80, Proto: 6, Size: 64}
@@ -50,13 +50,32 @@ func TestReconcileAfterGapNeverUndercounts(t *testing.T) {
 	}
 	cfg := fleetConfig()
 
+	// outOfBand re-creates the fleet's epoch task e on daemon 1 by hand, as a
+	// second controller would after a restart (the reconciler leaves epoch
+	// tasks alone), feeds the flow and ends epoch 1 fleet-wide.
+	outOfBand := func(t *testing.T, fleet *RemoteFleet, e controlplane.TaskSpec, ctrls []*controlplane.Controller, clients []*rpc.Client) {
+		t.Helper()
+		if _, err := clients[1].EpochDeploy(e); err != nil {
+			t.Fatal(err)
+		}
+		feed(ctrls)
+		if _, err := fleet.RotateEpoch(e.Name); err != nil {
+			t.Fatal(err)
+		}
+	}
+
 	t.Run("reconcile across a removal gap", func(t *testing.T) {
+		cfg := cfg
+		cfg.Groups = 5 // three plain tasks and an epoch task's two copies
 		ctrls, clients, srvs, addrs := resilientDaemons(t, 2, cfg)
 		fleet := NewRemoteFleetOptions(clients, cfg, FleetOptions{AllowPartial: true})
 		for _, name := range []string{"a", "b", "c"} {
 			if err := fleet.Deploy(cmsSpec(name)); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if err := fleet.DeployEpoch(cmsSpec("e")); err != nil {
+			t.Fatal(err)
 		}
 		if err := fleet.Remove("b"); err != nil {
 			t.Fatal(err)
@@ -71,8 +90,9 @@ func TestReconcileAfterGapNeverUndercounts(t *testing.T) {
 		if h := fleet.Health()[1]; h.TasksDesired != 2 || h.TasksObserved != 1 {
 			t.Fatalf("switch 1 aligned/desired = %d/%d, want 1/2", h.TasksObserved, h.TasksDesired)
 		}
-		feed(ctrls)
-		est, report, err := fleet.EstimateKeyPartial("c", key)
+		// e comes back on group 2 of daemon 1, the mirror's is on group 3.
+		outOfBand(t, fleet, cmsSpec("e"), ctrls, clients)
+		est, report, err := fleet.EstimateKeyEpoch("e", 1, key, EpochQuery{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,20 +100,26 @@ func TestReconcileAfterGapNeverUndercounts(t *testing.T) {
 		if _, bad := report.Failed[1]; !bad {
 			t.Fatalf("switch 1 is the mis-aligned one, report %v", report.Failed)
 		}
-		// a came back where it was: complete, and exact for a lone flow.
-		est, report, err = fleet.EstimateKeyPartial("a", key)
-		if err != nil || report.Partial() || est != 2*perSwitch {
-			t.Fatalf("aligned task a = %d, %v, %v; want %d from 2/2", est, report, err, 2*perSwitch)
+		// a came back where it was. Plain tasks are read per switch: exact
+		// for a lone flow on each.
+		for i, c := range ctrls {
+			if v, err := c.EstimateKey(fleet.tasks["a"].remote[i], key); err != nil || v != perSwitch {
+				t.Fatalf("aligned task a on switch %d = %v, %v; want %d", i, v, err, perSwitch)
+			}
 		}
-		// Every query kind goes through the same merge: none admits switch 1.
-		if _, report, err := fleet.HeavyHitters("c", []packet.CanonicalKey{key}, 1); err != nil || len(report.Failed) != 1 {
-			t.Fatalf("HeavyHitters on c: %v, %v", report, err)
+		// Every typed answer reads the same merge: none admits switch 1.
+		art, err := fleet.Epoch("e", 1, EpochQuery{})
+		if err != nil || len(art.Report.Failed) != 1 {
+			t.Fatalf("epoch 1 of e: %v, %v", art.Report, err)
+		}
+		if hh, err := art.HeavyHitters([]packet.CanonicalKey{key}, 1); err != nil || !hh[key] {
+			t.Fatalf("HeavyHitters on e: %v, %v", hh, err)
 		}
 		// A strict fleet refuses instead of bounding (it borrows the table
 		// row; the query fails before anything reads its own mirror).
 		strict := NewRemoteFleetOptions(clients, cfg, FleetOptions{})
-		strict.tasks["c"] = fleet.tasks["c"]
-		if _, err := strict.EstimateKey("c", key); !isCode(err, rpc.CodeLayoutDiverged) {
+		strict.tasks["e"] = fleet.tasks["e"]
+		if _, _, err := strict.EstimateKeyEpoch("e", 1, key, EpochQuery{}); !isCode(err, rpc.CodeLayoutDiverged) {
 			t.Fatalf("strict query over a diverged switch = %v, want layout diverged", err)
 		}
 	})
@@ -106,12 +132,17 @@ func TestReconcileAfterGapNeverUndercounts(t *testing.T) {
 		if err := fleet.Deploy(whole); err != nil {
 			t.Fatal(err)
 		}
+		wholeEpoch := whole
+		wholeEpoch.Name = "e"
+		if err := fleet.DeployEpoch(wholeEpoch); err != nil {
+			t.Fatal(err)
+		}
 		restartEmpty(t, 1, controlplane.Config{Groups: 3, Buckets: 32768, BitWidth: 32}, ctrls, srvs, addrs)
 		if res := fleet.Reconcile(); res.Redeployed != 1 || len(res.Errors) != 1 {
 			t.Fatalf("reconcile = %+v, want c re-deployed and reported diverged", res)
 		}
-		feed(ctrls)
-		est, report, err := fleet.EstimateKeyPartial("c", key)
+		outOfBand(t, fleet, wholeEpoch, ctrls, clients)
+		est, report, err := fleet.EstimateKeyEpoch("e", 1, key, EpochQuery{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -74,18 +74,25 @@ func TestFleetPartialQueryWithDaemonDown(t *testing.T) {
 	cfg := fleetConfig()
 	ctrls, clients, srvs, _ := resilientDaemons(t, 3, cfg)
 	fleet := NewRemoteFleetOptions(clients, cfg, FleetOptions{AllowPartial: true, DownAfter: 2})
-	if err := fleet.Deploy(cmsSpec("freq")); err != nil {
+	if err := fleet.DeployEpoch(cmsSpec("freq")); err != nil {
 		t.Fatal(err)
 	}
 
+	// The same traffic in two epochs: epoch 1 is read while the fleet is
+	// whole, epoch 2 after daemon 2 died.
 	tr := trace.Generate(trace.Config{Flows: 300, Packets: 9_000, Seed: 21})
-	for i := range tr.Packets {
-		ctrls[i%3].Process(&tr.Packets[i])
+	for e := 1; e <= 2; e++ {
+		for i := range tr.Packets {
+			ctrls[i%3].Process(&tr.Packets[i])
+		}
+		if _, err := fleet.RotateEpoch("freq"); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// Healthy fleet: full merge, nothing missing.
 	key := packet.KeyFiveTuple.Extract(&tr.Packets[0])
-	full, report, err := fleet.EstimateKeyPartial("freq", key)
+	full, report, err := fleet.EstimateKeyEpoch("freq", 1, key, EpochQuery{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +102,7 @@ func TestFleetPartialQueryWithDaemonDown(t *testing.T) {
 
 	// Kill daemon 2: the query degrades instead of failing.
 	srvs[2].Close()
-	part, report, err := fleet.EstimateKeyPartial("freq", key)
+	part, report, err := fleet.EstimateKeyEpoch("freq", 2, key, EpochQuery{})
 	if err != nil {
 		t.Fatalf("partial query with one daemon down: %v", err)
 	}
@@ -112,9 +119,10 @@ func TestFleetPartialQueryWithDaemonDown(t *testing.T) {
 		t.Fatalf("partial merge %d exceeds full merge %d — not a lower bound", part, full)
 	}
 
-	// Health: repeated failures march switch 2 degraded → down.
-	if _, _, err := fleet.EstimateKeyPartial("freq", key); err != nil {
-		t.Fatal(err)
+	// Health: repeated failures march switch 2 degraded → down (a partial
+	// merge is never stored, so the retry asks the fleet again).
+	if _, report, err := fleet.EstimateKeyEpoch("freq", 2, key, EpochQuery{}); err != nil || report.Cached {
+		t.Fatalf("second partial query: %v, report %+v", err, report)
 	}
 	h := fleet.Health()
 	if h[0].State != SwitchHealthy || h[1].State != SwitchHealthy {
@@ -134,11 +142,14 @@ func TestFleetStrictModeFailsOnDownDaemon(t *testing.T) {
 	cfg := fleetConfig()
 	_, clients, srvs, _ := resilientDaemons(t, 2, cfg)
 	fleet := NewRemoteFleetOptions(clients, cfg, FleetOptions{}) // AllowPartial off
-	if err := fleet.Deploy(cmsSpec("freq")); err != nil {
+	if err := fleet.DeployEpoch(cmsSpec("freq")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fleet.RotateEpoch("freq"); err != nil {
 		t.Fatal(err)
 	}
 	srvs[1].Close()
-	if _, err := fleet.EstimateKey("freq", packet.CanonicalKey{1}); err == nil {
+	if _, _, err := fleet.EstimateKeyEpoch("freq", 1, packet.CanonicalKey{1}, EpochQuery{}); err == nil {
 		t.Fatal("strict fleet must fail when a daemon is down")
 	}
 }
@@ -199,7 +210,10 @@ func TestFleetOpTimeoutBoundsHungDaemon(t *testing.T) {
 		AllowPartial: true,
 		OpTimeout:    300 * time.Millisecond,
 	})
-	if err := fleet.Deploy(cmsSpec("freq")); err != nil {
+	if err := fleet.DeployEpoch(cmsSpec("freq")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fleet.RotateEpoch("freq"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -223,7 +237,9 @@ func TestFleetOpTimeoutBoundsHungDaemon(t *testing.T) {
 	}()
 
 	start := time.Now()
-	_, report, err := fleet.EstimateKeyPartial("freq", packet.CanonicalKey{1})
+	// Skip: a hung daemon is no straggler, and the fan-out deadline is
+	// then OpTimeout alone, with no straggler wait on top.
+	_, report, err := fleet.EstimateKeyEpoch("freq", 1, packet.CanonicalKey{1}, EpochQuery{Policy: StragglerSkip})
 	if err != nil {
 		t.Fatalf("partial query against tarpit: %v", err)
 	}

@@ -3,6 +3,7 @@ package netwide
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,21 +13,22 @@ import (
 	"flymon/internal/epoch"
 	"flymon/internal/packet"
 	"flymon/internal/rpc"
+	"flymon/internal/sketch"
 	"flymon/internal/tracing"
 )
 
 // Epoch-coherent fleet readouts: "everyone's state for epoch E".
 //
-// A live fleet query merges registers captured at slightly different
-// instants — each switch keeps counting while the fan-out is in flight,
-// so the merged answer corresponds to no single cut of the traffic. The
-// epoch plane fixes that: every switch runs the same epoch.Rotator
-// (freeze-and-divert double buffering), the fleet controller decrees
-// rotations with an explicit target epoch (idempotent, so retries and
-// catch-ups converge), and queries read the per-epoch register snapshots
-// the daemons froze — the merge tree then combines only same-epoch rows.
-// A switch that missed a rotation is a STRAGGLER: reachable, healthy,
-// but behind. The straggler policy decides what a query does about it.
+// Every fleet-wide answer covers one epoch. Each switch runs the same
+// epoch.Rotator (the paper's freeze-and-divert reallocation: allocate a new
+// copy, freeze the original), the fleet controller decrees rotations with
+// an explicit target epoch (idempotent, so retries and catch-ups converge),
+// and a query reads the per-epoch register snapshots the daemons froze: the
+// merge tree combines only same-epoch rows, so the answer is the traffic
+// each switch saw up to its rotation however long the fan-out takes, and
+// the merge is kept as an EpochArtifact that every later query reads. A
+// switch that missed a rotation is a STRAGGLER: reachable, healthy, but
+// behind. The straggler policy decides what a query does about it.
 
 // StragglerPolicy selects how an epoch query treats a reachable switch
 // that has not completed the requested epoch.
@@ -81,7 +83,9 @@ type EpochQuery struct {
 	// Wait bounds straggler polling for the wait/partial policies
 	// (default DefaultEpochWait).
 	Wait time.Duration
-	// Op is the merge operation (default add).
+	// Op is the merge operation of QueryEpochRows' rows (default add).
+	// Epoch and the typed answers ignore it: they merge under the task's
+	// own op (see ownOp).
 	Op MergeOp
 }
 
@@ -107,40 +111,172 @@ type fleetEpoch struct {
 	// a rotation is fanning out. Lock order: epochMu, then f.mu, then mu.
 	mu  sync.Mutex
 	rot *epoch.Rotator
-	// window is the artifact store, completed epoch → frozenEpoch: made
-	// when the mirror rotates, dropped rpc.EpochRetain rotations later
-	// like the daemons' snapshots, freed with the task and the fleet.
-	window map[int]*frozenEpoch
+	// own is the algorithm's own merge op, fixed at deploy.
+	own MergeOp
+	// window is the artifact store, completed epoch → its stored merges:
+	// made when the mirror rotates, dropped rpc.EpochRetain rotations
+	// later like the daemons' snapshots, freed with the task and the fleet.
+	window map[int]*storedEpoch
 }
 
-// frozenEpoch is one completed epoch as an immutable artifact. A rotated
+// mergeOps is the number of merge operations (MergeAdd..MergeXor).
+const mergeOps = int(MergeXor) + 1
+
+// storedEpoch is what the fleet keeps of one completed epoch. A rotated
 // epoch can never change (daemon snapshots are immutable once taken), so
-// its first COMPLETE merge under an op — every switch contributed, none
-// failed, none straggled — is kept with its report and every later query
-// is a read of it. Partial answers are returned to their caller but never
-// stored: the next query goes back to the fleet and picks up a caught-up
-// straggler by itself, which is all the invalidation there is.
-type frozenEpoch struct {
-	// cms is the mirror's frozen copy of this epoch, captured at rotation
-	// (nil for non-counter tasks). The mirror reclaims the copy two
-	// rotations later, but RowIndexFor only needs the unit's fixed CRC
-	// table, the row selector, the partitions and the translation method,
-	// so the handle indexes this epoch's rows for as long as they are kept.
-	cms *algorithms.CMSTask
+// it keeps the first COMPLETE merge per op — every switch contributed,
+// none failed, none straggled — and every later query is a read of it.
+// Partial answers are returned to their caller but never stored: the next
+// query goes back to the fleet and picks up a caught-up straggler by
+// itself, which is all the invalidation there is.
+type storedEpoch struct {
+	// handle is the mirror's frozen copy of this epoch, captured at
+	// rotation. The mirror reclaims the copy a rotation later, but the
+	// typed answers read only its placement — the units' fixed CRC tables,
+	// the row selectors, the partitions and the translation method — so it
+	// indexes the merged rows for as long as they are kept.
+	handle any
 	// fingerprint is the layout of the mirror's frozen copy: what every
 	// switch's snapshot of this epoch must carry to enter its merge.
 	fingerprint uint64
-	merged      map[MergeOp]epochArtifact // complete merges only
-	filling     map[MergeOp]chan struct{} // closed when the in-flight first merge ends
+	merges      [mergeOps]storedMerge // indexed by MergeOp
 }
 
-// epochArtifact is one merge of a completed epoch with its provenance.
-// Stored artifacts are shared between callers: rows and report are
-// read-only.
-type epochArtifact struct {
-	rows   [][]uint32
-	report QueryReport
-	cms    *algorithms.CMSTask
+// storedMerge is one op's merge of a stored epoch.
+type storedMerge struct {
+	rows    [][]uint32 // nil until a complete merge is stored
+	report  QueryReport
+	filling chan struct{} // closed when the in-flight first merge ends
+}
+
+// EpochArtifact is one completed epoch of a task merged fleet-wide under
+// the algorithm's own op, with its provenance: the rows, the report of
+// which switches went in at which epoch, and the mirror's index mapping of
+// that epoch, which the typed answers read. Rows and Report of a stored
+// epoch are shared: treat them as read-only.
+type EpochArtifact struct {
+	Rows   [][]uint32
+	Report QueryReport
+
+	// handle is the mirror's frozen copy of the epoch (see storedEpoch);
+	// nil for a name this fleet did not deploy, or an epoch outside its
+	// window.
+	handle any
+}
+
+// ownOp is the merge op a task's algorithm combines registers under
+// across switches: max for HLL ranks, or for Bloom and BeauCoup bitmaps,
+// add for counters and every other task.
+func ownOp(handle any) MergeOp {
+	switch handle.(type) {
+	case *algorithms.HLLTask:
+		return MergeMax
+	case *algorithms.BloomTask, *algorithms.BeauCoupTask:
+		return MergeOr
+	}
+	return MergeAdd
+}
+
+// typed resolves the artifact's index mapping as algorithm T (kind names
+// what T answers).
+func typed[T any](a *EpochArtifact, kind string) (T, error) {
+	h, ok := a.handle.(T)
+	switch {
+	case a.handle == nil:
+		return h, fmt.Errorf("netwide: epoch %d is not index-mapped by the mirror (outside the %d-epoch window, or a task this fleet did not deploy)",
+			a.Report.Epoch, rpc.EpochRetain)
+	case !ok:
+		return h, fmt.Errorf("netwide: epoch %d is not of %s task", a.Report.Epoch, kind)
+	}
+	return h, nil
+}
+
+// Estimate returns key k's Count-Min frequency in this epoch (counter
+// tasks; each packet measured at exactly one switch).
+func (a EpochArtifact) Estimate(k packet.CanonicalKey) (uint64, error) {
+	cms, err := typed[*algorithms.CMSTask](&a, "a counter")
+	if err != nil {
+		return 0, err
+	}
+	return countMin(cms, a.Rows, k), nil
+}
+
+// countMin reads key k's count-min estimate out of merged rows laid out
+// like cms's partitions: min across rows of the cell cms indexes.
+func countMin(cms *algorithms.CMSTask, merged [][]uint32, k packet.CanonicalKey) uint64 {
+	min := ^uint32(0)
+	for i := 0; i < cms.D; i++ {
+		idx := cms.RowIndexFor(i, k) - uint32(cms.Rows[i].Base)
+		if v := merged[i][idx]; v < min {
+			min = v
+		}
+	}
+	return uint64(min)
+}
+
+// HeavyHitters returns the candidates whose estimate in this epoch meets
+// the threshold, every candidate probed against the one merge.
+func (a EpochArtifact) HeavyHitters(candidates []packet.CanonicalKey, threshold uint64) (map[packet.CanonicalKey]bool, error) {
+	cms, err := typed[*algorithms.CMSTask](&a, "a counter")
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[packet.CanonicalKey]bool)
+	for _, k := range candidates {
+		if countMin(cms, a.Rows, k) >= threshold {
+			out[k] = true
+		}
+	}
+	return out, nil
+}
+
+// Cardinality returns an HLL task's distinct-flow estimate: rank
+// registers max-merged, then the harmonic-mean estimator. Duplicate
+// observation across switches is harmless.
+func (a EpochArtifact) Cardinality() (float64, error) {
+	if _, err := typed[*algorithms.HLLTask](&a, "an HLL"); err != nil {
+		return 0, err
+	}
+	return sketch.HLLEstimateFromRanks(a.Rows[0]), nil
+}
+
+// Contains reports Bloom membership of key k: bitmaps OR-merged, then the
+// usual probes.
+func (a EpochArtifact) Contains(k packet.CanonicalKey) (bool, error) {
+	bloom, err := typed[*algorithms.BloomTask](&a, "an existence")
+	if err != nil {
+		return false, err
+	}
+	indices, masks := bloom.ProbeKey(k)
+	for i := range indices {
+		if a.Rows[i][indices[i]-uint32(bloom.Rows[i].Base)]&masks[i] == 0 {
+			return false, nil
+		}
+	}
+	return true, nil
+}
+
+// Reported returns the candidates a BeauCoup task reports: coupon bitmaps
+// OR-merged (a coupon collected anywhere is collected), then the usual
+// min-across-tables popcount test.
+func (a EpochArtifact) Reported(candidates []packet.CanonicalKey) (map[packet.CanonicalKey]bool, error) {
+	bc, err := typed[*algorithms.BeauCoupTask](&a, "a BeauCoup")
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[packet.CanonicalKey]bool)
+	for _, k := range candidates {
+		min := 64
+		for i := 0; i < bc.D; i++ {
+			if n := bits.OnesCount32(a.Rows[i][bc.RowIndexFor(i, k)-uint32(bc.Rows[i].Base)]); n < min {
+				min = n
+			}
+		}
+		if min >= bc.Cfg.Collect {
+			out[k] = true
+		}
+	}
+	return out, nil
 }
 
 // stragglerError marks "reachable but behind" inside a fan-out, so the
@@ -213,14 +349,12 @@ func (f *RemoteFleet) RotateEpoch(name string) (target int, err error) {
 		return 0, fmt.Errorf("netwide: mirror rotate of %q: %w", name, err)
 	}
 	target = et.rot.Epoch()
-	fe := &frozenEpoch{merged: make(map[MergeOp]epochArtifact), filling: make(map[MergeOp]chan struct{})}
-	if h, err := f.mirror.TaskHandle(frozenID); err == nil {
-		fe.cms, _ = h.(*algorithms.CMSTask)
-	}
+	stored := new(storedEpoch)
+	stored.handle, _ = f.mirror.TaskHandle(frozenID)
 	if mt, err := f.mirror.Task(frozenID); err == nil {
-		fe.fingerprint = mt.Fingerprint
+		stored.fingerprint = mt.Fingerprint
 	}
-	et.window[target] = fe
+	et.window[target] = stored
 	// Evicted rows go to the GC, not back into rowPool: callers of
 	// QueryEpochRows may still hold them.
 	delete(et.window, target-rpc.EpochRetain)
@@ -330,52 +464,67 @@ func (f *RemoteFleet) pollEpoch(c *rpc.Client, name string, epochN int, q EpochQ
 	}
 }
 
-// QueryEpochRows returns the fleet's merged registers for one completed
-// epoch (epochN <= 0 = the fleet's latest) under the straggler policy.
-// The report pins the epoch and separates stragglers (reachable, behind)
-// from failures (unreachable); transport failures still honor
-// AllowPartial, and under the wait policy any switch still behind at the
-// bound fails the whole query.
+// Epoch is the fleet's one query path: it resolves one completed epoch of
+// an epoch task merged fleet-wide (epochN <= 0 = the fleet's latest) under
+// the straggler policy, and answers every typed query from it. The report
+// pins the epoch and separates stragglers (reachable, behind) from failures
+// (unreachable, or a layout that diverged from the mirror's); transport
+// failures still honor AllowPartial, and under the wait policy any switch
+// still behind at the bound fails the whole query.
 //
-// The epoch's first complete merge is kept for rpc.EpochRetain rotations
-// (see frozenEpoch) and later queries are served from it without an RPC
-// (report.Cached), also while a switch is down or ejected. The rows and
-// report.Contributed are therefore shared: treat them as read-only.
+// The rows are merged under the task's own op (see ownOp), so the typed
+// answers need none from the caller: q.Op is QueryEpochRows' alone. The
+// epoch's first complete merge under an op is kept for rpc.EpochRetain
+// rotations and later queries are served from it without an RPC
+// (Report.Cached), also while a switch is down or ejected. Concurrent
+// first queries on one (epoch, op) fan out once: the rest wait and share
+// the answer if it is complete; after a partial one each runs its own
+// query under its own policy.
 //
-// A name this fleet did not deploy — an epoch task some other controller
+// A plain task (Deploy) is switch-local and has no fleet-wide answer. A
+// name this fleet did not deploy — an epoch task some other controller
 // rotates, which is all a one-shot client like flymonctl query ever sees —
-// is read from the switches at an explicit epoch and never stored, the
-// path epochs outside the window already take.
+// is read from the switches at an explicit epoch, never stored, and has
+// rows (merged under add, its algorithm unknown here) but no typed
+// answers: the path epochs outside the window take too.
+func (f *RemoteFleet) Epoch(name string, epochN int, q EpochQuery) (EpochArtifact, error) {
+	return f.epoch(name, epochN, q, true)
+}
+
+// QueryEpochRows is the fleet's merged registers for one completed epoch,
+// merged under q.Op (add by default, whatever the task's algorithm), with
+// Epoch's report, straggler policy and store. Stored rows and
+// report.Contributed are shared: treat them as read-only.
 func (f *RemoteFleet) QueryEpochRows(name string, epochN int, q EpochQuery) ([][]uint32, QueryReport, error) {
-	art, err := f.epochArtifact(name, epochN, q.withDefaults())
-	return art.rows, art.report, err
+	art, err := f.epoch(name, epochN, q, false)
+	return art.Rows, art.Report, err
 }
 
-// EstimateKeyEpoch is EstimateKeyPartial pinned to an epoch boundary:
-// the fleet-wide frequency of key k in exactly epoch E's traffic, read
-// out of the same stored merge QueryEpochRows serves (the first estimate
-// on an epoch pays for the merge, the rest read d cells). Any epoch this
-// fleet rotated within the last rpc.EpochRetain rotations qualifies.
+// EstimateKeyEpoch is Epoch's Estimate: the fleet-wide frequency of key k
+// in exactly epoch E's traffic, read out of the stored merge (the first
+// estimate on an epoch pays for the merge, the rest read d cells).
 func (f *RemoteFleet) EstimateKeyEpoch(name string, epochN int, k packet.CanonicalKey, q EpochQuery) (uint64, QueryReport, error) {
-	q.Op = MergeAdd
-	art, err := f.epochArtifact(name, epochN, q.withDefaults())
+	art, err := f.Epoch(name, epochN, q)
 	if err != nil {
-		return 0, art.report, err
+		return 0, art.Report, err
 	}
-	if art.cms == nil {
-		return 0, art.report, fmt.Errorf("netwide: epoch %d of %q is not index-mapped by the mirror (outside the %d-epoch window, or not a counter task)",
-			art.report.Epoch, name, rpc.EpochRetain)
-	}
-	return countMin(art.cms, art.rows, k), art.report, nil
+	v, err := art.Estimate(k)
+	return v, art.Report, err
 }
 
-// epochArtifact resolves one (task, epoch, op) readout: from the task's
-// window when a complete merge is stored, from the fleet otherwise.
-// Concurrent first queries on one key fan out once: the rest wait and
-// share the answer if it is complete; after a partial one each runs its
-// own query under its own policy. q has its defaults applied.
-func (f *RemoteFleet) epochArtifact(name string, epochN int, q EpochQuery) (art epochArtifact, err error) {
-	et := f.epochTask(name)
+// epoch is Epoch (own: merge under the task's own op) and QueryEpochRows
+// (merge under q.Op).
+func (f *RemoteFleet) epoch(name string, epochN int, q EpochQuery, own bool) (art EpochArtifact, err error) {
+	q = q.withDefaults()
+	f.mu.Lock()
+	t := f.tasks[name]
+	f.mu.Unlock()
+	var et *fleetEpoch
+	if t != nil {
+		if et = t.epoch; et == nil {
+			return art, fmt.Errorf("netwide: %q is a plain task, read per switch; deploy it with DeployEpoch for fleet-wide answers", name)
+		}
+	}
 	if et == nil && epochN <= 0 {
 		return art, fmt.Errorf("netwide: no epoch task %q (a name this fleet did not deploy needs an explicit epoch)", name)
 	}
@@ -385,67 +534,76 @@ func (f *RemoteFleet) epochArtifact(name string, epochN int, q EpochQuery) (art 
 	if epochN == 0 {
 		return art, fmt.Errorf("netwide: epoch task %q has no completed epoch yet (rotate first)", name)
 	}
-	st := f.mergeStats()
-	if st != nil {
-		st.EpochQueries.Add(1)
+	if own {
+		q.Op = MergeAdd
+		if et != nil {
+			q.Op = et.own
+		}
 	}
-	var fe *frozenEpoch
+	if q.Op < MergeAdd || q.Op > MergeXor {
+		return art, fmt.Errorf("netwide: unknown merge op %d", int(q.Op))
+	}
+	var stored *storedEpoch
 	if et != nil {
 		et.mu.Lock()
-		fe = et.window[epochN]
-		if fe == nil {
+		if stored = et.window[epochN]; stored == nil {
 			et.mu.Unlock()
 		}
 	}
-	if fe == nil {
+	if stored == nil {
 		// Not this fleet's to keep (evicted from the window, never rotated
 		// to, or never deployed by it): asked of the switches, never stored,
 		// and with no mirror copy to hold their layouts to but each other.
-		art.rows, art.report, err = f.mergeEpoch(name, epochN, q, &layoutRef{})
+		art.Rows, art.Report, err = f.mergeEpoch(name, epochN, q, &layoutRef{})
 		return art, err
 	}
-	var lead, wait chan struct{}
-	art, hit := fe.merged[q.Op]
-	if !hit {
-		if wait = fe.filling[q.Op]; wait == nil {
-			lead = make(chan struct{})
-			fe.filling[q.Op] = lead
-		}
+	art.handle = stored.handle
+	m := &stored.merges[q.Op]
+	wait := m.filling
+	var lead chan struct{}
+	if m.rows == nil && wait == nil {
+		lead = make(chan struct{})
+		m.filling = lead
 	}
+	art.Rows, art.Report = m.rows, m.report
 	et.mu.Unlock()
 	if wait != nil {
 		<-wait
 		et.mu.Lock()
-		art, hit = fe.merged[q.Op]
+		art.Rows, art.Report = m.rows, m.report
 		et.mu.Unlock()
 	}
-	if hit {
-		if st != nil {
+	if art.Rows != nil {
+		if st := f.mergeStats(); st != nil {
 			st.EpochCacheHits.Add(1)
 		}
 		if f.opts.Tracer != nil {
 			f.startRoot("epoch_query", fmt.Sprintf("%s epoch=%d op=%s cached", name, epochN, q.Op)).Finish(nil)
 		}
-		art.report.Cached = true
+		art.Report.Cached = true
 		return art, nil
 	}
-	art.cms = fe.cms
-	art.rows, art.report, err = f.mergeEpoch(name, epochN, q, pinnedLayout(fe.fingerprint))
+	art.Rows, art.Report, err = f.mergeEpoch(name, epochN, q, pinnedLayout(stored.fingerprint))
 	et.mu.Lock()
-	if err == nil && !art.report.Partial() && len(art.report.Contributed) == len(f.clients) {
-		fe.merged[q.Op] = art
+	if err == nil && !art.Report.Partial() && len(art.Report.Contributed) == len(f.clients) {
+		m.rows, m.report = art.Rows, art.Report
 	}
 	if lead != nil {
-		delete(fe.filling, q.Op)
+		m.filling = nil
 		close(lead)
 	}
 	et.mu.Unlock()
 	return art, err
 }
 
-// mergeEpoch fans the epoch read out to every switch and reduces the
-// answers whose layout ref admits through the merge tree.
-func (f *RemoteFleet) mergeEpoch(name string, epochN int, q EpochQuery, ref *layoutRef) (_ [][]uint32, _ QueryReport, err error) {
+// mergeEpoch is the one place rows enter a merge: fan the epoch read out to
+// every switch, hold each readout's layout fingerprint to ref — a switch
+// indexed differently fails as "layout diverged" instead of being summed
+// into the wrong buckets — and stream the admitted rows straight into the
+// k-ary merge tree (leaf buffers recycled through the fleet's pool); then
+// sort the per-switch errors into the report — stragglers apart from
+// failures — and apply the partial policies.
+func (f *RemoteFleet) mergeEpoch(name string, epochN int, q EpochQuery, ref *layoutRef) (_ [][]uint32, report QueryReport, err error) {
 	root := f.opts.Tracer.StartRoot("epoch_query")
 	if root != nil {
 		root.SetDetail(fmt.Sprintf("%s epoch=%d policy=%s", name, epochN, q.Policy))
@@ -460,15 +618,76 @@ func (f *RemoteFleet) mergeEpoch(name string, epochN int, q EpochQuery, ref *lay
 	if timeout > 0 && q.Policy != StragglerSkip {
 		timeout += q.Wait
 	}
-	return f.mergeQuery(root.Context(), timeout, name, "read_epoch", epochN, q, ref,
-		func(i int, c *rpc.Client, sc tracing.SpanContext) (*rpc.RegistersResult, error) {
-			res, err := f.pollEpoch(c, name, epochN, q, sc)
-			if err != nil {
-				return nil, err
+	stream := f.fanOutRows(root.Context(), timeout, func(i int, c *rpc.Client, sc tracing.SpanContext) ([][]uint32, error) {
+		res, err := f.pollEpoch(c, name, epochN, q, sc)
+		if err != nil {
+			return nil, err
+		}
+		if res.Epoch != epochN {
+			return nil, fmt.Errorf("netwide: daemon %d answered epoch %d for requested epoch %d", i, res.Epoch, epochN)
+		}
+		if want, ok := ref.admits(res.Fingerprint); !ok {
+			return nil, layoutDiverged(i, name, res.Fingerprint, want)
+		}
+		return res.FrameRows(f.getRowBuf()), nil
+	})
+	// The converter goroutine finishes all errs writes before closing
+	// leaves, and MergeStream returns only after observing that close, so
+	// reading errs afterwards is race-free.
+	errs := make(map[int]error)
+	leaves := make(chan Leaf, len(f.clients))
+	go func() {
+		defer close(leaves)
+		for r := range stream {
+			if r.err != nil {
+				errs[r.i] = r.err
+				continue
 			}
-			if res.Epoch != epochN {
-				return nil, fmt.Errorf("netwide: daemon %d answered epoch %d for requested epoch %d", i, res.Epoch, epochN)
-			}
-			return &res.RegistersResult, nil
-		})
+			leaves <- Leaf{Switch: r.i, Rows: r.rows}
+		}
+	}()
+	res, mergeErr := MergeStream(leaves, q.Op, TreeOptions{
+		Task:    name,
+		Arity:   f.opts.MergeArity,
+		Stats:   f.mergeStats(),
+		Recycle: f.putRowBuf,
+		Tracer:  f.opts.Tracer,
+		Parent:  root.Context(),
+	})
+	report = QueryReport{
+		Contributed: res.Contributed,
+		Failed:      make(map[int]string),
+		Epoch:       epochN,
+		Stragglers:  make(map[int]int),
+	}
+	var firstFailure error
+	for _, i := range sortedKeys(errs) {
+		var se *stragglerError
+		if errors.As(errs[i], &se) {
+			report.Stragglers[i] = se.have
+			continue
+		}
+		report.Failed[i] = errs[i].Error()
+		if firstFailure == nil {
+			firstFailure = errs[i]
+		}
+	}
+	switch {
+	case mergeErr != nil:
+		return nil, report, mergeErr
+	case q.Policy == StragglerWait && len(report.Stragglers) > 0:
+		behind := make(map[int]error, len(report.Stragglers))
+		for i := range report.Stragglers {
+			behind[i] = errs[i]
+		}
+		return nil, report, &PartialFailureError{Op: "read_epoch", Task: name, Failed: behind, Total: len(f.clients)}
+	case firstFailure != nil && !f.opts.AllowPartial:
+		return nil, report, firstFailure
+	case res.Rows == nil:
+		return nil, report, &PartialFailureError{Op: "read_epoch", Task: name, Failed: errs, Total: len(f.clients)}
+	}
+	if report.Partial() && f.opts.Telemetry != nil {
+		f.opts.Telemetry.PartialMerges.Add(1)
+	}
+	return res.Rows, report, nil
 }

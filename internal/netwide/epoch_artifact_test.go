@@ -12,6 +12,7 @@ import (
 	"flymon/internal/core/algorithms"
 	"flymon/internal/packet"
 	"flymon/internal/rpc"
+	"flymon/internal/sketch"
 	"flymon/internal/telemetry"
 	"flymon/internal/trace"
 	"flymon/internal/tracing"
@@ -50,6 +51,17 @@ func epochOracle(t *testing.T, clients []*rpc.Client, name string, epochN int, o
 		t.Fatal(err)
 	}
 	return res.Rows
+}
+
+// storedMerges counts the ops a stored epoch holds a complete merge under.
+func storedMerges(stored *storedEpoch) int {
+	n := 0
+	for _, m := range stored.merges {
+		if m.rows != nil {
+			n++
+		}
+	}
+	return n
 }
 
 func sameRows(t *testing.T, what string, got, want [][]uint32) {
@@ -119,6 +131,59 @@ func TestEpochArtifactBitIdentical(t *testing.T) {
 	}
 	if !strings.Contains(QueryReport{Contributed: []int{0}, Epoch: 1, Cached: true}.String(), "(cached)") {
 		t.Fatal("QueryReport.String does not show a cached answer")
+	}
+}
+
+// TestEpochMergesUnderOwnOp: Epoch merges an HLL task under max whatever
+// q.Op says, while QueryEpochRows merges under q.Op — add when unset — on
+// the owning fleet and on one that did not deploy the task alike.
+func TestEpochMergesUnderOwnOp(t *testing.T) {
+	cfg := fleetConfig()
+	ctrls, clients := startDaemons(t, 3, cfg)
+	fleet := NewRemoteFleetOptions(clients, cfg, FleetOptions{})
+	spec := controlplane.TaskSpec{
+		Name: "card", Attribute: controlplane.AttrDistinct,
+		Param:      controlplane.ParamSpec{Kind: controlplane.ParamFlowKey, Key: packet.KeyFiveTuple},
+		MemBuckets: 4096,
+	}
+	if err := fleet.DeployEpoch(spec); err != nil {
+		t.Fatal(err)
+	}
+	epochTraffic(ctrls, 63)
+	if _, err := fleet.RotateEpoch("card"); err != nil {
+		t.Fatal(err)
+	}
+	maxRows := epochOracle(t, clients, "card", 1, MergeMax)
+	addRows := epochOracle(t, clients, "card", 1, MergeAdd)
+	if reflect.DeepEqual(maxRows, addRows) {
+		t.Fatal("max- and add-merged ranks coincide: the test cannot tell the ops apart")
+	}
+	for _, q := range []EpochQuery{{}, {Op: MergeAdd}, {Op: MergeXor}} {
+		art, err := fleet.Epoch("card", 1, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRows(t, "Epoch "+q.Op.String(), art.Rows, maxRows)
+		if got, err := art.Cardinality(); err != nil || got != sketch.HLLEstimateFromRanks(maxRows[0]) {
+			t.Fatalf("Epoch(%s) cardinality %v, %v", q.Op, got, err)
+		}
+	}
+	visitor := NewRemoteFleetOptions(clients, cfg, FleetOptions{})
+	for _, f := range []*RemoteFleet{fleet, visitor} {
+		rows, _, err := f.QueryEpochRows("card", 1, EpochQuery{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRows(t, "QueryEpochRows with no op", rows, addRows)
+		if rows, _, err = f.QueryEpochRows("card", 1, EpochQuery{Op: MergeMax}); err != nil {
+			t.Fatal(err)
+		}
+		sameRows(t, "QueryEpochRows max", rows, maxRows)
+	}
+	if art, err := visitor.Epoch("card", 1, EpochQuery{}); err != nil {
+		t.Fatal(err)
+	} else if _, err := art.Cardinality(); err == nil {
+		t.Fatal("a task the fleet did not deploy has no typed answers")
 	}
 }
 
@@ -193,8 +258,8 @@ func TestEpochArtifactSingleFlight(t *testing.T) {
 		t.Fatalf("%d epoch_query roots, %d cached; want %d and %d", roots, cachedRoots, callers, callers-1)
 	}
 	mt := &tele.MergeTree
-	if mt.EpochCacheMisses.Load() != 1 || mt.EpochCacheHits.Load() != callers-1 || mt.EpochQueries.Load() != callers {
-		t.Fatalf("queries %d hits %d misses %d", mt.EpochQueries.Load(), mt.EpochCacheHits.Load(), mt.EpochCacheMisses.Load())
+	if mt.EpochCacheMisses.Load() != 1 || mt.EpochCacheHits.Load() != callers-1 {
+		t.Fatalf("hits %d misses %d, want %d and 1", mt.EpochCacheHits.Load(), mt.EpochCacheMisses.Load(), callers-1)
 	}
 }
 
@@ -236,8 +301,8 @@ func TestEpochArtifactLifetime(t *testing.T) {
 		t.Fatal("epoch 1 must be gone after the fifth rotation")
 	}
 	for e := 2; e <= rpc.EpochRetain+1; e++ {
-		if len(et.window[e].merged) != 2 {
-			t.Fatalf("epoch %d stores %d merges, want add and max", e, len(et.window[e].merged))
+		if n := storedMerges(et.window[e]); n != 2 {
+			t.Fatalf("epoch %d stores %d merges, want add and max", e, n)
 		}
 		est, report, err := fleet.EstimateKeyEpoch("ep", e, key, EpochQuery{})
 		if err != nil || !report.Cached || est != ests[e] {
@@ -284,11 +349,11 @@ func TestEpochArtifactFreedWithFleet(t *testing.T) {
 		if _, _, err := fleet.QueryEpochRows("ep", 1, EpochQuery{}); err != nil {
 			t.Fatal(err)
 		}
-		fe := fleet.epochTask("ep").window[1]
-		if len(fe.merged) != 1 {
-			t.Fatalf("epoch 1 stores %d merges, want 1", len(fe.merged))
+		stored := fleet.epochTask("ep").window[1]
+		if n := storedMerges(stored); n != 1 {
+			t.Fatalf("epoch 1 stores %d merges, want 1", n)
 		}
-		runtime.SetFinalizer(fe, func(*frozenEpoch) { close(freed) })
+		runtime.SetFinalizer(stored, func(*storedEpoch) { close(freed) })
 	}()
 	deadline := time.After(5 * time.Second)
 	for {

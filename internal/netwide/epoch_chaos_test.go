@@ -164,7 +164,7 @@ func TestChaosEpochStragglerMatrix(t *testing.T) {
 			}
 			// None of the k-of-n answers above was stored: each went back to
 			// the fleet and found the straggler again.
-			if report.Cached || len(fleet.epochTask("ep").window[2].merged) != 0 {
+			if report.Cached || storedMerges(fleet.epochTask("ep").window[2]) != 0 {
 				t.Fatalf("a partial epoch-2 answer was stored (report %v)", report)
 			}
 

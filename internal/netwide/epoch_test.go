@@ -121,7 +121,7 @@ func TestFleetEpochLifecycle(t *testing.T) {
 		t.Fatalf("epoch-1 rows unreadable inside retention window: %v", err)
 	}
 
-	if reg.Fleet.MergeTree.EpochQueries.Load() == 0 {
+	if mt := &reg.Fleet.MergeTree; mt.EpochCacheHits.Load()+mt.EpochCacheMisses.Load() == 0 {
 		t.Fatal("epoch queries not counted")
 	}
 

@@ -213,17 +213,17 @@ func (t *healthTracker) snapshot() []SwitchHealth {
 // of switches — for additive sketch merges that is a valid lower bound,
 // which callers can surface instead of failing the whole query.
 //
-// Epoch-coherent queries additionally carry the epoch the merge was
-// pinned to and the stragglers: switches that were reachable but had not
-// completed that epoch, left out by the skip/partial straggler policy
-// (an unreachable switch is a Failed entry, not a straggler). Cached marks
+// It also carries the epoch the merge was pinned to and the stragglers:
+// switches that were reachable but had not completed that epoch, left out
+// by the skip/partial straggler policy (an unreachable switch is a Failed
+// entry, not a straggler). Cached marks
 // an answer read from the fleet's stored merge of that epoch instead of
 // a fresh fan-out; a cached report is always complete, and its
 // Contributed slice is shared — read-only.
 type QueryReport struct {
 	Contributed []int          // switch indices merged into the result
 	Failed      map[int]string // switch index → error, for the rest
-	Epoch       int            // epoch the merge was pinned to (0 = live query)
+	Epoch       int            // epoch the merge was pinned to
 	Stragglers  map[int]int    // switch index → its epoch, for epoch-behind switches
 	Cached      bool           // served from the epoch artifact store, no RPC issued
 }

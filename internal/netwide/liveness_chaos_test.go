@@ -81,12 +81,15 @@ func TestLivenessDetectsKilledDaemon(t *testing.T) {
 		Journal:      journal,
 	})
 	t.Cleanup(fleet.Stop)
-	if err := fleet.Deploy(cmsSpec("freq")); err != nil {
+	if err := fleet.DeployEpoch(cmsSpec("freq")); err != nil {
 		t.Fatal(err)
 	}
 	tr := trace.Generate(trace.Config{Flows: 200, Packets: 6_000, Seed: 33})
 	for i := range tr.Packets {
 		ctrls[i%3].Process(&tr.Packets[i])
+	}
+	if _, err := fleet.RotateEpoch("freq"); err != nil {
+		t.Fatal(err)
 	}
 
 	fleet.StartLiveness(drillLiveness(1))
@@ -104,7 +107,7 @@ func TestLivenessDetectsKilledDaemon(t *testing.T) {
 
 	// Partial query still answers, with the liveness verdict for switch 2.
 	key := packet.KeyFiveTuple.Extract(&tr.Packets[0])
-	_, report, err := fleet.EstimateKeyPartial("freq", key)
+	_, report, err := fleet.EstimateKeyEpoch("freq", 1, key, EpochQuery{})
 	if err != nil {
 		t.Fatalf("partial query with ejected switch: %v", err)
 	}
@@ -154,8 +157,9 @@ func TestLivenessDetectsKilledDaemon(t *testing.T) {
 
 // TestReconcilerRedeploysAfterRestart is the full self-healing loop: a
 // daemon dies, is ejected, restarts EMPTY, rejoins via its session, and
-// the reconciler puts its tasks back — all with zero operator action, all
-// visible in the journal.
+// the reconciler puts its plain tasks back — all with zero operator action,
+// all visible in the journal. Epoch tasks are not reconciled: the rejoined
+// switch answers the fleet's epoch reads again, without the task.
 func TestReconcilerRedeploysAfterRestart(t *testing.T) {
 	check := gateFleetGoroutines(t)
 	t.Cleanup(check)
@@ -172,6 +176,9 @@ func TestReconcilerRedeploysAfterRestart(t *testing.T) {
 	if err := fleet.Deploy(cmsSpec("freq")); err != nil {
 		t.Fatal(err)
 	}
+	if err := fleet.DeployEpoch(cmsSpec("ep")); err != nil {
+		t.Fatal(err)
+	}
 
 	fleet.StartLiveness(drillLiveness(2))
 	fleet.StartReconciler(50 * time.Millisecond)
@@ -180,7 +187,11 @@ func TestReconcilerRedeploysAfterRestart(t *testing.T) {
 	// Crash daemon 1; it must be ejected but the fleet keeps answering.
 	srvs[1].Close()
 	waitSessions(t, fleet, false, 1)
-	if _, report, err := fleet.EstimateKeyPartial("freq", packet.CanonicalKey{1}); err != nil || !report.Partial() {
+	ep, err := fleet.RotateEpoch("ep")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, report, err := fleet.EstimateKeyEpoch("ep", ep, packet.CanonicalKey{1}, EpochQuery{}); err != nil || !report.Partial() {
 		t.Fatalf("partial query during outage: %v %+v", err, report)
 	}
 
@@ -199,11 +210,21 @@ func TestReconcilerRedeploysAfterRestart(t *testing.T) {
 		return len(tasks) == 1 && tasks[0].ID == 1 && tasks[0].Spec.Name == "freq"
 	})
 
-	// A subsequent fleet query includes the restarted switch again.
-	waitFor(t, 10*time.Second, "full-fleet query", func() bool {
-		_, report, err := fleet.EstimateKeyPartial("freq", packet.CanonicalKey{1})
-		return err == nil && !report.Partial()
-	})
+	// The fleet addresses the restarted switch again: its copy of the plain
+	// task, read through the ID the reconciler recorded, is laid out as the
+	// mirror's; and an epoch read reaches it (no liveness eject) to find the
+	// epoch task gone with the old process.
+	if err := mirrorLayoutEverywhere(fleet, clients, "freq"); err != nil {
+		t.Fatalf("restarted switch's freq: %v", err)
+	}
+	ep, err = fleet.RotateEpoch("ep")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, report, err := fleet.EstimateKeyEpoch("ep", ep, packet.CanonicalKey{1}, EpochQuery{})
+	if msg := report.Failed[1]; err != nil || !strings.Contains(msg, "no epoch task") {
+		t.Fatalf("epoch read after rejoin: %v, switch 1 %q", err, msg)
+	}
 
 	// Every stage of the loop is journaled.
 	kinds := map[string]int{}
@@ -225,7 +246,9 @@ func TestReconcilerRedeploysAfterRestart(t *testing.T) {
 }
 
 // gatedDaemon boots one daemon whose accepted connections pass through a
-// faultnet.Gate, so drills can partition/heal/flap it at runtime.
+// faultnet.Gate, so drills can partition/heal/flap it at runtime. reboot
+// restarts it empty on the same address: a fresh server over a fresh
+// controller (the returned controller is the first process's).
 func gatedDaemon(t *testing.T, cfg controlplane.Config, seed int64) (*controlplane.Controller, *faultnet.Gate, string, func() *rpc.Server) {
 	t.Helper()
 	ctrl := controlplane.NewController(cfg)
@@ -250,10 +273,32 @@ func gatedDaemon(t *testing.T, cfg controlplane.Config, seed int64) (*controlpla
 	t.Cleanup(func() { cur.Close() })
 	reboot := func() *rpc.Server {
 		cur.Close() // free the address before rebinding it
+		ctrl = controlplane.NewController(cfg)
 		cur = boot()
 		return cur
 	}
 	return ctrl, gate, addr, reboot
+}
+
+// mirrorLayoutEverywhere checks that every switch holds the plain task,
+// read through the ID the fleet recorded for it, laid out as the mirror's.
+// The IDs are copied under the fleet lock: a running reconciler rewrites
+// them.
+func mirrorLayoutEverywhere(fleet *RemoteFleet, clients []*rpc.Client, name string) error {
+	fleet.mu.Lock()
+	t := fleet.tasks[name]
+	remote, fingerprint := append([]int(nil), t.remote...), t.fingerprint
+	fleet.mu.Unlock()
+	for i, c := range clients {
+		regs, err := c.ReadRegisters(remote[i])
+		if err != nil {
+			return fmt.Errorf("switch %d: %w", i, err)
+		}
+		if regs.Fingerprint != fingerprint {
+			return fmt.Errorf("switch %d: fingerprint %x, mirror %x", i, regs.Fingerprint, fingerprint)
+		}
+	}
+	return nil
 }
 
 // TestChaosLivenessMatrix drives the fault matrix from the issue —
@@ -280,8 +325,9 @@ func TestChaosLivenessMatrix(t *testing.T) {
 			gate.SetDropWrites(false)
 		}},
 		{"restart-storm", func(t *testing.T, fleet *RemoteFleet, _ *faultnet.Gate, reboot func() *rpc.Server) {
-			// Three back-to-back restarts: each new process has a fresh
-			// incarnation, so even a fast bounce between probes is unmasked.
+			// Three back-to-back empty restarts: each new process has a
+			// fresh incarnation, so even a fast bounce between probes is
+			// unmasked, and only the reconciler puts the plain task back.
 			for i := 0; i < 3; i++ {
 				reboot()
 				time.Sleep(3 * drillTx)
@@ -345,10 +391,26 @@ func TestChaosLivenessMatrix(t *testing.T) {
 
 				// Convergence: both switches Up again (flap damping may hold
 				// switch 1 out for its hold-down first — that wait is part of
-				// the contract), the task present everywhere, full merges.
+				// the contract), the plain task back everywhere with the
+				// mirror's layout, and an epoch task deployed, rotated and read
+				// on the whole fleet. (A restarted daemon drops its epoch
+				// tasks, so it is deployed after the drill.)
 				waitSessions(t, fleet, true, 0, 1)
+				deployed := false
 				waitFor(t, 10*time.Second, "post-drill full-fleet query", func() bool {
-					_, report, err := fleet.EstimateKeyPartial("freq", packet.CanonicalKey{1})
+					if mirrorLayoutEverywhere(fleet, clients, "freq") != nil {
+						return false
+					}
+					if !deployed {
+						if deployed = fleet.DeployEpoch(cmsSpec("ep")) == nil; !deployed {
+							return false
+						}
+					}
+					ep, err := fleet.RotateEpoch("ep")
+					if err != nil {
+						return false
+					}
+					_, report, err := fleet.EstimateKeyEpoch("ep", ep, packet.CanonicalKey{1}, EpochQuery{Policy: StragglerSkip})
 					return err == nil && !report.Partial()
 				})
 				// The healthy switch never flapped: zero ejects of switch 0.

@@ -12,7 +12,7 @@ import (
 	"flymon/internal/trace"
 )
 
-// parityTasks is one task per merge algebra the typed queries use.
+// parityTasks is one task per typed answer's algorithm.
 func parityTasks() []controlplane.TaskSpec {
 	five := controlplane.ParamSpec{Kind: controlplane.ParamFlowKey, Key: packet.KeyFiveTuple}
 	return []controlplane.TaskSpec{
@@ -37,10 +37,10 @@ func TestLoopbackFleetMatchesTCPFleet(t *testing.T) {
 	tcpSw, clients := startDaemons(t, 3, cfg)
 	tcp := NewRemoteFleetOptions(clients, cfg, FleetOptions{})
 	for _, spec := range parityTasks() {
-		if err := loop.Deploy(spec); err != nil {
+		if err := loop.DeployEpoch(spec); err != nil {
 			t.Fatal(err)
 		}
-		if err := tcp.Deploy(spec); err != nil {
+		if err := tcp.DeployEpoch(spec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -49,13 +49,17 @@ func TestLoopbackFleetMatchesTCPFleet(t *testing.T) {
 	tr.InjectDDoS(victim, 512, 1, 68)
 	spread(loopSw, tr)
 	spread(tcpSw, tr)
+	la, lb := map[string]EpochArtifact{}, map[string]EpochArtifact{}
+	for _, spec := range parityTasks() {
+		la[spec.Name], lb[spec.Name] = rotated(t, loop, spec.Name), rotated(t, tcp, spec.Name)
+	}
 
 	for _, op := range allMergeOps {
-		a, ra, err := loop.MergedRows("freq", op)
+		a, ra, err := loop.QueryEpochRows("freq", 1, EpochQuery{Op: op})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, rb, err := tcp.MergedRows("freq", op)
+		b, rb, err := tcp.QueryEpochRows("freq", 1, EpochQuery{Op: op})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,20 +67,20 @@ func TestLoopbackFleetMatchesTCPFleet(t *testing.T) {
 			t.Fatalf("op %s: loopback and TCP merges differ (reports %v vs %v)", op, ra, rb)
 		}
 	}
-	la, _, err := loop.Cardinality("card")
+	ca, err := la["card"].Cardinality()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb, _, err := tcp.Cardinality("card"); err != nil || la != tb || la == 0 {
-		t.Fatalf("cardinality: loopback %v, TCP %v (%v)", la, tb, err)
+	if cb, err := lb["card"].Cardinality(); err != nil || ca != cb || ca == 0 {
+		t.Fatalf("cardinality: loopback %v, TCP %v (%v)", ca, cb, err)
 	}
 	for i := 0; i < 20; i++ {
 		k := packet.KeyFiveTuple.Extract(&tr.Packets[i*13])
-		a, _, err := loop.Contains("exists", k)
+		a, err := la["exists"].Contains(k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if b, _, err := tcp.Contains("exists", k); err != nil || a != b || !a {
+		if b, err := lb["exists"].Contains(k); err != nil || a != b || !a {
 			t.Fatalf("contains(packet %d): loopback %v, TCP %v (%v)", i*13, a, b, err)
 		}
 	}
@@ -84,11 +88,11 @@ func TestLoopbackFleetMatchesTCPFleet(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		cands = append(cands, packet.KeyDstIP.Extract(&tr.Packets[i]))
 	}
-	ra, _, err := loop.Reported("ddos", cands)
+	ra, err := la["ddos"].Reported(cands)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rb, _, err := tcp.Reported("ddos", cands); err != nil || !reflect.DeepEqual(ra, rb) || !ra[cands[0]] {
+	if rb, err := lb["ddos"].Reported(cands); err != nil || !reflect.DeepEqual(ra, rb) || !ra[cands[0]] {
 		t.Fatalf("reported: loopback %v, TCP %v (%v)", ra, rb, err)
 	}
 }
@@ -123,26 +127,31 @@ func TestLoopbackTransportTakesFaultPlan(t *testing.T) {
 		clients[i] = c
 	}
 	fleet := NewRemoteFleetOptions(clients, cfg, FleetOptions{AllowPartial: true})
-	if err := fleet.Deploy(cmsSpec("freq")); err != nil {
+	if err := fleet.DeployEpoch(cmsSpec("freq")); err != nil {
 		t.Fatal(err)
 	}
 	tr := trace.Generate(trace.Config{Flows: 300, Packets: 6_000, Seed: 69})
 	spread(ctrls, tr)
-	k := packet.KeyFiveTuple.Extract(&tr.Packets[0])
-	full, report, err := fleet.EstimateKeyPartial("freq", k)
-	if err != nil || report.Partial() {
-		t.Fatalf("healthy query: %v, report %v", err, report)
+	if _, err := fleet.RotateEpoch("freq"); err != nil {
+		t.Fatal(err)
 	}
+	k := packet.KeyFiveTuple.Extract(&tr.Packets[0])
 	gate.Partition()
-	part, report, err := fleet.EstimateKeyPartial("freq", k)
+	part, report, err := fleet.EstimateKeyEpoch("freq", 1, k, EpochQuery{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, failed := report.Failed[1]; !failed || len(report.Failed) != 1 || !reflect.DeepEqual(report.Contributed, []int{0, 2}) {
 		t.Fatalf("partitioned switch 1 must be the one failure: %v", report)
 	}
+	// The partial answer was not kept: once healed, the same epoch is
+	// asked of the whole fleet again.
+	gate.Heal()
+	full, report, err := fleet.EstimateKeyEpoch("freq", 1, k, EpochQuery{})
+	if err != nil || report.Partial() || report.Cached {
+		t.Fatalf("healed query: %v, report %v", err, report)
+	}
 	if part > full {
 		t.Fatalf("2-of-3 estimate %d exceeds the full one %d", part, full)
 	}
-	gate.Heal()
 }

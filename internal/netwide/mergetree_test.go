@@ -227,13 +227,17 @@ func TestRemoteFleetEnginesBitIdentical(t *testing.T) {
 	ctrls, clients := startDaemons(t, 4, cfg)
 	reg := telemetry.NewRegistry()
 	fleet := NewRemoteFleetOptions(clients, cfg, FleetOptions{Telemetry: &reg.Fleet, MergeArity: 2})
-	if err := fleet.Deploy(cmsSpec("freq")); err != nil {
+	if err := fleet.DeployEpoch(cmsSpec("freq")); err != nil {
 		t.Fatal(err)
 	}
 	tr := trace.Generate(trace.Config{Flows: 500, Packets: 20_000, ZipfS: 1.1, Seed: 31})
 	for i := range tr.Packets {
 		ctrls[i%len(ctrls)].Process(&tr.Packets[i])
 	}
+	if _, err := fleet.RotateEpoch("freq"); err != nil {
+		t.Fatal(err)
+	}
+	// Each daemon's frozen copy is the one it deployed the task as.
 	leaves := make([]Leaf, len(clients))
 	for i, c := range ctrls {
 		rows, err := c.ReadRegisters(fleet.tasks["freq"].remote[i])
@@ -244,7 +248,7 @@ func TestRemoteFleetEnginesBitIdentical(t *testing.T) {
 	}
 	for _, op := range allMergeOps {
 		flat := flatReference(t, leaves, op)
-		tree, treport, err := fleet.MergedRows("freq", op)
+		tree, treport, err := fleet.QueryEpochRows("freq", 1, EpochQuery{Op: op})
 		if err != nil {
 			t.Fatal(err)
 		}

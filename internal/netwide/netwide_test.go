@@ -1,6 +1,7 @@
 package netwide
 
 import (
+	"strings"
 	"testing"
 
 	"flymon/internal/controlplane"
@@ -29,6 +30,20 @@ func loopbackFleet(t *testing.T, n int, cfg controlplane.Config) (*RemoteFleet, 
 	return fleet, switches
 }
 
+// rotated ends the named epoch task's epoch fleet-wide and returns the
+// merge of the epoch it completed.
+func rotated(t *testing.T, fleet *RemoteFleet, name string) EpochArtifact {
+	t.Helper()
+	if _, err := fleet.RotateEpoch(name); err != nil {
+		t.Fatal(err)
+	}
+	art, err := fleet.Epoch(name, 0, EpochQuery{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return art
+}
+
 // spread replays tr across the switches, each packet at one ingress.
 func spread(switches []*controlplane.Controller, tr *trace.Trace) {
 	for i := range tr.Packets {
@@ -42,15 +57,16 @@ func TestFleetMergedCountsEqualSingleSwitch(t *testing.T) {
 	// configuration).
 	fleet, switches := loopbackFleet(t, 3, fleetConfig())
 	single, one := loopbackFleet(t, 1, fleetConfig())
-	if err := fleet.Deploy(cmsSpec("freq")); err != nil {
+	if err := fleet.DeployEpoch(cmsSpec("freq")); err != nil {
 		t.Fatal(err)
 	}
-	if err := single.Deploy(cmsSpec("freq")); err != nil {
+	if err := single.DeployEpoch(cmsSpec("freq")); err != nil {
 		t.Fatal(err)
 	}
 	tr := trace.Generate(trace.Config{Flows: 2000, Packets: 60_000, Seed: 60})
 	spread(switches, tr)
 	spread(one, tr)
+	merged, whole := rotated(t, fleet, "freq"), rotated(t, single, "freq")
 
 	exact := sketch.NewExactFrequency(packet.KeyFiveTuple)
 	for i := range tr.Packets {
@@ -58,11 +74,11 @@ func TestFleetMergedCountsEqualSingleSwitch(t *testing.T) {
 	}
 	checked := 0
 	for k, truth := range exact.Counts() {
-		got, err := fleet.EstimateKey("freq", k)
+		got, err := merged.Estimate(k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := single.EstimateKey("freq", k)
+		want, err := whole.Estimate(k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,11 +97,12 @@ func TestFleetMergedCountsEqualSingleSwitch(t *testing.T) {
 
 func TestFleetHeavyHitters(t *testing.T) {
 	fleet, switches := loopbackFleet(t, 4, fleetConfig())
-	if err := fleet.Deploy(cmsSpec("hh")); err != nil {
+	if err := fleet.DeployEpoch(cmsSpec("hh")); err != nil {
 		t.Fatal(err)
 	}
 	tr := trace.Generate(trace.Config{Flows: 4000, Packets: 200_000, ZipfS: 1.3, Seed: 61})
 	spread(switches, tr)
+	art := rotated(t, fleet, "hh")
 
 	exact := sketch.NewExactFrequency(packet.KeyFiveTuple)
 	for i := range tr.Packets {
@@ -102,7 +119,7 @@ func TestFleetHeavyHitters(t *testing.T) {
 		cands = append(cands, k)
 		universe[k] = true
 	}
-	reported, _, err := fleet.HeavyHitters("hh", cands, threshold)
+	reported, err := art.HeavyHitters(cands, threshold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +127,8 @@ func TestFleetHeavyHitters(t *testing.T) {
 		t.Fatalf("network-wide HH F1 = %.3f", f1)
 	}
 	// Per-switch views must miss hitters whose traffic is spread: check at
-	// least one truth flow is NOT a hitter on switch 0 alone.
+	// least one truth flow is NOT a hitter on switch 0 alone (its copy as
+	// deployed is the one the rotation froze).
 	missed := false
 	for k := range truth {
 		v, err := switches[0].EstimateKey(fleet.tasks["hh"].remote[0], k)
@@ -134,7 +152,7 @@ func TestFleetCardinality(t *testing.T) {
 		Param:      controlplane.ParamSpec{Kind: controlplane.ParamFlowKey, Key: packet.KeyFiveTuple},
 		MemBuckets: 4096,
 	}
-	if err := fleet.Deploy(spec); err != nil {
+	if err := fleet.DeployEpoch(spec); err != nil {
 		t.Fatal(err)
 	}
 	const flows = 30_000
@@ -144,12 +162,13 @@ func TestFleetCardinality(t *testing.T) {
 	for i := range tr.Packets {
 		exact.AddPacket(&tr.Packets[i])
 	}
-	got, report, err := fleet.Cardinality("card")
+	art := rotated(t, fleet, "card")
+	got, err := art.Cardinality()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.Partial() || len(report.Contributed) != 3 {
-		t.Fatalf("cardinality report = %v", report)
+	if art.Report.Partial() || len(art.Report.Contributed) != 3 {
+		t.Fatalf("cardinality report = %v", art.Report)
 	}
 	if re := metrics.RE(float64(exact.Cardinality()), got); re > 0.1 {
 		t.Fatalf("network-wide cardinality RE %.3f (est %.0f, truth %d)", re, got, exact.Cardinality())
@@ -163,16 +182,17 @@ func TestFleetContains(t *testing.T) {
 		Param:      controlplane.ParamSpec{Kind: controlplane.ParamFlowKey, Key: packet.KeyFiveTuple},
 		MemBuckets: 16384, D: 3,
 	}
-	if err := fleet.Deploy(spec); err != nil {
+	if err := fleet.DeployEpoch(spec); err != nil {
 		t.Fatal(err)
 	}
 	tr := trace.Generate(trace.Config{Flows: 1000, Packets: 3000, Seed: 63})
 	spread(switches, tr)
+	art := rotated(t, fleet, "exists")
 	// Every inserted key must be found network-wide even though each
 	// switch saw only half the stream.
 	for i := 0; i < 200; i++ {
 		k := packet.KeyFiveTuple.Extract(&tr.Packets[i])
-		ok, _, err := fleet.Contains("exists", k)
+		ok, err := art.Contains(k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +210,7 @@ func TestFleetDDoSReported(t *testing.T) {
 		Param:     controlplane.ParamSpec{Kind: controlplane.ParamFlowKey, Key: packet.KeySrcIP},
 		Threshold: threshold, MemBuckets: 16384, D: 3,
 	}
-	if err := fleet.Deploy(spec); err != nil {
+	if err := fleet.DeployEpoch(spec); err != nil {
 		t.Fatal(err)
 	}
 	tr := trace.Generate(trace.Config{Flows: 2000, Packets: 40_000, Seed: 64})
@@ -206,7 +226,7 @@ func TestFleetDDoSReported(t *testing.T) {
 	for k := range exact.Counts() {
 		cands = append(cands, k)
 	}
-	reported, _, err := fleet.Reported("ddos", cands)
+	reported, err := rotated(t, fleet, "ddos").Reported(cands)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,10 +244,17 @@ func TestFleetLifecycleErrors(t *testing.T) {
 	if err := fleet.Deploy(cmsSpec("x")); err == nil {
 		t.Fatal("duplicate deploy must fail")
 	}
-	if _, err := fleet.EstimateKey("nope", packet.CanonicalKey{}); err == nil {
+	if _, err := fleet.Epoch("nope", 0, EpochQuery{}); err == nil {
 		t.Fatal("unknown task must fail")
 	}
-	if _, _, err := fleet.Cardinality("x"); err == nil {
+	// A plain task is switch-local: the fleet has no merged answer for it.
+	if _, err := fleet.Epoch("x", 1, EpochQuery{}); err == nil || !strings.Contains(err.Error(), "DeployEpoch") {
+		t.Fatalf("fleet query on a plain task = %v, want an error naming DeployEpoch", err)
+	}
+	if err := fleet.DeployEpoch(cmsSpec("y")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rotated(t, fleet, "y").Cardinality(); err == nil {
 		t.Fatal("cardinality on a counter task must fail")
 	}
 	if err := fleet.Remove("x"); err != nil {

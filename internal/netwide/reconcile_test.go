@@ -82,14 +82,17 @@ func TestReconcileRedeploysWipedDaemon(t *testing.T) {
 		t.Fatalf("second pass not clean: %+v", res)
 	}
 
-	// The next fleet-wide Deploy lands aligned everywhere and the fleet reads
-	// every task through each switch's own ID.
+	// The next fleet-wide Deploy lands aligned everywhere, and every task
+	// reads back through each switch's own ID laid out as the mirror's.
 	if err := fleet.Deploy(cmsSpec("d")); err != nil {
 		t.Fatalf("deploy after reconcile: %v", err)
 	}
 	for _, name := range []string{"a", "b", "d"} {
-		if _, report, err := fleet.MergedRows(name, MergeAdd); err != nil || report.Partial() {
-			t.Fatalf("merge of %q after reconcile: %v (%v)", name, err, report)
+		ft := fleet.tasks[name]
+		for i, c := range clients {
+			if regs, err := c.ReadRegisters(ft.remote[i]); err != nil || regs.Fingerprint != ft.fingerprint {
+				t.Fatalf("switch %d's %q after reconcile: %v (fingerprint %x, mirror %x)", i, name, err, regs.Fingerprint, ft.fingerprint)
+			}
 		}
 	}
 

@@ -9,9 +9,7 @@ import (
 	"time"
 
 	"flymon/internal/controlplane"
-	"flymon/internal/core/algorithms"
 	"flymon/internal/epoch"
-	"flymon/internal/packet"
 	"flymon/internal/rpc"
 	"flymon/internal/telemetry"
 	"flymon/internal/tracing"
@@ -67,7 +65,9 @@ func (o FleetOptions) withDefaults() FleetOptions {
 // control channel. The central controller keeps a local MIRROR controller
 // built from the same configuration and fed the same deployments; the
 // mirror supplies the index mapping typed queries read merged rows through,
-// the daemons supply the register contents.
+// the daemons supply the register contents. Fleet-wide answers come from
+// epoch tasks only (DeployEpoch, RotateEpoch, Epoch); a plain task (Deploy)
+// is installed and reconciled everywhere but read per switch.
 //
 // That the mirror and every switch lay a task out identically is checked,
 // not assumed: every deployed task and every readout carries a layout
@@ -75,7 +75,7 @@ func (o FleetOptions) withDefaults() FleetOptions {
 // fingerprint differs from the mirror's — a daemon started with another
 // geometry, or one whose placement drifted because tasks came and went in
 // another order — is refused at deploy time and, at query time, left out of
-// the merge and named in QueryReport.Failed ("layout diverged"). The answer
+// the epoch's merge and named in QueryReport.Failed ("layout diverged"). The answer
 // is then an honest k-of-n bound instead of a silent mis-indexed sum.
 //
 // All fleet operations fan out concurrently and track per-switch health;
@@ -111,13 +111,12 @@ type RemoteFleet struct {
 // fleetTask is one row of the desired state.
 type fleetTask struct {
 	spec controlplane.TaskSpec
-	// mirrorID addresses the mirror's copy, whose handle maps keys to
-	// buckets for the typed queries. An epoch task's copies rotate; its
-	// handle is epoch.
+	// mirrorID addresses the mirror's copy of a plain task. An epoch task's
+	// copies rotate; its handle is epoch.
 	mirrorID int
 	// fingerprint is the layout of the mirror's copy at deployment: what
-	// every switch's copy, and every live readout, must match. (Each frozen
-	// epoch records its own, see frozenEpoch.)
+	// every switch's copy must match. (Each rotated epoch records its own,
+	// see EpochArtifact.)
 	fingerprint uint64
 	// remote[i] is the ID switch i gave the task — IDs are per switch, a
 	// restarted daemon hands out its own — or 0 where the task is not known
@@ -442,9 +441,11 @@ func (f *RemoteFleet) install(op string, spec controlplane.TaskSpec, rotating bo
 	}
 	var mt *controlplane.Task
 	if rotating {
-		t.epoch = &fleetEpoch{window: make(map[int]*frozenEpoch)}
+		t.epoch = &fleetEpoch{window: make(map[int]*storedEpoch)}
 		if t.epoch.rot, err = epoch.NewRotator(f.mirror, spec); err == nil {
 			mt, err = f.mirror.Task(t.epoch.rot.ActiveID())
+			h, _ := f.mirror.TaskHandle(t.epoch.rot.ActiveID())
+			t.epoch.own = ownOp(h)
 		}
 	} else if mt, err = f.mirror.AddTask(spec); err == nil {
 		t.mirrorID = mt.ID
@@ -623,88 +624,6 @@ func (r *layoutRef) admits(fingerprint uint64) (want uint64, ok bool) {
 	return r.want, fingerprint == r.want
 }
 
-// mergeQuery is the one query path, and the one place rows enter a merge:
-// fetch one readout per switch, hold its layout fingerprint to ref — a
-// switch indexed differently fails as "layout diverged" instead of being
-// summed into the wrong buckets — and stream the admitted rows straight
-// into the k-ary merge tree (leaf buffers recycled through the fleet's
-// pool); then sort the per-switch errors into the report — stragglers apart
-// from failures — and apply the partial policies. epochN pins the report
-// (0 = a live query, which has no stragglers and only uses q.Op); readOp
-// names the read in errors.
-func (f *RemoteFleet) mergeQuery(parent tracing.SpanContext, timeout time.Duration, name, readOp string, epochN int, q EpochQuery, ref *layoutRef,
-	fetch func(i int, c *rpc.Client, sc tracing.SpanContext) (*rpc.RegistersResult, error)) ([][]uint32, QueryReport, error) {
-	stream := f.fanOutRows(parent, timeout, func(i int, c *rpc.Client, sc tracing.SpanContext) ([][]uint32, error) {
-		res, err := fetch(i, c, sc)
-		if err != nil {
-			return nil, err
-		}
-		if want, ok := ref.admits(res.Fingerprint); !ok {
-			return nil, layoutDiverged(i, name, res.Fingerprint, want)
-		}
-		return res.FrameRows(f.getRowBuf()), nil
-	})
-	// The converter goroutine finishes all errs writes before closing
-	// leaves, and MergeStream returns only after observing that close, so
-	// reading errs afterwards is race-free.
-	errs := make(map[int]error)
-	leaves := make(chan Leaf, len(f.clients))
-	go func() {
-		defer close(leaves)
-		for r := range stream {
-			if r.err != nil {
-				errs[r.i] = r.err
-				continue
-			}
-			leaves <- Leaf{Switch: r.i, Rows: r.rows}
-		}
-	}()
-	res, mergeErr := MergeStream(leaves, q.Op, TreeOptions{
-		Task:    name,
-		Arity:   f.opts.MergeArity,
-		Stats:   f.mergeStats(),
-		Recycle: f.putRowBuf,
-		Tracer:  f.opts.Tracer,
-		Parent:  parent,
-	})
-	report := QueryReport{
-		Contributed: res.Contributed,
-		Failed:      make(map[int]string),
-		Epoch:       epochN,
-		Stragglers:  make(map[int]int),
-	}
-	var firstFailure error
-	for _, i := range sortedKeys(errs) {
-		var se *stragglerError
-		if errors.As(errs[i], &se) {
-			report.Stragglers[i] = se.have
-			continue
-		}
-		report.Failed[i] = errs[i].Error()
-		if firstFailure == nil {
-			firstFailure = errs[i]
-		}
-	}
-	switch {
-	case mergeErr != nil:
-		return nil, report, mergeErr
-	case q.Policy == StragglerWait && len(report.Stragglers) > 0:
-		behind := make(map[int]error, len(report.Stragglers))
-		for i := range report.Stragglers {
-			behind[i] = errs[i]
-		}
-		return nil, report, &PartialFailureError{Op: readOp, Task: name, Failed: behind, Total: len(f.clients)}
-	case firstFailure != nil && !f.opts.AllowPartial:
-		return nil, report, firstFailure
-	case res.Rows == nil:
-		return nil, report, &PartialFailureError{Op: readOp, Task: name, Failed: errs, Total: len(f.clients)}
-	}
-	if report.Partial() && f.opts.Telemetry != nil {
-		f.opts.Telemetry.PartialMerges.Add(1)
-	}
-	return res.Rows, report, nil
-}
-
 // mergeStats returns the fleet's merge-tree telemetry section, if any.
 func (f *RemoteFleet) mergeStats() *telemetry.MergeTreeStats {
 	if f.opts.Telemetry == nil {
@@ -728,67 +647,6 @@ func (f *RemoteFleet) putRowBuf(rows [][]uint32) {
 	if rows != nil {
 		f.rowPool.Put(rows)
 	}
-}
-
-// MergedRows runs a live fleet-wide register merge of the named task
-// under op — the raw-readout query primitive. With AllowPartial set, a
-// subset merge succeeds and the QueryReport says which switches
-// contributed; otherwise any unreachable daemon fails the query.
-func (f *RemoteFleet) MergedRows(name string, op MergeOp) ([][]uint32, QueryReport, error) {
-	rows, _, report, err := f.mergedRows(name, op)
-	return rows, report, err
-}
-
-// mergedRows resolves the task and merges every switch's live registers,
-// returning the mirror's ID of the task for the typed queries. Live
-// readouts are never cached: the registers are still counting.
-func (f *RemoteFleet) mergedRows(name string, op MergeOp) (_ [][]uint32, mirrorID int, report QueryReport, err error) {
-	f.mu.Lock()
-	t := f.tasks[name]
-	if t == nil || t.epoch != nil {
-		f.mu.Unlock()
-		return nil, 0, report, fmt.Errorf("netwide: no task %q", name)
-	}
-	remote := append([]int(nil), t.remote...)
-	f.mu.Unlock()
-	root := f.opts.Tracer.StartRoot("query")
-	if root != nil {
-		root.SetDetail(fmt.Sprintf("%s op=%s", name, op))
-	}
-	defer func() { root.Finish(err) }()
-	rows, report, err := f.mergeQuery(root.Context(), f.opts.OpTimeout, name, "read", 0, EpochQuery{Op: op}, pinnedLayout(t.fingerprint),
-		func(i int, c *rpc.Client, sc tracing.SpanContext) (*rpc.RegistersResult, error) {
-			if remote[i] == 0 {
-				return nil, fmt.Errorf("netwide: %q is not installed on daemon %d", name, i)
-			}
-			res, err := c.ReadRegisters(remote[i], sc)
-			if err != nil {
-				return nil, fmt.Errorf("netwide: reading %q on daemon %d: %w", name, i, err)
-			}
-			return &res, nil
-		})
-	return rows, t.mirrorID, report, err
-}
-
-// EstimateKey returns the fleet-wide frequency estimate for key k (counter
-// tasks; packets must be measured at exactly one daemon). With
-// AllowPartial set it may be computed over a subset of switches; use
-// EstimateKeyPartial to learn which.
-func (f *RemoteFleet) EstimateKey(name string, k packet.CanonicalKey) (uint64, error) {
-	v, _, err := f.EstimateKeyPartial(name, k)
-	return v, err
-}
-
-// EstimateKeyPartial is EstimateKey plus the QueryReport: which switches
-// contributed to the merge and which were skipped (with their errors).
-// When report.Partial() is true the estimate is a lower bound over the
-// reachable part of the fleet.
-func (f *RemoteFleet) EstimateKeyPartial(name string, k packet.CanonicalKey) (uint64, QueryReport, error) {
-	cms, merged, report, err := mergedTask[*algorithms.CMSTask](f, name, MergeAdd, "a counter")
-	if err != nil {
-		return 0, report, err
-	}
-	return countMin(cms, merged, k), report, nil
 }
 
 // CollectTrace gathers the fleet's distributed spans: every reachable

@@ -50,7 +50,7 @@ func TestRemoteFleetMergedEstimates(t *testing.T) {
 	cfg := fleetConfig()
 	ctrls, clients := startDaemons(t, 3, cfg)
 	fleet := NewRemoteFleetOptions(clients, cfg, FleetOptions{})
-	if err := fleet.Deploy(cmsSpec("freq")); err != nil {
+	if err := fleet.DeployEpoch(cmsSpec("freq")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -60,10 +60,11 @@ func TestRemoteFleetMergedEstimates(t *testing.T) {
 		ctrls[i%3].Process(&tr.Packets[i]) // each packet at one ingress
 		exact.AddPacket(&tr.Packets[i])
 	}
+	art := rotated(t, fleet, "freq")
 
 	checked := 0
 	for k, truth := range exact.Counts() {
-		got, err := fleet.EstimateKey("freq", k)
+		got, err := art.Estimate(k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +76,7 @@ func TestRemoteFleetMergedEstimates(t *testing.T) {
 			break
 		}
 	}
-	if err := fleet.Remove("freq"); err != nil {
+	if err := fleet.RemoveEpochTask("freq"); err != nil {
 		t.Fatal(err)
 	}
 	for i, c := range ctrls {
@@ -83,7 +84,6 @@ func TestRemoteFleetMergedEstimates(t *testing.T) {
 			t.Fatalf("daemon %d kept tasks after fleet removal", i)
 		}
 	}
-	_ = clients
 }
 
 // TestRemoteFleetRefusesDivergedDaemon: a deployment that a switch would lay
@@ -143,7 +143,7 @@ func TestRemoteFleetRefusesDivergedDaemon(t *testing.T) {
 			if len(ctrls[0].Tasks()) != 0 {
 				t.Fatal("daemon 0 kept tasks after failed fleet deploy")
 			}
-			if _, _, err := fleet.MergedRows("freq", MergeAdd); err == nil {
+			if err := fleet.Remove("freq"); err == nil {
 				t.Fatal("a refused deployment left a task in the table")
 			}
 		})
@@ -154,7 +154,7 @@ func TestRemoteFleetLifecycleErrors(t *testing.T) {
 	cfg := fleetConfig()
 	_, clients := startDaemons(t, 1, cfg)
 	fleet := NewRemoteFleetOptions(clients, cfg, FleetOptions{})
-	if _, err := fleet.EstimateKey("none", packet.CanonicalKey{}); err == nil {
+	if _, _, err := fleet.EstimateKeyEpoch("none", 0, packet.CanonicalKey{}, EpochQuery{}); err == nil {
 		t.Fatal("unknown task must fail")
 	}
 	if err := fleet.Remove("none"); err == nil {

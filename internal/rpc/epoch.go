@@ -19,12 +19,21 @@ const EpochRetain = 4
 
 // epochTask is the daemon-side state of one epoch task: the rotator that
 // owns the double-buffered deployments, plus each recent completed epoch's
-// readout, packed once when the epoch was frozen. Snapshots are immutable
-// once stored, so read_epoch hands the stored frame straight to the codec:
-// serving an epoch costs zero encoding work.
+// snapshot. Snapshots are immutable once stored, so read_epoch hands the
+// stored frame straight to the codec: serving an epoch costs zero encoding
+// work.
 type epochTask struct {
 	rot   *epoch.Rotator
-	snaps map[int]EpochRegistersResult // by completed epoch
+	snaps map[int]epochSnap // by completed epoch
+}
+
+// epochSnap is one completed epoch: its readout, packed once when the epoch
+// was frozen, and the frozen copy's handle captured with it. The rotator
+// reclaims the copy one rotation later; key_indices reads only the handle's
+// placement, so the handle answers for the epoch as long as it is served.
+type epochSnap struct {
+	res    EpochRegistersResult
+	handle any
 }
 
 // epochUnavailable builds the classified "cannot serve that epoch (yet)"
@@ -57,7 +66,7 @@ func (s *Server) handleEpochDeploy(spec controlplane.TaskSpec) (EpochTaskResult,
 	if err != nil {
 		return EpochTaskResult{}, err
 	}
-	s.epochs[spec.Name] = &epochTask{rot: rot, snaps: make(map[int]EpochRegistersResult)}
+	s.epochs[spec.Name] = &epochTask{rot: rot, snaps: make(map[int]epochSnap)}
 	t, err := s.ctrl.Task(rot.ActiveID())
 	if err != nil {
 		return EpochTaskResult{}, err
@@ -87,7 +96,11 @@ func (s *Server) handleEpochRotate(p EpochRotateParams) (EpochTaskResult, error)
 		if err != nil {
 			return fmt.Errorf("rpc: snapshotting %q epoch %d: %w", p.Name, ep, err)
 		}
-		et.snaps[ep] = EpochRegistersResult{Epoch: ep, FrozenID: frozenID, RegistersResult: regs}
+		h, err := s.ctrl.TaskHandle(frozenID)
+		if err != nil {
+			return fmt.Errorf("rpc: snapshotting %q epoch %d: %w", p.Name, ep, err)
+		}
+		et.snaps[ep] = epochSnap{res: EpochRegistersResult{Epoch: ep, FrozenID: frozenID, RegistersResult: regs}, handle: h}
 		delete(et.snaps, ep-EpochRetain)
 		return nil
 	})
@@ -122,7 +135,7 @@ func (s *Server) handleReadEpoch(p ReadEpochParams) (EpochRegistersResult, error
 	if !ok {
 		return EpochRegistersResult{}, epochUnavailable(p.Name, e, cur)
 	}
-	return snap, nil
+	return snap.res, nil
 }
 
 // handleEpochRemove reclaims an epoch task's two deployments and its
@@ -141,9 +154,10 @@ func (s *Server) handleEpochRemove(p EpochTaskParams) error {
 // handleKeyIndices answers a flow key's per-row register indices on a
 // frequency task — computed here from the daemon's own deterministic
 // placement, so a query client without a mirror controller can probe
-// merged fleet rows at exactly the right offsets.
+// merged fleet rows at exactly the right offsets. The ID may be a served
+// epoch's frozen copy (EpochRegistersResult.FrozenID), reclaimed or not.
 func (s *Server) handleKeyIndices(p KeyParams) (KeyIndicesResult, error) {
-	h, err := s.ctrl.TaskHandle(p.ID)
+	h, err := s.retainedHandle(p.ID)
 	if err != nil {
 		return KeyIndicesResult{}, err
 	}
@@ -157,4 +171,21 @@ func (s *Server) handleKeyIndices(p KeyParams) (KeyIndicesResult, error) {
 		out.Indices[i] = cms.RowIndexFor(i, k) - uint32(cms.Rows[i].Base)
 	}
 	return out, nil
+}
+
+// retainedHandle resolves a task ID to its handle: the one captured with a
+// served epoch snapshot whose frozen copy it names, else the controller's.
+// IDs are never reused, so the two cannot disagree.
+func (s *Server) retainedHandle(id int) (any, error) {
+	s.epochMu.Lock()
+	for _, et := range s.epochs {
+		for _, snap := range et.snaps {
+			if snap.res.FrozenID == id {
+				s.epochMu.Unlock()
+				return snap.handle, nil
+			}
+		}
+	}
+	s.epochMu.Unlock()
+	return s.ctrl.TaskHandle(id)
 }

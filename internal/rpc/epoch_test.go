@@ -247,3 +247,48 @@ func TestKeyIndicesMatchDaemonEstimate(t *testing.T) {
 		t.Fatalf("key-indices estimate %d != daemon estimate %v", min, est)
 	}
 }
+
+func TestKeyIndicesServeRetainedEpochs(t *testing.T) {
+	// The rotator reclaims a frozen copy one rotation after freezing it,
+	// but read_epoch serves EpochRetain epochs: key_indices must answer a
+	// retained epoch's frozen ID for as long as its snapshot is served,
+	// with the indices its copy had while it was current.
+	s, c := startServer(t)
+	if _, err := c.EpochDeploy(freqSpec("ep")); err != nil {
+		t.Fatal(err)
+	}
+	const latest = EpochRetain
+	key := packet.KeyFiveTuple.Extract(&feed(t, s, 1).Packets[0])
+	want := make(map[int][]uint32)
+	for e := 1; e <= latest; e++ {
+		if e > 1 {
+			feed(t, s, int64(e))
+		}
+		if _, err := c.EpochRotate("ep", e); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := c.ReadEpoch("ep", e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[e], err = c.KeyIndices(snap.FrozenID, key); err != nil {
+			t.Fatalf("epoch %d while current: %v", e, err)
+		}
+	}
+	for _, e := range []int{latest - 1, latest - 3} {
+		snap, err := c.ReadEpoch("ep", e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.ctrl.TaskHandle(snap.FrozenID); err == nil {
+			t.Fatalf("setup: epoch %d's frozen copy %d was not reclaimed", e, snap.FrozenID)
+		}
+		idx, err := c.KeyIndices(snap.FrozenID, key)
+		if err != nil {
+			t.Fatalf("key_indices for retained epoch %d (frozen copy %d): %v", e, snap.FrozenID, err)
+		}
+		if !reflect.DeepEqual(idx, want[e]) {
+			t.Fatalf("epoch %d indices %v, %v while current", e, idx, want[e])
+		}
+	}
+}

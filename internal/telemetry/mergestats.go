@@ -12,13 +12,12 @@ import (
 const MergeLevels = 8
 
 // MergeTreeStats instruments the fleet query plane's parallel merge tree
-// (internal/netwide/mergetree.go) and the epoch-coherent readout path:
-// tree shape gauges, interior-merge latency by level, and the straggler
-// policy outcomes of epoch queries.
+// (internal/netwide/mergetree.go) and the epoch readout path around it:
+// tree shape gauges, interior-merge latency by level, artifact-store hits
+// and misses, and the straggler policy outcomes.
 type MergeTreeStats struct {
-	Queries      atomic.Uint64 // merge-tree queries executed
-	Merges       atomic.Uint64 // interior merge nodes executed
-	EpochQueries atomic.Uint64 // queries pinned to an epoch boundary
+	Queries atomic.Uint64 // merge-tree queries executed
+	Merges  atomic.Uint64 // interior merge nodes executed
 
 	// Epoch artifact store: a completed epoch is merged once and then read.
 	EpochCacheHits   atomic.Uint64 // epoch queries served from a stored complete merge
@@ -30,7 +29,7 @@ type MergeTreeStats struct {
 	MergeLatency Histogram              // one interior merge node
 	LevelLatency [MergeLevels]Histogram // merge latency by tree level
 
-	// Straggler policy outcomes (epoch-coherent queries only).
+	// Straggler policy outcomes.
 	StragglerWaits     atomic.Uint64 // switches waited on that caught up in time
 	StragglersSkipped  atomic.Uint64 // switches dropped without waiting (skip policy)
 	StragglersTimedOut atomic.Uint64 // switches still behind when the wait bound expired
@@ -53,7 +52,6 @@ func (m *MergeTreeStats) ObserveLevel(level int, d time.Duration) {
 func (m *MergeTreeStats) collect(c *catalogue) {
 	c.counter("flymon_fleet_merge_queries_total", "Merge-tree fleet queries executed.", sample(m.Queries.Load()))
 	c.counter("flymon_fleet_merge_nodes_total", "Interior merge nodes executed by the merge tree.", sample(m.Merges.Load()))
-	c.counter("flymon_fleet_merge_epoch_queries_total", "Fleet queries pinned to an epoch boundary.", sample(m.EpochQueries.Load()))
 	c.counter("flymon_fleet_epoch_cache_total", "Epoch queries by artifact-store result (hit = served from a stored complete merge).",
 		sample(m.EpochCacheHits.Load(), "result", "hit"),
 		sample(m.EpochCacheMisses.Load(), "result", "miss"))
