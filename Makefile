@@ -39,8 +39,10 @@ race:
 	$(GO) test -race ./...
 
 # bench-allocs runs the alloc-regression gates: the compiled hot path must
-# stay at zero heap allocations per packet (telemetry on or off), and the
-# mmap replay path must stay at zero allocations per span once steady
+# stay at zero heap allocations per packet (telemetry on or off), the frame
+# engine at zero per span on every snapshot shape, the packet-order path of
+# probabilistic and spliced pipelines included (TestProcessFramesZeroAlloc),
+# and the mmap replay path at zero per span once steady
 # (TestReplayerNextZeroAlloc).
 bench-allocs:
 	$(GO) test -count=1 -run 'ZeroAlloc' -v ./internal/core/ ./internal/hashing/ \

@@ -212,8 +212,8 @@ func main() {
 			defer close(replayDone)
 			// Frame-native drain: spans execute straight off the mmapped
 			// records; control-channel reconfigurations still land at span
-			// boundaries (an ineligible snapshot just falls back to
-			// per-frame decode inside the same call).
+			// boundaries (a snapshot with sampled or spliced rules runs
+			// them in packet order inside the same call).
 			ctrl.ProcessFrameSource(replayer)
 			elapsed := time.Since(replayStart)
 			reg.ClearReplaySource(replayer)

@@ -382,8 +382,8 @@ func (c *Controller) ProcessBatch(ps []packet.Packet) {
 // ring, internal/mmtrace) through the controller's persistent worker pool
 // with the FrameView-native engine, returning when the source is
 // exhausted: spans of raw mmapped records execute stage-at-a-time with no
-// packet materialization, falling back to per-frame decode only for
-// snapshots the vectorizer rejects (spliced groups, probabilistic rules).
+// packet materialization; only the rules of a snapshot with spliced groups
+// or probabilistic rules run frame by frame in packet order.
 // Every worker reloads the RCU-published snapshot per span, so task
 // deploys, freezes, and resizes issued mid-replay take effect at the next
 // span boundary — replay behaves exactly like live traffic under

@@ -334,11 +334,14 @@ func TestCombinedReplayConcurrentReadout(t *testing.T) {
 // over a 131,072-frame file; "churn4" ingest_churn's four long-lived shapes
 // (CMS, Distinct src-IP per dst-IP at threshold 512, Existence, Max queue
 // length) over a 32,768-frame file, every rule but the CMS rows on the
-// parameter-column path; "single" one CMS over a 4,096-frame file, the shape
-// of a fleet_query daemon; "distinct" the nine CMS over 131,072
-// pairwise-distinct five-tuples, duplicate combining's worst case. ns/pkt is
-// per frame; distinct% is the share of a 256-frame chunk's frames that
-// carry a five-tuple not seen earlier in the chunk.
+// parameter-column path; "fallback" churn4 plus ingest_churn's
+// probabilistic task (a /8-filtered source-address CMS sampled at p = 0.5),
+// which keeps the snapshot off the column stage, so its rules run in packet
+// order; "single" one CMS over a 4,096-frame file, the shape of a
+// fleet_query daemon; "distinct" the nine CMS over 131,072 pairwise-distinct
+// five-tuples, duplicate combining's worst case. ns/pkt is per frame;
+// distinct% is the share of a chunk's frames (core.FrameChunk) that carry a
+// five-tuple not seen earlier in the chunk.
 //
 //	go test -run '^$' -bench ProcessFrames -benchmem ./internal/controlplane/
 func BenchmarkProcessFrames(b *testing.B) {
@@ -368,6 +371,9 @@ func BenchmarkProcessFrames(b *testing.B) {
 			Param:      ParamSpec{Kind: ParamQueueLength},
 			MemBuckets: 16384, D: 3},
 	}
+	sampled := TaskSpec{Name: "sampled", Key: packet.KeySrcIP, Attribute: AttrFrequency,
+		Filter:     packet.Filter{SrcPrefix: packet.Prefix{Value: 10 << 24, Bits: 8}},
+		MemBuckets: 16384, D: 3, Prob: 0.5}
 	for _, bc := range []struct {
 		name  string
 		specs []TaskSpec
@@ -375,6 +381,7 @@ func BenchmarkProcessFrames(b *testing.B) {
 	}{
 		{"steady9", cms(9), zipf(131072)},
 		{"churn4", churn4, zipf(32768)},
+		{"fallback", append(churn4[:len(churn4):len(churn4)], sampled), zipf(32768)},
 		{"single", cms(1), zipf(4096)},
 		{"distinct", cms(9), distinct},
 	} {
@@ -387,8 +394,8 @@ func BenchmarkProcessFrames(b *testing.B) {
 				}
 			}
 			snap := c.Pipeline().Compile()
-			if !snap.FrameVectorized() {
-				b.Fatal("the task set must be frame-vectorisable")
+			if want := bc.name != "fallback"; snap.FrameVectorized() != want {
+				b.Fatalf("FrameVectorized() = %v, want %v", snap.FrameVectorized(), want)
 			}
 			tr := mmtrace.FromPackets(bc.ps)
 			n := tr.Frames()

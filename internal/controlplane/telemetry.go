@@ -112,6 +112,7 @@ func (c *Controller) TelemetryDataPlane() telemetry.DataPlane {
 	dp := c.tele.FoldDataPlane(snap.TelemetryLive())
 	dp.Packets = c.pipeline.Packets()
 	dp.Recirculated = c.pipeline.Recirculated()
+	dp.PacketOrderFrames = c.pipeline.PacketOrderFrames()
 	dp.ShardedRules, dp.FallbackRules = snap.ShardedRules()
 	// Accesses folds the lanes' plain single-writer counters, and one
 	// worker's bucket stores are plain, so under either policy no span may

@@ -144,6 +144,38 @@ func TestTelemetryReportEndToEnd(t *testing.T) {
 	}
 }
 
+// TestTelemetryPacketOrderFrames: the data-plane report counts the frames
+// the frame engine ran in packet order — every frame replayed while a
+// sampled task is deployed, none once it is removed.
+func TestTelemetryPacketOrderFrames(t *testing.T) {
+	c, reg := telemetryController(t, Config{Groups: 2, Buckets: 16384, BitWidth: 32, Workers: 1})
+	defer c.Close()
+	if _, err := c.AddTask(freqSpec("hh", packet.Filter{}, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	sampled := freqSpec("sampled", packet.Filter{}, 4096)
+	sampled.Prob = 0.5
+	task, err := c.AddTask(sampled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := trace.Generate(trace.Config{Flows: 500, Packets: 3_000, Seed: 7})
+	replayPackets(c, tr.Packets)
+	frames := uint64(len(tr.Packets))
+	if got := reg.Report().DataPlane.PacketOrderFrames; got != frames {
+		t.Fatalf("packet-order frames = %d with a sampled task, want %d", got, frames)
+	}
+	if err := c.RemoveTask(task.ID); err != nil {
+		t.Fatal(err)
+	}
+	replayPackets(c, tr.Packets)
+	dp := reg.Report().DataPlane
+	if dp.PacketOrderFrames != frames || dp.Packets != 2*frames {
+		t.Fatalf("after the removal: %d of %d packets in packet order, want %d of %d",
+			dp.PacketOrderFrames, dp.Packets, frames, 2*frames)
+	}
+}
+
 // TestTelemetryRekeyUnit: on-the-fly key reconfiguration republishes and is
 // bounds-checked.
 func TestTelemetryRekeyUnit(t *testing.T) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"flymon/internal/dataplane"
@@ -33,12 +34,19 @@ func nineCMS(t *testing.T, buckets int) *Pipeline {
 // full-width register, matching every frame at program position 0 of its
 // CMU, in a bus-quiet frame-vectorised snapshot.
 func combines(s *Snapshot) bool {
+	return combinesBy(s, func(r *compiledRule) bool { return r.fastAddFull })
+}
+
+// combinesBy reports whether some rule of s of the given shape wins every
+// frame at program position 0 of its CMU in a bus-quiet, grouping,
+// frame-vectorised snapshot — the runtime conditions of combining.
+func combinesBy(s *Snapshot, shape func(*compiledRule) bool) bool {
 	if !s.busQuiet || !s.frameVec || !s.groupKeys {
 		return false
 	}
 	for _, sg := range s.groups {
 		for _, sc := range sg.cmus {
-			if r := &sc.prog[0]; r.fastAddFull && r.match.kind == matchAll {
+			if r := &sc.prog[0]; shape(r) && r.match.kind == matchAll {
 				return true
 			}
 		}
@@ -77,16 +85,25 @@ func compareTelemetry(t *testing.T, want, got telemetry.DataPlane) {
 	}
 }
 
-// framesMatchBatch replays ps through the sequential oracle of a fresh
-// shared-bucket pipeline and through the frame engine of one fresh pipeline
-// per write policy, after prepare has run on each, and compares every
-// register, clamp counter, rule-hit count and stage count (preparation
-// drops included). The frame engine takes the trace in one ProcessFrames
-// call, or, given span widths, in spans of those widths in turn. It returns
-// the frame engine's snapshot and the oracle's telemetry.
+// framesMatchBatch replays ps, per register write policy, through the
+// sequential oracle of a fresh shared-bucket pipeline and through the frame
+// engine of a fresh pipeline under that policy, after prepare has run on
+// each, and compares every register, clamp counter, rule-hit count and
+// stage count (preparation drops included), the packet, recirculation and
+// packet-order counters, and the contexts' rng streams: the packets after
+// the replay, pushed through both contexts, must land alike. The frame
+// engine takes the trace in one ProcessFrames call, or, given span widths,
+// in spans of those widths in turn. It returns the frame engine's snapshot
+// and the oracle's telemetry.
 func framesMatchBatch(t *testing.T, build func() *Pipeline, prepare func(*Pipeline), ps []packet.Packet, spans ...int) (*Snapshot, telemetry.DataPlane) {
 	t.Helper()
-	run := func(single bool, replay func(*Snapshot)) (*Pipeline, *Snapshot, telemetry.DataPlane) {
+	type side struct {
+		pl   *Pipeline
+		s    *Snapshot
+		pc   *ProcCtx
+		tele telemetry.DataPlane
+	}
+	run := func(single bool, replay func(*Snapshot, *ProcCtx)) side {
 		pl := build()
 		pl.SetSingleWriter(single)
 		if prepare != nil {
@@ -95,31 +112,52 @@ func framesMatchBatch(t *testing.T, build func() *Pipeline, prepare func(*Pipeli
 		reg := telemetry.NewRegistry()
 		pl.SetTelemetry(reg)
 		s := pl.Compile()
-		replay(s)
-		return pl, s, reg.FoldDataPlane(s.TelemetryLive())
+		pc := NewProcCtx()
+		replay(s, pc)
+		pc.TeleFlush()
+		return side{pl, s, pc, reg.FoldDataPlane(s.TelemetryLive())}
 	}
-	want, _, wantTele := run(false, func(s *Snapshot) { s.ProcessBatchCtx(NewProcCtx(), ps) })
 	mt := writeFrameTrace(t, ps)
 	if len(spans) == 0 {
 		spans = []int{mt.Frames()}
 	}
 	var s *Snapshot
+	var wantTele telemetry.DataPlane
 	for _, pol := range writePolicies {
 		t.Run(pol.name, func(t *testing.T) {
-			var got *Pipeline
-			var gotTele telemetry.DataPlane
-			got, s, gotTele = run(pol.single, func(s *Snapshot) {
-				pc := NewProcCtx()
+			want := run(false, func(s *Snapshot, pc *ProcCtx) { s.ProcessBatchCtx(pc, ps) })
+			got := run(pol.single, func(s *Snapshot, pc *ProcCtx) {
 				for lo, k := 0, 0; lo < mt.Frames(); k++ {
 					hi := min(lo+spans[k%len(spans)], mt.Frames())
 					s.ProcessFrames(pc, mt, lo, hi)
 					lo = hi
 				}
-				pc.TeleFlush()
 			})
-			compareAllRegisters(t, want, got)
-			compareClamps(t, want, got)
-			compareTelemetry(t, wantTele, gotTele)
+			s, wantTele = got.s, want.tele
+			compareAllRegisters(t, want.pl, got.pl)
+			compareClamps(t, want.pl, got.pl)
+			compareTelemetry(t, want.tele, got.tele)
+			if w, g := want.pl.Packets(), got.pl.Packets(); w != g {
+				t.Fatalf("packets: frame engine %d, packet path %d", g, w)
+			}
+			if w, g := want.pl.Recirculated(), got.pl.Recirculated(); w != g {
+				t.Fatalf("recirculated: frame engine %d, packet path %d", g, w)
+			}
+			packetOrder := uint64(0)
+			if !got.s.FrameVectorized() {
+				packetOrder = uint64(len(ps))
+			}
+			if g := got.pl.PacketOrderFrames(); g != packetOrder {
+				t.Fatalf("frames run in packet order: %d, want %d", g, packetOrder)
+			}
+			if want.pc.Ctx.rng != got.pc.Ctx.rng {
+				t.Fatalf("rng stream: frame engine at %#x, packet path at %#x", got.pc.Ctx.rng, want.pc.Ctx.rng)
+			}
+			for i := range ps[:min(len(ps), 64)] {
+				want.s.Process(want.pc, &ps[i])
+				got.s.Process(got.pc, &ps[i])
+			}
+			compareAllRegisters(t, want.pl, got.pl)
 		})
 	}
 	return s, wantTele
@@ -409,6 +447,120 @@ func TestCombineSpans(t *testing.T) {
 		t.Run(fmt.Sprint(span), func(t *testing.T) {
 			framesMatchBatch(t, func() *Pipeline { return nineCMS(t, 4096) }, nil, tr.Packets, span)
 			framesMatchBatch(t, func() *Pipeline { return churnShape(t) }, nil, tr.Packets, span)
+		})
+	}
+}
+
+// idemVerdict reports whether some rule of s carries the compiler's
+// combine verdict (compiledRule.combine), whether or not it can combine.
+func idemVerdict(s *Snapshot) bool {
+	for _, sg := range s.groups {
+		for _, sc := range sg.cmus {
+			for ri := range sc.prog {
+				if sc.prog[ri].combine {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// TestCombineIdempotent holds one-update-per-group AND-OR and MAX rules to
+// the sequential oracle — registers, rule hits and preparation drops — on a
+// Zipf trace whose queue lengths run to 1023 and sizes to 1500. Each case
+// names the mutation of ruleCombined it catches: Bloom (BitSelect, and a
+// constant p1); BeauCoup (Coupon, half the groups dropped: drops must count
+// frames, not groups); SuMax(Max) of the queue length on a 32-bit and an
+// 8-bit register (the maximum must be taken after the width mask: 300 masks
+// to 44, below 200); AND with p2 = 0 and OR over per-frame p1, on
+// registers pre-filled with ones; a filtered MAX, which owns only some
+// frames and must stay per-frame; and MAX beside a rule reading its result
+// off the bus, which makes the snapshot bus-busy and must turn combining
+// off.
+func TestCombineIdempotent(t *testing.T) {
+	tr := trace.Generate(trace.Config{Flows: 2000, Packets: 24*FrameChunk + 7, ZipfS: 1.1, Seed: 67})
+	rng := rand.New(rand.NewSource(67))
+	for i := range tr.Packets {
+		tr.Packets[i].QueueLength = uint32(rng.Intn(1 << 10))
+		tr.Packets[i].Size = uint32(64 + rng.Intn(1437))
+	}
+	all := MemRange{Base: 0, Buckets: 256}
+	maxQ := func(lo int) *Rule {
+		return &Rule{TaskID: 1, Filter: packet.MatchAll, Key: FullKey(0).SubRange(lo, 32),
+			P1: QueueLength(), P2: Const(0), Mem: all, Op: dataplane.OpMax}
+	}
+	for _, tc := range []struct {
+		name     string
+		width    int
+		rules    []*Rule // rules[i] goes to CMU i
+		prefill  uint32
+		combined bool
+	}{
+		{name: "bloom", width: 32, combined: true, rules: []*Rule{
+			{TaskID: 1, Filter: packet.MatchAll, Key: FullKey(0).SubRange(5, 32),
+				P1: CompressedKey(FullKey(0).SubRange(17, 5)), P2: Const(1),
+				Prep: Transform{Kind: TransformBitSelect, Width: 32}, Mem: all, Op: dataplane.OpAndOr},
+			{TaskID: 1, Filter: packet.MatchAll, Key: FullKey(1).SubRange(9, 32),
+				P1: Const(1 << 7), P2: Const(1), Mem: all, Op: dataplane.OpAndOr},
+		}},
+		{name: "beaucoup", width: 32, combined: true, rules: []*Rule{
+			{TaskID: 1, Filter: packet.MatchAll, Key: FullKey(2), P1: CompressedKey(FullKey(1)), P2: Const(1),
+				Prep: Transform{Kind: TransformCoupon, Coupons: 8, ProbLog2: 4}, Mem: all, Op: dataplane.OpAndOr},
+		}},
+		{name: "sumax-max-32", width: 32, combined: true, rules: []*Rule{maxQ(0), maxQ(8), maxQ(16)}},
+		{name: "sumax-max-8", width: 8, combined: true, rules: []*Rule{maxQ(0), maxQ(8), maxQ(16)}},
+		{name: "and-or-per-frame", width: 32, prefill: ^uint32(0), combined: true, rules: []*Rule{
+			{TaskID: 1, Filter: packet.MatchAll, Key: FullKey(0).SubRange(3, 32),
+				P1: PacketSize(), P2: Const(0), Mem: all, Op: dataplane.OpAndOr},
+			{TaskID: 1, Filter: packet.MatchAll, Key: FullKey(1).SubRange(3, 32),
+				P1: QueueLength(), P2: Const(1), Mem: all, Op: dataplane.OpAndOr},
+		}},
+		{name: "filtered", width: 32, combined: false, rules: []*Rule{
+			{TaskID: 1, Filter: packet.Filter{Proto: 6}, Key: FullKey(0),
+				P1: QueueLength(), P2: Const(0), Mem: all, Op: dataplane.OpMax},
+		}},
+		{name: "bus-consumer", width: 32, combined: false, rules: []*Rule{
+			maxQ(0),
+			{TaskID: 1, Filter: packet.MatchAll, Key: FullKey(0).SubRange(8, 32),
+				P1: PrevResult(), P2: MaxValue(), Mem: all, Op: dataplane.OpCondAdd},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func() *Pipeline {
+				g := NewGroup(GroupConfig{ID: 0, Buckets: all.Buckets, BitWidth: tc.width})
+				for u, k := range []packet.KeySpec{packet.KeyFiveTuple, packet.KeySrcIP, packet.KeyDstIP} {
+					if err := g.ConfigureUnit(u, k); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for ci, r := range tc.rules {
+					r := *r
+					if err := g.CMU(ci).InstallRule(&r); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return NewPipelineWith(g)
+			}
+			prefill := func(pl *Pipeline) {
+				for ci := range tc.rules {
+					reg := pl.Group(0).CMU(ci).Register()
+					for b := uint32(0); b < uint32(all.Buckets); b++ {
+						reg.Apply(dataplane.OpMax, b, tc.prefill, 0)
+					}
+				}
+			}
+			s, tele := framesMatchBatch(t, build, prefill, tr.Packets, FrameChunk, 3*FrameChunk/2, 100)
+			if !idemVerdict(s) {
+				t.Fatal("the compiler must give some rule the combine verdict")
+			}
+			idem := combinesBy(s, func(r *compiledRule) bool { return r.combine })
+			if idem != tc.combined {
+				t.Fatalf("combining engaged %v, want %v", idem, tc.combined)
+			}
+			if tc.name == "beaucoup" && tele.Stages.Operation == tele.Stages.Initialization {
+				t.Fatal("no coupon draw was dropped: the drop weighting went unexercised")
+			}
 		})
 	}
 }

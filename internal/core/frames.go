@@ -3,6 +3,7 @@ package core
 import (
 	"math/bits"
 
+	"flymon/internal/dataplane"
 	"flymon/internal/hashing"
 	"flymon/internal/mmtrace"
 	"flymon/internal/packet"
@@ -37,42 +38,59 @@ import (
 //      (plain stores when the register has a single writer). Results
 //      scatter back onto per-frame result-bus arrays, preserving the
 //      cross-CMU bus semantics (PrevResult/PrevOld/RunningMin/PrevNewFlow)
-//      exactly. A constant saturating add in a bus-quiet snapshot is the
-//      pipeline with no parameter columns: its index column goes to the
-//      witness-free add, or, match-all on a full-width base register, one
-//      weighted add per group (Register.ApplyAddCounts).
+//      exactly. In a bus-quiet snapshot a rule that owns every frame of
+//      the chunk combines: it issues one update per group instead of one
+//      per frame. A constant saturating add on a full-width base register
+//      adds count·p1 once per group (Register.ApplyAddCounts); an
+//      idempotent AND-OR or MAX rule (compiledRule.combine) runs its
+//      columns over the representatives only, or, when p1 is per-frame
+//      metadata, folds each group's p1 under the op (ruleCombined).
 //
-// Grouping is exact: frames share a group only when their keys are equal
+// Combining is exact. Frames share a group only when their keys are equal
 // under every mask, so a rule's bucket index — a function of the digests
-// alone — is the same for every frame of a group, and count·p1 applied once
-// leaves the bucket and its clamp count where count adds of p1 would.
-// Distinct keys that collide in every digest get a group each, and their
-// adds land on the same bucket one after the other, which ApplyAddCounts
-// makes equal to adding them frame by frame. Witness-carrying and filtered
-// rules, narrow registers and private lanes stay per-frame. When the union
-// mask reads the timestamp field no frame of a chunk repeats a key, so
-// Compile turns grouping off (Snapshot.groupKeys) and each frame is its own
-// group.
+// alone — is the same for every frame of a group, and so is a parameter
+// drawn from a constant or a compressed key, and with it the preparation
+// stage's output and its drop verdict (a dropped group counts its frames).
+// count·p1 applied once leaves the bucket and its clamp count where count
+// adds of p1 would; distinct keys that collide in every digest get a group
+// each, and their adds land on the same bucket one after the other, which
+// ApplyAddCounts makes equal to adding them frame by frame. OR, AND and MAX
+// are commutative and idempotent per bucket and never clamp, so one update
+// with a group's parameter — or with its frames' parameters folded under
+// the op: the max of p1 & mask, the OR, the AND — leaves the bucket where
+// the group's frames would, in any order against other groups. AND-OR
+// combines only with a constant p2: a group that ORs and one that ANDs the
+// same bucket do not commute. Rule hits still count per frame; the only
+// values combining does not produce are the per-frame result/old
+// witnesses, which no rule of a bus-quiet snapshot reads. Filtered rules
+// (a filter may read fields outside the key), narrow saturating adds and
+// private-lane adds stay per-frame. When the union mask reads the
+// timestamp field no frame of a chunk repeats a key, so Compile turns
+// grouping off (Snapshot.groupKeys) and each frame is its own group.
 //
 // Equivalence to the sequential path. Within one CMU, rules select disjoint
-// frame sets (first-match), every rule's updates are applied in frame
-// order (a combined rule's are all the same add, so order is moot), and
-// distinct rules of a CMU own disjoint bucket ranges (enforced
-// at install time) on a register no other CMU touches — so the per-bucket
-// update sequence a register observes is identical to the packet-at-a-time
-// order, and with it every result/old witness, clamp event, and telemetry
-// count. The chunk reordering only interleaves updates of *different*
-// buckets, which no observable depends on.
+// frame sets (first-match), every uncombined rule's updates are applied in
+// frame order, and distinct rules of a CMU own disjoint bucket ranges
+// (enforced at install time) on a register no other CMU touches — so the
+// per-bucket update sequence a register observes is the packet-at-a-time
+// order (for a combined rule, one that ends in the same state), and with it
+// every live result/old witness, clamp event, and telemetry count. The
+// chunk reordering only interleaves updates of *different* buckets, which
+// no observable depends on.
 //
-// Two configurations fall off the vectorized path (Snapshot.frameVec,
+// Packet order. Two configurations keep stage 3 off (Snapshot.frameVec,
 // decided at Compile): live spliced groups (the mirror decision and the
-// recirculated pass are inherently per-packet) and probabilistically gated
-// rules (the rng coin stream advances in strict packet order; vectorizing
-// would reorder the flips). ProcessFrames then decodes each frame into the
-// context's scratch packet and runs the sequential path — bit-identical by
-// construction, and the reason a mid-replay reconfiguration into such a
-// configuration is safe: the engine switches form at the next batch, never
-// changing results.
+// recirculated pass are per packet) and probabilistically gated rules (the
+// rng coin stream advances in strict packet order; columns would reorder
+// the flips). Such a snapshot still runs stages 1 and 2 per chunk — its
+// digest blocks and grouping key cover the spliced masks too — and then
+// decodes each frame and runs the compiled rules on it in trace order
+// (snapCMU.process), reading the frame's digests from its group's row of
+// the matrix (packetOrderChunk). The coins are drawn exactly as
+// Snapshot.Process draws them, so the path is bit-identical to it, which is
+// what makes a mid-replay reconfiguration into such a configuration safe:
+// the engine switches form at the next chunk, never changing results.
+// Pipeline.PacketOrderFrames counts the frames that took it.
 
 // FrameChunk is the frame engine's chunk width in frames: ProcessFrames cuts
 // a span into chunks of at most this many frames and groups each chunk on
@@ -159,33 +177,24 @@ func (fs *frameScratch) arm(s *Snapshot) {
 	fs.hashes = fs.hashes[:len(s.hashes)*FrameChunk]
 }
 
-// FrameVectorized reports whether ProcessFrames runs the stage-at-a-time
-// engine for this snapshot (false = the per-frame decode fallback).
+// FrameVectorized reports whether ProcessFrames runs the rules of this
+// snapshot stage at a time (false = in packet order, for probabilistic
+// rules or live spliced groups; stages 1 and 2 run per chunk either way).
 func (s *Snapshot) FrameVectorized() bool { return s.frameVec }
 
 // ProcessFrames pushes frames [lo, hi) of t through the compiled pipeline
 // with no packet materialization. Results — register contents, result-bus
-// interactions, telemetry counts, clamp events — are bit-identical to
-// decoding the same frames and calling Process on each in order. Safe for
-// concurrent callers with distinct contexts, like Process.
+// interactions, telemetry counts, clamp events, rng coin draws — are
+// bit-identical to decoding the same frames and calling Process on each in
+// order. Safe for concurrent callers with distinct contexts, like Process.
 func (s *Snapshot) ProcessFrames(pc *ProcCtx, t *mmtrace.Trace, lo, hi int) {
-	if !s.frameVec {
-		// Sequential fallback: spliced groups or probabilistic rules need
-		// strict packet order. Decode into the context's scratch packet —
-		// still no per-frame allocation.
-		p := &pc.framePkt
-		for i := lo; i < hi; i++ {
-			t.At(i).Decode(p)
-			s.Process(pc, p)
-		}
-		return
-	}
 	for lo < hi {
-		n := hi - lo
-		if n > FrameChunk {
-			n = FrameChunk
+		n := min(hi-lo, FrameChunk)
+		if s.frameVec {
+			s.processFrameChunk(pc, t.Span(lo, lo+n), n)
+		} else {
+			s.packetOrderChunk(pc, t.Span(lo, lo+n), n)
 		}
-		s.processFrameChunk(pc, t.Span(lo, lo+n), n)
 		lo += n
 	}
 }
@@ -193,6 +202,25 @@ func (s *Snapshot) ProcessFrames(pc *ProcCtx, t *mmtrace.Trace, lo, hi int) {
 // processFrameChunk runs one chunk of n frames (recs holds exactly their
 // record bytes) through every stage.
 func (s *Snapshot) processFrameChunk(pc *ProcCtx, recs []byte, n int) {
+	fs := s.digestChunk(pc, recs, n)
+	// Fresh PHV per frame: the result bus starts from reset state.
+	for i := 0; i < n; i++ {
+		fs.busRes[i], fs.busOld[i] = 0, 0
+		fs.busMin[i] = ^uint32(0)
+		fs.busNew[i] = false
+	}
+	// Stage 3: CMUs in pipeline order, each over the whole chunk.
+	for gi := range s.groups {
+		sg := &s.groups[gi]
+		for ci := range sg.cmus {
+			cmuFrames(pc, &sg.cmus[ci], recs, n)
+		}
+	}
+}
+
+// digestChunk counts a chunk of n frames in and runs stages 1 and 2 on it,
+// leaving the groups and the digest matrix in the context's scratch.
+func (s *Snapshot) digestChunk(pc *ProcCtx, recs []byte, n int) *frameScratch {
 	s.pl.packets.Add(uint64(n))
 	if s.teleOn {
 		pc.teleTickBatch(s, n)
@@ -223,17 +251,50 @@ func (s *Snapshot) processFrameChunk(pc *ProcCtx, recs []byte, n int) {
 		}
 		b.f.SumKeys(fs.masked[b.mask*FrameChunk:b.mask*FrameChunk+len(reps)], dst[:b.n])
 	}
-	// Fresh PHV per frame: the result bus starts from reset state.
-	for i := 0; i < n; i++ {
-		fs.busRes[i], fs.busOld[i] = 0, 0
-		fs.busMin[i] = ^uint32(0)
-		fs.busNew[i] = false
+	return fs
+}
+
+// packetOrderChunk runs a chunk of a snapshot that is not frame-vectorised:
+// stages 1 and 2 as usual, then each frame decoded and run through the
+// compiled rules in trace order, the counterpart of Snapshot.Process with
+// the frame's digests copied from its group's row of the matrix instead of
+// computed per packet.
+func (s *Snapshot) packetOrderChunk(pc *ProcCtx, recs []byte, n int) {
+	fs := s.digestChunk(pc, recs, n)
+	s.pl.packetOrder.Add(uint64(n))
+	if cap(pc.hashes) < len(s.hashes) {
+		pc.hashes = make([]uint32, len(s.hashes))
 	}
-	// Stage 3: CMUs in pipeline order, each over the whole chunk.
-	for gi := range s.groups {
-		sg := &s.groups[gi]
-		for ci := range sg.cmus {
-			cmuFrames(pc, &sg.cmus[ci], recs, n)
+	pc.hashes = pc.hashes[:len(s.hashes)]
+	p := &pc.framePkt
+	rec := 0
+	for i := 0; i < n; i++ {
+		frameAt(recs, int32(i)).Decode(p)
+		row := i
+		if s.groupKeys {
+			row = int(fs.grp[i])
+		}
+		for h := range pc.hashes {
+			pc.hashes[h] = fs.hashes[h*FrameChunk+row]
+		}
+		pc.reset(p)
+		for gi := range s.groups {
+			s.groups[gi].process(pc)
+		}
+		if len(s.splicedMatch) == 0 || !s.wants(p) {
+			continue
+		}
+		// The mirrored copy re-enters the pipeline: a fresh PHV.
+		rec++
+		pc.reset(p)
+		for gi := range s.spliced {
+			s.spliced[gi].process(pc)
+		}
+	}
+	if rec > 0 {
+		s.pl.recirculated.Add(uint64(rec))
+		if s.teleOn {
+			pc.teleRecPend += uint32(rec)
 		}
 	}
 }
@@ -398,6 +459,10 @@ func ruleFrames(pc *ProcCtx, r *compiledRule, recs []byte, n int, sel []int32) {
 		}
 		return
 	}
+	if r.combine && whole && fs.nrep < n && fs.snap.busQuiet {
+		ruleCombined(pc, r, recs, n, lane)
+		return
+	}
 	m := len(sel)
 	rows := fs.digestRows(sel, whole)
 	idx, p1, p2 := fs.upIdx[:m], fs.upP1[:m], fs.upP2[:m]
@@ -442,6 +507,81 @@ func ruleFrames(pc *ProcCtx, r *compiledRule, recs []byte, n int, sel []int32) {
 		}
 		if r.detectNew {
 			fs.busNew[i] = oldv&p1[j] == 0
+		}
+	}
+}
+
+// ruleCombined runs an idempotent rule (compiledRule.combine) that owns
+// every frame of a grouped chunk of n frames in a bus-quiet snapshot, one
+// update per group: the index column over the representatives' digest rows,
+// then p1 either as a column over the representatives followed by the
+// preparation stage (a dropped group drops all its frames) or, for per-frame
+// metadata, folded per group under the op (frameScratch.reduceP1).
+func ruleCombined(pc *ProcCtx, r *compiledRule, recs []byte, n int, lane bool) {
+	fs := &pc.frames
+	m := fs.nrep
+	groups, reps := allFrames[:m], fs.rep[:m]
+	idx, p1, p2 := fs.upIdx[:m], fs.upP1[:m], fs.upP2[:m]
+	gatherIdxFrames(r, fs, groups, idx)
+	fs.paramColumn(&r.p2, recs, reps, groups, p2)
+	k := m
+	if r.reduceP1 {
+		fs.reduceP1(r, recs, n)
+	} else {
+		fs.paramColumn(&r.p1, recs, reps, groups, p1)
+		if r.hasPrep {
+			frames := fs.upFrame[:m]
+			copy(frames, groups)
+			if k = fs.prepare(&r.prep, m, &pc.Ctx); k < m {
+				// prepare counted one drop per dropped group; the group's
+				// other frames drop with it.
+				kept := 0
+				for _, g := range frames[:k] {
+					kept += int(fs.cnt[g&(FrameChunk-1)])
+				}
+				pc.Ctx.PrepDrops += uint64(n - kept - (m - k))
+			}
+		}
+	}
+	if k == 0 {
+		return
+	}
+	if lane {
+		r.reg.ShardApplyBatch(int(pc.Ctx.Shard), r.op,
+			idx[:k], p1[:k], p2[:k], fs.upRes[:k], fs.upOld[:k])
+	} else {
+		r.reg.ApplyBatch(r.op, idx[:k], p1[:k], p2[:k], fs.upRes[:k], fs.upOld[:k])
+	}
+}
+
+// reduceP1 folds the per-frame parameter p1 of the chunk's n frames into
+// upP1[g] for every group g under the rule's op — the maximum of p1 under
+// the register's width mask for MAX (the mask first, as the register
+// applies it), the AND for AND-OR with p2 = 0, the OR otherwise — so that one
+// update per group leaves each bucket where the group's frames would. upRes
+// holds the per-frame values meanwhile.
+func (fs *frameScratch) reduceP1(r *compiledRule, recs []byte, n int) {
+	vals := fs.upRes[:n]
+	fs.paramColumn(&r.p1, recs, allFrames[:n], nil, vals)
+	acc, grp := &fs.upP1, fs.grp[:n]
+	switch {
+	case r.op == dataplane.OpMax:
+		mask := r.reg.Mask()
+		clear(acc[:fs.nrep])
+		for i, g := range grp {
+			acc[g&(FrameChunk-1)] = max(acc[g&(FrameChunk-1)], vals[i]&mask)
+		}
+	case r.p2.value == 0:
+		for g := range acc[:fs.nrep] {
+			acc[g] = ^uint32(0)
+		}
+		for i, g := range grp {
+			acc[g&(FrameChunk-1)] &= vals[i]
+		}
+	default:
+		clear(acc[:fs.nrep])
+		for i, g := range grp {
+			acc[g&(FrameChunk-1)] |= vals[i]
 		}
 	}
 }

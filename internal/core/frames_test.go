@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"flymon/internal/dataplane"
@@ -323,10 +324,60 @@ func TestProcessFramesShardedMatchesSequential(t *testing.T) {
 	compareAllRegisters(t, want, got)
 }
 
-// TestProcessFramesFallbacks: snapshots the vectorizer rejects —
+// sampledChurnShape is churnShape plus ingest_churn's probabilistic task: a
+// three-row source-address CMS whose filter is the /8 prefix src8, sampled
+// at p = 0.5. The sample keeps the snapshot off the column stage.
+func sampledChurnShape(t *testing.T, src8 uint32) *Pipeline {
+	t.Helper()
+	pl := churnShape(t)
+	g := NewGroup(GroupConfig{ID: 2, Buckets: 4096, BitWidth: 32})
+	if err := g.ConfigureUnit(0, packet.KeySrcIP); err != nil {
+		t.Fatal(err)
+	}
+	for ci := 0; ci < 3; ci++ {
+		if err := g.CMU(ci).InstallRule(&Rule{
+			TaskID: 5, Filter: packet.Filter{SrcPrefix: packet.Prefix{Value: src8 << 24, Bits: 8}},
+			Key: FullKey(0).SubRange(8*ci, 32), P1: Const(1), P2: MaxValue(),
+			Mem: MemRange{Base: 0, Buckets: 4096}, Op: dataplane.OpCondAdd, Prob: 0.5,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pl.groups = append(pl.groups, g)
+	return pl
+}
+
+// splicedOwnMask is a five-tuple CMS with a spliced group beside it that
+// mirrors TCP packets into a destination-address CMS: a mask no main group
+// reads, digested for the recirculated pass only.
+func splicedOwnMask(t *testing.T) *Pipeline {
+	t.Helper()
+	g := NewGroup(GroupConfig{ID: 0, Buckets: 2048, BitWidth: 32})
+	buildCMS(t, g, 1, 2, 2048)
+	pl := NewPipelineWith(g)
+	sp := NewGroup(GroupConfig{ID: 100, Buckets: 2048, BitWidth: 32})
+	if err := sp.ConfigureUnit(0, packet.KeyDstIP); err != nil {
+		t.Fatal(err)
+	}
+	for ci := 0; ci < 2; ci++ {
+		if err := sp.CMU(ci).InstallRule(&Rule{
+			TaskID: 2, Filter: packet.Filter{Proto: 6},
+			Key: FullKey(0).SubRange(8*ci, 32), P1: PacketSize(), P2: MaxValue(),
+			Mem: MemRange{Base: 0, Buckets: 2048}, Op: dataplane.OpCondAdd,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := pl.AddSpliced(sp); err != nil {
+		t.Fatal(err)
+	}
+	return pl
+}
+
+// TestProcessFramesFallbacks: snapshots the column stage rejects —
 // probabilistic rules (rng coin order) and live spliced groups
-// (recirculation) — must take the per-frame decode path and still match the
-// packet path bit for bit, rng stream included.
+// (recirculation) — must run their rules in packet order and still match
+// the packet path bit for bit, rng stream included.
 func TestProcessFramesFallbacks(t *testing.T) {
 	tr := trace.Generate(trace.Config{Flows: 200, Packets: 8_000, Seed: 13})
 	mt := writeFrameTrace(t, tr.Packets)
@@ -386,11 +437,56 @@ func TestProcessFramesFallbacks(t *testing.T) {
 			t.Fatalf("recirculation counters differ: %d vs %d", want.Recirculated(), got.Recirculated())
 		}
 	})
+
+	// The packet-order path groups and digests per chunk; spans cut off
+	// the chunk width must not move a coin, a recirculation or a drop.
+	// framesMatchBatch also requires the rng streams to end alike and the
+	// next packets through both contexts to land alike.
+	spans := []int{100, FrameChunk + 37, 3}
+	zipf := trace.Generate(trace.Config{Flows: 2000, Packets: 12_000, ZipfS: 1.1, Seed: 13})
+
+	t.Run("churn-sampled", func(t *testing.T) {
+		// Two source /8s share the traffic, so the sampled task sees about
+		// a thousand flows and which frame draws which coin shows in its
+		// rows.
+		ps := slices.Clone(zipf.Packets)
+		for i := range ps {
+			ps[i].SrcIP = ps[i].SrcIP&0x00ff_ffff | (ps[i].SrcIP&1)<<24
+		}
+		s, tele := framesMatchBatch(t, func() *Pipeline { return sampledChurnShape(t, 1) }, nil, ps, spans...)
+		if s.FrameVectorized() {
+			t.Fatal("a probabilistic rule must keep the snapshot off the column stage")
+		}
+		if tele.Stages.Operation == tele.Stages.Initialization {
+			t.Fatal("no coupon draw was dropped: the preparation stage went unexercised")
+		}
+		sampled := uint64(0)
+		for _, r := range tele.Rules {
+			if r.Task == 5 {
+				sampled += r.Hits
+			}
+		}
+		if sampled == 0 || sampled == 3*uint64(len(ps)) {
+			t.Fatalf("the sampled task ran %d times over %d packets: the coin went unexercised", sampled, len(ps))
+		}
+	})
+
+	t.Run("spliced-own-mask", func(t *testing.T) {
+		s, _ := framesMatchBatch(t, func() *Pipeline { return splicedOwnMask(t) }, nil, zipf.Packets, spans...)
+		if s.FrameVectorized() {
+			t.Fatal("a live spliced group must keep the snapshot off the column stage")
+		}
+		if len(s.masks) <= s.nMainMasks || s.pl.Recirculated() == 0 {
+			t.Fatalf("%d masks, %d read by the main pass, %d recirculated: the spliced pass must read a mask of its own and run",
+				len(s.masks), s.nMainMasks, s.pl.Recirculated())
+		}
+	})
 }
 
 // TestProcessFramesZeroAlloc: after the first span of a configuration, the
 // frame engine allocates nothing (matched by `make bench-allocs`) — on the
-// feature matrix and on every column shape, bus-quiet or not.
+// feature matrix, on every column shape, bus-quiet or not, and on the
+// packet-order path of a probabilistic and a spliced pipeline.
 func TestProcessFramesZeroAlloc(t *testing.T) {
 	tr := trace.Generate(trace.Config{Flows: 100, Packets: 4_096, Seed: 14})
 	mt := writeFrameTrace(t, tr.Packets)
@@ -398,6 +494,8 @@ func TestProcessFramesZeroAlloc(t *testing.T) {
 		"features":      buildFramesPipeline(t),
 		"columns-quiet": buildColumnsPipeline(t, true),
 		"columns-bus":   buildColumnsPipeline(t, false),
+		"probabilistic": sampledChurnShape(t, tr.Packets[0].SrcIP>>24),
+		"spliced":       splicedOwnMask(t),
 	} {
 		s := pl.Compile()
 		pc := NewProcCtx()

@@ -122,6 +122,7 @@ type Pipeline struct {
 
 	packets      atomic.Uint64
 	recirculated atomic.Uint64
+	packetOrder  atomic.Uint64
 	pc           *ProcCtx
 
 	// tele, when set, makes Compile attach telemetry to every snapshot:
@@ -225,6 +226,12 @@ func (pl *Pipeline) Packets() uint64 { return pl.packets.Load() }
 // Recirculated returns the number of packets mirrored through the spliced
 // groups; Recirculated/Packets is the Appendix-E bandwidth overhead.
 func (pl *Pipeline) Recirculated() uint64 { return pl.recirculated.Load() }
+
+// PacketOrderFrames returns the number of frames the frame engine ran in
+// packet order because their snapshot was not frame-vectorised
+// (Snapshot.FrameVectorized); PacketOrderFrames/Packets is the share of
+// traffic the column stage did not reach.
+func (pl *Pipeline) PacketOrderFrames() uint64 { return pl.packetOrder.Load() }
 
 // FindTask locates a task's rule: it returns the group, CMU index and rule
 // for every CMU carrying taskID.

@@ -89,10 +89,10 @@ func (p *WorkerPool) run(id int) {
 // Each span runs against a freshly loaded snapshot under a shared gate
 // acquisition, so control-plane mutations (republish, drain, resize)
 // interleave with a long replay at span granularity instead of waiting for
-// the whole stream. The span executes through Snapshot.ProcessFrames — the
-// stage-at-a-time engine when the snapshot is eligible, the per-frame
-// decode fallback otherwise. Either way a mid-span republish lands at the
-// next span boundary with bit-identical results.
+// the whole stream. The span executes through Snapshot.ProcessFrames —
+// rules stage at a time when the snapshot is frame-vectorised, in packet
+// order otherwise. Either way a mid-span republish lands at the next span
+// boundary with bit-identical results.
 func (p *WorkerPool) drainFrames(pc *ProcCtx, id int, j poolJob) {
 	for {
 		t, lo, hi := j.fsrc.NextFrames(id)

@@ -239,6 +239,16 @@ type compiledRule struct {
 	// register, the precondition for the shared-path ApplyAddBatch.
 	fastAdd     bool
 	fastAddFull bool
+
+	// combine marks an idempotent rule the frame engine may run as one
+	// update per flow group (ruleCombined): a MAX, or an AND-OR with a
+	// constant p2 (an OR and an AND of one bucket do not commute), that
+	// reads no bus and is not sampled, whose p2 is a constant or a
+	// compressed key and whose p1 is too, or is per-frame metadata with no
+	// preparation stage — then reduceP1 is set and the group's p1 values
+	// are folded under the op first.
+	combine  bool
+	reduceP1 bool
 }
 
 // compileRule flattens one enabled rule against its CMU's register and its
@@ -279,6 +289,15 @@ func compileRule(r *Rule, reg *dataplane.Register, unitHash []int, allowShard bo
 		cr.p1.kind == ParamConst && cr.p2.kind == ParamConst &&
 		cr.p2.value&reg.Mask() == reg.Mask()
 	cr.fastAddFull = cr.fastAdd && reg.Mask() == ^uint32(0)
+	uniform := func(k ParamKind) bool { return k == ParamConst || k == ParamCompressedKey }
+	metaP1 := false
+	switch cr.p1.kind {
+	case ParamPacketSize, ParamTimestampUs, ParamQueueLength, ParamQueueDelay:
+		metaP1 = !cr.hasPrep
+	}
+	cr.combine = (cr.op == dataplane.OpMax || cr.op == dataplane.OpAndOr && cr.p2.kind == ParamConst) &&
+		!cr.probGated && !busConsumer(r) && uniform(cr.p2.kind) && (uniform(cr.p1.kind) || metaP1)
+	cr.reduceP1 = cr.combine && metaP1
 	return cr
 }
 

@@ -63,13 +63,12 @@ type Snapshot struct {
 	nMainMasks  int
 	nMainHashes int
 
-	// blocks partition hashes by mask, one per entry of masks: the frame
-	// engine digests all of a mask's slots in one fused pass (frames.go).
-	// keyMask is the union of masks packed as the frame engine's grouping
-	// key; groupKeys is false when that union reads the timestamp, which no
-	// two frames of a chunk share, so the engine does not group
-	// (groupKeyMask). All three are set only for frame-vectorised
-	// snapshots.
+	// blocks partition hashes by mask, one per entry of masks, spliced
+	// masks included: the frame engine digests all of a mask's slots in one
+	// fused pass (frames.go), on either form of stage 3. keyMask is the
+	// union of masks packed as the frame engine's grouping key; groupKeys
+	// is false when that union reads the timestamp, which no two frames of
+	// a chunk share, so the engine does not group (groupKeyMask).
 	blocks    []digestBlock
 	keyMask   [2]uint64
 	groupKeys bool
@@ -80,14 +79,14 @@ type Snapshot struct {
 	shardedRules  int
 	fallbackRules int
 
-	// frameVec marks the snapshot eligible for the stage-at-a-time
-	// FrameView engine (frames.go): no live spliced groups (the mirror
-	// decision and recirculated pass are packet-at-a-time) and no
+	// frameVec marks the snapshot's rules eligible for the frame engine's
+	// column stage (frames.go, stage 3): no live spliced groups (the mirror
+	// decision and recirculated pass are per packet) and no
 	// probabilistically gated rules (the rng coin stream advances in strict
-	// packet order; a vectorized pass would reorder the flips and diverge
-	// from sequential replay). Ineligible snapshots still accept
-	// ProcessFrames — it falls back to decoding each frame and running the
-	// sequential path, so a mid-replay reconfiguration into an ineligible
+	// packet order; columns would reorder the flips and diverge from
+	// sequential replay). An ineligible snapshot still groups and digests
+	// each chunk, then runs its rules frame by frame in trace order
+	// (packetOrderChunk), so a mid-replay reconfiguration into such a
 	// configuration only changes speed, never results.
 	frameVec bool
 
@@ -314,10 +313,8 @@ func (pl *Pipeline) Recompile(prev *Snapshot, touched []int) *Snapshot {
 			}
 		}
 	}
-	if s.frameVec {
-		s.blocks = s.digestBlocks()
-		s.keyMask, s.groupKeys = groupKeyMask(s.masks)
-	}
+	s.blocks = s.digestBlocks()
+	s.keyMask, s.groupKeys = groupKeyMask(s.masks)
 	if pl.tele != nil {
 		s.teleOn = true
 		s.teleReg = pl.tele

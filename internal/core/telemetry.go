@@ -56,10 +56,12 @@ func (pc *ProcCtx) teleTick(s *Snapshot) {
 	}
 }
 
-// teleTickBatch accounts n packets at once — the batch engine's fold of n
-// teleTicks. The pending count crosses the flush cadence at most once per
-// call, so totals (the only thing the consistency contract promises) match
-// the per-packet path exactly once the worker quiesces at a batch
+// teleTickBatch accounts n packets at once — the frame engine's fold of n
+// teleTicks, once per chunk. A chunk (up to FrameChunk frames) can carry
+// the pending count several cadences past teleFlushEvery; it flushes once,
+// at the chunk's start, so a live scrape can lag by up to a chunk per
+// worker, while totals (the only thing the consistency contract promises)
+// match the per-packet path exactly once the worker quiesces at a batch
 // boundary.
 func (pc *ProcCtx) teleTickBatch(s *Snapshot, n int) {
 	if pc.teleSnap != s {
