@@ -42,11 +42,13 @@ race:
 # stay at zero heap allocations per packet (telemetry on or off), the frame
 # engine at zero per span on every snapshot shape, the packet-order path of
 # probabilistic and spliced pipelines included (TestProcessFramesZeroAlloc),
-# and the mmap replay path at zero per span once steady
-# (TestReplayerNextZeroAlloc).
+# the mmap replay path at zero per span once steady
+# (TestReplayerNextZeroAlloc), and point answers at zero per query: a
+# switch's estimate and membership probe (TestEstimateKeyZeroAlloc) and a
+# stored epoch's (TestEpochAnswersZeroAlloc).
 bench-allocs:
 	$(GO) test -count=1 -run 'ZeroAlloc' -v ./internal/core/ ./internal/hashing/ \
-		./internal/mmtrace/ ./internal/controlplane/
+		./internal/mmtrace/ ./internal/controlplane/ ./internal/netwide/
 
 clean:
 	$(GO) clean

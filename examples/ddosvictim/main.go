@@ -62,7 +62,11 @@ func main() {
 	}
 	fmt.Printf("reported %d victim(s)\n", len(reported))
 
-	for name, ip := range map[string]uint32{"victim": victim, "decoy": decoy} {
+	for _, dst := range []struct {
+		name string
+		ip   uint32
+	}{{"victim", victim}, {"decoy", decoy}} {
+		name, ip := dst.name, dst.ip
 		k := packet.KeyDstIP.Extract(&packet.Packet{DstIP: ip})
 		est, err := ctrl.EstimateKey(task.ID, k)
 		if err != nil {

@@ -38,6 +38,9 @@ type Task struct {
 	// indexed by (see layoutFingerprint). Readouts of two controllers' tasks
 	// merge element-wise iff their fingerprints are equal.
 	Fingerprint uint64
+	// Merge is the op readouts of the task combine under exactly, one
+	// switch's with another's (core.MergeOp); OpNone when they do not.
+	Merge dataplane.StatefulOp
 
 	handle   interface{ Uninstall() }
 	newMasks int // hash-mask rules this deployment installed
@@ -572,6 +575,7 @@ func (c *Controller) addTaskLocked(spec TaskSpec) (*Task, error) {
 	locs := c.locate(task)
 	task.Delay = c.Delay.Delay(c.countRules(task, locs))
 	task.Fingerprint = layoutFingerprint(locs)
+	task.Merge = core.MergeOp(locs)
 	c.publishLocked()
 	return task, nil
 }
@@ -1175,79 +1179,45 @@ func (c *Controller) FreeBuckets() [][]int {
 
 // EstimateKey returns the task's per-key estimate (frequency, max, or
 // distinct count depending on the algorithm).
-func (c *Controller) EstimateKey(id int, k packet.CanonicalKey) (float64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.readHold() {
-		defer c.procGate.Unlock()
-	}
-	t, err := c.taskLocked(id)
-	if err != nil {
-		return 0, err
-	}
-	switch h := t.handle.(type) {
-	case *algorithms.CMSTask:
-		return float64(h.EstimateKey(k)), nil
-	case *algorithms.MRACTask:
-		return float64(h.EstimateKey(k)), nil
-	case *algorithms.SuMaxSumTask:
-		return float64(h.EstimateKey(k)), nil
-	case *algorithms.SuMaxMaxTask:
-		return float64(h.EstimateKey(k)), nil
-	case *algorithms.TowerTask:
-		return float64(h.EstimateKey(k)), nil
-	case *algorithms.CounterBraidsTask:
-		return float64(h.EstimateKey(k)), nil
-	case *algorithms.MaxIntervalTask:
-		return float64(h.EstimateKey(k)), nil
-	case *algorithms.BeauCoupTask:
-		return h.EstimateDistinct(k), nil
-	default:
-		return 0, fmt.Errorf("controlplane: task %d (%s) has no per-key estimate", id, t.Algorithm)
-	}
+func (c *Controller) EstimateKey(id int, k packet.CanonicalKey) (v float64, err error) {
+	err = c.answer(id, func(r algorithms.Readout) (err error) {
+		v, err = r.EstimateKey(k)
+		return err
+	})
+	return v, err
 }
 
 // Cardinality returns a distinct-count task's whole-traffic estimate.
-func (c *Controller) Cardinality(id int) (float64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.readHold() {
-		defer c.procGate.Unlock()
-	}
-	t, err := c.taskLocked(id)
-	if err != nil {
-		return 0, err
-	}
-	switch h := t.handle.(type) {
-	case *algorithms.HLLTask:
-		return h.Estimate()
-	case *algorithms.LinearCountingTask:
-		return h.Estimate()
-	default:
-		return 0, fmt.Errorf("controlplane: task %d (%s) is not a cardinality task", id, t.Algorithm)
-	}
+func (c *Controller) Cardinality(id int) (v float64, err error) {
+	err = c.answer(id, func(r algorithms.Readout) (err error) {
+		v, err = r.Cardinality()
+		return err
+	})
+	return v, err
 }
 
 // Contains reports Bloom-filter membership for key k.
-func (c *Controller) Contains(id int, k packet.CanonicalKey) (bool, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.readHold() {
-		defer c.procGate.Unlock()
-	}
-	t, err := c.taskLocked(id)
-	if err != nil {
-		return false, err
-	}
-	h, ok := t.handle.(*algorithms.BloomTask)
-	if !ok {
-		return false, fmt.Errorf("controlplane: task %d (%s) is not an existence task", id, t.Algorithm)
-	}
-	return h.ContainsKey(k), nil
+func (c *Controller) Contains(id int, k packet.CanonicalKey) (in bool, err error) {
+	err = c.answer(id, func(r algorithms.Readout) (err error) {
+		in, err = r.Contains(k)
+		return err
+	})
+	return in, err
 }
 
 // Reported returns the candidates a detection task reports.
-func (c *Controller) Reported(id int, candidates []packet.CanonicalKey) (map[packet.CanonicalKey]bool, error) {
+func (c *Controller) Reported(id int, candidates []packet.CanonicalKey) (out map[packet.CanonicalKey]bool, err error) {
+	err = c.answer(id, func(r algorithms.Readout) (err error) {
+		out, err = r.Reported(candidates)
+		return err
+	})
+	return out, err
+}
+
+// answer asks one typed question of a task's live registers, inside
+// readHold, through the algorithm's one decoder (algorithms.Readout) —
+// the code a fleet's epoch artifact answers through from merged rows.
+func (c *Controller) answer(id int, ask func(algorithms.Readout) error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.readHold() {
@@ -1255,18 +1225,12 @@ func (c *Controller) Reported(id int, candidates []packet.CanonicalKey) (map[pac
 	}
 	t, err := c.taskLocked(id)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	switch h := t.handle.(type) {
-	case *algorithms.BeauCoupTask:
-		return h.Reported(candidates), nil
-	case *algorithms.CMSTask:
-		return h.HeavyHitters(candidates, uint32(t.Spec.Threshold)), nil
-	case *algorithms.SuMaxSumTask:
-		return h.HeavyHitters(candidates, uint32(t.Spec.Threshold)), nil
-	default:
-		return nil, fmt.Errorf("controlplane: task %d (%s) is not a detection task", id, t.Algorithm)
+	if err := ask(algorithms.Bind(t.handle, nil, t.Spec.Threshold)); err != nil {
+		return fmt.Errorf("controlplane: task %d (%s): %w", id, t.Algorithm, err)
 	}
+	return nil
 }
 
 // Distribution returns an MRAC task's estimated flow-size distribution and

@@ -41,14 +41,22 @@ func TestShardedMeansLanes(t *testing.T) {
 // policy.
 func TestEstimateKeyZeroAlloc(t *testing.T) {
 	k := packet.KeyFiveTuple.Extract(&packet.Packet{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: 6})
+	flow := ParamSpec{Kind: ParamFlowKey, Key: packet.KeyFiveTuple}
 	for _, workers := range []int{1, 2} {
 		c := NewController(Config{Groups: 2, Buckets: 4096, BitWidth: 32, Workers: workers})
 		task, err := c.AddTask(freqSpec("hh", packet.MatchAll, 1024))
 		if err != nil {
 			t.Fatal(err)
 		}
+		bloom, err := c.AddTask(TaskSpec{Name: "bloom", Attribute: AttrExistence, Param: flow, MemBuckets: 1024, D: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if n := testing.AllocsPerRun(100, func() { _, _ = c.EstimateKey(task.ID, k) }); n != 0 {
 			t.Errorf("Workers=%d: EstimateKey allocates %.1f times per call, want 0", workers, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { _, _ = c.Contains(bloom.ID, k) }); n != 0 {
+			t.Errorf("Workers=%d: Contains allocates %.1f times per call, want 0", workers, n)
 		}
 		c.Close()
 	}

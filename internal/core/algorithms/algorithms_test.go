@@ -539,9 +539,7 @@ func TestSubPartRotationDecorrelatesRows(t *testing.T) {
 	same := 0
 	for i := range tr.Packets {
 		k := packet.KeyFiveTuple.Extract(&tr.Packets[i])
-		i0 := rowIndex(task.Group, task.Unit, 0, k, task.Rows[0], task.Method)
-		i1 := rowIndex(task.Group, task.Unit, 1, k, task.Rows[1], task.Method)
-		if i0 == i1 {
+		if h := task.hash(k); task.index(0, h) == task.index(1, h) {
 			same++
 		}
 	}

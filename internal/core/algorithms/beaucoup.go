@@ -1,7 +1,6 @@
 package algorithms
 
 import (
-	"fmt"
 	"math/bits"
 
 	"flymon/internal/core"
@@ -17,55 +16,34 @@ import (
 // per-bucket checksum, FlyMon hardens against hash collisions CMS-style: a
 // key is reported only when all d tables have collected the target coupons.
 type BeauCoupTask struct {
-	Group  *core.Group
-	TaskID int
-
-	keyUnit   int
+	rowSet
 	paramUnit int
 	Cfg       sketch.CouponConfig
-	Base      int // first CMU index
-	D         int
-	Rows      []core.MemRange
-	Method    core.TranslationMethod
 }
 
 // InstallBeauCoup installs a FlyMon-BeauCoup task on group g: distinct
 // `param` values counted per `key` value against `threshold`.
 func InstallBeauCoup(g *core.Group, taskID int, filter packet.Filter,
 	key, param packet.KeySpec, threshold, d int, rows []core.MemRange, at ...int) (*BeauCoupTask, error) {
-	base := baseCMU(at)
-	if d < 1 || d > g.CMUs() {
-		return nil, fmt.Errorf("algorithms: BeauCoup depth %d exceeds group's %d CMUs", d, g.CMUs())
-	}
-	rows, err := checkRows(g, rows, base, d)
+	rs, err := newRowSet("BeauCoup", g, taskID, key, d, rows, at)
 	if err != nil {
 		return nil, err
 	}
-	cfg := sketch.SolveCouponConfig(threshold, g.CMU(base).Register().BitWidth())
-	keyUnit, err := EnsureUnit(g, key)
+	paramUnit, err := EnsureUnit(g, param, rs.Unit)
 	if err != nil {
 		return nil, err
 	}
-	paramUnit, err := EnsureUnit(g, param, keyUnit)
-	if err != nil {
-		return nil, err
-	}
-	t := &BeauCoupTask{Group: g, TaskID: taskID, keyUnit: keyUnit, paramUnit: paramUnit,
-		Cfg: cfg, Base: base, D: d, Rows: rows, Method: core.TCAMBased}
+	cfg := sketch.SolveCouponConfig(threshold, g.CMU(rs.Base).Register().BitWidth())
+	t := &BeauCoupTask{rowSet: rs, paramUnit: paramUnit, Cfg: cfg}
 	for i := 0; i < d; i++ {
 		rule := &core.Rule{
-			TaskID:      taskID,
-			Filter:      filter,
-			Key:         rowSelector(keyUnit, base+i),
-			P1:          core.CompressedKey(core.FullKey(paramUnit).SubRange(rowRotation*(base+i), 32)),
-			P2:          core.Const(1),
-			Prep:        core.Transform{Kind: core.TransformCoupon, Coupons: cfg.Coupons, ProbLog2: cfg.ProbLog2},
-			Mem:         rows[i],
-			Translation: t.Method,
-			Op:          dataplane.OpAndOr,
+			Filter: filter,
+			P1:     core.CompressedKey(core.FullKey(paramUnit).SubRange(rowRotation*(t.Base+i), 32)),
+			P2:     core.Const(1),
+			Prep:   core.Transform{Kind: core.TransformCoupon, Coupons: cfg.Coupons, ProbLog2: cfg.ProbLog2},
+			Op:     dataplane.OpAndOr,
 		}
-		if err := g.CMU(base + i).InstallRule(rule); err != nil {
-			t.Uninstall()
+		if err := t.install(i, rule); err != nil {
 			return nil, err
 		}
 	}
@@ -74,24 +52,28 @@ func InstallBeauCoup(g *core.Group, taskID int, filter packet.Filter,
 
 // CollectedCoupons returns the minimum coupon count across tables for
 // canonical key k.
-func (t *BeauCoupTask) CollectedCoupons(k packet.CanonicalKey) int {
-	min := 64
+func (t *BeauCoupTask) CollectedCoupons(k packet.CanonicalKey) int { return t.collected(nil, k) }
+
+// collected is CollectedCoupons read from rows (nil: the live registers).
+func (t *BeauCoupTask) collected(rows [][]uint32, k packet.CanonicalKey) int {
+	n, h := 64, t.hash(k)
 	for i := 0; i < t.D; i++ {
-		idx := rowIndex(t.Group, t.keyUnit, t.Base+i, k, t.Rows[i], t.Method)
-		n := bits.OnesCount32(t.Group.CMU(t.Base + i).Register().Read(idx))
-		if n < min {
-			min = n
-		}
+		n = min(n, bits.OnesCount32(t.read(rows, i, h)))
 	}
-	return min
+	return n
 }
 
 // Reported returns the candidates whose coupon target is met in all d
 // tables.
 func (t *BeauCoupTask) Reported(candidates []packet.CanonicalKey) map[packet.CanonicalKey]bool {
+	return t.reported(nil, candidates)
+}
+
+// reported is Reported read from rows (nil: the live registers).
+func (t *BeauCoupTask) reported(rows [][]uint32, candidates []packet.CanonicalKey) map[packet.CanonicalKey]bool {
 	out := make(map[packet.CanonicalKey]bool)
 	for _, k := range candidates {
-		if t.CollectedCoupons(k) >= t.Cfg.Collect {
+		if t.collected(rows, k) >= t.Cfg.Collect {
 			out[k] = true
 		}
 	}
@@ -100,8 +82,11 @@ func (t *BeauCoupTask) Reported(candidates []packet.CanonicalKey) map[packet.Can
 
 // EstimateDistinct inverts key k's coupon count into a distinct-value
 // estimate via the coupon-collector expectation.
-func (t *BeauCoupTask) EstimateDistinct(k packet.CanonicalKey) float64 {
-	j := t.CollectedCoupons(k)
+func (t *BeauCoupTask) EstimateDistinct(k packet.CanonicalKey) float64 { return t.distinct(nil, k) }
+
+// distinct is EstimateDistinct read from rows (nil: the live registers).
+func (t *BeauCoupTask) distinct(rows [][]uint32, k packet.CanonicalKey) float64 {
+	j := t.collected(rows, k)
 	if j <= 0 {
 		return 0
 	}
@@ -111,26 +96,4 @@ func (t *BeauCoupTask) EstimateDistinct(k packet.CanonicalKey) float64 {
 	cfg := t.Cfg
 	cfg.Collect = j
 	return cfg.ExpectedDraws()
-}
-
-// MemoryBytes returns the task's register memory footprint.
-func (t *BeauCoupTask) MemoryBytes() int {
-	total := 0
-	for i, r := range t.Rows {
-		total += r.Buckets * t.Group.CMU(t.Base+i).Register().BitWidth() / 8
-	}
-	return total
-}
-
-// Uninstall removes the task's rules.
-func (t *BeauCoupTask) Uninstall() {
-	for i := 0; i < t.Group.CMUs(); i++ {
-		t.Group.CMU(i).RemoveRule(t.TaskID)
-	}
-}
-
-// RowIndexFor returns the coupon-table index row i uses for canonical key
-// k — the readout primitive merged network-wide detection builds on.
-func (t *BeauCoupTask) RowIndexFor(i int, k packet.CanonicalKey) uint32 {
-	return rowIndex(t.Group, t.keyUnit, t.Base+i, k, t.Rows[i], t.Method)
 }

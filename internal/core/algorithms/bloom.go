@@ -1,7 +1,6 @@
 package algorithms
 
 import (
-	"fmt"
 	"math/bits"
 
 	"flymon/internal/core"
@@ -18,13 +17,7 @@ import (
 // bucket bits are usable. Without Packed, each bucket stores a single
 // membership bit in its LSB, wasting the rest of the uniform bucket width.
 type BloomTask struct {
-	Group  *core.Group
-	TaskID int
-	Unit   int
-	Base   int // first CMU index
-	D      int
-	Rows   []core.MemRange
-	Method core.TranslationMethod
+	rowSet
 	Packed bool
 	width  int
 }
@@ -33,66 +26,52 @@ type BloomTask struct {
 // optional trailing argument is the first CMU index.
 func InstallBloom(g *core.Group, taskID int, filter packet.Filter, key packet.KeySpec,
 	d int, packed bool, rows []core.MemRange, at ...int) (*BloomTask, error) {
-	base := baseCMU(at)
-	if d < 1 || d > g.CMUs() {
-		return nil, fmt.Errorf("algorithms: Bloom depth %d exceeds group's %d CMUs", d, g.CMUs())
-	}
-	rows, err := checkRows(g, rows, base, d)
+	rs, err := newRowSet("Bloom", g, taskID, key, d, rows, at)
 	if err != nil {
 		return nil, err
 	}
-	unit, err := EnsureUnit(g, key)
-	if err != nil {
-		return nil, err
-	}
-	width := g.CMU(base).Register().BitWidth()
-	t := &BloomTask{Group: g, TaskID: taskID, Unit: unit, Base: base, D: d, Rows: rows,
-		Method: core.TCAMBased, Packed: packed, width: width}
+	width := g.CMU(rs.Base).Register().BitWidth()
+	t := &BloomTask{rowSet: rs, Packed: packed, width: width}
 	for i := 0; i < d; i++ {
-		rule := &core.Rule{
-			TaskID:      taskID,
-			Filter:      filter,
-			Key:         rowSelector(unit, base+i),
-			P1:          core.Const(1),
-			P2:          core.Const(1), // AND-OR: p2 ≠ 0 selects the OR branch
-			Mem:         rows[i],
-			Translation: t.Method,
-			Op:          dataplane.OpAndOr,
-		}
+		// AND-OR: p2 ≠ 0 selects the OR branch.
+		rule := &core.Rule{Filter: filter, P1: core.Const(1), P2: core.Const(1), Op: dataplane.OpAndOr}
 		if packed {
 			// p1 = a different sub-part of the compressed key; the
 			// preparation stage one-hot encodes it into a bucket bit.
-			rule.P1 = core.CompressedKey(t.bitSelector(base + i))
+			rule.P1 = core.CompressedKey(bitSelector(t.Unit, t.Base+i))
 			rule.Prep = core.Transform{Kind: core.TransformBitSelect, Width: width}
 		}
-		if err := g.CMU(base + i).InstallRule(rule); err != nil {
-			t.Uninstall()
+		if err := t.install(i, rule); err != nil {
 			return nil, err
 		}
 	}
 	return t, nil
 }
 
-// bitSelector picks the compressed-key sub-part used for bit selection in
-// row i: offset half a word away from the indexing sub-part.
-func (t *BloomTask) bitSelector(row int) core.Selector {
-	return core.FullKey(t.Unit).SubRange(rowRotation*row+16, 32)
+// bitSelector picks the compressed-key sub-part of unit used for bit
+// selection in row `row`: offset half a word away from the indexing
+// sub-part.
+func bitSelector(unit, row int) core.Selector {
+	return core.FullKey(unit).SubRange(rowRotation*row+16, 32)
 }
 
 // ContainsKey reports whether canonical key k is (possibly falsely) in the
 // filter, by control-plane readout.
-func (t *BloomTask) ContainsKey(k packet.CanonicalKey) bool {
-	keys := make([]uint32, t.Group.Units())
-	keys[t.Unit] = t.Group.HashKey(t.Unit, k)
+func (t *BloomTask) ContainsKey(k packet.CanonicalKey) bool { return t.contains(nil, k) }
+
+// contains is the membership probe read from rows (nil: the live
+// registers): every row's bucket must hold the key's bit. Like rowIndex it
+// resolves the bit selectors against a one-slot stack array, so a probe
+// allocates nothing.
+func (t *BloomTask) contains(rows [][]uint32, k packet.CanonicalKey) bool {
+	h := t.hash(k)
+	keys := [1]uint32{h}
 	for i := 0; i < t.D; i++ {
-		idx := core.Translate(rowSelector(t.Unit, t.Base+i).Resolve(keys), t.Rows[i], t.Method)
-		bucket := t.Group.CMU(t.Base + i).Register().Read(idx)
+		bit := uint32(1)
 		if t.Packed {
-			bit := uint32(1) << (t.bitSelector(t.Base+i).Resolve(keys) % uint32(t.width))
-			if bucket&bit == 0 {
-				return false
-			}
-		} else if bucket&1 == 0 {
+			bit <<= bitSelector(0, t.Base+i).Resolve(keys[:]) % uint32(t.width)
+		}
+		if t.read(rows, i, h)&bit == 0 {
 			return false
 		}
 	}
@@ -111,23 +90,6 @@ func (t *BloomTask) EffectiveBits() int {
 		}
 	}
 	return total
-}
-
-// MemoryBytes returns the register memory the task occupies (the full
-// uniform-width buckets either way — that is the point of Fig. 14g).
-func (t *BloomTask) MemoryBytes() int {
-	total := 0
-	for _, r := range t.Rows {
-		total += r.Buckets * t.width / 8
-	}
-	return total
-}
-
-// Uninstall removes the task's rules.
-func (t *BloomTask) Uninstall() {
-	for i := 0; i < t.Group.CMUs(); i++ {
-		t.Group.CMU(i).RemoveRule(t.TaskID)
-	}
 }
 
 // LinearCountingTask is FlyMon-LinearCounting: data-plane-identical to a
@@ -150,8 +112,12 @@ func InstallLinearCounting(g *core.Group, taskID int, filter packet.Filter,
 
 // Estimate returns the Linear Counting cardinality estimate
 // n̂ = m·ln(m/zeros) over the task's bit array.
-func (t *LinearCountingTask) Estimate() (float64, error) {
-	buckets, err := t.Group.CMU(t.Base).ReadTask(t.TaskID)
+func (t *LinearCountingTask) Estimate() (float64, error) { return t.cardinality(nil) }
+
+// cardinality is the Linear Counting estimate over the bit array read from
+// rows (nil: the live register).
+func (t *LinearCountingTask) cardinality(rows [][]uint32) (float64, error) {
+	buckets, err := partition(rows, 0, t.Group.CMU(t.Base), t.TaskID)
 	if err != nil {
 		return 0, err
 	}
@@ -161,23 +127,4 @@ func (t *LinearCountingTask) Estimate() (float64, error) {
 		zeros -= bits.OnesCount32(b)
 	}
 	return sketch.LinearCountingFromZeros(zeros, m), nil
-}
-
-// ProbeKey returns, per row, the register index and the bit mask the
-// filter tests for canonical key k — the readout primitive network-wide
-// (merged) membership checks build on.
-func (t *BloomTask) ProbeKey(k packet.CanonicalKey) (indices, masks []uint32) {
-	keys := make([]uint32, t.Group.Units())
-	keys[t.Unit] = t.Group.HashKey(t.Unit, k)
-	indices = make([]uint32, t.D)
-	masks = make([]uint32, t.D)
-	for i := 0; i < t.D; i++ {
-		indices[i] = core.Translate(rowSelector(t.Unit, t.Base+i).Resolve(keys), t.Rows[i], t.Method)
-		if t.Packed {
-			masks[i] = 1 << (t.bitSelector(t.Base+i).Resolve(keys) % uint32(t.width))
-		} else {
-			masks[i] = 1
-		}
-	}
-	return indices, masks
 }

@@ -1,8 +1,6 @@
 package algorithms
 
 import (
-	"fmt"
-
 	"flymon/internal/core"
 	"flymon/internal/dataplane"
 	"flymon/internal/packet"
@@ -12,13 +10,7 @@ import (
 // with p2 = +∞ (the unconditional ADD degeneration, §4 Heavy Hitter), all
 // indexing sub-parts of one shared compressed key.
 type CMSTask struct {
-	Group  *core.Group
-	TaskID int
-	Unit   int
-	Base   int // first CMU index (row i lives on CMU Base+i)
-	D      int
-	Rows   []core.MemRange
-	Method core.TranslationMethod
+	rowSet
 }
 
 // InstallCMS installs a FlyMon-CMS task on group g: key spec, parameter
@@ -28,32 +20,13 @@ type CMSTask struct {
 // index (row i → CMU at+i); it defaults to 0.
 func InstallCMS(g *core.Group, taskID int, filter packet.Filter, key packet.KeySpec,
 	param core.ParamSource, d int, rows []core.MemRange, at ...int) (*CMSTask, error) {
-	base := baseCMU(at)
-	if d < 1 || d > g.CMUs() {
-		return nil, fmt.Errorf("algorithms: CMS depth %d exceeds group's %d CMUs", d, g.CMUs())
-	}
-	rows, err := checkRows(g, rows, base, d)
+	rs, err := newRowSet("CMS", g, taskID, key, d, rows, at)
 	if err != nil {
 		return nil, err
 	}
-	unit, err := EnsureUnit(g, key)
-	if err != nil {
-		return nil, err
-	}
-	t := &CMSTask{Group: g, TaskID: taskID, Unit: unit, Base: base, D: d, Rows: rows, Method: core.TCAMBased}
+	t := &CMSTask{rs}
 	for i := 0; i < d; i++ {
-		rule := &core.Rule{
-			TaskID:      taskID,
-			Filter:      filter,
-			Key:         rowSelector(unit, base+i),
-			P1:          param,
-			P2:          core.MaxValue(),
-			Mem:         rows[i],
-			Translation: t.Method,
-			Op:          dataplane.OpCondAdd,
-		}
-		if err := g.CMU(base + i).InstallRule(rule); err != nil {
-			t.Uninstall()
+		if err := t.install(i, &core.Rule{Filter: filter, P1: param, P2: core.MaxValue(), Op: dataplane.OpCondAdd}); err != nil {
 			return nil, err
 		}
 	}
@@ -61,43 +34,14 @@ func InstallCMS(g *core.Group, taskID int, filter packet.Filter, key packet.KeyS
 }
 
 // EstimateKey returns the count-min estimate for canonical key k.
-func (t *CMSTask) EstimateKey(k packet.CanonicalKey) uint32 {
-	min := ^uint32(0)
-	for i := 0; i < t.D; i++ {
-		idx := rowIndex(t.Group, t.Unit, t.Base+i, k, t.Rows[i], t.Method)
-		if c := t.Group.CMU(t.Base + i).Register().Read(idx); c < min {
-			min = c
-		}
-	}
-	return min
-}
+func (t *CMSTask) EstimateKey(k packet.CanonicalKey) uint32 { return t.estimate(nil, k) }
+
+// estimate is EstimateKey read from rows (nil: the live registers).
+func (t *CMSTask) estimate(rows [][]uint32, k packet.CanonicalKey) uint32 { return t.minimum(rows, k) }
 
 // HeavyHitters returns the candidates whose estimate meets the threshold.
 func (t *CMSTask) HeavyHitters(candidates []packet.CanonicalKey, threshold uint32) map[packet.CanonicalKey]bool {
-	out := make(map[packet.CanonicalKey]bool)
-	for _, k := range candidates {
-		if t.EstimateKey(k) >= threshold {
-			out[k] = true
-		}
-	}
-	return out
-}
-
-// MemoryBytes returns the task's register memory footprint.
-func (t *CMSTask) MemoryBytes() int {
-	total := 0
-	for i, r := range t.Rows {
-		total += r.Buckets * t.Group.CMU(t.Base+i).Register().BitWidth() / 8
-	}
-	return total
-}
-
-// Uninstall removes the task's rules; its partitions keep their contents
-// (core.CMU.RemoveRule).
-func (t *CMSTask) Uninstall() {
-	for i := 0; i < t.Group.CMUs(); i++ {
-		t.Group.CMU(i).RemoveRule(t.TaskID)
-	}
+	return atLeast(candidates, threshold, t.EstimateKey)
 }
 
 // MRACTask is FlyMon-MRAC: data-plane-identical to a d=1 FlyMon-CMS; only
@@ -122,10 +66,14 @@ func (t *MRACTask) Counters() ([]uint32, error) {
 	return t.Group.CMU(t.Base).ReadTask(t.TaskID)
 }
 
-// RowIndexFor returns the register index row i uses for canonical key k —
-// the readout primitive network-wide merging builds on: two switches
-// deployed from identical controller configurations compute identical
-// indices, so their register readouts combine element-wise.
-func (t *CMSTask) RowIndexFor(i int, k packet.CanonicalKey) uint32 {
-	return rowIndex(t.Group, t.Unit, t.Base+i, k, t.Rows[i], t.Method)
+// KeyIndices returns the partition-relative bucket each row reads for
+// canonical key k: two switches deployed from identical controller
+// configurations compute identical indices, so a client holding their
+// merged rows can probe them without a controller of its own.
+func (t *CMSTask) KeyIndices(k packet.CanonicalKey) []uint32 {
+	out, h := make([]uint32, t.D), t.hash(k)
+	for i := range out {
+		out[i] = t.index(i, h) - uint32(t.Rows[i].Base)
+	}
+	return out
 }

@@ -1,10 +1,12 @@
 package algorithms_test
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -33,10 +35,15 @@ import (
 //     reproduce the frame engine's registers bit for bit — the pools only
 //     those register rows whose final state does not depend on packet
 //     order;
-//   - for the four algorithms the fleet answers (CMS add, HLL max, Bloom
-//     or, BeauCoup or), the trace is split over a four-switch loopback
-//     fleet, and the merged epoch rows must equal a one-switch fleet's fed
-//     the whole trace;
+//   - the controller's typed answers must equal the algorithm's decoder
+//     (algorithms.Readout) over the task's ReadRegisters rows, the readout
+//     a fleet merges;
+//   - the trace is split over a four-switch loopback fleet and the epoch
+//     read the default way (Epoch, the merge op the task's rules give):
+//     the seven algorithms whose rules merge exactly (CMS and MRAC add, HLL
+//     and SuMax(Max) max, Bloom, BeauCoup and LinearCounting or) must give
+//     the frame engine's rows and typed answers, and the other four must
+//     be refused;
 //   - finally the row's readout is broken on purpose (the mutation), and
 //     the bound must catch it.
 //
@@ -200,9 +207,9 @@ type row struct {
 	// of packet order (nil: every row) — what the two-worker pools, whose
 	// spans interleave, must reproduce bit for bit.
 	orderFree []int
-	// fleet marks the algorithms the fleet merges, with their merge op.
-	fleet bool
-	merge netwide.MergeOp
+	// inexact says why the task's rows do not merge exactly across
+	// switches ("": they do), so the fleet must refuse it.
+	inexact string
 }
 
 func config(width int) controlplane.Config {
@@ -223,7 +230,6 @@ func rows() []row {
 			workloads: []string{"scan-ddos"},
 			bound:     beaucoupBound(packet.KeyDstIP, packet.KeySrcIP),
 			mutation:  shifted, mutate: rotate,
-			fleet: true, merge: netwide.MergeOr,
 		}
 	}
 	portScan := beaucoup(32)
@@ -239,7 +245,6 @@ func rows() []row {
 				Algorithm: controlplane.AlgCMS, MemBuckets: 1024, D: 3},
 			workloads: mixed, bound: countMinBound,
 			mutation: shifted, mutate: rotate,
-			fleet: true, merge: netwide.MergeAdd,
 		},
 		{
 			// SuMax(Sum)'s conservative update never adds more than a CMS of
@@ -251,6 +256,7 @@ func rows() []row {
 				Algorithm: controlplane.AlgSuMaxSum, MemBuckets: 1024, D: 3},
 			workloads: mixed, bound: countMinBound,
 			mutation: shifted, mutate: rotate, orderFree: []int{0},
+			inexact: "each row adds only below the upstream minimum",
 		},
 		{
 			name: "mrac", cfg: config(32),
@@ -269,6 +275,7 @@ func rows() []row {
 			workloads: mixed,
 			bound:     func(c cell) error { return neverUnder(c, c.w.frequency()) },
 			mutation:  shifted, mutate: rotate,
+			inexact: "each level adds only below its saturation guard",
 		},
 		{
 			// 16-bit buckets give an 8-bit first layer that heavy flows
@@ -280,6 +287,7 @@ func rows() []row {
 				Algorithm: controlplane.AlgCounterBraids, MemBuckets: 16384},
 			workloads: mixed, bound: counterBraidsBound,
 			mutation: shifted, mutate: rotate, orderFree: []int{0},
+			inexact: "the second layer counts the first layer's overflow",
 		},
 		beaucoup(8), beaucoup(16), beaucoup(32), portScan,
 		{
@@ -289,7 +297,6 @@ func rows() []row {
 			workloads: append([]string{"distinct-1k", "distinct-32k", "distinct-250k"}, mixed...),
 			bound:     hllBound,
 			mutation:  "the estimator given half the registers", mutate: halfHLL,
-			fleet: true, merge: netwide.MergeMax,
 		},
 		{
 			name: "linearcounting", cfg: config(32),
@@ -305,7 +312,6 @@ func rows() []row {
 				Algorithm: controlplane.AlgBloom, Param: flowKey, MemBuckets: 1024, D: 3},
 			workloads: mixed, bound: bloomBound,
 			mutation: shifted, mutate: rotate,
-			fleet: true, merge: netwide.MergeOr,
 		},
 		{
 			// Every row keeps the maximum over the flows sharing its bucket,
@@ -335,6 +341,7 @@ func rows() []row {
 				Param:     controlplane.ParamSpec{Kind: controlplane.ParamPacketInterval}, MemBuckets: 16384},
 			workloads: mixed, bound: maxIntervalBound,
 			mutation: shifted, mutate: rotate, orderFree: []int{0, 1},
+			inexact: "the interval row reads the previous arrival and the new-flow test",
 		},
 	}
 }
@@ -368,6 +375,9 @@ func (r row) run(t *testing.T, w *workload) {
 		t.Fatalf("frame engine: %v", err)
 	}
 	want := queries(t, frame).registers()
+	keys := probeKeys(r.spec, w)
+	sameAnswers(t, "the decoder over ReadRegisters", switchAnswers{frame},
+		algorithms.Bind(handle[any](t, frame), want, r.spec.Threshold), keys)
 
 	batch := r.deploy(t, r.cfg)
 	batch.ctrl.ProcessBatch(w.packets)
@@ -385,9 +395,7 @@ func (r row) run(t *testing.T, w *workload) {
 		sameRows(t, engine, want, queries(t, pool).registers(), r.orderFree)
 	}
 
-	if r.fleet {
-		sameRows(t, "four-switch fleet merge", r.fleetRows(t, 1, w), r.fleetRows(t, 4, w), nil)
-	}
+	r.fleet(t, w, frame, want, keys)
 
 	err := r.bound(cell{t, w, frame, r.mutate(t, frame)})
 	if err == nil {
@@ -396,10 +404,13 @@ func (r row) run(t *testing.T, w *workload) {
 	t.Logf("mutation (%s) caught: %v", r.mutation, err)
 }
 
-// fleetRows deploys the row's task as an epoch task on an n-switch loopback
+// fleet deploys the row's task as an epoch task on a four-switch loopback
 // fleet, splits the trace over the switches packet by packet, rotates once
-// and returns the fleet's merged rows of that epoch.
-func (r row) fleetRows(t *testing.T, n int, w *workload) [][]uint32 {
+// and reads the epoch under the task's own merge op. A task whose rows
+// merge exactly must give the frame engine's rows and typed answers; any
+// other is refused as soon as it is deployed.
+func (r row) fleet(t *testing.T, w *workload, frame deployment, want [][]uint32, keys []packet.CanonicalKey) {
+	const n = 4
 	fleet, switches, stop := netwide.NewLoopbackFleet(n, r.cfg, netwide.FleetOptions{})
 	defer func() {
 		stop()
@@ -408,7 +419,13 @@ func (r row) fleetRows(t *testing.T, n int, w *workload) [][]uint32 {
 		}
 	}()
 	if err := fleet.DeployEpoch(r.spec); err != nil {
-		t.Fatalf("%d-switch fleet: %v", n, err)
+		t.Fatalf("fleet: %v", err)
+	}
+	if r.inexact != "" {
+		if _, err := fleet.Epoch(r.spec.Name, 0, netwide.EpochQuery{}); !errors.Is(err, netwide.ErrInexactMerge) {
+			t.Fatalf("fleet answers a task whose rows do not merge exactly (%s): %v", r.inexact, err)
+		}
+		return
 	}
 	parts := make([][]packet.Packet, n)
 	for i := range w.packets {
@@ -418,10 +435,86 @@ func (r row) fleetRows(t *testing.T, n int, w *workload) [][]uint32 {
 		s.ReplayTrace(mmtrace.FromPackets(parts[i]))
 	}
 	if _, err := fleet.RotateEpoch(r.spec.Name); err != nil {
-		t.Fatalf("%d-switch fleet: %v", n, err)
+		t.Fatalf("fleet: %v", err)
 	}
-	merged, _, err := fleet.QueryEpochRows(r.spec.Name, 0, netwide.EpochQuery{Op: r.merge})
-	return must[[][]uint32](t)(merged, err)
+	art, err := fleet.Epoch(r.spec.Name, 0, netwide.EpochQuery{})
+	if err != nil {
+		t.Fatalf("fleet: %v", err)
+	}
+	sameRows(t, "four-switch fleet merge", want, art.Rows, nil)
+	sameAnswers(t, "the four-switch fleet", switchAnswers{frame}, fleetAnswers{art}, keys)
+}
+
+// answerer is a source of typed answers: a switch's controller, the
+// decoder over a readout, or a fleet's epoch artifact.
+type answerer interface {
+	EstimateKey(packet.CanonicalKey) (float64, error)
+	Cardinality() (float64, error)
+	Contains(packet.CanonicalKey) (bool, error)
+	Reported([]packet.CanonicalKey) (map[packet.CanonicalKey]bool, error)
+}
+
+type switchAnswers struct{ d deployment }
+
+func (s switchAnswers) EstimateKey(k packet.CanonicalKey) (float64, error) {
+	return s.d.ctrl.EstimateKey(s.d.task.ID, k)
+}
+func (s switchAnswers) Cardinality() (float64, error) { return s.d.ctrl.Cardinality(s.d.task.ID) }
+func (s switchAnswers) Contains(k packet.CanonicalKey) (bool, error) {
+	return s.d.ctrl.Contains(s.d.task.ID, k)
+}
+func (s switchAnswers) Reported(cands []packet.CanonicalKey) (map[packet.CanonicalKey]bool, error) {
+	return s.d.ctrl.Reported(s.d.task.ID, cands)
+}
+
+type fleetAnswers struct{ netwide.EpochArtifact }
+
+func (f fleetAnswers) EstimateKey(k packet.CanonicalKey) (float64, error) { return f.Estimate(k) }
+
+// probeKeys is 64 keys of the workload's packets under both the five-tuple
+// and the row's own key.
+func probeKeys(spec controlplane.TaskSpec, w *workload) []packet.CanonicalKey {
+	var keys []packet.CanonicalKey
+	for i := range 64 {
+		p := &w.packets[i*len(w.packets)/64]
+		keys = append(keys, packet.KeyFiveTuple.Extract(p), spec.Key.Extract(p))
+	}
+	return keys
+}
+
+// sameAnswers fails unless got answers exactly the questions want answers,
+// with equal answers, over keys, and want answers at least one.
+func sameAnswers(t *testing.T, what string, want, got answerer, keys []packet.CanonicalKey) {
+	t.Helper()
+	answered := 0
+	check := func(question string, w, g any, werr, gerr error) {
+		t.Helper()
+		switch {
+		case (werr == nil) != (gerr == nil):
+			t.Fatalf("%s: %s: the switch says %v, %s says %v", what, question, werr, what, gerr)
+		case werr == nil && !reflect.DeepEqual(w, g):
+			t.Fatalf("%s: %s = %v, the switch answers %v", what, question, g, w)
+		case werr == nil:
+			answered++
+		}
+	}
+	for _, k := range keys {
+		w, werr := want.EstimateKey(k)
+		g, gerr := got.EstimateKey(k)
+		check("estimate", w, g, werr, gerr)
+		wIn, werr := want.Contains(k)
+		gIn, gerr := got.Contains(k)
+		check("membership", wIn, gIn, werr, gerr)
+	}
+	w, werr := want.Cardinality()
+	g, gerr := got.Cardinality()
+	check("cardinality", w, g, werr, gerr)
+	wRep, werr := want.Reported(keys)
+	gRep, gerr := got.Reported(keys)
+	check("report", wRep, gRep, werr, gerr)
+	if answered == 0 {
+		t.Fatalf("%s: the switch answers no question", what)
+	}
 }
 
 // sameRows fails unless got equals want bit for bit in the listed rows

@@ -46,15 +46,101 @@ func rowSelector(unit, row int) core.Selector {
 	return core.FullKey(unit).SubRange(rowRotation*row, 32)
 }
 
-// rowIndex recomputes the register index row `row` used for canonical key
-// k — the control-plane readout path shared by all query helpers. The
-// row's selector reads one compressed key, so it is resolved against a
-// one-slot stack array (selector unit 0) instead of a per-call heap
+// rowIndex recomputes the register index row `row` used for a key whose
+// compressed key is h — the control-plane readout path shared by all
+// query helpers, which hash a key once for all the rows reading one unit.
+// The row's selector reads one compressed key, so it is resolved against
+// a one-slot stack array (selector unit 0) instead of a per-call heap
 // slice sized to the group: a point query allocates nothing.
-func rowIndex(g *core.Group, unit, row int, k packet.CanonicalKey, mem core.MemRange, tr core.TranslationMethod) uint32 {
-	keys := [1]uint32{g.HashKey(unit, k)}
-	addr := rowSelector(0, row).Resolve(keys[:])
-	return core.Translate(addr, mem, tr)
+func rowIndex(h uint32, row int, mem core.MemRange, tr core.TranslationMethod) uint32 {
+	keys := [1]uint32{h}
+	return core.Translate(rowSelector(0, row).Resolve(keys[:]), mem, tr)
+}
+
+// rowSet is the placement of a task whose row i lives on CMU Base+i of one
+// group, indexed by the row's sub-part of one compressed key (rowSelector):
+// every single-group algorithm but HLL. It reads a row's cell for a key —
+// the primitive every such decoder is built from — and accounts for and
+// releases the task's rows.
+type rowSet struct {
+	Group  *core.Group
+	TaskID int
+	Unit   int
+	Base   int // first CMU index (row i lives on CMU Base+i)
+	D      int
+	Rows   []core.MemRange
+	Method core.TranslationMethod
+}
+
+// newRowSet places a d-row task on group g: rows at the optional first CMU
+// index at (default 0), whole registers when rows is nil, and a
+// compression unit configured for key. what names the algorithm in errors.
+func newRowSet(what string, g *core.Group, taskID int, key packet.KeySpec, d int, rows []core.MemRange, at []int) (rowSet, error) {
+	base := baseCMU(at)
+	if d < 1 || d > g.CMUs() {
+		return rowSet{}, fmt.Errorf("algorithms: %s depth %d exceeds group's %d CMUs", what, d, g.CMUs())
+	}
+	rows, err := checkRows(g, rows, base, d)
+	if err != nil {
+		return rowSet{}, err
+	}
+	unit, err := EnsureUnit(g, key)
+	if err != nil {
+		return rowSet{}, err
+	}
+	return rowSet{Group: g, TaskID: taskID, Unit: unit, Base: base, D: d, Rows: rows, Method: core.TCAMBased}, nil
+}
+
+// install installs r as row i — the row's key selector, partition and
+// translation filled in — removing every row installed so far if it fails.
+func (s *rowSet) install(i int, r *core.Rule) error {
+	r.TaskID, r.Key, r.Mem, r.Translation = s.TaskID, rowSelector(s.Unit, s.Base+i), s.Rows[i], s.Method
+	if err := s.Group.CMU(s.Base + i).InstallRule(r); err != nil {
+		s.Uninstall()
+		return err
+	}
+	return nil
+}
+
+// hash returns canonical key k's compressed key, which every row indexes
+// a sub-part of.
+func (s *rowSet) hash(k packet.CanonicalKey) uint32 { return s.Group.HashKey(s.Unit, k) }
+
+// index returns the register index row i uses for compressed key h.
+func (s *rowSet) index(i int, h uint32) uint32 { return rowIndex(h, s.Base+i, s.Rows[i], s.Method) }
+
+// read returns row i's cell for compressed key h, from rows (nil: the live
+// register).
+func (s *rowSet) read(rows [][]uint32, i int, h uint32) uint32 {
+	return cell(rows, i, s.Group, s.Base+i, s.Rows[i], s.index(i, h))
+}
+
+// minimum is the smallest cell key k reads across the rows, from rows
+// (nil: the live registers): the count-min family's estimate.
+func (s *rowSet) minimum(rows [][]uint32, k packet.CanonicalKey) uint32 {
+	est, h := ^uint32(0), s.hash(k)
+	for i := 0; i < s.D; i++ {
+		est = min(est, s.read(rows, i, h))
+	}
+	return est
+}
+
+// MemoryBytes returns the task's register memory footprint (full uniform
+// buckets, whatever share of their bits the algorithm uses).
+func (s *rowSet) MemoryBytes() int {
+	total := 0
+	for i, r := range s.Rows {
+		total += r.Buckets * s.Group.CMU(s.Base+i).Register().BitWidth() / 8
+	}
+	return total
+}
+
+// Uninstall removes the task's rules; its partitions keep their contents
+// (core.CMU.RemoveRule).
+func (s *rowSet) Uninstall() {
+	for i := 0; i < s.Group.CMUs(); i++ {
+		s.Group.CMU(i).RemoveRule(s.TaskID)
+	}
 }
 
 // wholeRegisterRows returns d MemRanges each covering CMU row's whole

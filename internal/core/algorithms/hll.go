@@ -68,8 +68,12 @@ func InstallHLL(g *core.Group, taskID int, filter packet.Filter, key packet.KeyS
 }
 
 // Estimate reads the rank registers and computes the HyperLogLog estimate.
-func (t *HLLTask) Estimate() (float64, error) {
-	ranks, err := t.Group.CMU(t.CMU).ReadTask(t.TaskID)
+func (t *HLLTask) Estimate() (float64, error) { return t.cardinality(nil) }
+
+// cardinality is the HyperLogLog estimate over the ranks read from rows
+// (nil: the live register).
+func (t *HLLTask) cardinality(rows [][]uint32) (float64, error) {
+	ranks, err := partition(rows, 0, t.Group.CMU(t.CMU), t.TaskID)
 	if err != nil {
 		return 0, err
 	}

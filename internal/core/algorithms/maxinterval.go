@@ -104,12 +104,14 @@ func InstallMaxInterval(groups [3]*core.Group, taskID int, filter packet.Filter,
 
 // EstimateKey returns the tracked maximum inter-arrival time (µs) for
 // canonical key k.
-func (t *MaxIntervalTask) EstimateKey(k packet.CanonicalKey) uint32 {
+func (t *MaxIntervalTask) EstimateKey(k packet.CanonicalKey) uint32 { return t.estimate(nil, k) }
+
+// estimate reads the interval row, the third of rows (nil: the live
+// registers).
+func (t *MaxIntervalTask) estimate(rows [][]uint32, k packet.CanonicalKey) uint32 {
 	g := t.Groups[2]
-	keys := make([]uint32, g.Units())
-	keys[t.Units[2]] = g.HashKey(t.Units[2], k)
-	idx := core.Translate(core.FullKey(t.Units[2]).Resolve(keys), t.Rows[2], t.Method)
-	return g.CMU(0).Register().Read(idx)
+	idx := rowIndex(g.HashKey(t.Units[2], k), 0, t.Rows[2], t.Method)
+	return cell(rows, 2, g, 0, t.Rows[2], idx)
 }
 
 // MemoryBytes returns the task's register memory footprint across all

@@ -66,13 +66,15 @@ func InstallSuMaxSum(groups []*core.Group, taskID int, filter packet.Filter,
 }
 
 // EstimateKey returns the row-minimum estimate for canonical key k.
-func (t *SuMaxSumTask) EstimateKey(k packet.CanonicalKey) uint32 {
+func (t *SuMaxSumTask) EstimateKey(k packet.CanonicalKey) uint32 { return t.estimate(nil, k) }
+
+// estimate is the row minimum read from rows (nil: the live registers);
+// row i is CMU 0 of group i, indexed by the full compressed key.
+func (t *SuMaxSumTask) estimate(rows [][]uint32, k packet.CanonicalKey) uint32 {
 	min := ^uint32(0)
 	for i, g := range t.Groups {
-		keys := make([]uint32, g.Units())
-		keys[t.Units[i]] = g.HashKey(t.Units[i], k)
-		idx := core.Translate(core.FullKey(t.Units[i]).Resolve(keys), t.Rows[i], t.Method)
-		if c := g.CMU(0).Register().Read(idx); c < min {
+		idx := rowIndex(g.HashKey(t.Units[i], k), 0, t.Rows[i], t.Method)
+		if c := cell(rows, i, g, 0, t.Rows[i], idx); c < min {
 			min = c
 		}
 	}
@@ -81,13 +83,7 @@ func (t *SuMaxSumTask) EstimateKey(k packet.CanonicalKey) uint32 {
 
 // HeavyHitters returns the candidates whose estimate meets the threshold.
 func (t *SuMaxSumTask) HeavyHitters(candidates []packet.CanonicalKey, threshold uint32) map[packet.CanonicalKey]bool {
-	out := make(map[packet.CanonicalKey]bool)
-	for _, k := range candidates {
-		if t.EstimateKey(k) >= threshold {
-			out[k] = true
-		}
-	}
-	return out
+	return atLeast(candidates, threshold, t.EstimateKey)
 }
 
 // MemoryBytes returns the task's register memory footprint.
@@ -113,45 +109,20 @@ func (t *SuMaxSumTask) Uninstall() {
 // the estimate is the minimum across rows, which trims hash-collision
 // inflation.
 type SuMaxMaxTask struct {
-	Group  *core.Group
-	TaskID int
-	Unit   int
-	Base   int // first CMU index
-	D      int
-	Rows   []core.MemRange
-	Method core.TranslationMethod
+	rowSet
 }
 
 // InstallSuMaxMax installs a FlyMon-SuMax(Max) task on group g tracking the
 // per-key maximum of param.
 func InstallSuMaxMax(g *core.Group, taskID int, filter packet.Filter, key packet.KeySpec,
 	param core.ParamSource, d int, rows []core.MemRange, at ...int) (*SuMaxMaxTask, error) {
-	base := baseCMU(at)
-	if d < 1 || d > g.CMUs() {
-		return nil, fmt.Errorf("algorithms: SuMax(Max) depth %d exceeds group's %d CMUs", d, g.CMUs())
-	}
-	rows, err := checkRows(g, rows, base, d)
+	rs, err := newRowSet("SuMax(Max)", g, taskID, key, d, rows, at)
 	if err != nil {
 		return nil, err
 	}
-	unit, err := EnsureUnit(g, key)
-	if err != nil {
-		return nil, err
-	}
-	t := &SuMaxMaxTask{Group: g, TaskID: taskID, Unit: unit, Base: base, D: d, Rows: rows, Method: core.TCAMBased}
+	t := &SuMaxMaxTask{rs}
 	for i := 0; i < d; i++ {
-		rule := &core.Rule{
-			TaskID:      taskID,
-			Filter:      filter,
-			Key:         rowSelector(unit, base+i),
-			P1:          param,
-			P2:          core.Const(0),
-			Mem:         rows[i],
-			Translation: t.Method,
-			Op:          dataplane.OpMax,
-		}
-		if err := g.CMU(base + i).InstallRule(rule); err != nil {
-			t.Uninstall()
+		if err := t.install(i, &core.Rule{Filter: filter, P1: param, P2: core.Const(0), Op: dataplane.OpMax}); err != nil {
 			return nil, err
 		}
 	}
@@ -159,29 +130,9 @@ func InstallSuMaxMax(g *core.Group, taskID int, filter packet.Filter, key packet
 }
 
 // EstimateKey returns the row-minimum of the per-key maxima.
-func (t *SuMaxMaxTask) EstimateKey(k packet.CanonicalKey) uint32 {
-	min := ^uint32(0)
-	for i := 0; i < t.D; i++ {
-		idx := rowIndex(t.Group, t.Unit, t.Base+i, k, t.Rows[i], t.Method)
-		if c := t.Group.CMU(t.Base + i).Register().Read(idx); c < min {
-			min = c
-		}
-	}
-	return min
-}
+func (t *SuMaxMaxTask) EstimateKey(k packet.CanonicalKey) uint32 { return t.estimate(nil, k) }
 
-// MemoryBytes returns the task's register memory footprint.
-func (t *SuMaxMaxTask) MemoryBytes() int {
-	total := 0
-	for i, r := range t.Rows {
-		total += r.Buckets * t.Group.CMU(t.Base+i).Register().BitWidth() / 8
-	}
-	return total
-}
-
-// Uninstall removes the task's rules.
-func (t *SuMaxMaxTask) Uninstall() {
-	for i := 0; i < t.Group.CMUs(); i++ {
-		t.Group.CMU(i).RemoveRule(t.TaskID)
-	}
+// estimate is EstimateKey read from rows (nil: the live registers).
+func (t *SuMaxMaxTask) estimate(rows [][]uint32, k packet.CanonicalKey) uint32 {
+	return t.minimum(rows, k)
 }

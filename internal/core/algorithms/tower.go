@@ -15,13 +15,8 @@ import (
 // corrupting neighbours; different level lengths come from address
 // translation. The query is the minimum over non-saturated levels.
 type TowerTask struct {
-	Group  *core.Group
-	TaskID int
-	Unit   int
-	Base   int   // first CMU index
+	rowSet
 	Widths []int // counter bit width per level (CMU)
-	Rows   []core.MemRange
-	Method core.TranslationMethod
 }
 
 // InstallTower installs a FlyMon-TowerSketch with one level per width on
@@ -29,41 +24,21 @@ type TowerTask struct {
 // per-level partitions (canonically: narrower counters get longer arrays).
 func InstallTower(g *core.Group, taskID int, filter packet.Filter, key packet.KeySpec,
 	widths []int, rows []core.MemRange, at ...int) (*TowerTask, error) {
-	base := baseCMU(at)
-	d := len(widths)
-	if d < 1 || d > g.CMUs() {
-		return nil, fmt.Errorf("algorithms: tower with %d levels exceeds group's %d CMUs", d, g.CMUs())
-	}
-	rows, err := checkRows(g, rows, base, d)
+	rs, err := newRowSet("tower", g, taskID, key, len(widths), rows, at)
 	if err != nil {
 		return nil, err
 	}
-	unit, err := EnsureUnit(g, key)
-	if err != nil {
-		return nil, err
-	}
-	t := &TowerTask{Group: g, TaskID: taskID, Unit: unit, Base: base, Widths: widths,
-		Rows: rows, Method: core.TCAMBased}
-	for i := 0; i < d; i++ {
-		B := g.CMU(base + i).Register().BitWidth()
-		w := widths[i]
+	t := &TowerTask{rowSet: rs, Widths: widths}
+	for i, w := range widths {
+		B := g.CMU(t.Base + i).Register().BitWidth()
 		if w <= 0 || w > B {
 			t.Uninstall()
 			return nil, fmt.Errorf("algorithms: tower level %d width %d exceeds bucket width %d", i, w, B)
 		}
 		shift := uint(B - w)
-		rule := &core.Rule{
-			TaskID:      taskID,
-			Filter:      filter,
-			Key:         rowSelector(unit, base+i),
-			P1:          core.Const(1 << shift),
-			P2:          core.Const(((1 << uint(w)) - 1) << shift),
-			Mem:         rows[i],
-			Translation: t.Method,
-			Op:          dataplane.OpCondAdd,
-		}
-		if err := g.CMU(base + i).InstallRule(rule); err != nil {
-			t.Uninstall()
+		rule := &core.Rule{Filter: filter, P1: core.Const(1 << shift),
+			P2: core.Const(((1 << uint(w)) - 1) << shift), Op: dataplane.OpCondAdd}
+		if err := t.install(i, rule); err != nil {
 			return nil, err
 		}
 	}
@@ -73,48 +48,28 @@ func InstallTower(g *core.Group, taskID int, filter packet.Filter, key packet.Ke
 // EstimateKey returns the tower estimate for canonical key k: the minimum
 // over non-saturated level counters (the widest level's saturation value
 // when all levels are saturated).
-func (t *TowerTask) EstimateKey(k packet.CanonicalKey) uint32 {
+func (t *TowerTask) EstimateKey(k packet.CanonicalKey) uint32 { return t.estimate(nil, k) }
+
+// estimate is the tower estimate read from rows (nil: the live registers).
+func (t *TowerTask) estimate(rows [][]uint32, k packet.CanonicalKey) uint32 {
 	best := ^uint32(0)
 	live := false
 	var widestSat uint32
+	h := t.hash(k)
 	for i, w := range t.Widths {
-		B := t.Group.CMU(t.Base + i).Register().BitWidth()
-		idx := rowIndex(t.Group, t.Unit, t.Base+i, k, t.Rows[i], t.Method)
-		bucket := t.Group.CMU(t.Base + i).Register().Read(idx)
-		cnt := bucket >> uint(B-w)
+		cnt := t.read(rows, i, h) >> uint(t.Group.CMU(t.Base+i).Register().BitWidth()-w)
 		sat := uint32(1<<uint(w)) - 1
-		if sat > widestSat {
-			widestSat = sat
-		}
+		widestSat = max(widestSat, sat)
 		if cnt >= sat {
 			continue
 		}
 		live = true
-		if cnt < best {
-			best = cnt
-		}
+		best = min(best, cnt)
 	}
 	if !live {
 		return widestSat
 	}
 	return best
-}
-
-// MemoryBytes returns the task's register memory footprint (full uniform
-// buckets; unused low bits remain available to co-located tasks).
-func (t *TowerTask) MemoryBytes() int {
-	total := 0
-	for i, r := range t.Rows {
-		total += r.Buckets * t.Group.CMU(t.Base+i).Register().BitWidth() / 8
-	}
-	return total
-}
-
-// Uninstall removes the task's rules.
-func (t *TowerTask) Uninstall() {
-	for i := 0; i < t.Group.CMUs(); i++ {
-		t.Group.CMU(i).RemoveRule(t.TaskID)
-	}
 }
 
 // CounterBraidsTask is FlyMon-CounterBraids (L=2, Appendix D): CMU 1 runs a
@@ -123,58 +78,33 @@ func (t *TowerTask) Uninstall() {
 // increment of the wide layer-2 counter. The recovered count is
 // layer1 + layer2 (exact absent collisions).
 type CounterBraidsTask struct {
-	Group  *core.Group
-	TaskID int
-	Unit   int
-	Base   int // first CMU index
+	rowSet
 	W1, W2 int
-	Rows   []core.MemRange
-	Method core.TranslationMethod
 }
 
 // InstallCounterBraids installs a FlyMon-CounterBraids task on group g with
 // layer widths w1 (narrow) and w2 (wide).
 func InstallCounterBraids(g *core.Group, taskID int, filter packet.Filter,
 	key packet.KeySpec, w1, w2 int, rows []core.MemRange, at ...int) (*CounterBraidsTask, error) {
-	base := baseCMU(at)
-	if g.CMUs() < 2 {
-		return nil, fmt.Errorf("algorithms: counter braids needs 2 CMUs, group has %d", g.CMUs())
-	}
-	rows, err := checkRows(g, rows, base, 2)
+	rs, err := newRowSet("counter braids", g, taskID, key, 2, rows, at)
 	if err != nil {
 		return nil, err
 	}
-	unit, err := EnsureUnit(g, key)
-	if err != nil {
-		return nil, err
-	}
-	B1 := g.CMU(base).Register().BitWidth()
-	B2 := g.CMU(base + 1).Register().BitWidth()
+	B1 := g.CMU(rs.Base).Register().BitWidth()
+	B2 := g.CMU(rs.Base + 1).Register().BitWidth()
 	if w1 <= 0 || w1 > B1 || w2 <= 0 || w2 > B2 {
 		return nil, fmt.Errorf("algorithms: counter braids widths (%d,%d) exceed buckets (%d,%d)", w1, w2, B1, B2)
 	}
-	t := &CounterBraidsTask{Group: g, TaskID: taskID, Unit: unit, Base: base, W1: w1, W2: w2,
-		Rows: rows, Method: core.TCAMBased}
-
+	t := &CounterBraidsTask{rowSet: rs, W1: w1, W2: w2}
 	s1 := uint(B1 - w1)
-	layer1 := &core.Rule{
-		TaskID:      taskID,
-		Filter:      filter,
-		Key:         rowSelector(unit, base),
-		P1:          core.Const(1 << s1),
-		P2:          core.Const(((1 << uint(w1)) - 1) << s1),
-		Mem:         rows[0],
-		Translation: t.Method,
-		Op:          dataplane.OpCondAdd,
-	}
-	if err := g.CMU(base).InstallRule(layer1); err != nil {
+	layer1 := &core.Rule{Filter: filter, P1: core.Const(1 << s1),
+		P2: core.Const(((1 << uint(w1)) - 1) << s1), Op: dataplane.OpCondAdd}
+	if err := t.install(0, layer1); err != nil {
 		return nil, err
 	}
 	s2 := uint(B2 - w2)
 	layer2 := &core.Rule{
-		TaskID: taskID,
 		Filter: filter,
-		Key:    rowSelector(unit, base+1),
 		P1:     core.PrevResult(),
 		P2:     core.Const(((1 << uint(w2)) - 1) << s2),
 		Prep: core.Transform{
@@ -182,40 +112,23 @@ func InstallCounterBraids(g *core.Group, taskID int, filter packet.Filter,
 			IfZero: 1 << s2, // layer 1 saturated: count here
 			Else:   0,       // layer 1 took the packet: add nothing
 		},
-		Mem:         rows[1],
-		Translation: t.Method,
-		Op:          dataplane.OpCondAdd,
+		Op: dataplane.OpCondAdd,
 	}
-	if err := g.CMU(base + 1).InstallRule(layer2); err != nil {
-		t.Uninstall()
+	if err := t.install(1, layer2); err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
 // EstimateKey returns layer1 + layer2 for canonical key k.
-func (t *CounterBraidsTask) EstimateKey(k packet.CanonicalKey) uint64 {
-	B1 := t.Group.CMU(t.Base).Register().BitWidth()
-	B2 := t.Group.CMU(t.Base + 1).Register().BitWidth()
-	i1 := rowIndex(t.Group, t.Unit, t.Base, k, t.Rows[0], t.Method)
-	i2 := rowIndex(t.Group, t.Unit, t.Base+1, k, t.Rows[1], t.Method)
-	v1 := uint64(t.Group.CMU(t.Base).Register().Read(i1) >> uint(B1-t.W1))
-	v2 := uint64(t.Group.CMU(t.Base+1).Register().Read(i2) >> uint(B2-t.W2))
-	return v1 + v2
-}
+func (t *CounterBraidsTask) EstimateKey(k packet.CanonicalKey) uint64 { return t.estimate(nil, k) }
 
-// MemoryBytes returns the task's register memory footprint.
-func (t *CounterBraidsTask) MemoryBytes() int {
-	total := 0
-	for i, r := range t.Rows {
-		total += r.Buckets * t.Group.CMU(t.Base+i).Register().BitWidth() / 8
+// estimate is layer1 + layer2 read from rows (nil: the live registers).
+func (t *CounterBraidsTask) estimate(rows [][]uint32, k packet.CanonicalKey) uint64 {
+	var sum uint64
+	h := t.hash(k)
+	for i, w := range [2]int{t.W1, t.W2} {
+		sum += uint64(t.read(rows, i, h) >> uint(t.Group.CMU(t.Base+i).Register().BitWidth()-w))
 	}
-	return total
-}
-
-// Uninstall removes the task's rules.
-func (t *CounterBraidsTask) Uninstall() {
-	for i := 0; i < t.Group.CMUs(); i++ {
-		t.Group.CMU(i).RemoveRule(t.TaskID)
-	}
+	return sum
 }

@@ -5,7 +5,9 @@ import "flymon/internal/dataplane"
 // This file is the compiler's mergeability analysis: the Compile-time
 // decision of whether a rule's stateful operation may run on a private
 // per-worker register lane (dataplane.ShardApply, plain stores) and be
-// reduced at query time, or must stay on the shared CAS path. The analysis
+// reduced at query time, or must stay on the shared CAS path. The same
+// analysis decides the op a fleet merges a task's switch readouts under
+// (MergeOp). The analysis
 // is conservative — a rule shards only when lane-then-merge is provably
 // bit-identical to sequential execution AND nothing in the snapshot can
 // observe the lane-local result bus — so correctness never depends on the
@@ -95,6 +97,23 @@ func shardEligible(r *Rule, mask uint32) bool {
 		return false
 	}
 	return false
+}
+
+// MergeOp returns the one stateful op under which copies of a task's
+// registers — its rules at locs, on as many switches as hold a copy —
+// combine exactly: every rule passes shardEligible (a switch's copy merges
+// like a worker's lane) and all run the same op. OpNone when they do not:
+// a rule conditions on or consumes state another copy cannot see, or the
+// rules disagree on the op.
+func MergeOp(locs []TaskLocation) dataplane.StatefulOp {
+	op := dataplane.OpNone
+	for i, l := range locs {
+		if (i > 0 && l.Rule.Op != op) || !shardEligible(l.Rule, l.Group.CMU(l.CMU).Register().Mask()) {
+			return dataplane.OpNone
+		}
+		op = l.Rule.Op
+	}
+	return op
 }
 
 // EnableSharding allocates n private lanes on every register of the

@@ -3,17 +3,16 @@ package netwide
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"flymon/internal/controlplane"
 	"flymon/internal/core/algorithms"
+	"flymon/internal/dataplane"
 	"flymon/internal/epoch"
 	"flymon/internal/packet"
 	"flymon/internal/rpc"
-	"flymon/internal/sketch"
 	"flymon/internal/tracing"
 )
 
@@ -84,8 +83,8 @@ type EpochQuery struct {
 	// (default DefaultEpochWait).
 	Wait time.Duration
 	// Op is the merge operation of QueryEpochRows' rows (default add).
-	// Epoch and the typed answers ignore it: they merge under the task's
-	// own op (see ownOp).
+	// Epoch and the typed answers ignore it: they merge under the op the
+	// task's rules merge under exactly (see fleetOp).
 	Op MergeOp
 }
 
@@ -111,8 +110,11 @@ type fleetEpoch struct {
 	// a rotation is fanning out. Lock order: epochMu, then f.mu, then mu.
 	mu  sync.Mutex
 	rot *epoch.Rotator
-	// own is the algorithm's own merge op, fixed at deploy.
-	own MergeOp
+	// own is the op the task's rows merge under exactly, fixed at deploy
+	// from its rules (fleetOp); exact is false when there is none, and
+	// Epoch refuses the task.
+	own   MergeOp
+	exact bool
 	// window is the artifact store, completed epoch → its stored merges:
 	// made when the mirror rotates, dropped rpc.EpochRetain rotations
 	// later like the daemons' snapshots, freed with the task and the fleet.
@@ -131,9 +133,9 @@ const mergeOps = int(MergeXor) + 1
 // itself, which is all the invalidation there is.
 type storedEpoch struct {
 	// handle is the mirror's frozen copy of this epoch, captured at
-	// rotation. The mirror reclaims the copy a rotation later, but the
-	// typed answers read only its placement — the units' fixed CRC tables,
-	// the row selectors, the partitions and the translation method — so it
+	// rotation. The mirror reclaims the copy a rotation later, but a
+	// Readout reads only its placement — the units' fixed CRC tables, the
+	// row selectors, the partitions and the translation method — so it
 	// indexes the merged rows for as long as they are kept.
 	handle any
 	// fingerprint is the layout of the mirror's frozen copy: what every
@@ -144,139 +146,90 @@ type storedEpoch struct {
 
 // storedMerge is one op's merge of a stored epoch.
 type storedMerge struct {
-	rows    [][]uint32 // nil until a complete merge is stored
-	report  QueryReport
+	rows   [][]uint32 // nil until a complete merge is stored
+	report QueryReport
+	// answers is the epoch's handle bound to rows, once, when a merge
+	// under the task's own op is stored (unbound under any other op).
+	answers algorithms.Readout
 	filling chan struct{} // closed when the in-flight first merge ends
 }
 
 // EpochArtifact is one completed epoch of a task merged fleet-wide under
-// the algorithm's own op, with its provenance: the rows, the report of
-// which switches went in at which epoch, and the mirror's index mapping of
-// that epoch, which the typed answers read. Rows and Report of a stored
-// epoch are shared: treat them as read-only.
+// the op its rules merge under exactly, with its provenance: the rows, the
+// report of which switches went in at which epoch, and the mirror's frozen
+// copy of that epoch bound to the rows. The typed answers read the rows
+// through the decoder the switch's own queries use (algorithms.Readout),
+// so each equals what one switch fed all the epoch's traffic answers. Rows
+// and Report of a stored epoch are shared: treat them as read-only.
 type EpochArtifact struct {
 	Rows   [][]uint32
 	Report QueryReport
 
-	// handle is the mirror's frozen copy of the epoch (see storedEpoch);
-	// nil for a name this fleet did not deploy, or an epoch outside its
-	// window.
-	handle any
+	// answers is the mirror's frozen copy of the epoch bound to Rows;
+	// unbound (every answer an error) for a name this fleet did not
+	// deploy, or an epoch outside its window.
+	answers algorithms.Readout
 }
 
-// ownOp is the merge op a task's algorithm combines registers under
-// across switches: max for HLL ranks, or for Bloom and BeauCoup bitmaps,
-// add for counters and every other task.
-func ownOp(handle any) MergeOp {
-	switch handle.(type) {
-	case *algorithms.HLLTask:
-		return MergeMax
-	case *algorithms.BloomTask, *algorithms.BeauCoupTask:
-		return MergeOr
+// ErrInexactMerge refuses a fleet answer for a task whose rows do not
+// merge exactly: some rule conditions on or consumes state a switch's copy
+// cannot see (SuMax(Sum)'s running minimum, Tower's and CounterBraids'
+// saturation guards, MaxInterval's new-flow test), so no merge of the
+// switches' rows equals one switch fed all their traffic.
+var ErrInexactMerge = errors.New("netwide: the task's rows do not merge exactly across switches")
+
+// fleetOp is the fleet merge op of a task whose rules all merge exactly
+// under the data-plane op (controlplane.Task.Merge); false for OpNone.
+func fleetOp(op dataplane.StatefulOp) (MergeOp, bool) {
+	switch op {
+	case dataplane.OpCondAdd:
+		return MergeAdd, true
+	case dataplane.OpMax:
+		return MergeMax, true
+	case dataplane.OpAndOr:
+		return MergeOr, true // shard-eligible AND-OR always takes the OR branch
+	case dataplane.OpXor:
+		return MergeXor, true
 	}
-	return MergeAdd
+	return 0, false
 }
 
-// typed resolves the artifact's index mapping as algorithm T (kind names
-// what T answers).
-func typed[T any](a *EpochArtifact, kind string) (T, error) {
-	h, ok := a.handle.(T)
-	switch {
-	case a.handle == nil:
-		return h, fmt.Errorf("netwide: epoch %d is not index-mapped by the mirror (outside the %d-epoch window, or a task this fleet did not deploy)",
-			a.Report.Epoch, rpc.EpochRetain)
-	case !ok:
-		return h, fmt.Errorf("netwide: epoch %d is not of %s task", a.Report.Epoch, kind)
-	}
-	return h, nil
-}
-
-// Estimate returns key k's Count-Min frequency in this epoch (counter
-// tasks; each packet measured at exactly one switch).
-func (a EpochArtifact) Estimate(k packet.CanonicalKey) (uint64, error) {
-	cms, err := typed[*algorithms.CMSTask](&a, "a counter")
-	if err != nil {
-		return 0, err
-	}
-	return countMin(cms, a.Rows, k), nil
-}
-
-// countMin reads key k's count-min estimate out of merged rows laid out
-// like cms's partitions: min across rows of the cell cms indexes.
-func countMin(cms *algorithms.CMSTask, merged [][]uint32, k packet.CanonicalKey) uint64 {
-	min := ^uint32(0)
-	for i := 0; i < cms.D; i++ {
-		idx := cms.RowIndexFor(i, k) - uint32(cms.Rows[i].Base)
-		if v := merged[i][idx]; v < min {
-			min = v
-		}
-	}
-	return uint64(min)
+// Estimate returns key k's per-key estimate in this epoch, as
+// Controller.EstimateKey answers it (frequency tasks: each packet measured
+// at exactly one switch).
+func (a EpochArtifact) Estimate(k packet.CanonicalKey) (float64, error) {
+	return a.answers.EstimateKey(k)
 }
 
 // HeavyHitters returns the candidates whose estimate in this epoch meets
 // the threshold, every candidate probed against the one merge.
 func (a EpochArtifact) HeavyHitters(candidates []packet.CanonicalKey, threshold uint64) (map[packet.CanonicalKey]bool, error) {
-	cms, err := typed[*algorithms.CMSTask](&a, "a counter")
-	if err != nil {
-		return nil, err
-	}
 	out := make(map[packet.CanonicalKey]bool)
 	for _, k := range candidates {
-		if countMin(cms, a.Rows, k) >= threshold {
+		v, err := a.Estimate(k)
+		if err != nil {
+			return nil, err
+		}
+		if v >= float64(threshold) {
 			out[k] = true
 		}
 	}
 	return out, nil
 }
 
-// Cardinality returns an HLL task's distinct-flow estimate: rank
-// registers max-merged, then the harmonic-mean estimator. Duplicate
-// observation across switches is harmless.
-func (a EpochArtifact) Cardinality() (float64, error) {
-	if _, err := typed[*algorithms.HLLTask](&a, "an HLL"); err != nil {
-		return 0, err
-	}
-	return sketch.HLLEstimateFromRanks(a.Rows[0]), nil
-}
+// Cardinality returns a distinct-count task's estimate in this epoch
+// (HLL ranks max-merged, LinearCounting bitmaps OR-merged: duplicate
+// observation across switches is harmless).
+func (a EpochArtifact) Cardinality() (float64, error) { return a.answers.Cardinality() }
 
-// Contains reports Bloom membership of key k: bitmaps OR-merged, then the
-// usual probes.
-func (a EpochArtifact) Contains(k packet.CanonicalKey) (bool, error) {
-	bloom, err := typed[*algorithms.BloomTask](&a, "an existence")
-	if err != nil {
-		return false, err
-	}
-	indices, masks := bloom.ProbeKey(k)
-	for i := range indices {
-		if a.Rows[i][indices[i]-uint32(bloom.Rows[i].Base)]&masks[i] == 0 {
-			return false, nil
-		}
-	}
-	return true, nil
-}
+// Contains reports Bloom membership of key k in this epoch.
+func (a EpochArtifact) Contains(k packet.CanonicalKey) (bool, error) { return a.answers.Contains(k) }
 
-// Reported returns the candidates a BeauCoup task reports: coupon bitmaps
-// OR-merged (a coupon collected anywhere is collected), then the usual
-// min-across-tables popcount test.
+// Reported returns the candidates a detection task reports in this epoch
+// (BeauCoup coupon bitmaps OR-merged: a coupon collected anywhere is
+// collected).
 func (a EpochArtifact) Reported(candidates []packet.CanonicalKey) (map[packet.CanonicalKey]bool, error) {
-	bc, err := typed[*algorithms.BeauCoupTask](&a, "a BeauCoup")
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[packet.CanonicalKey]bool)
-	for _, k := range candidates {
-		min := 64
-		for i := 0; i < bc.D; i++ {
-			if n := bits.OnesCount32(a.Rows[i][bc.RowIndexFor(i, k)-uint32(bc.Rows[i].Base)]); n < min {
-				min = n
-			}
-		}
-		if min >= bc.Cfg.Collect {
-			out[k] = true
-		}
-	}
-	return out, nil
+	return a.answers.Reported(candidates)
 }
 
 // stragglerError marks "reachable but behind" inside a fan-out, so the
@@ -472,8 +425,10 @@ func (f *RemoteFleet) pollEpoch(c *rpc.Client, name string, epochN int, q EpochQ
 // failures still honor AllowPartial, and under the wait policy any switch
 // still behind at the bound fails the whole query.
 //
-// The rows are merged under the task's own op (see ownOp), so the typed
-// answers need none from the caller: q.Op is QueryEpochRows' alone. The
+// The rows are merged under the one op the task's rules merge under
+// exactly (see fleetOp), so the typed answers need none from the caller:
+// q.Op is QueryEpochRows' alone. A task whose rows do not merge exactly
+// is refused with ErrInexactMerge. The
 // epoch's first complete merge under an op is kept for rpc.EpochRetain
 // rotations and later queries are served from it without an RPC
 // (Report.Cached), also while a switch is down or ejected. Concurrent
@@ -509,7 +464,7 @@ func (f *RemoteFleet) EstimateKeyEpoch(name string, epochN int, k packet.Canonic
 		return 0, art.Report, err
 	}
 	v, err := art.Estimate(k)
-	return v, art.Report, err
+	return uint64(v), art.Report, err
 }
 
 // epoch is Epoch (own: merge under the task's own op) and QueryEpochRows
@@ -525,6 +480,15 @@ func (f *RemoteFleet) epoch(name string, epochN int, q EpochQuery, own bool) (ar
 			return art, fmt.Errorf("netwide: %q is a plain task, read per switch; deploy it with DeployEpoch for fleet-wide answers", name)
 		}
 	}
+	if own {
+		q.Op = MergeAdd
+		if et != nil {
+			if !et.exact {
+				return art, fmt.Errorf("%w: epoch task %q (QueryEpochRows merges them under the op it is given)", ErrInexactMerge, name)
+			}
+			q.Op = et.own
+		}
+	}
 	if et == nil && epochN <= 0 {
 		return art, fmt.Errorf("netwide: no epoch task %q (a name this fleet did not deploy needs an explicit epoch)", name)
 	}
@@ -533,12 +497,6 @@ func (f *RemoteFleet) epoch(name string, epochN int, q EpochQuery, own bool) (ar
 	}
 	if epochN == 0 {
 		return art, fmt.Errorf("netwide: epoch task %q has no completed epoch yet (rotate first)", name)
-	}
-	if own {
-		q.Op = MergeAdd
-		if et != nil {
-			q.Op = et.own
-		}
 	}
 	if q.Op < MergeAdd || q.Op > MergeXor {
 		return art, fmt.Errorf("netwide: unknown merge op %d", int(q.Op))
@@ -557,7 +515,6 @@ func (f *RemoteFleet) epoch(name string, epochN int, q EpochQuery, own bool) (ar
 		art.Rows, art.Report, err = f.mergeEpoch(name, epochN, q, &layoutRef{})
 		return art, err
 	}
-	art.handle = stored.handle
 	m := &stored.merges[q.Op]
 	wait := m.filling
 	var lead chan struct{}
@@ -565,12 +522,12 @@ func (f *RemoteFleet) epoch(name string, epochN int, q EpochQuery, own bool) (ar
 		lead = make(chan struct{})
 		m.filling = lead
 	}
-	art.Rows, art.Report = m.rows, m.report
+	art.Rows, art.Report, art.answers = m.rows, m.report, m.answers
 	et.mu.Unlock()
 	if wait != nil {
 		<-wait
 		et.mu.Lock()
-		art.Rows, art.Report = m.rows, m.report
+		art.Rows, art.Report, art.answers = m.rows, m.report, m.answers
 		et.mu.Unlock()
 	}
 	if art.Rows != nil {
@@ -584,9 +541,14 @@ func (f *RemoteFleet) epoch(name string, epochN int, q EpochQuery, own bool) (ar
 		return art, nil
 	}
 	art.Rows, art.Report, err = f.mergeEpoch(name, epochN, q, pinnedLayout(stored.fingerprint))
+	if et.exact && q.Op == et.own {
+		// The merge under the task's own op carries the typed answers,
+		// whichever caller made it.
+		art.answers = algorithms.Bind(stored.handle, art.Rows, t.spec.Threshold)
+	}
 	et.mu.Lock()
-	if err == nil && !art.Report.Partial() && len(art.Report.Contributed) == len(f.clients) {
-		m.rows, m.report = art.Rows, art.Report
+	if err == nil && m.rows == nil && !art.Report.Partial() && len(art.Report.Contributed) == len(f.clients) {
+		m.rows, m.report, m.answers = art.Rows, art.Report, art.answers
 	}
 	if lead != nil {
 		m.filling = nil

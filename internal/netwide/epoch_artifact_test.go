@@ -90,7 +90,6 @@ func TestEpochArtifactBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cms := h.(*algorithms.CMSTask)
 	for _, op := range []MergeOp{MergeAdd, MergeMax} {
 		want := epochOracle(t, clients, "ep", 1, op)
 		for pass, cached := range []bool{false, true, true} {
@@ -111,26 +110,70 @@ func TestEpochArtifactBitIdentical(t *testing.T) {
 			if err != nil || !report.Cached {
 				t.Fatalf("estimate: %v, report %+v", err, report)
 			}
-			if ref := countMin(cms, want, k); est != ref || est == 0 {
-				t.Fatalf("cached estimate %d, independent merge says %d", est, ref)
+			ref, err := algorithms.Bind(h, want, 0).EstimateKey(k)
+			if err != nil || float64(est) != ref || est == 0 {
+				t.Fatalf("cached estimate %d, independent merge says %v (%v)", est, ref, err)
 			}
 		}
 	}
-	// A cached estimate is a read: no RPC, no goroutine, no allocation.
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, report, err := fleet.EstimateKeyEpoch("ep", 1, keys[0], EpochQuery{}); err != nil || !report.Cached {
-			t.Fatalf("cached estimate: report %+v, err %v", report, err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("a cached EstimateKeyEpoch allocates %v times, want 0", allocs)
-	}
 	mt := &reg.Fleet.MergeTree
-	if mt.EpochCacheMisses.Load() != 2 || mt.EpochCacheHits.Load() != 4+uint64(len(keys))+201 {
+	if mt.EpochCacheMisses.Load() != 2 || mt.EpochCacheHits.Load() != 4+uint64(len(keys)) {
 		t.Fatalf("hits %d misses %d", mt.EpochCacheHits.Load(), mt.EpochCacheMisses.Load())
 	}
 	if !strings.Contains(QueryReport{Contributed: []int{0}, Epoch: 1, Cached: true}.String(), "(cached)") {
 		t.Fatal("QueryReport.String does not show a cached answer")
+	}
+}
+
+// TestEpochAnswersZeroAlloc: a typed answer from a stored epoch is a read
+// of the merge through the handle bound to it when the merge was stored —
+// no RPC, no goroutine, no allocation — for a cached EstimateKeyEpoch and
+// for EpochArtifact.Contains.
+func TestEpochAnswersZeroAlloc(t *testing.T) {
+	cfg := fleetConfig()
+	ctrls, clients := startDaemons(t, 2, cfg)
+	fleet := NewRemoteFleetOptions(clients, cfg, FleetOptions{})
+	bloom := controlplane.TaskSpec{Name: "bloom", Attribute: controlplane.AttrExistence,
+		Param: controlplane.ParamSpec{Kind: controlplane.ParamFlowKey, Key: packet.KeyFiveTuple}, MemBuckets: 1024}
+	for _, spec := range []controlplane.TaskSpec{cmsSpec("ep"), bloom} {
+		if err := fleet.DeployEpoch(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key := epochTraffic(ctrls, 65)[0]
+	for _, name := range []string{"ep", "bloom"} {
+		if _, err := fleet.RotateEpoch(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	art, err := fleet.Epoch("bloom", 1, EpochQuery{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in, err := art.Contains(key); err != nil || !in {
+		t.Fatalf("a key of the epoch's traffic reads absent: %v, %v", in, err)
+	}
+	if _, _, err := fleet.EstimateKeyEpoch("ep", 1, key, EpochQuery{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		what string
+		ask  func()
+	}{
+		{"a cached EstimateKeyEpoch", func() {
+			if _, report, err := fleet.EstimateKeyEpoch("ep", 1, key, EpochQuery{}); err != nil || !report.Cached {
+				t.Fatalf("cached estimate: report %+v, err %v", report, err)
+			}
+		}},
+		{"EpochArtifact.Contains", func() {
+			if _, err := art.Contains(key); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		if allocs := testing.AllocsPerRun(200, c.ask); allocs != 0 {
+			t.Errorf("%s allocates %v times, want 0", c.what, allocs)
+		}
 	}
 }
 

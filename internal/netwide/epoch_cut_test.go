@@ -137,7 +137,7 @@ func TestEpochAnswerIsRotationCut(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		art  EpochArtifact
-		x, y uint64
+		x, y float64
 	}{{"epoch 1", r.art, x1, y1}, {"epoch 2", rotated(t, fleet, "freq"), x2, y2}} {
 		gx, err := c.art.Estimate(x)
 		if err != nil {
@@ -148,7 +148,7 @@ func TestEpochAnswerIsRotationCut(t *testing.T) {
 			t.Fatal(err)
 		}
 		if gx != c.x || gy != c.y {
-			t.Fatalf("%s answers x=%d y=%d; the rotation cut is x=%d y=%d", c.name, gx, gy, c.x, c.y)
+			t.Fatalf("%s answers x=%v y=%v; the rotation cut is x=%v y=%v", c.name, gx, gy, c.x, c.y)
 		}
 	}
 }
@@ -167,12 +167,14 @@ func TestEpochArtifactOutlivesMirrorCopy(t *testing.T) {
 		flows = append(flows, packet.KeyFiveTuple.Extract(&tr.Packets[i*7]))
 		dsts = append(dsts, packet.KeyDstIP.Extract(&tr.Packets[i*7]))
 	}
-	// answers renders every typed answer the artifact gives.
+	// answers renders every typed answer the artifact gives, the per-key
+	// ones over both key kinds.
+	keys := append(append([]packet.CanonicalKey{}, flows...), dsts...)
 	answers := func(a EpochArtifact) map[string]any {
 		out := map[string]any{}
-		est := make([]uint64, len(flows))
+		est := make([]float64, len(keys))
 		var err error
-		for i, k := range flows {
+		for i, k := range keys {
 			if est[i], err = a.Estimate(k); err != nil {
 				break
 			}
@@ -180,14 +182,14 @@ func TestEpochArtifactOutlivesMirrorCopy(t *testing.T) {
 		if err == nil {
 			out["estimate"] = est
 		}
-		if hh, err := a.HeavyHitters(flows, 64); err == nil {
+		if hh, err := a.HeavyHitters(keys, 64); err == nil {
 			out["heavy hitters"] = hh
 		}
 		if v, err := a.Cardinality(); err == nil {
 			out["cardinality"] = v
 		}
-		in := make([]bool, len(flows))
-		for i, k := range flows {
+		in := make([]bool, len(keys))
+		for i, k := range keys {
 			if in[i], err = a.Contains(k); err != nil {
 				break
 			}

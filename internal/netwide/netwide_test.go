@@ -83,10 +83,10 @@ func TestFleetMergedCountsEqualSingleSwitch(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got != want {
-			t.Fatalf("merged estimate %d != single-switch estimate %d", got, want)
+			t.Fatalf("merged estimate %v != single-switch estimate %v", got, want)
 		}
-		if got < truth {
-			t.Fatalf("merged estimate %d underestimates truth %d", got, truth)
+		if got < float64(truth) {
+			t.Fatalf("merged estimate %v underestimates truth %d", got, truth)
 		}
 		checked++
 		if checked >= 500 {

@@ -443,9 +443,9 @@ func (f *RemoteFleet) install(op string, spec controlplane.TaskSpec, rotating bo
 	if rotating {
 		t.epoch = &fleetEpoch{window: make(map[int]*storedEpoch)}
 		if t.epoch.rot, err = epoch.NewRotator(f.mirror, spec); err == nil {
-			mt, err = f.mirror.Task(t.epoch.rot.ActiveID())
-			h, _ := f.mirror.TaskHandle(t.epoch.rot.ActiveID())
-			t.epoch.own = ownOp(h)
+			if mt, err = f.mirror.Task(t.epoch.rot.ActiveID()); err == nil {
+				t.epoch.own, t.epoch.exact = fleetOp(mt.Merge)
+			}
 		}
 	} else if mt, err = f.mirror.AddTask(spec); err == nil {
 		t.mirrorID = mt.ID

@@ -68,8 +68,8 @@ func TestRemoteFleetMergedEstimates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got < truth {
-			t.Fatalf("remote merged estimate %d underestimates truth %d", got, truth)
+		if got < float64(truth) {
+			t.Fatalf("remote merged estimate %v underestimates truth %d", got, truth)
 		}
 		checked++
 		if checked >= 40 {

@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"flymon/internal/controlplane"
-	"flymon/internal/core/algorithms"
 	"flymon/internal/epoch"
+	"flymon/internal/packet"
 )
 
 // EpochRetain is how many completed epochs' packed snapshots a daemon
@@ -152,7 +152,7 @@ func (s *Server) handleEpochRemove(p EpochTaskParams) error {
 }
 
 // handleKeyIndices answers a flow key's per-row register indices on a
-// frequency task — computed here from the daemon's own deterministic
+// count-min task (CMS, or MRAC, a one-row CMS) — computed here from the daemon's own deterministic
 // placement, so a query client without a mirror controller can probe
 // merged fleet rows at exactly the right offsets. The ID may be a served
 // epoch's frozen copy (EpochRegistersResult.FrozenID), reclaimed or not.
@@ -161,16 +161,13 @@ func (s *Server) handleKeyIndices(p KeyParams) (KeyIndicesResult, error) {
 	if err != nil {
 		return KeyIndicesResult{}, err
 	}
-	cms, ok := h.(*algorithms.CMSTask)
+	cms, ok := h.(interface {
+		KeyIndices(packet.CanonicalKey) []uint32
+	})
 	if !ok {
-		return KeyIndicesResult{}, fmt.Errorf("rpc: task %d is not a counter task", p.ID)
+		return KeyIndicesResult{}, fmt.Errorf("rpc: task %d is not a count-min task", p.ID)
 	}
-	k := keyFromBytes(p.Key)
-	out := KeyIndicesResult{Indices: make([]uint32, cms.D)}
-	for i := 0; i < cms.D; i++ {
-		out.Indices[i] = cms.RowIndexFor(i, k) - uint32(cms.Rows[i].Base)
-	}
-	return out, nil
+	return KeyIndicesResult{Indices: cms.KeyIndices(keyFromBytes(p.Key))}, nil
 }
 
 // retainedHandle resolves a task ID to its handle: the one captured with a

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"flymon/internal/controlplane"
 	"flymon/internal/mmtrace"
 	"flymon/internal/packet"
 	"flymon/internal/trace"
@@ -214,37 +215,46 @@ func TestEpochLifecycleOverRPC(t *testing.T) {
 	}
 }
 
+// TestKeyIndicesMatchDaemonEstimate: the indices key_indices answers read
+// the daemon's own estimate out of the task's rows, on every count-min
+// task — MRAC, a one-row CMS, included.
 func TestKeyIndicesMatchDaemonEstimate(t *testing.T) {
-	s, c := startServer(t)
-	task, err := c.AddTask(freqSpec("ki"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := feed(t, s, 4)
-	key := packet.KeyFiveTuple.Extract(&tr.Packets[0])
-	idx, err := c.KeyIndices(task.ID, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := readRows(t, c, task.ID, nil)
-	if len(idx) != len(rows) {
-		t.Fatalf("%d indices for %d rows", len(idx), len(rows))
-	}
-	min := ^uint32(0)
-	for i, ix := range idx {
-		if int(ix) >= len(rows[i]) {
-			t.Fatalf("row %d index %d out of range (%d buckets)", i, ix, len(rows[i]))
-		}
-		if v := rows[i][ix]; v < min {
-			min = v
-		}
-	}
-	est, err := c.Estimate(task.ID, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if float64(min) != est {
-		t.Fatalf("key-indices estimate %d != daemon estimate %v", min, est)
+	mrac := freqSpec("mrac")
+	mrac.Algorithm, mrac.D = controlplane.AlgMRAC, 0
+	for _, spec := range []controlplane.TaskSpec{freqSpec("cms"), mrac} {
+		t.Run(spec.Name, func(t *testing.T) {
+			s, c := startServer(t)
+			task, err := c.AddTask(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := feed(t, s, 4)
+			key := packet.KeyFiveTuple.Extract(&tr.Packets[0])
+			idx, err := c.KeyIndices(task.ID, key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := readRows(t, c, task.ID, nil)
+			if len(idx) != len(rows) {
+				t.Fatalf("%d indices for %d rows", len(idx), len(rows))
+			}
+			min := ^uint32(0)
+			for i, ix := range idx {
+				if int(ix) >= len(rows[i]) {
+					t.Fatalf("row %d index %d out of range (%d buckets)", i, ix, len(rows[i]))
+				}
+				if v := rows[i][ix]; v < min {
+					min = v
+				}
+			}
+			est, err := c.Estimate(task.ID, key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if min == 0 || float64(min) != est {
+				t.Fatalf("key-indices estimate %d != daemon estimate %v", min, est)
+			}
+		})
 	}
 }
 
