@@ -40,8 +40,9 @@ race:
 
 # bench-allocs runs the alloc-regression gates: the compiled hot path must
 # stay at zero heap allocations per packet (telemetry on or off), the frame
-# engine at zero per span on every snapshot shape, the packet-order path of
-# probabilistic and spliced pipelines included (TestProcessFramesZeroAlloc),
+# engine at zero per span on every snapshot shape, the packet-order pass of
+# probabilistic, spliced, probabilistic-and-spliced and probabilistic
+# bus-consuming pipelines included (TestProcessFramesZeroAlloc),
 # the mmap replay path at zero per span once steady
 # (TestReplayerNextZeroAlloc), and point answers at zero per query: a
 # switch's estimate and membership probe (TestEstimateKeyZeroAlloc) and a

@@ -262,6 +262,9 @@ func cmdAdd(c *rpc.Client, args []string) {
 	if spec.Algorithm, err = controlplane.ParseEnum[controlplane.Algorithm](*alg); err != nil {
 		fatal(err)
 	}
+	if err := spec.Validate(); err != nil {
+		fatal(err)
+	}
 
 	res, err := c.AddTask(spec)
 	if err != nil {

@@ -3,6 +3,7 @@ package controlplane
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -286,6 +287,8 @@ func TestTaskSpecValidate(t *testing.T) {
 		func(s *TaskSpec) { s.MemBuckets = 0 },
 		func(s *TaskSpec) { s.D = 4 },
 		func(s *TaskSpec) { s.Prob = 1.5 },
+		func(s *TaskSpec) { s.Prob = -0.5 },
+		func(s *TaskSpec) { s.Prob = math.NaN() },
 		func(s *TaskSpec) { s.Attribute = AttrDistinct }, // key set but no flow-key param
 		func(s *TaskSpec) {
 			s.Attribute = AttrExistence // existence needs flow-key param
@@ -300,6 +303,21 @@ func TestTaskSpecValidate(t *testing.T) {
 		if err := s.Validate(); err == nil {
 			t.Errorf("case %d must fail validation", i)
 		}
+	}
+}
+
+// TestAddTaskRejectsNaNProb: a NaN probability is out of range, not an
+// always-on task — AddTask refuses it and installs nothing.
+func TestAddTaskRejectsNaNProb(t *testing.T) {
+	c := NewController(Config{Groups: 3, Buckets: 4096, BitWidth: 32, Workers: 1})
+	defer c.Close()
+	spec := validSpec()
+	spec.Prob = math.NaN()
+	if res, err := c.AddTask(spec); err == nil {
+		t.Fatalf("AddTask with a NaN probability deployed task %d, want an error", res.ID)
+	}
+	if n := len(c.Tasks()); n != 0 {
+		t.Fatalf("%d tasks installed after the refused add, want 0", n)
 	}
 }
 

@@ -336,8 +336,8 @@ func TestCombinedReplayConcurrentReadout(t *testing.T) {
 // length) over a 32,768-frame file, every rule but the CMS rows on the
 // parameter-column path; "fallback" churn4 plus ingest_churn's
 // probabilistic task (a /8-filtered source-address CMS sampled at p = 0.5),
-// which keeps the snapshot off the column stage, so its rules run in packet
-// order; "single" one CMS over a 4,096-frame file, the shape of a
+// whose three CMUs run in packet order on the frames its filter matches
+// while churn4's stay on the column stage; "single" one CMS over a 4,096-frame file, the shape of a
 // fleet_query daemon; "distinct" the nine CMS over 131,072 pairwise-distinct
 // five-tuples, duplicate combining's worst case. ns/pkt is per frame;
 // distinct% is the share of a chunk's frames (core.FrameChunk) that carry a

@@ -214,7 +214,7 @@ func (s *TaskSpec) Validate() error {
 	if s.D < 0 || s.D > 3 {
 		return fmt.Errorf("controlplane: task %q depth %d out of range [0,3]", s.Name, s.D)
 	}
-	if s.Prob < 0 || s.Prob > 1 {
+	if !(s.Prob >= 0 && s.Prob <= 1) { // NaN fails both comparisons
 		return fmt.Errorf("controlplane: task %q probability %v out of range [0,1]", s.Name, s.Prob)
 	}
 	switch s.Attribute {

@@ -78,19 +78,30 @@ import (
 // chunk reordering only interleaves updates of *different* buckets, which
 // no observable depends on.
 //
-// Packet order. Two configurations keep stage 3 off (Snapshot.frameVec,
-// decided at Compile): live spliced groups (the mirror decision and the
-// recirculated pass are per packet) and probabilistically gated rules (the
-// rng coin stream advances in strict packet order; columns would reorder
-// the flips). Such a snapshot still runs stages 1 and 2 per chunk — its
-// digest blocks and grouping key cover the spliced masks too — and then
-// decodes each frame and runs the compiled rules on it in trace order
-// (snapCMU.process), reading the frame's digests from its group's row of
-// the matrix (packetOrderChunk). The coins are drawn exactly as
-// Snapshot.Process draws them, so the path is bit-identical to it, which is
-// what makes a mid-replay reconfiguration into such a configuration safe:
-// the engine switches form at the next chunk, never changing results.
-// Pipeline.PacketOrderFrames counts the frames that took it.
+// Packet order. Two kinds of rule cannot run on the column stage: sampled
+// rules (the rng coin stream advances in strict packet order; columns would
+// reorder the flips) and live spliced groups (the mirror decision and the
+// recirculated pass are per packet). Compile marks every CMU holding an
+// enabled sampled rule, and every spliced CMU, as ordered
+// (snapCMU.ordered); in a snapshot that reads the bus, one ordered
+// main-pass CMU orders them all, since the bus carries per-packet state
+// through the CMUs in pipeline order. Stages 1 and 2 run per chunk as
+// always — the digest blocks and grouping key cover the spliced masks too —
+// and stage 3 runs every other main-pass CMU on the column stage. Then one
+// pass walks the chunk in trace order: a frame that no ordered rule and no
+// spliced filter matches (Snapshot.frameMatch, read from the record bytes)
+// is skipped undecoded — it would draw no coin and execute nothing there;
+// any other frame is decoded, reads its digests from its group's row of the
+// matrix, runs the ordered CMUs in pipeline order (snapCMU.process) and
+// then the spliced pass. The split is exact for the same reason the column
+// stage is: an unordered CMU draws no coin, owns its register alone and,
+// in a bus-quiet snapshot, neither reads nor feeds another CMU, so only the
+// interleaving of updates to different registers changes. The coins are
+// drawn exactly as Snapshot.Process draws them, which is what makes a
+// mid-replay reconfiguration into or out of such a configuration safe: the
+// engine changes form at the next chunk, never results.
+// Pipeline.PacketOrderFrames counts the chunks' frames of every snapshot
+// that is not frame-vectorised (Snapshot.FrameVectorized).
 
 // FrameChunk is the frame engine's chunk width in frames: ProcessFrames cuts
 // a span into chunks of at most this many frames and groups each chunk on
@@ -177,9 +188,9 @@ func (fs *frameScratch) arm(s *Snapshot) {
 	fs.hashes = fs.hashes[:len(s.hashes)*FrameChunk]
 }
 
-// FrameVectorized reports whether ProcessFrames runs the rules of this
-// snapshot stage at a time (false = in packet order, for probabilistic
-// rules or live spliced groups; stages 1 and 2 run per chunk either way).
+// FrameVectorized reports whether ProcessFrames runs every rule of this
+// snapshot on the column stage: false when some rule runs in packet order —
+// the pipeline has spliced groups, or an enabled main-pass rule is sampled.
 func (s *Snapshot) FrameVectorized() bool { return s.frameVec }
 
 // ProcessFrames pushes frames [lo, hi) of t through the compiled pipeline
@@ -190,17 +201,14 @@ func (s *Snapshot) FrameVectorized() bool { return s.frameVec }
 func (s *Snapshot) ProcessFrames(pc *ProcCtx, t *mmtrace.Trace, lo, hi int) {
 	for lo < hi {
 		n := min(hi-lo, FrameChunk)
-		if s.frameVec {
-			s.processFrameChunk(pc, t.Span(lo, lo+n), n)
-		} else {
-			s.packetOrderChunk(pc, t.Span(lo, lo+n), n)
-		}
+		s.processFrameChunk(pc, t.Span(lo, lo+n), n)
 		lo += n
 	}
 }
 
 // processFrameChunk runs one chunk of n frames (recs holds exactly their
-// record bytes) through every stage.
+// record bytes) through every stage: the column stage for every main-pass
+// CMU that is not ordered, then the packet-order pass for the rest.
 func (s *Snapshot) processFrameChunk(pc *ProcCtx, recs []byte, n int) {
 	fs := s.digestChunk(pc, recs, n)
 	// Fresh PHV per frame: the result bus starts from reset state.
@@ -209,12 +217,19 @@ func (s *Snapshot) processFrameChunk(pc *ProcCtx, recs []byte, n int) {
 		fs.busMin[i] = ^uint32(0)
 		fs.busNew[i] = false
 	}
-	// Stage 3: CMUs in pipeline order, each over the whole chunk.
+	// Stage 3: the unordered CMUs in pipeline order, each over the whole
+	// chunk.
 	for gi := range s.groups {
 		sg := &s.groups[gi]
 		for ci := range sg.cmus {
-			cmuFrames(pc, &sg.cmus[ci], recs, n)
+			if !sg.cmus[ci].ordered {
+				cmuFrames(pc, &sg.cmus[ci], recs, n)
+			}
 		}
+	}
+	if !s.frameVec {
+		s.pl.packetOrder.Add(uint64(n))
+		s.orderedFrames(pc, fs, recs, n)
 	}
 }
 
@@ -254,14 +269,13 @@ func (s *Snapshot) digestChunk(pc *ProcCtx, recs []byte, n int) *frameScratch {
 	return fs
 }
 
-// packetOrderChunk runs a chunk of a snapshot that is not frame-vectorised:
-// stages 1 and 2 as usual, then each frame decoded and run through the
-// compiled rules in trace order, the counterpart of Snapshot.Process with
-// the frame's digests copied from its group's row of the matrix instead of
-// computed per packet.
-func (s *Snapshot) packetOrderChunk(pc *ProcCtx, recs []byte, n int) {
-	fs := s.digestChunk(pc, recs, n)
-	s.pl.packetOrder.Add(uint64(n))
+// orderedFrames is the chunk's packet-order pass: Snapshot.Process on each
+// frame an ordered rule or a spliced filter matches, in trace order, with
+// the digests of the frame's group.
+func (s *Snapshot) orderedFrames(pc *ProcCtx, fs *frameScratch, recs []byte, n int) {
+	if len(s.frameMatch) == 0 {
+		return
+	}
 	if cap(pc.hashes) < len(s.hashes) {
 		pc.hashes = make([]uint32, len(s.hashes))
 	}
@@ -269,7 +283,11 @@ func (s *Snapshot) packetOrderChunk(pc *ProcCtx, recs []byte, n int) {
 	p := &pc.framePkt
 	rec := 0
 	for i := 0; i < n; i++ {
-		frameAt(recs, int32(i)).Decode(p)
+		v := frameAt(recs, int32(i))
+		if !matchesAnyFrame(s.frameMatch, v) {
+			continue
+		}
+		v.Decode(p)
 		row := i
 		if s.groupKeys {
 			row = int(fs.grp[i])
@@ -279,7 +297,12 @@ func (s *Snapshot) packetOrderChunk(pc *ProcCtx, recs []byte, n int) {
 		}
 		pc.reset(p)
 		for gi := range s.groups {
-			s.groups[gi].process(pc)
+			sg := &s.groups[gi]
+			for ci := range sg.cmus {
+				if sg.cmus[ci].ordered {
+					sg.cmus[ci].process(&pc.Ctx, pc.hashes)
+				}
+			}
 		}
 		if len(s.splicedMatch) == 0 || !s.wants(p) {
 			continue
@@ -762,6 +785,16 @@ func (fs *frameScratch) prepare(t *Transform, m int, ctx *Context) int {
 	}
 	ctx.PrepDrops += uint64(m - k)
 	return k
+}
+
+// matchesAnyFrame reports whether any of ms matches the raw record.
+func matchesAnyFrame(ms []compiledMatch, v mmtrace.FrameView) bool {
+	for i := range ms {
+		if ms[i].matchesFrame(v) {
+			return true
+		}
+	}
+	return false
 }
 
 // matchesFrame is compiledMatch.matches over the raw record — same

@@ -10,6 +10,7 @@ import (
 	"flymon/internal/dataplane"
 	"flymon/internal/mmtrace"
 	"flymon/internal/packet"
+	"flymon/internal/telemetry"
 	"flymon/internal/trace"
 )
 
@@ -374,10 +375,173 @@ func splicedOwnMask(t *testing.T) *Pipeline {
 	return pl
 }
 
-// TestProcessFramesFallbacks: snapshots the column stage rejects —
-// probabilistic rules (rng coin order) and live spliced groups
-// (recirculation) — must run their rules in packet order and still match
-// the packet path bit for bit, rng stream included.
+// sampledShared is churnShape plus a group whose first two CMUs each share
+// a sampled source-address rule (the /8 prefix 1, p = 0.5) with an
+// unsampled TCP rule, the sampled one ahead in CMU 0 and behind in CMU 1,
+// and whose CMU 2 holds an unsampled match-all rule. A TCP frame of the
+// prefix draws a coin in CMU 0 and none in CMU 1, where the unsampled rule
+// claims it first; a TCP frame outside the prefix draws none and still
+// updates both CMUs. InstallRule admits intersecting filters on one CMU only
+// when both rules are sampled, so the TCP rules are installed sampled and
+// their sample lifted afterwards: the engine must follow first-match on
+// whatever program it holds.
+func sampledShared(t *testing.T) *Pipeline {
+	t.Helper()
+	pl := churnShape(t)
+	g := NewGroup(GroupConfig{ID: 2, Buckets: 4096, BitWidth: 32})
+	if err := g.ConfigureUnit(0, packet.KeySrcIP); err != nil {
+		t.Fatal(err)
+	}
+	sampled := func(ci int, base int) *Rule {
+		return &Rule{TaskID: 5, Filter: packet.Filter{SrcPrefix: packet.Prefix{Value: 1 << 24, Bits: 8}},
+			Key: FullKey(0).SubRange(8*ci, 32), P1: Const(1), P2: MaxValue(),
+			Mem: MemRange{Base: base, Buckets: 2048}, Op: dataplane.OpCondAdd, Prob: 0.5}
+	}
+	var lift []*Rule
+	tcp := func(ci int, base int) *Rule {
+		r := &Rule{TaskID: 6, Filter: packet.Filter{Proto: 6},
+			Key: FullKey(0).SubRange(8*ci+3, 32), P1: PacketSize(), P2: MaxValue(),
+			Mem: MemRange{Base: base, Buckets: 2048}, Op: dataplane.OpCondAdd, Prob: 0.5}
+		lift = append(lift, r)
+		return r
+	}
+	for _, ir := range []struct {
+		ci int
+		r  *Rule
+	}{
+		{0, sampled(0, 0)}, {0, tcp(0, 2048)},
+		{1, tcp(1, 0)}, {1, sampled(1, 2048)},
+		{2, &Rule{TaskID: 7, Filter: packet.MatchAll, Key: FullKey(0).SubRange(5, 32), P1: QueueLength(),
+			P2: Const(0), Mem: MemRange{Base: 0, Buckets: 4096}, Op: dataplane.OpMax}},
+	} {
+		if err := g.CMU(ir.ci).InstallRule(ir.r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range lift {
+		r.Prob = 0
+	}
+	pl.groups = append(pl.groups, g)
+	return pl
+}
+
+// sampledTwice is churnShape plus two sampled tasks in groups of their own:
+// sampledChurnShape's source-address CMS at p = 0.5 and a two-row
+// destination-address CMS over TCP at p = 0.25. A TCP frame of the prefix
+// draws five coins, alternating between the tasks' groups in pipeline
+// order.
+func sampledTwice(t *testing.T) *Pipeline {
+	t.Helper()
+	pl := sampledChurnShape(t, 1)
+	g := NewGroup(GroupConfig{ID: 3, Buckets: 4096, BitWidth: 32})
+	if err := g.ConfigureUnit(0, packet.KeyDstIP); err != nil {
+		t.Fatal(err)
+	}
+	for ci := 0; ci < 2; ci++ {
+		if err := g.CMU(ci).InstallRule(&Rule{
+			TaskID: 8, Filter: packet.Filter{Proto: 6},
+			Key: FullKey(0).SubRange(8*ci, 32), P1: PacketSize(), P2: MaxValue(),
+			Mem: MemRange{Base: 0, Buckets: 4096}, Op: dataplane.OpCondAdd, Prob: 0.25,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pl.groups = append(pl.groups, g)
+	return pl
+}
+
+// sampledSpliced is splicedOwnMask plus sampledChurnShape's sampled task in
+// a main group of its own, and a UDP rule sampled at p = 0.5 in CMU 2 of
+// the spliced group: a frame draws its main-pass coins, then, mirrored,
+// its spliced one.
+func sampledSpliced(t *testing.T) *Pipeline {
+	t.Helper()
+	pl := splicedOwnMask(t)
+	g := NewGroup(GroupConfig{ID: 2, Buckets: 4096, BitWidth: 32})
+	if err := g.ConfigureUnit(0, packet.KeySrcIP); err != nil {
+		t.Fatal(err)
+	}
+	for ci := 0; ci < 3; ci++ {
+		if err := g.CMU(ci).InstallRule(&Rule{
+			TaskID: 5, Filter: packet.Filter{SrcPrefix: packet.Prefix{Value: 1 << 24, Bits: 8}},
+			Key: FullKey(0).SubRange(8*ci, 32), P1: Const(1), P2: MaxValue(),
+			Mem: MemRange{Base: 0, Buckets: 4096}, Op: dataplane.OpCondAdd, Prob: 0.5,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pl.groups = append(pl.groups, g)
+	if err := pl.spliced[0].CMU(2).InstallRule(&Rule{
+		TaskID: 3, Filter: packet.Filter{Proto: 17},
+		Key: FullKey(0).SubRange(4, 32), P1: Const(1), P2: MaxValue(),
+		Mem: MemRange{Base: 0, Buckets: 2048}, Op: dataplane.OpCondAdd, Prob: 0.5,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return pl
+}
+
+// sampledBus puts a sampled SuMax(Sum) row ahead of an unsampled one on a
+// min chain: CMU 0 of groups 0 and 1 holds task 1, sampled at p = 0.5, and
+// CMU 1 task 2, unsampled, whose conditional adds read the running minimum
+// task 1's rows leave on the bus. A match-all five-tuple CMS in group 2
+// reads no bus at all. The chain reads per-packet bus state in pipeline
+// order, so every main-pass CMU must run in packet order.
+func sampledBus(t *testing.T) *Pipeline {
+	t.Helper()
+	groups := make([]*Group, 3)
+	for gi := range groups {
+		groups[gi] = NewGroup(GroupConfig{ID: gi, Buckets: 2048, BitWidth: 32})
+	}
+	for gi, g := range groups[:2] {
+		if err := g.ConfigureUnit(0, packet.KeyFiveTuple); err != nil {
+			t.Fatal(err)
+		}
+		for ci, prob := range []float64{0.5, 0} {
+			if err := g.CMU(ci).InstallRule(&Rule{
+				TaskID: 1 + ci, Filter: packet.MatchAll,
+				Key: FullKey(0).SubRange(8*ci+gi, 32), P1: PacketSize(), P2: MaxValue(),
+				Mem: MemRange{Base: 0, Buckets: 2048}, Op: dataplane.OpCondAdd,
+				ChainMin: true, Prob: prob,
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	buildCMS(t, groups[2], 3, 3, 2048)
+	return NewPipelineWith(groups...)
+}
+
+// columnCMUs counts the main-pass CMUs the frame engine runs on the column
+// stage: every one that is not ordered.
+func columnCMUs(s *Snapshot) int {
+	n := 0
+	for _, sg := range s.groups {
+		for _, sc := range sg.cmus {
+			if !sc.ordered {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// taskHits sums the rule hits of task id in a telemetry fold.
+func taskHits(tele telemetry.DataPlane, id int) uint64 {
+	n := uint64(0)
+	for _, r := range tele.Rules {
+		if r.Task == id {
+			n += r.Hits
+		}
+	}
+	return n
+}
+
+// TestProcessFramesFallbacks: snapshots with rules the column stage cannot
+// run — sampled rules (rng coin order) and live spliced groups
+// (recirculation) — run those in packet order, every other CMU of a
+// bus-quiet main pass on the column stage, and still match the packet path
+// bit for bit, rng stream included.
 func TestProcessFramesFallbacks(t *testing.T) {
 	tr := trace.Generate(trace.Config{Flows: 200, Packets: 8_000, Seed: 13})
 	mt := writeFrameTrace(t, tr.Packets)
@@ -454,48 +618,99 @@ func TestProcessFramesFallbacks(t *testing.T) {
 			ps[i].SrcIP = ps[i].SrcIP&0x00ff_ffff | (ps[i].SrcIP&1)<<24
 		}
 		s, tele := framesMatchBatch(t, func() *Pipeline { return sampledChurnShape(t, 1) }, nil, ps, spans...)
-		if s.FrameVectorized() {
-			t.Fatal("a probabilistic rule must keep the snapshot off the column stage")
+		if s.FrameVectorized() || columnCMUs(s) != 6 {
+			t.Fatalf("vectorised %v, %d column CMUs; want false, churnShape's 6", s.FrameVectorized(), columnCMUs(s))
 		}
 		if tele.Stages.Operation == tele.Stages.Initialization {
 			t.Fatal("no coupon draw was dropped: the preparation stage went unexercised")
 		}
-		sampled := uint64(0)
-		for _, r := range tele.Rules {
-			if r.Task == 5 {
-				sampled += r.Hits
-			}
-		}
-		if sampled == 0 || sampled == 3*uint64(len(ps)) {
+		if sampled := taskHits(tele, 5); sampled == 0 || sampled == 3*uint64(len(ps)) {
 			t.Fatalf("the sampled task ran %d times over %d packets: the coin went unexercised", sampled, len(ps))
 		}
 	})
 
 	t.Run("spliced-own-mask", func(t *testing.T) {
 		s, _ := framesMatchBatch(t, func() *Pipeline { return splicedOwnMask(t) }, nil, zipf.Packets, spans...)
-		if s.FrameVectorized() {
-			t.Fatal("a live spliced group must keep the snapshot off the column stage")
+		if s.FrameVectorized() || columnCMUs(s) != 2 {
+			t.Fatalf("vectorised %v, %d column CMUs; want false, the main CMS's 2", s.FrameVectorized(), columnCMUs(s))
 		}
 		if len(s.masks) <= s.nMainMasks || s.pl.Recirculated() == 0 {
 			t.Fatalf("%d masks, %d read by the main pass, %d recirculated: the spliced pass must read a mask of its own and run",
 				len(s.masks), s.nMainMasks, s.pl.Recirculated())
 		}
 	})
+
+	// The shapes the column / packet-order split must get right, over
+	// traffic split between two source /8s and between TCP and UDP.
+	split := slices.Clone(zipf.Packets)
+	for i := range split {
+		split[i].SrcIP = split[i].SrcIP&0x00ff_ffff | (split[i].SrcIP&1)<<24
+	}
+	awkward := []int{FrameChunk - 1, 7, 2*FrameChunk + 5}
+	coins := func(t *testing.T, tele telemetry.DataPlane, task, rows int) {
+		t.Helper()
+		if n := taskHits(tele, task); n == 0 || n >= uint64(rows*len(split)) {
+			t.Fatalf("sampled task %d ran %d times in %d rows over %d packets: the coin went unexercised", task, n, rows, len(split))
+		}
+	}
+
+	t.Run("sampled-shares-cmu", func(t *testing.T) {
+		s, tele := framesMatchBatch(t, func() *Pipeline { return sampledShared(t) }, nil, split, awkward...)
+		if s.FrameVectorized() || columnCMUs(s) != 7 {
+			t.Fatalf("vectorised %v, %d column CMUs; want false, 7 (all but the two shared ones)", s.FrameVectorized(), columnCMUs(s))
+		}
+		coins(t, tele, 5, 2)
+		if n := taskHits(tele, 6); n == 0 {
+			t.Fatal("the unsampled TCP rule never ran")
+		}
+	})
+
+	t.Run("sampled-two-groups", func(t *testing.T) {
+		s, tele := framesMatchBatch(t, func() *Pipeline { return sampledTwice(t) }, nil, split, awkward...)
+		if s.FrameVectorized() || columnCMUs(s) != 6 {
+			t.Fatalf("vectorised %v, %d column CMUs; want false, churnShape's 6", s.FrameVectorized(), columnCMUs(s))
+		}
+		coins(t, tele, 5, 3)
+		coins(t, tele, 8, 2)
+	})
+
+	t.Run("sampled-spliced", func(t *testing.T) {
+		s, tele := framesMatchBatch(t, func() *Pipeline { return sampledSpliced(t) }, nil, split, awkward...)
+		if s.FrameVectorized() || columnCMUs(s) != 2 {
+			t.Fatalf("vectorised %v, %d column CMUs; want false, the main CMS's 2", s.FrameVectorized(), columnCMUs(s))
+		}
+		coins(t, tele, 5, 3)
+		coins(t, tele, 3, 1)
+		if s.pl.Recirculated() == 0 {
+			t.Fatal("nothing was recirculated: the spliced pass went unexercised")
+		}
+	})
+
+	t.Run("sampled-bus", func(t *testing.T) {
+		s, tele := framesMatchBatch(t, func() *Pipeline { return sampledBus(t) }, nil, split, awkward...)
+		if s.FrameVectorized() || s.busQuiet || columnCMUs(s) != 0 {
+			t.Fatalf("vectorised %v, bus-quiet %v, %d column CMUs; want false, false, 0", s.FrameVectorized(), s.busQuiet, columnCMUs(s))
+		}
+		coins(t, tele, 1, 2)
+	})
 }
 
 // TestProcessFramesZeroAlloc: after the first span of a configuration, the
 // frame engine allocates nothing (matched by `make bench-allocs`) — on the
 // feature matrix, on every column shape, bus-quiet or not, and on the
-// packet-order path of a probabilistic and a spliced pipeline.
+// packet-order path of a probabilistic, a spliced, a probabilistic and
+// spliced, and a probabilistic bus-consuming pipeline.
 func TestProcessFramesZeroAlloc(t *testing.T) {
 	tr := trace.Generate(trace.Config{Flows: 100, Packets: 4_096, Seed: 14})
 	mt := writeFrameTrace(t, tr.Packets)
 	for name, pl := range map[string]*Pipeline{
-		"features":      buildFramesPipeline(t),
-		"columns-quiet": buildColumnsPipeline(t, true),
-		"columns-bus":   buildColumnsPipeline(t, false),
-		"probabilistic": sampledChurnShape(t, tr.Packets[0].SrcIP>>24),
-		"spliced":       splicedOwnMask(t),
+		"features":        buildFramesPipeline(t),
+		"columns-quiet":   buildColumnsPipeline(t, true),
+		"columns-bus":     buildColumnsPipeline(t, false),
+		"probabilistic":   sampledChurnShape(t, tr.Packets[0].SrcIP>>24),
+		"spliced":         splicedOwnMask(t),
+		"sampled-spliced": sampledSpliced(t),
+		"sampled-bus":     sampledBus(t),
 	} {
 		s := pl.Compile()
 		pc := NewProcCtx()

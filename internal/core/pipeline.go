@@ -227,10 +227,11 @@ func (pl *Pipeline) Packets() uint64 { return pl.packets.Load() }
 // groups; Recirculated/Packets is the Appendix-E bandwidth overhead.
 func (pl *Pipeline) Recirculated() uint64 { return pl.recirculated.Load() }
 
-// PacketOrderFrames returns the number of frames the frame engine ran in
-// packet order because their snapshot was not frame-vectorised
-// (Snapshot.FrameVectorized); PacketOrderFrames/Packets is the share of
-// traffic the column stage did not reach.
+// PacketOrderFrames returns the number of frames the frame engine ran under
+// a snapshot that is not frame-vectorised (Snapshot.FrameVectorized): one
+// whose sampled rules or spliced groups take a packet-order pass beside the
+// column stage. PacketOrderFrames/Packets is the share of traffic that met
+// such a pass.
 func (pl *Pipeline) PacketOrderFrames() uint64 { return pl.packetOrder.Load() }
 
 // FindTask locates a task's rule: it returns the group, CMU index and rule

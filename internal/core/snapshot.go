@@ -49,8 +49,8 @@ type Snapshot struct {
 
 	groups  []snapGroup
 	spliced []snapGroup
-	// splicedMatch are the enabled spliced-group rule filters, compiled:
-	// the mirror decision.
+	// splicedMatch are the enabled spliced-group rule filters, compiled (the
+	// tail of frameMatch): the mirror decision.
 	splicedMatch []compiledMatch
 
 	// masks are the distinct per-field masks of the units enabled rules
@@ -79,16 +79,21 @@ type Snapshot struct {
 	shardedRules  int
 	fallbackRules int
 
-	// frameVec marks the snapshot's rules eligible for the frame engine's
-	// column stage (frames.go, stage 3): no live spliced groups (the mirror
-	// decision and recirculated pass are per packet) and no
-	// probabilistically gated rules (the rng coin stream advances in strict
-	// packet order; columns would reorder the flips and diverge from
-	// sequential replay). An ineligible snapshot still groups and digests
-	// each chunk, then runs its rules frame by frame in trace order
-	// (packetOrderChunk), so a mid-replay reconfiguration into such a
-	// configuration only changes speed, never results.
+	// frameVec is FrameVectorized's verdict: the pipeline has no spliced
+	// groups and no enabled main-pass rule is sampled, so the frame engine
+	// runs every rule on the column stage. Pipeline.PacketOrderFrames counts
+	// the frames of every other snapshot.
 	frameVec bool
+	// orderAll: a main-pass rule is sampled in a snapshot that reads the
+	// bus, so every main-pass CMU is ordered (snapCMU.ordered) — the bus
+	// carries per-packet state through the CMUs in pipeline order. A program
+	// is kept across a republish only under the verdict it was compiled with.
+	orderAll bool
+	// frameMatch are the filters of every rule the frame engine runs frame
+	// by frame, compiled: the ordered main-pass CMUs' rules, then the
+	// enabled spliced rules, which splicedMatch shares as its tail. A frame
+	// none of them matches skips the packet-order pass.
+	frameMatch []compiledMatch
 
 	// busQuiet records that no enabled rule anywhere in the snapshot reads
 	// the cross-CMU result bus (same scan that authorizes sharding). The
@@ -177,9 +182,14 @@ type snapGroup struct {
 }
 
 // snapCMU is one CMU's compiled rule program, in install (priority) order;
-// the first matching rule wins, enforcing one access per packet.
+// the first matching rule wins, enforcing one access per packet. ordered
+// marks a CMU the frame engine runs frame by frame in trace order instead of
+// on the column stage: it holds an enabled sampled rule (the coin stream
+// advances in packet order), it sits in a spliced group, or
+// Snapshot.orderAll holds.
 type snapCMU struct {
-	prog []compiledRule
+	prog    []compiledRule
+	ordered bool
 }
 
 // Compile freezes the pipeline's current configuration into a Snapshot,
@@ -216,7 +226,7 @@ func (pl *Pipeline) Recompile(prev *Snapshot, touched []int) *Snapshot {
 	// lane-local result bus: one enabled bus consumer anywhere (SuMax's min
 	// chain, Counter Braids' PrevResult, max-interval's IntervalSub) pins
 	// the whole snapshot to the shared CAS path.
-	allowShard := true
+	allowShard, sampledMain := true, false
 	live, liveReg := 0, 0
 	for gi := range s.progs {
 		if prev != nil && !slices.Contains(touched, gi) {
@@ -228,6 +238,7 @@ func (pl *Pipeline) Recompile(prev *Snapshot, touched []int) *Snapshot {
 		if p.busConsumer {
 			allowShard = false
 		}
+		sampledMain = sampledMain || (gi < nReg && p.probGated)
 		if p.live {
 			live++
 			if gi < nReg {
@@ -235,7 +246,8 @@ func (pl *Pipeline) Recompile(prev *Snapshot, touched []int) *Snapshot {
 			}
 		}
 	}
-	keep := prev != nil && prev.busQuiet == allowShard
+	s.busQuiet, s.orderAll = allowShard, !allowShard && sampledMain
+	keep := prev != nil && prev.busQuiet == s.busQuiet && prev.orderAll == s.orderAll
 
 	// Digest slots and programs, in pipeline order: the recirculated pass's
 	// digests follow the first pass's. A kept program's claims must resolve
@@ -269,7 +281,7 @@ func (pl *Pipeline) Recompile(prev *Snapshot, touched []int) *Snapshot {
 				cp := *p
 				p, s.progs[gi] = &cp, &cp
 			}
-			p.compile(s, group(gi), gi, gi >= nReg, allowShard, teleN)
+			p.compile(s, group(gi), gi, gi >= nReg, teleN)
 		}
 		teleN += len(p.teleSlots)
 		teleDerived += len(p.teleDerived)
@@ -279,8 +291,7 @@ func (pl *Pipeline) Recompile(prev *Snapshot, touched []int) *Snapshot {
 	}
 
 	// Assemble the snapshot-wide views from the per-group parts.
-	s.busQuiet = allowShard
-	s.frameVec = len(pl.spliced) == 0
+	s.frameVec = len(pl.spliced) == 0 && !sampledMain
 	s.groups = make([]snapGroup, 0, liveReg)
 	if live > liveReg {
 		s.spliced = make([]snapGroup, 0, live-liveReg)
@@ -289,6 +300,7 @@ func (pl *Pipeline) Recompile(prev *Snapshot, touched []int) *Snapshot {
 		s.teleSlots = make([]*telemetry.RuleCounter, 0, teleN)
 		s.teleMain = make([]*telemetry.RuleCounter, 0, teleDerived)
 	}
+	mainMatch := 0
 	for gi, p := range s.progs {
 		if !p.live {
 			continue
@@ -296,23 +308,23 @@ func (pl *Pipeline) Recompile(prev *Snapshot, touched []int) *Snapshot {
 		s.shardedRules += p.sharded
 		s.fallbackRules += p.fallback
 		s.teleSlots = append(s.teleSlots, p.teleSlots...)
+		for ci := range p.sg.cmus {
+			if sc := &p.sg.cmus[ci]; sc.ordered {
+				for ri := range sc.prog {
+					s.frameMatch = append(s.frameMatch, sc.prog[ri].match)
+				}
+			}
+		}
 		if gi < nReg {
 			s.groups = append(s.groups, p.sg)
 			s.teleMain = append(s.teleMain, p.teleDerived...)
-			if p.probGated {
-				s.frameVec = false
-			}
+			mainMatch = len(s.frameMatch)
 			continue
 		}
-		s.frameVec = false
 		s.spliced = append(s.spliced, p.sg)
 		s.teleSpl = append(s.teleSpl, p.teleDerived...)
-		for ci := range p.sg.cmus {
-			for ri := range p.sg.cmus[ci].prog {
-				s.splicedMatch = append(s.splicedMatch, p.sg.cmus[ci].prog[ri].match)
-			}
-		}
 	}
+	s.splicedMatch = s.frameMatch[mainMatch:]
 	s.blocks = s.digestBlocks()
 	s.keyMask, s.groupKeys = groupKeyMask(s.masks)
 	if pl.tele != nil {
@@ -392,10 +404,10 @@ func (s *Snapshot) digestBlocks() []digestBlock {
 }
 
 // compile lowers group g (pipeline index gi) into p against s's digest
-// slots, numbering its live-counted telemetry rules from teleBase. p's
-// slices may be shared with an older snapshot's copy of p, so every one is
-// rebuilt.
-func (p *groupProg) compile(s *Snapshot, g *Group, gi int, spliced, allowShard bool, teleBase int) {
+// slots and its bus and ordering verdicts, numbering its live-counted
+// telemetry rules from teleBase. p's slices may be shared with an older
+// snapshot's copy of p, so every one is rebuilt.
+func (p *groupProg) compile(s *Snapshot, g *Group, gi int, spliced bool, teleBase int) {
 	p.slots = make([]int, len(g.units))
 	for u := range p.slots {
 		p.slots[u] = -1
@@ -408,12 +420,13 @@ func (p *groupProg) compile(s *Snapshot, g *Group, gi int, spliced, allowShard b
 	p.teleBase, p.teleSlots, p.teleDerived = teleBase, nil, nil
 	tele := s.pl.tele
 	for ci, c := range g.cmus {
-		var sc snapCMU
+		sc := snapCMU{ordered: spliced || s.orderAll}
 		for _, r := range c.rules {
 			if r.Disabled {
 				continue
 			}
-			cr := compileRule(r, c.register, p.slots, allowShard)
+			cr := compileRule(r, c.register, p.slots, s.busQuiet)
+			sc.ordered = sc.ordered || cr.probGated
 			if cr.sharded {
 				p.sharded++
 			} else {

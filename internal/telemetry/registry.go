@@ -124,10 +124,10 @@ type DataPlane struct {
 	ShardedRules  int             `json:"sharded_rules"`
 	FallbackRules int             `json:"fallback_rules"`
 
-	// PacketOrderFrames counts the packets the frame engine ran rule by
-	// rule in trace order because their snapshot was not frame-vectorised
-	// (probabilistic rules or live spliced groups); over Packets it is the
-	// share of traffic the column stage did not reach.
+	// PacketOrderFrames counts the packets the frame engine ran under a
+	// snapshot that is not frame-vectorised: one whose sampled rules or
+	// spliced groups take a packet-order pass beside the column stage. Over
+	// Packets it is the share of traffic that met such a pass.
 	PacketOrderFrames uint64 `json:"packet_order_frames"`
 }
 
@@ -135,7 +135,7 @@ type DataPlane struct {
 func (dp *DataPlane) collect(c *catalogue) {
 	c.counter("flymon_packets_total", "Packets processed by the data plane.", sample(dp.Packets))
 	c.counter("flymon_recirculated_total", "Packets recirculated into spliced groups.", sample(dp.Recirculated))
-	c.counter("flymon_packet_order_frames_total", "Frames the frame engine ran in packet order (probabilistic rules or spliced groups).", sample(dp.PacketOrderFrames))
+	c.counter("flymon_packet_order_frames_total", "Frames the frame engine ran beside a packet-order pass (sampled rules or spliced groups).", sample(dp.PacketOrderFrames))
 	c.counter("flymon_stage_activity_total", "Per-stage CMU activity (C/I/P/O).",
 		sample(dp.Stages.Compression, "stage", "compression"),
 		sample(dp.Stages.Initialization, "stage", "initialization"),
