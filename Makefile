@@ -46,10 +46,14 @@ race:
 # the mmap replay path at zero per span once steady
 # (TestReplayerNextZeroAlloc), and point answers at zero per query: a
 # switch's estimate and membership probe (TestEstimateKeyZeroAlloc) and a
-# stored epoch's (TestEpochAnswersZeroAlloc).
+# stored epoch's (TestEpochAnswersZeroAlloc). On the epoch path, a read into
+# a buffer of the readout's geometry allocates no row storage
+# (TestEpochReadZeroAllocRows) and a daemon rotation allocates its one
+# readout copy and nothing to frame it (TestEpochRotateZeroAllocFrame).
 bench-allocs:
 	$(GO) test -count=1 -run 'ZeroAlloc' -v ./internal/core/ ./internal/hashing/ \
-		./internal/mmtrace/ ./internal/controlplane/ ./internal/netwide/
+		./internal/mmtrace/ ./internal/controlplane/ ./internal/netwide/ \
+		./internal/rpc/
 
 clean:
 	$(GO) clean

@@ -30,7 +30,7 @@ type ReplayConfig struct {
 
 const (
 	defaultBatch = 512
-	// defaultRingSpans is the ring capacity in spans.
+	// defaultRingSpans is the ring capacity in spans (at most, when bounded).
 	defaultRingSpans = 1024
 )
 
@@ -86,12 +86,23 @@ func NewReplayer(cfg ReplayConfig) (*Replayer, error) {
 	}
 	r := &Replayer{
 		traces:  cfg.Traces,
-		ring:    NewRing(defaultRingSpans),
+		ring:    NewRing(ringSpans(cfg.Traces, batch, passes)),
 		workers: make([]workerState, cfg.Workers),
 		batch:   batch,
 		passes:  passes,
 	}
 	return r, nil
+}
+
+// ringSpans sizes a replay's ring: a bounded replay's holds all its spans.
+func ringSpans(traces []*Trace, batch, passes int) (spans int) {
+	if passes < 0 {
+		return defaultRingSpans
+	}
+	for _, t := range traces {
+		spans += (t.frames + batch - 1) / batch
+	}
+	return min(defaultRingSpans, spans*min(passes, defaultRingSpans))
 }
 
 // Start launches one producer goroutine per trace. The last producer to

@@ -216,3 +216,32 @@ func TestReplayerConfigValidation(t *testing.T) {
 	}()
 	rep.Start()
 }
+
+// TestReplayerRingSizedToReplay: a bounded replay's ring holds its spans
+// and no more — the fleet benchmark's one-pass 4,096-frame replay takes 8
+// slots, not 1,024, and never waits on a full ring — while a looping
+// replay keeps the default capacity.
+func TestReplayerRingSizedToReplay(t *testing.T) {
+	tr := openTestTrace(t, 4096)
+	r, err := NewReplayer(ReplayConfig{Traces: []*Trace{tr}, Workers: 1, Passes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Stats().Ring.Cap; got != 8 {
+		t.Fatalf("one-pass 4,096-frame ring = %d slots, want 8", got)
+	}
+	r.Start()
+	drainFrames(r, 0)
+	if st := r.Stats(); st.Packets != 4096 || st.Ring.PushStalls != 0 {
+		t.Fatalf("replay delivered %d frames with %d push stalls", st.Packets, st.Ring.PushStalls)
+	}
+	for _, c := range []struct{ passes, want int }{{2, 32}, {3, 64}, {-1, defaultRingSpans}} {
+		r, err := NewReplayer(ReplayConfig{Traces: []*Trace{tr, tr}, Workers: 1, Passes: c.passes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := r.Stats().Ring.Cap; got != c.want {
+			t.Fatalf("passes %d over two traces: ring = %d slots, want %d", c.passes, got, c.want)
+		}
+	}
+}

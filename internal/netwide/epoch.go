@@ -356,8 +356,15 @@ func pollInterval(wait time.Duration) time.Duration {
 // the straggler outcome. When the query is traced, the straggler decision
 // is a span under parent: "straggler_wait" covering the whole poll (error
 // = still behind at the bound) or an instant "straggler_skip" under the
-// skip policy.
-func (f *RemoteFleet) pollEpoch(c *rpc.Client, name string, epochN int, q EpochQuery, parent tracing.SpanContext) (rpc.EpochRegistersResult, error) {
+// skip policy. The answer is held to epochN and to ref's layout, and read
+// into a pooled leaf buffer that a failed fetch returns.
+func (f *RemoteFleet) pollEpoch(i int, c *rpc.Client, name string, epochN int, q EpochQuery, ref *layoutRef, parent tracing.SpanContext) (_ [][]uint32, err error) {
+	buf, _ := f.rowPool.Get().([][]uint32)
+	defer func() {
+		if err != nil {
+			f.putRowBuf(buf)
+		}
+	}()
 	st := f.mergeStats()
 	start := time.Now()
 	deadline := start.Add(q.Wait)
@@ -365,7 +372,7 @@ func (f *RemoteFleet) pollEpoch(c *rpc.Client, name string, epochN int, q EpochQ
 	polled := false
 	var waitSp *tracing.ActiveSpan
 	for {
-		res, err := c.ReadEpoch(name, epochN, parent)
+		res, err := c.ReadEpochInto(name, epochN, buf, parent)
 		if err == nil {
 			if polled {
 				if st != nil {
@@ -375,12 +382,18 @@ func (f *RemoteFleet) pollEpoch(c *rpc.Client, name string, epochN int, q EpochQ
 				waitSp.SetDetail(fmt.Sprintf("epoch=%d caught up", epochN))
 				waitSp.Finish(nil)
 			}
-			return res, nil
+			if res.Epoch != epochN {
+				return nil, fmt.Errorf("netwide: daemon %d answered epoch %d for requested epoch %d", i, res.Epoch, epochN)
+			}
+			if want, ok := ref.admits(res.Fingerprint); !ok {
+				return nil, layoutDiverged(i, name, res.Fingerprint, want)
+			}
+			return res.FrameRows(nil), nil
 		}
 		var behind *rpc.Error
 		if !errors.As(err, &behind) || behind.Code != rpc.CodeEpochUnavailable {
 			waitSp.Finish(err)
-			return rpc.EpochRegistersResult{}, err
+			return nil, err
 		}
 		have := behind.Have
 		if have > epochN {
@@ -388,7 +401,7 @@ func (f *RemoteFleet) pollEpoch(c *rpc.Client, name string, epochN int, q EpochQ
 			// retention. Waiting cannot bring it back.
 			err = fmt.Errorf("netwide: epoch %d of %q evicted on this daemon (retention window passed): %w", epochN, name, err)
 			waitSp.Finish(err)
-			return rpc.EpochRegistersResult{}, err
+			return nil, err
 		}
 		serr := &stragglerError{want: epochN, have: have}
 		if q.Policy == StragglerSkip {
@@ -398,7 +411,7 @@ func (f *RemoteFleet) pollEpoch(c *rpc.Client, name string, epochN int, q EpochQ
 			sp := traceSpan(f.opts.Tracer, parent, "straggler_skip")
 			sp.SetDetail(fmt.Sprintf("want=%d have=%d", epochN, have))
 			sp.Finish(serr)
-			return rpc.EpochRegistersResult{}, serr
+			return nil, serr
 		}
 		if !time.Now().Before(deadline) {
 			if st != nil {
@@ -407,7 +420,7 @@ func (f *RemoteFleet) pollEpoch(c *rpc.Client, name string, epochN int, q EpochQ
 			}
 			waitSp.SetDetail(fmt.Sprintf("want=%d have=%d", epochN, have))
 			waitSp.Finish(serr)
-			return rpc.EpochRegistersResult{}, serr
+			return nil, serr
 		}
 		if waitSp == nil {
 			waitSp = traceSpan(f.opts.Tracer, parent, "straggler_wait")
@@ -581,17 +594,7 @@ func (f *RemoteFleet) mergeEpoch(name string, epochN int, q EpochQuery, ref *lay
 		timeout += q.Wait
 	}
 	stream := f.fanOutRows(root.Context(), timeout, func(i int, c *rpc.Client, sc tracing.SpanContext) ([][]uint32, error) {
-		res, err := f.pollEpoch(c, name, epochN, q, sc)
-		if err != nil {
-			return nil, err
-		}
-		if res.Epoch != epochN {
-			return nil, fmt.Errorf("netwide: daemon %d answered epoch %d for requested epoch %d", i, res.Epoch, epochN)
-		}
-		if want, ok := ref.admits(res.Fingerprint); !ok {
-			return nil, layoutDiverged(i, name, res.Fingerprint, want)
-		}
-		return res.FrameRows(f.getRowBuf()), nil
+		return f.pollEpoch(i, c, name, epochN, q, ref, sc)
 	})
 	// The converter goroutine finishes all errs writes before closing
 	// leaves, and MergeStream returns only after observing that close, so

@@ -410,3 +410,43 @@ func TestEpochArtifactFreedWithFleet(t *testing.T) {
 		}
 	}
 }
+
+// TestColdEpochQueryReadsIntoPooledLeaves: a cold query reads each
+// switch's frame straight into a leaf buffer from the fleet's pool. With
+// the pool warm from the previous epoch's merge, the only row storage it
+// allocates is the one leaf its stored merge keeps — not one readout per
+// switch. The least of three cold queries is held to that, so a GC that
+// empties the pool between two of them cannot fail the test.
+func TestColdEpochQueryReadsIntoPooledLeaves(t *testing.T) {
+	const switches, readout = 4, 4 * 3 * 16384
+	cfg := fleetConfig()
+	ctrls, clients := startDaemons(t, switches, cfg)
+	fleet := NewRemoteFleetOptions(clients, cfg, FleetOptions{})
+	if err := fleet.DeployEpoch(cmsSpec("ep")); err != nil {
+		t.Fatal(err)
+	}
+	for e := 1; e <= 4; e++ {
+		epochTraffic(ctrls, int64(e))
+		if _, err := fleet.RotateEpoch("ep"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := fleet.QueryEpochRows("ep", 1, EpochQuery{}); err != nil {
+		t.Fatal(err)
+	}
+	least := uint64(1 << 62)
+	for e := 2; e <= 4; e++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rows, report, err := fleet.QueryEpochRows("ep", e, EpochQuery{})
+		runtime.ReadMemStats(&after)
+		if err != nil || report.Cached || len(report.Contributed) != switches || len(rows) != 3 {
+			t.Fatalf("cold query of epoch %d: %d rows, report %+v, err %v", e, len(rows), report, err)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("cold query over %d switches: %d B allocated, readout %d B", switches, least, readout)
+	if least > readout*3/2 && !raceEnabled {
+		t.Fatalf("a warm-pool cold query over %d switches allocates %d B, want ≤ 1.5 × the %d-byte readout", switches, least, readout)
+	}
+}

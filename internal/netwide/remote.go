@@ -102,9 +102,9 @@ type RemoteFleet struct {
 
 	epochMu sync.Mutex // serializes epoch rotations across the fleet
 
-	// rowPool recycles leaf row buffers between merge-tree queries: a
-	// steady query load unpacks register readouts into reused slices
-	// instead of reallocating ~rows×buckets×4 bytes per switch per query.
+	// rowPool recycles leaf row buffers between merge-tree queries: an
+	// epoch read lands its frame in a pooled buffer (ReadEpochInto), so a
+	// cold query allocates only the leaf its stored merge keeps.
 	rowPool sync.Pool
 }
 
@@ -630,15 +630,6 @@ func (f *RemoteFleet) mergeStats() *telemetry.MergeTreeStats {
 		return nil
 	}
 	return &f.opts.Telemetry.MergeTree
-}
-
-// getRowBuf pulls a recycled leaf buffer from the pool (nil when empty —
-// RegistersResult.FrameRows then allocates fresh).
-func (f *RemoteFleet) getRowBuf() [][]uint32 {
-	if v := f.rowPool.Get(); v != nil {
-		return v.([][]uint32)
-	}
-	return nil
 }
 
 // putRowBuf returns a consumed leaf buffer to the pool. Safe for

@@ -47,7 +47,7 @@ const (
 	// plane). A daemon hosts an epoch.Rotator per epoch task: epoch_deploy
 	// creates it, epoch_rotate advances it to a target epoch (idempotent —
 	// safe to re-send, and a straggler catches up in one call) caching a
-	// packed register snapshot per completed epoch, read_epoch serves a
+	// register snapshot per completed epoch, read_epoch serves a
 	// cached snapshot, and epoch_remove reclaims both copies.
 	MethodEpochDeploy = "epoch_deploy"
 	MethodEpochRotate = "epoch_rotate"
@@ -173,14 +173,9 @@ type DistributionResult struct {
 	Entropy float64   `json:"entropy"`
 }
 
-// frameProvider is implemented by result types whose bulk payload rides
-// the binary frame side-channel: the server writes the returned bytes
-// after the response line instead of encoding them into the JSON body.
-type frameProvider interface{ frameBytes() []byte }
-
-// frameReceiver is the client side of the side-channel: callOnce hands a
-// result the raw frame bytes it consumed off the stream.
-type frameReceiver interface{ setFrameBytes([]byte) }
+// framed results (*RegistersResult, and pointers to results embedding it)
+// carry their rows on the binary frame side-channel, not in the JSON body.
+type framed interface{ registers() *RegistersResult }
 
 // RegistersResult is a raw register readout: RowLens announces a binary
 // frame of little-endian uint32 registers following the response line,
@@ -191,20 +186,17 @@ type frameReceiver interface{ setFrameBytes([]byte) }
 // codec dominating query latency and the merge kernels dominating it.
 // Fingerprint is the layout fingerprint of the task the rows were read from:
 // a readout carries what a merge needs to know about how it is indexed.
+// The rows are the frame's memory on both ends (see Response).
 type RegistersResult struct {
 	RowLens     []int  `json:"row_lens"`
 	Fingerprint uint64 `json:"fingerprint"`
-	frame       []byte
+	rows        [][]uint32
 }
 
-func (r RegistersResult) frameBytes() []byte      { return r.frame }
-func (r *RegistersResult) setFrameBytes(b []byte) { r.frame = b }
+func (r *RegistersResult) registers() *RegistersResult { return r }
 
-// FrameRows decodes the readout into dst (geometry-matched buffers are
-// reused, see unpackFrame).
-func (r *RegistersResult) FrameRows(dst [][]uint32) [][]uint32 {
-	return unpackFrame(r.frame, r.RowLens, dst)
-}
+// FrameRows returns the rows the call read the frame into; dst is unused.
+func (r *RegistersResult) FrameRows(dst [][]uint32) [][]uint32 { return r.rows }
 
 // ResourcesResult reports free memory per CMU and deployed task count.
 type ResourcesResult struct {
@@ -286,7 +278,7 @@ type ReadEpochParams struct {
 
 // EpochRegistersResult is a register readout pinned to an epoch boundary:
 // Epoch is the epoch the rows belong to, FrozenID the task ID they were read
-// from (the handle key_indices needs). The readout was packed when the epoch
+// from (the handle key_indices needs). The readout was taken when the epoch
 // was frozen, fingerprint included, so serving it costs no encoding work.
 type EpochRegistersResult struct {
 	Epoch    int `json:"epoch"`

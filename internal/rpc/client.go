@@ -379,52 +379,12 @@ func (c *Client) callOnce(parent tracing.SpanContext, method string, attempt int
 	if err := c.codec.write(&req); err != nil {
 		return fail(fmt.Errorf("sending: %w", err))
 	}
-	var resp Response
-	var frame []byte
-	for drained := 0; ; drained++ {
-		resp = Response{}
-		if err := c.codec.read(&resp); err != nil {
-			return fail(fmt.Errorf("receiving: %w", err))
-		}
-		if resp.ID == req.ID {
-			// A response may announce a binary frame: consume it before
-			// anything else — unconsumed frame bytes poison the stream for
-			// every later call. Consuming even on a decode error below keeps
-			// the connection reusable.
-			if resp.Frame > 0 {
-				var err error
-				if frame, err = c.codec.readFrame(resp.Frame); err != nil {
-					return fail(err)
-				}
-			}
-			break
-		}
-		if resp.ID < req.ID && drained < drainLimit {
-			// A stale response from an abandoned call: drain it (frame
-			// included) and keep reading rather than poisoning the stream
-			// for every later caller.
-			if resp.Frame > 0 {
-				if err := c.codec.discardFrame(resp.Frame); err != nil {
-					return fail(err)
-				}
-			}
-			continue
-		}
-		return fail(fmt.Errorf("response id %d for request %d: stream desynced", resp.ID, req.ID))
-	}
-	if resp.Error != nil {
-		// The daemon answered: the channel is healthy even if the request
-		// was rejected.
-		c.brk.success()
-		return fmt.Errorf("rpc: %s: %w", method, resp.Error)
-	}
-	if result != nil {
-		if err := json.Unmarshal(resp.Result, result); err != nil {
-			return fail(fmt.Errorf("decoding result: %w", err))
-		}
-		if fr, ok := result.(frameReceiver); ok && frame != nil {
-			fr.setFrameBytes(frame)
-		}
+	var daemonErr *Error
+	if err := c.codec.readResponse(req.ID, result); err != nil && !errors.As(err, &daemonErr) {
+		return fail(err)
+	} else if err != nil {
+		c.brk.success() // the daemon answered: the channel is healthy
+		return fmt.Errorf("rpc: %s: %w", method, err)
 	}
 	c.brk.success()
 	return nil
@@ -543,7 +503,7 @@ func (c *Client) Distribution(id int) (DistributionResult, error) {
 }
 
 // ReadRegisters reads a task's raw register partitions and their layout
-// fingerprint; RegistersResult.FrameRows decodes the rows.
+// fingerprint; RegistersResult.FrameRows returns the rows.
 func (c *Client) ReadRegisters(id int, parent ...tracing.SpanContext) (RegistersResult, error) {
 	var r RegistersResult
 	err := c.callCtx(firstCtx(parent), MethodReadRegisters, TaskIDParams{ID: id}, &r)
@@ -565,12 +525,18 @@ func (c *Client) EpochRotate(name string, toEpoch int, parent ...tracing.SpanCon
 	return r, err
 }
 
-// ReadEpoch fetches one completed epoch's packed register snapshot
-// (epoch 0 = the daemon's latest completed epoch). A daemon that cannot
-// serve the epoch answers an *Error coded CodeEpochUnavailable whose Have is
-// the epoch it has reached.
+// ReadEpoch fetches one completed epoch's register snapshot (epoch 0 = the
+// daemon's latest completed epoch). A daemon that cannot serve the epoch
+// answers an *Error coded CodeEpochUnavailable whose Have is the epoch it
+// has reached.
 func (c *Client) ReadEpoch(name string, epoch int, parent ...tracing.SpanContext) (EpochRegistersResult, error) {
-	var r EpochRegistersResult
+	return c.ReadEpochInto(name, epoch, nil, parent...)
+}
+
+// ReadEpochInto is ReadEpoch reading the frame into dst, in place when dst
+// has the readout's geometry: a recycled buffer costs no row storage.
+func (c *Client) ReadEpochInto(name string, epoch int, dst [][]uint32, parent ...tracing.SpanContext) (EpochRegistersResult, error) {
+	r := EpochRegistersResult{RegistersResult: RegistersResult{rows: dst}}
 	err := c.callCtx(firstCtx(parent), MethodReadEpoch, ReadEpochParams{Name: name, Epoch: epoch}, &r)
 	return r, err
 }

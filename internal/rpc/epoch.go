@@ -8,7 +8,7 @@ import (
 	"flymon/internal/packet"
 )
 
-// EpochRetain is how many completed epochs' packed snapshots a daemon
+// EpochRetain is how many completed epochs' snapshots a daemon
 // keeps per epoch task. The rotator itself only holds the last frozen
 // copy's registers; snapshots are what let a slow query plane read epoch
 // E-2 after the fleet has moved on. Four epochs comfortably covers a
@@ -20,16 +20,17 @@ const EpochRetain = 4
 // epochTask is the daemon-side state of one epoch task: the rotator that
 // owns the double-buffered deployments, plus each recent completed epoch's
 // snapshot. Snapshots are immutable once stored, so read_epoch hands the
-// stored frame straight to the codec: serving an epoch costs zero encoding
-// work.
+// stored rows straight to the codec (concurrent reads share them): serving
+// an epoch costs zero encoding work.
 type epochTask struct {
 	rot   *epoch.Rotator
 	snaps map[int]epochSnap // by completed epoch
 }
 
-// epochSnap is one completed epoch: its readout, packed once when the epoch
-// was frozen, and the frozen copy's handle captured with it. The rotator
-// reclaims the copy one rotation later; key_indices reads only the handle's
+// epochSnap is one completed epoch: its readout (ReadRegisters' one copy of
+// the frozen registers, also its wire frame; never recycled, as a write in
+// flight may hold it) and the frozen copy's handle. The rotator reclaims
+// the copy one rotation later; key_indices reads only the handle's
 // placement, so the handle answers for the epoch as long as it is served.
 type epochSnap struct {
 	res    EpochRegistersResult
@@ -75,7 +76,7 @@ func (s *Server) handleEpochDeploy(spec controlplane.TaskSpec) (EpochTaskResult,
 }
 
 // handleEpochRotate advances an epoch task to the target epoch, caching a
-// packed snapshot of each epoch's registers as it is frozen. Sending the
+// snapshot of each epoch's registers as it is frozen. Sending the
 // same target twice is a no-op (AdvanceTo is idempotent), so fleet
 // controllers can retry after transport failures, and a daemon that
 // missed rotations catches up — snapshotting every intermediate epoch —
@@ -100,7 +101,7 @@ func (s *Server) handleEpochRotate(p EpochRotateParams) (EpochTaskResult, error)
 		if err != nil {
 			return fmt.Errorf("rpc: snapshotting %q epoch %d: %w", p.Name, ep, err)
 		}
-		et.snaps[ep] = epochSnap{res: EpochRegistersResult{Epoch: ep, FrozenID: frozenID, RegistersResult: regs}, handle: h}
+		et.snaps[ep] = epochSnap{res: EpochRegistersResult{Epoch: ep, FrozenID: frozenID, RegistersResult: *regs}, handle: h}
 		delete(et.snaps, ep-EpochRetain)
 		return nil
 	})
@@ -114,17 +115,17 @@ func (s *Server) handleEpochRotate(p EpochRotateParams) (EpochTaskResult, error)
 	return EpochTaskResult{Task: taskResult(t), Epoch: et.rot.Epoch()}, nil
 }
 
-// handleReadEpoch serves one completed epoch's packed snapshot. Epoch 0
+// handleReadEpoch serves one completed epoch's snapshot. Epoch 0
 // asks for the latest completed epoch. A missing epoch — not rotated to
 // yet, or already evicted — answers with the classified unavailable
 // error plus the daemon's current epoch, so the query plane knows whether
 // this switch is behind (straggler) or the request is stale.
-func (s *Server) handleReadEpoch(p ReadEpochParams) (EpochRegistersResult, error) {
+func (s *Server) handleReadEpoch(p ReadEpochParams) (*EpochRegistersResult, error) {
 	s.epochMu.Lock()
 	defer s.epochMu.Unlock()
 	et, err := s.epochTaskLocked(p.Name)
 	if err != nil {
-		return EpochRegistersResult{}, err
+		return nil, err
 	}
 	cur := et.rot.Epoch()
 	e := p.Epoch
@@ -133,9 +134,9 @@ func (s *Server) handleReadEpoch(p ReadEpochParams) (EpochRegistersResult, error
 	}
 	snap, ok := et.snaps[e]
 	if !ok {
-		return EpochRegistersResult{}, epochUnavailable(p.Name, e, cur)
+		return nil, epochUnavailable(p.Name, e, cur)
 	}
-	return snap.res, nil
+	return &snap.res, nil
 }
 
 // handleEpochRemove reclaims an epoch task's two deployments and its

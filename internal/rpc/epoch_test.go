@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"testing"
@@ -19,14 +20,14 @@ func feed(t *testing.T, s *Server, seed int64) *trace.Trace {
 	return tr
 }
 
-// readRows reads a task's registers over the wire and decodes them into dst.
-func readRows(t *testing.T, c *Client, id int, dst [][]uint32) [][]uint32 {
+// wireRows reads a task's registers over the wire, the frame into dst.
+func wireRows(t *testing.T, c *Client, id int, dst [][]uint32) [][]uint32 {
 	t.Helper()
-	r, err := c.ReadRegisters(id)
-	if err != nil {
+	r := RegistersResult{rows: dst}
+	if err := c.call(MethodReadRegisters, TaskIDParams{ID: id}, &r); err != nil {
 		t.Fatal(err)
 	}
-	return r.FrameRows(dst)
+	return r.FrameRows(nil)
 }
 
 // errCode returns the daemon's classification of err ("" for none).
@@ -63,7 +64,7 @@ func TestPackedRegistersMatchPlain(t *testing.T) {
 	}
 	// A recycled buffer of the right geometry is filled in place.
 	keep0 := &rows[0][0]
-	again := readRows(t, c, task.ID, rows)
+	again := wireRows(t, c, task.ID, rows)
 	if &again[0][0] != keep0 || !reflect.DeepEqual(again, plain) {
 		t.Fatal("readout into a geometry-matched buffer must reuse it and decode the same rows")
 	}
@@ -71,32 +72,29 @@ func TestPackedRegistersMatchPlain(t *testing.T) {
 
 func TestFrameRoundTripReusesBuffers(t *testing.T) {
 	rows := [][]uint32{{1, 2, 3}, {4, 5}, {}}
-	frame, lens := packFrame(rows)
-	if len(frame) != 4*5 || len(lens) != 3 || lens[0] != 3 || lens[2] != 0 {
-		t.Fatalf("frame %d bytes lens %v", len(frame), lens)
+	lens := []int{3, 2, 0}
+	frame := encodeFrame(t, rows)
+	if len(frame) != 4*5 || frameGeometry(lens, len(frame)) != nil {
+		t.Fatalf("frame %d bytes for lens %v", len(frame), lens)
 	}
 	dst := [][]uint32{make([]uint32, 3), make([]uint32, 2), nil}
 	keep0 := &dst[0][0]
-	out := unpackFrame(frame, lens, dst)
-	if &out[0][0] != keep0 {
-		t.Fatal("matching-geometry unpack must reuse the destination buffer")
+	out, err := readRows(bytes.NewReader(frame), lens, dst)
+	if err != nil || &out[0][0] != keep0 || !sameRows(out, rows) {
+		t.Fatalf("matching-geometry read = %v, %v: must fill the destination in place", out, err)
 	}
-	for i := range rows {
-		for j := range rows[i] {
-			if out[i][j] != rows[i][j] {
-				t.Fatalf("row %d index %d: %d != %d", i, j, out[i][j], rows[i][j])
-			}
-		}
+	// Mismatched geometry falls back to allocation, never panics.
+	out, err = readRows(bytes.NewReader(frame), lens, [][]uint32{make([]uint32, 1)})
+	if err != nil || !sameRows(out, rows) {
+		t.Fatalf("fallback read = %v, %v", out, err)
 	}
-	// Mismatched geometry falls back to allocation, never panics; a short
-	// frame truncates instead of reading out of range.
-	out = unpackFrame(frame, lens, [][]uint32{make([]uint32, 1)})
-	if len(out) != 3 || len(out[0]) != 3 || out[1][1] != 5 {
-		t.Fatalf("fallback shape = %v", out)
+	// A short frame is refused, not truncated: its lengths announce more
+	// bytes than it holds, and a reader that runs dry is an error too.
+	if err := frameGeometry(lens, 8); err == nil {
+		t.Fatal("row_lens announcing 20 bytes must not admit an 8-byte frame")
 	}
-	out = unpackFrame(frame[:8], lens, nil)
-	if len(out) != 3 || len(out[0]) != 2 || len(out[1]) != 0 {
-		t.Fatalf("short-frame shape = %v", out)
+	if _, err := readRows(bytes.NewReader(frame[:8]), lens, nil); err == nil {
+		t.Fatal("a frame that ends early must fail the read")
 	}
 }
 
@@ -234,7 +232,7 @@ func TestKeyIndicesMatchDaemonEstimate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows := readRows(t, c, task.ID, nil)
+			rows := wireRows(t, c, task.ID, nil)
 			if len(idx) != len(rows) {
 				t.Fatalf("%d indices for %d rows", len(idx), len(rows))
 			}

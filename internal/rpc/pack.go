@@ -1,54 +1,77 @@
 package rpc
 
-import "encoding/binary"
+import (
+	"bufio"
+	"encoding/binary"
+	"fmt"
+	"io"
+	"math/bits"
+	"unsafe"
+)
 
-// packFrame serializes a whole readout as one contiguous little-endian
-// buffer — the binary frame side-channel's payload — plus the per-row
-// register counts the receiver needs to slice it back apart. One
-// contiguous buffer means the server transmits a stored epoch snapshot
-// with zero per-request encoding work.
-func packFrame(rows [][]uint32) ([]byte, []int) {
-	total := 0
-	lens := make([]int, len(rows))
-	for i, row := range rows {
-		lens[i] = len(row)
-		total += len(row)
-	}
-	frame := make([]byte, 4*total)
-	off := 0
-	for _, row := range rows {
-		for _, v := range row {
-			binary.LittleEndian.PutUint32(frame[off:], v)
-			off += 4
-		}
-	}
-	return frame, lens
+// nativeLE: a row's memory is its wire encoding (little-endian uint32s).
+var nativeLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// rowBytes views a row's memory as bytes (the tree's one use of unsafe), so
+// bufio's large-write and large-read paths move rows to and from the socket.
+func rowBytes(row []uint32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(row))), 4*len(row))
 }
 
-// unpackFrame decodes a contiguous frame back into rows. A dst with
-// matching geometry (row count and per-row lengths) is filled in place and
-// returned without allocating — the fleet merge tree recycles leaf buffers
-// through here; mismatched rows are allocated fresh. A frame
-// shorter than the announced geometry truncates the trailing rows to what
-// is actually present rather than reading out of range.
-func unpackFrame(frame []byte, lens []int, dst [][]uint32) [][]uint32 {
+// swapBytes byte-swaps a row in place, for the wire on a big-endian host.
+func swapBytes(row []uint32) {
+	for i, v := range row {
+		row[i] = bits.ReverseBytes32(v)
+	}
+}
+
+// writeRows writes rows as one frame, row after row.
+func writeRows(w *bufio.Writer, rows [][]uint32) error {
+	for _, row := range rows {
+		if !nativeLE {
+			row = append([]uint32(nil), row...)
+			swapBytes(row)
+		}
+		if _, err := w.Write(rowBytes(row)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// frameGeometry checks, before anything is allocated, that lens slices a
+// frame of n ≤ maxLine bytes exactly: no negative length, 4·Σlens == n.
+func frameGeometry(lens []int, n int) error {
+	total := 0
+	for _, l := range lens {
+		if l < 0 || l > maxLine/4-total {
+			total = -1
+			break
+		}
+		total += l
+	}
+	if 4*total != n {
+		return fmt.Errorf("rpc: %d row_lens do not slice a %d-byte frame", len(lens), n)
+	}
+	return nil
+}
+
+// readRows reads a frame that passed frameGeometry into dst, in place where
+// dst has the announced geometry and into fresh rows elsewhere.
+func readRows(r io.Reader, lens []int, dst [][]uint32) ([][]uint32, error) {
 	if len(dst) != len(lens) {
 		dst = make([][]uint32, len(lens))
 	}
-	off := 0
 	for i, n := range lens {
-		if remain := (len(frame) - off) / 4; n > remain {
-			n = remain
+		if len(dst[i]) != n {
+			dst[i] = make([]uint32, n)
 		}
-		row := dst[i]
-		if len(row) != n {
-			row = make([]uint32, n)
-			dst[i] = row
+		if _, err := io.ReadFull(r, rowBytes(dst[i])); err != nil {
+			return dst, fmt.Errorf("rpc: reading %d-byte frame row: %w", 4*n, err)
 		}
-		for j := 0; j < n; j++ {
-			row[j] = binary.LittleEndian.Uint32(frame[off:])
-			off += 4
+		if !nativeLE {
+			swapBytes(dst[i])
 		}
 	}
-	return dst
+	return dst, nil
 }

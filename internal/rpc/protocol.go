@@ -29,11 +29,10 @@ type Request struct {
 
 // Response answers a Request with the same ID. When Frame is non-zero,
 // exactly that many raw payload bytes follow the response line on the
-// stream (the binary frame side-channel): bulk register data rides after
-// the envelope instead of inside it, so the JSON machinery never scans
-// it. A profile of 256-switch fleet queries showed the base64-in-JSON
-// encoding spending ~5 validation/compaction/unquote passes over each
-// payload; the frame reduces that to one write and one read.
+// stream (the binary frame side-channel): a register readout's rows ride
+// after the envelope as little-endian uint32s, so the JSON machinery never
+// scans them. On a little-endian host the frame is the rows' own memory,
+// written from the stored snapshot and read into the caller's buffers.
 type Response struct {
 	ID     uint64          `json:"id"`
 	Error  *Error          `json:"error,omitempty"`
@@ -89,12 +88,9 @@ func newCodec(rw io.ReadWriter) *codec {
 	}
 }
 
-func (c *codec) write(v any) error { return c.writeFramed(v, nil) }
-
-// writeFramed sends one message line followed by an optional raw binary
-// frame, in a single flush. The caller must have set the message's Frame
-// field to len(frame) so the peer knows how many bytes to consume.
-func (c *codec) writeFramed(v any, frame []byte) error {
+// write sends one message line, then rows as a raw binary frame whose byte
+// count the message's Frame field must announce, in a single flush.
+func (c *codec) write(v any, rows ...[]uint32) error {
 	b, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("rpc: encoding message: %w", err)
@@ -105,10 +101,8 @@ func (c *codec) writeFramed(v any, frame []byte) error {
 	if err := c.w.WriteByte('\n'); err != nil {
 		return err
 	}
-	if len(frame) > 0 {
-		if _, err := c.w.Write(frame); err != nil {
-			return err
-		}
+	if err := writeRows(c.w, rows); err != nil {
+		return err
 	}
 	return c.w.Flush()
 }
@@ -124,30 +118,46 @@ func (c *codec) read(v any) error {
 	return nil
 }
 
-// readFrame consumes exactly n raw bytes following a response line. The
-// bytes MUST be consumed (or the connection torn down) whenever a
-// response announces a frame, or every later message on the stream is
-// garbage.
-func (c *codec) readFrame(n int) ([]byte, error) {
-	if n <= 0 || n > maxLine {
-		return nil, fmt.Errorf("rpc: frame of %d bytes out of range", n)
+// readResponse reads the answer to request id into result, draining up to
+// drainLimit stale (lower-ID) answers; a daemon's error returns as its
+// *Error. An announced frame is always consumed — read into a framed
+// result's rows once frameGeometry admits it, else discarded — so a refused
+// answer leaves the stream in sync (a broken line or short frame does not).
+func (c *codec) readResponse(id uint64, result any) error {
+	for drained := 0; ; drained++ {
+		var resp Response
+		if err := c.read(&resp); err != nil {
+			return fmt.Errorf("receiving: %w", err)
+		}
+		if resp.Frame < 0 || resp.Frame > maxLine {
+			return fmt.Errorf("rpc: frame of %d bytes out of range", resp.Frame)
+		}
+		if resp.ID > id || resp.ID < id && drained >= drainLimit {
+			return fmt.Errorf("response id %d for request %d: stream desynced", resp.ID, id)
+		}
+		var err error
+		switch {
+		case resp.ID < id: // stale: drain its frame and read on
+		case resp.Error != nil:
+			err = resp.Error
+		case result != nil:
+			if err = json.Unmarshal(resp.Result, result); err != nil {
+				err = fmt.Errorf("decoding result: %w", err)
+			} else if fr, ok := result.(framed); ok {
+				r := fr.registers()
+				if err = frameGeometry(r.RowLens, resp.Frame); err == nil {
+					r.rows, err = readRows(c.r, r.RowLens, r.rows)
+					return err
+				}
+			}
+		}
+		if _, derr := c.r.Discard(resp.Frame); derr != nil {
+			return fmt.Errorf("rpc: discarding %d-byte frame: %w", resp.Frame, derr)
+		}
+		if resp.ID == id {
+			return err
+		}
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(c.r, buf); err != nil {
-		return nil, fmt.Errorf("rpc: reading %d-byte frame: %w", n, err)
-	}
-	return buf, nil
-}
-
-// discardFrame consumes and drops n frame bytes (stale-response draining).
-func (c *codec) discardFrame(n int) error {
-	if n <= 0 || n > maxLine {
-		return fmt.Errorf("rpc: frame of %d bytes out of range", n)
-	}
-	if _, err := c.r.Discard(n); err != nil {
-		return fmt.Errorf("rpc: discarding %d-byte frame: %w", n, err)
-	}
-	return nil
 }
 
 func readLongLine(r *bufio.Reader) ([]byte, error) {

@@ -204,7 +204,7 @@ func TestRPCReplayMatchesSequentialReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := readRows(t, c, task.ID, nil)
+				got := wireRows(t, c, task.ID, nil)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("task %d (%s): daemon replay differs from the sequential reference", task.ID, task.Spec.Name)
 				}

@@ -96,7 +96,7 @@ func TestWorkloadAndEstimateOverRPC(t *testing.T) {
 	if _, err := c.Estimate(task.ID, packet.CanonicalKey{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	if rows := readRows(t, c, task.ID, nil); len(rows) != 3 {
+	if rows := wireRows(t, c, task.ID, nil); len(rows) != 3 {
 		t.Fatalf("ReadRegisters rows = %d", len(rows))
 	}
 	res, err := c.Resources()
@@ -284,7 +284,7 @@ func TestLargeRegisterReadout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := readRows(t, c, task.ID, nil)
+	rows := wireRows(t, c, task.ID, nil)
 	if len(rows) != 3 || len(rows[0]) != 65536 {
 		t.Fatalf("readout shape = %d rows × %d", len(rows), len(rows[0]))
 	}

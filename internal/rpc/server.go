@@ -45,7 +45,7 @@ type Server struct {
 	mu sync.RWMutex
 	tr *mmtrace.Trace
 
-	// Epoch tasks: per-name rotators plus their per-epoch packed register
+	// Epoch tasks: per-name rotators plus their per-epoch register
 	// snapshots (see epoch.go). epochMu also serializes rotations, which
 	// is what makes epoch_rotate's read-then-advance idempotency safe
 	// against concurrent retries.
@@ -288,8 +288,8 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			return
 		}
-		resp, frame := s.dispatch(&req)
-		if err := c.writeFramed(resp, frame); err != nil {
+		resp, rows := s.dispatch(&req)
+		if err := c.write(resp, rows...); err != nil {
 			s.log.Warnf("write: %v", err)
 			return
 		}
@@ -297,9 +297,9 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 // dispatch runs one request and returns the response envelope plus the
-// optional binary frame to transmit after it (results implementing
-// frameProvider ship their bulk payload out of band — see Response.Frame).
-func (s *Server) dispatch(req *Request) (resp *Response, frame []byte) {
+// rows to transmit after it as a binary frame (results implementing
+// framed ship their rows out of band — see Response.Frame).
+func (s *Server) dispatch(req *Request) (resp *Response, rows [][]uint32) {
 	resp = &Response{ID: req.ID}
 	// A request carrying a trace context gets a daemon-side dispatch span
 	// parented under the caller's span. The finish defer is registered
@@ -340,7 +340,7 @@ func (s *Server) dispatch(req *Request) (resp *Response, frame []byte) {
 			}
 			resp.Result = nil
 			resp.Frame = 0
-			frame = nil
+			rows = nil
 			resp.Error = &Error{Msg: fmt.Sprintf("rpc: internal error handling %s: %v", req.Method, r)}
 		}
 	}()
@@ -352,18 +352,21 @@ func (s *Server) dispatch(req *Request) (resp *Response, frame []byte) {
 		resp.Error = wireError(err)
 		return resp, nil
 	}
+	if fr, ok := result.(framed); ok { // the rows announce their geometry
+		r := fr.registers()
+		rows, r.RowLens = r.rows, make([]int, len(r.rows))
+		for i, row := range rows {
+			r.RowLens[i] = len(row)
+			resp.Frame += 4 * len(row)
+		}
+	}
 	raw, err := json.Marshal(result)
 	if err != nil {
-		resp.Error = &Error{Msg: fmt.Sprintf("rpc: encoding result: %v", err)}
+		resp.Error, resp.Frame = &Error{Msg: fmt.Sprintf("rpc: encoding result: %v", err)}, 0
 		return resp, nil
 	}
 	resp.Result = raw
-	if fp, ok := result.(frameProvider); ok {
-		if frame = fp.frameBytes(); len(frame) > 0 {
-			resp.Frame = len(frame)
-		}
-	}
-	return resp, frame
+	return resp, rows
 }
 
 // wireError puts a handler's error on the wire: a classified *Error keeps
@@ -380,19 +383,18 @@ func wireError(err error) *Error {
 	return &out
 }
 
-// readRegisters packs one task's registers with the layout fingerprint of
-// the task they were read from.
-func (s *Server) readRegisters(id int) (RegistersResult, error) {
+// readRegisters reads one task's registers, which are the readout's frame,
+// with the layout fingerprint of the task they were read from.
+func (s *Server) readRegisters(id int) (*RegistersResult, error) {
 	rows, err := s.ctrl.ReadRegisters(id)
 	if err != nil {
-		return RegistersResult{}, err
+		return nil, err
 	}
 	t, err := s.ctrl.Task(id)
 	if err != nil {
-		return RegistersResult{}, err
+		return nil, err
 	}
-	frame, lens := packFrame(rows)
-	return RegistersResult{RowLens: lens, Fingerprint: t.Fingerprint, frame: frame}, nil
+	return &RegistersResult{Fingerprint: t.Fingerprint, rows: rows}, nil
 }
 
 func decode[T any](params json.RawMessage) (T, error) {
