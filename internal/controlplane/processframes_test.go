@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -341,7 +340,10 @@ func TestCombinedReplayConcurrentReadout(t *testing.T) {
 // fleet_query daemon; "distinct" the nine CMS over 131,072 pairwise-distinct
 // five-tuples, duplicate combining's worst case. ns/pkt is per frame;
 // distinct% is the share of a chunk's frames (core.FrameChunk) that carry a
-// five-tuple not seen earlier in the chunk.
+// five-tuple not seen earlier in the chunk. Every shape groups by the
+// five-tuple and every trace is a whole number of chunks, so the engine
+// groups each chunk into distinct% × FrameChunk / 100 representatives on
+// average.
 //
 //	go test -run '^$' -bench ProcessFrames -benchmem ./internal/controlplane/
 func BenchmarkProcessFrames(b *testing.B) {
@@ -409,25 +411,8 @@ func BenchmarkProcessFrames(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/pkt")
 			b.StopTimer()
 			b.ReportMetric(100*distinctShare(bc.ps, core.FrameChunk), "distinct%")
-			b.ReportMetric(engineReps(snap, pc, tr), "reps/chunk")
 		})
 	}
-}
-
-// engineReps replays t one chunk at a time and returns the mean number of
-// representatives the frame engine grouped each chunk into, read from the
-// context's chunk scratch (ProcCtx.frames.nrep) — a diagnostic, so it
-// reaches the unexported field by reflection rather than widening the core
-// API.
-func engineReps(snap *core.Snapshot, pc *core.ProcCtx, t *mmtrace.Trace) float64 {
-	nrep := reflect.ValueOf(pc).Elem().FieldByName("frames").FieldByName("nrep")
-	reps, chunks := 0, 0
-	for lo := 0; lo < t.Frames(); lo += core.FrameChunk {
-		snap.ProcessFrames(pc, t, lo, min(lo+core.FrameChunk, t.Frames()))
-		reps += int(nrep.Int())
-		chunks++
-	}
-	return float64(reps) / float64(chunks)
 }
 
 // distinctShare is the share of ps's frames whose five-tuple is the first

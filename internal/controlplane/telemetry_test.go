@@ -146,7 +146,8 @@ func TestTelemetryReportEndToEnd(t *testing.T) {
 
 // TestTelemetryPacketOrderFrames: the data-plane report counts the frames
 // the frame engine ran in packet order — every frame replayed while a
-// sampled task is deployed, none once it is removed.
+// sampled task is deployed, none once it is removed, and none beside a
+// spliced group no task uses.
 func TestTelemetryPacketOrderFrames(t *testing.T) {
 	c, reg := telemetryController(t, Config{Groups: 2, Buckets: 16384, BitWidth: 32, Workers: 1})
 	defer c.Close()
@@ -173,6 +174,17 @@ func TestTelemetryPacketOrderFrames(t *testing.T) {
 	if dp.PacketOrderFrames != frames || dp.Packets != 2*frames {
 		t.Fatalf("after the removal: %d of %d packets in packet order, want %d of %d",
 			dp.PacketOrderFrames, dp.Packets, frames, 2*frames)
+	}
+
+	idle, idleReg := telemetryController(t, Config{Groups: 2, SplicedGroups: 1, Buckets: 16384, BitWidth: 32, Workers: 1})
+	defer idle.Close()
+	if _, err := idle.AddTask(freqSpec("hh", packet.Filter{}, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	replayPackets(idle, tr.Packets)
+	if dp := idleReg.Report().DataPlane; dp.PacketOrderFrames != 0 || dp.Packets != frames {
+		t.Fatalf("beside an idle spliced group: %d of %d packets in packet order, want 0 of %d",
+			dp.PacketOrderFrames, dp.Packets, frames)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"flymon/internal/dataplane"
@@ -29,26 +30,21 @@ func nineCMS(t *testing.T, buckets int) *Pipeline {
 	return NewPipelineWith(groups...)
 }
 
-// combines reports whether some rule of s applies combined updates, one
-// weighted add per group (ruleFrames): a constant saturating add on a
-// full-width register, matching every frame at program position 0 of its
-// CMU, in a bus-quiet frame-vectorised snapshot.
-func combines(s *Snapshot) bool {
-	return combinesBy(s, func(r *compiledRule) bool { return r.fastAddFull })
-}
+// combines reports whether s's plan applies combined updates, one weighted
+// add per group (ruleFrames): a column-stage add-counts rule matching every
+// frame at program position 0 of its CMU, in a grouping snapshot.
+func combines(s *Snapshot) bool { return combinesBy(s, kernelAddCounts) }
 
-// combinesBy reports whether some rule of s of the given shape wins every
-// frame at program position 0 of its CMU in a bus-quiet, grouping,
-// frame-vectorised snapshot — the runtime conditions of combining.
-func combinesBy(s *Snapshot, shape func(*compiledRule) bool) bool {
-	if !s.busQuiet || !s.frameVec || !s.groupKeys {
+// combinesBy reports whether s's plan gives one of the kernels ks to a
+// column-stage rule that wins every frame at program position 0 of its CMU,
+// in a grouping snapshot — the plan's conditions of combining.
+func combinesBy(s *Snapshot, ks ...kernel) bool {
+	if !s.plan.grouped {
 		return false
 	}
-	for _, sg := range s.groups {
-		for _, sc := range sg.cmus {
-			if r := &sc.prog[0]; shape(r) && r.match.kind == matchAll {
-				return true
-			}
+	for _, sc := range s.plan.column {
+		if r := &sc.prog[0]; slices.Contains(ks, r.kernel) && r.match.kind == matchAll {
+			return true
 		}
 	}
 	return false
@@ -176,6 +172,27 @@ func TestCombineNineTasksZipf(t *testing.T) {
 	}
 }
 
+// saturationShape is one group of three match-all five-tuple rows on
+// 32-bit registers of the given size: two add the constant p1, one the
+// packet size.
+func saturationShape(t *testing.T, buckets int, p1 uint32) *Pipeline {
+	t.Helper()
+	g := NewGroup(GroupConfig{ID: 0, Buckets: buckets, BitWidth: 32})
+	if err := g.ConfigureUnit(0, packet.KeyFiveTuple); err != nil {
+		t.Fatal(err)
+	}
+	for ci, p := range []ParamSource{Const(p1), Const(p1), PacketSize()} {
+		if err := g.CMU(ci).InstallRule(&Rule{
+			TaskID: 1, Filter: packet.MatchAll,
+			Key: FullKey(0).SubRange(8*ci, 32), P1: p, P2: MaxValue(),
+			Mem: MemRange{Base: 0, Buckets: buckets}, Op: dataplane.OpCondAdd,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return NewPipelineWith(g)
+}
+
 // TestCombineSaturation: one key fills whole chunks, so every chunk is one
 // group of FrameChunk frames, against registers pre-filled at and near
 // 2^32. A constant increment of 1500 (a full-size packet's bytes) lands a
@@ -195,22 +212,7 @@ func TestCombineSaturation(t *testing.T) {
 			^uint32(0) - (FrameChunk+44)*p1 - 7,
 			^uint32(0) - 2000*p1,
 		} {
-			build := func() *Pipeline {
-				g := NewGroup(GroupConfig{ID: 0, Buckets: buckets, BitWidth: 32})
-				if err := g.ConfigureUnit(0, packet.KeyFiveTuple); err != nil {
-					t.Fatal(err)
-				}
-				for ci, p := range []ParamSource{Const(p1), Const(p1), PacketSize()} {
-					if err := g.CMU(ci).InstallRule(&Rule{
-						TaskID: 1, Filter: packet.MatchAll,
-						Key: FullKey(0).SubRange(8*ci, 32), P1: p, P2: MaxValue(),
-						Mem: MemRange{Base: 0, Buckets: buckets}, Op: dataplane.OpCondAdd,
-					}); err != nil {
-						t.Fatal(err)
-					}
-				}
-				return NewPipelineWith(g)
-			}
+			build := func() *Pipeline { return saturationShape(t, buckets, p1) }
 			prefill := func(pl *Pipeline) {
 				for ci := 0; ci < 3; ci++ {
 					reg := pl.Group(0).CMU(ci).Register()
@@ -237,36 +239,42 @@ func TestCombineAllDistinct(t *testing.T) {
 	framesMatchBatch(t, func() *Pipeline { return nineCMS(t, 4096) }, nil, ps)
 }
 
+// besideFilteredShape is a match-all five-tuple CMS beside a filtered
+// source-address CMS, one of whose CMUs first-match selects between TCP
+// and UDP tasks.
+func besideFilteredShape(t *testing.T) *Pipeline {
+	t.Helper()
+	g0 := NewGroup(GroupConfig{ID: 0, Buckets: 4096, BitWidth: 32})
+	buildCMS(t, g0, 1, 3, 4096)
+	g1 := NewGroup(GroupConfig{ID: 1, Buckets: 4096, BitWidth: 32})
+	if err := g1.ConfigureUnit(0, packet.KeySrcIP); err != nil {
+		t.Fatal(err)
+	}
+	for ci := 0; ci < 2; ci++ {
+		if err := g1.CMU(ci).InstallRule(&Rule{
+			TaskID: 2, Filter: packet.Filter{Proto: 6},
+			Key: FullKey(0).SubRange(8*ci, 32), P1: Const(1), P2: MaxValue(),
+			Mem: MemRange{Base: 0, Buckets: 2048}, Op: dataplane.OpCondAdd,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := g1.CMU(0).InstallRule(&Rule{
+		TaskID: 3, Filter: packet.Filter{Proto: 17},
+		Key: FullKey(0), P1: Const(1), P2: MaxValue(),
+		Mem: MemRange{Base: 2048, Buckets: 2048}, Op: dataplane.OpCondAdd,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return NewPipelineWith(g0, g1)
+}
+
 // TestCombineMatchAllBesideFiltered: match-all CMS rows (combined) share the
 // snapshot with a filtered CMS, one of whose CMUs first-match selects
 // between two filtered tasks — all of which stay per-frame.
 func TestCombineMatchAllBesideFiltered(t *testing.T) {
 	tr := trace.Generate(trace.Config{Flows: 800, Packets: 20_000, ZipfS: 1.1, Seed: 62})
-	build := func() *Pipeline {
-		g0 := NewGroup(GroupConfig{ID: 0, Buckets: 4096, BitWidth: 32})
-		buildCMS(t, g0, 1, 3, 4096)
-		g1 := NewGroup(GroupConfig{ID: 1, Buckets: 4096, BitWidth: 32})
-		if err := g1.ConfigureUnit(0, packet.KeySrcIP); err != nil {
-			t.Fatal(err)
-		}
-		for ci := 0; ci < 2; ci++ {
-			if err := g1.CMU(ci).InstallRule(&Rule{
-				TaskID: 2, Filter: packet.Filter{Proto: 6},
-				Key: FullKey(0).SubRange(8*ci, 32), P1: Const(1), P2: MaxValue(),
-				Mem: MemRange{Base: 0, Buckets: 2048}, Op: dataplane.OpCondAdd,
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := g1.CMU(0).InstallRule(&Rule{
-			TaskID: 3, Filter: packet.Filter{Proto: 17},
-			Key: FullKey(0), P1: Const(1), P2: MaxValue(),
-			Mem: MemRange{Base: 2048, Buckets: 2048}, Op: dataplane.OpCondAdd,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return NewPipelineWith(g0, g1)
-	}
+	build := func() *Pipeline { return besideFilteredShape(t) }
 	if s, _ := framesMatchBatch(t, build, nil, tr.Packets); !combines(s) {
 		t.Fatal("the match-all CMS must combine")
 	}
@@ -290,7 +298,7 @@ func TestCombineGroupsByKey(t *testing.T) {
 	mask := packet.KeyFiveTuple.FieldMask()
 	for _, pl := range []*Pipeline{nineCMS(t, 4096), churnShape(t)} {
 		s := pl.Compile()
-		if !s.groupKeys {
+		if !s.plan.grouped {
 			t.Fatal("a five-tuple snapshot must group")
 		}
 		pc := NewProcCtx()
@@ -369,6 +377,27 @@ func TestCombineMultiMask(t *testing.T) {
 	}
 }
 
+// unreadFieldsShape is one source-address group holding a constant add,
+// a packet-size add and a queue-length maximum.
+func unreadFieldsShape(t *testing.T) *Pipeline {
+	t.Helper()
+	g := NewGroup(GroupConfig{ID: 0, Buckets: 4096, BitWidth: 32})
+	if err := g.ConfigureUnit(0, packet.KeySrcIP); err != nil {
+		t.Fatal(err)
+	}
+	all := MemRange{Base: 0, Buckets: 4096}
+	for ci, r := range []*Rule{
+		{TaskID: 1, Filter: packet.MatchAll, Key: FullKey(0), P1: Const(1), P2: MaxValue(), Mem: all, Op: dataplane.OpCondAdd},
+		{TaskID: 2, Filter: packet.MatchAll, Key: FullKey(0).SubRange(3, 32), P1: PacketSize(), P2: MaxValue(), Mem: all, Op: dataplane.OpCondAdd},
+		{TaskID: 3, Filter: packet.MatchAll, Key: FullKey(0).SubRange(7, 32), P1: QueueLength(), P2: Const(0), Mem: all, Op: dataplane.OpMax},
+	} {
+		if err := g.CMU(ci).InstallRule(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return NewPipelineWith(g)
+}
+
 // TestCombineUnreadFieldsShareGroup: frames that differ only in fields no
 // mask reads — size, queue length, timestamp, and under a source-address
 // mask the rest of the five-tuple — share a representative, while rules
@@ -379,23 +408,7 @@ func TestCombineUnreadFieldsShareGroup(t *testing.T) {
 		ps[i] = packet.Packet{SrcIP: uint32(i % 3), DstIP: uint32(i), SrcPort: uint16(i), DstPort: 443, Proto: 6,
 			Size: uint32(64 + i), QueueLength: uint32(i * 7 % 100), TimestampNs: uint64(i) * 1000}
 	}
-	build := func() *Pipeline {
-		g := NewGroup(GroupConfig{ID: 0, Buckets: 4096, BitWidth: 32})
-		if err := g.ConfigureUnit(0, packet.KeySrcIP); err != nil {
-			t.Fatal(err)
-		}
-		all := MemRange{Base: 0, Buckets: 4096}
-		for ci, r := range []*Rule{
-			{TaskID: 1, Filter: packet.MatchAll, Key: FullKey(0), P1: Const(1), P2: MaxValue(), Mem: all, Op: dataplane.OpCondAdd},
-			{TaskID: 2, Filter: packet.MatchAll, Key: FullKey(0).SubRange(3, 32), P1: PacketSize(), P2: MaxValue(), Mem: all, Op: dataplane.OpCondAdd},
-			{TaskID: 3, Filter: packet.MatchAll, Key: FullKey(0).SubRange(7, 32), P1: QueueLength(), P2: Const(0), Mem: all, Op: dataplane.OpMax},
-		} {
-			if err := g.CMU(ci).InstallRule(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return NewPipelineWith(g)
-	}
+	build := func() *Pipeline { return unreadFieldsShape(t) }
 	s, _ := framesMatchBatch(t, build, nil, ps)
 	mt := writeFrameTrace(t, ps)
 	pc := NewProcCtx()
@@ -408,6 +421,24 @@ func TestCombineUnreadFieldsShareGroup(t *testing.T) {
 	}
 }
 
+// timestampKeyShape is a five-tuple CMS beside a counter keyed on the
+// source address and the timestamp.
+func timestampKeyShape(t *testing.T) *Pipeline {
+	t.Helper()
+	g0 := NewGroup(GroupConfig{ID: 0, Buckets: 4096, BitWidth: 32})
+	buildCMS(t, g0, 1, 3, 4096)
+	g1 := NewGroup(GroupConfig{ID: 1, Buckets: 4096, BitWidth: 32})
+	tsKey := packet.KeySpec{Parts: []packet.KeyPart{{Field: packet.FieldSrcIP}, {Field: packet.FieldTimestamp}}}
+	if err := g1.ConfigureUnit(0, tsKey); err != nil {
+		t.Fatal(err)
+	}
+	if err := g1.CMU(0).InstallRule(&Rule{TaskID: 2, Filter: packet.MatchAll, Key: FullKey(0),
+		P1: Const(1), P2: MaxValue(), Mem: MemRange{Base: 0, Buckets: 4096}, Op: dataplane.OpCondAdd}); err != nil {
+		t.Fatal(err)
+	}
+	return NewPipelineWith(g0, g1)
+}
+
 // TestCombineTimestampKey: a unit keyed on the timestamp puts it in the
 // union mask, so Compile turns grouping off and every frame is its own
 // group — here beside a combinable five-tuple CMS, on frames that repeat
@@ -418,22 +449,9 @@ func TestCombineTimestampKey(t *testing.T) {
 		ps[i] = packet.Packet{SrcIP: uint32(i % 5), DstIP: 9, SrcPort: 80, DstPort: 443, Proto: 6, Size: 64,
 			TimestampNs: uint64(i/4) * 1000}
 	}
-	build := func() *Pipeline {
-		g0 := NewGroup(GroupConfig{ID: 0, Buckets: 4096, BitWidth: 32})
-		buildCMS(t, g0, 1, 3, 4096)
-		g1 := NewGroup(GroupConfig{ID: 1, Buckets: 4096, BitWidth: 32})
-		tsKey := packet.KeySpec{Parts: []packet.KeyPart{{Field: packet.FieldSrcIP}, {Field: packet.FieldTimestamp}}}
-		if err := g1.ConfigureUnit(0, tsKey); err != nil {
-			t.Fatal(err)
-		}
-		if err := g1.CMU(0).InstallRule(&Rule{TaskID: 2, Filter: packet.MatchAll, Key: FullKey(0),
-			P1: Const(1), P2: MaxValue(), Mem: MemRange{Base: 0, Buckets: 4096}, Op: dataplane.OpCondAdd}); err != nil {
-			t.Fatal(err)
-		}
-		return NewPipelineWith(g0, g1)
-	}
+	build := func() *Pipeline { return timestampKeyShape(t) }
 	s, _ := framesMatchBatch(t, build, nil, ps)
-	if s.groupKeys {
+	if s.plan.grouped {
 		t.Fatal("a timestamp-keyed unit must turn grouping off")
 	}
 }
@@ -451,52 +469,28 @@ func TestCombineSpans(t *testing.T) {
 	}
 }
 
-// idemVerdict reports whether some rule of s carries the compiler's
-// combine verdict (compiledRule.combine), whether or not it can combine.
-func idemVerdict(s *Snapshot) bool {
-	for _, sg := range s.groups {
-		for _, sc := range sg.cmus {
-			for ri := range sc.prog {
-				if sc.prog[ri].combine {
-					return true
-				}
-			}
-		}
-	}
-	return false
+// idemBuckets is the register size of every idempotentCases shape.
+const idemBuckets = 256
+
+// idemCase is one TestCombineIdempotent shape: rules[i] goes to CMU i of
+// width-bit registers pre-filled with prefill, and combined says whether
+// the plan combines a rule that owns every frame.
+type idemCase struct {
+	name     string
+	width    int
+	rules    []*Rule
+	prefill  uint32
+	combined bool
 }
 
-// TestCombineIdempotent holds one-update-per-group AND-OR and MAX rules to
-// the sequential oracle — registers, rule hits and preparation drops — on a
-// Zipf trace whose queue lengths run to 1023 and sizes to 1500. Each case
-// names the mutation of ruleCombined it catches: Bloom (BitSelect, and a
-// constant p1); BeauCoup (Coupon, half the groups dropped: drops must count
-// frames, not groups); SuMax(Max) of the queue length on a 32-bit and an
-// 8-bit register (the maximum must be taken after the width mask: 300 masks
-// to 44, below 200); AND with p2 = 0 and OR over per-frame p1, on
-// registers pre-filled with ones; a filtered MAX, which owns only some
-// frames and must stay per-frame; and MAX beside a rule reading its result
-// off the bus, which makes the snapshot bus-busy and must turn combining
-// off.
-func TestCombineIdempotent(t *testing.T) {
-	tr := trace.Generate(trace.Config{Flows: 2000, Packets: 24*FrameChunk + 7, ZipfS: 1.1, Seed: 67})
-	rng := rand.New(rand.NewSource(67))
-	for i := range tr.Packets {
-		tr.Packets[i].QueueLength = uint32(rng.Intn(1 << 10))
-		tr.Packets[i].Size = uint32(64 + rng.Intn(1437))
-	}
-	all := MemRange{Base: 0, Buckets: 256}
+// idempotentCases are TestCombineIdempotent's shapes.
+func idempotentCases() []idemCase {
+	all := MemRange{Base: 0, Buckets: idemBuckets}
 	maxQ := func(lo int) *Rule {
 		return &Rule{TaskID: 1, Filter: packet.MatchAll, Key: FullKey(0).SubRange(lo, 32),
 			P1: QueueLength(), P2: Const(0), Mem: all, Op: dataplane.OpMax}
 	}
-	for _, tc := range []struct {
-		name     string
-		width    int
-		rules    []*Rule // rules[i] goes to CMU i
-		prefill  uint32
-		combined bool
-	}{
+	return []idemCase{
 		{name: "bloom", width: 32, combined: true, rules: []*Rule{
 			{TaskID: 1, Filter: packet.MatchAll, Key: FullKey(0).SubRange(5, 32),
 				P1: CompressedKey(FullKey(0).SubRange(17, 5)), P2: Const(1),
@@ -525,36 +519,60 @@ func TestCombineIdempotent(t *testing.T) {
 			{TaskID: 1, Filter: packet.MatchAll, Key: FullKey(0).SubRange(8, 32),
 				P1: PrevResult(), P2: MaxValue(), Mem: all, Op: dataplane.OpCondAdd},
 		}},
-	} {
+	}
+}
+
+// idempotentShape is one group over five-tuple, source and destination
+// units with rules[i] installed on CMU i of width-bit registers.
+func idempotentShape(t *testing.T, width int, rules []*Rule) *Pipeline {
+	t.Helper()
+	g := NewGroup(GroupConfig{ID: 0, Buckets: idemBuckets, BitWidth: width})
+	for u, k := range []packet.KeySpec{packet.KeyFiveTuple, packet.KeySrcIP, packet.KeyDstIP} {
+		if err := g.ConfigureUnit(u, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for ci, r := range rules {
+		r := *r
+		if err := g.CMU(ci).InstallRule(&r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return NewPipelineWith(g)
+}
+
+// TestCombineIdempotent holds one-update-per-group AND-OR and MAX rules to
+// the sequential oracle — registers, rule hits and preparation drops — on a
+// Zipf trace whose queue lengths run to 1023 and sizes to 1500. Each case
+// names the mutation of ruleCombined it catches: Bloom (BitSelect, and a
+// constant p1); BeauCoup (Coupon, half the groups dropped: drops must count
+// frames, not groups); SuMax(Max) of the queue length on a 32-bit and an
+// 8-bit register (the maximum must be taken after the width mask: 300 masks
+// to 44, below 200); AND with p2 = 0 and OR over per-frame p1, on
+// registers pre-filled with ones; a filtered MAX, which owns only some
+// frames and must stay per-frame; and MAX beside a rule reading its result
+// off the bus, which makes the snapshot bus-busy and must turn combining
+// off.
+func TestCombineIdempotent(t *testing.T) {
+	tr := trace.Generate(trace.Config{Flows: 2000, Packets: 24*FrameChunk + 7, ZipfS: 1.1, Seed: 67})
+	rng := rand.New(rand.NewSource(67))
+	for i := range tr.Packets {
+		tr.Packets[i].QueueLength = uint32(rng.Intn(1 << 10))
+		tr.Packets[i].Size = uint32(64 + rng.Intn(1437))
+	}
+	for _, tc := range idempotentCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			build := func() *Pipeline {
-				g := NewGroup(GroupConfig{ID: 0, Buckets: all.Buckets, BitWidth: tc.width})
-				for u, k := range []packet.KeySpec{packet.KeyFiveTuple, packet.KeySrcIP, packet.KeyDstIP} {
-					if err := g.ConfigureUnit(u, k); err != nil {
-						t.Fatal(err)
-					}
-				}
-				for ci, r := range tc.rules {
-					r := *r
-					if err := g.CMU(ci).InstallRule(&r); err != nil {
-						t.Fatal(err)
-					}
-				}
-				return NewPipelineWith(g)
-			}
+			build := func() *Pipeline { return idempotentShape(t, tc.width, tc.rules) }
 			prefill := func(pl *Pipeline) {
 				for ci := range tc.rules {
 					reg := pl.Group(0).CMU(ci).Register()
-					for b := uint32(0); b < uint32(all.Buckets); b++ {
+					for b := uint32(0); b < idemBuckets; b++ {
 						reg.Apply(dataplane.OpMax, b, tc.prefill, 0)
 					}
 				}
 			}
 			s, tele := framesMatchBatch(t, build, prefill, tr.Packets, FrameChunk, 3*FrameChunk/2, 100)
-			if !idemVerdict(s) {
-				t.Fatal("the compiler must give some rule the combine verdict")
-			}
-			idem := combinesBy(s, func(r *compiledRule) bool { return r.combine })
+			idem := combinesBy(s, kernelCombined, kernelFoldedP1)
 			if idem != tc.combined {
 				t.Fatalf("combining engaged %v, want %v", idem, tc.combined)
 			}

@@ -28,23 +28,16 @@ import (
 //      keys. Row g of the digest matrix is group g's. The dedup and block
 //      decisions were made at Compile time; the loops carry no per-packet
 //      lookups or dispatch.
-//   3. Update. Each CMU rule runs as a column pipeline over the frames it
-//      won: an index column (gatherIdxFrames) that reads each frame's
+//   3. Update. The plan's column CMUs run in pipeline order, each rule
+//      over the frames it won with the kernel the plan gave it (plan.go):
+//      generic — an index column (gatherIdxFrames) reading each frame's
 //      digests through its group, one column per parameter and one
-//      preparation kernel that compacts dropped updates out of every
-//      column, each a loop with its kind switch hoisted out. One
-//      dataplane.ApplyBatch/ShardApplyBatch call applies the survivors,
-//      hoisting the op dispatch and prefetching the target counter lines
-//      (plain stores when the register has a single writer). Results
-//      scatter back onto per-frame result-bus arrays, preserving the
-//      cross-CMU bus semantics (PrevResult/PrevOld/RunningMin/PrevNewFlow)
-//      exactly. In a bus-quiet snapshot a rule that owns every frame of
-//      the chunk combines: it issues one update per group instead of one
-//      per frame. A constant saturating add on a full-width base register
-//      adds count·p1 once per group (Register.ApplyAddCounts); an
-//      idempotent AND-OR or MAX rule (compiledRule.combine) runs its
-//      columns over the representatives only, or, when p1 is per-frame
-//      metadata, folds each group's p1 under the op (ruleCombined).
+//      preparation kernel, each a loop with its kind switch hoisted out,
+//      one dataplane.ApplyBatch call, and, when the snapshot reads the
+//      bus, the witnesses scattered onto per-frame result-bus arrays — or
+//      combined, one update per group (ApplyAddCounts, ruleCombined).
+//      The CMUs the plan keeps off the column stage then run frame by
+//      frame in trace order on the same digests (orderedFrames).
 //
 // Combining is exact. Frames share a group only when their keys are equal
 // under every mask, so a rule's bucket index — a function of the digests
@@ -62,11 +55,8 @@ import (
 // combines only with a constant p2: a group that ORs and one that ANDs the
 // same bucket do not commute. Rule hits still count per frame; the only
 // values combining does not produce are the per-frame result/old
-// witnesses, which no rule of a bus-quiet snapshot reads. Filtered rules
-// (a filter may read fields outside the key), narrow saturating adds and
-// private-lane adds stay per-frame. When the union mask reads the
-// timestamp field no frame of a chunk repeats a key, so Compile turns
-// grouping off (Snapshot.groupKeys) and each frame is its own group.
+// witnesses, which no rule of a bus-quiet snapshot reads. A filtered rule
+// (its filter may read fields outside the key) stays per frame.
 //
 // Equivalence to the sequential path. Within one CMU, rules select disjoint
 // frame sets (first-match), every uncombined rule's updates are applied in
@@ -77,31 +67,6 @@ import (
 // every live result/old witness, clamp event, and telemetry count. The
 // chunk reordering only interleaves updates of *different* buckets, which
 // no observable depends on.
-//
-// Packet order. Two kinds of rule cannot run on the column stage: sampled
-// rules (the rng coin stream advances in strict packet order; columns would
-// reorder the flips) and live spliced groups (the mirror decision and the
-// recirculated pass are per packet). Compile marks every CMU holding an
-// enabled sampled rule, and every spliced CMU, as ordered
-// (snapCMU.ordered); in a snapshot that reads the bus, one ordered
-// main-pass CMU orders them all, since the bus carries per-packet state
-// through the CMUs in pipeline order. Stages 1 and 2 run per chunk as
-// always — the digest blocks and grouping key cover the spliced masks too —
-// and stage 3 runs every other main-pass CMU on the column stage. Then one
-// pass walks the chunk in trace order: a frame that no ordered rule and no
-// spliced filter matches (Snapshot.frameMatch, read from the record bytes)
-// is skipped undecoded — it would draw no coin and execute nothing there;
-// any other frame is decoded, reads its digests from its group's row of the
-// matrix, runs the ordered CMUs in pipeline order (snapCMU.process) and
-// then the spliced pass. The split is exact for the same reason the column
-// stage is: an unordered CMU draws no coin, owns its register alone and,
-// in a bus-quiet snapshot, neither reads nor feeds another CMU, so only the
-// interleaving of updates to different registers changes. The coins are
-// drawn exactly as Snapshot.Process draws them, which is what makes a
-// mid-replay reconfiguration into or out of such a configuration safe: the
-// engine changes form at the next chunk, never results.
-// Pipeline.PacketOrderFrames counts the chunks' frames of every snapshot
-// that is not frame-vectorised (Snapshot.FrameVectorized).
 
 // FrameChunk is the frame engine's chunk width in frames: ProcessFrames cuts
 // a span into chunks of at most this many frames and groups each chunk on
@@ -156,7 +121,7 @@ type frameScratch struct {
 
 	// Grouping: rep[0:nrep] are the first frames of the chunk's distinct
 	// keys, in frame order, cnt their multiplicities, key their union keys
-	// and grp[i] frame i's group. An ungrouped chunk (Snapshot.groupKeys
+	// and grp[i] frame i's group. An ungrouped chunk (plan.grouped
 	// false) fills none of them: every frame is its own group. The open
 	// hash maps a key to its group; a slot is live only while its stamp
 	// equals gen, so starting a chunk costs one increment, not a clear.
@@ -188,10 +153,9 @@ func (fs *frameScratch) arm(s *Snapshot) {
 	fs.hashes = fs.hashes[:len(s.hashes)*FrameChunk]
 }
 
-// FrameVectorized reports whether ProcessFrames runs every rule of this
-// snapshot on the column stage: false when some rule runs in packet order —
-// the pipeline has spliced groups, or an enabled main-pass rule is sampled.
-func (s *Snapshot) FrameVectorized() bool { return s.frameVec }
+// FrameVectorized reports whether the plan runs every CMU on the column
+// stage: no enabled main-pass rule is sampled and no spliced group live.
+func (s *Snapshot) FrameVectorized() bool { return len(s.plan.ordered)+len(s.plan.spliced) == 0 }
 
 // ProcessFrames pushes frames [lo, hi) of t through the compiled pipeline
 // with no packet materialization. Results — register contents, result-bus
@@ -207,8 +171,8 @@ func (s *Snapshot) ProcessFrames(pc *ProcCtx, t *mmtrace.Trace, lo, hi int) {
 }
 
 // processFrameChunk runs one chunk of n frames (recs holds exactly their
-// record bytes) through every stage: the column stage for every main-pass
-// CMU that is not ordered, then the packet-order pass for the rest.
+// record bytes) through every stage: the plan's column CMUs over the whole
+// chunk, then the packet-order pass for the rest.
 func (s *Snapshot) processFrameChunk(pc *ProcCtx, recs []byte, n int) {
 	fs := s.digestChunk(pc, recs, n)
 	// Fresh PHV per frame: the result bus starts from reset state.
@@ -217,17 +181,12 @@ func (s *Snapshot) processFrameChunk(pc *ProcCtx, recs []byte, n int) {
 		fs.busMin[i] = ^uint32(0)
 		fs.busNew[i] = false
 	}
-	// Stage 3: the unordered CMUs in pipeline order, each over the whole
+	// Stage 3: the column CMUs in pipeline order, each over the whole
 	// chunk.
-	for gi := range s.groups {
-		sg := &s.groups[gi]
-		for ci := range sg.cmus {
-			if !sg.cmus[ci].ordered {
-				cmuFrames(pc, &sg.cmus[ci], recs, n)
-			}
-		}
+	for ci := range s.plan.column {
+		cmuFrames(pc, &s.plan.column[ci], recs, n)
 	}
-	if !s.frameVec {
+	if !s.FrameVectorized() {
 		s.pl.packetOrder.Add(uint64(n))
 		s.orderedFrames(pc, fs, recs, n)
 	}
@@ -245,8 +204,8 @@ func (s *Snapshot) digestChunk(pc *ProcCtx, recs []byte, n int) *frameScratch {
 
 	// Stage 1: group the chunk's frames by their union key.
 	reps := allFrames[:n]
-	if s.groupKeys {
-		reps = fs.group(&s.keyMask, recs, n)
+	if s.plan.grouped {
+		reps = fs.group(&s.plan.keyMask, recs, n)
 	}
 	fs.nrep = len(reps)
 	// Stage 2: the representatives' masked canonical keys, one mask at a
@@ -269,13 +228,14 @@ func (s *Snapshot) digestChunk(pc *ProcCtx, recs []byte, n int) *frameScratch {
 	return fs
 }
 
-// orderedFrames is the chunk's packet-order pass: Snapshot.Process on each
-// frame an ordered rule or a spliced filter matches, in trace order, with
-// the digests of the frame's group.
+// orderedFrames is the chunk's packet-order pass: Snapshot.Process, in
+// trace order with its group's digests, on each frame a packet-order rule
+// or a spliced filter matches (no other would draw a coin or execute) —
+// the plan's ordered CMUs, then, mirrored, its spliced ones. Exact for the
+// column stage's reason: a column CMU draws no coin, owns its register and
+// in a bus-quiet snapshot neither reads nor feeds another CMU; coins fall
+// as in Process, so a reconfiguration changes the form, never results.
 func (s *Snapshot) orderedFrames(pc *ProcCtx, fs *frameScratch, recs []byte, n int) {
-	if len(s.frameMatch) == 0 {
-		return
-	}
 	if cap(pc.hashes) < len(s.hashes) {
 		pc.hashes = make([]uint32, len(s.hashes))
 	}
@@ -284,25 +244,20 @@ func (s *Snapshot) orderedFrames(pc *ProcCtx, fs *frameScratch, recs []byte, n i
 	rec := 0
 	for i := 0; i < n; i++ {
 		v := frameAt(recs, int32(i))
-		if !matchesAnyFrame(s.frameMatch, v) {
+		if !matchesAnyFrame(s.plan.frameMatch, v) {
 			continue
 		}
 		v.Decode(p)
 		row := i
-		if s.groupKeys {
+		if s.plan.grouped {
 			row = int(fs.grp[i])
 		}
 		for h := range pc.hashes {
 			pc.hashes[h] = fs.hashes[h*FrameChunk+row]
 		}
 		pc.reset(p)
-		for gi := range s.groups {
-			sg := &s.groups[gi]
-			for ci := range sg.cmus {
-				if sg.cmus[ci].ordered {
-					sg.cmus[ci].process(&pc.Ctx, pc.hashes)
-				}
-			}
+		for ci := range s.plan.ordered {
+			s.plan.ordered[ci].process(&pc.Ctx, pc.hashes)
 		}
 		if len(s.splicedMatch) == 0 || !s.wants(p) {
 			continue
@@ -310,8 +265,8 @@ func (s *Snapshot) orderedFrames(pc *ProcCtx, fs *frameScratch, recs []byte, n i
 		// The mirrored copy re-enters the pipeline: a fresh PHV.
 		rec++
 		pc.reset(p)
-		for gi := range s.spliced {
-			s.spliced[gi].process(pc)
+		for ci := range s.plan.spliced {
+			s.plan.spliced[ci].process(&pc.Ctx, pc.hashes)
 		}
 	}
 	if rec > 0 {
@@ -395,7 +350,7 @@ func (fs *frameScratch) group(km *[2]uint64, recs []byte, n int) []int32 {
 // as every frame of the chunk, whose rows are the group column itself.
 func (fs *frameScratch) digestRows(sel []int32, whole bool) []int32 {
 	switch {
-	case !fs.snap.groupKeys:
+	case !fs.snap.plan.grouped:
 		return sel
 	case whole:
 		return fs.grp[:len(sel)]
@@ -439,12 +394,11 @@ func cmuFrames(pc *ProcCtx, sc *snapCMU, recs []byte, n int) {
 }
 
 // ruleFrames runs one compiled rule over its selected frames (sel nil =
-// every frame in the chunk) as a column pipeline, mirroring
-// compiledRule.exec stage for stage: the bucket-index column, one column
-// per parameter, the preparation kernel, one batched register call, and
-// the witness scatter back onto the result bus. Each column is one loop
-// with its kind switch outside it; columns that read digests read each
-// frame's through its group (frameScratch.digestRows).
+// every frame in the chunk) with the kernel the plan gave it. The generic
+// kernel mirrors compiledRule.exec stage for stage: the bucket-index
+// column, one column per parameter, the preparation kernel, one batched
+// register call and, when the rule scatters, the witness scatter. Digest
+// columns read each frame's digests through its group (digestRows).
 func ruleFrames(pc *ProcCtx, r *compiledRule, recs []byte, n int, sel []int32) {
 	fs := &pc.frames
 	whole := sel == nil
@@ -455,14 +409,11 @@ func ruleFrames(pc *ProcCtx, r *compiledRule, recs []byte, n int, sel []int32) {
 	if r.teleSlot >= 0 {
 		pc.tele[r.teleSlot] += uint64(len(sel))
 	}
-	// Frequency-sketch fast path, the pipeline with no parameter columns:
-	// with no bus consumers in the snapshot the witnesses are dead, and a
-	// constant saturating add needs only the index column, applied with the
-	// witness-free base-bucket add (a fetch-and-add, or a plain add for a
-	// single writer) or the lane add. A match-all base-bucket rule gathers
-	// one index per group and adds count·p1 to each.
 	lane := r.sharded && pc.Ctx.Shard >= 0
-	if r.fastAdd && fs.snap.busQuiet && (lane || r.fastAddFull) {
+	switch r.kernel {
+	case kernelAddCounts:
+		// The index column only, applied with the witness-free add; one
+		// index per group and count·p1 for a whole chunk on the base buckets.
 		if whole && !lane {
 			idx := fs.upIdx[:fs.nrep]
 			gatherIdxFrames(r, fs, allFrames[:fs.nrep], idx)
@@ -481,10 +432,11 @@ func ruleFrames(pc *ProcCtx, r *compiledRule, recs []byte, n int, sel []int32) {
 			r.reg.ApplyAddBatch(idx, r.p1.value)
 		}
 		return
-	}
-	if r.combine && whole && fs.nrep < n && fs.snap.busQuiet {
-		ruleCombined(pc, r, recs, n, lane)
-		return
+	case kernelCombined, kernelFoldedP1:
+		if whole && fs.nrep < n {
+			ruleCombined(pc, r, recs, n, lane)
+			return
+		}
 	}
 	m := len(sel)
 	rows := fs.digestRows(sel, whole)
@@ -516,9 +468,7 @@ func ruleFrames(pc *ProcCtx, r *compiledRule, recs []byte, n int, sel []int32) {
 	} else {
 		r.reg.ApplyBatch(r.op, idx[:k], p1[:k], p2[:k], fs.upRes[:k], fs.upOld[:k])
 	}
-	if fs.snap.busQuiet {
-		// No rule in the snapshot reads the bus: the scatter would only
-		// write dead values.
+	if !r.scatter {
 		return
 	}
 	for j, f := range frames {
@@ -534,12 +484,12 @@ func ruleFrames(pc *ProcCtx, r *compiledRule, recs []byte, n int, sel []int32) {
 	}
 }
 
-// ruleCombined runs an idempotent rule (compiledRule.combine) that owns
-// every frame of a grouped chunk of n frames in a bus-quiet snapshot, one
-// update per group: the index column over the representatives' digest rows,
-// then p1 either as a column over the representatives followed by the
-// preparation stage (a dropped group drops all its frames) or, for per-frame
-// metadata, folded per group under the op (frameScratch.reduceP1).
+// ruleCombined runs a kernelCombined or kernelFoldedP1 rule that owns every
+// frame of a grouped chunk of n frames, one update per group: the index
+// column over the representatives' digest rows, then p1 either as a column
+// over the representatives followed by the preparation stage (a dropped
+// group drops all its frames) or, folded, per group under the op
+// (frameScratch.reduceP1).
 func ruleCombined(pc *ProcCtx, r *compiledRule, recs []byte, n int, lane bool) {
 	fs := &pc.frames
 	m := fs.nrep
@@ -548,7 +498,7 @@ func ruleCombined(pc *ProcCtx, r *compiledRule, recs []byte, n int, lane bool) {
 	gatherIdxFrames(r, fs, groups, idx)
 	fs.paramColumn(&r.p2, recs, reps, groups, p2)
 	k := m
-	if r.reduceP1 {
+	if r.kernel == kernelFoldedP1 {
 		fs.reduceP1(r, recs, n)
 	} else {
 		fs.paramColumn(&r.p1, recs, reps, groups, p1)

@@ -291,6 +291,15 @@ func TestProcessFramesMatchesProcessBatch(t *testing.T) {
 	}
 }
 
+// cmsPipeline is one group holding a three-row five-tuple CMS on registers
+// of the given width and bucket count.
+func cmsPipeline(t *testing.T, width, buckets int) *Pipeline {
+	t.Helper()
+	g := NewGroup(GroupConfig{ID: 0, Buckets: buckets, BitWidth: width})
+	buildCMS(t, g, 1, 3, buckets)
+	return NewPipelineWith(g)
+}
+
 // TestProcessFramesShardedMatchesSequential: the frame engine through a
 // lane-owning context, drained, must equal the sequential packet path. Uses
 // the mergeable CMS pipeline (bus consumers would pin rules to CAS).
@@ -298,11 +307,7 @@ func TestProcessFramesShardedMatchesSequential(t *testing.T) {
 	tr := trace.Generate(trace.Config{Flows: 300, Packets: 12_000, Seed: 12})
 	mt := writeFrameTrace(t, tr.Packets)
 
-	build := func() *Pipeline {
-		g := NewGroup(GroupConfig{ID: 0, Buckets: 4096, BitWidth: 32})
-		buildCMS(t, g, 1, 3, 4096)
-		return NewPipelineWith(g)
-	}
+	build := func() *Pipeline { return cmsPipeline(t, 32, 4096) }
 
 	want := build()
 	want.Compile().ProcessBatchCtx(NewProcCtx(), tr.Packets)
@@ -512,20 +517,6 @@ func sampledBus(t *testing.T) *Pipeline {
 	return NewPipelineWith(groups...)
 }
 
-// columnCMUs counts the main-pass CMUs the frame engine runs on the column
-// stage: every one that is not ordered.
-func columnCMUs(s *Snapshot) int {
-	n := 0
-	for _, sg := range s.groups {
-		for _, sc := range sg.cmus {
-			if !sc.ordered {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // taskHits sums the rule hits of task id in a telemetry fold.
 func taskHits(tele telemetry.DataPlane, id int) uint64 {
 	n := uint64(0)
@@ -535,6 +526,40 @@ func taskHits(tele telemetry.DataPlane, id int) uint64 {
 		}
 	}
 	return n
+}
+
+// sampledRow is one five-tuple counter row sampled at p = 0.5.
+func sampledRow(t *testing.T) *Pipeline {
+	t.Helper()
+	g := NewGroup(GroupConfig{ID: 0, Buckets: 2048, BitWidth: 32})
+	if err := g.ConfigureUnit(0, packet.KeyFiveTuple); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.CMU(0).InstallRule(&Rule{
+		TaskID: 1, Filter: packet.MatchAll,
+		Key: FullKey(0), P1: Const(1), P2: MaxValue(),
+		Mem: MemRange{Base: 0, Buckets: 2048}, Op: dataplane.OpCondAdd,
+		Prob: 0.5,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return NewPipelineWith(g)
+}
+
+// splicedRow is a one-row five-tuple CMS beside a spliced group mirroring
+// every packet into another.
+func splicedRow(t *testing.T) *Pipeline {
+	t.Helper()
+	pl := NewPipeline(0)
+	g := NewGroup(GroupConfig{ID: 0, Buckets: 2048, BitWidth: 32})
+	buildCMS(t, g, 1, 1, 2048)
+	pl.groups = append(pl.groups, g)
+	sp := NewGroup(GroupConfig{ID: 100, Buckets: 2048, BitWidth: 32})
+	buildCMS(t, sp, 2, 1, 2048)
+	if err := pl.AddSpliced(sp); err != nil {
+		t.Fatal(err)
+	}
+	return pl
 }
 
 // TestProcessFramesFallbacks: snapshots with rules the column stage cannot
@@ -547,21 +572,7 @@ func TestProcessFramesFallbacks(t *testing.T) {
 	mt := writeFrameTrace(t, tr.Packets)
 
 	t.Run("probabilistic", func(t *testing.T) {
-		build := func() *Pipeline {
-			g := NewGroup(GroupConfig{ID: 0, Buckets: 2048, BitWidth: 32})
-			if err := g.ConfigureUnit(0, packet.KeyFiveTuple); err != nil {
-				t.Fatal(err)
-			}
-			if err := g.CMU(0).InstallRule(&Rule{
-				TaskID: 1, Filter: packet.MatchAll,
-				Key: FullKey(0), P1: Const(1), P2: MaxValue(),
-				Mem: MemRange{Base: 0, Buckets: 2048}, Op: dataplane.OpCondAdd,
-				Prob: 0.5,
-			}); err != nil {
-				t.Fatal(err)
-			}
-			return NewPipelineWith(g)
-		}
+		build := func() *Pipeline { return sampledRow(t) }
 		want := build()
 		want.Compile().ProcessBatchCtx(NewProcCtx(), tr.Packets)
 
@@ -575,18 +586,7 @@ func TestProcessFramesFallbacks(t *testing.T) {
 	})
 
 	t.Run("spliced", func(t *testing.T) {
-		build := func() *Pipeline {
-			pl := NewPipeline(0)
-			g := NewGroup(GroupConfig{ID: 0, Buckets: 2048, BitWidth: 32})
-			buildCMS(t, g, 1, 1, 2048)
-			pl.groups = append(pl.groups, g)
-			sp := NewGroup(GroupConfig{ID: 100, Buckets: 2048, BitWidth: 32})
-			buildCMS(t, sp, 2, 1, 2048)
-			if err := pl.AddSpliced(sp); err != nil {
-				t.Fatal(err)
-			}
-			return pl
-		}
+		build := func() *Pipeline { return splicedRow(t) }
 		want := build()
 		want.Compile().ProcessBatchCtx(NewProcCtx(), tr.Packets)
 
@@ -618,8 +618,8 @@ func TestProcessFramesFallbacks(t *testing.T) {
 			ps[i].SrcIP = ps[i].SrcIP&0x00ff_ffff | (ps[i].SrcIP&1)<<24
 		}
 		s, tele := framesMatchBatch(t, func() *Pipeline { return sampledChurnShape(t, 1) }, nil, ps, spans...)
-		if s.FrameVectorized() || columnCMUs(s) != 6 {
-			t.Fatalf("vectorised %v, %d column CMUs; want false, churnShape's 6", s.FrameVectorized(), columnCMUs(s))
+		if s.FrameVectorized() || len(s.plan.column) != 6 {
+			t.Fatalf("vectorised %v, %d column CMUs; want false, churnShape's 6", s.FrameVectorized(), len(s.plan.column))
 		}
 		if tele.Stages.Operation == tele.Stages.Initialization {
 			t.Fatal("no coupon draw was dropped: the preparation stage went unexercised")
@@ -631,8 +631,8 @@ func TestProcessFramesFallbacks(t *testing.T) {
 
 	t.Run("spliced-own-mask", func(t *testing.T) {
 		s, _ := framesMatchBatch(t, func() *Pipeline { return splicedOwnMask(t) }, nil, zipf.Packets, spans...)
-		if s.FrameVectorized() || columnCMUs(s) != 2 {
-			t.Fatalf("vectorised %v, %d column CMUs; want false, the main CMS's 2", s.FrameVectorized(), columnCMUs(s))
+		if s.FrameVectorized() || len(s.plan.column) != 2 {
+			t.Fatalf("vectorised %v, %d column CMUs; want false, the main CMS's 2", s.FrameVectorized(), len(s.plan.column))
 		}
 		if len(s.masks) <= s.nMainMasks || s.pl.Recirculated() == 0 {
 			t.Fatalf("%d masks, %d read by the main pass, %d recirculated: the spliced pass must read a mask of its own and run",
@@ -656,8 +656,8 @@ func TestProcessFramesFallbacks(t *testing.T) {
 
 	t.Run("sampled-shares-cmu", func(t *testing.T) {
 		s, tele := framesMatchBatch(t, func() *Pipeline { return sampledShared(t) }, nil, split, awkward...)
-		if s.FrameVectorized() || columnCMUs(s) != 7 {
-			t.Fatalf("vectorised %v, %d column CMUs; want false, 7 (all but the two shared ones)", s.FrameVectorized(), columnCMUs(s))
+		if s.FrameVectorized() || len(s.plan.column) != 7 {
+			t.Fatalf("vectorised %v, %d column CMUs; want false, 7 (all but the two shared ones)", s.FrameVectorized(), len(s.plan.column))
 		}
 		coins(t, tele, 5, 2)
 		if n := taskHits(tele, 6); n == 0 {
@@ -667,8 +667,8 @@ func TestProcessFramesFallbacks(t *testing.T) {
 
 	t.Run("sampled-two-groups", func(t *testing.T) {
 		s, tele := framesMatchBatch(t, func() *Pipeline { return sampledTwice(t) }, nil, split, awkward...)
-		if s.FrameVectorized() || columnCMUs(s) != 6 {
-			t.Fatalf("vectorised %v, %d column CMUs; want false, churnShape's 6", s.FrameVectorized(), columnCMUs(s))
+		if s.FrameVectorized() || len(s.plan.column) != 6 {
+			t.Fatalf("vectorised %v, %d column CMUs; want false, churnShape's 6", s.FrameVectorized(), len(s.plan.column))
 		}
 		coins(t, tele, 5, 3)
 		coins(t, tele, 8, 2)
@@ -676,8 +676,8 @@ func TestProcessFramesFallbacks(t *testing.T) {
 
 	t.Run("sampled-spliced", func(t *testing.T) {
 		s, tele := framesMatchBatch(t, func() *Pipeline { return sampledSpliced(t) }, nil, split, awkward...)
-		if s.FrameVectorized() || columnCMUs(s) != 2 {
-			t.Fatalf("vectorised %v, %d column CMUs; want false, the main CMS's 2", s.FrameVectorized(), columnCMUs(s))
+		if s.FrameVectorized() || len(s.plan.column) != 2 {
+			t.Fatalf("vectorised %v, %d column CMUs; want false, the main CMS's 2", s.FrameVectorized(), len(s.plan.column))
 		}
 		coins(t, tele, 5, 3)
 		coins(t, tele, 3, 1)
@@ -688,8 +688,8 @@ func TestProcessFramesFallbacks(t *testing.T) {
 
 	t.Run("sampled-bus", func(t *testing.T) {
 		s, tele := framesMatchBatch(t, func() *Pipeline { return sampledBus(t) }, nil, split, awkward...)
-		if s.FrameVectorized() || s.busQuiet || columnCMUs(s) != 0 {
-			t.Fatalf("vectorised %v, bus-quiet %v, %d column CMUs; want false, false, 0", s.FrameVectorized(), s.busQuiet, columnCMUs(s))
+		if s.FrameVectorized() || s.plan.quiet || len(s.plan.column) != 0 {
+			t.Fatalf("vectorised %v, bus-quiet %v, %d column CMUs; want false, false, 0", s.FrameVectorized(), s.plan.quiet, len(s.plan.column))
 		}
 		coins(t, tele, 1, 2)
 	})
@@ -734,8 +734,8 @@ func TestProcessFramesColumnShapes(t *testing.T) {
 	}{{"quiet", true}, {"bus", false}} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, tele := framesMatchBatch(t, func() *Pipeline { return buildColumnsPipeline(t, tc.quiet) }, nil, tr.Packets)
-			if !s.FrameVectorized() || s.busQuiet != tc.quiet {
-				t.Fatalf("vectorised %v, bus-quiet %v; want true, %v", s.FrameVectorized(), s.busQuiet, tc.quiet)
+			if !s.FrameVectorized() || s.plan.quiet != tc.quiet {
+				t.Fatalf("vectorised %v, bus-quiet %v; want true, %v", s.FrameVectorized(), s.plan.quiet, tc.quiet)
 			}
 			if tele.Stages.Preparation == 0 || s.pl.Group(2).CMU(0).Register().Clamps() == 0 {
 				t.Fatal("no preparation-stage work or no 16-bit clamp: the kernels went unexercised")
@@ -744,28 +744,33 @@ func TestProcessFramesColumnShapes(t *testing.T) {
 	}
 }
 
+// manyRules is one CMU holding n counters on one bucket each, rule r over
+// destination port r+1.
+func manyRules(t *testing.T, n int) *Pipeline {
+	t.Helper()
+	g := NewGroup(GroupConfig{ID: 0, Buckets: 512, BitWidth: 32})
+	if err := g.ConfigureUnit(0, packet.KeyFiveTuple); err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < n; r++ {
+		if err := g.CMU(0).InstallRule(&Rule{
+			TaskID: r + 1, Filter: packet.Filter{DstPort: uint16(r + 1)},
+			Key: FullKey(0), P1: Const(1), P2: MaxValue(),
+			Mem: MemRange{Base: r, Buckets: 1}, Op: dataplane.OpCondAdd,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return NewPipelineWith(g)
+}
+
 // TestProcessFramesManyRules: a CMU may hold as many rules as its register
 // has buckets. 300 disjoint DstPort filters on one bucket each must route
 // every frame to its own rule; a first-match selection stored in a byte
 // drops rule 255's frames and credits rule 256 onwards to rule ri−256.
 func TestProcessFramesManyRules(t *testing.T) {
 	const rules = 300
-	build := func() *Pipeline {
-		g := NewGroup(GroupConfig{ID: 0, Buckets: 512, BitWidth: 32})
-		if err := g.ConfigureUnit(0, packet.KeyFiveTuple); err != nil {
-			t.Fatal(err)
-		}
-		for r := 0; r < rules; r++ {
-			if err := g.CMU(0).InstallRule(&Rule{
-				TaskID: r + 1, Filter: packet.Filter{DstPort: uint16(r + 1)},
-				Key: FullKey(0), P1: Const(1), P2: MaxValue(),
-				Mem: MemRange{Base: r, Buckets: 1}, Op: dataplane.OpCondAdd,
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return NewPipelineWith(g)
-	}
+	build := func() *Pipeline { return manyRules(t, rules) }
 	ps := make([]packet.Packet, 10*rules)
 	for i := range ps {
 		ps[i] = packet.Packet{SrcIP: uint32(i), DstIP: 9, SrcPort: 80, DstPort: uint16(1 + i%rules), Proto: 6, Size: 64}
@@ -792,11 +797,7 @@ func TestProcessFramesQuietAddPath(t *testing.T) {
 		{"narrow", 8, 256},       // generic fallback: clamps and saturation live
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			build := func() *Pipeline {
-				g := NewGroup(GroupConfig{ID: 0, Buckets: tc.buckets, BitWidth: tc.width})
-				buildCMS(t, g, 1, 3, tc.buckets)
-				return NewPipelineWith(g)
-			}
+			build := func() *Pipeline { return cmsPipeline(t, tc.width, tc.buckets) }
 			want := build()
 			want.Compile().ProcessBatchCtx(NewProcCtx(), tr.Packets)
 
@@ -804,14 +805,8 @@ func TestProcessFramesQuietAddPath(t *testing.T) {
 				got := build()
 				got.SetSingleWriter(pol.single)
 				s := got.Compile()
-				if !s.busQuiet {
-					t.Fatal("CMS pipeline must compile bus-quiet")
-				}
-				if !s.groups[0].cmus[0].prog[0].fastAdd {
-					t.Fatal("CMS row must compile as fastAdd")
-				}
-				if full := s.groups[0].cmus[0].prog[0].fastAddFull; full != (tc.width == 32) {
-					t.Fatalf("fastAddFull = %v for %d-bit register", full, tc.width)
+				if add := s.plan.column[0].prog[0].kernel == kernelAddCounts; add != (tc.width == 32) {
+					t.Fatalf("add-counts kernel %v for a %d-bit register", add, tc.width)
 				}
 				s.ProcessFrames(NewProcCtx(), mt, 0, mt.Frames())
 
@@ -826,14 +821,10 @@ func TestProcessFramesQuietAddPath(t *testing.T) {
 		})
 	}
 
-	// Narrow sharded lanes: ShardApplyAddBatch must reproduce ShardApply's
+	// Narrow sharded lanes: the lane path must reproduce ShardApply's
 	// saturation and clamp accounting through the drain.
 	t.Run("narrow-sharded", func(t *testing.T) {
-		build := func() *Pipeline {
-			g := NewGroup(GroupConfig{ID: 0, Buckets: 256, BitWidth: 8})
-			buildCMS(t, g, 1, 3, 256)
-			return NewPipelineWith(g)
-		}
+		build := func() *Pipeline { return cmsPipeline(t, 8, 256) }
 		want := build()
 		want.Compile().ProcessBatchCtx(NewProcCtx(), tr.Packets)
 

@@ -63,7 +63,7 @@ func constP2(r *Rule) (uint32, bool) {
 //   - XOR always merges (abelian group, identity 0).
 //
 // Rules that produce bus state consumed elsewhere are excluded by the
-// caller's snapshot-wide busConsumer scan; DetectNew and ChainMin
+// planner's snapshot-wide busConsumer scan; DetectNew and ChainMin
 // producers are rejected here as well since their semantics are defined in
 // terms of globally-witnessed old values.
 func shardEligible(r *Rule, mask uint32) bool {

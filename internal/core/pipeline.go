@@ -229,9 +229,9 @@ func (pl *Pipeline) Recirculated() uint64 { return pl.recirculated.Load() }
 
 // PacketOrderFrames returns the number of frames the frame engine ran under
 // a snapshot that is not frame-vectorised (Snapshot.FrameVectorized): one
-// whose sampled rules or spliced groups take a packet-order pass beside the
-// column stage. PacketOrderFrames/Packets is the share of traffic that met
-// such a pass.
+// whose plan runs sampled rules or live spliced groups in a packet-order
+// pass. PacketOrderFrames/Packets is the share of traffic that met such a
+// pass.
 func (pl *Pipeline) PacketOrderFrames() uint64 { return pl.packetOrder.Load() }
 
 // FindTask locates a task's rule: it returns the group, CMU index and rule

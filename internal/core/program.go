@@ -216,11 +216,11 @@ type compiledRule struct {
 	chainMin  bool
 	detectNew bool
 
-	// sharded routes the stateful op to the worker's private register lane
-	// (plain stores, merged at readout) instead of the shared CAS bucket.
-	// Set only when the op is exactly mergeable, the register has lanes,
-	// and no rule in the snapshot consumes the result bus — see
-	// mergeable.go.
+	// The plan's (planRule): the column-stage kernel, whether witnesses go
+	// back onto the result bus, and whether a lane-owning worker applies
+	// the rule to its private lane (mergeable.go), not the shared bucket.
+	kernel  kernel
+	scatter bool
 	sharded bool
 
 	// teleSlot indexes the worker's pending-hit accumulator (Context.Tele)
@@ -229,32 +229,12 @@ type compiledRule struct {
 	// packet reaching its pass (first in program, match-all, unsampled) and
 	// derives its hits from the snapshot packet counter instead.
 	teleSlot int32
-
-	// fastAdd marks the frequency-sketch shape — an unconditional saturating
-	// add of a constant (OpCondAdd, constant p1, constant p2 at the
-	// saturation bound, no preparation stage and no bus production) — which
-	// the frame engine can run as one fetch-and-add per update with no
-	// witness traffic, provided nothing in the snapshot reads the result bus
-	// (Snapshot.busQuiet). fastAddFull additionally records a full-width
-	// register, the precondition for the shared-path ApplyAddBatch.
-	fastAdd     bool
-	fastAddFull bool
-
-	// combine marks an idempotent rule the frame engine may run as one
-	// update per flow group (ruleCombined): a MAX, or an AND-OR with a
-	// constant p2 (an OR and an AND of one bucket do not commute), that
-	// reads no bus and is not sampled, whose p2 is a constant or a
-	// compressed key and whose p1 is too, or is per-frame metadata with no
-	// preparation stage — then reduceP1 is set and the group's p1 values
-	// are folded under the op first.
-	combine  bool
-	reduceP1 bool
 }
 
-// compileRule flattens one enabled rule against its CMU's register and its
-// group's unit→hash-slot map. allowShard is the snapshot-wide verdict of
-// the bus-consumer scan: false pins every rule to the shared CAS path.
-func compileRule(r *Rule, reg *dataplane.Register, unitHash []int, allowShard bool) compiledRule {
+// compileRule lowers one enabled rule against its CMU's register and its
+// group's unit→hash-slot map: match, selectors, parameters and address
+// translation. How it runs is the plan's (planRule).
+func compileRule(r *Rule, reg *dataplane.Register, unitHash []int) compiledRule {
 	cr := compiledRule{
 		teleSlot:  -1,
 		match:     compileMatch(r.Filter),
@@ -270,7 +250,6 @@ func compileRule(r *Rule, reg *dataplane.Register, unitHash []int, allowShard bo
 		hasPrep:   r.Prep.Kind != TransformNone,
 		chainMin:  r.ChainMin,
 		detectNew: r.DetectNew,
-		sharded:   allowShard && reg.Shards() > 0 && shardEligible(r, reg.Mask()),
 	}
 	n := uint32(r.Mem.Buckets)
 	switch {
@@ -284,20 +263,6 @@ func compileRule(r *Rule, reg *dataplane.Register, unitHash []int, allowShard bo
 	default:
 		cr.addrMask = n - 1
 	}
-	cr.fastAdd = cr.op == dataplane.OpCondAdd &&
-		!cr.hasPrep && !cr.probGated && !cr.chainMin && !cr.detectNew &&
-		cr.p1.kind == ParamConst && cr.p2.kind == ParamConst &&
-		cr.p2.value&reg.Mask() == reg.Mask()
-	cr.fastAddFull = cr.fastAdd && reg.Mask() == ^uint32(0)
-	uniform := func(k ParamKind) bool { return k == ParamConst || k == ParamCompressedKey }
-	metaP1 := false
-	switch cr.p1.kind {
-	case ParamPacketSize, ParamTimestampUs, ParamQueueLength, ParamQueueDelay:
-		metaP1 = !cr.hasPrep
-	}
-	cr.combine = (cr.op == dataplane.OpMax || cr.op == dataplane.OpAndOr && cr.p2.kind == ParamConst) &&
-		!cr.probGated && !busConsumer(r) && uniform(cr.p2.kind) && (uniform(cr.p1.kind) || metaP1)
-	cr.reduceP1 = cr.combine && metaP1
 	return cr
 }
 

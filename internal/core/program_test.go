@@ -130,7 +130,7 @@ func TestCompiledTranslateEquivalence(t *testing.T) {
 	for _, mem := range mems {
 		for _, method := range []TranslationMethod{ShiftBased, TCAMBased} {
 			r := &Rule{Key: FullKey(0), Mem: mem, Translation: method}
-			cr := compileRule(r, nil, unitHash, false)
+			cr := compileRule(r, nil, unitHash)
 			for trial := 0; trial < 1000; trial++ {
 				addr := rng.Uint32()
 				var got uint32

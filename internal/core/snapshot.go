@@ -65,42 +65,11 @@ type Snapshot struct {
 
 	// blocks partition hashes by mask, one per entry of masks, spliced
 	// masks included: the frame engine digests all of a mask's slots in one
-	// fused pass (frames.go), on either form of stage 3. keyMask is the
-	// union of masks packed as the frame engine's grouping key; groupKeys
-	// is false when that union reads the timestamp, which no two frames of
-	// a chunk share, so the engine does not group (groupKeyMask).
-	blocks    []digestBlock
-	keyMask   [2]uint64
-	groupKeys bool
+	// fused pass (frames.go), on either form of stage 3.
+	blocks []digestBlock
 
-	// shardedRules / fallbackRules count the compile-time routing verdicts
-	// (mergeable.go): how many enabled rules run on private lanes vs the
-	// shared CAS path. Diagnostics for operators comparing modes.
-	shardedRules  int
-	fallbackRules int
-
-	// frameVec is FrameVectorized's verdict: the pipeline has no spliced
-	// groups and no enabled main-pass rule is sampled, so the frame engine
-	// runs every rule on the column stage. Pipeline.PacketOrderFrames counts
-	// the frames of every other snapshot.
-	frameVec bool
-	// orderAll: a main-pass rule is sampled in a snapshot that reads the
-	// bus, so every main-pass CMU is ordered (snapCMU.ordered) — the bus
-	// carries per-packet state through the CMUs in pipeline order. A program
-	// is kept across a republish only under the verdict it was compiled with.
-	orderAll bool
-	// frameMatch are the filters of every rule the frame engine runs frame
-	// by frame, compiled: the ordered main-pass CMUs' rules, then the
-	// enabled spliced rules, which splicedMatch shares as its tail. A frame
-	// none of them matches skips the packet-order pass.
-	frameMatch []compiledMatch
-
-	// busQuiet records that no enabled rule anywhere in the snapshot reads
-	// the cross-CMU result bus (same scan that authorizes sharding). The
-	// frame engine then skips the witness scatter entirely — every
-	// busRes/busOld/busMin/busNew write would be dead — and fastAdd rules
-	// drop to the witness-free fetch-and-add register path.
-	busQuiet bool
+	// plan is how the frame engine runs the snapshot (plan.go).
+	plan plan
 
 	// Telemetry wiring (telemetry.go), present only when the pipeline had a
 	// registry attached at Compile time. telePkts/teleRec hold the packets
@@ -147,9 +116,8 @@ type digestBlock struct {
 type groupProg struct {
 	sg   snapGroup
 	live bool // at least one enabled rule
-	// busConsumer: an enabled rule reads the cross-CMU result bus (it pins
-	// the snapshot to the shared path and the witness scatter); probGated:
-	// an enabled rule is sampled (the frame engine cannot vectorise it).
+	// busConsumer: an enabled rule reads the cross-CMU result bus;
+	// probGated: an enabled rule is sampled. Inputs to the plan.
 	busConsumer, probGated bool
 	// claims are the digests the group's enabled rules read, in unit order;
 	// slots[u] is the snapshot digest slot unit u resolved to when sg was
@@ -157,8 +125,6 @@ type groupProg struct {
 	// the same slots.
 	claims []unitClaim
 	slots  []int
-	// sharded and fallback count the group's rules per routing verdict.
-	sharded, fallback int
 	// teleBase is the snapshot telemetry slot of the group's first
 	// live-counted rule; teleSlots are those rules' counters, teleDerived the
 	// counters derived from the pass's packet count.
@@ -182,14 +148,11 @@ type snapGroup struct {
 }
 
 // snapCMU is one CMU's compiled rule program, in install (priority) order;
-// the first matching rule wins, enforcing one access per packet. ordered
-// marks a CMU the frame engine runs frame by frame in trace order instead of
-// on the column stage: it holds an enabled sampled rule (the coin stream
-// advances in packet order), it sits in a spliced group, or
-// Snapshot.orderAll holds.
+// the first matching rule wins, enforcing one access per packet. stage is
+// where the frame engine runs it (plan.go).
 type snapCMU struct {
-	prog    []compiledRule
-	ordered bool
+	prog  []compiledRule
+	stage stage
 }
 
 // Compile freezes the pipeline's current configuration into a Snapshot,
@@ -202,9 +165,9 @@ func (pl *Pipeline) Compile() *Snapshot { return pl.Recompile(nil, nil) }
 // groups (indices in pipeline order: regular groups, then spliced) since
 // prev was compiled from it. Every other group keeps prev's program as long
 // as its digests resolve to the same slots, its telemetry slots start at
-// the same index and the snapshot's sharding verdict stands; otherwise it
-// is compiled again. With a nil prev, or one compiled from another pipeline
-// or telemetry registry, every group is compiled. The result equals
+// the same index and the plan's inputs stand; otherwise it is compiled
+// again. With a nil prev, or one compiled from another pipeline or
+// telemetry registry, every group is compiled. The result equals
 // Compile's whenever the untouched groups really are unchanged — unit
 // configuration included — which the controller guarantees by marking
 // every group a mutation writes.
@@ -222,11 +185,7 @@ func (pl *Pipeline) Recompile(prev *Snapshot, touched []int) *Snapshot {
 	s := &Snapshot{pl: pl, progs: make([]*groupProg, n)}
 
 	// Per-group facts: rescanned for touched groups, shared with prev for
-	// the rest. Sharding is sound only while nothing can observe a
-	// lane-local result bus: one enabled bus consumer anywhere (SuMax's min
-	// chain, Counter Braids' PrevResult, max-interval's IntervalSub) pins
-	// the whole snapshot to the shared CAS path.
-	allowShard, sampledMain := true, false
+	// the rest.
 	live, liveReg := 0, 0
 	for gi := range s.progs {
 		if prev != nil && !slices.Contains(touched, gi) {
@@ -235,10 +194,6 @@ func (pl *Pipeline) Recompile(prev *Snapshot, touched []int) *Snapshot {
 			s.progs[gi] = scanGroup(group(gi))
 		}
 		p := s.progs[gi]
-		if p.busConsumer {
-			allowShard = false
-		}
-		sampledMain = sampledMain || (gi < nReg && p.probGated)
 		if p.live {
 			live++
 			if gi < nReg {
@@ -246,8 +201,8 @@ func (pl *Pipeline) Recompile(prev *Snapshot, touched []int) *Snapshot {
 			}
 		}
 	}
-	s.busQuiet, s.orderAll = allowShard, !allowShard && sampledMain
-	keep := prev != nil && prev.busQuiet == s.busQuiet && prev.orderAll == s.orderAll
+	s.plan.planInputs = newPlanInputs(s.progs, nReg)
+	keep := prev != nil && prev.plan.planInputs == s.plan.planInputs
 
 	// Digest slots and programs, in pipeline order: the recirculated pass's
 	// digests follow the first pass's. A kept program's claims must resolve
@@ -261,7 +216,7 @@ func (pl *Pipeline) Recompile(prev *Snapshot, touched []int) *Snapshot {
 	}
 	s.masks = make([][packet.NumFields]uint32, 0, capMasks)
 	s.hashes = make([]snapHash, 0, capHashes)
-	teleN, teleDerived := 0, 0
+	teleN, teleDerived, cmus := 0, 0, 0
 	for gi, p := range s.progs {
 		if gi == nReg {
 			s.nMainMasks, s.nMainHashes = len(s.masks), len(s.hashes)
@@ -285,14 +240,16 @@ func (pl *Pipeline) Recompile(prev *Snapshot, touched []int) *Snapshot {
 		}
 		teleN += len(p.teleSlots)
 		teleDerived += len(p.teleDerived)
+		cmus += len(p.sg.cmus)
 	}
 	if nReg == n {
 		s.nMainMasks, s.nMainHashes = len(s.masks), len(s.hashes)
 	}
 
-	// Assemble the snapshot-wide views from the per-group parts.
-	s.frameVec = len(pl.spliced) == 0 && !sampledMain
+	// Assemble the snapshot-wide views from the per-group parts, and the
+	// plan's stage lists in pipeline order.
 	s.groups = make([]snapGroup, 0, liveReg)
+	s.plan.column = make([]snapCMU, 0, cmus)
 	if live > liveReg {
 		s.spliced = make([]snapGroup, 0, live-liveReg)
 	}
@@ -305,28 +262,33 @@ func (pl *Pipeline) Recompile(prev *Snapshot, touched []int) *Snapshot {
 		if !p.live {
 			continue
 		}
-		s.shardedRules += p.sharded
-		s.fallbackRules += p.fallback
 		s.teleSlots = append(s.teleSlots, p.teleSlots...)
-		for ci := range p.sg.cmus {
-			if sc := &p.sg.cmus[ci]; sc.ordered {
-				for ri := range sc.prog {
-					s.frameMatch = append(s.frameMatch, sc.prog[ri].match)
-				}
+		for _, sc := range p.sg.cmus {
+			switch {
+			case sc.stage == stageColumn:
+				s.plan.column = append(s.plan.column, sc)
+				continue
+			case gi < nReg:
+				s.plan.ordered = append(s.plan.ordered, sc)
+			default:
+				s.plan.spliced = append(s.plan.spliced, sc)
+			}
+			for ri := range sc.prog {
+				s.plan.frameMatch = append(s.plan.frameMatch, sc.prog[ri].match)
 			}
 		}
 		if gi < nReg {
 			s.groups = append(s.groups, p.sg)
 			s.teleMain = append(s.teleMain, p.teleDerived...)
-			mainMatch = len(s.frameMatch)
+			mainMatch = len(s.plan.frameMatch)
 			continue
 		}
 		s.spliced = append(s.spliced, p.sg)
 		s.teleSpl = append(s.teleSpl, p.teleDerived...)
 	}
-	s.splicedMatch = s.frameMatch[mainMatch:]
+	s.splicedMatch = s.plan.frameMatch[mainMatch:]
 	s.blocks = s.digestBlocks()
-	s.keyMask, s.groupKeys = groupKeyMask(s.masks)
+	s.plan.keyMask, s.plan.grouped = groupKeyMask(s.masks)
 	if pl.tele != nil {
 		s.teleOn = true
 		s.teleReg = pl.tele
@@ -404,7 +366,7 @@ func (s *Snapshot) digestBlocks() []digestBlock {
 }
 
 // compile lowers group g (pipeline index gi) into p against s's digest
-// slots and its bus and ordering verdicts, numbering its live-counted
+// slots, plans each CMU under s's plan inputs, and numbers its live-counted
 // telemetry rules from teleBase. p's slices may be shared with an older
 // snapshot's copy of p, so every one is rebuilt.
 func (p *groupProg) compile(s *Snapshot, g *Group, gi int, spliced bool, teleBase int) {
@@ -415,23 +377,17 @@ func (p *groupProg) compile(s *Snapshot, g *Group, gi int, spliced bool, teleBas
 	for _, cl := range p.claims {
 		p.slots[cl.unit] = s.claim(cl)
 	}
-	p.sg = snapGroup{}
-	p.sharded, p.fallback = 0, 0
+	p.sg = snapGroup{cmus: make([]snapCMU, 0, len(g.cmus))}
 	p.teleBase, p.teleSlots, p.teleDerived = teleBase, nil, nil
 	tele := s.pl.tele
 	for ci, c := range g.cmus {
-		sc := snapCMU{ordered: spliced || s.orderAll}
+		sc := snapCMU{prog: make([]compiledRule, 0, len(c.rules)), stage: s.plan.cmuStage(c, spliced)}
 		for _, r := range c.rules {
 			if r.Disabled {
 				continue
 			}
-			cr := compileRule(r, c.register, p.slots, s.busQuiet)
-			sc.ordered = sc.ordered || cr.probGated
-			if cr.sharded {
-				p.sharded++
-			} else {
-				p.fallback++
-			}
+			cr := compileRule(r, c.register, p.slots)
+			s.plan.planRule(&cr, r, sc.stage)
 			if tele != nil {
 				// First-match semantics make a match-all, unsampled rule at
 				// program position 0 execute for every packet of its pass:
@@ -464,10 +420,20 @@ func (p *groupProg) compile(s *Snapshot, g *Group, gi int, spliced bool, teleBas
 	}
 }
 
-// ShardedRules returns the compile-time routing verdict: how many enabled
-// rules execute on private per-worker lanes vs the shared CAS path.
+// ShardedRules counts the plan's lane routing: how many enabled rules
+// execute on private per-worker lanes vs the shared CAS path.
 func (s *Snapshot) ShardedRules() (sharded, fallback int) {
-	return s.shardedRules, s.fallbackRules
+	for _, cmus := range [][]snapCMU{s.plan.column, s.plan.ordered, s.plan.spliced} {
+		for _, sc := range cmus {
+			for ri := range sc.prog {
+				if sc.prog[ri].sharded {
+					sharded++
+				}
+				fallback++
+			}
+		}
+	}
+	return sharded, fallback - sharded
 }
 
 // Process pushes one packet through the compiled pipeline. Safe for

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"flymon/internal/dataplane"
+	"flymon/internal/mmtrace"
 	"flymon/internal/packet"
 	"flymon/internal/trace"
 )
@@ -165,6 +166,23 @@ func TestFrozenSplicedTaskDoesNotRecirculate(t *testing.T) {
 	pl2.Compile().Process(NewProcCtx(), &p)
 	if pl2.Recirculated() != 0 {
 		t.Fatalf("compiled path must not recirculate for a frozen spliced task, got %d", pl2.Recirculated())
+	}
+}
+
+// TestFrozenSplicedTaskIsFrameVectorized: a spliced group whose only task is
+// frozen runs nothing in packet order, so the frame engine runs the main
+// pass on the column stage alone and counts no packet-order frame.
+func TestFrozenSplicedTaskIsFrameVectorized(t *testing.T) {
+	pl := splicedRow(t)
+	pl.spliced[0].CMU(0).RuleFor(2).Disabled = true
+	s := pl.Compile()
+	if !s.FrameVectorized() {
+		t.Fatal("a frozen spliced task must leave the snapshot frame-vectorised")
+	}
+	tr := trace.Generate(trace.Config{Flows: 100, Packets: 2_000, Seed: 21})
+	s.ProcessFrames(NewProcCtx(), mmtrace.FromPackets(tr.Packets), 0, len(tr.Packets))
+	if n := pl.PacketOrderFrames(); n != 0 {
+		t.Fatalf("%d frames ran in packet order beside a frozen spliced task, want 0", n)
 	}
 }
 
