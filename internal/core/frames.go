@@ -75,8 +75,7 @@ import (
 // (TestReplaySpanIsWholeChunks holds the two together). 512 frames keep the
 // scratch (digest matrix, bus, gather and grouping arrays) L2 resident for
 // a nine-group five-tuple pipeline — one mask, eight distinct digests, at
-// most 16 KB of digest matrix — while giving the batched register loops
-// enough depth for prefetch to overlap misses.
+// most 16 KB of digest matrix.
 const FrameChunk = 512
 
 // groupBits sizes the grouping open hash: 2^groupBits = groupSlots slots,
@@ -278,9 +277,10 @@ func (s *Snapshot) orderedFrames(pc *ProcCtx, fs *frameScratch, recs []byte, n i
 }
 
 // groupKeyMask packs the union (per-field OR) of masks into the two words
-// frameScratch.group reads from each record: source and destination address
-// in the first, ports and protocol in the second, each field narrowed to its
-// width the way packet.ExtractMasked narrows it. ok is false when the union
+// frameScratch.group reads from each record (FrameView.KeyWords): source
+// and destination address in the first, ports and protocol in the second,
+// each field narrowed to its width the way packet.ExtractMasked narrows it,
+// so no mask bit reaches the record's pad bytes. ok is false when the union
 // reads any other field — the timestamp, which no two frames of a chunk
 // share — and the engine then does not group.
 func groupKeyMask(masks [][packet.NumFields]uint32) (km [2]uint64, ok bool) {
@@ -306,11 +306,11 @@ func groupKeyMask(masks [][packet.NumFields]uint32) (km [2]uint64, ok bool) {
 	return km, ok
 }
 
-// group groups the chunk's n frames by their union key (the record's
-// address and port words under km, groupKeyMask's packing) into rep, cnt,
-// key and grp, in first-occurrence order, and returns the representatives.
-// The open hash is probed by a multiplicative hash of the key and confirmed
-// by comparing it.
+// group groups the chunk's n frames by their union key (the record's two
+// key words under km, groupKeyMask's packing) into rep, cnt, key and grp,
+// in first-occurrence order, and returns the representatives. The open
+// hash is probed by a multiplicative hash of the key and confirmed by
+// comparing it.
 func (fs *frameScratch) group(km *[2]uint64, recs []byte, n int) []int32 {
 	fs.gen++
 	if fs.gen == 0 { // wrapped: stamps of 2^32 chunks ago would read as live
@@ -318,24 +318,22 @@ func (fs *frameScratch) group(km *[2]uint64, recs []byte, n int) []int32 {
 		fs.gen = 1
 	}
 	gen, nrep := fs.gen, 0
+	km0, km1 := km[0], km[1]
 	grp := fs.grp[:n]
 	for i := range grp {
-		v := frameAt(recs, int32(i))
-		k := [2]uint64{
-			(uint64(v.SrcIP()) | uint64(v.DstIP())<<32) & km[0],
-			(uint64(v.SrcPort()) | uint64(v.DstPort())<<16 | uint64(v.Proto())<<32) & km[1],
-		}
-		h := uint32(((k[0] ^ bits.RotateLeft64(k[1], 29)) * 0x9e3779b97f4a7c15) >> (64 - groupBits))
+		w0, w1 := frameAt(recs, int32(i)).KeyWords()
+		k0, k1 := w0&km0, w1&km1
+		h := uint32(((k0 ^ bits.RotateLeft64(k1, 29)) * 0x9e3779b97f4a7c15) >> (64 - groupBits))
 		for s := h; ; s++ {
 			s &= groupSlots - 1
 			if fs.stamp[s] != gen {
 				fs.stamp[s], fs.entry[s] = gen, uint16(nrep)
-				fs.rep[nrep], fs.cnt[nrep], fs.key[nrep] = int32(i), 1, k
+				fs.rep[nrep], fs.cnt[nrep], fs.key[nrep] = int32(i), 1, [2]uint64{k0, k1}
 				grp[i] = int32(nrep)
 				nrep++
 				break
 			}
-			if e := fs.entry[s]; fs.key[e] == k {
+			if e := fs.entry[s]; fs.key[e][0] == k0 && fs.key[e][1] == k1 {
 				fs.cnt[e]++
 				grp[i] = int32(e)
 				break

@@ -7,25 +7,12 @@ import (
 
 // Batched register application — the grouped-update half of the
 // FrameView-native engine. The packet-at-a-time paths (Apply/ShardApply)
-// pay an op-dispatch branch and a cold bucket line per update; here one
-// rule's updates for a whole frame span arrive together, so the op switch
-// is hoisted out of the loop and the target counter lines are prefetched
-// a fixed distance ahead of the read-modify-write. Per-update semantics —
-// result/old pairs, clamp accounting, CAS linearizability — are identical
-// to issuing the same updates one at a time in slice order, which is what
-// keeps the batch engine bit-identical to sequential replay.
-
-// prefetchDist is how many updates ahead the batch loops touch the target
-// bucket line, under every write policy: the interlocked update of shared
-// buckets, the plain load and store of a single writer (Workers=1) and the
-// plain lane add. 8 updates ahead keeps the line fill overlapped with the
-// updates before it without running past typical span tails.
-const prefetchDist = 8
-
-// prefetch touches b with an atomic load. A plain blank-assigned load may
-// be dead-code-eliminated; atomic loads never are, and loading a bucket
-// that another writer owns is race-free by definition.
-func prefetch(b *uint32) { _ = atomic.LoadUint32(b) }
+// pay an op-dispatch branch per update; here one rule's updates for a
+// whole frame span arrive together, so the op switch is hoisted out of the
+// loop. Per-update semantics — result/old pairs, clamp accounting, CAS
+// linearizability — are identical to issuing the same updates one at a
+// time in slice order, which is what keeps the batch engine bit-identical
+// to sequential replay.
 
 // ApplyBatch performs one stateful operation per element of idx against the
 // base buckets under the register's write policy — the lane loop with plain
@@ -51,9 +38,6 @@ func (r *Register) ApplyBatch(op StatefulOp, idx, p1, p2, result, old []uint32) 
 	switch op {
 	case OpCondAdd:
 		for k := 0; k < n; k++ {
-			if k+prefetchDist < n {
-				prefetch(&buckets[idx[k+prefetchDist]&bm])
-			}
 			b := &buckets[idx[k]&bm]
 			p1m, p2m := p1[k]&mask, p2[k]&mask
 			for {
@@ -79,9 +63,6 @@ func (r *Register) ApplyBatch(op StatefulOp, idx, p1, p2, result, old []uint32) 
 		}
 	case OpMax:
 		for k := 0; k < n; k++ {
-			if k+prefetchDist < n {
-				prefetch(&buckets[idx[k+prefetchDist]&bm])
-			}
 			b := &buckets[idx[k]&bm]
 			v := p1[k] & mask
 			for {
@@ -98,9 +79,6 @@ func (r *Register) ApplyBatch(op StatefulOp, idx, p1, p2, result, old []uint32) 
 		}
 	case OpAndOr:
 		for k := 0; k < n; k++ {
-			if k+prefetchDist < n {
-				prefetch(&buckets[idx[k+prefetchDist]&bm])
-			}
 			b := &buckets[idx[k]&bm]
 			for {
 				cur := atomic.LoadUint32(b)
@@ -118,9 +96,6 @@ func (r *Register) ApplyBatch(op StatefulOp, idx, p1, p2, result, old []uint32) 
 		}
 	case OpXor:
 		for k := 0; k < n; k++ {
-			if k+prefetchDist < n {
-				prefetch(&buckets[idx[k+prefetchDist]&bm])
-			}
 			b := &buckets[idx[k]&bm]
 			for {
 				cur := atomic.LoadUint32(b)
@@ -187,9 +162,6 @@ func (r *Register) applyAdd(idx, cnt []uint32, p1 uint32) {
 	bm := uint32(len(buckets) - 1)
 	var clamps uint64
 	for k := 0; k < n; k++ {
-		if k+prefetchDist < n {
-			prefetch(&buckets[idx[k+prefetchDist]&bm])
-		}
 		b := &buckets[idx[k]&bm]
 		d := uint64(p1)
 		if cnt != nil {
@@ -226,9 +198,6 @@ func (r *Register) applyAddPlain(idx, cnt []uint32, p1 uint32) {
 	n := len(idx)
 	var clamps uint64
 	for k := 0; k < n; k++ {
-		if k+prefetchDist < n {
-			prefetch(&buckets[idx[k+prefetchDist]&bm])
-		}
 		i := idx[k] & bm
 		d := uint64(p1)
 		if cnt != nil {
@@ -283,9 +252,6 @@ func (r *Register) ShardApplyAddBatch(shard int, idx []uint32, p1 uint32) {
 	p1 &= mask
 	var clamps uint64
 	for k := 0; k < n; k++ {
-		if k+prefetchDist < n {
-			prefetch(&lane[idx[k+prefetchDist]&bm])
-		}
 		i := idx[k] & bm
 		cur := lane[i]
 		if cur >= mask {
@@ -318,8 +284,7 @@ func (r *Register) ShardApplyBatch(shard int, op StatefulOp, idx, p1, p2, result
 
 // applyBatchPlain is the plain-store batch loop behind ShardApplyBatch (a
 // lane) and the single-writer ApplyBatch (the base array). lane tolerates
-// exactly one writer, so the loops skip the CAS entirely; the prefetch
-// still uses an atomic load (self-owned data, race-free). idx is non-empty.
+// exactly one writer, so the loops skip the CAS entirely. idx is non-empty.
 func (r *Register) applyBatchPlain(lane []uint32, op StatefulOp, idx, p1, p2, result, old []uint32) {
 	n := len(idx)
 	bm := uint32(len(lane) - 1)
@@ -328,9 +293,6 @@ func (r *Register) applyBatchPlain(lane []uint32, op StatefulOp, idx, p1, p2, re
 	switch op {
 	case OpCondAdd:
 		for k := 0; k < n; k++ {
-			if k+prefetchDist < n {
-				prefetch(&lane[idx[k+prefetchDist]&bm])
-			}
 			i := idx[k] & bm
 			cur := lane[i]
 			if cur >= (p2[k] & mask) {
@@ -347,9 +309,6 @@ func (r *Register) applyBatchPlain(lane []uint32, op StatefulOp, idx, p1, p2, re
 		}
 	case OpMax:
 		for k := 0; k < n; k++ {
-			if k+prefetchDist < n {
-				prefetch(&lane[idx[k+prefetchDist]&bm])
-			}
 			i := idx[k] & bm
 			cur := lane[i]
 			v := p1[k] & mask
@@ -362,9 +321,6 @@ func (r *Register) applyBatchPlain(lane []uint32, op StatefulOp, idx, p1, p2, re
 		}
 	case OpAndOr:
 		for k := 0; k < n; k++ {
-			if k+prefetchDist < n {
-				prefetch(&lane[idx[k+prefetchDist]&bm])
-			}
 			i := idx[k] & bm
 			cur := lane[i]
 			next := cur
@@ -378,9 +334,6 @@ func (r *Register) applyBatchPlain(lane []uint32, op StatefulOp, idx, p1, p2, re
 		}
 	case OpXor:
 		for k := 0; k < n; k++ {
-			if k+prefetchDist < n {
-				prefetch(&lane[idx[k+prefetchDist]&bm])
-			}
 			i := idx[k] & bm
 			cur := lane[i]
 			next := cur ^ (p1[k] & mask)

@@ -288,3 +288,41 @@ func TestShardApplyAddBatchMatchesShardApply(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkApplyAddCounts times the single-writer combined add, per update,
+// in ingest_steady's shape: nine groups of three 65,536-bucket registers,
+// each a CMS row over a 16,384-bucket (64 KB) range, and 267 updates per
+// call — the representatives of one 512-frame chunk. Each register's calls
+// take four pre-drawn index columns in turn, which between them touch about
+// every line of its range, as a trace's chunks do.
+//
+//	go test -run '^$' -bench ApplyAddCounts -cpu 1 ./internal/dataplane/
+func BenchmarkApplyAddCounts(b *testing.B) {
+	const regs, batches, n, span = 27, 4, 267, 16384
+	rng := rand.New(rand.NewSource(25))
+	rs := make([]*Register, regs)
+	idx := make([][batches][]uint32, regs)
+	cnt := make([][batches][]uint32, regs)
+	for r := range rs {
+		rs[r] = NewRegister(65536, 32)
+		rs[r].SetSingleWriter(true)
+		base := uint32(rng.Intn(4)) * span
+		for c := range idx[r] {
+			idx[r][c] = make([]uint32, n)
+			cnt[r][c] = make([]uint32, n)
+			for k := range idx[r][c] {
+				idx[r][c][k] = base + uint32(rng.Intn(span))
+				cnt[r][c][k] = 1 + uint32(rng.Intn(3))
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := i % batches
+		for r, reg := range rs {
+			reg.ApplyAddCounts(idx[r][c], cnt[r][c], 1)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*regs*n), "ns/update")
+}

@@ -86,9 +86,11 @@ var ExtendedOperationSet = []StatefulOp{OpCondAdd, OpMax, OpAndOr, OpXor}
 //     the shared buckets — see the sharding section below for the
 //     exactness argument and the synchronization contract.
 //
-// Read/ReadRange use atomic bucket access so control-plane readout can
-// overlap shared-bucket writers. ClearRange and CopyRange do not: they are
-// bulk operations on memory nothing else is touching (see their contract).
+// Read uses atomic bucket access so control-plane readout can overlap
+// shared-bucket writers, and so does ReadRange on shared buckets; a
+// single-writer register's ReadRange is one bulk copy, since its reader
+// already excludes the writer. ClearRange and CopyRange are bulk operations
+// on memory nothing else is touching (see their contract).
 type Register struct {
 	buckets  []uint32
 	bitWidth int
@@ -356,9 +358,16 @@ func (r *Register) Read(i uint32) uint32 {
 }
 
 // ReadRange copies buckets [lo, lo+n) into a fresh slice (control-plane
-// readout of one task's partition).
+// readout of one task's partition). Shared buckets are loaded one atomic
+// load at a time, beside their writers; a single-writer register is copied
+// with one bulk copy, under the one-writer policy's exclusion (no writer
+// runs while its reader does).
 func (r *Register) ReadRange(lo, n int) []uint32 {
 	out := make([]uint32, n)
+	if r.single {
+		copy(out, r.buckets[lo:lo+n])
+		return out
+	}
 	for i := range out {
 		out[i] = atomic.LoadUint32(&r.buckets[lo+i])
 	}

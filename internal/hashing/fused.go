@@ -146,46 +146,63 @@ func buildFused(live uint32, hs []Hasher) *Fused {
 // hs[q].SumKey(&keys[i]) for the hs f was built from. dst holds one slice
 // per polynomial, each at least len(keys) long; keys must be extracted
 // under a mask whose live bytes are f's (bytes outside them are ignored).
+//
+// There is one body per row width. Each keeps its accumulators in
+// registers and writes every finalised digest straight into its output
+// row, the high half of a word before the low one: for an odd K the last
+// word's high half is padding, and its row aliases output K-1, which the
+// low half then overwrites.
 func (f *Fused) SumKeys(keys []packet.CanonicalKey, dst [][]uint32) {
-	dst = dst[:f.polys]
-	pos, rows := f.pos, f.rows
+	n := len(keys)
+	var d [MaxFused][]uint32
+	for q := range d[:2*f.words] {
+		d[q] = dst[min(q, f.polys-1)]
+	}
+	pos, rows, init := f.pos, f.rows, f.init
 	switch f.words {
 	case 1:
+		d0, d1 := d[0][:n], d[1][:n]
 		for i := range keys {
 			k := &keys[i]
-			a0 := f.init[0]
+			a0 := init[0]
 			for j, p := range pos {
 				a0 ^= rows[j<<8|int(k[p])]
 			}
-			emit(dst, i, [4]uint64{a0})
+			d1[i], d0[i] = hi(a0), lo(a0)
 		}
 	case 2:
+		d0, d1, d2, d3 := d[0][:n], d[1][:n], d[2][:n], d[3][:n]
 		for i := range keys {
 			k := &keys[i]
-			a0, a1 := f.init[0], f.init[1]
+			a0, a1 := init[0], init[1]
 			for j, p := range pos {
 				r := rows[(j<<8|int(k[p]))*2:][:2:2]
 				a0 ^= r[0]
 				a1 ^= r[1]
 			}
-			emit(dst, i, [4]uint64{a0, a1})
+			d1[i], d0[i] = hi(a0), lo(a0)
+			d3[i], d2[i] = hi(a1), lo(a1)
 		}
 	case 3:
+		d0, d1, d2, d3, d4, d5 := d[0][:n], d[1][:n], d[2][:n], d[3][:n], d[4][:n], d[5][:n]
 		for i := range keys {
 			k := &keys[i]
-			a0, a1, a2 := f.init[0], f.init[1], f.init[2]
+			a0, a1, a2 := init[0], init[1], init[2]
 			for j, p := range pos {
 				r := rows[(j<<8|int(k[p]))*3:][:3:3]
 				a0 ^= r[0]
 				a1 ^= r[1]
 				a2 ^= r[2]
 			}
-			emit(dst, i, [4]uint64{a0, a1, a2})
+			d1[i], d0[i] = hi(a0), lo(a0)
+			d3[i], d2[i] = hi(a1), lo(a1)
+			d5[i], d4[i] = hi(a2), lo(a2)
 		}
 	default:
+		d0, d1, d2, d3, d4, d5, d6, d7 := d[0][:n], d[1][:n], d[2][:n], d[3][:n], d[4][:n], d[5][:n], d[6][:n], d[7][:n]
 		for i := range keys {
 			k := &keys[i]
-			a0, a1, a2, a3 := f.init[0], f.init[1], f.init[2], f.init[3]
+			a0, a1, a2, a3 := init[0], init[1], init[2], init[3]
 			for j, p := range pos {
 				r := rows[(j<<8|int(k[p]))*4:][:4:4]
 				a0 ^= r[0]
@@ -193,14 +210,14 @@ func (f *Fused) SumKeys(keys []packet.CanonicalKey, dst [][]uint32) {
 				a2 ^= r[2]
 				a3 ^= r[3]
 			}
-			emit(dst, i, [4]uint64{a0, a1, a2, a3})
+			d1[i], d0[i] = hi(a0), lo(a0)
+			d3[i], d2[i] = hi(a1), lo(a1)
+			d5[i], d4[i] = hi(a2), lo(a2)
+			d7[i], d6[i] = hi(a3), lo(a3)
 		}
 	}
 }
 
-// emit unpacks one key's accumulated CRCs into dst[q][i], finalized.
-func emit(dst [][]uint32, i int, acc [4]uint64) {
-	for q, d := range dst {
-		d[i] = fmix32(uint32(acc[q>>1] >> (32 * uint(q&1))))
-	}
-}
+// lo and hi finalise the two CRCs an accumulator word packs.
+func lo(a uint64) uint32 { return fmix32(uint32(a)) }
+func hi(a uint64) uint32 { return fmix32(uint32(a >> 32)) }

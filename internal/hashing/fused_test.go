@@ -139,12 +139,20 @@ func TestFusedZeroAlloc(t *testing.T) {
 	}
 }
 
-// FuzzFusedDigest: any mask, any key, any K and polynomial offset.
+// FuzzFusedDigest: any mask, any key, any K and polynomial offset. Every
+// output row is checked against its own polynomial, so two rows swapped
+// fail too.
 func FuzzFusedDigest(f *testing.F) {
 	f.Add(uint32(0xFFFFFFFF), uint32(0xFFFFFFFF), uint32(0xFFFF), uint32(0xFFFF), uint32(0xFF), uint32(0),
 		uint32(0xC0A80001), uint32(0x0A000001), uint16(443), uint16(51234), uint8(6), uint64(123456789), uint8(8), uint8(0))
 	f.Add(uint32(0xFFFFF000), uint32(0), uint32(0), uint32(0x00F0), uint32(0), uint32(0xFFFFFFFF),
 		uint32(1), uint32(2), uint16(3), uint16(4), uint8(17), uint64(1)<<40, uint8(3), uint8(5))
+	// K = 7 and K = 8: the four-word kernel with an odd and an even
+	// polynomial count.
+	f.Add(uint32(0xFFFFFFFF), uint32(0xFFFFFFFF), uint32(0xFFFF), uint32(0xFFFF), uint32(0xFF), uint32(0),
+		uint32(0x0A0B0C0D), uint32(0xC0A80102), uint16(8080), uint16(53), uint8(17), uint64(987654321), uint8(6), uint8(2))
+	f.Add(uint32(0xFFFFFF00), uint32(0xFFFF0000), uint32(0xFF00), uint32(0xFFFF), uint32(0xFF), uint32(0xFFFF),
+		uint32(0x01020304), uint32(0x05060708), uint16(1234), uint16(4321), uint8(6), uint64(5)<<33, uint8(7), uint8(1))
 	f.Fuzz(func(t *testing.T, m0, m1, m2, m3, m4, m5, src, dst uint32, sport, dport uint16, proto uint8, ts uint64, k, first uint8) {
 		mask := [packet.NumFields]uint32{m0, m1, m2, m3, m4, m5}
 		p := packet.Packet{SrcIP: src, DstIP: dst, SrcPort: sport, DstPort: dport, Proto: proto, TimestampNs: ts}

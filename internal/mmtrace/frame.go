@@ -32,6 +32,17 @@ func (v FrameView) DstPort() uint16 { return binary.LittleEndian.Uint16(v[10:]) 
 // Proto returns the record's IP protocol number.
 func (v FrameView) Proto() uint8 { return v[12] }
 
+// KeyWords returns the record's first 16 bytes as two little-endian words:
+// the source address in the low and the destination address in the high
+// half of w0; the source port, destination port and protocol from bit 0,
+// 16 and 32 of w1, whose top 24 bits are the record's pad. It is every
+// five-tuple field in two loads, for callers that mask the words whole
+// (the frame engine's grouping key).
+func (v FrameView) KeyWords() (w0, w1 uint64) {
+	_ = v[15] // one bounds check for both words
+	return binary.LittleEndian.Uint64(v[0:]), binary.LittleEndian.Uint64(v[8:])
+}
+
 // Size returns the record's packet length in bytes.
 func (v FrameView) Size() uint32 { return binary.LittleEndian.Uint32(v[16:]) }
 

@@ -54,6 +54,29 @@ func TestExtractMaskedMatchesPacketPath(t *testing.T) {
 	}
 }
 
+// TestKeyWordsMatchFields: KeyWords is the five-tuple accessors packed
+// into two words, whatever the record holds elsewhere — every byte of a
+// record is random here, the pad (bytes 13–15) included, which surfaces as
+// the second word's top 24 bits.
+func TestKeyWordsMatchFields(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	var rec [trace.RecordSize]byte
+	for iter := 0; iter < 2000; iter++ {
+		rng.Read(rec[:])
+		v := FrameView(rec[:])
+		var w [2]uint64
+		w[0], w[1] = v.KeyWords()
+		want := [2]uint64{
+			uint64(v.SrcIP()) | uint64(v.DstIP())<<32,
+			uint64(v.SrcPort()) | uint64(v.DstPort())<<16 | uint64(v.Proto())<<32 |
+				uint64(rec[13])<<40 | uint64(rec[14])<<48 | uint64(rec[15])<<56,
+		}
+		if w != want {
+			t.Fatalf("record %x: KeyWords %#x, fields pack to %#x", rec, w, want)
+		}
+	}
+}
+
 // TestNextFramesDeliversExactlyOnce: concurrent workers pulling via
 // NextFrames must cover every frame of every trace exactly once, and the
 // replayer's packet counter must agree.
