@@ -310,11 +310,11 @@ func TestCombineGroupsByKey(t *testing.T) {
 				if _, ok := group[k]; !ok {
 					group[k] = len(group)
 				}
-				if fs := &pc.frames; fs.grp[i-lo] != int32(group[k]) {
+				if fs := pc.frames; fs.grp[i-lo] != int32(group[k]) {
 					t.Fatalf("chunk at %d, frame %d: group %d, want %d", lo, i-lo, fs.grp[i-lo], group[k])
 				}
 			}
-			fs := &pc.frames
+			fs := pc.frames
 			if fs.nrep != len(group) {
 				t.Fatalf("chunk at %d: %d representatives, want %d distinct keys", lo, fs.nrep, len(group))
 			}
@@ -457,11 +457,13 @@ func TestCombineTimestampKey(t *testing.T) {
 }
 
 // TestCombineSpans: spans of 1, w-1, w, w+1 and 3w+5 frames (w the chunk
-// width) cut chunks short of, at and across the width; every schedule
-// matches the oracle, on the nine-CMS set and on the churn shape.
+// width) cut chunks short of, at and across the width; 511, 512, 513 and
+// 1541 (the same cuts for a 512-frame span, a width a replay may still ask
+// for) group partial chunks of several sizes; every schedule matches the
+// oracle, on the nine-CMS set and on the churn shape.
 func TestCombineSpans(t *testing.T) {
 	tr := trace.Generate(trace.Config{Flows: 3000, Packets: 8*FrameChunk + 3, ZipfS: 1.1, Seed: 66})
-	for _, span := range []int{1, FrameChunk - 1, FrameChunk, FrameChunk + 1, 3*FrameChunk + 5} {
+	for _, span := range []int{1, 511, 512, 513, 1541, FrameChunk - 1, FrameChunk, FrameChunk + 1, 3*FrameChunk + 5} {
 		t.Run(fmt.Sprint(span), func(t *testing.T) {
 			framesMatchBatch(t, func() *Pipeline { return nineCMS(t, 4096) }, nil, tr.Packets, span)
 			framesMatchBatch(t, func() *Pipeline { return churnShape(t) }, nil, tr.Packets, span)

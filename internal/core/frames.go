@@ -72,23 +72,31 @@ import (
 // a span into chunks of at most this many frames and groups each chunk on
 // its own. It equals mmtrace's default replay span (ReplayConfig.Batch), so
 // a replayed span is one chunk and is grouped whole
-// (TestReplaySpanIsWholeChunks holds the two together). 512 frames keep the
-// scratch (digest matrix, bus, gather and grouping arrays) L2 resident for
-// a nine-group five-tuple pipeline — one mask, eight distinct digests, at
-// most 16 KB of digest matrix.
-const FrameChunk = 512
+// (TestReplaySpanIsWholeChunks holds the two together). A wider chunk
+// finds more repeats of a key to combine: on a Zipf 1.1 trace of 100k
+// flows, 52 % of frames start a new group at 512 frames, 41 % at 2,048.
+// The scratch at this width stays L2 resident: 174 KB of bus, gather and
+// grouping arrays, plus 64 KB of digest matrix and 40 KB of masked keys
+// for a nine-task five-tuple pipeline (one mask, eight digests). Every
+// i&(FrameChunk-1) in this file and the grouping hash's uint16 entries
+// rely on its being a power of two no larger than 1<<16
+// (TestFrameChunkInvariants).
+const FrameChunk = 1 << chunkBits
 
-// groupBits sizes the grouping open hash: 2^groupBits = groupSlots slots,
-// twice the chunk, so its load factor stays at or below one half.
+// chunkBits is log2(FrameChunk); groupBits sizes the grouping open hash
+// from it: 2^groupBits = groupSlots slots, twice the chunk, so its load
+// factor stays at or below one half.
 const (
-	groupBits  = 10
+	chunkBits  = 11
+	groupBits  = chunkBits + 1
 	groupSlots = 1 << groupBits
 )
 
-// frameScratch is the chunk engine's per-worker state, embedded in ProcCtx.
-// The dynamic slices are sized to the armed snapshot's digest tables; after
-// the first chunk of a configuration the engine is allocation-free (the
-// ZeroAlloc gate covers it).
+// frameScratch is the chunk engine's per-worker state, which a ProcCtx
+// allocates on its first ProcessFrames call. The dynamic slices are sized
+// to the armed snapshot's digest tables; after the first chunk of a
+// configuration the engine is allocation-free (the ZeroAlloc gate covers
+// it).
 type frameScratch struct {
 	// snap is the snapshot masked/hashes are sized for.
 	snap *Snapshot
@@ -162,6 +170,9 @@ func (s *Snapshot) FrameVectorized() bool { return len(s.plan.ordered)+len(s.pla
 // bit-identical to decoding the same frames and calling Process on each in
 // order. Safe for concurrent callers with distinct contexts, like Process.
 func (s *Snapshot) ProcessFrames(pc *ProcCtx, t *mmtrace.Trace, lo, hi int) {
+	if pc.frames == nil {
+		pc.frames = new(frameScratch)
+	}
 	for lo < hi {
 		n := min(hi-lo, FrameChunk)
 		s.processFrameChunk(pc, t.Span(lo, lo+n), n)
@@ -174,11 +185,15 @@ func (s *Snapshot) ProcessFrames(pc *ProcCtx, t *mmtrace.Trace, lo, hi int) {
 // chunk, then the packet-order pass for the rest.
 func (s *Snapshot) processFrameChunk(pc *ProcCtx, recs []byte, n int) {
 	fs := s.digestChunk(pc, recs, n)
-	// Fresh PHV per frame: the result bus starts from reset state.
-	for i := 0; i < n; i++ {
-		fs.busRes[i], fs.busOld[i] = 0, 0
-		fs.busMin[i] = ^uint32(0)
-		fs.busNew[i] = false
+	// Fresh PHV per frame: the result bus starts from reset state. A
+	// bus-quiet plan neither reads nor scatters it (its packet-order pass
+	// runs on pc.Ctx), so it skips the reset.
+	if !s.plan.quiet {
+		for i := 0; i < n; i++ {
+			fs.busRes[i], fs.busOld[i] = 0, 0
+			fs.busMin[i] = ^uint32(0)
+			fs.busNew[i] = false
+		}
 	}
 	// Stage 3: the column CMUs in pipeline order, each over the whole
 	// chunk.
@@ -198,7 +213,7 @@ func (s *Snapshot) digestChunk(pc *ProcCtx, recs []byte, n int) *frameScratch {
 	if s.teleOn {
 		pc.teleTickBatch(s, n)
 	}
-	fs := &pc.frames
+	fs := pc.frames
 	fs.arm(s)
 
 	// Stage 1: group the chunk's frames by their union key.
@@ -372,7 +387,7 @@ func cmuFrames(pc *ProcCtx, sc *snapCMU, recs []byte, n int) {
 		ruleFrames(pc, &prog[0], recs, n, nil)
 		return
 	}
-	fs := &pc.frames
+	fs := pc.frames
 	var claimed [FrameChunk / 64]uint64
 	for ri := range prog {
 		cnt, off := 0, 0
@@ -398,7 +413,7 @@ func cmuFrames(pc *ProcCtx, sc *snapCMU, recs []byte, n int) {
 // register call and, when the rule scatters, the witness scatter. Digest
 // columns read each frame's digests through its group (digestRows).
 func ruleFrames(pc *ProcCtx, r *compiledRule, recs []byte, n int, sel []int32) {
-	fs := &pc.frames
+	fs := pc.frames
 	whole := sel == nil
 	if whole {
 		sel = allFrames[:n]
@@ -489,7 +504,7 @@ func ruleFrames(pc *ProcCtx, r *compiledRule, recs []byte, n int, sel []int32) {
 // group drops all its frames) or, folded, per group under the op
 // (frameScratch.reduceP1).
 func ruleCombined(pc *ProcCtx, r *compiledRule, recs []byte, n int, lane bool) {
-	fs := &pc.frames
+	fs := pc.frames
 	m := fs.nrep
 	groups, reps := allFrames[:m], fs.rep[:m]
 	idx, p1, p2 := fs.upIdx[:m], fs.upP1[:m], fs.upP2[:m]

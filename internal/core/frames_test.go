@@ -868,3 +868,20 @@ func TestReplaySpanIsWholeChunks(t *testing.T) {
 		t.Fatalf("default replay span %d is not a whole number of %d-frame chunks", span, FrameChunk)
 	}
 }
+
+// TestFrameChunkInvariants: the chunk width the engine's masks and the
+// grouping hash are written for. Every i&(FrameChunk-1) is the identity on
+// a chunk's frame and group numbers only for a power of two; the grouping
+// hash keeps its load factor at or below one half with twice the chunk's
+// slots; and its entries name a group in a uint16.
+func TestFrameChunkInvariants(t *testing.T) {
+	if FrameChunk <= 0 || FrameChunk&(FrameChunk-1) != 0 {
+		t.Fatalf("FrameChunk %d is not a power of two", FrameChunk)
+	}
+	if groupSlots != 2*FrameChunk {
+		t.Fatalf("groupSlots %d, want 2*FrameChunk = %d", groupSlots, 2*FrameChunk)
+	}
+	if FrameChunk > 1<<16 {
+		t.Fatalf("FrameChunk %d overflows the uint16 grouping entry", FrameChunk)
+	}
+}

@@ -41,9 +41,10 @@ type ProcCtx struct {
 	stripe      uint32
 
 	// frames is the FrameView-native engine's stage-at-a-time scratch
-	// (frames.go); framePkt is the decode target of its per-packet fallback
-	// path. Both are cold until the first ProcessFrames call.
-	frames   frameScratch
+	// (frames.go), allocated by the context's first ProcessFrames call so
+	// that contexts which never run a chunk do not carry it; framePkt is
+	// the decode target of its packet-order pass.
+	frames   *frameScratch
 	framePkt packet.Packet
 }
 

@@ -16,11 +16,13 @@ type ReplayConfig struct {
 	// Workers is the consumer count — must equal the worker-pool width the
 	// replayer will feed (each worker owns one span descriptor).
 	Workers int
-	// Batch is the span width in frames. The default, 512 (~18 KiB of
+	// Batch is the span width in frames. The default, 2,048 (72 KiB of
 	// records), is one chunk of the frame engine (core.FrameChunk), which
 	// groups each chunk's frames by flow key before digesting: a default
 	// span is grouped whole, and a width that is not a multiple of the
-	// chunk leaves a short chunk at the end of every span.
+	// chunk leaves a short chunk at the end of every span. A worker runs
+	// one span between control-plane grace points, so a wider span is
+	// also a longer wait for a mutation issued beside the replay.
 	Batch int
 	// Passes is how many times each producer replays its trace: 0 or 1 =
 	// once; n > 1 = n passes; negative = loop until Stop (steady-state
@@ -29,7 +31,7 @@ type ReplayConfig struct {
 }
 
 const (
-	defaultBatch = 512
+	defaultBatch = 2048
 	// defaultRingSpans is the ring capacity in spans (at most, when bounded).
 	defaultRingSpans = 1024
 )

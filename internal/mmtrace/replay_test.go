@@ -218,24 +218,36 @@ func TestReplayerConfigValidation(t *testing.T) {
 }
 
 // TestReplayerRingSizedToReplay: a bounded replay's ring holds its spans
-// and no more — the fleet benchmark's one-pass 4,096-frame replay takes 8
-// slots, not 1,024, and never waits on a full ring — while a looping
+// and no more — the fleet benchmark's one-pass 4,096-frame replay takes
+// 4,096 / defaultBatch slots (rounded up to the ring's power of two, at
+// least 2), not 1,024, and never waits on a full ring — while a looping
 // replay keeps the default capacity.
 func TestReplayerRingSizedToReplay(t *testing.T) {
-	tr := openTestTrace(t, 4096)
+	const frames = 4096
+	slots := func(spans int) int { // NewRing's rounding
+		c := 2
+		for c < spans {
+			c <<= 1
+		}
+		return c
+	}
+	spans := (frames + defaultBatch - 1) / defaultBatch
+	tr := openTestTrace(t, frames)
 	r, err := NewReplayer(ReplayConfig{Traces: []*Trace{tr}, Workers: 1, Passes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Stats().Ring.Cap; got != 8 {
-		t.Fatalf("one-pass 4,096-frame ring = %d slots, want 8", got)
+	if got, want := r.Stats().Ring.Cap, slots(spans); got != want {
+		t.Fatalf("one-pass %d-frame ring = %d slots, want %d", frames, got, want)
 	}
 	r.Start()
 	drainFrames(r, 0)
-	if st := r.Stats(); st.Packets != 4096 || st.Ring.PushStalls != 0 {
+	if st := r.Stats(); st.Packets != frames || st.Ring.PushStalls != 0 {
 		t.Fatalf("replay delivered %d frames with %d push stalls", st.Packets, st.Ring.PushStalls)
 	}
-	for _, c := range []struct{ passes, want int }{{2, 32}, {3, 64}, {-1, defaultRingSpans}} {
+	for _, c := range []struct{ passes, want int }{
+		{2, slots(2 * 2 * spans)}, {3, slots(2 * 3 * spans)}, {-1, defaultRingSpans},
+	} {
 		r, err := NewReplayer(ReplayConfig{Traces: []*Trace{tr, tr}, Workers: 1, Passes: c.passes})
 		if err != nil {
 			t.Fatal(err)
