@@ -32,11 +32,15 @@ vet:
 build:
 	$(GO) build ./...
 
+# test and race give each package's test binary 5 minutes, not Go's default
+# 10, so a hung test dies with its goroutine stacks while the run is still
+# worth reading. The slowest package under -race, internal/core, takes about
+# 2 minutes on a two-vCPU host.
 test:
-	$(GO) test ./...
+	$(GO) test -timeout 5m ./...
 
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 5m ./...
 
 # bench-allocs runs the alloc-regression gates: the compiled hot path must
 # stay at zero heap allocations per packet (telemetry on or off), the frame

@@ -206,7 +206,6 @@ func main() {
 		}
 		reg.SetReplaySource(replayer)
 		replayStart := time.Now()
-		replayer.Start()
 		fmt.Printf("flymond: replaying %d trace(s) (loop=%v)\n", len(traces), *replayLoop)
 		go func() {
 			defer close(replayDone)
@@ -220,10 +219,9 @@ func main() {
 			for _, t := range traces {
 				t.Close()
 			}
-			st := replayer.Stats()
-			fmt.Printf("flymond: replay finished: %d packets in %v, %.2f Mpps (ring stalls push=%d pop=%d)\n",
-				st.Packets, elapsed.Round(time.Millisecond), float64(st.Packets)/elapsed.Seconds()/1e6,
-				st.Ring.PushStalls, st.Ring.PopStalls)
+			n := replayer.Packets()
+			fmt.Printf("flymond: replay finished: %d packets in %v, %.2f Mpps\n",
+				n, elapsed.Round(time.Millisecond), float64(n)/elapsed.Seconds()/1e6)
 		}()
 	} else {
 		close(replayDone)

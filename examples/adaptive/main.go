@@ -10,6 +10,7 @@ import (
 	"log"
 
 	"flymon/internal/controlplane"
+	"flymon/internal/mmtrace"
 	"flymon/internal/packet"
 	"flymon/internal/sdm"
 	"flymon/internal/trace"
@@ -17,7 +18,7 @@ import (
 
 func main() {
 	ctrl := controlplane.NewController(controlplane.Config{
-		Groups: 1, Buckets: 65536, BitWidth: 32,
+		Groups: 1, Buckets: 65536, BitWidth: 32, Workers: 1,
 	})
 
 	tenantA := packet.Filter{DstPort: 80}
@@ -53,13 +54,13 @@ func main() {
 		trA := trace.Generate(trace.Config{Flows: flows, Packets: flows * 4, Seed: int64(epoch)})
 		for i := range trA.Packets {
 			trA.Packets[i].DstPort = 80
-			ctrl.Process(&trA.Packets[i])
 		}
+		ctrl.ReplayTrace(mmtrace.FromPackets(trA.Packets))
 		trB := trace.Generate(trace.Config{Flows: 500, Packets: 2000, Seed: int64(100 + epoch)})
 		for i := range trB.Packets {
 			trB.Packets[i].DstPort = 443
-			ctrl.Process(&trB.Packets[i])
 		}
+		ctrl.ReplayTrace(mmtrace.FromPackets(trB.Packets))
 
 		occA, _ := alloc.Occupancy(a.ID)
 		occB, _ := alloc.Occupancy(b.ID)

@@ -9,6 +9,7 @@ import (
 	"sort"
 
 	"flymon/internal/controlplane"
+	"flymon/internal/mmtrace"
 	"flymon/internal/packet"
 	"flymon/internal/sketch"
 	"flymon/internal/trace"
@@ -16,7 +17,7 @@ import (
 
 func main() {
 	ctrl := controlplane.NewController(controlplane.Config{
-		Groups: 4, Buckets: 65536, BitWidth: 32,
+		Groups: 4, Buckets: 65536, BitWidth: 32, Workers: 1,
 	})
 
 	congestion, err := ctrl.AddTask(controlplane.TaskSpec{
@@ -43,8 +44,8 @@ func main() {
 	tr := trace.Generate(trace.Config{Flows: 4000, Packets: 200_000, Seed: 31})
 	exactQ := sketch.NewExactMax(packet.KeyIPPair)
 	exactIv := sketch.NewExactMaxInterval(packet.KeyFiveTuple)
+	ctrl.ReplayTrace(mmtrace.FromPackets(tr.Packets))
 	for i := range tr.Packets {
-		ctrl.Process(&tr.Packets[i])
 		exactQ.Add(&tr.Packets[i], tr.Packets[i].QueueLength)
 		exactIv.AddPacket(&tr.Packets[i])
 	}

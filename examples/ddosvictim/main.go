@@ -9,6 +9,7 @@ import (
 	"log"
 
 	"flymon/internal/controlplane"
+	"flymon/internal/mmtrace"
 	"flymon/internal/packet"
 	"flymon/internal/sketch"
 	"flymon/internal/trace"
@@ -18,7 +19,7 @@ func main() {
 	const threshold = 512
 
 	ctrl := controlplane.NewController(controlplane.Config{
-		Groups: 1, Buckets: 65536, BitWidth: 32,
+		Groups: 1, Buckets: 65536, BitWidth: 32, Workers: 1,
 	})
 
 	task, err := ctrl.AddTask(controlplane.TaskSpec{
@@ -46,9 +47,9 @@ func main() {
 	tr.InjectDDoS(victim, 4096, 2, 12)
 	tr.InjectDDoS(decoy, 128, 2, 13)
 
+	ctrl.ReplayTrace(mmtrace.FromPackets(tr.Packets))
 	exact := sketch.NewExactDistinct(packet.KeyDstIP, packet.KeySrcIP)
 	for i := range tr.Packets {
-		ctrl.Process(&tr.Packets[i])
 		exact.AddPacket(&tr.Packets[i])
 	}
 

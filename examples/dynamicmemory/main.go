@@ -10,6 +10,7 @@ import (
 
 	"flymon/internal/controlplane"
 	"flymon/internal/metrics"
+	"flymon/internal/mmtrace"
 	"flymon/internal/packet"
 	"flymon/internal/sketch"
 	"flymon/internal/trace"
@@ -17,7 +18,7 @@ import (
 
 func main() {
 	ctrl := controlplane.NewController(controlplane.Config{
-		Groups: 1, Buckets: 65536, BitWidth: 32, Mode: controlplane.Accurate,
+		Groups: 1, Buckets: 65536, BitWidth: 32, Mode: controlplane.Accurate, Workers: 1,
 	})
 
 	// Two tasks with disjoint filters share the group's CMUs: each gets
@@ -48,9 +49,9 @@ func main() {
 
 	measure := func(tr *trace.Trace, label string) {
 		_ = ctrl.ResetTaskCounters(taskA.ID)
+		ctrl.ReplayTrace(mmtrace.FromPackets(tr.Packets))
 		exact := sketch.NewExactFrequency(packet.KeyFiveTuple)
 		for i := range tr.Packets {
-			ctrl.Process(&tr.Packets[i])
 			if west.Matches(&tr.Packets[i]) {
 				exact.AddPacket(&tr.Packets[i])
 			}

@@ -12,6 +12,7 @@ import (
 	"flymon/internal/analysis"
 	"flymon/internal/controlplane"
 	"flymon/internal/epoch"
+	"flymon/internal/mmtrace"
 	"flymon/internal/packet"
 	"flymon/internal/sketch"
 	"flymon/internal/trace"
@@ -19,7 +20,7 @@ import (
 
 func main() {
 	ctrl := controlplane.NewController(controlplane.Config{
-		Groups: 2, Buckets: 65536, BitWidth: 32,
+		Groups: 2, Buckets: 65536, BitWidth: 32, Workers: 1,
 	})
 	rot, err := epoch.NewRotator(ctrl, controlplane.TaskSpec{
 		Name: "per-flow-size", Key: packet.KeyFiveTuple,
@@ -38,9 +39,9 @@ func main() {
 			cfg.Seed = 77 // a different flow population surges in
 		}
 		tr := trace.Generate(cfg)
+		ctrl.ReplayTrace(mmtrace.FromPackets(tr.Packets))
 		exact := sketch.NewExactFrequency(packet.KeyFiveTuple)
 		for i := range tr.Packets {
-			ctrl.Process(&tr.Packets[i])
 			exact.AddPacket(&tr.Packets[i])
 		}
 		frozenID, err := rot.Rotate()

@@ -12,6 +12,7 @@ import (
 
 	"flymon/internal/controlplane"
 	"flymon/internal/metrics"
+	"flymon/internal/mmtrace"
 	"flymon/internal/packet"
 	"flymon/internal/sketch"
 	"flymon/internal/trace"
@@ -21,11 +22,12 @@ func main() {
 	const threshold = 256
 
 	ctrl := controlplane.NewController(controlplane.Config{
-		Groups: 3, Buckets: 65536, BitWidth: 32,
+		Groups: 3, Buckets: 65536, BitWidth: 32, Workers: 1,
 	})
 
 	// Workload with a heavy tail.
 	tr := trace.Generate(trace.Config{Flows: 8000, Packets: 400_000, ZipfS: 1.3, Seed: 3})
+	frames := mmtrace.FromPackets(tr.Packets)
 	exact := sketch.NewExactFrequency(packet.KeyFiveTuple)
 	for i := range tr.Packets {
 		exact.AddPacket(&tr.Packets[i])
@@ -43,9 +45,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		for i := range tr.Packets {
-			ctrl.Process(&tr.Packets[i])
-		}
+		ctrl.ReplayTrace(frames)
 		candidates := make([]packet.CanonicalKey, 0, exact.Flows())
 		universe := make(map[packet.CanonicalKey]bool)
 		for k := range exact.Counts() {

@@ -12,6 +12,7 @@ import (
 	"log"
 
 	"flymon/internal/controlplane"
+	"flymon/internal/mmtrace"
 	"flymon/internal/netwide"
 	"flymon/internal/packet"
 	"flymon/internal/sketch"
@@ -20,7 +21,7 @@ import (
 
 func main() {
 	fleet, switches, stop := netwide.NewLoopbackFleet(4, controlplane.Config{
-		Groups: 3, Buckets: 65536, BitWidth: 32,
+		Groups: 3, Buckets: 65536, BitWidth: 32, Workers: 1,
 	}, netwide.FleetOptions{})
 	defer stop()
 	fmt.Printf("fleet: %d switches, identical configurations\n", fleet.Size())
@@ -47,8 +48,12 @@ func main() {
 	tr := trace.Generate(trace.Config{Flows: 8000, Packets: 400_000, ZipfS: 1.3, Seed: 90})
 	victim := packet.IPv4(100, 64, 9, 9)
 	tr.InjectDDoS(victim, 2048, 1, 91)
+	parts := make([][]packet.Packet, len(switches))
 	for i := range tr.Packets {
-		switches[i%len(switches)].Process(&tr.Packets[i])
+		parts[i%len(parts)] = append(parts[i%len(parts)], tr.Packets[i])
+	}
+	for i, s := range switches {
+		s.ReplayTrace(mmtrace.FromPackets(parts[i]))
 	}
 
 	exact := sketch.NewExactFrequency(packet.KeyFiveTuple)

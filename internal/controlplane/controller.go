@@ -382,7 +382,7 @@ func (c *Controller) ProcessBatch(ps []packet.Packet) {
 }
 
 // ProcessFrameSource drains a pull-based frame source (the mmap replay
-// ring, internal/mmtrace) through the controller's persistent worker pool
+// cursor, internal/mmtrace) through the controller's persistent worker pool
 // with the FrameView-native engine, returning when the source is
 // exhausted: spans of raw mmapped records execute stage-at-a-time with no
 // packet materialization; only the rules of a snapshot with spliced groups

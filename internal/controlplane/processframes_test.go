@@ -15,8 +15,8 @@ import (
 )
 
 // frameSpanSource is a core.FrameSource over one mmapped trace: workers
-// race to claim fixed-width spans via an atomic cursor — the replay ring
-// without the ring.
+// race to claim fixed-width spans via an atomic cursor, as mmtrace.Replayer
+// does, at widths the replayer's fixed span never takes.
 type frameSpanSource struct {
 	t    *mmtrace.Trace
 	span int
@@ -171,7 +171,6 @@ func TestProcessFrameSourceMatchesSequential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rep.Start()
 				ctrl.ProcessFrameSource(rep)
 				if got := rep.Packets(); got != uint64(len(tr.Packets)) {
 					t.Fatalf("ring delivered %d packets, want %d", got, len(tr.Packets))

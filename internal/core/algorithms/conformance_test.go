@@ -357,6 +357,36 @@ func TestConformance(t *testing.T) {
 	}
 }
 
+// TestMultiTraceReplayInOrder: a one-worker replay of two traces over two
+// passes runs them A, B, A, B, so the registers of an order-dependent task
+// (SuMax(Sum), whose later rows add only below the upstream minimum) end
+// bit-identical to ProcessBatch over that sequence.
+func TestMultiTraceReplayInOrder(t *testing.T) {
+	var r row
+	for _, r = range rows() {
+		if r.name == "sumax-sum" {
+			break
+		}
+	}
+	w := workloads["zipf-1.1"]()
+	half := len(w.packets) / 2
+	a, b := w.packets[:half], w.packets[half:]
+	rep, err := mmtrace.NewReplayer(mmtrace.ReplayConfig{
+		Traces:  []*mmtrace.Trace{mmtrace.FromPackets(a), mmtrace.FromPackets(b)},
+		Workers: 1, Passes: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay := r.deploy(t, r.cfg)
+	replay.ctrl.ProcessFrameSource(rep)
+	batch := r.deploy(t, r.cfg)
+	for _, ps := range [][]packet.Packet{a, b, a, b} {
+		batch.ctrl.ProcessBatch(ps)
+	}
+	sameRows(t, "ProcessBatch over A, B, A, B", queries(t, replay).registers(), queries(t, batch).registers(), nil)
+}
+
 func (r row) deploy(t *testing.T, cfg controlplane.Config) deployment {
 	t.Helper()
 	ctrl := controlplane.NewController(cfg)

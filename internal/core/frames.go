@@ -70,7 +70,7 @@ import (
 
 // FrameChunk is the frame engine's chunk width in frames: ProcessFrames cuts
 // a span into chunks of at most this many frames and groups each chunk on
-// its own. It equals mmtrace's default replay span (ReplayConfig.Batch), so
+// its own. It equals mmtrace's replay span (its defaultBatch constant), so
 // a replayed span is one chunk and is grouped whole
 // (TestReplaySpanIsWholeChunks holds the two together). A wider chunk
 // finds more repeats of a key to combine: on a Zipf 1.1 trace of 100k

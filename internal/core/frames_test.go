@@ -744,6 +744,53 @@ func TestProcessFramesColumnShapes(t *testing.T) {
 	}
 }
 
+// filteredBusPipeline reads the result bus behind a filtered first writer:
+// group 0's only rule counts TCP frames, and group 1's match-all rules read
+// PrevOld and PrevResult. A UDP frame reaches group 1 with nothing written
+// to its bus, so it must read the reset values.
+func filteredBusPipeline(t *testing.T) *Pipeline {
+	t.Helper()
+	all := MemRange{Base: 0, Buckets: 4096}
+	g0 := NewGroup(GroupConfig{ID: 0, Buckets: 4096, BitWidth: 32})
+	g1 := NewGroup(GroupConfig{ID: 1, Buckets: 4096, BitWidth: 32})
+	for _, g := range []*Group{g0, g1} {
+		if err := g.ConfigureUnit(0, packet.KeyFiveTuple); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, in := range []struct {
+		g  *Group
+		ci int
+		r  *Rule
+	}{
+		{g0, 0, &Rule{TaskID: 80, Filter: packet.Filter{Proto: 6},
+			Key: FullKey(0), P1: PacketSize(), P2: MaxValue(), Mem: all, Op: dataplane.OpCondAdd}},
+		{g1, 0, &Rule{TaskID: 81, Filter: packet.MatchAll,
+			Key: FullKey(0).SubRange(6, 32), P1: PrevOld(), P2: Const(0),
+			Prep: Transform{Kind: TransformZeroGate, IfZero: 7, Else: 3}, Mem: all, Op: dataplane.OpXor}},
+		{g1, 1, &Rule{TaskID: 82, Filter: packet.MatchAll,
+			Key: FullKey(0).SubRange(17, 32), P1: PrevResult(), P2: MaxValue(), Mem: all, Op: dataplane.OpCondAdd}},
+	} {
+		if err := in.g.CMU(in.ci).InstallRule(in.r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return NewPipelineWith(g0, g1)
+}
+
+// TestProcessFramesFilteredBusWriter: every chunk starts each frame's
+// result bus from reset. TestProcessFramesColumnShapes/bus cannot show it,
+// since a match-all CMU there writes every frame's bus before any rule
+// reads it; here a UDP frame that read the bus its index held in the
+// previous chunk would diverge from the packet path.
+func TestProcessFramesFilteredBusWriter(t *testing.T) {
+	tr := trace.Generate(trace.Config{Flows: 400, Packets: 3*FrameChunk + 100, Seed: 16})
+	s, _ := framesMatchBatch(t, func() *Pipeline { return filteredBusPipeline(t) }, nil, tr.Packets)
+	if !s.FrameVectorized() || s.plan.quiet {
+		t.Fatalf("vectorised %v, bus-quiet %v; want a vectorised bus-reading plan", s.FrameVectorized(), s.plan.quiet)
+	}
+}
+
 // manyRules is one CMU holding n counters on one bucket each, rule r over
 // destination port r+1.
 func manyRules(t *testing.T, n int) *Pipeline {
@@ -847,25 +894,22 @@ func TestProcessFramesQuietAddPath(t *testing.T) {
 }
 
 // TestReplaySpanIsWholeChunks ties the replay span to the chunk width: a
-// replayer left at its default span (ReplayConfig.Batch 0) must hand the
-// engine spans that are a whole number of chunks. Otherwise every span
-// splits into full chunks plus a sliver that groups poorly.
+// replayer must hand the engine spans that are a whole number of chunks.
+// Otherwise every span splits into full chunks plus a sliver that groups
+// poorly.
 func TestReplaySpanIsWholeChunks(t *testing.T) {
 	mt := mmtrace.FromPackets(make([]packet.Packet, 64*FrameChunk))
 	r, err := mmtrace.NewReplayer(mmtrace.ReplayConfig{Traces: []*mmtrace.Trace{mt}, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Start()
 	_, lo, hi := r.NextFrames(0)
-	for got := mt; got != nil; got, _, _ = r.NextFrames(0) { // drain: the producer exits
-	}
 	span := hi - lo
 	if span <= 0 || span >= mt.Frames() {
-		t.Fatalf("first default span is %d of %d frames; the trace must be longer than one span", span, mt.Frames())
+		t.Fatalf("first replay span is %d of %d frames; the trace must be longer than one span", span, mt.Frames())
 	}
 	if span%FrameChunk != 0 {
-		t.Fatalf("default replay span %d is not a whole number of %d-frame chunks", span, FrameChunk)
+		t.Fatalf("replay span %d is not a whole number of %d-frame chunks", span, FrameChunk)
 	}
 }
 

@@ -81,8 +81,8 @@ func TestKeyWordsMatchFields(t *testing.T) {
 // NextFrames must cover every frame of every trace exactly once, and the
 // replayer's packet counter must agree.
 func TestNextFramesDeliversExactlyOnce(t *testing.T) {
-	psA := genPackets(10_000)
-	psB := genPackets(3_000)
+	psA := genPackets(40_000)
+	psB := genPackets(9_000)
 	pathA, _ := writeTraceFile(t, psA)
 	pathB, _ := writeTraceFile(t, psB)
 	trA, err := Open(pathA)
@@ -98,7 +98,7 @@ func TestNextFramesDeliversExactlyOnce(t *testing.T) {
 
 	const workers = 4
 	rep, err := NewReplayer(ReplayConfig{
-		Traces: []*Trace{trA, trB}, Workers: workers, Batch: 256, Passes: 1,
+		Traces: []*Trace{trA, trB}, Workers: workers, Passes: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,6 @@ func TestNextFramesDeliversExactlyOnce(t *testing.T) {
 	seen := map[*Trace][]int32{trA: make([]int32, trA.Frames()), trB: make([]int32, trB.Frames())}
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	rep.Start()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {

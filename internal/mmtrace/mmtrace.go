@@ -7,11 +7,9 @@
 // from them, one span at a time — no per-packet materialization, no
 // per-replay allocation, no GC pressure proportional to trace size.
 //
-// On top of a Trace, a multi-producer/multi-consumer Ring (ring.go)
-// distributes frame ranges to the engine's persistent worker pool, and a
-// Replayer (replay.go) wires the two together as the core.FrameSource, so
-// replay saturates the pool without per-span channel or allocation
-// overhead. Decoding a trace back into []packet.Packet (DecodeRange,
+// On top of a Trace, a Replayer (replay.go) is the core.FrameSource that
+// hands frame ranges to the engine's persistent worker pool from one
+// atomic span cursor, with no per-span channel, goroutine or allocation. Decoding a trace back into []packet.Packet (DecodeRange,
 // DecodeBatch) exists for tools and for the sequential reference the
 // differential tests compare the engine against.
 package mmtrace
@@ -80,7 +78,7 @@ func Open(path string) (*Trace, error) {
 // OpenReaderAt is the portable fallback: it reads a trace of the given size
 // from r into memory and serves frames from that buffer. It costs one
 // allocation the size of the trace — the price of not having mmap — but
-// every downstream path (FrameView, DecodeBatch, the Ring) behaves
+// every downstream path (FrameView, DecodeBatch, the Replayer) behaves
 // identically to the mapped case.
 func OpenReaderAt(r io.ReaderAt, size int64) (*Trace, error) {
 	if size < 0 || size > int64(maxMapBytes) {

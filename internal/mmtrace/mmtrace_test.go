@@ -240,7 +240,6 @@ func TestFromPacketsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep.Start()
 	if tr, lo, hi := rep.NextFrames(0); tr != nil {
 		t.Fatalf("empty replay handed out frames [%d, %d)", lo, hi)
 	}

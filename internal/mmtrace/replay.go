@@ -2,6 +2,7 @@ package mmtrace
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"flymon/internal/telemetry"
@@ -9,174 +10,115 @@ import (
 
 // ReplayConfig parameterizes a Replayer.
 type ReplayConfig struct {
-	// Traces are the mapped traces to replay. Each trace gets its own
-	// producer goroutine, so a multi-file replay is genuinely
-	// multi-producer on the ring.
+	// Traces are the mapped traces to replay, in the order each pass
+	// visits them.
 	Traces []*Trace
-	// Workers is the consumer count — must equal the worker-pool width the
-	// replayer will feed (each worker owns one span descriptor).
+	// Workers is the consumer count, validated to be positive. The cursor
+	// serves any number of workers and never reads it; the field stays
+	// because the repo benchmark (bench/) sets it.
 	Workers int
-	// Batch is the span width in frames. The default, 2,048 (72 KiB of
-	// records), is one chunk of the frame engine (core.FrameChunk), which
-	// groups each chunk's frames by flow key before digesting: a default
-	// span is grouped whole, and a width that is not a multiple of the
-	// chunk leaves a short chunk at the end of every span. A worker runs
-	// one span between control-plane grace points, so a wider span is
-	// also a longer wait for a mutation issued beside the replay.
-	Batch int
-	// Passes is how many times each producer replays its trace: 0 or 1 =
+	// Passes is how many times the replay walks its traces: 0 or 1 =
 	// once; n > 1 = n passes; negative = loop until Stop (steady-state
 	// soak / bench mode).
 	Passes int
 }
 
-const (
-	defaultBatch = 2048
-	// defaultRingSpans is the ring capacity in spans (at most, when bounded).
-	defaultRingSpans = 1024
-)
+// defaultBatch is the span width in frames: 2,048 records (72 KiB), one
+// chunk of the frame engine (core.FrameChunk), which groups each chunk's
+// frames by flow key before digesting, so every span is grouped whole
+// (TestReplaySpanIsWholeChunks). A worker runs one span between
+// control-plane grace points, so the width is also the longest wait a
+// mutation issued beside the replay sees.
+const defaultBatch = 2048
 
-// workerState is one consumer's private scratch: the span descriptor
-// PopBatch fills. It is allocated once at construction, so steady-state
-// replay performs zero allocations.
-type workerState struct {
-	span [1]Span
-}
-
-// Replayer drives traces through the ring into a worker pool. It is the
-// core.FrameSource for replay: each pool worker calls NextFrames(w) in a
-// loop, receiving raw frame spans until the producers finish (or Stop is
-// called) and the ring drains.
+// Replayer hands mapped traces to a worker pool: it is the
+// core.FrameSource for replay. The replay is a numbered sequence of spans,
+// each defaultBatch frames of one trace (a trace's last span may be
+// shorter), running pass by pass and, inside a pass, trace by trace in
+// ReplayConfig.Traces order. One atomic cursor holds the next span number;
+// NextFrames claims it with one fetch-and-add and turns it into
+// (trace, lo, hi). Nothing runs between calls, so a replay starts no
+// goroutine, and a one-worker drain runs the spans in that order.
 //
-//	replayer := mmtrace.NewReplayer(cfg)
-//	replayer.Start()
-//	ctrl.ProcessFrameSource(replayer) // blocks until the ring drains
+//	replayer, err := mmtrace.NewReplayer(cfg)
+//	ctrl.ProcessFrameSource(replayer) // blocks until the last span ran
 type Replayer struct {
-	traces  []*Trace
-	ring    *Ring
-	workers []workerState
-	batch   int
-	passes  int
+	traces []*Trace
+	// first[i] is the number of trace i's first span within a pass;
+	// first[len(traces)] is the span count of one pass.
+	first []uint64
+	end   uint64 // spans in the whole replay; MaxUint64 loops until Stop
 
-	producers atomic.Int64 // producers still running
-	stop      atomic.Bool
-	packets   atomic.Uint64 // frames delivered to consumers
-	started   atomic.Bool
+	next    atomic.Uint64 // the cursor: the next span to hand out
+	packets atomic.Uint64 // frames delivered to consumers
+	stop    atomic.Bool
+	started atomic.Bool
 }
 
-// NewReplayer validates the config and allocates all replay state up
-// front (ring slots and per-worker span descriptors).
+// NewReplayer validates the config and lays out the replay's spans.
 func NewReplayer(cfg ReplayConfig) (*Replayer, error) {
 	if len(cfg.Traces) == 0 {
 		return nil, fmt.Errorf("mmtrace: replay needs at least one trace")
 	}
+	first := make([]uint64, len(cfg.Traces)+1)
 	for i, t := range cfg.Traces {
 		if t == nil || t.recs == nil && t.frames > 0 {
 			return nil, fmt.Errorf("mmtrace: replay trace %d is closed", i)
 		}
+		first[i+1] = first[i] + uint64((t.frames+defaultBatch-1)/defaultBatch)
 	}
 	if cfg.Workers <= 0 {
 		return nil, fmt.Errorf("mmtrace: replay needs a positive worker count")
 	}
-	batch := cfg.Batch
-	if batch <= 0 {
-		batch = defaultBatch
+	perPass := first[len(cfg.Traces)]
+	end := perPass // one pass
+	switch {
+	case perPass == 0:
+		// Nothing to replay, looping or not: end stays 0.
+	case cfg.Passes < 0 || uint64(cfg.Passes) > math.MaxUint64/perPass:
+		end = math.MaxUint64
+	case cfg.Passes > 1:
+		end = uint64(cfg.Passes) * perPass
 	}
-	passes := cfg.Passes
-	if passes == 0 {
-		passes = 1
-	}
-	r := &Replayer{
-		traces:  cfg.Traces,
-		ring:    NewRing(ringSpans(cfg.Traces, batch, passes)),
-		workers: make([]workerState, cfg.Workers),
-		batch:   batch,
-		passes:  passes,
-	}
-	return r, nil
+	return &Replayer{traces: cfg.Traces, first: first, end: end}, nil
 }
 
-// ringSpans sizes a replay's ring: a bounded replay's holds all its spans.
-func ringSpans(traces []*Trace, batch, passes int) (spans int) {
-	if passes < 0 {
-		return defaultRingSpans
-	}
-	for _, t := range traces {
-		spans += (t.frames + batch - 1) / batch
-	}
-	return min(defaultRingSpans, spans*min(passes, defaultRingSpans))
-}
-
-// Start launches one producer goroutine per trace. The last producer to
-// finish closes the ring; consumers then drain and terminate. Start may be
-// called once.
+// Start does nothing but refuse a second call: the replay needs no start.
+// It stays because the repo benchmark (bench/) calls it before each drain.
 func (r *Replayer) Start() {
 	if r.started.Swap(true) {
 		panic("mmtrace: Replayer.Start called twice")
 	}
-	r.producers.Store(int64(len(r.traces)))
-	for i := range r.traces {
-		go r.produce(int32(i))
-	}
 }
 
-// produce is one trace's producer: it walks the trace in batch-sized spans
-// and pushes them, buffering pushBuf spans per PushBatch so head is
-// claimed in chunks, not per span.
-func (r *Replayer) produce(src int32) {
-	const pushBuf = 64
-	t := r.traces[src]
-	frames := int64(t.Frames())
-	spans := make([]Span, 0, pushBuf)
-	for pass := int32(0); frames > 0; pass++ {
-		if r.passes > 0 && int(pass) >= r.passes {
-			break
-		}
-		if r.stop.Load() {
-			break
-		}
-		for lo := int64(0); lo < frames; {
-			hi := lo + int64(r.batch)
-			if hi > frames {
-				hi = frames
-			}
-			spans = append(spans, Span{Src: src, Pass: pass, Lo: lo, Hi: hi})
-			lo = hi
-			if len(spans) == pushBuf {
-				r.ring.PushBatch(spans)
-				spans = spans[:0]
-				if r.stop.Load() {
-					break
-				}
-			}
-		}
-		if len(spans) > 0 {
-			r.ring.PushBatch(spans)
-			spans = spans[:0]
-		}
-	}
-	if r.producers.Add(-1) == 0 {
-		r.ring.Close()
-	}
-}
-
-// NextFrames implements core.FrameSource: it claims the next span for
-// worker w and returns it as (trace, lo, hi) — no decoding, no packet
-// materialization. The FrameView-native engine executes straight over the
-// mapped record bytes. A nil trace means the replay is complete (producers
-// done, ring drained).
-func (r *Replayer) NextFrames(w int) (*Trace, int, int) {
-	s := &r.workers[w]
-	if r.ring.PopBatch(s.span[:]) == 0 {
+// NextFrames implements core.FrameSource: it claims the next span and
+// returns it as (trace, lo, hi) — no decoding, no packet materialization.
+// The FrameView-native engine executes straight over the mapped record
+// bytes. A nil trace means the replay is over: its last span was claimed,
+// or Stop was called. The worker index is not read; any number of workers
+// may call.
+func (r *Replayer) NextFrames(int) (*Trace, int, int) {
+	if r.stop.Load() {
 		return nil, 0, 0
 	}
-	sp := s.span[0]
-	r.packets.Add(uint64(sp.Hi - sp.Lo))
-	return r.traces[sp.Src], int(sp.Lo), int(sp.Hi)
+	i := r.next.Add(1) - 1
+	if i >= r.end {
+		return nil, 0, 0
+	}
+	i %= r.first[len(r.traces)]
+	k := 0
+	for i >= r.first[k+1] {
+		k++
+	}
+	t := r.traces[k]
+	lo := int(i-r.first[k]) * defaultBatch
+	hi := min(lo+defaultBatch, t.frames)
+	r.packets.Add(uint64(hi - lo))
+	return t, lo, hi
 }
 
-// Stop asks the producers to finish their in-flight span chunk and close
-// the ring; consumers then drain naturally. Used by loop-mode replays
+// Stop ends the replay: every worker's next NextFrames returns nil, and a
+// span already handed out still runs to its end. Used by loop-mode replays
 // (Passes < 0) and signal handlers. Safe to call multiple times.
 func (r *Replayer) Stop() { r.stop.Store(true) }
 
@@ -185,32 +127,20 @@ func (r *Replayer) Packets() uint64 { return r.packets.Load() }
 
 // ReplayStats is a telemetry snapshot of a replay in flight.
 type ReplayStats struct {
-	Packets   uint64 // frames delivered to consumers
-	Producers int    // producer goroutines still running
-	Ring      RingStats
+	Packets uint64 // frames delivered to consumers
+	// Ring always reads zero: nothing in the cursor can stall. It stays
+	// because the repo benchmark (bench/) reports both counters.
+	Ring struct{ PushStalls, PopStalls uint64 }
 }
 
 // Stats snapshots the replayer.
 func (r *Replayer) Stats() ReplayStats {
-	return ReplayStats{
-		Packets:   r.packets.Load(),
-		Producers: int(r.producers.Load()),
-		Ring:      r.ring.Stats(),
-	}
+	return ReplayStats{Packets: r.packets.Load()}
 }
 
 // TelemetryReplay implements telemetry.ReplaySource, so attaching the
-// replayer to a registry (SetReplaySource) surfaces ring occupancy and
-// stall counters on /metrics while the replay runs.
+// replayer to a registry (SetReplaySource) surfaces its progress on
+// /metrics while the replay runs.
 func (r *Replayer) TelemetryReplay() telemetry.ReplayReport {
-	s := r.Stats()
-	return telemetry.ReplayReport{
-		Packets:       s.Packets,
-		Producers:     s.Producers,
-		RingCap:       s.Ring.Cap,
-		RingOccupancy: s.Ring.Occupancy,
-		RingSpans:     s.Ring.Spans,
-		PushStalls:    s.Ring.PushStalls,
-		PopStalls:     s.Ring.PopStalls,
-	}
+	return telemetry.ReplayReport{Packets: r.packets.Load()}
 }

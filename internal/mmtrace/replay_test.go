@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"flymon/internal/packet"
 )
 
 func openTestTrace(t *testing.T, n int) *Trace {
@@ -32,33 +34,31 @@ func drainFrames(rep *Replayer, w int) {
 // consumers and checks that every frame of every pass arrives exactly once
 // (tallied per frame index of the delivered range).
 func TestReplayerDeliversEveryFrame(t *testing.T) {
-	const frames, passes, workers, batch = 10_000, 3, 4, 64
+	const frames, passes, workers = 20*defaultBatch + 100, 3, 4
 	tr := openTestTrace(t, frames)
 	rep, err := NewReplayer(ReplayConfig{
 		Traces:  []*Trace{tr},
 		Workers: workers,
-		Batch:   batch,
 		Passes:  passes,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	counts := make([]atomic.Int32, frames)
-	rep.Start()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			// Spans are Batch-aligned and whole: every delivered range
-			// starts on a span boundary and is Batch wide, except the
-			// trace's tail.
+			// Spans are span-aligned and whole: every delivered range
+			// starts on a span boundary and is defaultBatch wide, except
+			// the trace's tail.
 			for {
 				got, lo, hi := rep.NextFrames(w)
 				if got == nil {
 					return
 				}
-				if got != tr || lo%batch != 0 || hi <= lo || hi > frames || (hi-lo != batch && hi != frames) {
+				if got != tr || lo%defaultBatch != 0 || hi <= lo || hi > frames || (hi-lo != defaultBatch && hi != frames) {
 					t.Errorf("range [%d,%d) of %p is not a span-aligned window of the trace", lo, hi, got)
 					return
 				}
@@ -77,25 +77,21 @@ func TestReplayerDeliversEveryFrame(t *testing.T) {
 			t.Fatalf("frame %d delivered %d times, want %d", i, c, passes)
 		}
 	}
-	if st := rep.Stats(); st.Producers != 0 {
-		t.Fatalf("producers still live: %d", st.Producers)
-	}
 }
 
-// TestReplayerMultiTrace replays two traces (two ring producers) and
-// checks the combined delivery count.
+// TestReplayerMultiTrace replays two traces and checks the combined
+// delivery count.
 func TestReplayerMultiTrace(t *testing.T) {
-	trA := openTestTrace(t, 3000)
-	trB := openTestTrace(t, 2000)
+	trA := openTestTrace(t, 3*defaultBatch)
+	trB := openTestTrace(t, 2*defaultBatch+7)
 	rep, err := NewReplayer(ReplayConfig{
 		Traces:  []*Trace{trA, trB},
 		Workers: 2,
-		Batch:   128,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep.Start()
+	const want = 5*defaultBatch + 7
 	var total atomic.Uint64
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
@@ -112,27 +108,55 @@ func TestReplayerMultiTrace(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if total.Load() != 5000 {
-		t.Fatalf("delivered %d packets, want 5000", total.Load())
+	if total.Load() != want {
+		t.Fatalf("delivered %d packets, want %d", total.Load(), want)
+	}
+}
+
+// TestReplayerOrder: a replay runs pass by pass and, inside a pass, trace
+// by trace in ReplayConfig.Traces order, each trace in span order — so a
+// one-worker drain sees exactly that sequence.
+func TestReplayerOrder(t *testing.T) {
+	trA := FromPackets(make([]packet.Packet, 2*defaultBatch+5))
+	trB := FromPackets(make([]packet.Packet, defaultBatch))
+	empty := FromPackets(nil)
+	rep, err := NewReplayer(ReplayConfig{Traces: []*Trace{trA, empty, trB}, Workers: 1, Passes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type span struct {
+		t      *Trace
+		lo, hi int
+	}
+	var want []span
+	for pass := 0; pass < 2; pass++ {
+		want = append(want,
+			span{trA, 0, defaultBatch}, span{trA, defaultBatch, 2 * defaultBatch}, span{trA, 2 * defaultBatch, 2*defaultBatch + 5},
+			span{trB, 0, defaultBatch})
+	}
+	for i, w := range want {
+		tr, lo, hi := rep.NextFrames(0)
+		if got := (span{tr, lo, hi}); got != w {
+			t.Fatalf("span %d = [%d,%d) of %p, want [%d,%d) of %p", i, lo, hi, tr, w.lo, w.hi, w.t)
+		}
+	}
+	if tr, _, _ := rep.NextFrames(0); tr != nil {
+		t.Fatal("replay hands out a span past its last pass")
 	}
 }
 
 // TestReplayerStop ends a loop-mode replay: after Stop the consumers must
-// drain and NextFrames must return nil on every worker — the
-// goroutine-leak gate for the producer side.
+// finish and NextFrames must return nil on every worker.
 func TestReplayerStop(t *testing.T) {
-	before := runtime.NumGoroutine()
 	tr := openTestTrace(t, 1000)
 	rep, err := NewReplayer(ReplayConfig{
 		Traces:  []*Trace{tr},
 		Workers: 2,
-		Batch:   64,
 		Passes:  -1, // loop forever
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep.Start()
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
@@ -148,17 +172,70 @@ func TestReplayerStop(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("consumers did not drain after Stop")
+		t.Fatal("consumers did not finish after Stop")
 	}
 	if rep.Packets() < 1000 {
 		t.Fatalf("loop mode delivered only %d packets", rep.Packets())
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutine leak after Stop: %d before, %d after", before, runtime.NumGoroutine())
+}
+
+// TestReplayerStopEndsAtOnce: after Stop, a worker's next NextFrames
+// returns nil — nothing is queued behind the span it holds. The trace is
+// 64 spans long, so a replay that buffered spans ahead of its workers
+// would still have dozens to hand out.
+func TestReplayerStopEndsAtOnce(t *testing.T) {
+	tr := FromPackets(make([]packet.Packet, 64*defaultBatch))
+	for _, passes := range []int{1, -1} {
+		rep, err := NewReplayer(ReplayConfig{Traces: []*Trace{tr}, Workers: 1, Passes: passes})
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(10 * time.Millisecond)
+		if got, _, _ := rep.NextFrames(0); got == nil {
+			t.Fatalf("passes %d: replay ended before its first span", passes)
+		}
+		rep.Stop()
+		if got, lo, hi := rep.NextFrames(0); got != nil {
+			t.Fatalf("passes %d: NextFrames after Stop handed out [%d,%d)", passes, lo, hi)
+		}
+		if got := rep.Packets(); got != defaultBatch {
+			t.Fatalf("passes %d: %d packets delivered, want the one span's %d", passes, got, defaultBatch)
+		}
+	}
+}
+
+// TestReplayerStartsNoGoroutine: constructing and starting a loop-mode
+// replay leaves the goroutine count where it was — the replay is a cursor
+// its callers advance, with nothing running between their calls.
+func TestReplayerStartsNoGoroutine(t *testing.T) {
+	tr := FromPackets(make([]packet.Packet, 4*defaultBatch))
+	before := runtime.NumGoroutine()
+	rep, err := NewReplayer(ReplayConfig{Traces: []*Trace{tr}, Workers: 4, Passes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep.Start()
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("NewReplayer + Start: %d goroutines, %d before", got, before)
+	}
+	rep.Stop()
+}
+
+// TestReplayerEmptyLoopEnds: a looping replay whose traces are all empty
+// has nothing to hand out and ends on the first call, on every worker,
+// without dividing by its zero spans per pass.
+func TestReplayerEmptyLoopEnds(t *testing.T) {
+	empty := FromPackets(nil)
+	rep, err := NewReplayer(ReplayConfig{Traces: []*Trace{empty, empty}, Workers: 2, Passes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w := 0; w < 2; w++ {
+		if got, lo, hi := rep.NextFrames(w); got != nil {
+			t.Fatalf("worker %d: empty loop handed out [%d,%d)", w, lo, hi)
+		}
+	}
+	if got := rep.Packets(); got != 0 {
+		t.Fatalf("empty loop delivered %d packets", got)
 	}
 }
 
@@ -169,17 +246,12 @@ func TestReplayerNextZeroAlloc(t *testing.T) {
 	rep, err := NewReplayer(ReplayConfig{
 		Traces:  []*Trace{tr},
 		Workers: 1,
-		Batch:   256,
 		Passes:  -1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep.Start()
-	defer func() {
-		rep.Stop()
-		drainFrames(rep, 0)
-	}()
+	defer rep.Stop()
 	for i := 0; i < 16; i++ { // warm up
 		if tr, _, _ := rep.NextFrames(0); tr == nil {
 			t.Fatal("replay ended during warmup")
@@ -212,48 +284,6 @@ func TestReplayerConfigValidation(t *testing.T) {
 		if recover() == nil {
 			t.Fatal("second Start must panic")
 		}
-		drainFrames(rep, 0)
 	}()
 	rep.Start()
-}
-
-// TestReplayerRingSizedToReplay: a bounded replay's ring holds its spans
-// and no more — the fleet benchmark's one-pass 4,096-frame replay takes
-// 4,096 / defaultBatch slots (rounded up to the ring's power of two, at
-// least 2), not 1,024, and never waits on a full ring — while a looping
-// replay keeps the default capacity.
-func TestReplayerRingSizedToReplay(t *testing.T) {
-	const frames = 4096
-	slots := func(spans int) int { // NewRing's rounding
-		c := 2
-		for c < spans {
-			c <<= 1
-		}
-		return c
-	}
-	spans := (frames + defaultBatch - 1) / defaultBatch
-	tr := openTestTrace(t, frames)
-	r, err := NewReplayer(ReplayConfig{Traces: []*Trace{tr}, Workers: 1, Passes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := r.Stats().Ring.Cap, slots(spans); got != want {
-		t.Fatalf("one-pass %d-frame ring = %d slots, want %d", frames, got, want)
-	}
-	r.Start()
-	drainFrames(r, 0)
-	if st := r.Stats(); st.Packets != frames || st.Ring.PushStalls != 0 {
-		t.Fatalf("replay delivered %d frames with %d push stalls", st.Packets, st.Ring.PushStalls)
-	}
-	for _, c := range []struct{ passes, want int }{
-		{2, slots(2 * 2 * spans)}, {3, slots(2 * 3 * spans)}, {-1, defaultRingSpans},
-	} {
-		r, err := NewReplayer(ReplayConfig{Traces: []*Trace{tr, tr}, Workers: 1, Passes: c.passes})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := r.Stats().Ring.Cap; got != c.want {
-			t.Fatalf("passes %d over two traces: ring = %d slots, want %d", c.passes, got, c.want)
-		}
-	}
 }

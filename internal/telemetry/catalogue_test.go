@@ -26,7 +26,7 @@ func (f fullDataPlane) TelemetryDataPlane() telemetry.DataPlane {
 type fullReplay struct{}
 
 func (fullReplay) TelemetryReplay() telemetry.ReplayReport {
-	return telemetry.ReplayReport{Packets: 123, Producers: 2, RingCap: 64, RingOccupancy: 5, RingSpans: 77, PushStalls: 3, PopStalls: 4}
+	return telemetry.ReplayReport{Packets: 123}
 }
 
 // populatedRegistry has a sample in every family a daemon can expose:

@@ -3,20 +3,11 @@ package telemetry
 import "sync"
 
 // ReplayReport is what a replay source reports at scrape time (the
-// flymon_replay_* families): how far a trace replay has progressed and how
-// the span ring between the mmap producers and the pool workers is
-// behaving. Occupancy near capacity with push stalls means the sketch
-// engine is the bottleneck; occupancy near zero with pop stalls means
-// ingestion is.
+// flymon_replay_* families): whether a trace replay is attached and how
+// far it has progressed.
 type ReplayReport struct {
-	Active        bool
-	Packets       uint64
-	Producers     int
-	RingCap       int
-	RingOccupancy int
-	RingSpans     uint64
-	PushStalls    uint64
-	PopStalls     uint64
+	Active  bool
+	Packets uint64
 }
 
 // ReplaySource is implemented by the replay driver (mmtrace.Replayer); the
@@ -70,14 +61,7 @@ func (h *replayHook) collect(c *catalogue) {
 		return
 	}
 	c.gauge("flymon_replay_active", "Whether a trace replay is currently attached.", sample(boolValue(rp.Active)))
-	c.counter("flymon_replay_packets_total", "Packets delivered to workers by the replay ring.", sample(rp.Packets))
-	c.gauge("flymon_replay_producers", "Producer goroutines still feeding the ring.", sample(uint64(rp.Producers)))
-	c.gauge("flymon_replay_ring_capacity", "Span capacity of the replay ring.", sample(uint64(rp.RingCap)))
-	c.gauge("flymon_replay_ring_occupancy", "Spans enqueued but not yet consumed.", sample(uint64(rp.RingOccupancy)))
-	c.counter("flymon_replay_ring_spans_total", "Spans ever published to the ring.", sample(rp.RingSpans))
-	c.counter("flymon_replay_ring_stalls_total", "Ring waits by side (push = ring full, pop = ring empty).",
-		sample(rp.PushStalls, "side", "push"),
-		sample(rp.PopStalls, "side", "pop"))
+	c.counter("flymon_replay_packets_total", "Packets handed to workers by the replay.", sample(rp.Packets))
 }
 
 // SetReplaySource attaches a live replay to the registry; /metrics gains
