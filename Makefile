@@ -34,8 +34,8 @@ build:
 
 # test and race give each package's test binary 5 minutes, not Go's default
 # 10, so a hung test dies with its goroutine stacks while the run is still
-# worth reading. The slowest package under -race, internal/core, takes about
-# 2 minutes on a two-vCPU host.
+# worth reading. The slowest package under -race, internal/core, takes 2 to
+# 3 minutes on a two-vCPU host.
 test:
 	$(GO) test -timeout 5m ./...
 
@@ -46,11 +46,13 @@ race:
 # stay at zero heap allocations per packet (telemetry on or off), the frame
 # engine at zero per span on every snapshot shape, the packet-order pass of
 # probabilistic, spliced, probabilistic-and-spliced and probabilistic
-# bus-consuming pipelines included (TestProcessFramesZeroAlloc),
-# the mmap replay path at zero per span once steady
-# (TestReplayerNextZeroAlloc), and point answers at zero per query: a
-# switch's estimate and membership probe (TestEstimateKeyZeroAlloc) and a
-# stored epoch's (TestEpochAnswersZeroAlloc). On the epoch path, a read into
+# bus-consuming pipelines included (TestProcessFramesZeroAlloc), and
+# re-arming the chunk scratch a span borrows for a snapshot of another
+# shape (TestProcessFramesLentScratchZeroAlloc), the mmap replay path at
+# zero per span once steady (TestReplayerNextZeroAlloc), and point answers
+# at zero per query: a switch's estimate and membership probe
+# (TestEstimateKeyZeroAlloc) and a stored epoch's
+# (TestEpochAnswersZeroAlloc). On the epoch path, a read into
 # a buffer of the readout's geometry allocates no row storage
 # (TestEpochReadZeroAllocRows) and a daemon rotation allocates its one
 # readout copy and nothing to frame it (TestEpochRotateZeroAllocFrame).

@@ -71,8 +71,11 @@ type Controller struct {
 	// the packet path only ever loads it, so reconfiguration never blocks
 	// traffic (the paper's on-the-fly property).
 	snap atomic.Pointer[core.Snapshot]
-	// ctxPool recycles per-worker scratch contexts for the packet path.
-	ctxPool sync.Pool
+	// ctxFree lends Process and ProcessBatch their worker context, one per
+	// call (borrowCtx, returnCtx), so the list holds as many contexts as
+	// callers ever ran at once. ctxMu guards it.
+	ctxMu   sync.Mutex
+	ctxFree []*core.ProcCtx
 	// workers is the controller's persistent frame-drain pool, started
 	// lazily on the first ProcessFrameSource / ReplayTrace call and reused
 	// for every drain thereafter (no per-call goroutine spawning). Closed
@@ -104,6 +107,11 @@ type Controller struct {
 	// grace periods waited for in-flight readers (under mu).
 	procGate    sync.RWMutex
 	graceWaited time.Duration
+	// parked holds the ranges removals unlinked and published but have not
+	// cleared yet: neither free nor granted, since their allocators still
+	// count them used. settleLocked clears and frees them once no reader of
+	// an older snapshot can remain (under mu).
+	parked []parkedRange
 
 	// tele is the runtime telemetry registry (nil = telemetry off).
 	// version counts snapshot publications; retired is a short ring of
@@ -260,7 +268,6 @@ func NewController(cfg Config) *Controller {
 		// routing verdicts see them.
 		pl.EnableSharding(c.shardWorkers)
 	}
-	c.ctxPool.New = func() any { return core.NewProcCtxUnique() }
 	c.tele = cfg.Telemetry
 	if c.tele != nil {
 		pl.SetTelemetry(c.tele)
@@ -295,7 +302,7 @@ func (c *Controller) publishLocked() {
 // SnapshotVersion returns how many data-plane snapshots have been
 // published (every mutation republishes; the constructor publishes v1).
 func (c *Controller) SnapshotVersion() uint64 {
-	c.mu.Lock()
+	c.lock()
 	defer c.mu.Unlock()
 	return c.version
 }
@@ -305,7 +312,7 @@ func (c *Controller) SnapshotVersion() uint64 {
 // recompiling only the groups the call wrote; Republish is needed after
 // mutating the pipeline directly through Pipeline().
 func (c *Controller) Republish() {
-	c.mu.Lock()
+	c.lock()
 	defer c.mu.Unlock()
 	done := c.teleMutation("republish")
 	for gi := range c.groups {
@@ -332,10 +339,31 @@ func (c *Controller) Pipeline() *core.Pipeline { return c.pipeline }
 func (c *Controller) Process(p *packet.Packet) {
 	c.enter()
 	snap := c.snap.Load()
-	pc := c.ctxPool.Get().(*core.ProcCtx)
+	pc := c.borrowCtx()
 	snap.Process(pc, p)
-	c.ctxPool.Put(pc)
+	c.returnCtx(pc)
 	c.leave()
+}
+
+// borrowCtx lends a worker context from ctxFree, creating one (with a
+// unique rng stream) only when every listed context is lent. returnCtx
+// hands it back.
+func (c *Controller) borrowCtx() *core.ProcCtx {
+	c.ctxMu.Lock()
+	defer c.ctxMu.Unlock()
+	n := len(c.ctxFree)
+	if n == 0 {
+		return core.NewProcCtxUnique()
+	}
+	pc := c.ctxFree[n-1]
+	c.ctxFree = c.ctxFree[:n-1]
+	return pc
+}
+
+func (c *Controller) returnCtx(pc *core.ProcCtx) {
+	c.ctxMu.Lock()
+	c.ctxFree = append(c.ctxFree, pc)
+	c.ctxMu.Unlock()
 }
 
 // enter registers a packet caller outside the pool on procGate: shared
@@ -363,8 +391,8 @@ func (c *Controller) leave() {
 // differential tests and the benchmark's set-up check compare
 // ProcessFrameSource's registers against it, so it never routes through
 // the pool. Product callers with more than one packet use
-// ProcessFrameSource or ReplayTrace. The context comes from the
-// controller's pool with its rng rewound to the fixed seed, so identical
+// ProcessFrameSource or ReplayTrace. The context is borrowed from the
+// controller's free list with its rng rewound to the fixed seed, so identical
 // batches replay identically — bit-for-bit what a fresh NewProcCtx would
 // compute — while its scratch stays warm, keeping the per-batch path
 // allocation-free.
@@ -374,10 +402,10 @@ func (c *Controller) ProcessBatch(ps []packet.Packet) {
 	}
 	c.enter()
 	snap := c.snap.Load()
-	pc := c.ctxPool.Get().(*core.ProcCtx)
+	pc := c.borrowCtx()
 	pc.Reseed()
 	snap.ProcessBatchCtx(pc, ps)
-	c.ctxPool.Put(pc)
+	c.returnCtx(pc)
 	c.leave()
 }
 
@@ -459,7 +487,7 @@ func (c *Controller) drainShards() int {
 // Pipeline(). No-op (zero) without lanes; at one worker such a read must
 // not overlap a replay at all (the worker stores plainly).
 func (c *Controller) DrainShards() int {
-	c.mu.Lock()
+	c.lock()
 	defer c.mu.Unlock()
 	return c.drainShards()
 }
@@ -469,12 +497,57 @@ func (c *Controller) DrainShards() int {
 // Readers load the snapshot inside their hold, so after publishLocked and
 // grace no reader still executes a snapshot older than the publish — what
 // it unlinked is quiescent and may be read, cleared and re-granted with
-// plain memory operations while traffic runs. Callers hold c.mu.
+// plain memory operations while traffic runs. Every range parked before
+// the call is quiescent too, so grace frees it. Callers hold c.mu.
 func (c *Controller) grace() {
 	start := time.Now()
 	c.procGate.Lock()
 	c.procGate.Unlock() // the empty critical section is the barrier
 	c.graceWaited += time.Since(start)
+	c.freeParkedLocked()
+}
+
+// parkedRange is one row of a removed task's memory between its unlinking
+// publish and its clear: group gi, CMU cmu, the partition mem.
+type parkedRange struct {
+	gi, cmu int
+	mem     core.MemRange
+}
+
+// settleLocked clears and frees the parked ranges if no reader of the
+// snapshots that unlinked them can remain, without waiting for one: every
+// such reader entered procGate before the unlinking publish, so an
+// exclusive TryLock that succeeds proves they have all left. It fails
+// while any reader is in flight (a span, or a Process or ProcessBatch
+// call); the ranges then stay parked for the next call or grace. Callers
+// hold c.mu.
+func (c *Controller) settleLocked() {
+	if len(c.parked) == 0 || !c.procGate.TryLock() {
+		return
+	}
+	c.procGate.Unlock()
+	c.freeParkedLocked()
+}
+
+// freeParkedLocked zeroes every parked range's buckets and lanes with plain
+// bulk clears and returns it to its allocator. Callers hold c.mu and have
+// proven the ranges quiescent (settleLocked, grace).
+func (c *Controller) freeParkedLocked() {
+	for _, p := range c.parked {
+		c.groups[p.gi].CMU(p.cmu).Register().ClearRange(p.mem.Base, p.mem.Buckets)
+		if err := c.allocs[p.gi][p.cmu].Free(p.mem.Base); err != nil {
+			// A parked range is a partition its task was granted.
+			panic(err)
+		}
+	}
+	c.parked = c.parked[:0]
+}
+
+// lock takes c.mu for a control-plane call and settles what earlier
+// removals parked, when it can do so without waiting.
+func (c *Controller) lock() {
+	c.mu.Lock()
+	c.settleLocked()
 }
 
 // readHold makes the live registers readable for a control-plane query
@@ -512,7 +585,7 @@ func (c *Controller) Close() {
 
 // Tasks returns deployed tasks sorted by ID.
 func (c *Controller) Tasks() []*Task {
-	c.mu.Lock()
+	c.lock()
 	defer c.mu.Unlock()
 	out := make([]*Task, 0, len(c.tasks))
 	for _, t := range c.tasks {
@@ -524,7 +597,7 @@ func (c *Controller) Tasks() []*Task {
 
 // Task returns the deployed task with the given ID.
 func (c *Controller) Task(id int) (*Task, error) {
-	c.mu.Lock()
+	c.lock()
 	defer c.mu.Unlock()
 	return c.taskLocked(id)
 }
@@ -541,12 +614,14 @@ func (c *Controller) taskLocked(id int) (*Task, error) {
 // with its modeled deployment delay. Deployment installs runtime rules
 // only — running traffic and co-resident tasks are untouched, and nothing
 // waits for a reader: free memory is already zero (reclaimLocked) and a
-// rolled-back placement probe never had a published rule.
+// rolled-back placement probe never had a published rule. The one wait is
+// a placement that fits only in memory a removal parked beside a running
+// span: it waits that span out (grace) and takes the memory cleared.
 func (c *Controller) AddTask(spec TaskSpec) (*Task, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
+	c.lock()
 	defer c.mu.Unlock()
 	done := c.teleMutation("deploy")
 	t, err := c.addTaskLocked(spec)
@@ -567,6 +642,12 @@ func (c *Controller) addTaskLocked(spec TaskSpec) (*Task, error) {
 	id := c.nextID
 
 	task, err := c.place(id, spec, alg, d)
+	if err != nil && len(c.parked) > 0 {
+		// It may fit only in parked memory: wait out the spans that can
+		// still write it (grace frees it) and place again.
+		c.grace()
+		task, err = c.place(id, spec, alg, d)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -889,11 +970,14 @@ func (c *Controller) countRules(t *Task, locs []core.TaskLocation) RuleCount {
 }
 
 // RemoveTask uninstalls a task and returns its memory, zeroed, to the
-// allocator. Removal is a rule deletion — traffic continues; the call waits
-// only for the readers already in flight (one span at most), and no reader
-// that began before it returned can write the freed partitions afterwards.
+// allocator. Removal is a rule deletion — traffic continues, and the call
+// waits for no reader: it unlinks and publishes, and its memory is parked
+// until no reader of an older snapshot can remain, then cleared and freed
+// (reclaimLocked). Beside a running span that happens at a later op, so
+// no reader that began before RemoveTask returned can write memory the
+// allocator grants afterwards.
 func (c *Controller) RemoveTask(id int) error {
-	c.mu.Lock()
+	c.lock()
 	defer c.mu.Unlock()
 	done := c.teleMutation("remove")
 	_, err := c.reclaimLocked(id, false)
@@ -902,15 +986,18 @@ func (c *Controller) RemoveTask(id int) error {
 }
 
 // reclaimLocked is the one way a task's memory returns to the allocator,
-// in RCU order: unlink the rules, publish, wait out the readers that may
-// still hold them (grace), and only then touch the memory — with read set,
-// fold the partitions' lanes and copy them out (ResizeTask's result);
-// always zero buckets and lanes with plain bulk clears and free. The gate
-// is held for the empty lock only: the rest runs beside live traffic, which
-// can no longer reach the range. This keeps the invariant every grant
-// relies on: each bucket and lane entry outside a granted partition is
-// zero, and no reader that began before a reclaiming mutation returned
-// writes after it.
+// in RCU order: unlink the rules, publish, and park the partitions; only
+// once no reader of an older snapshot can remain are they touched — zeroed
+// with plain bulk clears, buckets and lanes, and freed. Parked memory is
+// neither free nor granted. Without read, the ranges settle at once when
+// no reader is in flight (settleLocked) and otherwise at the first call
+// that finds none, or at the next grace (a freeze, a resize, a placement
+// that needs them). With read, reclaimLocked waits out the readers itself
+// (grace), folds the partitions' lanes and copies them out (ResizeTask's
+// result) before they are parked and freed. This keeps the invariant
+// every grant relies on: each bucket and lane entry outside a granted or
+// parked partition is zero, and no reader that began before a reclaiming
+// mutation returned writes memory granted after it.
 func (c *Controller) reclaimLocked(id int, read bool) (old [][]uint32, err error) {
 	t, ok := c.tasks[id]
 	if !ok {
@@ -928,26 +1015,30 @@ func (c *Controller) reclaimLocked(id int, read bool) (old [][]uint32, err error
 		c.touch(loc.Group.ID())
 	}
 	c.publishLocked()
-	c.grace()
-	folded := 0
-	for _, loc := range locs {
-		reg, mem := loc.Group.CMU(loc.CMU).Register(), loc.Rule.Mem
-		if read {
+	if read {
+		c.grace()
+		folded := 0
+		for _, loc := range locs {
+			reg, mem := loc.Group.CMU(loc.CMU).Register(), loc.Rule.Mem
 			// Quiescent: one plain copy, no atomic loads.
 			folded += reg.DrainRange(loc.Rule.Op, mem.Base, mem.Buckets)
 			row := make([]uint32, mem.Buckets)
 			reg.CopyRange(row, mem.Base)
 			old = append(old, row)
 		}
-		reg.ClearRange(mem.Base, mem.Buckets)
-		if ferr := c.allocs[loc.Group.ID()][loc.CMU].Free(mem.Base); ferr != nil && err == nil {
-			err = ferr
+		if folded > 0 && c.tele != nil {
+			c.tele.RecordDrain(folded)
 		}
 	}
-	if folded > 0 && c.tele != nil {
-		c.tele.RecordDrain(folded)
+	for _, loc := range locs {
+		c.parked = append(c.parked, parkedRange{loc.Group.ID(), loc.CMU, loc.Rule.Mem})
 	}
-	return old, err
+	if read {
+		c.freeParkedLocked() // quiescent since the grace
+	} else {
+		c.settleLocked()
+	}
+	return old, nil
 }
 
 // ResizeTask reallocates a task's memory (§6, memory reallocation
@@ -957,7 +1048,7 @@ func (c *Controller) reclaimLocked(id int, read bool) (old [][]uint32, err error
 // restart; old is the final state of the old partitions, lanes folded —
 // no in-flight reader can still be adding to it.
 func (c *Controller) ResizeTask(id, newBuckets int) (old [][]uint32, err error) {
-	c.mu.Lock()
+	c.lock()
 	defer c.mu.Unlock()
 	done := c.teleMutation("resize")
 	defer func() { done(id, fmt.Sprintf("buckets=%d", newBuckets), err) }()
@@ -992,7 +1083,7 @@ func (c *Controller) ResizeTask(id, newBuckets int) (old [][]uint32, err error) 
 // returns no reader can still match the task: the frozen copy is immutable
 // until it is thawed or removed.
 func (c *Controller) FreezeTask(id int) error {
-	c.mu.Lock()
+	c.lock()
 	defer c.mu.Unlock()
 	done := c.teleMutation("freeze")
 	locs := c.pipeline.Locate(id)
@@ -1015,7 +1106,7 @@ func (c *Controller) FreezeTask(id int) error {
 // intersecting traffic now shares its CMUs (a task deployed into the
 // frozen task's traffic slice in the meantime makes thawing unsafe).
 func (c *Controller) ThawTask(id int) (err error) {
-	c.mu.Lock()
+	c.lock()
 	defer c.mu.Unlock()
 	done := c.teleMutation("thaw")
 	defer func() { done(id, "", err) }()
@@ -1049,7 +1140,7 @@ func (c *Controller) ThawTask(id int) (err error) {
 // original's memory request. The original task is removed; the subtasks
 // get fresh IDs.
 func (c *Controller) SplitTask(id int) (lo, hi *Task, err error) {
-	c.mu.Lock()
+	c.lock()
 	defer c.mu.Unlock()
 	done := c.teleMutation("split")
 	defer func() {
@@ -1120,7 +1211,7 @@ type GroupReport struct {
 
 // ResourceReport summarizes every group's occupancy.
 func (c *Controller) ResourceReport() []GroupReport {
-	c.mu.Lock()
+	c.lock()
 	defer c.mu.Unlock()
 	out := make([]GroupReport, 0, len(c.groups))
 	for gi := range c.groups {
@@ -1157,7 +1248,7 @@ func (c *Controller) ResourceReport() []GroupReport {
 // FreeBuckets returns the unallocated buckets of every CMU, indexed
 // [group][cmu].
 func (c *Controller) FreeBuckets() [][]int {
-	c.mu.Lock()
+	c.lock()
 	defer c.mu.Unlock()
 	out := make([][]int, len(c.allocs))
 	for gi, cmus := range c.allocs {
@@ -1218,7 +1309,7 @@ func (c *Controller) Reported(id int, candidates []packet.CanonicalKey) (out map
 // readHold, through the algorithm's one decoder (algorithms.Readout) —
 // the code a fleet's epoch artifact answers through from merged rows.
 func (c *Controller) answer(id int, ask func(algorithms.Readout) error) error {
-	c.mu.Lock()
+	c.lock()
 	defer c.mu.Unlock()
 	if c.readHold() {
 		defer c.procGate.Unlock()
@@ -1246,7 +1337,7 @@ func (c *Controller) Distribution(id int) (map[uint64]float64, float64, error) {
 }
 
 func (c *Controller) mracCounters(id int) ([]uint32, error) {
-	c.mu.Lock()
+	c.lock()
 	defer c.mu.Unlock()
 	if c.readHold() {
 		defer c.procGate.Unlock()
@@ -1264,7 +1355,7 @@ func (c *Controller) mracCounters(id int) ([]uint32, error) {
 
 // ReadRegisters reads a task's raw register partitions.
 func (c *Controller) ReadRegisters(id int) ([][]uint32, error) {
-	c.mu.Lock()
+	c.lock()
 	defer c.mu.Unlock()
 	if c.readHold() {
 		defer c.procGate.Unlock()
@@ -1278,7 +1369,7 @@ func (c *Controller) ReadRegisters(id int) ([][]uint32, error) {
 // excludes the packet path — the gate held exclusive — instead of waiting
 // it out.
 func (c *Controller) ResetTaskCounters(id int) error {
-	c.mu.Lock()
+	c.lock()
 	defer c.mu.Unlock()
 	done := c.teleMutation("reset")
 	locs := c.pipeline.Locate(id)
@@ -1303,7 +1394,7 @@ func (c *Controller) ResetTaskCounters(id int) error {
 // worker such a read races the worker's plain stores. The controller's own
 // queries take that exclusion for the caller.
 func (c *Controller) TaskHandle(id int) (any, error) {
-	c.mu.Lock()
+	c.lock()
 	defer c.mu.Unlock()
 	if c.readHold() {
 		defer c.procGate.Unlock()

@@ -1,6 +1,7 @@
 package controlplane
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
 	"sync/atomic"
@@ -48,9 +49,11 @@ var giantSpanPacket = packet.Packet{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, 
 // duringGiantSpan deploys a match-all frequency task on a one-worker,
 // shared-state controller, starts one 200k-frame span of a single flow
 // through the pool and calls mutate once the span is provably executing
-// (the task's registers have started to move). It returns after the drain
-// has ended, with the controller and its mutation journal.
-func duringGiantSpan(t *testing.T, mutate func(c *Controller, a *Task)) (*Controller, []telemetry.Event) {
+// (it has counted its first chunk in: a register read would hold the gate
+// exclusive and so wait the span out), with a channel closed when the
+// drain has ended. It returns after the drain has ended, with the
+// controller and its mutation journal.
+func duringGiantSpan(t *testing.T, mutate func(c *Controller, a *Task, drained <-chan struct{})) (*Controller, []telemetry.Event) {
 	t.Helper()
 	c, reg := telemetryController(t, Config{Groups: 1, Buckets: 16384, BitWidth: 32, Workers: 1})
 	t.Cleanup(c.Close)
@@ -69,56 +72,163 @@ func duringGiantSpan(t *testing.T, mutate func(c *Controller, a *Task)) (*Contro
 		c.ProcessFrameSource(src)
 	}()
 	<-src.handed
-	for rowSums(readAll(t, c, a.ID))[0] == 0 {
+	for c.Pipeline().Packets() == 0 {
 		runtime.Gosched()
 	}
-	mutate(c, a)
+	mutate(c, a, drained)
 	<-drained
 	return c, reg.Journal.Events()
 }
 
-// graceOf returns the grace wait the journal recorded for the one event of
+// graceOf returns the grace wait the journal recorded for the first event of
 // the given kind.
 func graceOf(t *testing.T, evs []telemetry.Event, kind string) int64 {
 	t.Helper()
+	return graceFor(t, evs, kind, -1)
+}
+
+// graceFor returns the grace wait the journal recorded for the first event
+// of the given kind on task id (any task when id < 0).
+func graceFor(t *testing.T, evs []telemetry.Event, kind string, id int) int64 {
+	t.Helper()
 	for _, e := range evs {
-		if e.Kind == kind {
+		if e.Kind == kind && (id < 0 || e.Task == id) {
 			return e.GraceNs
 		}
 	}
-	t.Fatalf("no %q event in the journal: %+v", kind, evs)
+	t.Fatalf("no %q event for task %d in the journal: %+v", kind, id, evs)
 	return 0
+}
+
+// wholeRegister is a frequency task that fits only in an empty register of
+// duringGiantSpan's controller (16,384 buckets per CMU): beside its match-all
+// task's partitions it has no room until they are freed. Its filter matches
+// no packet of the span.
+var wholeRegister = freqSpec("b", packet.Filter{DstPort: 7}, 16384)
+
+// queuedBehindReader runs op on its own goroutine while the caller holds
+// procGate shared, and reports whether op queued at the gate behind that
+// hold (a queued exclusive hold refuses new shared ones, so TryRLock
+// fails) rather than returning first. wait returns op's error once op has
+// returned, which a queued op does only after the caller's hold is gone.
+func queuedBehindReader(c *Controller, op func() error) (queued bool, wait func() error) {
+	done := make(chan error, 1)
+	go func() { done <- op() }()
+	wait = func() error { return <-done }
+	for {
+		select {
+		case err := <-done:
+			return false, func() error { return err }
+		default:
+		}
+		if !c.procGate.TryRLock() {
+			return true, wait
+		}
+		c.procGate.RUnlock()
+		runtime.Gosched()
+	}
+}
+
+// removeBesideReader removes a while a reader that entered before the
+// removal is pinned in flight — the test holds procGate shared, as a pool
+// span does around its snapshot — runs during with the reader still
+// pinned, and deploys spec. The removal must return without waiting for
+// the reader; the deploy must queue behind it. It unpins the reader and
+// returns the deployed task.
+func removeBesideReader(t *testing.T, c *Controller, a *Task, spec TaskSpec, during func()) *Task {
+	t.Helper()
+	c.procGate.RLock()
+	queued, wait := queuedBehindReader(c, func() error { return c.RemoveTask(a.ID) })
+	if queued {
+		c.procGate.RUnlock()
+		_ = wait()
+		t.Fatal("RemoveTask waited for a reader in flight: a removal parks its memory instead")
+	}
+	if err := wait(); err != nil {
+		c.procGate.RUnlock()
+		t.Fatal(err)
+	}
+	if during != nil {
+		during()
+	}
+	var b *Task
+	queued, wait = queuedBehindReader(c, func() (err error) {
+		b, err = c.AddTask(spec)
+		return err
+	})
+	c.procGate.RUnlock()
+	if err := wait(); err != nil {
+		t.Fatal(err)
+	}
+	if !queued {
+		t.Fatal("AddTask returned while a reader of the removed task's snapshot was in flight: it was granted parked memory without a grace period")
+	}
+	return b
 }
 
 // TestReclaimedPartitionStartsClean: a reader that began before RemoveTask
 // must not write the freed partition after it — the next task granted that
 // memory starts at zero even though a span holding the old snapshot was
-// still running when the removal was issued.
+// still running when the removal was issued. The removal waits for no
+// reader; the placement that takes its memory waits instead.
 func TestReclaimedPartitionStartsClean(t *testing.T) {
 	var b *Task
-	c, evs := duringGiantSpan(t, func(c *Controller, a *Task) {
-		if err := c.RemoveTask(a.ID); err != nil {
-			t.Fatal(err)
-		}
-		var err error
-		// Same geometry, so the allocator grants a's partitions again; a
-		// filter no packet of the span matches.
-		if b, err = c.AddTask(freqSpec("b", packet.Filter{DstPort: 7}, 4096)); err != nil {
-			t.Fatal(err)
-		}
+	c, evs := duringGiantSpan(t, func(c *Controller, a *Task, _ <-chan struct{}) {
+		b = removeBesideReader(t, c, a, wholeRegister, nil)
 	})
 	for r, sum := range rowSums(readAll(t, c, b.ID)) {
 		if sum != 0 {
 			t.Fatalf("row %d of the task that inherited the partition sums to %d, want 0: a stale reader wrote reclaimed memory", r, sum)
 		}
 	}
-	// The journal says why the removal was slow: it waited out the span. A
-	// deploy reclaims nothing and waits for nobody.
-	if g := graceOf(t, evs, "remove"); g <= 0 {
-		t.Fatalf("remove event records grace_ns %d, want the span it waited for", g)
+	// The journal says where the wait went: the removal parked a's memory
+	// and returned; the deploy that needed it waited out the reader.
+	if g := graceOf(t, evs, "remove"); g != 0 {
+		t.Fatalf("remove event records grace_ns %d, want 0: a removal parks its memory instead of waiting", g)
 	}
-	if g := graceOf(t, evs, "deploy"); g != 0 {
-		t.Fatalf("deploy event records grace_ns %d, want 0", g)
+	if g := graceFor(t, evs, "deploy", b.ID); g <= 0 {
+		t.Fatalf("deploy event of the task that took the memory records grace_ns %d, want the reader it waited for", g)
+	}
+}
+
+// TestRemoveParksDuringSpan: memory a removal unlinks while a reader of
+// the old snapshot is in flight is parked — neither free nor cleared, so
+// FreeBuckets does not count it and it still holds what the span wrote —
+// and a placement that fits only there waits the reader out and starts at
+// zero. It catches, on scratch copies, "clear at publish" (a's rows read
+// zero while the reader is pinned, or the stale span's later writes show
+// in b) and "re-grant a parked range without grace" (AddTask returns while
+// the reader is pinned).
+func TestRemoveParksDuringSpan(t *testing.T) {
+	var b *Task
+	c, evs := duringGiantSpan(t, func(c *Controller, a *Task, drained <-chan struct{}) {
+		locs := c.locate(a)
+		b = removeBesideReader(t, c, a, wholeRegister, func() {
+			<-drained // the span's writes are over; the pinned reader is not
+			for ci, free := range c.FreeBuckets()[0] {
+				if want := 16384 - 4096; free != want {
+					t.Errorf("CMU %d: FreeBuckets %d beside a pinned reader, want %d: parked memory counted free", ci, free, want)
+				}
+			}
+			for _, loc := range locs {
+				row := make([]uint32, loc.Rule.Mem.Buckets)
+				loc.Group.CMU(loc.CMU).Register().CopyRange(row, loc.Rule.Mem.Base)
+				if rowSums([][]uint32{row})[0] == 0 {
+					t.Errorf("CMU %d: the removed task's partition reads zero beside a pinned reader: parked memory was cleared early", loc.CMU)
+				}
+			}
+		})
+	})
+	for r, sum := range rowSums(readAll(t, c, b.ID)) {
+		if sum != 0 {
+			t.Fatalf("row %d of the task placed in parked memory sums to %d, want 0", r, sum)
+		}
+	}
+	if g := graceOf(t, evs, "remove"); g != 0 {
+		t.Fatalf("remove event records grace_ns %d, want 0", g)
+	}
+	if g := graceFor(t, evs, "deploy", b.ID); g <= 0 {
+		t.Fatalf("deploy event of the task placed in parked memory records grace_ns %d, want the reader it waited for", g)
 	}
 }
 
@@ -127,7 +237,7 @@ func TestReclaimedPartitionStartsClean(t *testing.T) {
 func TestFrozenCopyIsImmutable(t *testing.T) {
 	var id int
 	var atFreeze []uint64
-	c, evs := duringGiantSpan(t, func(c *Controller, a *Task) {
+	c, evs := duringGiantSpan(t, func(c *Controller, a *Task, _ <-chan struct{}) {
 		id = a.ID
 		if err := c.FreezeTask(id); err != nil {
 			t.Fatal(err)
@@ -151,7 +261,7 @@ func TestFrozenCopyIsImmutable(t *testing.T) {
 // bit-identical to the sequential reference replaying the same frames.
 func TestResizeReadsQuiescentRows(t *testing.T) {
 	var old [][]uint32
-	duringGiantSpan(t, func(c *Controller, a *Task) {
+	duringGiantSpan(t, func(c *Controller, a *Task, _ <-chan struct{}) {
 		var err error
 		if old, err = c.ResizeTask(a.ID, 2048); err != nil {
 			t.Fatal(err)
@@ -276,4 +386,69 @@ func BenchmarkReconfigureCycle(b *testing.B) {
 		})
 	}
 	remove(b)
+}
+
+// BenchmarkRemoveBesideReplay prices a removal and a deploy on a live
+// one-worker controller: eight match-all five-tuple CMS tasks resident (one
+// per group) and a replay looping over a Zipf trace beside them while a
+// ninth task is added and removed in pairs. It reports each op's p50 and
+// p90 in µs (add_p50_us, remove_p50_us, …). A removal that waited out the
+// span in flight would read about a span's time; one that parks its memory
+// reads no more than a deploy. The wait moves to the deploy that finds its
+// group full of parked memory (every fourth here, while the replay never
+// pauses), which shows in add_p90_us.
+//
+//	go test -run '^$' -bench RemoveBesideReplay ./internal/controlplane/
+func BenchmarkRemoveBesideReplay(b *testing.B) {
+	c := NewController(Config{Groups: 9, Buckets: 65536, BitWidth: 32, Workers: 1})
+	defer c.Close()
+	for i := 0; i < 8; i++ {
+		if _, err := c.AddTask(freqSpec(fmt.Sprintf("cms%d", i), packet.MatchAll, 16384)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	tr := mmtrace.FromPackets(trace.Generate(trace.Config{Flows: 100_000, Packets: 1 << 18, ZipfS: 1.1, Seed: 5}).Packets)
+	rep, err := mmtrace.NewReplayer(mmtrace.ReplayConfig{Traces: []*mmtrace.Trace{tr}, Workers: 1, Passes: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	replayed := make(chan struct{})
+	go func() {
+		defer close(replayed)
+		c.ProcessFrameSource(rep)
+	}()
+	defer func() {
+		rep.Stop()
+		<-replayed
+	}()
+	for rep.Packets() == 0 {
+		runtime.Gosched()
+	}
+	churn := freqSpec("churn", packet.MatchAll, 16384)
+	adds := make([]time.Duration, 0, b.N)
+	removes := make([]time.Duration, 0, b.N)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		task, err := c.AddTask(churn)
+		if err != nil {
+			b.Fatal(err)
+		}
+		added := time.Now()
+		if err := c.RemoveTask(task.ID); err != nil {
+			b.Fatal(err)
+		}
+		adds = append(adds, added.Sub(start))
+		removes = append(removes, time.Since(added))
+	}
+	b.StopTimer()
+	for _, op := range []struct {
+		name string
+		ds   []time.Duration
+	}{{"add", adds}, {"remove", removes}} {
+		slices.Sort(op.ds)
+		for _, q := range []int{50, 90} {
+			b.ReportMetric(float64(op.ds[len(op.ds)*q/100].Nanoseconds())/1e3, fmt.Sprintf("%s_p%d_us", op.name, q))
+		}
+	}
 }

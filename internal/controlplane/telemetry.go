@@ -73,7 +73,7 @@ func (c *Controller) teleMutation(kind string) func(task int, detail string, err
 // the semantic cut-over (tasks keyed on the old attribute should be reset
 // or removed first); stale register contents are not cleared.
 func (c *Controller) RekeyUnit(group, unit int, spec packet.KeySpec) error {
-	c.mu.Lock()
+	c.lock()
 	defer c.mu.Unlock()
 	done := c.teleMutation("rekey")
 	err := c.rekeyUnitLocked(group, unit, spec)
@@ -99,7 +99,7 @@ func (c *Controller) rekeyUnitLocked(group, unit int, spec packet.KeySpec) error
 // per-rule counters, and walks every register for occupancy and saturation
 // gauges. Called by Registry.Report on every scrape.
 func (c *Controller) TelemetryDataPlane() telemetry.DataPlane {
-	c.mu.Lock()
+	c.lock()
 	defer c.mu.Unlock()
 	if c.tele == nil {
 		return telemetry.DataPlane{}

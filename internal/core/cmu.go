@@ -509,8 +509,8 @@ func (e *ruleError) Error() string {
 // installed. The rule's memory partition is left as it is: a snapshot
 // compiled before the removal may still be executing the rule, so only the
 // owner of the memory knows when it is quiescent (the control plane clears
-// a partition after its grace period, before the allocator can grant it
-// again; a rule that was never published has written nothing).
+// a partition once no reader can still hold the rule, before the allocator
+// can grant it again; a rule that was never published has written nothing).
 func (c *CMU) RemoveRule(taskID int) bool {
 	for i, r := range c.rules {
 		if r.TaskID == taskID {

@@ -57,8 +57,10 @@ func randomBus(fs *frameScratch, rng *rand.Rand) {
 // TestPrepareMatchesApplyVals: on random gathered columns, prepare leaves
 // exactly the updates applyVals keeps, in frame order, with applyVals'
 // parameters and their frame and index columns compacted alongside, and adds
-// the drop count to PrepDrops.
+// the drop count to PrepDrops. Each transform sees rounds of whole-chunk
+// selections, ≈ 61k random updates in all, whatever the chunk width.
 func TestPrepareMatchesApplyVals(t *testing.T) {
+	const rounds = 80 * 1024 / FrameChunk
 	cases := []Transform{
 		{Kind: TransformNone},
 		{Kind: TransformCoupon, Coupons: 8, ProbLog2: 0},
@@ -89,7 +91,7 @@ func TestPrepareMatchesApplyVals(t *testing.T) {
 	var fs frameScratch
 	for _, tf := range cases {
 		drops := 0
-		for round := 0; round < 40; round++ {
+		for round := 0; round < rounds; round++ {
 			randomBus(&fs, rng)
 			sel := randomSelection(&fs, rng)
 			m := len(sel)

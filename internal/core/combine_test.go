@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"flymon/internal/dataplane"
+	"flymon/internal/mmtrace"
 	"flymon/internal/packet"
 	"flymon/internal/telemetry"
 	"flymon/internal/trace"
@@ -280,6 +281,16 @@ func TestCombineMatchAllBesideFiltered(t *testing.T) {
 	}
 }
 
+// runChunk runs frames [lo, hi) of mt, one chunk at most, through s the way
+// ProcessFrames does, on a scratch it keeps, and returns that scratch with
+// the chunk's groups in it.
+func runChunk(s *Snapshot, pc *ProcCtx, mt *mmtrace.Trace, lo, hi int) *frameScratch {
+	fs := new(frameScratch)
+	fs.arm(s)
+	s.processFrameChunk(pc, fs, mt.Span(lo, hi), hi-lo)
+	return fs
+}
+
 // TestCombineGroupsByKey: the engine's grouping finds exactly each chunk's
 // distinct keys under the union of the snapshot's masks, representatives in
 // frame order, counts summing to the chunk, and every frame's group holding
@@ -303,18 +314,17 @@ func TestCombineGroupsByKey(t *testing.T) {
 		}
 		pc := NewProcCtx()
 		for lo := 0; lo < mt.Frames(); lo += FrameChunk {
-			s.ProcessFrames(pc, mt, lo, lo+FrameChunk)
+			fs := runChunk(s, pc, mt, lo, lo+FrameChunk)
 			group := map[packet.CanonicalKey]int{}
 			for i := lo; i < lo+FrameChunk; i++ {
 				k := packet.ExtractMasked(&tr.Packets[i], mask)
 				if _, ok := group[k]; !ok {
 					group[k] = len(group)
 				}
-				if fs := pc.frames; fs.grp[i-lo] != int32(group[k]) {
+				if fs.grp[i-lo] != int32(group[k]) {
 					t.Fatalf("chunk at %d, frame %d: group %d, want %d", lo, i-lo, fs.grp[i-lo], group[k])
 				}
 			}
-			fs := pc.frames
 			if fs.nrep != len(group) {
 				t.Fatalf("chunk at %d: %d representatives, want %d distinct keys", lo, fs.nrep, len(group))
 			}
@@ -414,9 +424,8 @@ func TestCombineUnreadFieldsShareGroup(t *testing.T) {
 	pc := NewProcCtx()
 	for lo := 0; lo < len(ps); lo += FrameChunk {
 		hi := min(lo+FrameChunk, len(ps))
-		s.ProcessFrames(pc, mt, lo, hi)
-		if want := min(3, hi-lo); pc.frames.nrep != want {
-			t.Fatalf("chunk at %d: %d representatives, want %d source addresses", lo, pc.frames.nrep, want)
+		if fs, want := runChunk(s, pc, mt, lo, hi), min(3, hi-lo); fs.nrep != want {
+			t.Fatalf("chunk at %d: %d representatives, want %d source addresses", lo, fs.nrep, want)
 		}
 	}
 }
@@ -458,12 +467,13 @@ func TestCombineTimestampKey(t *testing.T) {
 
 // TestCombineSpans: spans of 1, w-1, w, w+1 and 3w+5 frames (w the chunk
 // width) cut chunks short of, at and across the width; 511, 512, 513 and
-// 1541 (the same cuts for a 512-frame span, a width a replay may still ask
-// for) group partial chunks of several sizes; every schedule matches the
-// oracle, on the nine-CMS set and on the churn shape.
+// 1541, and 2047, 2048, 2049 and 6149 (the same cuts for 512- and
+// 2,048-frame spans) group partial chunks of several sizes; every schedule
+// matches the oracle, on the nine-CMS set and on the churn shape.
 func TestCombineSpans(t *testing.T) {
-	tr := trace.Generate(trace.Config{Flows: 3000, Packets: 8*FrameChunk + 3, ZipfS: 1.1, Seed: 66})
-	for _, span := range []int{1, 511, 512, 513, 1541, FrameChunk - 1, FrameChunk, FrameChunk + 1, 3*FrameChunk + 5} {
+	tr := trace.Generate(trace.Config{Flows: 3000, Packets: 4*FrameChunk + 3, ZipfS: 1.1, Seed: 66})
+	for _, span := range []int{1, 511, 512, 513, 1541, 2047, 2048, 2049, 6149,
+		FrameChunk - 1, FrameChunk, FrameChunk + 1, 3*FrameChunk + 5} {
 		t.Run(fmt.Sprint(span), func(t *testing.T) {
 			framesMatchBatch(t, func() *Pipeline { return nineCMS(t, 4096) }, nil, tr.Packets, span)
 			framesMatchBatch(t, func() *Pipeline { return churnShape(t) }, nil, tr.Packets, span)
@@ -556,7 +566,7 @@ func idempotentShape(t *testing.T, width int, rules []*Rule) *Pipeline {
 // off the bus, which makes the snapshot bus-busy and must turn combining
 // off.
 func TestCombineIdempotent(t *testing.T) {
-	tr := trace.Generate(trace.Config{Flows: 2000, Packets: 24*FrameChunk + 7, ZipfS: 1.1, Seed: 67})
+	tr := trace.Generate(trace.Config{Flows: 2000, Packets: 12*FrameChunk + 7, ZipfS: 1.1, Seed: 67})
 	rng := rand.New(rand.NewSource(67))
 	for i := range tr.Packets {
 		tr.Packets[i].QueueLength = uint32(rng.Intn(1 << 10))

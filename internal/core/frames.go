@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"sync"
 
 	"flymon/internal/dataplane"
 	"flymon/internal/hashing"
@@ -74,10 +75,12 @@ import (
 // a replayed span is one chunk and is grouped whole
 // (TestReplaySpanIsWholeChunks holds the two together). A wider chunk
 // finds more repeats of a key to combine: on a Zipf 1.1 trace of 100k
-// flows, 52 % of frames start a new group at 512 frames, 41 % at 2,048.
-// The scratch at this width stays L2 resident: 174 KB of bus, gather and
-// grouping arrays, plus 64 KB of digest matrix and 40 KB of masked keys
-// for a nine-task five-tuple pipeline (one mask, eight digests). Every
+// flows, 52 % of frames start a new group at 512 frames, 41 % at 2,048,
+// 36 % at 4,096. The scratch at this width is 348 KB of bus, gather and
+// grouping arrays, plus 128 KB of digest matrix and 80 KB of masked keys
+// for a nine-task five-tuple pipeline (one mask, eight digests); a process
+// holds one per span running at once (borrowScratch), not one per
+// context. Every
 // i&(FrameChunk-1) in this file and the grouping hash's uint16 entries
 // rely on its being a power of two no larger than 1<<16
 // (TestFrameChunkInvariants).
@@ -87,18 +90,19 @@ const FrameChunk = 1 << chunkBits
 // from it: 2^groupBits = groupSlots slots, twice the chunk, so its load
 // factor stays at or below one half.
 const (
-	chunkBits  = 11
+	chunkBits  = 12
 	groupBits  = chunkBits + 1
 	groupSlots = 1 << groupBits
 )
 
-// frameScratch is the chunk engine's per-worker state, which a ProcCtx
-// allocates on its first ProcessFrames call. The dynamic slices are sized
-// to the armed snapshot's digest tables; after the first chunk of a
-// configuration the engine is allocation-free (the ZeroAlloc gate covers
-// it).
+// frameScratch is the chunk engine's state for one running span, lent by
+// borrowScratch and handed back by release. The dynamic slices are sized
+// to the armed snapshot's digest tables; once the list's scratch has grown
+// to a configuration's shape the engine is allocation-free (the ZeroAlloc
+// gates cover it).
 type frameScratch struct {
-	// snap is the snapshot masked/hashes are sized for.
+	// snap is the snapshot masked/hashes are sized for, nil while the
+	// scratch is on the free list.
 	snap *Snapshot
 	// masked holds each distinct mask's canonical keys of the chunk's
 	// representatives, laid out [mask][group] with stride FrameChunk.
@@ -142,9 +146,45 @@ type frameScratch struct {
 	entry [groupSlots]uint16
 }
 
+// scratchList is the process-wide free list of chunk scratch. A span
+// borrows one for as long as it runs, so the process holds as many as
+// spans ever ran at once, however many controllers and contexts exist. It
+// is not a sync.Pool, which drops its items at every collection (and at
+// random under the race detector), re-allocating half a megabyte a time.
+var scratchList struct {
+	sync.Mutex
+	free []*frameScratch
+}
+
+// borrowScratch lends a scratch armed for s, allocating one only when
+// every listed scratch is lent.
+func borrowScratch(s *Snapshot) *frameScratch {
+	scratchList.Lock()
+	var fs *frameScratch
+	if n := len(scratchList.free); n > 0 {
+		fs = scratchList.free[n-1]
+		scratchList.free = scratchList.free[:n-1]
+	}
+	scratchList.Unlock()
+	if fs == nil {
+		fs = new(frameScratch)
+	}
+	fs.arm(s)
+	return fs
+}
+
+// release hands fs back to the free list. It drops the snapshot first: a
+// listed scratch that kept it would pin a closed controller's registers.
+func (fs *frameScratch) release() {
+	fs.snap = nil
+	scratchList.Lock()
+	scratchList.free = append(scratchList.free, fs)
+	scratchList.Unlock()
+}
+
 // arm sizes the digest scratch for s. Only a snapshot with more distinct
-// masks or digests allocates; republishing a same-shape configuration is
-// free.
+// masks or digests allocates; re-arming a scratch that held a same-shape
+// configuration is free.
 func (fs *frameScratch) arm(s *Snapshot) {
 	if fs.snap == s {
 		return
@@ -169,22 +209,22 @@ func (s *Snapshot) FrameVectorized() bool { return len(s.plan.ordered)+len(s.pla
 // interactions, telemetry counts, clamp events, rng coin draws — are
 // bit-identical to decoding the same frames and calling Process on each in
 // order. Safe for concurrent callers with distinct contexts, like Process.
+// The chunk scratch is borrowed for the span and handed back after it.
 func (s *Snapshot) ProcessFrames(pc *ProcCtx, t *mmtrace.Trace, lo, hi int) {
-	if pc.frames == nil {
-		pc.frames = new(frameScratch)
-	}
+	fs := borrowScratch(s)
 	for lo < hi {
 		n := min(hi-lo, FrameChunk)
-		s.processFrameChunk(pc, t.Span(lo, lo+n), n)
+		s.processFrameChunk(pc, fs, t.Span(lo, lo+n), n)
 		lo += n
 	}
+	fs.release()
 }
 
 // processFrameChunk runs one chunk of n frames (recs holds exactly their
 // record bytes) through every stage: the plan's column CMUs over the whole
 // chunk, then the packet-order pass for the rest.
-func (s *Snapshot) processFrameChunk(pc *ProcCtx, recs []byte, n int) {
-	fs := s.digestChunk(pc, recs, n)
+func (s *Snapshot) processFrameChunk(pc *ProcCtx, fs *frameScratch, recs []byte, n int) {
+	s.digestChunk(pc, fs, recs, n)
 	// Fresh PHV per frame: the result bus starts from reset state. A
 	// bus-quiet plan neither reads nor scatters it (its packet-order pass
 	// runs on pc.Ctx), so it skips the reset.
@@ -198,7 +238,7 @@ func (s *Snapshot) processFrameChunk(pc *ProcCtx, recs []byte, n int) {
 	// Stage 3: the column CMUs in pipeline order, each over the whole
 	// chunk.
 	for ci := range s.plan.column {
-		cmuFrames(pc, &s.plan.column[ci], recs, n)
+		cmuFrames(pc, fs, &s.plan.column[ci], recs, n)
 	}
 	if !s.FrameVectorized() {
 		s.pl.packetOrder.Add(uint64(n))
@@ -207,14 +247,12 @@ func (s *Snapshot) processFrameChunk(pc *ProcCtx, recs []byte, n int) {
 }
 
 // digestChunk counts a chunk of n frames in and runs stages 1 and 2 on it,
-// leaving the groups and the digest matrix in the context's scratch.
-func (s *Snapshot) digestChunk(pc *ProcCtx, recs []byte, n int) *frameScratch {
+// leaving the groups and the digest matrix in fs.
+func (s *Snapshot) digestChunk(pc *ProcCtx, fs *frameScratch, recs []byte, n int) {
 	s.pl.packets.Add(uint64(n))
 	if s.teleOn {
 		pc.teleTickBatch(s, n)
 	}
-	fs := pc.frames
-	fs.arm(s)
 
 	// Stage 1: group the chunk's frames by their union key.
 	reps := allFrames[:n]
@@ -239,7 +277,6 @@ func (s *Snapshot) digestChunk(pc *ProcCtx, recs []byte, n int) *frameScratch {
 		}
 		b.f.SumKeys(fs.masked[b.mask*FrameChunk:b.mask*FrameChunk+len(reps)], dst[:b.n])
 	}
-	return fs
 }
 
 // orderedFrames is the chunk's packet-order pass: Snapshot.Process, in
@@ -381,13 +418,12 @@ func (fs *frameScratch) digestRows(sel []int32, whole bool) []int32 {
 // only record bytes, so running a rule before the next one selects changes
 // nothing. A match-all rule at position 0 wins every frame (the dominant
 // case — whole-traffic sketches), skipping the selection pass entirely.
-func cmuFrames(pc *ProcCtx, sc *snapCMU, recs []byte, n int) {
+func cmuFrames(pc *ProcCtx, fs *frameScratch, sc *snapCMU, recs []byte, n int) {
 	prog := sc.prog
 	if prog[0].match.kind == matchAll {
-		ruleFrames(pc, &prog[0], recs, n, nil)
+		ruleFrames(pc, fs, &prog[0], recs, n, nil)
 		return
 	}
-	fs := pc.frames
 	var claimed [FrameChunk / 64]uint64
 	for ri := range prog {
 		cnt, off := 0, 0
@@ -401,7 +437,7 @@ func cmuFrames(pc *ProcCtx, sc *snapCMU, recs []byte, n int) {
 			off += trace.RecordSize
 		}
 		if cnt > 0 {
-			ruleFrames(pc, &prog[ri], recs, n, fs.sel[:cnt])
+			ruleFrames(pc, fs, &prog[ri], recs, n, fs.sel[:cnt])
 		}
 	}
 }
@@ -412,8 +448,7 @@ func cmuFrames(pc *ProcCtx, sc *snapCMU, recs []byte, n int) {
 // column, one column per parameter, the preparation kernel, one batched
 // register call and, when the rule scatters, the witness scatter. Digest
 // columns read each frame's digests through its group (digestRows).
-func ruleFrames(pc *ProcCtx, r *compiledRule, recs []byte, n int, sel []int32) {
-	fs := pc.frames
+func ruleFrames(pc *ProcCtx, fs *frameScratch, r *compiledRule, recs []byte, n int, sel []int32) {
 	whole := sel == nil
 	if whole {
 		sel = allFrames[:n]
@@ -447,7 +482,7 @@ func ruleFrames(pc *ProcCtx, r *compiledRule, recs []byte, n int, sel []int32) {
 		return
 	case kernelCombined, kernelFoldedP1:
 		if whole && fs.nrep < n {
-			ruleCombined(pc, r, recs, n, lane)
+			ruleCombined(pc, fs, r, recs, n, lane)
 			return
 		}
 	}
@@ -503,8 +538,7 @@ func ruleFrames(pc *ProcCtx, r *compiledRule, recs []byte, n int, sel []int32) {
 // over the representatives followed by the preparation stage (a dropped
 // group drops all its frames) or, folded, per group under the op
 // (frameScratch.reduceP1).
-func ruleCombined(pc *ProcCtx, r *compiledRule, recs []byte, n int, lane bool) {
-	fs := pc.frames
+func ruleCombined(pc *ProcCtx, fs *frameScratch, r *compiledRule, recs []byte, n int, lane bool) {
 	m := fs.nrep
 	groups, reps := allFrames[:m], fs.rep[:m]
 	idx, p1, p2 := fs.upIdx[:m], fs.upP1[:m], fs.upP2[:m]

@@ -723,6 +723,62 @@ func TestProcessFramesZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestProcessFramesLentScratchZeroAlloc: two snapshots of different shapes
+// — two controllers' data planes — alternate spans on one goroutine, so
+// every span borrows the scratch the other one just handed back and
+// re-arms it for its own snapshot. Once the scratch has grown to the larger
+// shape, re-arming allocates nothing (matched by `make bench-allocs`).
+func TestProcessFramesLentScratchZeroAlloc(t *testing.T) {
+	tr := trace.Generate(trace.Config{Flows: 100, Packets: 4_096, Seed: 14})
+	mt := writeFrameTrace(t, tr.Packets)
+	s1, s2 := nineCMS(t, 4096).Compile(), churnShape(t).Compile()
+	pc1, pc2 := NewProcCtx(), NewProcCtx()
+	span := func() {
+		s1.ProcessFrames(pc1, mt, 0, mt.Frames())
+		s2.ProcessFrames(pc2, mt, 0, mt.Frames())
+	}
+	span() // grow the scratch to both shapes
+	if n := testing.AllocsPerRun(20, span); n != 0 {
+		t.Fatalf("two snapshots alternating spans allocate %.1f times per pair, want 0", n)
+	}
+}
+
+// TestChunkScratchFollowsRunningSpans: chunk scratch is lent per running
+// span, not owned per context. Eight one-worker pools, each with its own
+// snapshot — eight controllers' data planes, as one process running eight
+// daemons holds them — replaying one after another leave one scratch on the
+// free list, and every listed scratch has dropped its snapshot: one that
+// kept it would pin a closed controller's registers. Catches, on a scratch
+// copy, "keep snap on return".
+func TestChunkScratchFollowsRunningSpans(t *testing.T) {
+	scratchList.Lock()
+	kept := scratchList.free
+	scratchList.free = nil
+	scratchList.Unlock()
+	t.Cleanup(func() {
+		scratchList.Lock()
+		scratchList.free = append(scratchList.free, kept...)
+		scratchList.Unlock()
+	})
+	mt := writeFrameTrace(t, trace.Generate(trace.Config{Flows: 500, Packets: 3*FrameChunk + 9, Seed: 19}).Packets)
+	for i := 0; i < 8; i++ {
+		s := nineCMS(t, 4096).Compile()
+		p := NewWorkerPool(1, false)
+		p.ReplayTrace(func() *Snapshot { return s }, mt, nil)
+		p.Close()
+	}
+	scratchList.Lock()
+	defer scratchList.Unlock()
+	if n := len(scratchList.free); n != 1 {
+		t.Fatalf("%d scratches listed after eight pools replayed one after another, want 1", n)
+	}
+	for i, fs := range scratchList.free {
+		if fs.snap != nil {
+			t.Fatalf("listed scratch %d still holds a snapshot", i)
+		}
+	}
+}
+
 // TestProcessFramesColumnShapes runs buildColumnsPipeline, bus-quiet and
 // not, under both write policies against the sequential oracle: registers,
 // clamps (the 16-bit CondAdd saturates), rule hits and preparation drops.

@@ -40,11 +40,8 @@ type ProcCtx struct {
 	teleRecPend uint32
 	stripe      uint32
 
-	// frames is the FrameView-native engine's stage-at-a-time scratch
-	// (frames.go), allocated by the context's first ProcessFrames call so
-	// that contexts which never run a chunk do not carry it; framePkt is
-	// the decode target of its packet-order pass.
-	frames   *frameScratch
+	// framePkt is the decode target of the frame engine's packet-order
+	// pass (frames.go); its chunk scratch is lent per span, not owned.
 	framePkt packet.Packet
 }
 

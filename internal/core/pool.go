@@ -12,11 +12,11 @@ import (
 // multi-pipe model with the goroutine churn compiled out. A pool starts
 // its workers once: each worker owns one reusable ProcCtx with a unique
 // rng stream (created via NewProcCtxUnique, so probabilistic rules never
-// sample in lockstep across workers) whose digest and column scratch stays
-// warm across drains. The pool has exactly one job kind, the frame drain:
-// every multi-packet caller hands it a FrameSource (ProcessFrameSource, or
-// ReplayTrace for one pass over one trace) and the workers pull raw record
-// spans from it.
+// sample in lockstep across workers); the chunk scratch a span runs on is
+// lent for the span (ProcessFrames). The pool has exactly one job kind, the
+// frame drain: every multi-packet caller hands it a FrameSource
+// (ProcessFrameSource, or ReplayTrace for one pass over one trace) and the
+// workers pull raw record spans from it.
 //
 // The pool is snapshot-agnostic: every job carries the loader of the
 // snapshot it must execute against, so one pool serves a controller across

@@ -387,9 +387,10 @@ func (r *Register) CopyRange(dst []uint32, lo int) {
 // lane state) with one bulk clear each. The stores are plain: the caller
 // guarantees no concurrent access to the range, on any path — either the
 // range is quiescent (its rules are unlinked and every reader that could
-// still hold them has finished: the control plane's grace period) or the
-// caller excludes the packet path for the duration. Other ranges of the
-// same register may be in full use meanwhile.
+// still hold them has finished: the control plane's grace period, or a
+// settle that finds no reader in flight) or the caller excludes the packet
+// path for the duration. Other ranges of the same register may be in full
+// use meanwhile.
 func (r *Register) ClearRange(lo, n int) {
 	clear(r.buckets[lo : lo+n])
 	for s := range r.shards {

@@ -23,13 +23,14 @@ type ReplayConfig struct {
 	Passes int
 }
 
-// defaultBatch is the span width in frames: 2,048 records (72 KiB), one
+// defaultBatch is the span width in frames: 4,096 records (144 KiB), one
 // chunk of the frame engine (core.FrameChunk), which groups each chunk's
 // frames by flow key before digesting, so every span is grouped whole
 // (TestReplaySpanIsWholeChunks). A worker runs one span between
 // control-plane grace points, so the width is also the longest wait a
-// mutation issued beside the replay sees.
-const defaultBatch = 2048
+// resize or freeze issued beside the replay sees; a removal parks its
+// memory instead of waiting.
+const defaultBatch = 4096
 
 // Replayer hands mapped traces to a worker pool: it is the
 // core.FrameSource for replay. The replay is a numbered sequence of spans,

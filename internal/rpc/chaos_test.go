@@ -18,6 +18,7 @@ import (
 func chaosServer(t *testing.T, plan faultnet.Plan) string {
 	t.Helper()
 	ctrl := controlplane.NewController(controlplane.Config{Groups: 3, Buckets: 8192, BitWidth: 32})
+	t.Cleanup(ctrl.Close)
 	srv := NewServer(ctrl, nil)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -81,6 +82,7 @@ func TestBreakerFailsFastAndRecovers(t *testing.T) {
 	check := gateGoroutines(t)
 	t.Cleanup(check)
 	ctrl := controlplane.NewController(controlplane.Config{Groups: 3, Buckets: 8192, BitWidth: 32})
+	t.Cleanup(ctrl.Close)
 	srv := NewServer(ctrl, nil)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -161,7 +163,9 @@ func TestServerSurvivesPanicAndGarbage(t *testing.T) {
 }
 
 func TestDispatchRecoversPanicResponse(t *testing.T) {
-	srv := NewServer(controlplane.NewController(controlplane.Config{Groups: 3, Buckets: 8192, BitWidth: 32}), nil)
+	ctrl := controlplane.NewController(controlplane.Config{Groups: 3, Buckets: 8192, BitWidth: 32})
+	t.Cleanup(ctrl.Close)
+	srv := NewServer(ctrl, nil)
 	resp, _ := srv.dispatch(&Request{ID: 11, Method: MethodDebugPanic})
 	if resp.ID != 11 {
 		t.Fatalf("response ID = %d", resp.ID)

@@ -66,7 +66,9 @@ func handleJSON(t *testing.T, s *Server, method string, params any) (any, error)
 // the parameter, a file that ends mid-record or does not exist is refused
 // whole — and every refusal leaves the trace it already holds in place.
 func TestTraceRequestsRejected(t *testing.T) {
-	s := NewServer(controlplane.NewController(controlplane.Config{Groups: 1, Buckets: 4096}), nil)
+	ctrl := controlplane.NewController(controlplane.Config{Groups: 1, Buckets: 4096})
+	t.Cleanup(ctrl.Close)
+	s := NewServer(ctrl, nil)
 	defer s.Close()
 	if _, err := handleJSON(t, s, MethodGenTrace, GenTraceParams{Flows: 50, Packets: 300, Seed: 1}); err != nil {
 		t.Fatal(err)
@@ -165,6 +167,7 @@ func TestRPCReplayMatchesSequentialReference(t *testing.T) {
 			specs := replayTaskMix(mode.workers == 1 && !mode.sharded)
 			cfg := controlplane.Config{Groups: 9, Buckets: 16384, BitWidth: 32}
 			ref := controlplane.NewController(cfg)
+			t.Cleanup(ref.Close)
 			cfg.Workers, cfg.ShardedState = mode.workers, mode.sharded
 			ctrl := controlplane.NewController(cfg)
 			defer ctrl.Close()

@@ -19,7 +19,9 @@ func restartConfig() controlplane.Config {
 
 func TestClientReconnectsAcrossServerRestart(t *testing.T) {
 	cfg := restartConfig()
-	srv := NewServer(controlplane.NewController(cfg), nil)
+	ctrl := controlplane.NewController(cfg)
+	t.Cleanup(ctrl.Close)
+	srv := NewServer(ctrl, nil)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +73,9 @@ func TestClientReconnectsAcrossServerRestart(t *testing.T) {
 
 	// A genuinely new process takes over the address: fresh controller
 	// (empty task table), fresh incarnation.
-	srv2 := NewServer(controlplane.NewController(cfg), nil)
+	ctrl2 := controlplane.NewController(cfg)
+	t.Cleanup(ctrl2.Close)
+	srv2 := NewServer(ctrl2, nil)
 	if _, err := srv2.Listen(addr); err != nil {
 		t.Fatalf("rebind %s: %v", addr, err)
 	}
@@ -110,7 +114,9 @@ func TestClientReconnectsAcrossServerRestart(t *testing.T) {
 // exactly the signal the controller-side session uses to tear down.
 func TestHelloUnmasksRestart(t *testing.T) {
 	cfg := restartConfig()
-	srv := NewServer(controlplane.NewController(cfg), nil)
+	ctrl := controlplane.NewController(cfg)
+	t.Cleanup(ctrl.Close)
+	srv := NewServer(ctrl, nil)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +147,9 @@ func TestHelloUnmasksRestart(t *testing.T) {
 	// our Up is answered with Down (the daemon-side machine refuses to jump
 	// to Up for a session it never initialized).
 	srv.Close()
-	srv2 := NewServer(controlplane.NewController(cfg), nil)
+	ctrl2 := controlplane.NewController(cfg)
+	t.Cleanup(ctrl2.Close)
+	srv2 := NewServer(ctrl2, nil)
 	if _, err := srv2.Listen(addr); err != nil {
 		t.Fatal(err)
 	}

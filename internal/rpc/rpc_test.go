@@ -3,9 +3,12 @@ package rpc
 import (
 	"encoding/json"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"flymon/internal/controlplane"
 	"flymon/internal/packet"
@@ -15,6 +18,7 @@ import (
 func startServer(t *testing.T) (*Server, *Client) {
 	t.Helper()
 	ctrl := controlplane.NewController(controlplane.Config{Groups: 3, Buckets: 65536, BitWidth: 32})
+	t.Cleanup(ctrl.Close)
 	srv := NewServer(ctrl, nil)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -222,6 +226,7 @@ func TestUnknownMethodAndErrors(t *testing.T) {
 
 func TestConcurrentClients(t *testing.T) {
 	ctrl := controlplane.NewController(controlplane.Config{Groups: 9, Buckets: 65536, BitWidth: 32})
+	t.Cleanup(ctrl.Close)
 	srv := NewServer(ctrl, nil)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -353,6 +358,7 @@ func TestConcurrentReplayAndReadout(t *testing.T) {
 	// access (run under -race to verify). One worker is the policy that
 	// needs it: the worker stores plainly, so every read must exclude it.
 	ctrl := controlplane.NewController(controlplane.Config{Groups: 3, Buckets: 65536, BitWidth: 32, Workers: 1})
+	t.Cleanup(ctrl.Close)
 	srv := NewServer(ctrl, nil)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -406,5 +412,75 @@ func TestConcurrentReplayAndReadout(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// handoverListener is a net.Listener whose first Accept returns the one
+// connection the test hands it, whenever the test does; later calls wait
+// for Close and fail.
+type handoverListener struct {
+	conn   chan net.Conn
+	closed chan struct{}
+	once   sync.Once
+	first  atomic.Bool
+}
+
+func (l *handoverListener) Accept() (net.Conn, error) {
+	if !l.first.Swap(true) {
+		return <-l.conn, nil
+	}
+	<-l.closed
+	return nil, net.ErrClosed
+}
+
+func (l *handoverListener) Close() error {
+	l.once.Do(func() { close(l.closed) })
+	return nil
+}
+
+func (l *handoverListener) Addr() net.Addr { return &net.TCPAddr{} }
+
+// waitingIn reports whether some goroutine's stack holds every one of the
+// given frames.
+func waitingIn(frames ...string) bool {
+	buf := make([]byte, 1<<20)
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		held := true
+		for _, f := range frames {
+			held = held && strings.Contains(g, f)
+		}
+		if held {
+			return true
+		}
+	}
+	return false
+}
+
+// TestCloseDropsConnectionAcceptedDuringClose: a connection the listener
+// hands over after Close has swept the live connections must not wedge
+// Close, which would otherwise wait forever for its handler to read a
+// request that never comes.
+func TestCloseDropsConnectionAcceptedDuringClose(t *testing.T) {
+	ctrl := controlplane.NewController(controlplane.Config{Groups: 1, Buckets: 4096})
+	t.Cleanup(ctrl.Close)
+	srv := NewServer(ctrl, nil)
+	ln := &handoverListener{conn: make(chan net.Conn), closed: make(chan struct{})}
+	srv.Serve(ln)
+	closed := make(chan struct{})
+	go func() {
+		defer close(closed)
+		srv.Close()
+	}()
+	// Close waits for the handlers only after its sweep.
+	for !waitingIn("rpc.(*Server).Close", "sync.(*WaitGroup).Wait") {
+		time.Sleep(time.Millisecond)
+	}
+	server, client := net.Pipe()
+	defer client.Close()
+	ln.conn <- server
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return: a connection accepted after its sweep is being served and was never closed")
 	}
 }

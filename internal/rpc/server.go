@@ -233,11 +233,20 @@ func (s *Server) Close() error {
 	return err
 }
 
-// track registers a live connection; untrack(conn) removes it.
-func (s *Server) track(conn net.Conn) {
+// track registers a live connection and reports whether it did: a
+// connection accepted once Close has begun is not registered, because
+// Close's sweep may already have run and would never close it, and the
+// caller closes it instead. untrack(conn) removes a registered one.
+func (s *Server) track(conn net.Conn) bool {
 	s.connMu.Lock()
+	defer s.connMu.Unlock()
+	select {
+	case <-s.closed:
+		return false
+	default:
+	}
 	s.conns[conn] = struct{}{}
-	s.connMu.Unlock()
+	return true
 }
 
 func (s *Server) untrack(conn net.Conn) {
@@ -259,8 +268,11 @@ func (s *Server) acceptLoop() {
 			s.log.Errorf("accept: %v", err)
 			return
 		}
+		if !s.track(conn) {
+			conn.Close()
+			continue
+		}
 		s.wg.Add(1)
-		s.track(conn)
 		go func() {
 			defer s.wg.Done()
 			defer s.untrack(conn)

@@ -22,6 +22,7 @@ func startTelemetryServer(t *testing.T) (*telemetry.Registry, *Client, *tracing.
 	t.Helper()
 	reg := telemetry.NewRegistry()
 	ctrl := controlplane.NewController(controlplane.Config{Groups: 2, Buckets: 16384, BitWidth: 32, Telemetry: reg})
+	t.Cleanup(ctrl.Close)
 	srv := NewServer(ctrl, nil)
 	srv.SetTelemetry(reg)
 	tr := tracing.New(256)

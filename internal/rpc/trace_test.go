@@ -14,6 +14,7 @@ import (
 func startTracedServer(t *testing.T) (*Server, *Client, *tracing.Tracer, *tracing.Tracer) {
 	t.Helper()
 	ctrl := controlplane.NewController(controlplane.Config{Groups: 3, Buckets: 65536, BitWidth: 32})
+	t.Cleanup(ctrl.Close)
 	srv := NewServer(ctrl, nil)
 	srvTracer := tracing.New(256)
 	srv.SetTracer(srvTracer)
@@ -103,6 +104,7 @@ func TestTraceAgainstUntracedDaemon(t *testing.T) {
 	// Wire compatibility: a daemon without a tracer ignores the trace
 	// field and the call succeeds; the client half of the trace survives.
 	ctrl := controlplane.NewController(controlplane.Config{Groups: 3, Buckets: 65536, BitWidth: 32})
+	t.Cleanup(ctrl.Close)
 	srv := NewServer(ctrl, nil)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -168,6 +170,7 @@ func TestTraceDumpRPC(t *testing.T) {
 
 func TestTraceRecordsRetriesAndBreakerRejections(t *testing.T) {
 	ctrl := controlplane.NewController(controlplane.Config{Groups: 3, Buckets: 8192, BitWidth: 32})
+	t.Cleanup(ctrl.Close)
 	srv := NewServer(ctrl, nil)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {

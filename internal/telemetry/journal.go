@@ -22,7 +22,7 @@ type Event struct {
 	Task          int    `json:"task,omitempty"`
 	Detail        string `json:"detail,omitempty"`
 	LatencyNs     int64  `json:"latency_ns"`
-	GraceNs       int64  `json:"grace_ns,omitempty"` // part of LatencyNs spent waiting for in-flight readers (remove|resize|split|freeze)
+	GraceNs       int64  `json:"grace_ns,omitempty"` // part of LatencyNs spent waiting for in-flight readers (resize|freeze, or a deploy|split placed in parked memory)
 	VersionBefore uint64 `json:"version_before"`
 	VersionAfter  uint64 `json:"version_after"`
 	OK            bool   `json:"ok"`
