@@ -48,7 +48,8 @@ race:
 # probabilistic, spliced, probabilistic-and-spliced and probabilistic
 # bus-consuming pipelines included (TestProcessFramesZeroAlloc), and
 # re-arming the chunk scratch a span borrows for a snapshot of another
-# shape (TestProcessFramesLentScratchZeroAlloc), the mmap replay path at
+# shape (TestProcessFramesLentScratchZeroAlloc), a one-worker pool drain at
+# zero per drain (TestProcessFrameSourceZeroAlloc), the mmap replay path at
 # zero per span once steady (TestReplayerNextZeroAlloc), and point answers
 # at zero per query: a switch's estimate and membership probe
 # (TestEstimateKeyZeroAlloc) and a stored epoch's

@@ -1,9 +1,11 @@
 package controlplane
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"flymon/internal/mmtrace"
 	"flymon/internal/packet"
@@ -240,11 +242,29 @@ func TestSnapshotPublishedOnMutation(t *testing.T) {
 	}
 }
 
-// TestReplayTraceReusesWorkerPool: every drain must run on one persistent
-// worker pool instead of spawning goroutines per call. The pool starts
-// lazily on the first drain — the sequential reference never starts it —
-// and its started-worker count stays flat over any number of drains.
+// settledGoroutines returns the goroutine count once it has held still
+// for 20 ms: goroutines on their way out, such as a closed pool's workers,
+// are gone by then.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for quiet, i := 0, 0; quiet < 4 && i < 200; i++ {
+		time.Sleep(5 * time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, quiet = m, 0
+		} else {
+			quiet++
+		}
+	}
+	return n
+}
+
+// TestReplayTraceReusesWorkerPool: the caller of a drain is the pool's
+// worker 0 and its other workers are started once and reused, so a
+// four-worker controller runs three pool goroutines after its first drain
+// and no more after any number of drains; the sequential reference and a
+// controller that never replays start none.
 func TestReplayTraceReusesWorkerPool(t *testing.T) {
+	before := settledGoroutines()
 	c := NewController(Config{Groups: 2, Buckets: 16384, BitWidth: 32, Workers: 4})
 	defer c.Close()
 	if _, err := c.AddTask(freqSpec("hh", packet.MatchAll, 4096)); err != nil {
@@ -253,45 +273,48 @@ func TestReplayTraceReusesWorkerPool(t *testing.T) {
 	tr := trace.Generate(trace.Config{Flows: 200, Packets: 4096, Seed: 21})
 
 	c.ProcessBatch(tr.Packets)
-	if c.workers.Load() != nil {
-		t.Fatal("the sequential reference must not start the pool")
+	if got := runtime.NumGoroutine(); got != before {
+		t.Fatalf("NewController + ProcessBatch started %d goroutines, want 0", got-before)
 	}
-
-	replayPackets(c, tr.Packets)
-	pool := c.workers.Load()
-	if pool == nil {
-		t.Fatal("ReplayTrace must start the persistent pool")
-	}
-	started := pool.Started()
-	if started != int64(pool.Workers()) || pool.Workers() != c.Workers() {
-		t.Fatalf("pool started %d of %d workers, controller reports %d", started, pool.Workers(), c.Workers())
-	}
-	for call := 0; call < 20; call++ {
+	for call := 0; call < 21; call++ {
 		replayPackets(c, tr.Packets)
-	}
-	if got := c.workers.Load(); got != pool {
-		t.Fatal("ReplayTrace rebuilt the pool between calls")
-	}
-	if got := pool.Started(); got != started {
-		t.Fatalf("pool started-worker count moved from %d to %d across calls: goroutines are being spawned per call", started, got)
+		if got := runtime.NumGoroutine(); got != before+c.Workers()-1 {
+			t.Fatalf("%d goroutines after %d drains, want %d (Workers−1, no per-call spawning)", got-before, call+1, c.Workers()-1)
+		}
 	}
 }
 
-// TestControllerCloseShutsPool: Close releases the pool; a double Close is
+// TestControllerCloseShutsPool: Close stops the pool's goroutines, and a
+// drain after Close runs on its caller alone — it starts nothing, at one
+// worker or several, and still counts every packet. A double Close is
 // harmless.
 func TestControllerCloseShutsPool(t *testing.T) {
-	c := NewController(Config{Groups: 1, Buckets: 4096, BitWidth: 32, Workers: 2})
-	if _, err := c.AddTask(freqSpec("hh", packet.MatchAll, 1024)); err != nil {
-		t.Fatal(err)
-	}
 	tr := trace.Generate(trace.Config{Flows: 50, Packets: 512, Seed: 23})
-	replayPackets(c, tr.Packets)
-	if c.workers.Load() == nil {
-		t.Fatal("pool should be running before Close")
+	for _, w := range []int{1, 2} {
+		before := settledGoroutines()
+		c := NewController(Config{Groups: 1, Buckets: 4096, BitWidth: 32, Workers: w})
+		task, err := c.AddTask(freqSpec("hh", packet.MatchAll, 1024))
+		if err != nil {
+			t.Fatal(err)
+		}
+		replayPackets(c, tr.Packets)
+		c.Close()
+		if n := settledGoroutines(); n != before {
+			t.Fatalf("workers %d: %d goroutines outlive Close", w, n-before)
+		}
+		replayPackets(c, tr.Packets)
+		if got := runtime.NumGoroutine(); got != before {
+			t.Fatalf("workers %d: a replay after Close left %d goroutines running", w, got-before)
+		}
+		for r, row := range readAll(t, c, task.ID) {
+			var mass uint64
+			for _, v := range row {
+				mass += uint64(v)
+			}
+			if mass != 2*512 {
+				t.Fatalf("workers %d: row %d mass %d, want %d", w, r, mass, 2*512)
+			}
+		}
+		c.Close()
 	}
-	c.Close()
-	if c.workers.Load() != nil {
-		t.Fatal("Close must release the pool")
-	}
-	c.Close()
 }

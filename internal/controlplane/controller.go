@@ -76,11 +76,10 @@ type Controller struct {
 	// callers ever ran at once. ctxMu guards it.
 	ctxMu   sync.Mutex
 	ctxFree []*core.ProcCtx
-	// workers is the controller's persistent frame-drain pool, started
-	// lazily on the first ProcessFrameSource / ReplayTrace call and reused
-	// for every drain thereafter (no per-call goroutine spawning). Closed
-	// by Close.
-	workers atomic.Pointer[core.WorkerPool]
+	// workers is the controller's frame-drain pool: the caller of
+	// ProcessFrameSource / ReplayTrace is its worker 0, and its other
+	// workers start on the first drain and stop at Close.
+	workers *core.WorkerPool
 
 	// The register write policy, decided once from the worker count.
 	// single: the pool has one worker, the sole writer of every register,
@@ -268,6 +267,7 @@ func NewController(cfg Config) *Controller {
 		// routing verdicts see them.
 		pl.EnableSharding(c.shardWorkers)
 	}
+	c.workers = core.NewWorkerPool(c.shardWorkers, c.sharded)
 	c.tele = cfg.Telemetry
 	if c.tele != nil {
 		pl.SetTelemetry(c.tele)
@@ -420,16 +420,17 @@ func (c *Controller) ProcessBatch(ps []packet.Packet) {
 // span boundary — replay behaves exactly like live traffic under
 // on-the-fly reconfiguration.
 //
-// With one worker that worker is every register's sole writer and stores
-// plainly. In sharded mode (Config.ShardedState, several workers) each pool
-// worker owns a private register lane: compiled rules whose ops merge
-// exactly write the lane with plain stores — no CAS, no contended counter —
-// and the control plane reduces lanes into shared state before any
-// readout. In every mode each span holds the procGate shared, so drains,
+// The caller is the pool's worker 0; concurrent calls take turns. With one
+// worker the caller alone drains src, as every register's sole writer, and
+// stores plainly. In sharded mode (Config.ShardedState, several workers)
+// each pool worker owns a private register lane: compiled rules whose ops
+// merge exactly write the lane with plain stores — no CAS, no contended
+// counter — and the control plane reduces lanes into shared state before
+// any readout. In every mode each span holds the procGate shared, so drains,
 // grace periods and queries interleave with a long replay instead of
 // stalling behind it.
 func (c *Controller) ProcessFrameSource(src core.FrameSource) {
-	c.workerPool().ProcessFrameSource(c.snap.Load, src, &c.procGate)
+	c.workers.ProcessFrameSource(c.snap.Load, src, &c.procGate)
 }
 
 // ReplayTrace pushes one pass over t through the pool's Config.Workers
@@ -439,23 +440,7 @@ func (c *Controller) ProcessFrameSource(src core.FrameSource) {
 // execute in trace order; with several, span order across workers is
 // unspecified and commuting ops keep exact counts.
 func (c *Controller) ReplayTrace(t *mmtrace.Trace) {
-	c.workerPool().ReplayTrace(c.snap.Load, t, &c.procGate)
-}
-
-// workerPool returns the controller's persistent pool, starting it on
-// first use (Config.Workers workers, lane-owning in sharded mode).
-func (c *Controller) workerPool() *core.WorkerPool {
-	if p := c.workers.Load(); p != nil {
-		return p
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if p := c.workers.Load(); p != nil {
-		return p
-	}
-	p := core.NewWorkerPool(c.shardWorkers, c.sharded)
-	c.workers.Store(p)
-	return p
+	c.workers.ReplayTrace(c.snap.Load, t, &c.procGate)
 }
 
 // drainShards folds every dirty register lane back into shared state so a
@@ -573,15 +558,10 @@ func (c *Controller) Sharded() bool { return c.sharded }
 // mode) — the consumer count a Replayer feeding ProcessFrameSource needs.
 func (c *Controller) Workers() int { return c.shardWorkers }
 
-// Close releases the controller's background resources (the worker pool).
-// The controller remains usable for sequential processing and control-
-// plane queries; only ProcessFrameSource and ReplayTrace must not be
-// called after Close.
-func (c *Controller) Close() {
-	if p := c.workers.Swap(nil); p != nil {
-		p.Close()
-	}
-}
+// Close stops the worker pool's goroutines, after the drain in flight if
+// there is one. The controller stays usable: a ProcessFrameSource or
+// ReplayTrace after Close runs on its caller alone and starts nothing.
+func (c *Controller) Close() { c.workers.Close() }
 
 // Tasks returns deployed tasks sorted by ID.
 func (c *Controller) Tasks() []*Task {

@@ -62,13 +62,15 @@ func TestEstimateKeyZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSingleWriterContract: at one worker the pool worker updates every
+// TestSingleWriterContract: at one worker the drain's caller updates every
 // register with plain stores, so procGate must keep every other access off
-// the registers while a span runs. One goroutine loops ReplayTrace while the
-// others call every query, the telemetry fold, both packet entry points, a
-// counter reset and a second task's add / resize / remove. Under -race a
-// read outside its hold is a reported data race; in every mode the
-// long-lived CMS rows sum to exactly the packets pushed through.
+// the registers while a span runs, and the pool must keep a second drain
+// off them too. Two goroutines loop ReplayTrace while the others call
+// every query, the telemetry fold, both packet entry points, a counter
+// reset and a second task's add / resize / remove. Under -race a read
+// outside its hold, or two drains at once, is a reported data race; in
+// every mode the long-lived CMS rows sum to exactly the packets pushed
+// through.
 //
 //	go test -race -count=1 -run TestSingleWriterContract ./internal/controlplane/
 func TestSingleWriterContract(t *testing.T) {
@@ -98,14 +100,17 @@ func TestSingleWriterContract(t *testing.T) {
 
 	var pushed atomic.Uint64
 	var stop atomic.Bool
-	replayed := make(chan struct{})
-	go func() {
-		defer close(replayed)
-		for i := 0; i < 2 || !stop.Load(); i++ {
-			c.ReplayTrace(frames)
-			pushed.Add(uint64(frames.Frames()))
-		}
-	}()
+	var replayers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		replayers.Add(1)
+		go func() {
+			defer replayers.Done()
+			for i := 0; i < 2 || !stop.Load(); i++ {
+				c.ReplayTrace(frames)
+				pushed.Add(uint64(frames.Frames()))
+			}
+		}()
+	}
 
 	check := func(what string, err error) {
 		if err != nil {
@@ -145,7 +150,7 @@ func TestSingleWriterContract(t *testing.T) {
 	}
 	wg.Wait()
 	stop.Store(true)
-	<-replayed
+	replayers.Wait()
 
 	for r, row := range readAll(t, c, cms) {
 		var mass uint64

@@ -3,44 +3,43 @@ package core
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"flymon/internal/mmtrace"
 )
 
 // WorkerPool is a persistent pool of packet-processing workers — the
-// multi-pipe model with the goroutine churn compiled out. A pool starts
-// its workers once: each worker owns one reusable ProcCtx with a unique
-// rng stream (created via NewProcCtxUnique, so probabilistic rules never
-// sample in lockstep across workers); the chunk scratch a span runs on is
-// lent for the span (ProcessFrames). The pool has exactly one job kind, the
-// frame drain: every multi-packet caller hands it a FrameSource
-// (ProcessFrameSource, or ReplayTrace for one pass over one trace) and the
-// workers pull raw record spans from it.
+// multi-pipe model with the goroutine churn compiled out. The caller of a
+// drain is worker 0; workers 1…W−1 are goroutines started by the first
+// drain and kept until Close, so a one-worker pool runs none. Each worker
+// owns one reusable ProcCtx with a unique rng stream (NewProcCtxUnique, so
+// probabilistic rules never sample in lockstep across workers); the chunk
+// scratch a span runs on is lent for the span (ProcessFrames). The pool has
+// exactly one job kind, the frame drain: every multi-packet caller hands it
+// a FrameSource (ProcessFrameSource, or ReplayTrace for one pass over one
+// trace) and the workers pull raw record spans from it.
 //
 // The pool is snapshot-agnostic: every job carries the loader of the
 // snapshot it must execute against, so one pool serves a controller across
 // arbitrarily many RCU republishes.
 type WorkerPool struct {
-	jobs    chan poolJob
 	workers int
-	sharded bool         // workers own register lanes (ctx.Shard = worker index)
-	started atomic.Int64 // worker goroutines ever started; stays == workers
-	close   sync.Once
+	sharded bool // workers own register lanes (ctx.Shard = worker index)
+
+	// mu is worker 0's turn: a drain holds it from start to finish, so
+	// concurrent callers take turns. It guards every field below.
+	mu     sync.Mutex
+	ctx0   *ProcCtx     // worker 0's context; nil until the first drain
+	jobs   chan poolJob // to workers 1…W−1; nil while none run
+	done   sync.WaitGroup
+	closed bool
 }
 
-// poolJob is one worker's share of a frame drain: the worker pulls raw
-// frame spans from fsrc until exhaustion and executes them through the
-// FrameView-native engine (Snapshot.ProcessFrames), reloading the snapshot
-// per span so on-the-fly reconfiguration stays visible mid-replay. gate,
-// when non-nil, is held shared around each span's snapshot load and
-// execution (the controller's reader registry: grace periods and lane
-// drains take it exclusive).
+// poolJob is one drain as each of its workers runs it (drainFrames): the
+// arguments of ProcessFrameSource.
 type poolJob struct {
 	fsrc FrameSource
 	load func() *Snapshot
 	gate *sync.RWMutex
-	wg   *sync.WaitGroup
 }
 
 // FrameSource feeds pool workers raw trace spans — the pull-side contract
@@ -54,40 +53,47 @@ type FrameSource interface {
 	NextFrames(w int) (t *mmtrace.Trace, lo, hi int)
 }
 
-// NewWorkerPool starts a pool of n long-lived workers (n <= 0 takes
-// GOMAXPROCS) that live until Close. With sharded set each worker owns one
-// private register lane: worker i processes with ctx.Shard = i, so compiled
-// rules whose ops are exactly mergeable write lane i with plain stores
-// instead of CASing the shared bucket. A sharded pool must be sized to the
-// registers' EnableSharding count — lane indices at or past the lane count
-// are a wiring bug and panic in ShardApply.
+// NewWorkerPool returns a pool of n workers (n <= 0 takes GOMAXPROCS),
+// starting nothing until its first drain. With sharded set each worker owns
+// one private register lane: worker i processes with ctx.Shard = i, so
+// compiled rules whose ops are exactly mergeable write lane i with plain
+// stores instead of CASing the shared bucket. A sharded pool must be sized
+// to the registers' EnableSharding count — lane indices at or past the
+// lane count are a wiring bug and panic in ShardApply.
 func NewWorkerPool(n int, sharded bool) *WorkerPool {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	p := &WorkerPool{jobs: make(chan poolJob, 4*n), workers: n, sharded: sharded}
-	for i := 0; i < n; i++ {
-		p.started.Add(1)
-		go p.run(i)
-	}
-	return p
+	return &WorkerPool{workers: n, sharded: sharded}
 }
 
-// run is one worker's loop: a single context, reused for every drain.
-func (p *WorkerPool) run(id int) {
+// start creates worker 0's context and, unless the pool is closed, starts
+// workers 1…W−1 with theirs, drawing the rng streams in worker order.
+// Callers hold p.mu.
+func (p *WorkerPool) start() {
+	p.ctx0 = p.newCtx(0)
+	if p.closed || p.workers == 1 {
+		return
+	}
+	p.jobs = make(chan poolJob, p.workers-1)
+	for id := 1; id < p.workers; id++ {
+		go p.run(p.jobs, id, p.newCtx(id))
+	}
+}
+
+func (p *WorkerPool) newCtx(id int) *ProcCtx {
 	pc := NewProcCtxUnique()
 	if p.sharded {
 		pc.Ctx.Shard = int32(id)
 	}
-	for j := range p.jobs {
-		// The send that handed over j readied this worker on the caller's
-		// P. Yielding once before the drain lets the scheduler place it
-		// afresh: on a two-vCPU host the repo benchmark's ingest_churn
-		// reads its op p50 about 4 % lower with the yield than without
-		// (op p90 lower in 8 of 8 interleaved pairs).
-		runtime.Gosched()
-		p.drainFrames(pc, id, j)
-		j.wg.Done()
+	return pc
+}
+
+// run is one helper worker's loop: a single context, reused for every drain.
+func (p *WorkerPool) run(jobs <-chan poolJob, id int, pc *ProcCtx) {
+	for j := range jobs {
+		drainFrames(pc, id, j)
+		p.done.Done()
 	}
 }
 
@@ -99,7 +105,7 @@ func (p *WorkerPool) run(id int) {
 // rules stage at a time when the snapshot is frame-vectorised, in packet
 // order otherwise. Either way a mid-span republish lands at the next span
 // boundary with bit-identical results.
-func (p *WorkerPool) drainFrames(pc *ProcCtx, id int, j poolJob) {
+func drainFrames(pc *ProcCtx, id int, j poolJob) {
 	for {
 		t, lo, hi := j.fsrc.NextFrames(id)
 		if t == nil {
@@ -120,27 +126,32 @@ func (p *WorkerPool) drainFrames(pc *ProcCtx, id int, j poolJob) {
 // Workers returns the pool's worker count.
 func (p *WorkerPool) Workers() int { return p.workers }
 
-// Started returns the number of worker goroutines ever started. It equals
-// Workers for the pool's whole lifetime — the property the pool exists
-// for — and tests assert it stays flat across drains.
-func (p *WorkerPool) Started() int64 { return p.started.Load() }
-
 // ProcessFrameSource runs every pool worker against src until it is
 // exhausted, then returns: each worker drains raw frame spans through the
-// FrameView-native engine. load supplies the snapshot — reloaded per span,
-// so an RCU republish mid-replay takes effect at the next span boundary.
-// gate, when non-nil, is acquired shared around each span (the controller
-// always passes its procGate; nil is for a bare snapshot with no control
-// plane behind it). The call allocates
-// only the per-call WaitGroup: the steady-state span loop is
-// allocation-free.
+// FrameView-native engine, the caller as worker 0. load supplies the
+// snapshot — reloaded per span, so an RCU republish mid-replay takes effect
+// at the next span boundary. gate, when non-nil, is acquired shared around
+// each span (the controller always passes its procGate; nil is for a bare
+// snapshot with no control plane behind it). Concurrent calls take turns.
+// At one worker, or after Close, the caller drains src alone with no
+// handoff; the call allocates nothing once the pool has started.
 func (p *WorkerPool) ProcessFrameSource(load func() *Snapshot, src FrameSource, gate *sync.RWMutex) {
-	var wg sync.WaitGroup
-	for i := 0; i < p.workers; i++ {
-		wg.Add(1)
-		p.jobs <- poolJob{fsrc: src, load: load, gate: gate, wg: &wg}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.ctx0 == nil {
+		p.start()
 	}
-	wg.Wait()
+	j := poolJob{fsrc: src, load: load, gate: gate}
+	if p.jobs != nil {
+		p.done.Add(p.workers - 1)
+		for id := 1; id < p.workers; id++ {
+			p.jobs <- j
+		}
+	}
+	drainFrames(p.ctx0, 0, j)
+	if p.jobs != nil {
+		p.done.Wait()
+	}
 }
 
 // ReplayTrace drains one pass over t through the pool and returns when
@@ -156,8 +167,15 @@ func (p *WorkerPool) ReplayTrace(load func() *Snapshot, t *mmtrace.Trace, gate *
 	p.ProcessFrameSource(load, rep, gate)
 }
 
-// Close shuts the workers down. No drain may be started after Close; Close
-// is idempotent.
+// Close stops workers 1…W−1, after the drain in flight if there is one.
+// A drain after Close runs on its caller alone and starts nothing; Close is
+// idempotent.
 func (p *WorkerPool) Close() {
-	p.close.Do(func() { close(p.jobs) })
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.closed = true
+	if p.jobs != nil {
+		close(p.jobs)
+		p.jobs = nil
+	}
 }

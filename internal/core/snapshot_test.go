@@ -189,7 +189,7 @@ func TestFrozenSplicedTaskIsFrameVectorized(t *testing.T) {
 // TestSnapshotParallelWorkersGetUniqueRngStreams guards the fix for the
 // lockstep-sampling bug: parallel workers that all start from the fixed
 // seed flip identical coins, so probabilistic rules sample correlated
-// packet subsets. WorkerPool.run relies on NewProcCtxUnique handing every
+// packet subsets. WorkerPool.start relies on NewProcCtxUnique handing every
 // worker its own rng stream (and never the fixed replay seed, which
 // remains reserved for the deterministic single-worker path).
 func TestSnapshotParallelWorkersGetUniqueRngStreams(t *testing.T) {
