@@ -44,9 +44,11 @@ race:
 
 # bench-allocs runs the alloc-regression gates: the compiled hot path must
 # stay at zero heap allocations per packet (telemetry on or off), the frame
-# engine at zero per span on every snapshot shape, the packet-order pass of
-# probabilistic, spliced, probabilistic-and-spliced and probabilistic
-# bus-consuming pipelines included (TestProcessFramesZeroAlloc), and
+# engine at zero per span on every snapshot shape, filters inside the
+# grouping key (its filtered-in-key shape: first-match over the groups) and
+# the packet-order pass of probabilistic, spliced, probabilistic-and-spliced
+# and probabilistic bus-consuming pipelines included
+# (TestProcessFramesZeroAlloc), and
 # re-arming the chunk scratch a span borrows for a snapshot of another
 # shape (TestProcessFramesLentScratchZeroAlloc), a one-worker pool drain at
 # zero per drain (TestProcessFrameSourceZeroAlloc), the mmap replay path at

@@ -34,10 +34,11 @@ func edgeValue(rng *rand.Rand) uint32 {
 }
 
 // randomSelection fills fs.sel with an increasing random subset of a
-// chunk's frames, as first-match selection produces, and returns it.
-func randomSelection(fs *frameScratch, rng *rand.Rand) []int32 {
+// chunk's first n frames, as first-match selection produces, and returns
+// it.
+func randomSelection(fs *frameScratch, rng *rand.Rand, n int) []int32 {
 	m := 0
-	for i := 0; i < FrameChunk; i++ {
+	for i := 0; i < n; i++ {
 		if rng.Intn(4) > 0 {
 			fs.sel[m] = int32(i)
 			m++
@@ -46,9 +47,10 @@ func randomSelection(fs *frameScratch, rng *rand.Rand) []int32 {
 	return fs.sel[:m]
 }
 
-// randomBus fills the chunk's result bus with edge values.
-func randomBus(fs *frameScratch, rng *rand.Rand) {
-	for i := 0; i < FrameChunk; i++ {
+// randomBus fills the result bus of a chunk's first n frames with edge
+// values.
+func randomBus(fs *frameScratch, rng *rand.Rand, n int) {
+	for i := 0; i < n; i++ {
 		fs.busRes[i], fs.busOld[i], fs.busMin[i] = edgeValue(rng), edgeValue(rng), edgeValue(rng)
 		fs.busNew[i] = rng.Intn(2) == 0
 	}
@@ -92,8 +94,8 @@ func TestPrepareMatchesApplyVals(t *testing.T) {
 	for _, tf := range cases {
 		drops := 0
 		for round := 0; round < rounds; round++ {
-			randomBus(&fs, rng)
-			sel := randomSelection(&fs, rng)
+			randomBus(&fs, rng, FrameChunk)
+			sel := randomSelection(&fs, rng, FrameChunk)
 			m := len(sel)
 			copy(fs.upFrame[:], sel)
 			var want []update
@@ -131,12 +133,14 @@ func TestPrepareMatchesApplyVals(t *testing.T) {
 // TestParamColumnMatchesResolve: for every ParamKind value, named or not,
 // paramColumn over a random selection equals compiledParam.resolve on each
 // frame decoded into a packet, with the digest vector of that frame's random
-// digest row (its group) and its bus as the context. Compressed keys run with and without an XOR half, rotated and
-// narrowed; the chain's p2 column (the running minimum) is ruleFrames' and
-// has no kind.
+// digest row (its group) and its bus as the context. Compressed keys run
+// with and without an XOR half, rotated and narrowed; the chain's p2 column
+// (the running minimum) is ruleFrames' and has no kind. The frames are half a chunk, the digest rows span a whole
+// one.
 func TestParamColumnMatchesResolve(t *testing.T) {
+	const frames = FrameChunk / 2
 	rng := rand.New(rand.NewSource(31))
-	ps := make([]packet.Packet, FrameChunk)
+	ps := make([]packet.Packet, frames)
 	for i := range ps {
 		ps[i] = packet.Packet{
 			SrcIP: rng.Uint32(), DstIP: rng.Uint32(), Proto: 6,
@@ -144,7 +148,7 @@ func TestParamColumnMatchesResolve(t *testing.T) {
 			QueueLength: edgeValue(rng), QueueDelayNs: edgeValue(rng),
 		}
 	}
-	recs := mmtrace.FromPackets(ps).Span(0, FrameChunk)
+	recs := mmtrace.FromPackets(ps).Span(0, frames)
 	const slots = 3
 	var fs frameScratch
 	fs.hashes = make([]uint32, slots*FrameChunk)
@@ -159,8 +163,8 @@ func TestParamColumnMatchesResolve(t *testing.T) {
 	for k := 0; k < 256; k++ {
 		for _, s := range sels {
 			cp := compileParam(ParamSource{Kind: ParamKind(k), Value: rng.Uint32(), Sel: s}, unitHash)
-			randomBus(&fs, rng)
-			sel := randomSelection(&fs, rng)
+			randomBus(&fs, rng, frames)
+			sel := randomSelection(&fs, rng, frames)
 			for j := range sel {
 				rows[j] = int32(rng.Intn(FrameChunk))
 			}

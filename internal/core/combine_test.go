@@ -32,19 +32,28 @@ func nineCMS(t *testing.T, buckets int) *Pipeline {
 }
 
 // combines reports whether s's plan applies combined updates, one weighted
-// add per group (ruleFrames): a column-stage add-counts rule matching every
-// frame at program position 0 of its CMU, in a grouping snapshot.
+// add per group (ruleGroups), to an add-counts rule (combinesBy).
 func combines(s *Snapshot) bool { return combinesBy(s, kernelAddCounts) }
 
 // combinesBy reports whether s's plan gives one of the kernels ks to a
-// column-stage rule that wins every frame at program position 0 of its CMU,
-// in a grouping snapshot — the plan's conditions of combining.
+// column-stage rule that updates once per flow group, in a grouping
+// snapshot: a match-all rule at program position 0 of its CMU, or any rule
+// of a CMU that selects by group (plan.selection) — the plan's conditions
+// of combining.
 func combinesBy(s *Snapshot, ks ...kernel) bool {
 	if !s.plan.grouped {
 		return false
 	}
 	for _, sc := range s.plan.column {
-		if r := &sc.prog[0]; slices.Contains(ks, r.kernel) && r.match.kind == matchAll {
+		prog := sc.prog
+		switch s.plan.selection(&sc) {
+		case selectAll:
+			prog = prog[:1]
+		case selectGroups:
+		default:
+			continue
+		}
+		if slices.ContainsFunc(prog, func(r compiledRule) bool { return slices.Contains(ks, r.kernel) }) {
 			return true
 		}
 	}
@@ -202,7 +211,7 @@ func saturationShape(t *testing.T, buckets int, p1 uint32) *Pipeline {
 // per-frame PacketSize rule rides along on another CMU.
 func TestCombineSaturation(t *testing.T) {
 	const buckets = 64
-	ps := make([]packet.Packet, 4*FrameChunk+17)
+	ps := make([]packet.Packet, 2*FrameChunk+17)
 	for i := range ps {
 		ps[i] = packet.Packet{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: 6, Size: 1500, TimestampNs: uint64(i) * 1000}
 	}
@@ -233,7 +242,7 @@ func TestCombineSaturation(t *testing.T) {
 // TestCombineAllDistinct: a trace with no repeated key makes every frame a
 // group of its own and must still match.
 func TestCombineAllDistinct(t *testing.T) {
-	ps := make([]packet.Packet, 3*FrameChunk+5)
+	ps := make([]packet.Packet, FrameChunk+FrameChunk/2+5)
 	for i := range ps {
 		ps[i] = packet.Packet{SrcIP: uint32(i), DstIP: 9, SrcPort: 80, DstPort: 443, Proto: 6, Size: 64}
 	}
@@ -486,7 +495,7 @@ const idemBuckets = 256
 
 // idemCase is one TestCombineIdempotent shape: rules[i] goes to CMU i of
 // width-bit registers pre-filled with prefill, and combined says whether
-// the plan combines a rule that owns every frame.
+// the plan combines one of them (combinesBy).
 type idemCase struct {
 	name     string
 	width    int
@@ -522,7 +531,7 @@ func idempotentCases() []idemCase {
 			{TaskID: 1, Filter: packet.MatchAll, Key: FullKey(1).SubRange(3, 32),
 				P1: QueueLength(), P2: Const(1), Mem: all, Op: dataplane.OpAndOr},
 		}},
-		{name: "filtered", width: 32, combined: false, rules: []*Rule{
+		{name: "filtered", width: 32, combined: true, rules: []*Rule{
 			{TaskID: 1, Filter: packet.Filter{Proto: 6}, Key: FullKey(0),
 				P1: QueueLength(), P2: Const(0), Mem: all, Op: dataplane.OpMax},
 		}},
@@ -556,15 +565,15 @@ func idempotentShape(t *testing.T, width int, rules []*Rule) *Pipeline {
 // TestCombineIdempotent holds one-update-per-group AND-OR and MAX rules to
 // the sequential oracle — registers, rule hits and preparation drops — on a
 // Zipf trace whose queue lengths run to 1023 and sizes to 1500. Each case
-// names the mutation of ruleCombined it catches: Bloom (BitSelect, and a
+// names the mutation of ruleGroups it catches: Bloom (BitSelect, and a
 // constant p1); BeauCoup (Coupon, half the groups dropped: drops must count
 // frames, not groups); SuMax(Max) of the queue length on a 32-bit and an
 // 8-bit register (the maximum must be taken after the width mask: 300 masks
 // to 44, below 200); AND with p2 = 0 and OR over per-frame p1, on
-// registers pre-filled with ones; a filtered MAX, which owns only some
-// frames and must stay per-frame; and MAX beside a rule reading its result
-// off the bus, which makes the snapshot bus-busy and must turn combining
-// off.
+// registers pre-filled with ones; a filtered MAX, which owns only the
+// groups its filter selects and combines over those; and MAX beside a rule
+// reading its result off the bus, which makes the snapshot bus-busy and
+// must turn combining off.
 func TestCombineIdempotent(t *testing.T) {
 	tr := trace.Generate(trace.Config{Flows: 2000, Packets: 12*FrameChunk + 7, ZipfS: 1.1, Seed: 67})
 	rng := rand.New(rand.NewSource(67))

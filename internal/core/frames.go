@@ -30,13 +30,15 @@ import (
 //      decisions were made at Compile time; the loops carry no per-packet
 //      lookups or dispatch.
 //   3. Update. The plan's column CMUs run in pipeline order, each rule
-//      over the frames it won with the kernel the plan gave it (plan.go):
+//      over the frames it won — first-match over the records, or over the
+//      groups' keys when every filter of the CMU reads only key bits
+//      (plan.selection) — with the kernel the plan gave it (plan.go):
 //      generic — an index column (gatherIdxFrames) reading each frame's
 //      digests through its group, one column per parameter and one
 //      preparation kernel, each a loop with its kind switch hoisted out,
 //      one dataplane.ApplyBatch call, and, when the snapshot reads the
 //      bus, the witnesses scattered onto per-frame result-bus arrays — or
-//      combined, one update per group (ApplyAddCounts, ruleCombined).
+//      combined, one update per group (ApplyAddCounts, ruleGroups).
 //      The CMUs the plan keeps off the column stage then run frame by
 //      frame in trace order on the same digests (orderedFrames).
 //
@@ -56,8 +58,14 @@ import (
 // combines only with a constant p2: a group that ORs and one that ANDs the
 // same bucket do not commute. Rule hits still count per frame; the only
 // values combining does not produce are the per-frame result/old
-// witnesses, which no rule of a bus-quiet snapshot reads. A filtered rule
-// (its filter may read fields outside the key) stays per frame.
+// witnesses, which no rule of a bus-quiet snapshot reads. A filter is a
+// masked compare of the same two key words the grouping reads: when every
+// filter of a CMU reads only bits of the grouping key (the union of the
+// masks), all frames of a group share each verdict, so first-match runs
+// once per group over its key, and a filtered rule combines over the
+// groups it selects as a match-all one does over all of them. A CMU with a
+// filter bit outside the key, or in an ungrouped chunk, selects frame by
+// frame and updates per frame.
 //
 // Equivalence to the sequential path. Within one CMU, rules select disjoint
 // frame sets (first-match), every uncombined rule's updates are applied in
@@ -413,23 +421,34 @@ func (fs *frameScratch) digestRows(sel []int32, whole bool) []int32 {
 }
 
 // cmuFrames executes one CMU's program over the chunk: each rule in
-// program order selects the frames it matches that no earlier rule claimed
-// (first-match), then runs its grouped update over them. Matching reads
-// only record bytes, so running a rule before the next one selects changes
-// nothing. A match-all rule at position 0 wins every frame (the dominant
-// case — whole-traffic sketches), skipping the selection pass entirely.
+// program order selects what it matches that no earlier rule claimed
+// (first-match), then runs its update over it. Matching reads only record
+// bytes, so running a rule before the next one selects changes nothing. A
+// match-all rule at position 0 wins every frame (the dominant case —
+// whole-traffic sketches), skipping the selection pass entirely. When every
+// filter of the CMU reads only bits of the chunk's grouping key, frames of
+// one group share every verdict, so first-match runs over the groups' keys
+// instead of the records (plan.selection).
 func cmuFrames(pc *ProcCtx, fs *frameScratch, sc *snapCMU, recs []byte, n int) {
 	prog := sc.prog
-	if prog[0].match.kind == matchAll {
-		ruleFrames(pc, fs, &prog[0], recs, n, nil)
+	switch fs.snap.plan.selection(sc) {
+	case selectAll:
+		if r := &prog[0]; fs.snap.plan.grouped && r.perGroup(pc) {
+			ruleGroups(pc, fs, r, recs, n, allFrames[:fs.nrep], n)
+		} else {
+			ruleFrames(pc, fs, r, recs, n, nil)
+		}
+		return
+	case selectGroups:
+		groupsFirstMatch(pc, fs, prog, recs, n)
 		return
 	}
 	var claimed [FrameChunk / 64]uint64
 	for ri := range prog {
-		cnt, off := 0, 0
+		cm, cnt, off := prog[ri].match, 0, 0
 		for i := 0; i < n; i++ {
 			if claimed[i>>6]&(1<<(i&63)) == 0 &&
-				prog[ri].match.matchesFrame(mmtrace.FrameView(recs[off:off+trace.RecordSize])) {
+				cm.matchesFrame(mmtrace.FrameView(recs[off:off+trace.RecordSize])) {
 				claimed[i>>6] |= 1 << (i & 63)
 				fs.sel[cnt] = int32(i)
 				cnt++
@@ -442,11 +461,57 @@ func cmuFrames(pc *ProcCtx, fs *frameScratch, sc *snapCMU, recs []byte, n int) {
 	}
 }
 
+// groupsFirstMatch is cmuFrames' first-match over the chunk's groups: each
+// rule in program order takes the unclaimed groups whose key its filter
+// matches, in group order, and updates them one per group (ruleGroups) or,
+// with a kernel that runs per frame, their frames in trace order.
+func groupsFirstMatch(pc *ProcCtx, fs *frameScratch, prog []compiledRule, recs []byte, n int) {
+	var claimed [FrameChunk / 64]uint64
+	keys, cnts := fs.key[:fs.nrep], fs.cnt[:fs.nrep]
+	for ri := range prog {
+		r := &prog[ri]
+		cm, cnt, frames := r.match, 0, 0
+		for g, k := range keys {
+			if claimed[g>>6]&(1<<(g&63)) == 0 && cm.matchesKey(k[0], k[1]) {
+				claimed[g>>6] |= 1 << (g & 63)
+				fs.sel[cnt] = int32(g)
+				frames += int(cnts[g])
+				cnt++
+			}
+		}
+		switch {
+		case cnt == 0:
+		case r.perGroup(pc):
+			ruleGroups(pc, fs, r, recs, n, fs.sel[:cnt], frames)
+		default:
+			ruleFrames(pc, fs, r, recs, n, fs.framesOf(fs.sel[:cnt], n))
+		}
+	}
+}
+
+// framesOf lists in fs.sel, in trace order, the frames of the chunk's n
+// whose group is one of groups (which may be fs.sel itself).
+func (fs *frameScratch) framesOf(groups []int32, n int) []int32 {
+	var pick [FrameChunk / 64]uint64
+	for _, g := range groups {
+		pick[g>>6&(FrameChunk/64-1)] |= 1 << (g & 63)
+	}
+	k := 0
+	for i, g := range fs.grp[:n] {
+		if pick[g>>6&(FrameChunk/64-1)]&(1<<(g&63)) != 0 {
+			fs.sel[k] = int32(i)
+			k++
+		}
+	}
+	return fs.sel[:k]
+}
+
 // ruleFrames runs one compiled rule over its selected frames (sel nil =
-// every frame in the chunk) with the kernel the plan gave it. The generic
-// kernel mirrors compiledRule.exec stage for stage: the bucket-index
-// column, one column per parameter, the preparation kernel, one batched
-// register call and, when the rule scatters, the witness scatter. Digest
+// every frame in the chunk), one update per frame. The generic kernel
+// mirrors compiledRule.exec stage for stage: the bucket-index column, one
+// column per parameter, the preparation kernel, one batched register call
+// and, when the rule scatters, the witness scatter; an add-counts rule
+// needs the index column only, applied with the witness-free add. Digest
 // columns read each frame's digests through its group (digestRows).
 func ruleFrames(pc *ProcCtx, fs *frameScratch, r *compiledRule, recs []byte, n int, sel []int32) {
 	whole := sel == nil
@@ -457,39 +522,19 @@ func ruleFrames(pc *ProcCtx, fs *frameScratch, r *compiledRule, recs []byte, n i
 	if r.teleSlot >= 0 {
 		pc.tele[r.teleSlot] += uint64(len(sel))
 	}
-	lane := r.sharded && pc.Ctx.Shard >= 0
-	switch r.kernel {
-	case kernelAddCounts:
-		// The index column only, applied with the witness-free add; one
-		// index per group and count·p1 for a whole chunk on the base buckets.
-		if whole && !lane {
-			idx := fs.upIdx[:fs.nrep]
-			gatherIdxFrames(r, fs, allFrames[:fs.nrep], idx)
-			if fs.nrep < n {
-				r.reg.ApplyAddCounts(idx, fs.cnt[:fs.nrep], r.p1.value)
-			} else {
-				r.reg.ApplyAddBatch(idx, r.p1.value)
-			}
-			return
-		}
-		idx := fs.upIdx[:len(sel)]
-		gatherIdxFrames(r, fs, fs.digestRows(sel, whole), idx)
+	lane := r.lane(pc)
+	m := len(sel)
+	rows := fs.digestRows(sel, whole)
+	idx, p1, p2 := fs.upIdx[:m], fs.upP1[:m], fs.upP2[:m]
+	gatherIdxFrames(r, fs, rows, idx)
+	if r.kernel == kernelAddCounts {
 		if lane {
 			r.reg.ShardApplyAddBatch(int(pc.Ctx.Shard), idx, r.p1.value)
 		} else {
 			r.reg.ApplyAddBatch(idx, r.p1.value)
 		}
 		return
-	case kernelCombined, kernelFoldedP1:
-		if whole && fs.nrep < n {
-			ruleCombined(pc, fs, r, recs, n, lane)
-			return
-		}
 	}
-	m := len(sel)
-	rows := fs.digestRows(sel, whole)
-	idx, p1, p2 := fs.upIdx[:m], fs.upP1[:m], fs.upP2[:m]
-	gatherIdxFrames(r, fs, rows, idx)
 	fs.paramColumn(&r.p1, recs, sel, rows, p1)
 	if r.chainMin {
 		for j, i := range sel {
@@ -532,41 +577,87 @@ func ruleFrames(pc *ProcCtx, fs *frameScratch, r *compiledRule, recs []byte, n i
 	}
 }
 
-// ruleCombined runs a kernelCombined or kernelFoldedP1 rule that owns every
-// frame of a grouped chunk of n frames, one update per group: the index
-// column over the representatives' digest rows, then p1 either as a column
-// over the representatives followed by the preparation stage (a dropped
-// group drops all its frames) or, folded, per group under the op
-// (frameScratch.reduceP1).
-func ruleCombined(pc *ProcCtx, fs *frameScratch, r *compiledRule, recs []byte, n int, lane bool) {
-	m := fs.nrep
-	groups, reps := allFrames[:m], fs.rep[:m]
+// lane reports whether r writes pc's private lane (mergeable.go).
+func (r *compiledRule) lane(pc *ProcCtx) bool { return r.sharded && pc.Ctx.Shard >= 0 }
+
+// perGroup reports whether r issues one update per flow group: a combined
+// or folded kernel, or an add-counts one off a lane (a lane has no counted
+// add).
+func (r *compiledRule) perGroup(pc *ProcCtx) bool {
+	switch r.kernel {
+	case kernelCombined, kernelFoldedP1:
+		return true
+	case kernelAddCounts:
+		return !r.lane(pc)
+	}
+	return false
+}
+
+// ruleGroups runs a per-group rule (perGroup) over groups, flow groups of a
+// grouped chunk of n frames in ascending order holding frames frames in
+// all, one update per group: the index column over the groups' digest rows,
+// then count·p1 per group for an add (ApplyAddCounts), or p1 either as a
+// column over the representatives followed by the preparation stage (a
+// dropped group drops all its frames) or, folded, per group under the op
+// (frameScratch.reduceP1). Rule hits count frames.
+func ruleGroups(pc *ProcCtx, fs *frameScratch, r *compiledRule, recs []byte, n int, groups []int32, frames int) {
+	if r.teleSlot >= 0 {
+		pc.tele[r.teleSlot] += uint64(frames)
+	}
+	m := len(groups)
+	whole := m == fs.nrep // every group, so groups[j] == j
 	idx, p1, p2 := fs.upIdx[:m], fs.upP1[:m], fs.upP2[:m]
 	gatherIdxFrames(r, fs, groups, idx)
+	if r.kernel == kernelAddCounts {
+		switch {
+		case frames == m: // every group one frame
+			r.reg.ApplyAddBatch(idx, r.p1.value)
+		case whole:
+			r.reg.ApplyAddCounts(idx, fs.cnt[:m], r.p1.value)
+		default:
+			for j, g := range groups {
+				p2[j] = fs.cnt[g&(FrameChunk-1)]
+			}
+			r.reg.ApplyAddCounts(idx, p2, r.p1.value)
+		}
+		return
+	}
+	reps := fs.rep[:m]
+	if !whole {
+		reps = fs.selRows[:m]
+		for j, g := range groups {
+			reps[j] = fs.rep[g&(FrameChunk-1)]
+		}
+	}
 	fs.paramColumn(&r.p2, recs, reps, groups, p2)
 	k := m
 	if r.kernel == kernelFoldedP1 {
 		fs.reduceP1(r, recs, n)
+		if !whole {
+			for j, g := range groups { // g >= j: compacts in place
+				p1[j] = fs.upP1[g&(FrameChunk-1)]
+			}
+		}
 	} else {
 		fs.paramColumn(&r.p1, recs, reps, groups, p1)
 		if r.hasPrep {
-			frames := fs.upFrame[:m]
-			copy(frames, groups)
+			kept := fs.upFrame[:m]
+			copy(kept, groups)
 			if k = fs.prepare(&r.prep, m, &pc.Ctx); k < m {
 				// prepare counted one drop per dropped group; the group's
 				// other frames drop with it.
-				kept := 0
-				for _, g := range frames[:k] {
-					kept += int(fs.cnt[g&(FrameChunk-1)])
+				keptFrames := 0
+				for _, g := range kept[:k] {
+					keptFrames += int(fs.cnt[g&(FrameChunk-1)])
 				}
-				pc.Ctx.PrepDrops += uint64(n - kept - (m - k))
+				pc.Ctx.PrepDrops += uint64(frames - keptFrames - (m - k))
 			}
 		}
 	}
 	if k == 0 {
 		return
 	}
-	if lane {
+	if r.lane(pc) {
 		r.reg.ShardApplyBatch(int(pc.Ctx.Shard), r.op,
 			idx[:k], p1[:k], p2[:k], fs.upRes[:k], fs.upOld[:k])
 	} else {
@@ -794,24 +885,7 @@ func matchesAnyFrame(ms []compiledMatch, v mmtrace.FrameView) bool {
 	return false
 }
 
-// matchesFrame is compiledMatch.matches over the raw record — same
-// comparisons, lazy field loads.
+// matchesFrame is compiledMatch.matches over the raw record's key words.
 func (cm *compiledMatch) matchesFrame(v mmtrace.FrameView) bool {
-	switch cm.kind {
-	case matchAll:
-		return true
-	case matchExact:
-		return (cm.srcPort == 0 || cm.srcPort == v.SrcPort()) &&
-			(cm.dstPort == 0 || cm.dstPort == v.DstPort()) &&
-			(cm.proto == 0 || cm.proto == v.Proto())
-	case matchPrefix:
-		return v.SrcIP()&cm.srcMask == cm.srcVal &&
-			v.DstIP()&cm.dstMask == cm.dstVal
-	default:
-		return v.SrcIP()&cm.srcMask == cm.srcVal &&
-			v.DstIP()&cm.dstMask == cm.dstVal &&
-			(cm.srcPort == 0 || cm.srcPort == v.SrcPort()) &&
-			(cm.dstPort == 0 || cm.dstPort == v.DstPort()) &&
-			(cm.proto == 0 || cm.proto == v.Proto())
-	}
+	return cm.matchesKey(v.KeyWords())
 }

@@ -330,19 +330,26 @@ func TestProcessFramesShardedMatchesSequential(t *testing.T) {
 	compareAllRegisters(t, want, got)
 }
 
-// sampledChurnShape is churnShape plus ingest_churn's probabilistic task: a
-// three-row source-address CMS whose filter is the /8 prefix src8, sampled
-// at p = 0.5. The sample keeps the snapshot off the column stage.
+// sampledChurnShape is churnShape plus ingest_churn's probabilistic task
+// (withSampledRow, task 5 over the /8 prefix src8). The sample keeps the
+// snapshot off the column stage.
 func sampledChurnShape(t *testing.T, src8 uint32) *Pipeline {
 	t.Helper()
-	pl := churnShape(t)
-	g := NewGroup(GroupConfig{ID: 2, Buckets: 4096, BitWidth: 32})
+	return withSampledRow(t, churnShape(t), 2, 5, src8)
+}
+
+// withSampledRow appends to pl group id holding task, a three-row
+// source-address CMS whose filter is the /8 prefix src8, sampled at
+// p = 0.5: ingest_churn's probabilistic task.
+func withSampledRow(t *testing.T, pl *Pipeline, id, task int, src8 uint32) *Pipeline {
+	t.Helper()
+	g := NewGroup(GroupConfig{ID: id, Buckets: 4096, BitWidth: 32})
 	if err := g.ConfigureUnit(0, packet.KeySrcIP); err != nil {
 		t.Fatal(err)
 	}
 	for ci := 0; ci < 3; ci++ {
 		if err := g.CMU(ci).InstallRule(&Rule{
-			TaskID: 5, Filter: packet.Filter{SrcPrefix: packet.Prefix{Value: src8 << 24, Bits: 8}},
+			TaskID: task, Filter: packet.Filter{SrcPrefix: packet.Prefix{Value: src8 << 24, Bits: 8}},
 			Key: FullKey(0).SubRange(8*ci, 32), P1: Const(1), P2: MaxValue(),
 			Mem: MemRange{Base: 0, Buckets: 4096}, Op: dataplane.OpCondAdd, Prob: 0.5,
 		}); err != nil {
@@ -686,6 +693,18 @@ func TestProcessFramesFallbacks(t *testing.T) {
 		}
 	})
 
+	// ingest_churn's mix: filtered column CMUs selecting by group, each
+	// kernel among them, beside a sampled filtered task in packet order.
+	t.Run("filtered-beside-sampled", func(t *testing.T) {
+		build := func() *Pipeline { return withSampledRow(t, filteredInKeyShape(t, true), 3, 9, 1) }
+		s, tele := framesMatchBatch(t, build, nil, filteredTraffic(zipf.Packets), awkward...)
+		if s.FrameVectorized() || len(s.plan.column) != 4 || !combinesBy(s, kernelAddCounts, kernelCombined, kernelFoldedP1) {
+			t.Fatalf("vectorised %v, %d column CMUs, combining %v; want false, filteredInKeyShape's 4, true",
+				s.FrameVectorized(), len(s.plan.column), combinesBy(s, kernelAddCounts, kernelCombined, kernelFoldedP1))
+		}
+		coins(t, tele, 9, 3)
+	})
+
 	t.Run("sampled-bus", func(t *testing.T) {
 		s, tele := framesMatchBatch(t, func() *Pipeline { return sampledBus(t) }, nil, split, awkward...)
 		if s.FrameVectorized() || s.plan.quiet || len(s.plan.column) != 0 {
@@ -697,26 +716,32 @@ func TestProcessFramesFallbacks(t *testing.T) {
 
 // TestProcessFramesZeroAlloc: after the first span of a configuration, the
 // frame engine allocates nothing (matched by `make bench-allocs`) — on the
-// feature matrix, on every column shape, bus-quiet or not, and on the
-// packet-order path of a probabilistic, a spliced, a probabilistic and
-// spliced, and a probabilistic bus-consuming pipeline.
+// feature matrix, on every column shape, bus-quiet or not, on filters
+// inside the grouping key (first-match over the groups, every kernel), and
+// on the packet-order path of a probabilistic, a spliced, a probabilistic
+// and spliced, and a probabilistic bus-consuming pipeline.
 func TestProcessFramesZeroAlloc(t *testing.T) {
 	tr := trace.Generate(trace.Config{Flows: 100, Packets: 4_096, Seed: 14})
 	mt := writeFrameTrace(t, tr.Packets)
-	for name, pl := range map[string]*Pipeline{
-		"features":        buildFramesPipeline(t),
-		"columns-quiet":   buildColumnsPipeline(t, true),
-		"columns-bus":     buildColumnsPipeline(t, false),
-		"probabilistic":   sampledChurnShape(t, tr.Packets[0].SrcIP>>24),
-		"spliced":         splicedOwnMask(t),
-		"sampled-spliced": sampledSpliced(t),
-		"sampled-bus":     sampledBus(t),
+	keyed := writeFrameTrace(t, filteredTraffic(tr.Packets))
+	for name, tc := range map[string]struct {
+		pl *Pipeline
+		mt *mmtrace.Trace
+	}{
+		"features":        {buildFramesPipeline(t), mt},
+		"columns-quiet":   {buildColumnsPipeline(t, true), mt},
+		"columns-bus":     {buildColumnsPipeline(t, false), mt},
+		"filtered-in-key": {filteredInKeyShape(t, true), keyed},
+		"probabilistic":   {sampledChurnShape(t, tr.Packets[0].SrcIP>>24), mt},
+		"spliced":         {splicedOwnMask(t), mt},
+		"sampled-spliced": {sampledSpliced(t), mt},
+		"sampled-bus":     {sampledBus(t), mt},
 	} {
-		s := pl.Compile()
+		s := tc.pl.Compile()
 		pc := NewProcCtx()
-		s.ProcessFrames(pc, mt, 0, mt.Frames()) // warm scratch
+		s.ProcessFrames(pc, tc.mt, 0, tc.mt.Frames()) // warm scratch
 		if n := testing.AllocsPerRun(20, func() {
-			s.ProcessFrames(pc, mt, 0, mt.Frames())
+			s.ProcessFrames(pc, tc.mt, 0, tc.mt.Frames())
 		}); n != 0 {
 			t.Fatalf("%s: ProcessFrames allocates %.1f times per span, want 0", name, n)
 		}
@@ -779,23 +804,196 @@ func TestChunkScratchFollowsRunningSpans(t *testing.T) {
 	}
 }
 
-// TestProcessFramesColumnShapes runs buildColumnsPipeline, bus-quiet and
-// not, under both write policies against the sequential oracle: registers,
-// clamps (the 16-bit CondAdd saturates), rule hits and preparation drops.
+// filteredTraffic is ps with its flows spread over what the filtered shapes
+// select — source /8 0 or 1, destination port 53, 80 or 443, TCP or UDP —
+// each drawn from the flow's own fields, so a flow keeps one key.
+func filteredTraffic(ps []packet.Packet) []packet.Packet {
+	out := slices.Clone(ps)
+	for i := range out {
+		p := &out[i]
+		p.SrcIP = p.SrcIP&0x00ff_ffff | (p.SrcIP&1)<<24
+		p.DstPort = []uint16{53, 80, 443}[p.SrcPort%3]
+		p.Proto = []uint8{6, 17}[p.DstIP%2]
+	}
+	return out
+}
+
+// filteredInKeyShape puts each column-stage kernel behind filters that read
+// only five-tuple bits, all inside the grouping key. Group 0 (five-tuple,
+// source and destination units): CMU 0 adds 1 over source 1/8 and 3 over
+// TCP from source 0/8; CMU 1 holds a Bloom row over destination port 80
+// and a BeauCoup row (Coupon, dropping) over port 443; CMU 2 takes the
+// maximum queue length over UDP. Group 1 sums packet sizes over TCP from
+// source 1/8 on 64 buckets, where groups collide. With quiet false, group 2
+// adds group 1's results (PrevResult, each frame's running bucket sum) and
+// then reads its own witnesses (PrevOld): every kernel is then generic, and
+// the order in which a rule's frames update a shared bucket shows in the
+// next group's registers.
+func filteredInKeyShape(t *testing.T, quiet bool) *Pipeline {
+	t.Helper()
+	install := func(g *Group, ci int, r *Rule) {
+		t.Helper()
+		if err := g.CMU(ci).InstallRule(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	units := func(g *Group, keys ...packet.KeySpec) *Group {
+		t.Helper()
+		for u, k := range keys {
+			if err := g.ConfigureUnit(u, k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return g
+	}
+	src8 := func(v uint32) packet.Prefix { return packet.Prefix{Value: v << 24, Bits: 8} }
+	lo, hi := MemRange{Base: 0, Buckets: 2048}, MemRange{Base: 2048, Buckets: 2048}
+	all := MemRange{Base: 0, Buckets: 4096}
+
+	g0 := units(NewGroup(GroupConfig{ID: 0, Buckets: 4096, BitWidth: 32}),
+		packet.KeyFiveTuple, packet.KeySrcIP, packet.KeyDstIP)
+	install(g0, 0, &Rule{TaskID: 1, Filter: packet.Filter{SrcPrefix: src8(1)},
+		Key: FullKey(0), P1: Const(1), P2: MaxValue(), Mem: lo, Op: dataplane.OpCondAdd})
+	install(g0, 0, &Rule{TaskID: 2, Filter: packet.Filter{SrcPrefix: src8(0), Proto: 6},
+		Key: FullKey(1), P1: Const(3), P2: MaxValue(), Mem: hi, Op: dataplane.OpCondAdd})
+	install(g0, 1, &Rule{TaskID: 3, Filter: packet.Filter{DstPort: 80},
+		Key: FullKey(2).SubRange(5, 32), P1: CompressedKey(FullKey(0).SubRange(17, 5)), P2: Const(1),
+		Prep: Transform{Kind: TransformBitSelect, Width: 32}, Mem: lo, Op: dataplane.OpAndOr})
+	install(g0, 1, &Rule{TaskID: 4, Filter: packet.Filter{DstPort: 443},
+		Key: FullKey(2), P1: CompressedKey(FullKey(1)), P2: Const(1),
+		Prep: Transform{Kind: TransformCoupon, Coupons: 8, ProbLog2: 4}, Mem: hi, Op: dataplane.OpAndOr})
+	install(g0, 2, &Rule{TaskID: 5, Filter: packet.Filter{Proto: 17},
+		Key: FullKey(0).SubRange(11, 32), P1: QueueLength(), P2: Const(0), Mem: all, Op: dataplane.OpMax})
+
+	g1 := units(NewGroup(GroupConfig{ID: 1, Buckets: 64, BitWidth: 32}), packet.KeyFiveTuple)
+	install(g1, 0, &Rule{TaskID: 6, Filter: packet.Filter{SrcPrefix: src8(1), Proto: 6},
+		Key: FullKey(0).SubRange(3, 32), P1: PacketSize(), P2: MaxValue(),
+		Mem: MemRange{Base: 0, Buckets: 64}, Op: dataplane.OpCondAdd})
+	if quiet {
+		return NewPipelineWith(g0, g1)
+	}
+
+	g2 := units(NewGroup(GroupConfig{ID: 2, Buckets: 4096, BitWidth: 32}), packet.KeyFiveTuple)
+	install(g2, 0, &Rule{TaskID: 7, Filter: packet.MatchAll,
+		Key: FullKey(0).SubRange(17, 32), P1: PrevResult(), P2: MaxValue(), Mem: all, Op: dataplane.OpCondAdd})
+	install(g2, 1, &Rule{TaskID: 8, Filter: packet.MatchAll,
+		Key: FullKey(0).SubRange(6, 32), P1: PrevOld(), P2: Const(0),
+		Prep: Transform{Kind: TransformZeroGate, IfZero: 7, Else: 3}, Mem: all, Op: dataplane.OpXor})
+	return NewPipelineWith(g0, g1, g2)
+}
+
+// outsideKeyShape is one source-address group whose filters read fields no
+// mask does: an add over destination port 80, a Bloom row over port 443
+// and a queue-length maximum over UDP. The grouping key is the source
+// address alone, so these CMUs must select frame by frame.
+func outsideKeyShape(t *testing.T) *Pipeline {
+	t.Helper()
+	g := NewGroup(GroupConfig{ID: 0, Buckets: 4096, BitWidth: 32})
+	if err := g.ConfigureUnit(0, packet.KeySrcIP); err != nil {
+		t.Fatal(err)
+	}
+	all := MemRange{Base: 0, Buckets: 4096}
+	for ci, r := range []*Rule{
+		{TaskID: 1, Filter: packet.Filter{DstPort: 80}, Key: FullKey(0), P1: Const(1), P2: MaxValue(), Mem: all, Op: dataplane.OpCondAdd},
+		{TaskID: 2, Filter: packet.Filter{DstPort: 443}, Key: FullKey(0).SubRange(9, 32), P1: Const(1 << 7), P2: Const(1), Mem: all, Op: dataplane.OpAndOr},
+		{TaskID: 3, Filter: packet.Filter{Proto: 17}, Key: FullKey(0).SubRange(7, 32), P1: QueueLength(), P2: Const(0), Mem: all, Op: dataplane.OpMax},
+	} {
+		if err := g.CMU(ci).InstallRule(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return NewPipelineWith(g)
+}
+
+// filteredSaturationShape is saturationShape's constant adds behind source
+// /8 filters, 1 on CMU 0 and 0 on CMU 1, with p1 = 0x0100_0003: over
+// traffic that alternates one flow of each /8, every chunk is two groups,
+// each CMU selects one, and its count·p1 passes 2^32 from any start.
+func filteredSaturationShape(t *testing.T) *Pipeline {
+	t.Helper()
+	g := NewGroup(GroupConfig{ID: 0, Buckets: 64, BitWidth: 32})
+	if err := g.ConfigureUnit(0, packet.KeyFiveTuple); err != nil {
+		t.Fatal(err)
+	}
+	for ci, src8 := range []uint32{1, 0} {
+		if err := g.CMU(ci).InstallRule(&Rule{
+			TaskID: ci + 1, Filter: packet.Filter{SrcPrefix: packet.Prefix{Value: src8 << 24, Bits: 8}},
+			Key: FullKey(0).SubRange(8*ci, 32), P1: Const(0x0100_0003), P2: MaxValue(),
+			Mem: MemRange{Base: 0, Buckets: 64}, Op: dataplane.OpCondAdd,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return NewPipelineWith(g)
+}
+
+// TestProcessFramesColumnShapes runs column-stage shapes under both write
+// policies against the sequential oracle: registers, clamps, rule hits and
+// preparation drops; and requires every filtered column CMU to select as
+// planned (plan.selection). buildColumnsPipeline, bus-quiet and not, holds
+// every parameter and preparation kernel (its 16-bit CondAdd saturates).
+// The filtered shapes each name the mutation of a scratch copy they catch:
+//   - in-key (filteredInKeyShape, bus-quiet): all four kernels by group;
+//     catches counting rule hits per group instead of per frame.
+//   - in-key-bus: the same filters on generic kernels whose witnesses a
+//     later group reads; catches expanding a rule's groups into their
+//     frames group by group instead of in trace order.
+//   - outside-key (outsideKeyShape): catches selecting by group although a
+//     filter bit lies outside the key.
+//   - filtered-saturation (filteredSaturationShape): catches applying p1
+//     once per selected group without its count.
 func TestProcessFramesColumnShapes(t *testing.T) {
 	tr := trace.Generate(trace.Config{Flows: 400, Packets: 12_000, Seed: 15})
+	zipf := filteredTraffic(trace.Generate(trace.Config{Flows: 2000, Packets: 3*FrameChunk + 100, ZipfS: 1.1, Seed: 15}).Packets)
+	twoFlows := make([]packet.Packet, 2*FrameChunk+33)
+	for i := range twoFlows {
+		twoFlows[i] = packet.Packet{SrcIP: uint32(i%2)<<24 | 7, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: 6, Size: 64}
+	}
+	columns := func(t *testing.T, s *Snapshot, tele telemetry.DataPlane) {
+		if tele.Stages.Preparation == 0 || s.pl.Group(2).CMU(0).Register().Clamps() == 0 {
+			t.Fatal("no preparation-stage work or no 16-bit clamp: the kernels went unexercised")
+		}
+	}
+	hitsEvery := func(tasks ...int) func(*testing.T, *Snapshot, telemetry.DataPlane) {
+		return func(t *testing.T, s *Snapshot, tele telemetry.DataPlane) {
+			for _, id := range tasks {
+				if n := taskHits(tele, id); n == 0 || n >= s.pl.Packets() {
+					t.Fatalf("filtered task %d hit %d of %d frames: its filter went unexercised", id, n, s.pl.Packets())
+				}
+			}
+		}
+	}
 	for _, tc := range []struct {
 		name  string
+		build func(*testing.T) *Pipeline
+		ps    []packet.Packet
 		quiet bool
-	}{{"quiet", true}, {"bus", false}} {
+		sel   selection // every filtered column CMU's
+		check func(*testing.T, *Snapshot, telemetry.DataPlane)
+	}{
+		{"quiet", func(t *testing.T) *Pipeline { return buildColumnsPipeline(t, true) }, tr.Packets, true, selectGroups, columns},
+		{"bus", func(t *testing.T) *Pipeline { return buildColumnsPipeline(t, false) }, tr.Packets, false, selectGroups, columns},
+		{"in-key", func(t *testing.T) *Pipeline { return filteredInKeyShape(t, true) }, zipf, true, selectGroups, hitsEvery(1, 2, 3, 4, 5, 6)},
+		{"in-key-bus", func(t *testing.T) *Pipeline { return filteredInKeyShape(t, false) }, zipf, false, selectGroups, hitsEvery(1, 2, 3, 4, 5, 6)},
+		{"outside-key", outsideKeyShape, zipf, true, selectOutsideKey, hitsEvery(1, 2, 3)},
+		{"filtered-saturation", filteredSaturationShape, twoFlows, true, selectGroups,
+			func(t *testing.T, s *Snapshot, _ telemetry.DataPlane) {
+				if s.pl.Group(0).CMU(0).Register().Clamps() == 0 || s.pl.Group(0).CMU(1).Register().Clamps() == 0 {
+					t.Fatal("a filtered add never saturated: the counted clamp went unexercised")
+				}
+			}},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, tele := framesMatchBatch(t, func() *Pipeline { return buildColumnsPipeline(t, tc.quiet) }, nil, tr.Packets)
+			s, tele := framesMatchBatch(t, func() *Pipeline { return tc.build(t) }, nil, tc.ps)
 			if !s.FrameVectorized() || s.plan.quiet != tc.quiet {
 				t.Fatalf("vectorised %v, bus-quiet %v; want true, %v", s.FrameVectorized(), s.plan.quiet, tc.quiet)
 			}
-			if tele.Stages.Preparation == 0 || s.pl.Group(2).CMU(0).Register().Clamps() == 0 {
-				t.Fatal("no preparation-stage work or no 16-bit clamp: the kernels went unexercised")
+			for ci := range s.plan.column {
+				if sel := s.plan.selection(&s.plan.column[ci]); sel != selectAll && sel != tc.sel {
+					t.Fatalf("column CMU %d selects as %d, want %d", ci, sel, tc.sel)
+				}
 			}
+			tc.check(t, s, tele)
 		})
 	}
 }

@@ -29,7 +29,9 @@ import (
 // per-packet state through the CMUs in pipeline order, so a snapshot that
 // reads it runs every main-pass CMU there once one is sampled, and plans
 // only generic kernels, no lanes; a bus-quiet one scatters no witness.
-// Per-group updates run when the rule owns the whole of a grouped chunk.
+// Per-group updates run in a grouped chunk for a match-all rule at program
+// position 0 and for the rules of a CMU that selects by group
+// (plan.selection, taken per chunk against the snapshot's key mask).
 type (
 	stage  uint8
 	kernel uint8
@@ -77,6 +79,40 @@ type plan struct {
 	frameMatch               []compiledMatch
 	keyMask                  [2]uint64
 	grouped                  bool
+}
+
+// selection is how cmuFrames picks a column CMU's frames in a chunk.
+type selection uint8
+
+const (
+	// selectAll: a match-all rule at program position 0 wins every frame;
+	// no selection pass runs.
+	selectAll selection = iota
+	// selectGroups: every filter of the CMU reads only bits of the grouping
+	// key, so frames of one group share every verdict and first-match runs
+	// once per group, over the groups' keys.
+	selectGroups
+	// selectUngrouped: the chunk is not grouped (plan.grouped); first-match
+	// runs once per frame.
+	selectUngrouped
+	// selectOutsideKey: a filter reads a bit outside the grouping key, where
+	// frames of one group may differ; first-match runs once per frame.
+	selectOutsideKey
+)
+
+// selection decides how column CMU sc selects in a chunk. The verdict
+// depends on the snapshot-wide key mask, so it is taken per chunk from the
+// CMU's filter union, never frozen into a group program Recompile reuses.
+func (p *plan) selection(sc *snapCMU) selection {
+	switch {
+	case sc.prog[0].match.all():
+		return selectAll
+	case !p.grouped:
+		return selectUngrouped
+	case sc.filter[0]&^p.keyMask[0]|sc.filter[1]&^p.keyMask[1] != 0:
+		return selectOutsideKey
+	}
+	return selectGroups
 }
 
 // cmuStage plans CMU c's stage, c in a spliced group or not.

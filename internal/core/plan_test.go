@@ -3,15 +3,20 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"flymon/internal/dataplane"
+	"flymon/internal/packet"
 )
 
 // planString renders s's plan, one word per compiled CMU in pipeline order,
 // CMUs of a group separated by spaces, groups by " | ", and the spliced
 // pass after " || ". A column-stage CMU reads as its rules' kernels joined
 // by commas — add, comb, fold or gen — each suffixed +bus when its
-// witnesses go back onto the bus and +lane when it writes a private lane;
-// a packet-order CMU reads as its reason: sampled, bus or spliced. An
-// ungrouped snapshot is prefixed "ungrouped:".
+// witnesses go back onto the bus and +lane when it writes a private lane,
+// then, unless a match-all rule at position 0 wins every frame, its
+// selection (plan.selection): @group, or @frame with its reason,
+// (ungrouped) or (outside-key); a packet-order CMU reads as its reason:
+// sampled, bus or spliced. An ungrouped snapshot is prefixed "ungrouped:".
 func planString(s *Snapshot) string {
 	var b strings.Builder
 	if !s.plan.grouped {
@@ -46,6 +51,8 @@ func planString(s *Snapshot) string {
 						b.WriteString("+lane")
 					}
 				}
+				b.WriteString([]string{selectGroups: "@group", selectUngrouped: "@frame(ungrouped)",
+					selectOutsideKey: "@frame(outside-key)"}[s.plan.selection(&sc)])
 			}
 		}
 	}
@@ -68,11 +75,11 @@ func TestEnginePlan(t *testing.T) {
 		{"nine-cms", func(t *testing.T) *Pipeline { return nineCMS(t, 4096) }, cms9},
 		{"churn4", churnShape, "add add add | comb comb fold"},
 		{"features", buildFramesPipeline,
-			"gen+bus gen+bus gen+bus | gen+bus,gen+bus gen+bus gen+bus | gen+bus gen+bus gen+bus | gen+bus"},
+			"gen+bus gen+bus gen+bus | gen+bus,gen+bus@group gen+bus gen+bus | gen+bus gen+bus gen+bus | gen+bus"},
 		{"columns-quiet", func(t *testing.T) *Pipeline { return buildColumnsPipeline(t, true) },
-			"fold gen comb | comb,comb comb | gen fold comb"},
+			"fold gen@group comb | comb,comb@group comb | gen fold comb"},
 		{"columns-bus", func(t *testing.T) *Pipeline { return buildColumnsPipeline(t, false) },
-			"gen+bus gen+bus gen+bus | gen+bus,gen+bus gen+bus | gen+bus gen+bus gen+bus | gen+bus gen+bus"},
+			"gen+bus gen+bus@group gen+bus | gen+bus,gen+bus@group gen+bus | gen+bus gen+bus gen+bus | gen+bus gen+bus"},
 		{"cms-full-width", func(t *testing.T) *Pipeline { return cmsPipeline(t, 32, 4096) }, "add add add"},
 		{"cms-narrow", func(t *testing.T) *Pipeline { return cmsPipeline(t, 8, 256) }, "gen gen gen"},
 		{"cms-lanes", func(t *testing.T) *Pipeline {
@@ -81,7 +88,7 @@ func TestEnginePlan(t *testing.T) {
 			return pl
 		}, "add+lane add+lane add+lane"},
 		{"many-rules", func(t *testing.T) *Pipeline { return manyRules(t, 300) },
-			strings.TrimSuffix(strings.Repeat("add,", 300), ",")},
+			strings.TrimSuffix(strings.Repeat("add,", 300), ",") + "@group"},
 		{"probabilistic", sampledRow, "sampled"},
 		{"spliced", splicedRow, "add || spliced"},
 		{"churn-sampled", func(t *testing.T) *Pipeline { return sampledChurnShape(t, 1) },
@@ -93,9 +100,25 @@ func TestEnginePlan(t *testing.T) {
 		{"sampled-spliced", sampledSpliced, "add add | sampled sampled sampled || spliced spliced spliced"},
 		{"sampled-bus", sampledBus, "sampled bus | sampled bus | bus bus bus"},
 		{"saturation", func(t *testing.T) *Pipeline { return saturationShape(t, 64, 1500) }, "add add gen"},
-		{"beside-filtered", besideFilteredShape, "add add add | add,add add"},
+		{"beside-filtered", besideFilteredShape, "add add add | add,add@group add@group"},
 		{"unread-fields", unreadFieldsShape, "add gen fold"},
 		{"timestamp-key", timestampKeyShape, "ungrouped: add add add | add"},
+		{"filtered-in-key", func(t *testing.T) *Pipeline { return filteredInKeyShape(t, true) },
+			"add,add@group comb,comb@group fold@group | gen@group"},
+		{"filtered-in-key-bus", func(t *testing.T) *Pipeline { return filteredInKeyShape(t, false) },
+			"gen+bus,gen+bus@group gen+bus,gen+bus@group gen+bus@group | gen+bus@group | gen+bus gen+bus"},
+		{"filtered-outside-key", outsideKeyShape,
+			"add@frame(outside-key) comb@frame(outside-key) fold@frame(outside-key)"},
+		{"filtered-ungrouped", func(t *testing.T) *Pipeline {
+			pl := timestampKeyShape(t)
+			if err := pl.Group(1).CMU(1).InstallRule(&Rule{TaskID: 3,
+				Filter: packet.Filter{SrcPrefix: packet.Prefix{Value: 1 << 24, Bits: 8}},
+				Key:    FullKey(0).SubRange(8, 32), P1: Const(1), P2: MaxValue(),
+				Mem: MemRange{Base: 0, Buckets: 4096}, Op: dataplane.OpCondAdd}); err != nil {
+				t.Fatal(err)
+			}
+			return pl
+		}, "ungrouped: add add add | add add@frame(ungrouped)"},
 		{"idle-spliced", func(t *testing.T) *Pipeline {
 			pl := cmsPipeline(t, 32, 4096)
 			if err := pl.AddSpliced(NewGroup(GroupConfig{ID: 100, Buckets: 1024, BitWidth: 32})); err != nil {
@@ -119,7 +142,7 @@ func TestEnginePlan(t *testing.T) {
 		"sumax-max-32":     "fold fold fold",
 		"sumax-max-8":      "fold fold fold",
 		"and-or-per-frame": "fold fold",
-		"filtered":         "fold",
+		"filtered":         "fold@group",
 		"bus-consumer":     "gen+bus gen+bus",
 	}
 	for _, tc := range idempotentCases() {

@@ -11,38 +11,25 @@ import (
 // interpretive structure full of wildcard conventions and method dispatch —
 // into a compiledRule, the dense, branch-poor program the data-plane fast
 // path executes. Everything resolvable at Compile time is resolved here:
-// filter matchers are specialized by shape, key selectors are rewritten
-// against the snapshot's deduplicated hash slots, address translation is
-// reduced to one shift or one mask, and constant parameters are folded.
+// filters are lowered to one two-word mask and value, key selectors are
+// rewritten against the snapshot's deduplicated hash slots, address
+// translation is reduced to one shift or one mask, and constant parameters
+// are folded.
 // The per-packet work that remains is an indexed dispatch over flat struct
 // fields, which is what lets Snapshot.Process run allocation-free and is as
 // close as software gets to the fixed per-packet work of the Tofino
 // pipeline the paper measures.
 
-// matchKind classifies a compiled filter by the checks it actually needs.
-type matchKind uint8
-
-const (
-	// matchAll matches every packet (the zero Filter) — the dominant case
-	// for whole-traffic tasks; costs one switch arm, no field reads.
-	matchAll matchKind = iota
-	// matchExact checks only exact 5-tuple fields (ports/protocol).
-	matchExact
-	// matchPrefix checks only IP prefixes (mask-and-compare).
-	matchPrefix
-	// matchGeneric checks both prefixes and exact fields.
-	matchGeneric
-)
-
-// compiledMatch is a pre-resolved packet.Filter: prefixes are lowered to
-// mask/value pairs and the filter's shape is classified so the hot path
-// runs only the comparisons the task's filter actually uses.
+// compiledMatch is a pre-resolved packet.Filter: one mask/value pair over
+// the two key words mmtrace.FrameView.KeyWords packs (groupKeyMask's
+// layout) — source and destination address in the first; source port,
+// destination port and protocol at bits 0, 16 and 32 of the second. A
+// prefix lowers to its top bits, an exact field to all of its bits, and a
+// wildcard to none, so every filter is the same masked compare of two
+// words: from a packet (matches), a record (matchesFrame) or a chunk's
+// grouping key (matchesKey). The zero mask matches everything.
 type compiledMatch struct {
-	kind             matchKind
-	srcMask, srcVal  uint32
-	dstMask, dstVal  uint32
-	srcPort, dstPort uint16 // 0 = wildcard
-	proto            uint8  // 0 = wildcard
+	mask, val [2]uint64
 }
 
 // prefixMaskVal lowers a CIDR prefix to (mask, value); a zero prefix
@@ -59,46 +46,42 @@ func prefixMaskVal(pr packet.Prefix) (mask, val uint32) {
 	return mask, pr.Value & mask
 }
 
-// compileMatch specializes a filter into its minimal matcher.
+// compileMatch lowers a filter to its two-word mask and value.
 func compileMatch(f packet.Filter) compiledMatch {
-	cm := compiledMatch{srcPort: f.SrcPort, dstPort: f.DstPort, proto: f.Proto}
-	cm.srcMask, cm.srcVal = prefixMaskVal(f.SrcPrefix)
-	cm.dstMask, cm.dstVal = prefixMaskVal(f.DstPrefix)
-	hasExact := f.SrcPort != 0 || f.DstPort != 0 || f.Proto != 0
-	hasPrefix := cm.srcMask != 0 || cm.dstMask != 0
-	switch {
-	case !hasExact && !hasPrefix:
-		cm.kind = matchAll
-	case !hasPrefix:
-		cm.kind = matchExact
-	case !hasExact:
-		cm.kind = matchPrefix
-	default:
-		cm.kind = matchGeneric
+	var cm compiledMatch
+	srcMask, srcVal := prefixMaskVal(f.SrcPrefix)
+	dstMask, dstVal := prefixMaskVal(f.DstPrefix)
+	cm.mask[0] = uint64(srcMask) | uint64(dstMask)<<32
+	cm.val[0] = uint64(srcVal) | uint64(dstVal)<<32
+	if f.SrcPort != 0 {
+		cm.mask[1] |= 0xffff
+		cm.val[1] |= uint64(f.SrcPort)
+	}
+	if f.DstPort != 0 {
+		cm.mask[1] |= 0xffff << 16
+		cm.val[1] |= uint64(f.DstPort) << 16
+	}
+	if f.Proto != 0 {
+		cm.mask[1] |= 0xff << 32
+		cm.val[1] |= uint64(f.Proto) << 32
 	}
 	return cm
+}
+
+// all reports whether the filter is the zero Filter, matching every packet.
+func (cm *compiledMatch) all() bool { return cm.mask == [2]uint64{} }
+
+// matchesKey is the one comparison every form runs: the key words w0, w1
+// under the filter's mask equal its value.
+func (cm *compiledMatch) matchesKey(w0, w1 uint64) bool {
+	return w0&cm.mask[0] == cm.val[0] && w1&cm.mask[1] == cm.val[1]
 }
 
 // matches reports whether p belongs to the compiled filter's traffic
 // slice; semantics are identical to packet.Filter.Matches.
 func (cm *compiledMatch) matches(p *packet.Packet) bool {
-	switch cm.kind {
-	case matchAll:
-		return true
-	case matchExact:
-		return (cm.srcPort == 0 || cm.srcPort == p.SrcPort) &&
-			(cm.dstPort == 0 || cm.dstPort == p.DstPort) &&
-			(cm.proto == 0 || cm.proto == p.Proto)
-	case matchPrefix:
-		return p.SrcIP&cm.srcMask == cm.srcVal &&
-			p.DstIP&cm.dstMask == cm.dstVal
-	default:
-		return p.SrcIP&cm.srcMask == cm.srcVal &&
-			p.DstIP&cm.dstMask == cm.dstVal &&
-			(cm.srcPort == 0 || cm.srcPort == p.SrcPort) &&
-			(cm.dstPort == 0 || cm.dstPort == p.DstPort) &&
-			(cm.proto == 0 || cm.proto == p.Proto)
-	}
+	return cm.matchesKey(uint64(p.SrcIP)|uint64(p.DstIP)<<32,
+		uint64(p.SrcPort)|uint64(p.DstPort)<<16|uint64(p.Proto)<<32)
 }
 
 // compiledSel is a Selector rewritten against the snapshot's deduplicated

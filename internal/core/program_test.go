@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"flymon/internal/mmtrace"
 	"flymon/internal/packet"
 )
 
@@ -39,38 +40,66 @@ func randPacket(rng *rand.Rand) packet.Packet {
 	}
 }
 
-// TestCompiledMatchEquivalence: the specialized matchers must agree with
-// Filter.Matches on every (filter, packet) pair — the compiled engine's
-// task selection is only correct if this holds exactly.
-func TestCompiledMatchEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 20_000; trial++ {
-		f := randFilter(rng)
-		cm := compileMatch(f)
-		p := randPacket(rng)
-		if got, want := cm.matches(&p), f.Matches(&p); got != want {
-			t.Fatalf("filter %q (kind %d) on %+v: compiled %v, interpretive %v",
-				f, cm.kind, p, got, want)
-		}
+// edgeFilter builds a filter around packet p's own fields, so it hits p:
+// each prefix /0, /32 or of random length (a /0 source prefix with a
+// random value, which must be ignored), each port and the protocol either
+// exact or 0, the wildcard.
+func edgeFilter(rng *rand.Rand, p *packet.Packet) packet.Filter {
+	bits := func() int { return []int{0, 32, rng.Intn(33)}[rng.Intn(3)] }
+	f := packet.Filter{
+		SrcPrefix: packet.Prefix{Value: p.SrcIP, Bits: bits()},
+		DstPrefix: packet.Prefix{Value: p.DstIP, Bits: bits()},
 	}
+	if f.SrcPrefix.Bits == 0 {
+		f.SrcPrefix.Value = rng.Uint32() // a /0 value is ignored
+	}
+	if rng.Intn(2) == 0 {
+		f.SrcPort = p.SrcPort
+	}
+	if rng.Intn(2) == 0 {
+		f.DstPort = p.DstPort
+	}
+	if rng.Intn(2) == 0 {
+		f.Proto = p.Proto
+	}
+	return f
 }
 
-// TestCompiledMatchSpecialization: common filter shapes must compile to
-// their cheap matcher kinds.
-func TestCompiledMatchSpecialization(t *testing.T) {
-	cases := []struct {
-		f    packet.Filter
-		kind matchKind
-	}{
-		{packet.MatchAll, matchAll},
-		{packet.Filter{DstPort: 9}, matchExact},
-		{packet.Filter{Proto: 6}, matchExact},
-		{packet.Filter{SrcPrefix: packet.Prefix{Value: 0x0A000000, Bits: 8}}, matchPrefix},
-		{packet.Filter{SrcPrefix: packet.Prefix{Value: 0x0A000000, Bits: 8}, DstPort: 53}, matchGeneric},
-	}
-	for _, tc := range cases {
-		if got := compileMatch(tc.f).kind; got != tc.kind {
-			t.Errorf("filter %q compiled to kind %d, want %d", tc.f, got, tc.kind)
+// TestCompiledMatchEquivalence: the compiled matcher must agree with
+// Filter.Matches on every (filter, packet) pair, both from the packet
+// (matches, Snapshot.Process's form) and from the packet's trace record
+// (matchesFrame, the frame engine's), over random filters and filters
+// built around a packet of the batch — /0 and /32 prefixes, exact fields
+// and 0 wildcards. The engine and the sequential oracle share the one
+// two-word compare, so this test alone holds its lowering to the
+// interpretive filter.
+func TestCompiledMatchEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	ps := make([]packet.Packet, 256)
+	for batch := 0; batch < 40; batch++ {
+		for i := range ps {
+			ps[i] = randPacket(rng)
+		}
+		recs := mmtrace.FromPackets(ps).Span(0, len(ps))
+		for trial := 0; trial < 100; trial++ {
+			f := randFilter(rng)
+			if trial%2 == 1 {
+				f = edgeFilter(rng, &ps[rng.Intn(len(ps))])
+			}
+			cm := compileMatch(f)
+			for i := range ps {
+				want := f.Matches(&ps[i])
+				if got := cm.matches(&ps[i]); got != want {
+					t.Fatalf("filter %q on %+v: compiled %v, interpretive %v", f, ps[i], got, want)
+				}
+				if got := cm.matchesFrame(frameAt(recs, int32(i))); got != want {
+					t.Fatalf("filter %q on the record of %+v: compiled %v, interpretive %v", f, ps[i], got, want)
+				}
+			}
+			wild := f.SrcPrefix.Bits == 0 && f.DstPrefix.Bits == 0 && f.SrcPort == 0 && f.DstPort == 0 && f.Proto == 0
+			if cm.all() != wild {
+				t.Fatalf("filter %q: match-all %v, want %v", f, cm.all(), wild)
+			}
 		}
 	}
 }

@@ -26,8 +26,8 @@ import (
 //   - each distinct (mask, polynomial) digest is computed once and fanned
 //     out: rule key selectors are rewritten to index the shared digest
 //     cache directly, so no per-group key vector is ever copied,
-//   - filters are specialized by shape (match-all / exact-field / prefix)
-//     and address translation is folded to one shift or one mask,
+//   - filters are lowered to one masked compare of two key words, and
+//     address translation is folded to one shift or one mask,
 //   - groups with zero enabled rules are dropped entirely, so their
 //     compression stage costs nothing, and a live group digests only the
 //     units its enabled rules read,
@@ -149,10 +149,13 @@ type snapGroup struct {
 
 // snapCMU is one CMU's compiled rule program, in install (priority) order;
 // the first matching rule wins, enforcing one access per packet. stage is
-// where the frame engine runs it (plan.go).
+// where the frame engine runs it (plan.go); filter is the union of its
+// rules' filter masks (compiledMatch.mask), which decides how the column
+// stage selects (plan.selection).
 type snapCMU struct {
-	prog  []compiledRule
-	stage stage
+	prog   []compiledRule
+	stage  stage
+	filter [2]uint64
 }
 
 // Compile freezes the pipeline's current configuration into a Snapshot,
@@ -395,7 +398,7 @@ func (p *groupProg) compile(s *Snapshot, g *Group, gi int, spliced bool, teleBas
 				// instead of counted per execution. ci is the CMU's real
 				// pipeline position — compiled-out CMUs must not shift the
 				// telemetry coordinates.
-				derived := len(sc.prog) == 0 && cr.match.kind == matchAll && !cr.probGated
+				derived := len(sc.prog) == 0 && cr.match.all() && !cr.probGated
 				rc := tele.Rule(
 					telemetry.RuleKey{Group: gi, CMU: ci, Task: r.TaskID},
 					telemetry.RuleMeta{
@@ -412,6 +415,8 @@ func (p *groupProg) compile(s *Snapshot, g *Group, gi int, spliced bool, teleBas
 					p.teleSlots = append(p.teleSlots, rc)
 				}
 			}
+			sc.filter[0] |= cr.match.mask[0]
+			sc.filter[1] |= cr.match.mask[1]
 			sc.prog = append(sc.prog, cr)
 		}
 		if len(sc.prog) > 0 {
