@@ -50,7 +50,10 @@ race:
 # and probabilistic bus-consuming pipelines included
 # (TestProcessFramesZeroAlloc), and
 # re-arming the chunk scratch a span borrows for a snapshot of another
-# shape (TestProcessFramesLentScratchZeroAlloc), a one-worker pool drain at
+# shape (TestProcessFramesLentScratchZeroAlloc), a span over backed
+# registers at zero and the first span over unbacked ones at exactly one
+# bucket array per register it writes (TestProcessFramesBackingZeroAlloc),
+# a one-worker pool drain at
 # zero per drain (TestProcessFrameSourceZeroAlloc), the mmap replay path at
 # zero per span once steady (TestReplayerNextZeroAlloc), and point answers
 # at zero per query: a switch's estimate and membership probe

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -765,6 +766,46 @@ func TestProcessFramesLentScratchZeroAlloc(t *testing.T) {
 	span() // grow the scratch to both shapes
 	if n := testing.AllocsPerRun(20, span); n != 0 {
 		t.Fatalf("two snapshots alternating spans allocate %.1f times per pair, want 0", n)
+	}
+}
+
+// TestProcessFramesBackingZeroAlloc: registers are backed at their first
+// write (matched by `make bench-allocs`). The first span over unbacked
+// registers allocates exactly one Size()×4-byte array per register a rule
+// writes — two of the six here: one CMU of the CMS group and the empty
+// group hold no rule — and a span over registers already backed allocates
+// nothing, under both write policies.
+func TestProcessFramesBackingZeroAlloc(t *testing.T) {
+	mt := writeFrameTrace(t, trace.Generate(trace.Config{Flows: 100, Packets: 4_096, Seed: 14}).Packets)
+	for _, single := range []bool{true, false} {
+		build := func() *Pipeline {
+			g0 := NewGroup(GroupConfig{ID: 0, Buckets: 4096, BitWidth: 32})
+			g1 := NewGroup(GroupConfig{ID: 1, Buckets: 4096, BitWidth: 32})
+			buildCMS(t, g0, 1, 2, 4096)
+			pl := NewPipelineWith(g0, g1)
+			pl.SetSingleWriter(single)
+			return pl
+		}
+		pc := NewProcCtx()
+		warm := build().Compile()
+		warm.ProcessFrames(pc, mt, 0, mt.Frames()) // grow the scratch to the shape
+		s := build().Compile()
+		// One P, as in testing.AllocsPerRun: restarting the world after
+		// ReadMemStats then wakes no idle P, whose new M would allocate.
+		procs := runtime.GOMAXPROCS(1)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s.ProcessFrames(pc, mt, 0, mt.Frames())
+		runtime.ReadMemStats(&after)
+		runtime.GOMAXPROCS(procs)
+		const written, arrayBytes = 2, 4096 * 4
+		if n, b := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc; n != written || b != written*arrayBytes {
+			t.Fatalf("single writer %v: first span made %d allocations of %d bytes, want %d of %d",
+				single, n, b, written, written*arrayBytes)
+		}
+		if n := testing.AllocsPerRun(20, func() { s.ProcessFrames(pc, mt, 0, mt.Frames()) }); n != 0 {
+			t.Fatalf("single writer %v: a span over backed registers allocates %.1f times, want 0", single, n)
+		}
 	}
 }
 

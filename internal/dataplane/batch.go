@@ -27,11 +27,11 @@ func (r *Register) ApplyBatch(op StatefulOp, idx, p1, p2, result, old []uint32) 
 	if n == 0 {
 		return
 	}
+	buckets := r.base()
 	if r.single {
-		r.applyBatchPlain(r.buckets, op, idx, p1, p2, result, old)
+		r.applyBatchPlain(buckets, op, idx, p1, p2, result, old)
 		return
 	}
-	buckets := r.buckets
 	bm := uint32(len(buckets) - 1)
 	mask := r.mask
 	var clamps uint64
@@ -154,11 +154,11 @@ func (r *Register) applyAdd(idx, cnt []uint32, p1 uint32) {
 	if n == 0 || p1 == 0 {
 		return // adding 0 changes nothing and never clamps
 	}
+	buckets := r.base()
 	if r.single {
 		r.applyAddPlain(idx, cnt, p1)
 		return
 	}
-	buckets := r.buckets
 	bm := uint32(len(buckets) - 1)
 	var clamps uint64
 	for k := 0; k < n; k++ {
@@ -191,7 +191,7 @@ func (r *Register) applyAdd(idx, cnt []uint32, p1 uint32) {
 // applyAddPlain is applyAdd for a single writer: the same wrap and
 // overshoots arithmetic on the base buckets, with one plain load and one
 // plain store per element in place of the interlocked add and its repair
-// store.
+// store. applyAdd has backed the register.
 func (r *Register) applyAddPlain(idx, cnt []uint32, p1 uint32) {
 	buckets := r.buckets
 	bm := uint32(len(buckets) - 1)

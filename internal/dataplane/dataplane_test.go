@@ -184,8 +184,13 @@ func TestRegisterIndexWrap(t *testing.T) {
 	}
 }
 
+// TestRegisterGeometry checks the geometry an unbacked register reports:
+// NewRegister allocates no buckets (see backing_test.go).
 func TestRegisterGeometry(t *testing.T) {
 	r := NewRegister(1000, 16) // rounds up to 1024
+	if backedArray(r) != nil {
+		t.Fatal("NewRegister backed the register")
+	}
 	if r.Size() != 1024 {
 		t.Fatalf("size = %d, want 1024", r.Size())
 	}

@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 )
 
@@ -91,12 +92,28 @@ var ExtendedOperationSet = []StatefulOp{OpCondAdd, OpMax, OpAndOr, OpXor}
 // single-writer register's ReadRange is one bulk copy, since its reader
 // already excludes the writer. ClearRange and CopyRange are bulk operations
 // on memory nothing else is touching (see their contract).
+//
+// The base array is backed at the first write, not at NewRegister: a
+// register no rule ever wrote, like the SRAM of a CMU no task was granted,
+// costs no memory. Size, MemoryBytes and SRAMBlocks
+// always report the configured size. Every write entry (ApplySeq, Execute,
+// Apply, ApplyBatch, ApplyAddBatch, ApplyAddCounts and so DrainRange) backs
+// the register once, under a mutex, and publishes the array through an
+// atomic flag; the batch entries check the flag once per call, never per
+// element. The read entries never back it: until the first write the
+// register reads as all zeros, and ClearRange and Reset have nothing to
+// clear in the base array. Lanes are allocated by EnableSharding.
 type Register struct {
+	// buckets is nil until backed is set (back), then holds size buckets.
 	buckets  []uint32
+	size     int
 	bitWidth int
 	mask     uint32
 	// single selects the one-writer policy (SetSingleWriter).
 	single bool
+	// backed publishes buckets: set once, after back allocates them.
+	backed atomic.Bool
+	backMu sync.Mutex
 
 	// accesses counts single-writer base updates (ApplySeq/Execute). It is
 	// striped away from the bucket/shard headers by the pads so that stats
@@ -156,20 +173,41 @@ func NewRegister(buckets, bitWidth int) *Register {
 	if bitWidth < 32 {
 		mask = 1<<uint(bitWidth) - 1
 	}
-	return &Register{buckets: make([]uint32, n), bitWidth: bitWidth, mask: mask}
+	return &Register{size: n, bitWidth: bitWidth, mask: mask}
+}
+
+// base returns the base array, backing the register on its first write.
+// Write entries only: readers of an unbacked register read zeros instead.
+func (r *Register) base() []uint32 {
+	if r.backed.Load() {
+		return r.buckets
+	}
+	return r.back()
+}
+
+// back allocates the base array once and returns it; concurrent first
+// writers wait on the mutex and all use the one array.
+func (r *Register) back() []uint32 {
+	r.backMu.Lock()
+	if !r.backed.Load() {
+		r.buckets = make([]uint32, r.size)
+		r.backed.Store(true)
+	}
+	r.backMu.Unlock()
+	return r.buckets
 }
 
 // Size returns the bucket count.
-func (r *Register) Size() int { return len(r.buckets) }
+func (r *Register) Size() int { return r.size }
 
 // BitWidth returns the configured bucket width in bits.
 func (r *Register) BitWidth() int { return r.bitWidth }
 
 // MemoryBytes returns the stateful memory footprint (bit-packed).
-func (r *Register) MemoryBytes() int { return len(r.buckets) * r.bitWidth / 8 }
+func (r *Register) MemoryBytes() int { return r.size * r.bitWidth / 8 }
 
 // SRAMBlocks returns the SRAM blocks this register occupies.
-func (r *Register) SRAMBlocks() int { return SRAMBlocksFor(len(r.buckets), r.bitWidth) }
+func (r *Register) SRAMBlocks() int { return SRAMBlocksFor(r.size, r.bitWidth) }
 
 // Accesses returns the number of plain-path update calls served
 // (Execute/ApplySeq plus every shard's ShardApply ops), folding the
@@ -204,7 +242,7 @@ func (r *Register) Execute(op StatefulOp, index uint32, p1, p2 uint32) uint32 {
 // concurrently with a shared-bucket Apply or with control-plane readout.
 func (r *Register) ApplySeq(op StatefulOp, index uint32, p1, p2 uint32) (result, old uint32) {
 	r.accesses++
-	return r.applyPlain(r.buckets, op, index, p1, p2)
+	return r.applyPlain(r.base(), op, index, p1, p2)
 }
 
 // SetSingleWriter selects the one-writer policy (on) or the shared-bucket
@@ -267,10 +305,11 @@ func (r *Register) applyPlain(buckets []uint32, op StatefulOp, index, p1, p2 uin
 // concurrency, which is what DetectNew-style predicates depend on. Apply
 // does not bump the Accesses counter (see Accesses).
 func (r *Register) Apply(op StatefulOp, index uint32, p1, p2 uint32) (result, old uint32) {
+	buckets := r.base()
 	if r.single {
-		return r.applyPlain(r.buckets, op, index, p1, p2)
+		return r.applyPlain(buckets, op, index, p1, p2)
 	}
-	b := &r.buckets[index&uint32(len(r.buckets)-1)]
+	b := &buckets[index&uint32(len(buckets)-1)]
 	switch op {
 	case OpCondAdd:
 		p1m, p2m := p1&r.mask, p2&r.mask
@@ -340,8 +379,12 @@ func (r *Register) Clamps() uint64 { return atomic.LoadUint64(&r.clamps) }
 // fill gauge. Lane state is not scanned: drain the lanes first for an exact
 // figure on a sharded register (the controller's telemetry fold does).
 // Bucket loads are atomic, so Occupancy may overlap concurrent writers; the
-// result is then a point-in-time approximation, as with any live gauge.
+// result is then a point-in-time approximation, as with any live gauge. An
+// unbacked register is empty.
 func (r *Register) Occupancy() int {
+	if !r.backed.Load() {
+		return 0
+	}
 	n := 0
 	for i := range r.buckets {
 		if atomic.LoadUint32(&r.buckets[i]) != 0 {
@@ -354,7 +397,10 @@ func (r *Register) Occupancy() int {
 // Read returns bucket i without counting a data-plane access (control-plane
 // register readout).
 func (r *Register) Read(i uint32) uint32 {
-	return atomic.LoadUint32(&r.buckets[i&uint32(len(r.buckets)-1)])
+	if !r.backed.Load() {
+		return 0
+	}
+	return atomic.LoadUint32(&r.buckets[i&uint32(r.size-1)])
 }
 
 // ReadRange copies buckets [lo, lo+n) into a fresh slice (control-plane
@@ -364,6 +410,9 @@ func (r *Register) Read(i uint32) uint32 {
 // runs while its reader does).
 func (r *Register) ReadRange(lo, n int) []uint32 {
 	out := make([]uint32, n)
+	if !r.backed.Load() {
+		return out
+	}
 	if r.single {
 		copy(out, r.buckets[lo:lo+n])
 		return out
@@ -379,6 +428,10 @@ func (r *Register) ReadRange(lo, n int) []uint32 {
 // of any kind may overlap it (a retired partition after the control plane's
 // grace period). Readers of a live range use ReadRange.
 func (r *Register) CopyRange(dst []uint32, lo int) {
+	if !r.backed.Load() {
+		clear(dst)
+		return
+	}
 	copy(dst, r.buckets[lo:lo+len(dst)])
 }
 
@@ -390,16 +443,18 @@ func (r *Register) CopyRange(dst []uint32, lo int) {
 // still hold them has finished: the control plane's grace period, or a
 // settle that finds no reader in flight) or the caller excludes the packet
 // path for the duration. Other ranges of the same register may be in full
-// use meanwhile.
+// use meanwhile. An unbacked base array is already zero and stays unbacked.
 func (r *Register) ClearRange(lo, n int) {
-	clear(r.buckets[lo : lo+n])
+	if r.backed.Load() {
+		clear(r.buckets[lo : lo+n])
+	}
 	for s := range r.shards {
 		clear(r.shards[s].lane[lo : lo+n])
 	}
 }
 
 // Reset zeroes the whole register.
-func (r *Register) Reset() { r.ClearRange(0, len(r.buckets)) }
+func (r *Register) Reset() { r.ClearRange(0, r.size) }
 
 // --- Sharded state: private per-worker lanes + mergeable-op reduction ---
 //
@@ -450,7 +505,7 @@ func (r *Register) EnableSharding(n int) {
 	}
 	r.shards = make([]regShard, n)
 	r.drainedSeq = 0
-	size := len(r.buckets)
+	size := r.size
 	for i := range r.shards {
 		arr := make([]uint32, size+2*lanePadBuckets)
 		r.shards[i].lane = arr[lanePadBuckets : lanePadBuckets+size : lanePadBuckets+size]
@@ -506,8 +561,11 @@ func MergeValues(op StatefulOp, mask, a, b uint32) uint32 {
 // lane under op's merge function, without draining. Lane loads are plain:
 // quiesce sharded writers first.
 func (r *Register) ReadMerged(op StatefulOp, i uint32) uint32 {
-	i &= uint32(len(r.buckets) - 1)
-	v := atomic.LoadUint32(&r.buckets[i])
+	i &= uint32(r.size - 1)
+	var v uint32
+	if r.backed.Load() {
+		v = atomic.LoadUint32(&r.buckets[i])
+	}
 	for s := range r.shards {
 		v = MergeValues(op, r.mask, v, r.shards[s].lane[i])
 	}
