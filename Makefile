@@ -1,33 +1,42 @@
 GO ?= go
 
-.PHONY: all check vet build test race chaos bench-allocs clean
+.PHONY: all check vet build test race chaos bench-allocs unreached clean
 
 all: check
 
 # check is the full gate. Timing is not gated here: rates and latencies come
 # from the benchmark (`go run -C bench .`, see BENCHMARK.json and
 # bench/README.md), whose own tests run last.
-check: vet build race chaos bench-allocs
+check: vet build unreached race chaos bench-allocs
 	$(GO) test -C bench ./...
 
 # chaos runs the fault-injection and fast-failure fleet drills under -race.
 # Control channel: the faultnet transport tests, the resilient-client
 # recovery paths (timeouts, resets, corrupt frames, desync, breaker), codec
-# framing robustness, and the degraded-mode fleet tests. Liveness: the pure
-# BFD-style session state machine, the liveness + reconciler end-to-end
-# drills (kill / restart / redeploy), the seeded fault matrix
-# (partition / asymmetric one-way partition / restart storm / flapping
-# link via faultnet.Gate), the rpc client-vs-restarted-server breaker path,
-# and the directional-blackhole Gate semantics. The fault plans use a fixed
+# framing robustness, and the degraded-mode fleet tests (partial queries,
+# deploy rollback, a removal retried across a partitioned link). Liveness:
+# the pure BFD-style session state machine, the standalone session
+# manager's end-to-end drills against real daemons (kill / restart), the
+# seeded fault matrix (partition / asymmetric one-way partition / restart
+# storm / flapping link via faultnet.Gate), the rpc client-vs-restarted-server
+# breaker path, and the directional-blackhole Gate semantics. The fault plans use a fixed
 # seed matrix (seeds 1..3 plus per-test seeds), so failures reproduce
 # deterministically; every liveness drill ends behind a goroutine-leak gate.
 chaos:
 	$(GO) test -race -count=1 -timeout 600s \
-		-run 'Chaos|Fault|Breaker|Hung|Panic|Dispatch|Codec|Client|Reset|Corrupt|Truncat|Partial|Deterministic|Listener|Delays|ZeroPlan|TestFleet(Partial|Strict|Remove|OpTimeout|Deploy)|SessionSM|Liveness|Reconcil|Hello|Restart|Gate|Incarnation' \
+		-run 'Chaos|Fault|Breaker|Hung|Panic|Dispatch|Codec|Client|Reset|Corrupt|Truncat|Partial|Deterministic|Listener|Delays|ZeroPlan|TestFleet(Partial|Strict|Remove|OpTimeout|Deploy)|SessionSM|Liveness|Hello|Restart|Gate|Incarnation' \
 		./internal/faultnet/ ./internal/rpc/ ./internal/netwide/
 
 vet:
 	$(GO) vet ./...
+
+# unreached is the reachability gate: it links every cmd/* and examples/*
+# binary and the bench binary with the linker's dependency dump, and fails
+# when a function under internal/ that no binary reaches is missing from
+# testdata/unreached.txt, or when a listed one is reached again or gone.
+# `go run ./tools/unreached -v` prints every unreached function.
+unreached:
+	$(GO) run ./tools/unreached
 
 build:
 	$(GO) build ./...

@@ -187,7 +187,7 @@ func drawWatchFrame(m *netwide.LivenessManager, opts rpc.Options, events int, ep
 	}
 	for _, r := range rows {
 		if r.tasks != nil && len(r.tasks) < len(union) {
-			fmt.Printf("fleet: switch %s is missing %d task(s) — a reconciler would re-deploy them\n",
+			fmt.Printf("fleet: switch %s is missing %d task(s)\n",
 				r.addr, len(union)-len(r.tasks))
 		}
 	}

@@ -329,7 +329,7 @@ func TestLinearCountingEstimate(t *testing.T) {
 		pl.Process(&tr.Packets[i])
 		exact.AddPacket(&tr.Packets[i])
 	}
-	est, err := task.Estimate()
+	est, err := task.cardinality(nil)
 	if err != nil {
 		t.Fatalf("Estimate: %v", err)
 	}
@@ -373,7 +373,7 @@ func TestBeauCoupDDoSVictimDetection(t *testing.T) {
 	vk := packet.KeyDstIP.Extract(&packet.Packet{DstIP: victim})
 	if !reported[vk] {
 		t.Fatalf("injected victim (distinct=%d) not reported; coupons=%d/%d",
-			exact.Count(vk), task.CollectedCoupons(vk), task.Cfg.Collect)
+			exact.Count(vk), task.collected(nil, vk), task.Cfg.Collect)
 	}
 }
 
@@ -392,7 +392,7 @@ func TestSuMaxMaxTracksQueueMaxima(t *testing.T) {
 	}
 	under := 0
 	for k, truth := range exact.Values() {
-		est := uint64(task.EstimateKey(k))
+		est := uint64(task.estimate(nil, k))
 		if est < truth {
 			under++
 		}
@@ -418,7 +418,7 @@ func TestTowerEstimatesSmallFlowsExactly(t *testing.T) {
 	var are float64
 	n := 0
 	for k, truth := range exact.Counts() {
-		est := uint64(task.EstimateKey(k))
+		est := uint64(task.estimate(nil, k))
 		are += math.Abs(float64(est)-float64(truth)) / float64(truth)
 		n++
 	}
@@ -437,7 +437,7 @@ func TestTowerAllSaturatedReturnsWidest(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		pl.Process(&p)
 	}
-	if got := task.EstimateKey(packet.KeySrcIP.Extract(&p)); got != 15 {
+	if got := task.estimate(nil, packet.KeySrcIP.Extract(&p)); got != 15 {
 		t.Fatalf("fully saturated estimate = %d, want the widest level's maximum 15", got)
 	}
 }
@@ -457,7 +457,7 @@ func TestCounterBraidsRecoversCounts(t *testing.T) {
 	}
 	exactCount, n := 0, 0
 	for k, truth := range exact.Counts() {
-		est := task.EstimateKey(k)
+		est := task.estimate(nil, k)
 		// Saturating layers can only inflate on collision, never lose
 		// counts: the braid must not underestimate.
 		if est < truth {

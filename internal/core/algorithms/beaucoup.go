@@ -50,10 +50,6 @@ func InstallBeauCoup(g *core.Group, taskID int, filter packet.Filter,
 	return t, nil
 }
 
-// CollectedCoupons returns the minimum coupon count across tables for
-// canonical key k.
-func (t *BeauCoupTask) CollectedCoupons(k packet.CanonicalKey) int { return t.collected(nil, k) }
-
 // collected is CollectedCoupons read from rows (nil: the live registers).
 func (t *BeauCoupTask) collected(rows [][]uint32, k packet.CanonicalKey) int {
 	n, h := 64, t.hash(k)
@@ -79,10 +75,6 @@ func (t *BeauCoupTask) reported(rows [][]uint32, candidates []packet.CanonicalKe
 	}
 	return out
 }
-
-// EstimateDistinct inverts key k's coupon count into a distinct-value
-// estimate via the coupon-collector expectation.
-func (t *BeauCoupTask) EstimateDistinct(k packet.CanonicalKey) float64 { return t.distinct(nil, k) }
 
 // distinct is EstimateDistinct read from rows (nil: the live registers).
 func (t *BeauCoupTask) distinct(rows [][]uint32, k packet.CanonicalKey) float64 {

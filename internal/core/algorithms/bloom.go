@@ -110,10 +110,6 @@ func InstallLinearCounting(g *core.Group, taskID int, filter packet.Filter,
 	return &LinearCountingTask{BloomTask: t}, nil
 }
 
-// Estimate returns the Linear Counting cardinality estimate
-// n̂ = m·ln(m/zeros) over the task's bit array.
-func (t *LinearCountingTask) Estimate() (float64, error) { return t.cardinality(nil) }
-
 // cardinality is the Linear Counting estimate over the bit array read from
 // rows (nil: the live register).
 func (t *LinearCountingTask) cardinality(rows [][]uint32) (float64, error) {

@@ -132,7 +132,7 @@ func TestPortScanDetection(t *testing.T) {
 	reported := task.Reported(cands)
 	if !reported[pairKey] {
 		t.Fatalf("scanner probing %d ports not reported (coupons %d/%d)",
-			exact.Count(pairKey), task.CollectedCoupons(pairKey), task.Cfg.Collect)
+			exact.Count(pairKey), task.collected(nil, pairKey), task.Cfg.Collect)
 	}
 }
 
@@ -152,7 +152,7 @@ func TestCMUOffsetPlacement(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		pl.Process(&p)
 	}
-	if got := task.EstimateKey(packet.KeyFiveTuple.Extract(&p)); got != 5 {
+	if got := task.estimate(nil, packet.KeyFiveTuple.Extract(&p)); got != 5 {
 		t.Fatalf("offset task estimate = %d, want 5", got)
 	}
 	if g.CMU(0).Register().Accesses() != 0 || g.CMU(1).Register().Accesses() != 0 {

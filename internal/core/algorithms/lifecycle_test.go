@@ -144,13 +144,13 @@ func TestBeauCoupEstimateDistinct(t *testing.T) {
 		pl.Process(&packet.Packet{SrcIP: uint32(i + 1000), DstIP: victim, Proto: 6})
 	}
 	vk := packet.KeyDstIP.Extract(&packet.Packet{DstIP: victim})
-	est := task.EstimateDistinct(vk)
+	est := task.distinct(nil, vk)
 	if est < truth/4 || est > truth*4 {
 		t.Fatalf("coupon estimate %.0f far from truth %d", est, truth)
 	}
 	// A key never seen estimates zero.
 	quiet := packet.KeyDstIP.Extract(&packet.Packet{DstIP: packet.IPv4(9, 9, 9, 9)})
-	if task.EstimateDistinct(quiet) != 0 {
+	if task.distinct(nil, quiet) != 0 {
 		t.Fatal("unseen key must estimate 0")
 	}
 }

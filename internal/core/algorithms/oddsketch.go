@@ -66,19 +66,6 @@ func InstallOddSketch(g *core.Group, taskID int, filter packet.Filter, key packe
 	return t, nil
 }
 
-// OnesCount returns the number of odd-parity bits in the task's bitmap.
-func (t *OddSketchTask) OnesCount() (int, error) {
-	buckets, err := t.Group.CMU(t.CMU).ReadTask(t.TaskID)
-	if err != nil {
-		return 0, err
-	}
-	ones := 0
-	for _, b := range buckets {
-		ones += bits.OnesCount32(b)
-	}
-	return ones, nil
-}
-
 // SymmetricDifference estimates the symmetric difference between this
 // task's set and another same-geometry task's set.
 func (t *OddSketchTask) SymmetricDifference(other *OddSketchTask) (float64, error) {

@@ -129,9 +129,6 @@ func InstallSuMaxMax(g *core.Group, taskID int, filter packet.Filter, key packet
 	return t, nil
 }
 
-// EstimateKey returns the row-minimum of the per-key maxima.
-func (t *SuMaxMaxTask) EstimateKey(k packet.CanonicalKey) uint32 { return t.estimate(nil, k) }
-
 // estimate is EstimateKey read from rows (nil: the live registers).
 func (t *SuMaxMaxTask) estimate(rows [][]uint32, k packet.CanonicalKey) uint32 {
 	return t.minimum(rows, k)

@@ -45,11 +45,6 @@ func InstallTower(g *core.Group, taskID int, filter packet.Filter, key packet.Ke
 	return t, nil
 }
 
-// EstimateKey returns the tower estimate for canonical key k: the minimum
-// over non-saturated level counters (the widest level's saturation value
-// when all levels are saturated).
-func (t *TowerTask) EstimateKey(k packet.CanonicalKey) uint32 { return t.estimate(nil, k) }
-
 // estimate is the tower estimate read from rows (nil: the live registers).
 func (t *TowerTask) estimate(rows [][]uint32, k packet.CanonicalKey) uint32 {
 	best := ^uint32(0)
@@ -119,9 +114,6 @@ func InstallCounterBraids(g *core.Group, taskID int, filter packet.Filter,
 	}
 	return t, nil
 }
-
-// EstimateKey returns layer1 + layer2 for canonical key k.
-func (t *CounterBraidsTask) EstimateKey(k packet.CanonicalKey) uint64 { return t.estimate(nil, k) }
 
 // estimate is layer1 + layer2 read from rows (nil: the live registers).
 func (t *CounterBraidsTask) estimate(rows [][]uint32, k packet.CanonicalKey) uint64 {

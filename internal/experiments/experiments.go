@@ -15,7 +15,6 @@ import (
 
 	"flymon/internal/core"
 	"flymon/internal/mmtrace"
-	"flymon/internal/packet"
 	"flymon/internal/trace"
 )
 
@@ -140,7 +139,3 @@ func flowUniverse[K comparable](counts map[K]uint64) ([]K, map[K]bool) {
 	}
 	return cands, universe
 }
-
-// memKey re-extracts a canonical key from a stored canonical key — identity
-// helper used for readability in sweeps.
-func memKey(k packet.CanonicalKey) packet.CanonicalKey { return k }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"flymon/internal/controlplane"
+	"flymon/internal/faultnet"
 	"flymon/internal/packet"
 	"flymon/internal/rpc"
 	"flymon/internal/trace"
@@ -158,16 +159,29 @@ func TestFleetRemoveKeepsHandleOnPartialFailure(t *testing.T) {
 	check := gateFleetGoroutines(t)
 	t.Cleanup(check)
 	cfg := fleetConfig()
-	ctrls, clients, srvs, addrs := resilientDaemons(t, 2, cfg)
+	ctrls, clients, _, addrs := resilientDaemons(t, 2, cfg)
+	// The fleet reaches daemon 1 over a gated link: partitioned, the daemon
+	// and the epoch task it holds survive, as behind a broken cable.
+	gate := &faultnet.Gate{}
+	dialer := &faultnet.Dialer{Plan: faultnet.Plan{Gate: gate}, Timeout: time.Second}
+	c1, err := rpc.DialOptions(addrs[1], rpc.Options{
+		Dialer:      func(addr string, _ time.Duration) (net.Conn, error) { return dialer.Dial("tcp", addr) },
+		CallTimeout: 200 * time.Millisecond, MaxRetries: -1, BreakerThreshold: 1000, Seed: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c1.Close() })
+	clients[1] = c1
 	fleet := NewRemoteFleetOptions(clients, cfg, FleetOptions{AllowPartial: true})
-	if err := fleet.Deploy(cmsSpec("freq")); err != nil {
+	if err := fleet.DeployEpoch(cmsSpec("freq")); err != nil {
 		t.Fatal(err)
 	}
 
-	// Daemon 1 dies; Remove must fail with a structured error naming it,
-	// and KEEP the task handle so removal can be retried.
-	srvs[1].Close()
-	err := fleet.Remove("freq")
+	// Daemon 1 is cut off; the removal must fail with a structured error
+	// naming it, and KEEP the task's row so removal can be retried.
+	gate.Partition()
+	err = fleet.RemoveEpochTask("freq")
 	var pf *PartialFailureError
 	if !errors.As(err, &pf) {
 		t.Fatalf("remove error = %v (%T), want PartialFailureError", err, err)
@@ -182,21 +196,17 @@ func TestFleetRemoveKeepsHandleOnPartialFailure(t *testing.T) {
 		t.Fatal("daemon 1 must still hold the stranded task")
 	}
 
-	// Daemon 1 comes back (same controller, same address): the retry only
-	// needs the straggler — daemon 0 answering "no task" counts as done.
-	srv := rpc.NewServer(ctrls[1], nil)
-	if _, err := srv.Listen(addrs[1]); err != nil {
-		t.Fatalf("rebind %s: %v", addrs[1], err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	if err := fleet.Remove("freq"); err != nil {
+	// The link heals: the retry only needs the straggler — daemon 0 is not
+	// asked again.
+	gate.Heal()
+	if err := fleet.RemoveEpochTask("freq"); err != nil {
 		t.Fatalf("retry remove: %v", err)
 	}
 	if len(ctrls[1].Tasks()) != 0 {
 		t.Fatal("stranded task not removed on retry")
 	}
-	// The handle is gone only now.
-	if err := fleet.Remove("freq"); err == nil {
+	// The row is gone only now.
+	if err := fleet.RemoveEpochTask("freq"); err == nil {
 		t.Fatal("third remove must report no task")
 	}
 }
@@ -259,7 +269,7 @@ func TestFleetDeployRollsBackOnUnreachableDaemon(t *testing.T) {
 	ctrls, clients, srvs, _ := resilientDaemons(t, 3, cfg)
 	fleet := NewRemoteFleetOptions(clients, cfg, FleetOptions{})
 	srvs[2].Close()
-	if err := fleet.Deploy(cmsSpec("freq")); err == nil {
+	if err := fleet.DeployEpoch(cmsSpec("freq")); err == nil {
 		t.Fatal("deploy with a dead daemon must fail (deploys are all-or-nothing)")
 	}
 	for i := 0; i < 2; i++ {

@@ -3,14 +3,10 @@ package netwide
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"flymon/internal/controlplane"
 	"flymon/internal/core/algorithms"
 	"flymon/internal/dataplane"
-	"flymon/internal/epoch"
 	"flymon/internal/packet"
 	"flymon/internal/rpc"
 	"flymon/internal/tracing"
@@ -93,32 +89,6 @@ func (q EpochQuery) withDefaults() EpochQuery {
 		q.Wait = DefaultEpochWait
 	}
 	return q
-}
-
-// fleetEpoch is the rotation handle of one fleet-wide epoch task (a
-// fleetTask's epoch field): the mirror rotator, kept in lockstep with every
-// daemon's, and the task's epoch artifacts.
-type fleetEpoch struct {
-	// latest is the newest epoch whose rotation decree has finished its
-	// fan-out: what EpochOf and "epochN <= 0" resolve to. Lock-free, so
-	// neither stalls behind an in-flight rotation nor asks the daemons for
-	// an epoch they have not been told about yet.
-	latest atomic.Int64
-
-	// mu guards rot and window. It is a leaf lock held for mirror-local
-	// work only, never across an RPC, so a stored answer is served while
-	// a rotation is fanning out. Lock order: epochMu, then f.mu, then mu.
-	mu  sync.Mutex
-	rot *epoch.Rotator
-	// own is the op the task's rows merge under exactly, fixed at deploy
-	// from its rules (fleetOp); exact is false when there is none, and
-	// Epoch refuses the task.
-	own   MergeOp
-	exact bool
-	// window is the artifact store, completed epoch → its stored merges:
-	// made when the mirror rotates, dropped rpc.EpochRetain rotations
-	// later like the daemons' snapshots, freed with the task and the fleet.
-	window map[int]*storedEpoch
 }
 
 // mergeOps is the number of merge operations (MergeAdd..MergeXor).
@@ -242,28 +212,11 @@ func (e *stragglerError) Error() string {
 	return fmt.Sprintf("netwide: straggler: wants epoch %d, has %d", e.want, e.have)
 }
 
-// DeployEpoch installs an epoch task (a rotator) on every daemon and on
-// the mirror, all-or-nothing with rollback like Deploy, whose name space it
-// shares.
-func (f *RemoteFleet) DeployEpoch(spec controlplane.TaskSpec) error {
-	return f.install("epoch_deploy", spec, true)
-}
-
-// RemoveEpochTask reclaims an epoch task everywhere. Like Remove, a
-// partial failure keeps the row so a retry only needs the stragglers
-// ("no epoch task" answers are treated as already removed).
-func (f *RemoteFleet) RemoveEpochTask(name string) error {
-	return f.uninstall("epoch_remove", name, true)
-}
-
-// epochTask returns the rotation handle of a deployed epoch task, or nil.
-func (f *RemoteFleet) epochTask(name string) *fleetEpoch {
+// epochTask returns a deployed epoch task, or nil.
+func (f *RemoteFleet) epochTask(name string) *fleetTask {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if t := f.tasks[name]; t != nil {
-		return t.epoch
-	}
-	return nil
+	return f.tasks[name]
 }
 
 // EpochOf returns the fleet's latest completed epoch for an epoch task:
@@ -329,10 +282,6 @@ func (f *RemoteFleet) RotateEpoch(name string) (target int, err error) {
 		return nil
 	})
 	et.latest.Store(int64(target))
-	if f.opts.Journal != nil {
-		f.journal("epoch_rotate", 0, fmt.Sprintf("%s to epoch %d (%d/%d switches)",
-			name, target, len(f.clients)-len(errs), len(f.clients)), nil)
-	}
 	if len(errs) > 0 && !f.opts.AllowPartial {
 		return target, &PartialFailureError{Op: "epoch_rotate", Task: name, Failed: errs, Total: len(f.clients)}
 	}
@@ -444,13 +393,12 @@ func (f *RemoteFleet) pollEpoch(i int, c *rpc.Client, name string, epochN int, q
 // is refused with ErrInexactMerge. The
 // epoch's first complete merge under an op is kept for rpc.EpochRetain
 // rotations and later queries are served from it without an RPC
-// (Report.Cached), also while a switch is down or ejected. Concurrent
+// (Report.Cached), also while a switch is down. Concurrent
 // first queries on one (epoch, op) fan out once: the rest wait and share
 // the answer if it is complete; after a partial one each runs its own
 // query under its own policy.
 //
-// A plain task (Deploy) is switch-local and has no fleet-wide answer. A
-// name this fleet did not deploy — an epoch task some other controller
+// A name this fleet did not deploy — an epoch task some other controller
 // rotates, which is all a one-shot client like flymonctl query ever sees —
 // is read from the switches at an explicit epoch, never stored, and has
 // rows (merged under add, its algorithm unknown here) but no typed
@@ -484,15 +432,7 @@ func (f *RemoteFleet) EstimateKeyEpoch(name string, epochN int, k packet.Canonic
 // (merge under q.Op).
 func (f *RemoteFleet) epoch(name string, epochN int, q EpochQuery, own bool) (art EpochArtifact, err error) {
 	q = q.withDefaults()
-	f.mu.Lock()
-	t := f.tasks[name]
-	f.mu.Unlock()
-	var et *fleetEpoch
-	if t != nil {
-		if et = t.epoch; et == nil {
-			return art, fmt.Errorf("netwide: %q is a plain task, read per switch; deploy it with DeployEpoch for fleet-wide answers", name)
-		}
-	}
+	et := f.epochTask(name)
 	if own {
 		q.Op = MergeAdd
 		if et != nil {
@@ -557,7 +497,7 @@ func (f *RemoteFleet) epoch(name string, epochN int, q EpochQuery, own bool) (ar
 	if et.exact && q.Op == et.own {
 		// The merge under the task's own op carries the typed answers,
 		// whichever caller made it.
-		art.answers = algorithms.Bind(stored.handle, art.Rows, t.spec.Threshold)
+		art.answers = algorithms.Bind(stored.handle, art.Rows, et.spec.Threshold)
 	}
 	et.mu.Lock()
 	if err == nil && m.rows == nil && !art.Report.Partial() && len(art.Report.Contributed) == len(f.clients) {

@@ -67,7 +67,6 @@ func TestChaosEpochStragglerMatrix(t *testing.T) {
 				AllowPartial: true,
 				Telemetry:    tele,
 			})
-			t.Cleanup(fleet.Stop)
 
 			if err := fleet.DeployEpoch(cmsSpec("ep")); err != nil {
 				t.Fatal(err)

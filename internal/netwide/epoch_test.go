@@ -23,10 +23,6 @@ func TestFleetEpochLifecycle(t *testing.T) {
 	if err := fleet.DeployEpoch(cmsSpec("ep")); err != nil {
 		t.Fatal(err)
 	}
-	// The epoch task must not collide with plain tasks, and vice versa.
-	if err := fleet.Deploy(cmsSpec("ep")); err == nil {
-		t.Fatal("plain deploy must refuse an epoch task's name")
-	}
 	if err := fleet.DeployEpoch(cmsSpec("ep")); err == nil {
 		t.Fatal("duplicate epoch deploy must fail")
 	}

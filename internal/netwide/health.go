@@ -37,11 +37,7 @@ func (s SwitchState) String() string {
 	}
 }
 
-// SwitchHealth is one switch's control-channel health snapshot. When a
-// liveness session is attached (Session != SessionNone) the session is the
-// primary health signal: a session that is not reported-Up forces
-// SwitchDown regardless of op outcomes, and op failures on an Up session
-// degrade at most to SwitchDegraded.
+// SwitchHealth is one switch's control-channel health snapshot.
 type SwitchHealth struct {
 	Index               int
 	Addr                string
@@ -51,20 +47,6 @@ type SwitchHealth struct {
 	LastError           string
 	LastSuccess         time.Time
 	LastFailure         time.Time
-
-	// Liveness-session view (zero values when sessions are not running).
-	Session        SessionState
-	SessionUp      bool // reported-Up: session Up and not flap-damped
-	Damped         bool
-	SessionFails   int // consecutive hello failures
-	Incarnation    int64
-	DetectTime     time.Duration
-	LastTransition time.Time
-
-	// Reconciler view: how many tasks this switch should hold vs what its
-	// last observed task list showed (-1 = not yet observed).
-	TasksDesired  int
-	TasksObserved int
 }
 
 // healthTracker aggregates per-switch operation outcomes. A switch is
@@ -73,7 +55,6 @@ type SwitchHealth struct {
 type healthTracker struct {
 	mu        sync.Mutex
 	downAfter int
-	now       func() time.Time
 	entries   []SwitchHealth
 	// tele, when set, counts state *transitions* (not per-op outcomes):
 	// a switch flapping healthy↔down shows up as a high transition rate.
@@ -81,10 +62,9 @@ type healthTracker struct {
 }
 
 func newHealthTracker(n, downAfter int, addrs []string) *healthTracker {
-	t := &healthTracker{downAfter: downAfter, now: time.Now, entries: make([]SwitchHealth, n)}
+	t := &healthTracker{downAfter: downAfter, entries: make([]SwitchHealth, n)}
 	for i := range t.entries {
 		t.entries[i].Index = i
-		t.entries[i].TasksObserved = -1
 		if i < len(addrs) {
 			t.entries[i].Addr = addrs[i]
 		}
@@ -92,18 +72,30 @@ func newHealthTracker(n, downAfter int, addrs []string) *healthTracker {
 	return t
 }
 
-// classifyLocked recomputes entry e's state from its current signals and
-// counts the transition. Liveness (when attached) is primary: session not
-// reported-Up → Down; session Up caps op-failure damage at Degraded. With
-// no session the original consecutive-failure rules apply unchanged.
-func (t *healthTracker) classifyLocked(e *SwitchHealth) {
+// record folds one operation outcome into switch i's health and counts the
+// state transition it causes.
+func (t *healthTracker) record(i int, err error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if i < 0 || i >= len(t.entries) {
+		return
+	}
+	e := &t.entries[i]
 	was := e.State
+	if err == nil {
+		e.ConsecutiveFailures = 0
+		e.LastError = ""
+		e.LastSuccess = time.Now()
+	} else {
+		e.ConsecutiveFailures++
+		e.TotalFailures++
+		e.LastError = err.Error()
+		e.LastFailure = time.Now()
+	}
 	switch {
-	case e.Session != SessionNone && !e.SessionUp:
-		e.State = SwitchDown
 	case e.ConsecutiveFailures == 0:
 		e.State = SwitchHealthy
-	case e.Session == SessionNone && e.ConsecutiveFailures >= t.downAfter:
+	case e.ConsecutiveFailures >= t.downAfter:
 		e.State = SwitchDown
 	default:
 		e.State = SwitchDegraded
@@ -119,84 +111,6 @@ func (t *healthTracker) classifyLocked(e *SwitchHealth) {
 	case SwitchDown:
 		t.tele.ToDown.Add(1)
 	}
-}
-
-// record folds one operation outcome into switch i's health.
-func (t *healthTracker) record(i int, err error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if i < 0 || i >= len(t.entries) {
-		return
-	}
-	e := &t.entries[i]
-	if err == nil {
-		e.ConsecutiveFailures = 0
-		e.LastError = ""
-		e.LastSuccess = t.now()
-	} else {
-		e.ConsecutiveFailures++
-		e.TotalFailures++
-		e.LastError = err.Error()
-		e.LastFailure = t.now()
-	}
-	t.classifyLocked(e)
-}
-
-// setSession folds one liveness-session snapshot into switch i's health.
-// A transition back to reported-Up wipes the op-failure residue
-// (ConsecutiveFailures, LastError): the fleet readmits the switch with a
-// clean slate rather than carrying stale errors from before the outage.
-func (t *healthTracker) setSession(i int, snap SessionSnapshot) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if i < 0 || i >= len(t.entries) {
-		return
-	}
-	e := &t.entries[i]
-	wasUp := e.SessionUp
-	e.Session = snap.State
-	e.SessionUp = snap.ReportedUp
-	e.Damped = snap.Damped
-	e.SessionFails = snap.ConsecutiveFailures
-	e.Incarnation = snap.Incarnation
-	e.DetectTime = snap.DetectTime
-	e.LastTransition = snap.LastTransition
-	if !wasUp && snap.ReportedUp {
-		e.ConsecutiveFailures = 0
-		e.LastError = ""
-	}
-	t.classifyLocked(e)
-}
-
-// setTasks records the reconciler's latest desired-vs-observed task counts
-// for switch i.
-func (t *healthTracker) setTasks(i, desired, observed int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if i < 0 || i >= len(t.entries) {
-		return
-	}
-	t.entries[i].TasksDesired = desired
-	t.entries[i].TasksObserved = observed
-}
-
-// ejected reports whether switch i should be skipped by fan-outs without
-// issuing an RPC, and why. Only a liveness verdict ejects pre-emptively —
-// op-outcome health alone keeps trying (the op itself is the probe).
-func (t *healthTracker) ejected(i int) (string, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if i < 0 || i >= len(t.entries) {
-		return "", false
-	}
-	e := &t.entries[i]
-	if e.Session == SessionNone || e.SessionUp {
-		return "", false
-	}
-	if e.Damped {
-		return fmt.Sprintf("liveness: session %s (flap-damped)", e.Session), true
-	}
-	return fmt.Sprintf("liveness: session %s", e.Session), true
 }
 
 // snapshot copies the health table.

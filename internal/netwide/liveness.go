@@ -20,22 +20,17 @@ import (
 )
 
 // SessionState is a liveness session's position in the BFD-style
-// handshake. SessionNone means no session is attached (liveness not
-// started) — the zero value, so plain op-outcome health keeps working
-// unchanged when sessions are off.
+// handshake.
 type SessionState int
 
 const (
-	SessionNone SessionState = iota
-	SessionDown
+	SessionDown SessionState = iota
 	SessionInit
 	SessionUp
 )
 
 func (s SessionState) String() string {
 	switch s {
-	case SessionNone:
-		return "none"
 	case SessionDown:
 		return "down"
 	case SessionInit:
@@ -89,9 +84,6 @@ type LivenessOptions struct {
 	Dial func(addr string) (*rpc.Client, error)
 	// Seed fixes the jitter streams (0 = from the clock).
 	Seed int64
-	// Clock overrides time.Now for the state machines (tests drive
-	// detection and damping without sleeping).
-	Clock func() time.Time
 }
 
 func (o LivenessOptions) withDefaults() LivenessOptions {
@@ -115,9 +107,6 @@ func (o LivenessOptions) withDefaults() LivenessOptions {
 	}
 	if o.CallTimeout <= 0 {
 		o.CallTimeout = time.Duration(o.DetectMult) * o.TxInterval
-	}
-	if o.Clock == nil {
-		o.Clock = time.Now
 	}
 	if o.Seed == 0 {
 		o.Seed = time.Now().UnixNano()
@@ -268,7 +257,7 @@ func (s *sessionSM) onReply(remote int, incarnation int64, tasks int, now time.T
 	if s.incarnation != 0 && incarnation != s.incarnation && s.state == SessionUp {
 		// The daemon restarted between probes: its state is gone even
 		// though it answers promptly. Tear the session down so the rejoin
-		// (and the reconciler it triggers) is explicit.
+		// is explicit.
 		ev.Restarted = true
 		s.transition(SessionDown, now, &ev)
 	}
@@ -300,7 +289,7 @@ func (s *sessionSM) onReply(remote int, incarnation int64, tasks int, now time.T
 
 // onFail folds one hello transport failure. Failures alone never flip the
 // state — detection is time-based (refresh) so one lost probe under jitter
-// or load is not a false eject.
+// or load is not a false Down.
 func (s *sessionSM) onFail(now time.Time) sessionEvent {
 	var ev sessionEvent
 	s.fails++
@@ -340,10 +329,8 @@ type liveSession struct {
 	cli *rpc.Client
 }
 
-// LivenessManager runs one keepalive session per address. It is usable
-// standalone (flymonctl fleet probes a fleet with one) or bound to a
-// RemoteFleet via StartLiveness, which wires transitions into health,
-// telemetry, the journal, and the reconciler.
+// LivenessManager runs one keepalive session per address (flymonctl watch
+// probes a fleet with one) and reports them through Snapshot.
 type LivenessManager struct {
 	opts  LivenessOptions
 	addrs []string
@@ -352,10 +339,6 @@ type LivenessManager struct {
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
-
-	// onEvent, when set, observes every hello round's outcome (called
-	// outside the session lock, sequentially per switch).
-	onEvent func(idx int, ev sessionEvent, snap SessionSnapshot)
 }
 
 // sessionSeq makes wire discriminators unique across manager instances in
@@ -400,7 +383,7 @@ func (m *LivenessManager) Stop() {
 
 // Snapshot returns every session's current state.
 func (m *LivenessManager) Snapshot() []SessionSnapshot {
-	now := m.opts.Clock()
+	now := time.Now()
 	out := make([]SessionSnapshot, len(m.sessions))
 	for i, ls := range m.sessions {
 		ls.mu.Lock()
@@ -434,10 +417,7 @@ func (m *LivenessManager) run(ls *liveSession) {
 			return
 		case <-timer.C:
 		}
-		ev, snap := m.helloOnce(ls)
-		if m.onEvent != nil {
-			m.onEvent(ls.idx, ev, snap)
-		}
+		m.helloOnce(ls)
 		// Jitter: [(1-j)·Tx, Tx], per BFD convention.
 		tx := m.opts.TxInterval
 		d := tx - time.Duration(rng.Int63n(int64(float64(tx)*m.opts.Jitter)+1))
@@ -447,7 +427,7 @@ func (m *LivenessManager) run(ls *liveSession) {
 
 // helloOnce performs one probe round: (re)dial if needed, send the local
 // state, fold the reply or failure into the machine.
-func (m *LivenessManager) helloOnce(ls *liveSession) (sessionEvent, SessionSnapshot) {
+func (m *LivenessManager) helloOnce(ls *liveSession) {
 	ls.mu.Lock()
 	cli := ls.cli
 	state := ls.sm.state
@@ -471,18 +451,13 @@ func (m *LivenessManager) helloOnce(ls *liveSession) (sessionEvent, SessionSnaps
 	if callErr == nil {
 		res, callErr = cli.Hello(ls.id, state.wireState(), m.opts.TxInterval)
 	}
-	now := m.opts.Clock()
+	now := time.Now()
 
 	ls.mu.Lock()
-	var ev sessionEvent
+	defer ls.mu.Unlock()
 	if callErr != nil {
-		ev = ls.sm.onFail(now)
+		ls.sm.onFail(now)
 	} else {
-		ev = ls.sm.onReply(res.State, res.Incarnation, res.Tasks, now)
+		ls.sm.onReply(res.State, res.Incarnation, res.Tasks, now)
 	}
-	snap := ls.sm.snapshot(now)
-	ls.mu.Unlock()
-	snap.Switch = ls.idx
-	snap.Addr = ls.addr
-	return ev, snap
 }

@@ -237,10 +237,11 @@ func TestRemoteFleetEnginesBitIdentical(t *testing.T) {
 	if _, err := fleet.RotateEpoch("freq"); err != nil {
 		t.Fatal(err)
 	}
-	// Each daemon's frozen copy is the one it deployed the task as.
+	// Each daemon's frozen copy is the one it deployed the task as: its
+	// lowest task ID.
 	leaves := make([]Leaf, len(clients))
 	for i, c := range ctrls {
-		rows, err := c.ReadRegisters(fleet.tasks["freq"].remote[i])
+		rows, err := c.ReadRegisters(c.Tasks()[0].ID)
 		if err != nil {
 			t.Fatal(err)
 		}

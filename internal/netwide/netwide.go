@@ -12,7 +12,11 @@
 // There is one fleet, RemoteFleet: switches are flymond daemons behind the
 // control channel, reached over TCP (NewRemoteFleetOptions) or, for a fleet
 // living in this process, over an in-memory transport (NewLoopbackFleet).
-// Either way a query is the same RPC fan-out into the same merge tree.
+// Either way a query is the same RPC fan-out into the same merge tree. Every
+// fleet task is an epoch task: each switch freezes an epoch and diverts its
+// traffic to a fresh copy, and the fleet merges what the switches froze.
+// LivenessManager is the separate, standalone failure detector (BFD-style
+// keepalive sessions) that flymonctl watch runs.
 //
 // The deployment model follows the standard network-wide measurement
 // assumption: each packet is measured at exactly one switch (its ingress),
@@ -31,8 +35,8 @@ import (
 // NewLoopbackFleet builds n identically configured switches inside this
 // process — each a controller behind an rpc.Server on an in-memory
 // listener — and the RemoteFleet over them. The controllers are the
-// ingress handles (feed them packets); stop tears down the fleet's
-// background work, the clients and the servers.
+// ingress handles (feed them packets); stop closes the clients and the
+// servers.
 func NewLoopbackFleet(n int, cfg controlplane.Config, opts FleetOptions) (fleet *RemoteFleet, switches []*controlplane.Controller, stop func()) {
 	if n < 1 {
 		n = 1
@@ -53,7 +57,6 @@ func NewLoopbackFleet(n int, cfg controlplane.Config, opts FleetOptions) (fleet 
 	}
 	fleet = NewRemoteFleetOptions(clients, cfg, opts)
 	return fleet, switches, func() {
-		fleet.Stop()
 		for i := range clients {
 			clients[i].Close()
 			servers[i].Close()

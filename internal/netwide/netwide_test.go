@@ -128,10 +128,11 @@ func TestFleetHeavyHitters(t *testing.T) {
 	}
 	// Per-switch views must miss hitters whose traffic is spread: check at
 	// least one truth flow is NOT a hitter on switch 0 alone (its copy as
-	// deployed is the one the rotation froze).
+	// deployed, its lowest task ID, is the one the rotation froze).
+	frozen := switches[0].Tasks()[0].ID
 	missed := false
 	for k := range truth {
-		v, err := switches[0].EstimateKey(fleet.tasks["hh"].remote[0], k)
+		v, err := switches[0].EstimateKey(frozen, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,18 +239,18 @@ func TestFleetDDoSReported(t *testing.T) {
 
 func TestFleetLifecycleErrors(t *testing.T) {
 	fleet, _ := loopbackFleet(t, 2, fleetConfig())
-	if err := fleet.Deploy(cmsSpec("x")); err != nil {
+	if err := fleet.DeployEpoch(cmsSpec("x")); err != nil {
 		t.Fatal(err)
 	}
-	if err := fleet.Deploy(cmsSpec("x")); err == nil {
+	if err := fleet.DeployEpoch(cmsSpec("x")); err == nil {
 		t.Fatal("duplicate deploy must fail")
 	}
 	if _, err := fleet.Epoch("nope", 0, EpochQuery{}); err == nil {
 		t.Fatal("unknown task must fail")
 	}
-	// A plain task is switch-local: the fleet has no merged answer for it.
-	if _, err := fleet.Epoch("x", 1, EpochQuery{}); err == nil || !strings.Contains(err.Error(), "DeployEpoch") {
-		t.Fatalf("fleet query on a plain task = %v, want an error naming DeployEpoch", err)
+	// An epoch task with no completed epoch has no answer yet.
+	if _, err := fleet.Epoch("x", 0, EpochQuery{}); err == nil || !strings.Contains(err.Error(), "rotate first") {
+		t.Fatalf("fleet query before any rotation = %v, want an error asking to rotate first", err)
 	}
 	if err := fleet.DeployEpoch(cmsSpec("y")); err != nil {
 		t.Fatal(err)
@@ -257,10 +258,10 @@ func TestFleetLifecycleErrors(t *testing.T) {
 	if _, err := rotated(t, fleet, "y").Cardinality(); err == nil {
 		t.Fatal("cardinality on a counter task must fail")
 	}
-	if err := fleet.Remove("x"); err != nil {
+	if err := fleet.RemoveEpochTask("x"); err != nil {
 		t.Fatal(err)
 	}
-	if err := fleet.Remove("x"); err == nil {
+	if err := fleet.RemoveEpochTask("x"); err == nil {
 		t.Fatal("double remove must fail")
 	}
 }
@@ -276,7 +277,7 @@ func TestFleetDeployRollsBackOnFailure(t *testing.T) {
 	if _, err := switches[1].AddTask(full); err != nil {
 		t.Fatal(err)
 	}
-	if err := fleet.Deploy(cmsSpec("doomed")); err == nil {
+	if err := fleet.DeployEpoch(cmsSpec("doomed")); err == nil {
 		t.Fatal("deploy must fail on the full switch")
 	}
 	if n := len(switches[0].Tasks()); n != 0 {

@@ -34,13 +34,6 @@ type FleetOptions struct {
 	// partial merges, and health-state transitions (normally a Registry's
 	// Fleet section). nil = uninstrumented.
 	Telemetry *telemetry.FleetStats
-	// Journal, when set, records fleet lifecycle events — switch ejects and
-	// rejoins, reconciler re-deploys — next to the controller's own
-	// reconfiguration journal. nil = unjournaled.
-	Journal *telemetry.Journal
-	// Clock overrides time.Now for health timestamps and liveness state
-	// machines (tests drive time without sleeping). nil = time.Now.
-	Clock func() time.Time
 	// MergeArity overrides the merge tree's fan-in (default 4).
 	MergeArity int
 	// Tracer, when set, records a root span per fleet operation plus
@@ -54,20 +47,18 @@ func (o FleetOptions) withDefaults() FleetOptions {
 	if o.DownAfter <= 0 {
 		o.DownAfter = 3
 	}
-	if o.Clock == nil {
-		o.Clock = time.Now
-	}
 	return o
 }
 
 // RemoteFleet is the fleet controller: the switches are flymond daemons
 // (or in-process equivalents, see NewLoopbackFleet) reached over the
-// control channel. The central controller keeps a local MIRROR controller
-// built from the same configuration and fed the same deployments; the
-// mirror supplies the index mapping typed queries read merged rows through,
-// the daemons supply the register contents. Fleet-wide answers come from
-// epoch tasks only (DeployEpoch, RotateEpoch, Epoch); a plain task (Deploy)
-// is installed and reconciled everywhere but read per switch.
+// control channel. Every fleet task is an epoch task (DeployEpoch,
+// RotateEpoch, Epoch): each switch freezes an epoch and diverts traffic to a
+// fresh copy, and the fleet merges what the switches froze. The central
+// controller keeps a local MIRROR controller built from the same
+// configuration and fed the same deployments; the mirror supplies the index
+// mapping typed queries read merged rows through, the daemons supply the
+// register contents.
 //
 // That the mirror and every switch lay a task out identically is checked,
 // not assumed: every deployed task and every readout carries a layout
@@ -87,18 +78,11 @@ type RemoteFleet struct {
 	opts    FleetOptions
 	health  *healthTracker
 
-	// tasks is the fleet's one registry, name → desired task: what the
-	// operator deployed and has not removed, plain and epoch tasks alike.
-	// mu guards the map and every entry's remote and tombstoned fields.
+	// tasks is the fleet's task table, name → the epoch task the operator
+	// deployed and has not removed. mu guards the map and every entry's
+	// held field.
 	mu    sync.Mutex
 	tasks map[string]*fleetTask
-
-	// Set once by StartLiveness/StartReconciler, read by the liveness
-	// goroutines (rejoin pokes the reconciler) and by Stop: atomic.
-	liveness atomic.Pointer[LivenessManager]
-	recon    atomic.Pointer[reconciler]
-	reconMu  sync.Mutex // serializes Reconcile passes
-	stopOnce sync.Once
 
 	epochMu sync.Mutex // serializes epoch rotations across the fleet
 
@@ -108,28 +92,39 @@ type RemoteFleet struct {
 	rowPool sync.Pool
 }
 
-// fleetTask is one row of the desired state.
+// fleetTask is one row of the task table: an epoch task, its mirror
+// rotator kept in lockstep with every daemon's, and its epoch artifacts.
 type fleetTask struct {
 	spec controlplane.TaskSpec
-	// mirrorID addresses the mirror's copy of a plain task. An epoch task's
-	// copies rotate; its handle is epoch.
-	mirrorID int
 	// fingerprint is the layout of the mirror's copy at deployment: what
 	// every switch's copy must match. (Each rotated epoch records its own,
-	// see EpochArtifact.)
+	// see storedEpoch.)
 	fingerprint uint64
-	// remote[i] is the ID switch i gave the task — IDs are per switch, a
-	// restarted daemon hands out its own — or 0 where the task is not known
-	// to be installed. Plain tasks are addressed by it; epoch tasks by name.
-	remote []int
-	// epoch is the rotation handle of an epoch task, nil for a plain one.
-	// The reconciler leaves epoch tasks alone: a daemon's rotating #k copies
-	// are not drift.
-	epoch *fleetEpoch
-	// tombstoned marks a task whose removal partially failed: the row stays
-	// (so a retry works) but the reconciler finishes the removal on the
-	// stragglers instead of re-deploying the task where it is already gone.
-	tombstoned bool
+	// held[i] reports that switch i is known to hold the task (it is
+	// addressed by name): a removal that partially failed retries only
+	// where it is still set.
+	held []bool
+
+	// latest is the newest epoch whose rotation decree has finished its
+	// fan-out: what EpochOf and "epochN <= 0" resolve to. Lock-free, so
+	// neither stalls behind an in-flight rotation nor asks the daemons for
+	// an epoch they have not been told about yet.
+	latest atomic.Int64
+
+	// mu guards rot and window. It is a leaf lock held for mirror-local
+	// work only, never across an RPC, so a stored answer is served while
+	// a rotation is fanning out. Lock order: epochMu, then f.mu, then mu.
+	mu  sync.Mutex
+	rot *epoch.Rotator
+	// own is the op the task's rows merge under exactly, fixed at deploy
+	// from its rules (fleetOp); exact is false when there is none, and
+	// Epoch refuses the task.
+	own   MergeOp
+	exact bool
+	// window is the artifact store, completed epoch → its stored merges:
+	// made when the mirror rotates, dropped rpc.EpochRetain rotations
+	// later like the daemons' snapshots, freed with the task and the fleet.
+	window map[int]*storedEpoch
 }
 
 // layoutDiverged is the classified refusal to merge, deploy or count switch
@@ -157,7 +152,6 @@ func NewRemoteFleetOptions(clients []*rpc.Client, cfg controlplane.Config, opts 
 	}
 	h := newHealthTracker(len(clients), opts.DownAfter, addrs)
 	h.tele = opts.Telemetry
-	h.now = opts.Clock
 	if opts.Tracer != nil {
 		// Per-attempt transport spans (retries, breaker rejections) come
 		// from the clients themselves; they need the fleet's tracer.
@@ -178,27 +172,8 @@ func NewRemoteFleetOptions(clients []*rpc.Client, cfg controlplane.Config, opts 
 func (f *RemoteFleet) Size() int { return len(f.clients) }
 
 // Health returns the per-switch health table (state, consecutive and
-// total failures, last error, liveness session) built from every fleet
-// operation and hello round so far.
+// total failures, last error) built from every fleet operation so far.
 func (f *RemoteFleet) Health() []SwitchHealth { return f.health.snapshot() }
-
-// journal records one fleet lifecycle event, if a journal is attached
-// (task 0 = fleet-level event not tied to one task).
-func (f *RemoteFleet) journal(kind string, task int, detail string, err error) {
-	if f.opts.Journal == nil {
-		return
-	}
-	ev := telemetry.Event{
-		Kind:   kind,
-		Task:   task,
-		Detail: detail,
-		OK:     err == nil,
-	}
-	if err != nil {
-		ev.Err = err.Error()
-	}
-	f.opts.Journal.Record(ev)
-}
 
 // startRoot mints a fleet-operation root span (nil when untraced).
 func (f *RemoteFleet) startRoot(op, detail string) *tracing.ActiveSpan {
@@ -217,104 +192,6 @@ func traceSpan(tr *tracing.Tracer, parent tracing.SpanContext, name string) *tra
 	return tr.StartSpan(parent, name)
 }
 
-// StartLiveness attaches BFD-style keepalive sessions to every switch and
-// makes them the fleet's primary health signal: a switch whose session is
-// not reported-Up is ejected from fan-outs and merges without issuing an
-// RPC, and readmitted (with its op-failure residue cleared) the moment
-// the session is Up again. Call Stop to tear the sessions down.
-func (f *RemoteFleet) StartLiveness(opts LivenessOptions) {
-	if f.liveness.Load() != nil {
-		return
-	}
-	if opts.Clock == nil {
-		opts.Clock = f.opts.Clock
-	}
-	addrs := make([]string, len(f.clients))
-	for i, c := range f.clients {
-		addrs[i] = c.Addr()
-	}
-	m := NewLivenessManager(addrs, opts)
-	m.onEvent = f.onSessionEvent
-	if !f.liveness.CompareAndSwap(nil, m) {
-		return
-	}
-	m.Start()
-}
-
-// onSessionEvent folds one hello round's outcome into health, telemetry,
-// and the journal, and pokes the reconciler on rejoin.
-func (f *RemoteFleet) onSessionEvent(idx int, ev sessionEvent, snap SessionSnapshot) {
-	wasUp := false
-	if h := f.health.snapshot(); idx < len(h) {
-		wasUp = h[idx].SessionUp
-	}
-	f.health.setSession(idx, snap)
-	if tele := f.opts.Telemetry; tele != nil {
-		if ev.StateChanged {
-			switch ev.To {
-			case SessionUp:
-				tele.SessionToUp.Add(1)
-			case SessionInit:
-				tele.SessionToInit.Add(1)
-			case SessionDown:
-				tele.SessionToDown.Add(1)
-			}
-		}
-		if ev.DetectionTime > 0 {
-			tele.DetectionTime.Observe(ev.DetectionTime)
-		}
-		tele.SetSession(telemetry.SessionGauge{
-			Switch: idx,
-			Addr:   snap.Addr,
-			State:  snap.State.String(),
-			Damped: snap.Damped,
-		})
-	}
-	if wasUp && !snap.ReportedUp {
-		if f.opts.Telemetry != nil {
-			f.opts.Telemetry.Ejects.Add(1)
-		}
-		detail := fmt.Sprintf("switch %d (%s): session %s", idx, snap.Addr, snap.State)
-		if ev.Restarted {
-			detail += " (daemon restarted)"
-		}
-		if snap.Damped {
-			detail += " (flap-damped)"
-		}
-		f.journal("eject", 0, detail, nil)
-	}
-	if !wasUp && snap.ReportedUp {
-		if f.opts.Telemetry != nil {
-			f.opts.Telemetry.Rejoins.Add(1)
-		}
-		f.journal("rejoin", 0, fmt.Sprintf("switch %d (%s): session up", idx, snap.Addr), nil)
-		f.pokeReconciler()
-	}
-}
-
-// Sessions returns the liveness sessions' current snapshots (nil when
-// liveness is not running).
-func (f *RemoteFleet) Sessions() []SessionSnapshot {
-	m := f.liveness.Load()
-	if m == nil {
-		return nil
-	}
-	return m.Snapshot()
-}
-
-// Stop tears down the liveness sessions and the reconciler, if running.
-// The RPC clients are the caller's and stay open.
-func (f *RemoteFleet) Stop() {
-	f.stopOnce.Do(func() {
-		if r := f.recon.Load(); r != nil {
-			r.stop()
-		}
-		if m := f.liveness.Load(); m != nil {
-			m.Stop()
-		}
-	})
-}
-
 // fanResult is one switch's outcome inside a streaming fan-out: either a
 // fetched row set (query fan-outs) or just an error slot (mutations).
 type fanResult struct {
@@ -325,19 +202,16 @@ type fanResult struct {
 
 // fanOutRows runs op on every switch concurrently and streams per-switch
 // results as they complete, bounded by timeout (0 = wait for every
-// per-call deadline). The returned channel closes once every launched op
+// per-call deadline). The returned channel closes once every op
 // answered or the deadline fired; at the deadline, unanswered switches
 // get a synthesized deadline error while their in-flight calls finish in
-// the background and still record health. Switches a liveness session has
-// declared not-Up are ejected up front: they fail immediately with a
-// liveness error and no RPC is issued, so a dead daemon costs a fleet
-// query nothing. Streaming is what lets the merge tree start folding the
-// fastest switches' rows while the slowest are still on the wire.
+// the background and still record health. Streaming is what lets the merge
+// tree start folding the fastest switches' rows while the slowest are
+// still on the wire.
 //
-// When the fleet is traced and parent names a live operation, every
-// launched switch gets a "switch" child span (tagged with its index and
-// address) whose context the op threads into its RPCs, and every ejected
-// switch gets an instant "eject" span recording why no RPC was issued.
+// When the fleet is traced and parent names a live operation, every switch
+// gets a "switch" child span (tagged with its index and address) whose
+// context the op threads into its RPCs.
 func (f *RemoteFleet) fanOutRows(parent tracing.SpanContext, timeout time.Duration, op func(i int, c *rpc.Client, sc tracing.SpanContext) ([][]uint32, error)) <-chan fanResult {
 	if f.opts.Telemetry != nil {
 		f.opts.Telemetry.FanOuts.Add(1)
@@ -346,23 +220,7 @@ func (f *RemoteFleet) fanOutRows(parent tracing.SpanContext, timeout time.Durati
 	// never block on a channel nobody reads anymore.
 	ch := make(chan fanResult, len(f.clients))
 	out := make(chan fanResult, len(f.clients))
-	launched := 0
-	skipped := make(map[int]bool)
 	for i, c := range f.clients {
-		if reason, ok := f.health.ejected(i); ok {
-			skipped[i] = true
-			err := fmt.Errorf("netwide: switch %d ejected (%s)", i, reason)
-			esp := traceSpan(f.opts.Tracer, parent, "eject")
-			esp.SetSwitch(i)
-			esp.SetDetail(reason)
-			esp.Finish(err)
-			out <- fanResult{i: i, err: err}
-			if f.opts.Telemetry != nil {
-				f.opts.Telemetry.OpFailures.Add(1)
-			}
-			continue
-		}
-		launched++
 		go func(i int, c *rpc.Client) {
 			sp := traceSpan(f.opts.Tracer, parent, "switch")
 			sp.SetSwitch(i)
@@ -384,15 +242,15 @@ func (f *RemoteFleet) fanOutRows(parent tracing.SpanContext, timeout time.Durati
 			defer t.Stop()
 			timer = t.C
 		}
-		seen := make(map[int]bool, launched)
-		for n := 0; n < launched; n++ {
+		seen := make(map[int]bool, len(f.clients))
+		for range f.clients {
 			select {
 			case r := <-ch:
 				seen[r.i] = true
 				out <- r
 			case <-timer:
 				for i := range f.clients {
-					if !seen[i] && !skipped[i] {
+					if !seen[i] {
 						out <- fanResult{i: i, err: fmt.Errorf("netwide: fleet deadline (%v) exceeded", timeout)}
 					}
 				}
@@ -418,96 +276,67 @@ func (f *RemoteFleet) fanOut(parent tracing.SpanContext, op func(i int, c *rpc.C
 	return errs
 }
 
-// Deploy installs the spec on every daemon and on the local mirror,
-// fanning out concurrently. Deployment stays all-or-nothing: a task that
-// exists only on part of the fleet would silently under-merge forever, so
-// any failure rolls back the switches that did deploy.
-func (f *RemoteFleet) Deploy(spec controlplane.TaskSpec) error {
-	return f.install("deploy", spec, false)
-}
-
-// install is the one deployment path (Deploy, DeployEpoch): claim the name,
-// deploy on the mirror — a rotator when rotating — then on every switch,
-// and enter the task in the table only if all of them laid it out the way
-// the mirror did.
-func (f *RemoteFleet) install(op string, spec controlplane.TaskSpec, rotating bool) (err error) {
-	root := f.startRoot(op, spec.Name)
+// DeployEpoch installs an epoch task (a rotator) on every daemon and on the
+// mirror. Deployment is all-or-nothing: a task that exists only on part of
+// the fleet would silently under-merge forever, so any failure — or a
+// switch that lays the task out other than the mirror does — rolls back
+// the switches that did deploy and the mirror.
+func (f *RemoteFleet) DeployEpoch(spec controlplane.TaskSpec) (err error) {
+	root := f.startRoot("epoch_deploy", spec.Name)
 	defer func() { root.Finish(err) }()
-	t := &fleetTask{spec: spec, remote: make([]int, len(f.clients))}
+	t := &fleetTask{spec: spec, held: make([]bool, len(f.clients)), window: make(map[int]*storedEpoch)}
 	f.mu.Lock()
 	if _, ok := f.tasks[spec.Name]; ok {
 		f.mu.Unlock()
 		return fmt.Errorf("netwide: task %q already deployed", spec.Name)
 	}
 	var mt *controlplane.Task
-	if rotating {
-		t.epoch = &fleetEpoch{window: make(map[int]*storedEpoch)}
-		if t.epoch.rot, err = epoch.NewRotator(f.mirror, spec); err == nil {
-			if mt, err = f.mirror.Task(t.epoch.rot.ActiveID()); err == nil {
-				t.epoch.own, t.epoch.exact = fleetOp(mt.Merge)
-			}
+	if t.rot, err = epoch.NewRotator(f.mirror, spec); err == nil {
+		if mt, err = f.mirror.Task(t.rot.ActiveID()); err == nil {
+			t.own, t.exact = fleetOp(mt.Merge)
 		}
-	} else if mt, err = f.mirror.AddTask(spec); err == nil {
-		t.mirrorID = mt.ID
 	}
 	f.mu.Unlock()
 	if err != nil {
-		return fmt.Errorf("netwide: mirror %s of %q: %w", op, spec.Name, err)
+		return fmt.Errorf("netwide: mirror epoch_deploy of %q: %w", spec.Name, err)
 	}
 	t.fingerprint = mt.Fingerprint
 
-	if err = f.installEverywhere(root.Context(), op, t); err != nil {
+	if err = f.installEverywhere(root.Context(), t); err != nil {
 		f.mu.Lock()
 		defer f.mu.Unlock()
-		if rotating {
-			_ = t.epoch.rot.Close()
-		} else {
-			_ = f.mirror.RemoveTask(t.mirrorID)
-		}
+		_ = t.rot.Close()
 		return err
 	}
 	f.mu.Lock()
 	f.tasks[spec.Name] = t
 	f.mu.Unlock()
-	if rotating {
-		f.journal(op, mt.ID, spec.Name, nil)
-	} else {
-		f.pokeReconciler()
-	}
 	return nil
 }
 
 // installEverywhere is the daemon half of an all-or-nothing deployment: fan
-// the install out, record the ID each switch assigned, require every copy's
+// the install out, record which switches hold a copy, require every copy's
 // layout fingerprint to equal the mirror's, and on any failure or divergence
 // undo the switches that did install, best effort. It returns the
 // divergence, else the first failure in switch order; the caller rolls its
 // mirror back on error.
-func (f *RemoteFleet) installEverywhere(parent tracing.SpanContext, op string, t *fleetTask) error {
-	// Guards t.remote and failure: with OpTimeout set, a late install still
+func (f *RemoteFleet) installEverywhere(parent tracing.SpanContext, t *fleetTask) error {
+	// Guards t.held and failure: with OpTimeout set, a late install still
 	// completes (and records itself) after fanOut gave up on it.
 	var mu sync.Mutex
 	var failure error
 	errs := f.fanOut(parent, func(i int, c *rpc.Client, sc tracing.SpanContext) error {
-		var tr rpc.TaskResult
-		var err error
-		if t.epoch != nil {
-			var et rpc.EpochTaskResult
-			et, err = c.EpochDeploy(t.spec, sc)
-			tr = et.Task
-		} else {
-			tr, err = c.AddTask(t.spec, sc)
-		}
+		et, err := c.EpochDeploy(t.spec, sc)
 		if err != nil {
-			return fmt.Errorf("netwide: %s of %q on daemon %d: %w", op, t.spec.Name, i, err)
+			return fmt.Errorf("netwide: epoch_deploy of %q on daemon %d: %w", t.spec.Name, i, err)
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		t.remote[i] = tr.ID
-		if tr.Fingerprint != t.fingerprint && failure == nil {
+		t.held[i] = true
+		if et.Task.Fingerprint != t.fingerprint && failure == nil {
 			// Other tasks came and went on this daemon in another order, or
 			// it runs another geometry: refuse rather than mis-index.
-			failure = layoutDiverged(i, t.spec.Name, tr.Fingerprint, t.fingerprint)
+			failure = layoutDiverged(i, t.spec.Name, et.Task.Fingerprint, t.fingerprint)
 		}
 		return nil
 	})
@@ -522,64 +351,48 @@ func (f *RemoteFleet) installEverywhere(parent tracing.SpanContext, op string, t
 	// Plain goroutines, not fanOut: a no-op on an untouched daemon must not
 	// be recorded as a health probe.
 	var wg sync.WaitGroup
-	for i, id := range t.remote {
-		if id == 0 {
+	for i, held := range t.held {
+		if !held {
 			continue
 		}
 		wg.Add(1)
-		go func(c *rpc.Client, id int) {
+		go func(c *rpc.Client) {
 			defer wg.Done()
-			if t.epoch != nil {
-				_ = c.EpochRemove(t.spec.Name)
-			} else {
-				_ = c.RemoveTask(id)
-			}
-		}(f.clients[i], id)
+			_ = c.EpochRemove(t.spec.Name)
+		}(f.clients[i])
 	}
 	wg.Wait()
 	return failure
 }
 
-// Remove uninstalls the named task everywhere. On partial failure the
+// RemoveEpochTask reclaims an epoch task everywhere. On partial failure the
 // task's row is KEPT so removal can be retried: forgetting it would strand
-// installed tasks on the unreachable switches forever. A retry addresses
-// only the switches still holding the task and treats a "no task" answer as
-// already removed (removal is idempotent), so it only needs the stragglers
-// to come back.
-func (f *RemoteFleet) Remove(name string) error {
-	return f.uninstall("remove", name, false)
-}
-
-// uninstall is the one removal path (Remove, RemoveEpochTask).
-func (f *RemoteFleet) uninstall(op, name string, rotating bool) (err error) {
-	root := f.startRoot(op, name)
+// installed copies on the unreachable switches forever. A retry addresses
+// only the switches still holding the task and treats a "no epoch task"
+// answer as already removed (removal is idempotent), so it only needs the
+// stragglers to come back.
+func (f *RemoteFleet) RemoveEpochTask(name string) (err error) {
+	root := f.startRoot("epoch_remove", name)
 	defer func() { root.Finish(err) }()
 	f.mu.Lock()
 	t := f.tasks[name]
-	if t == nil || (t.epoch != nil) != rotating {
+	if t == nil {
 		f.mu.Unlock()
-		if rotating {
-			return fmt.Errorf("netwide: no epoch task %q", name)
-		}
-		return fmt.Errorf("netwide: no task %q", name)
+		return fmt.Errorf("netwide: no epoch task %q", name)
 	}
-	remote := append([]int(nil), t.remote...)
+	held := append([]bool(nil), t.held...)
 	f.mu.Unlock()
 	errs := f.fanOut(root.Context(), func(i int, c *rpc.Client, sc tracing.SpanContext) error {
-		if remote[i] == 0 {
+		if !held[i] {
 			return nil // removed by a previous, partially-failed attempt
 		}
-		var err error
-		if rotating {
-			if err = c.EpochRemove(name, sc); isCode(err, rpc.CodeNoEpochTask) {
-				err = nil
-			}
-		} else if err = c.RemoveTask(remote[i], sc); isCode(err, rpc.CodeNoTask) {
+		err := c.EpochRemove(name, sc)
+		if isCode(err, rpc.CodeNoEpochTask) {
 			err = nil
 		}
 		if err == nil {
 			f.mu.Lock()
-			t.remote[i] = 0
+			t.held[i] = false
 			f.mu.Unlock()
 		}
 		return err
@@ -587,16 +400,12 @@ func (f *RemoteFleet) uninstall(op, name string, rotating bool) (err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if len(errs) > 0 {
-		t.tombstoned = true
-		return &PartialFailureError{Op: op, Task: name, Failed: errs, Total: len(f.clients)}
+		return &PartialFailureError{Op: "epoch_remove", Task: name, Failed: errs, Total: len(f.clients)}
 	}
-	delete(f.tasks, name) // and with it an epoch task's stored epochs
-	if rotating {
-		t.epoch.mu.Lock()
-		defer t.epoch.mu.Unlock()
-		return t.epoch.rot.Close()
-	}
-	return f.mirror.RemoveTask(t.mirrorID)
+	delete(f.tasks, name) // and with it the task's stored epochs
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.rot.Close()
 }
 
 // layoutRef is the fingerprint every leaf of one merge must carry: the
@@ -645,18 +454,14 @@ func (f *RemoteFleet) putRowBuf(rows [][]uint32) {
 // per-trace trees (newest root first). Collection is best-effort — an
 // unreachable or untraced daemon just contributes nothing (its error is
 // reported per switch), so the controller half of a trace always renders.
-// Ejected switches are skipped without an RPC, and the dump itself is not
-// a health probe: debugging a sick fleet must not perturb its health.
+// The dump is not a health probe: debugging a sick fleet must not perturb
+// its health.
 func (f *RemoteFleet) CollectTrace(perSwitchLimit int) ([]*tracing.Tree, map[int]error) {
 	spans := make([][]tracing.Span, len(f.clients))
 	errs := make(map[int]error)
 	var emu sync.Mutex
 	var wg sync.WaitGroup
 	for i, c := range f.clients {
-		if reason, ok := f.health.ejected(i); ok {
-			errs[i] = fmt.Errorf("netwide: switch %d ejected (%s)", i, reason)
-			continue
-		}
 		wg.Add(1)
 		go func(i int, c *rpc.Client) {
 			defer wg.Done()

@@ -126,13 +126,14 @@ func TestRemoteFleetRefusesDivergedDaemon(t *testing.T) {
 				}
 			}
 			fleet := NewRemoteFleetOptions(clients, cfg, FleetOptions{})
-			err := fleet.Deploy(tc.spec)
+			err := fleet.DeployEpoch(tc.spec)
 			if !tc.refuse {
 				if err != nil {
 					t.Fatalf("an aligned deployment under another ID must succeed, got %v", err)
 				}
-				if r := fleet.tasks["freq"].remote; r[0] == r[1] {
-					t.Fatalf("setup: both daemons assigned ID %d", r[0])
+				t0, t1 := ctrls[0].Tasks(), ctrls[1].Tasks()
+				if id0, id1 := t0[len(t0)-1].ID, t1[len(t1)-1].ID; id0 == id1 {
+					t.Fatalf("setup: both daemons assigned ID %d", id0)
 				}
 				return
 			}
@@ -143,7 +144,7 @@ func TestRemoteFleetRefusesDivergedDaemon(t *testing.T) {
 			if len(ctrls[0].Tasks()) != 0 {
 				t.Fatal("daemon 0 kept tasks after failed fleet deploy")
 			}
-			if err := fleet.Remove("freq"); err == nil {
+			if err := fleet.RemoveEpochTask("freq"); err == nil {
 				t.Fatal("a refused deployment left a task in the table")
 			}
 		})
@@ -157,13 +158,13 @@ func TestRemoteFleetLifecycleErrors(t *testing.T) {
 	if _, _, err := fleet.EstimateKeyEpoch("none", 0, packet.CanonicalKey{}, EpochQuery{}); err == nil {
 		t.Fatal("unknown task must fail")
 	}
-	if err := fleet.Remove("none"); err == nil {
+	if err := fleet.RemoveEpochTask("none"); err == nil {
 		t.Fatal("removing unknown task must fail")
 	}
-	if err := fleet.Deploy(cmsSpec("x")); err != nil {
+	if err := fleet.DeployEpoch(cmsSpec("x")); err != nil {
 		t.Fatal(err)
 	}
-	if err := fleet.Deploy(cmsSpec("x")); err == nil {
+	if err := fleet.DeployEpoch(cmsSpec("x")); err == nil {
 		t.Fatal("duplicate deploy must fail")
 	}
 }

@@ -112,7 +112,6 @@ func TestChaosTraceStragglerCriticalPath(t *testing.T) {
 		AllowPartial: true,
 		Tracer:       tracing.New(0),
 	})
-	t.Cleanup(fleet.Stop)
 
 	if err := fleet.DeployEpoch(cmsSpec("ep")); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"fmt"
 	"time"
 
 	"flymon/internal/controlplane"
@@ -71,20 +70,6 @@ const (
 	HelloStateInit = 1
 	HelloStateUp   = 2
 )
-
-// HelloStateString renders a wire-level session state.
-func HelloStateString(s int) string {
-	switch s {
-	case HelloStateDown:
-		return "down"
-	case HelloStateInit:
-		return "init"
-	case HelloStateUp:
-		return "up"
-	default:
-		return fmt.Sprintf("state(%d)", s)
-	}
-}
 
 // HelloParams is one liveness probe. Session is the sender's discriminator
 // (unique per session instance, so a restarted controller starts a fresh

@@ -165,7 +165,7 @@ func TestHelloUnmasksRestart(t *testing.T) {
 		t.Fatalf("hello after restart: %v", err)
 	}
 	if r3.State != HelloStateDown {
-		t.Fatalf("restarted daemon answered state %s, want down", HelloStateString(r3.State))
+		t.Fatalf("restarted daemon answered state %d, want down (%d)", r3.State, HelloStateDown)
 	}
 	if r3.Incarnation == r1.Incarnation {
 		t.Fatal("restarted daemon kept the old incarnation")

@@ -233,53 +233,6 @@ func (b *BeauCoup) Reported() map[packet.CanonicalKey]bool {
 	return out
 }
 
-// CollectedCoupons returns, for key k, the minimum number of coupons
-// collected across tables — the basis for distinct-count estimation.
-func (b *BeauCoup) CollectedCoupons(k packet.CanonicalKey) int {
-	ck := b.ckHash.HashBytes(k[:])
-	if ck == 0 {
-		ck = 1
-	}
-	min := 32
-	for j := 0; j < b.d; j++ {
-		idx := b.keyHash.HashBytes(j, k[:]) & uint32(b.m-1)
-		n := 0
-		if b.checksums[j][idx] == ck {
-			n = popcount(b.bitmaps[j][idx])
-		}
-		if n < min {
-			min = n
-		}
-	}
-	return min
-}
-
-// EstimateDistinct inverts the coupon count for key k into a distinct-value
-// estimate via the coupon-collector expectation.
-func (b *BeauCoup) EstimateDistinct(k packet.CanonicalKey) float64 {
-	j := b.CollectedCoupons(k)
-	if j == 0 {
-		return 0
-	}
-	cc := b.cfg
-	return math.Exp2(float64(cc.ProbLog2)) * (harmonic(cc.Coupons) - harmonic(cc.Coupons-j))
-}
-
-// Config returns the coupon configuration in use.
-func (b *BeauCoup) Config() CouponConfig { return b.cfg }
-
-// MemoryBytes returns the table memory footprint.
-func (b *BeauCoup) MemoryBytes() int { return b.d * b.m * 8 }
-
-// Reset clears tables and reports.
-func (b *BeauCoup) Reset() {
-	for j := 0; j < b.d; j++ {
-		clear(b.checksums[j])
-		clear(b.bitmaps[j])
-		b.reported[j] = make(map[packet.CanonicalKey]bool)
-	}
-}
-
 func popcount(x uint32) int {
 	n := 0
 	for x != 0 {
@@ -387,6 +340,3 @@ func (bc *BeauCoupCardinality) Estimate() float64 {
 	}
 	return saturatedFloor
 }
-
-// MemoryBytes returns the bitmap memory footprint.
-func (bc *BeauCoupCardinality) MemoryBytes() int { return len(bc.rows) * 4 }

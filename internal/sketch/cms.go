@@ -43,18 +43,6 @@ func (s *CMS) Add(p *packet.Packet, v uint32) {
 // AddPacket counts packet p (parameter = 1).
 func (s *CMS) AddPacket(p *packet.Packet) { s.Add(p, 1) }
 
-// Estimate returns the count-min estimate for p's flow.
-func (s *CMS) Estimate(p *packet.Packet) uint32 {
-	min := ^uint32(0)
-	for j := 0; j < s.d; j++ {
-		idx := s.hash.Hash(j, p) & uint32(s.w-1)
-		if c := s.rows[j][idx]; c < min {
-			min = c
-		}
-	}
-	return min
-}
-
 // EstimateKey returns the estimate for a canonical key (used when scoring
 // against ground truth without re-materializing packets).
 func (s *CMS) EstimateKey(k packet.CanonicalKey) uint32 {
@@ -67,18 +55,6 @@ func (s *CMS) EstimateKey(k packet.CanonicalKey) uint32 {
 	}
 	return min
 }
-
-// Depth returns d. Width returns w.
-func (s *CMS) Depth() int { return s.d }
-
-// Width returns the per-row counter count.
-func (s *CMS) Width() int { return s.w }
-
-// Row exposes row j's counters (read-only use).
-func (s *CMS) Row(j int) []uint32 { return s.rows[j] }
-
-// MemoryBytes returns the stateful memory footprint (counters only).
-func (s *CMS) MemoryBytes() int { return s.d * s.w * 4 }
 
 // Reset zeroes all counters.
 func (s *CMS) Reset() {

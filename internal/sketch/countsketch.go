@@ -30,15 +30,6 @@ func NewCountSketch(spec packet.KeySpec, d, w int) *CountSketch {
 	return s
 }
 
-// Add adds v (signed) to p's flow.
-func (s *CountSketch) Add(p *packet.Packet, v int64) {
-	for j := 0; j < s.d; j++ {
-		h := s.hash.Hash(j, p)
-		idx := h & uint32(s.w-1)
-		s.rows[j][idx] += sign(h) * v
-	}
-}
-
 // AddKey adds v for a canonical key.
 func (s *CountSketch) AddKey(k packet.CanonicalKey, v int64) {
 	for j := 0; j < s.d; j++ {
@@ -54,13 +45,6 @@ func sign(h uint32) int64 {
 		return 1
 	}
 	return -1
-}
-
-// Estimate returns the median sign-corrected estimate for p's flow,
-// clamped at zero.
-func (s *CountSketch) Estimate(p *packet.Packet) int64 {
-	k := s.spec.Extract(p)
-	return s.EstimateKey(k)
 }
 
 // EstimateKey is Estimate for a canonical key.
@@ -82,15 +66,4 @@ func (s *CountSketch) EstimateKey(k packet.CanonicalKey) int64 {
 		return 0
 	}
 	return med
-}
-
-// MemoryBytes returns the counter memory footprint (32-bit hardware
-// counters are assumed, matching the evaluation's accounting).
-func (s *CountSketch) MemoryBytes() int { return s.d * s.w * 4 }
-
-// Reset zeroes all counters.
-func (s *CountSketch) Reset() {
-	for _, row := range s.rows {
-		clear(row)
-	}
 }

@@ -19,9 +19,6 @@ func NewExactFrequency(spec packet.KeySpec) *ExactFrequency {
 // AddPacket increments the packet count of p's flow.
 func (e *ExactFrequency) AddPacket(p *packet.Packet) { e.Add(p, 1) }
 
-// AddBytes adds p's wire size to p's flow.
-func (e *ExactFrequency) AddBytes(p *packet.Packet) { e.Add(p, uint64(p.Size)) }
-
 // Add adds v to p's flow counter.
 func (e *ExactFrequency) Add(p *packet.Packet, v uint64) {
 	e.counts[e.spec.Extract(p)] += v
@@ -42,15 +39,6 @@ func (e *ExactFrequency) HeavyHitters(threshold uint64) map[packet.CanonicalKey]
 		}
 	}
 	return hh
-}
-
-// SizeDistribution returns dist[s] = number of flows with exactly s packets.
-func (e *ExactFrequency) SizeDistribution() map[uint64]float64 {
-	dist := make(map[uint64]float64)
-	for _, c := range e.counts {
-		dist[c]++
-	}
-	return dist
 }
 
 // ExactDistinct is the ground-truth accumulator for the Distinct attribute:

@@ -15,7 +15,7 @@ func ExampleCMS() {
 	for i := 0; i < 5; i++ {
 		cms.AddPacket(&p)
 	}
-	fmt.Println(cms.Estimate(&p))
+	fmt.Println(cms.EstimateKey(packet.KeyFiveTuple.Extract(&p)))
 	// Output: 5
 }
 

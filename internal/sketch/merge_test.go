@@ -20,8 +20,8 @@ func TestCMSMergeEqualsUnionStream(t *testing.T) {
 		}
 		whole.AddPacket(&tr.Packets[i])
 	}
-	for j := 0; j < a.Depth(); j++ {
-		if err := MergeAddRegisters(a.Row(j), b.Row(j)); err != nil {
+	for j := range a.rows {
+		if err := MergeAddRegisters(a.rows[j], b.rows[j]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -36,7 +36,7 @@ func TestCMSMergeEqualsUnionStream(t *testing.T) {
 func TestCMSMergeGeometryMismatch(t *testing.T) {
 	a := NewCMS(packet.KeyFiveTuple, 3, 1<<12)
 	b := NewCMS(packet.KeyFiveTuple, 3, 1<<11)
-	if err := MergeAddRegisters(a.Row(0), b.Row(0)); err == nil {
+	if err := MergeAddRegisters(a.rows[0], b.rows[0]); err == nil {
 		t.Fatal("rows of different widths must not merge")
 	}
 }

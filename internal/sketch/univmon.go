@@ -99,9 +99,6 @@ func (u *UnivMon) HeavyHitters(threshold uint64) map[packet.CanonicalKey]bool {
 	return out
 }
 
-// EstimateKey returns the level-0 Count Sketch estimate for a flow.
-func (u *UnivMon) EstimateKey(k packet.CanonicalKey) int64 { return u.sk[0].EstimateKey(k) }
-
 // GSum evaluates the recursive universal estimator for statistic g.
 func (u *UnivMon) GSum(g func(w float64) float64) float64 {
 	var y float64
@@ -149,49 +146,6 @@ func (u *UnivMon) Entropy() float64 {
 		h = 0
 	}
 	return h
-}
-
-// Cardinality estimates the number of distinct flows (G-sum with g ≡ 1).
-func (u *UnivMon) Cardinality() float64 {
-	return u.GSum(func(w float64) float64 {
-		if w <= 0 {
-			return 0
-		}
-		return 1
-	})
-}
-
-// SizeDistribution approximates the flow-size distribution from the level-0
-// heavy flows plus a geometric extrapolation of sampled levels — a rough
-// reconstruction used only for entropy comparisons.
-func (u *UnivMon) SizeDistribution() map[uint64]float64 {
-	dist := make(map[uint64]float64)
-	for ℓ, h := range u.heaps {
-		scale := math.Pow(2, float64(ℓ))
-		for _, it := range h.items {
-			if it.est <= 0 {
-				continue
-			}
-			if ℓ > 0 && u.sampledAt(it.key, ℓ+1) {
-				continue // counted at a deeper level
-			}
-			dist[uint64(it.est)] += scale
-		}
-	}
-	return dist
-}
-
-// MemoryBytes sums the level sketches (heaps are control-plane state but
-// are charged too, matching how the paper's evaluation counts UnivMon).
-func (u *UnivMon) MemoryBytes() int {
-	total := 0
-	for _, s := range u.sk {
-		total += s.MemoryBytes()
-	}
-	for _, h := range u.heaps {
-		total += h.cap * (packet.MaxKeyBytes + 8)
-	}
-	return total
 }
 
 // topK is a bounded min-heap of (key, estimate) with map-backed membership.

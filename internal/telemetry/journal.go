@@ -90,9 +90,6 @@ func (j *Journal) Len() int {
 	return len(j.ring)
 }
 
-// Cap returns the ring capacity.
-func (j *Journal) Cap() int { return cap(j.ring) }
-
 // Total returns how many events were ever recorded (== the next Seq).
 func (j *Journal) Total() uint64 {
 	j.mu.Lock()
