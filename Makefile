@@ -70,7 +70,8 @@ race:
 # (TestEpochAnswersZeroAlloc). On the epoch path, a read into
 # a buffer of the readout's geometry allocates no row storage
 # (TestEpochReadZeroAllocRows) and a daemon rotation allocates its one
-# readout copy and nothing to frame it (TestEpochRotateZeroAllocFrame).
+# readout copy and nothing to frame it, its answer landing in the caller's
+# geometry-matched buffer (TestEpochRotateZeroAllocFrame).
 bench-allocs:
 	$(GO) test -count=1 -run 'ZeroAlloc' -v ./internal/core/ ./internal/hashing/ \
 		./internal/mmtrace/ ./internal/controlplane/ ./internal/netwide/ \

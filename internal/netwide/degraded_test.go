@@ -79,16 +79,17 @@ func TestFleetPartialQueryWithDaemonDown(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The same traffic in two epochs: epoch 1 is read while the fleet is
-	// whole, epoch 2 after daemon 2 died.
+	// The same traffic in two epochs: epoch 1 is rotated and read while the
+	// fleet is whole, epoch 2 rotated after daemon 2 died.
 	tr := trace.Generate(trace.Config{Flows: 300, Packets: 9_000, Seed: 21})
-	for e := 1; e <= 2; e++ {
+	feed := func() {
 		for i := range tr.Packets {
 			ctrls[i%3].Process(&tr.Packets[i])
 		}
-		if _, err := fleet.RotateEpoch("freq"); err != nil {
-			t.Fatal(err)
-		}
+	}
+	feed()
+	if _, err := fleet.RotateEpoch("freq"); err != nil {
+		t.Fatal(err)
 	}
 
 	// Healthy fleet: full merge, nothing missing.
@@ -101,8 +102,13 @@ func TestFleetPartialQueryWithDaemonDown(t *testing.T) {
 		t.Fatalf("healthy report = %+v", report)
 	}
 
-	// Kill daemon 2: the query degrades instead of failing.
+	// Kill daemon 2, then end epoch 2: the rotation collects two switches of
+	// three, so it stores nothing, and the query degrades instead of failing.
+	feed()
 	srvs[2].Close()
+	if _, err := fleet.RotateEpoch("freq"); err != nil {
+		t.Fatalf("partial rotation with one daemon down: %v", err)
+	}
 	part, report, err := fleet.EstimateKeyEpoch("freq", 2, key, EpochQuery{})
 	if err != nil {
 		t.Fatalf("partial query with one daemon down: %v", err)
@@ -146,10 +152,12 @@ func TestFleetStrictModeFailsOnDownDaemon(t *testing.T) {
 	if err := fleet.DeployEpoch(cmsSpec("freq")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fleet.RotateEpoch("freq"); err != nil {
-		t.Fatal(err)
-	}
+	// The rotation reaches one daemon of two: it fails, stores nothing, and
+	// the query reads the switches.
 	srvs[1].Close()
+	if _, err := fleet.RotateEpoch("freq"); err == nil {
+		t.Fatal("strict fleet must fail a rotation that misses a daemon")
+	}
 	if _, _, err := fleet.EstimateKeyEpoch("freq", 1, packet.CanonicalKey{1}, EpochQuery{}); err == nil {
 		t.Fatal("strict fleet must fail when a daemon is down")
 	}
@@ -223,13 +231,10 @@ func TestFleetOpTimeoutBoundsHungDaemon(t *testing.T) {
 	if err := fleet.DeployEpoch(cmsSpec("freq")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fleet.RotateEpoch("freq"); err != nil {
-		t.Fatal(err)
-	}
 
 	// Replace daemon 1 with a tarpit: accepts, never answers. The client's
 	// own CallTimeout is 2s, but the fleet-level deadline must cut the
-	// query short at 300ms.
+	// rotation and the query short at 300ms.
 	srvs[1].Close()
 	ln, err := net.Listen("tcp", clients[1].Addr())
 	if err != nil {
@@ -247,6 +252,13 @@ func TestFleetOpTimeoutBoundsHungDaemon(t *testing.T) {
 	}()
 
 	start := time.Now()
+	if _, err := fleet.RotateEpoch("freq"); err != nil {
+		t.Fatalf("partial rotation against tarpit: %v", err)
+	}
+	if el := time.Since(start); el > 1500*time.Millisecond {
+		t.Fatalf("fleet deadline not applied: rotation took %v", el)
+	}
+	start = time.Now()
 	// Skip: a hung daemon is no straggler, and the fan-out deadline is
 	// then OpTimeout alone, with no straggler wait on top.
 	_, report, err := fleet.EstimateKeyEpoch("freq", 1, packet.CanonicalKey{1}, EpochQuery{Policy: StragglerSkip})

@@ -18,12 +18,14 @@ import (
 // epoch.Rotator (the paper's freeze-and-divert reallocation: allocate a new
 // copy, freeze the original), the fleet controller decrees rotations with
 // an explicit target epoch (idempotent, so retries and catch-ups converge),
-// and a query reads the per-epoch register snapshots the daemons froze: the
-// merge tree combines only same-epoch rows, so the answer is the traffic
-// each switch saw up to its rotation however long the fan-out takes, and
-// the merge is kept as an EpochArtifact that every later query reads. A
-// switch that missed a rotation is a STRAGGLER: reachable, healthy, but
-// behind. The straggler policy decides what a query does about it.
+// and each daemon answers the decree with the register snapshot it froze:
+// the merge tree combines only same-epoch rows, so the answer is the
+// traffic each switch saw up to its rotation however long the fan-out
+// takes, and the merge is kept as an EpochArtifact that every query reads.
+// An epoch the rotation could not collect whole is read from the daemons'
+// snapshots by its first query instead. A switch that missed a rotation is
+// a STRAGGLER: reachable, healthy, but behind. The straggler policy decides
+// what a query does about it.
 
 // StragglerPolicy selects how an epoch query treats a reachable switch
 // that has not completed the requested epoch.
@@ -97,7 +99,9 @@ const mergeOps = int(MergeXor) + 1
 // storedEpoch is what the fleet keeps of one completed epoch. A rotated
 // epoch can never change (daemon snapshots are immutable once taken), so
 // it keeps the first COMPLETE merge per op — every switch contributed,
-// none failed, none straggled — and every later query is a read of it.
+// none failed, none straggled — and every later query is a read of it. The
+// rotation makes the first one, under the op it collects the epoch under;
+// a query makes any other.
 // Partial answers are returned to their caller but never stored: the next
 // query goes back to the fleet and picks up a caught-up straggler by
 // itself, which is all the invalidation there is.
@@ -230,15 +234,25 @@ func (f *RemoteFleet) EpochOf(name string) (int, error) {
 	return int(et.latest.Load()), nil
 }
 
-// RotateEpoch ends the current epoch fleet-wide: the mirror rotates
-// first (establishing the new target epoch), then every daemon is told
-// to advance to that explicit target. The daemon-side advance is
-// idempotent, so transport failures are retried once, and a switch that
-// misses this rotation entirely catches up — snapshotting the epochs it
-// missed — on the next one. Failed switches become stragglers for
-// queries in the meantime; with AllowPartial unset they also fail this
-// call (the rotation itself, and the mirror, remain advanced either
-// way — rotation is a decree, not a transaction).
+// RotateEpoch ends the current epoch fleet-wide and collects it: the
+// mirror rotates first (establishing the new target epoch), then every
+// daemon is told to advance to that explicit target and answers with the
+// target epoch's frozen rows, which stream into the merge tree as they
+// arrive. A complete merge — every switch answered the target's rows in the
+// mirror's layout — is stored as the epoch's artifact under the task's own
+// op (add for a task whose rows do not merge exactly), so the epoch's first
+// query is a stored read and the epoch stays answerable after a switch goes
+// down. Anything less stores nothing, and the epoch's queries read the
+// switches.
+//
+// The daemon-side advance is idempotent, so transport failures are retried
+// once, and a switch that misses this rotation entirely catches up —
+// snapshotting the epochs it missed — on the next one. Failed switches
+// become stragglers for queries in the meantime; with AllowPartial unset
+// they also fail this call (the rotation itself, and the mirror, remain
+// advanced either way — rotation is a decree, not a transaction). A switch
+// that rotated but answered rows the merge may not take fails nothing: its
+// epoch is just not collected.
 func (f *RemoteFleet) RotateEpoch(name string) (target int, err error) {
 	root := f.startRoot("epoch_rotate", name)
 	defer func() { root.Finish(err) }()
@@ -260,32 +274,73 @@ func (f *RemoteFleet) RotateEpoch(name string) (target int, err error) {
 	if mt, err := f.mirror.Task(frozenID); err == nil {
 		stored.fingerprint = mt.Fingerprint
 	}
+	// The rotation leads the epoch's first merge under op: a query that
+	// asks for it meanwhile waits for the rotation's merge instead of
+	// reading the switches itself.
+	op := MergeAdd
+	if et.exact {
+		op = et.own
+	}
+	m := &stored.merges[op]
+	lead := make(chan struct{})
+	m.filling = lead
 	et.window[target] = stored
-	// Evicted rows go to the GC, not back into rowPool: callers of
+	// Evicted rows go to the GC, not back into the free list: callers of
 	// QueryEpochRows may still hold them.
 	delete(et.window, target-rpc.EpochRetain)
 	et.mu.Unlock()
 	if root != nil {
 		root.SetDetail(fmt.Sprintf("%s to epoch %d", name, target))
 	}
-	errs := f.fanOut(root.Context(), func(i int, c *rpc.Client, sc tracing.SpanContext) error {
-		_, err := c.EpochRotate(name, target, sc)
-		var te *rpc.TransportError
-		if errors.As(err, &te) {
-			// Explicit-target rotation is idempotent: one immediate retry
-			// covers the applied-but-unacknowledged case.
-			_, err = c.EpochRotate(name, target, sc)
+	ref := pinnedLayout(stored.fingerprint)
+	rows, report, errs, mergeErr := f.mergeEpoch(root.Context(), name, target, op, f.opts.OpTimeout,
+		func(i int, c *rpc.Client, sc tracing.SpanContext) ([][]uint32, error) {
+			return f.rotateFetch(i, c, name, target, ref, sc)
+		})
+	et.mu.Lock()
+	if mergeErr == nil && rows != nil && len(report.Contributed) == len(f.clients) {
+		m.rows, m.report = rows, report
+		if et.exact {
+			m.answers = algorithms.Bind(stored.handle, rows, et.spec.Threshold)
 		}
-		if err != nil {
-			return fmt.Errorf("netwide: rotating %q to epoch %d on daemon %d: %w", name, target, i, err)
-		}
-		return nil
-	})
+		rows = nil
+	}
+	m.filling = nil
+	close(lead)
+	et.mu.Unlock()
+	f.putRowBuf(rows)
 	et.latest.Store(int64(target))
 	if len(errs) > 0 && !f.opts.AllowPartial {
 		return target, &PartialFailureError{Op: "epoch_rotate", Task: name, Failed: errs, Total: len(f.clients)}
 	}
 	return target, nil
+}
+
+// rotateFetch is RotateEpoch's per-switch step: decree the target epoch
+// and take the daemon's answer, the target epoch's frozen rows, into a
+// leaf buffer from the free list. Explicit-target rotation is idempotent,
+// so one immediate retry covers the applied-but-unacknowledged case. An
+// answer the merge may not take — a layout other than ref's, or no rows
+// because the target was evicted before a retry reached it — is no failure:
+// the switch rotated, its epoch is just not collected (nil rows, nil
+// error).
+func (f *RemoteFleet) rotateFetch(i int, c *rpc.Client, name string, target int, ref *layoutRef, sc tracing.SpanContext) ([][]uint32, error) {
+	buf := f.getRowBuf()
+	res, err := c.EpochRotateInto(name, target, buf, sc)
+	var te *rpc.TransportError
+	if errors.As(err, &te) {
+		res, err = c.EpochRotateInto(name, target, buf, sc)
+	}
+	if err == nil && res.Epoch == target {
+		if _, ok := ref.admits(res.Fingerprint); ok {
+			return res.FrameRows(nil), nil
+		}
+	}
+	f.putRowBuf(buf)
+	if err != nil {
+		return nil, fmt.Errorf("netwide: rotating %q to epoch %d on daemon %d: %w", name, target, i, err)
+	}
+	return nil, nil
 }
 
 // pollInterval picks the straggler poll cadence from the wait bound.
@@ -306,9 +361,9 @@ func pollInterval(wait time.Duration) time.Duration {
 // is a span under parent: "straggler_wait" covering the whole poll (error
 // = still behind at the bound) or an instant "straggler_skip" under the
 // skip policy. The answer is held to epochN and to ref's layout, and read
-// into a pooled leaf buffer that a failed fetch returns.
+// into a leaf buffer from the free list that a failed fetch returns.
 func (f *RemoteFleet) pollEpoch(i int, c *rpc.Client, name string, epochN int, q EpochQuery, ref *layoutRef, parent tracing.SpanContext) (_ [][]uint32, err error) {
-	buf, _ := f.rowPool.Get().([][]uint32)
+	buf := f.getRowBuf()
 	defer func() {
 		if err != nil {
 			f.putRowBuf(buf)
@@ -391,12 +446,12 @@ func (f *RemoteFleet) pollEpoch(i int, c *rpc.Client, name string, epochN int, q
 // exactly (see fleetOp), so the typed answers need none from the caller:
 // q.Op is QueryEpochRows' alone. A task whose rows do not merge exactly
 // is refused with ErrInexactMerge. The
-// epoch's first complete merge under an op is kept for rpc.EpochRetain
-// rotations and later queries are served from it without an RPC
-// (Report.Cached), also while a switch is down. Concurrent
-// first queries on one (epoch, op) fan out once: the rest wait and share
-// the answer if it is complete; after a partial one each runs its own
-// query under its own policy.
+// epoch's first complete merge under an op — the rotation's, under the
+// task's own op, or a query's — is kept for rpc.EpochRetain rotations and
+// queries are served from it without an RPC (Report.Cached), also while a
+// switch is down. Concurrent first merges of one (epoch, op) fan out once:
+// the rest wait and share the answer if it is complete; after a partial
+// one each query runs its own under its own policy.
 //
 // A name this fleet did not deploy — an epoch task some other controller
 // rotates, which is all a one-shot client like flymonctl query ever sees —
@@ -417,8 +472,9 @@ func (f *RemoteFleet) QueryEpochRows(name string, epochN int, q EpochQuery) ([][
 }
 
 // EstimateKeyEpoch is Epoch's Estimate: the fleet-wide frequency of key k
-// in exactly epoch E's traffic, read out of the stored merge (the first
-// estimate on an epoch pays for the merge, the rest read d cells).
+// in exactly epoch E's traffic, read out of the stored merge: d cells of
+// the merge the rotation stored. Only an epoch the rotation could not
+// collect whole pays for a merge, on its first estimate.
 func (f *RemoteFleet) EstimateKeyEpoch(name string, epochN int, k packet.CanonicalKey, q EpochQuery) (uint64, QueryReport, error) {
 	art, err := f.Epoch(name, epochN, q)
 	if err != nil {
@@ -465,7 +521,7 @@ func (f *RemoteFleet) epoch(name string, epochN int, q EpochQuery, own bool) (ar
 		// Not this fleet's to keep (evicted from the window, never rotated
 		// to, or never deployed by it): asked of the switches, never stored,
 		// and with no mirror copy to hold their layouts to but each other.
-		art.Rows, art.Report, err = f.mergeEpoch(name, epochN, q, &layoutRef{})
+		art.Rows, art.Report, err = f.queryEpoch(name, epochN, q, &layoutRef{})
 		return art, err
 	}
 	m := &stored.merges[q.Op]
@@ -493,7 +549,7 @@ func (f *RemoteFleet) epoch(name string, epochN int, q EpochQuery, own bool) (ar
 		art.Report.Cached = true
 		return art, nil
 	}
-	art.Rows, art.Report, err = f.mergeEpoch(name, epochN, q, pinnedLayout(stored.fingerprint))
+	art.Rows, art.Report, err = f.queryEpoch(name, epochN, q, pinnedLayout(stored.fingerprint))
 	if et.exact && q.Op == et.own {
 		// The merge under the task's own op carries the typed answers,
 		// whichever caller made it.
@@ -511,14 +567,10 @@ func (f *RemoteFleet) epoch(name string, epochN int, q EpochQuery, own bool) (ar
 	return art, err
 }
 
-// mergeEpoch is the one place rows enter a merge: fan the epoch read out to
-// every switch, hold each readout's layout fingerprint to ref — a switch
-// indexed differently fails as "layout diverged" instead of being summed
-// into the wrong buckets — and stream the admitted rows straight into the
-// k-ary merge tree (leaf buffers recycled through the fleet's pool); then
-// sort the per-switch errors into the report — stragglers apart from
-// failures — and apply the partial policies.
-func (f *RemoteFleet) mergeEpoch(name string, epochN int, q EpochQuery, ref *layoutRef) (_ [][]uint32, report QueryReport, err error) {
+// queryEpoch reads one epoch from the switches — pollEpoch under q's
+// straggler policy, every readout held to ref's layout — merges it under
+// q.Op and applies the partial policies to the outcome.
+func (f *RemoteFleet) queryEpoch(name string, epochN int, q EpochQuery, ref *layoutRef) (_ [][]uint32, report QueryReport, err error) {
 	root := f.opts.Tracer.StartRoot("epoch_query")
 	if root != nil {
 		root.SetDetail(fmt.Sprintf("%s epoch=%d policy=%s", name, epochN, q.Policy))
@@ -533,31 +585,74 @@ func (f *RemoteFleet) mergeEpoch(name string, epochN int, q EpochQuery, ref *lay
 	if timeout > 0 && q.Policy != StragglerSkip {
 		timeout += q.Wait
 	}
-	stream := f.fanOutRows(root.Context(), timeout, func(i int, c *rpc.Client, sc tracing.SpanContext) ([][]uint32, error) {
-		return f.pollEpoch(i, c, name, epochN, q, ref, sc)
-	})
+	rows, report, errs, err := f.mergeEpoch(root.Context(), name, epochN, q.Op, timeout,
+		func(i int, c *rpc.Client, sc tracing.SpanContext) ([][]uint32, error) {
+			return f.pollEpoch(i, c, name, epochN, q, ref, sc)
+		})
+	var firstFailure error
+	for _, i := range sortedKeys(errs) {
+		if _, failed := report.Failed[i]; failed {
+			firstFailure = errs[i]
+			break
+		}
+	}
+	switch {
+	case err != nil:
+	case q.Policy == StragglerWait && len(report.Stragglers) > 0:
+		behind := make(map[int]error, len(report.Stragglers))
+		for i := range report.Stragglers {
+			behind[i] = errs[i]
+		}
+		err = &PartialFailureError{Op: "read_epoch", Task: name, Failed: behind, Total: len(f.clients)}
+	case firstFailure != nil && !f.opts.AllowPartial:
+		err = firstFailure
+	case rows == nil:
+		err = &PartialFailureError{Op: "read_epoch", Task: name, Failed: errs, Total: len(f.clients)}
+	}
+	if err != nil {
+		f.putRowBuf(rows)
+		return nil, report, err
+	}
+	if report.Partial() && f.opts.Telemetry != nil {
+		f.opts.Telemetry.PartialMerges.Add(1)
+	}
+	return rows, report, nil
+}
+
+// mergeEpoch is the one place rows enter a merge: fan fetch out to every
+// switch — the rotation's rotateFetch or a query's pollEpoch, each holding
+// its switch's answer to the epoch and to a layout reference, so a switch
+// indexed differently is never summed into the wrong buckets — and stream
+// the rows it returns straight into the k-ary merge tree under op (leaf
+// buffers recycled through the fleet's free list); then sort the
+// per-switch errors into the report, stragglers apart from failures. A
+// switch whose fetch returned neither rows nor an error is in neither.
+func (f *RemoteFleet) mergeEpoch(parent tracing.SpanContext, name string, epochN int, op MergeOp, timeout time.Duration,
+	fetch func(i int, c *rpc.Client, sc tracing.SpanContext) ([][]uint32, error)) (_ [][]uint32, report QueryReport, errs map[int]error, err error) {
+	stream := f.fanOutRows(parent, timeout, fetch)
 	// The converter goroutine finishes all errs writes before closing
 	// leaves, and MergeStream returns only after observing that close, so
 	// reading errs afterwards is race-free.
-	errs := make(map[int]error)
+	errs = make(map[int]error)
 	leaves := make(chan Leaf, len(f.clients))
 	go func() {
 		defer close(leaves)
 		for r := range stream {
-			if r.err != nil {
+			switch {
+			case r.err != nil:
 				errs[r.i] = r.err
-				continue
+			case r.rows != nil:
+				leaves <- Leaf{Switch: r.i, Rows: r.rows}
 			}
-			leaves <- Leaf{Switch: r.i, Rows: r.rows}
 		}
 	}()
-	res, mergeErr := MergeStream(leaves, q.Op, TreeOptions{
+	res, err := MergeStream(leaves, op, TreeOptions{
 		Task:    name,
 		Arity:   f.opts.MergeArity,
 		Stats:   f.mergeStats(),
 		Recycle: f.putRowBuf,
 		Tracer:  f.opts.Tracer,
-		Parent:  root.Context(),
+		Parent:  parent,
 	})
 	report = QueryReport{
 		Contributed: res.Contributed,
@@ -565,7 +660,6 @@ func (f *RemoteFleet) mergeEpoch(name string, epochN int, q EpochQuery, ref *lay
 		Epoch:       epochN,
 		Stragglers:  make(map[int]int),
 	}
-	var firstFailure error
 	for _, i := range sortedKeys(errs) {
 		var se *stragglerError
 		if errors.As(errs[i], &se) {
@@ -573,26 +667,6 @@ func (f *RemoteFleet) mergeEpoch(name string, epochN int, q EpochQuery, ref *lay
 			continue
 		}
 		report.Failed[i] = errs[i].Error()
-		if firstFailure == nil {
-			firstFailure = errs[i]
-		}
 	}
-	switch {
-	case mergeErr != nil:
-		return nil, report, mergeErr
-	case q.Policy == StragglerWait && len(report.Stragglers) > 0:
-		behind := make(map[int]error, len(report.Stragglers))
-		for i := range report.Stragglers {
-			behind[i] = errs[i]
-		}
-		return nil, report, &PartialFailureError{Op: "read_epoch", Task: name, Failed: behind, Total: len(f.clients)}
-	case firstFailure != nil && !f.opts.AllowPartial:
-		return nil, report, firstFailure
-	case res.Rows == nil:
-		return nil, report, &PartialFailureError{Op: "read_epoch", Task: name, Failed: errs, Total: len(f.clients)}
-	}
-	if report.Partial() && f.opts.Telemetry != nil {
-		f.opts.Telemetry.PartialMerges.Add(1)
-	}
-	return res.Rows, report, nil
+	return res.Rows, report, errs, err
 }

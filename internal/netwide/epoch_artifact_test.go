@@ -1,10 +1,13 @@
 package netwide
 
 import (
+	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -92,7 +95,10 @@ func TestEpochArtifactBitIdentical(t *testing.T) {
 	}
 	for _, op := range []MergeOp{MergeAdd, MergeMax} {
 		want := epochOracle(t, clients, "ep", 1, op)
-		for pass, cached := range []bool{false, true, true} {
+		// The rotation stored the merge under the task's own op, add; the
+		// max merge is made by its first query.
+		for pass := 0; pass < 3; pass++ {
+			cached := pass > 0 || op == MergeAdd
 			rows, report, err := fleet.QueryEpochRows("ep", 1, EpochQuery{Op: op})
 			if err != nil {
 				t.Fatal(err)
@@ -117,11 +123,114 @@ func TestEpochArtifactBitIdentical(t *testing.T) {
 		}
 	}
 	mt := &reg.Fleet.MergeTree
-	if mt.EpochCacheMisses.Load() != 2 || mt.EpochCacheHits.Load() != 4+uint64(len(keys)) {
+	if mt.EpochCacheMisses.Load() != 1 || mt.EpochCacheHits.Load() != 5+uint64(len(keys)) {
 		t.Fatalf("hits %d misses %d", mt.EpochCacheHits.Load(), mt.EpochCacheMisses.Load())
 	}
 	if !strings.Contains(QueryReport{Contributed: []int{0}, Epoch: 1, Cached: true}.String(), "(cached)") {
 		t.Fatal("QueryReport.String does not show a cached answer")
+	}
+}
+
+// TestEpochOutlivesItsSwitch: the rotation collected epoch 1 whole, so the
+// epoch answers for every switch after one of them goes down — with rows
+// bit-identical to an independent merge taken while it was up — and a
+// strict fleet does not fail the query over the dead switch.
+func TestEpochOutlivesItsSwitch(t *testing.T) {
+	check := gateFleetGoroutines(t)
+	t.Cleanup(check)
+	cfg := fleetConfig()
+	ctrls, clients, srvs, _ := resilientDaemons(t, 3, cfg)
+	fleet := NewRemoteFleetOptions(clients, cfg, FleetOptions{})
+	if err := fleet.DeployEpoch(cmsSpec("ep")); err != nil {
+		t.Fatal(err)
+	}
+	key := epochTraffic(ctrls, 66)[0]
+	if _, err := fleet.RotateEpoch("ep"); err != nil {
+		t.Fatal(err)
+	}
+	want := epochOracle(t, clients, "ep", 1, MergeAdd)
+	srvs[1].Close()
+	art, err := fleet.Epoch("ep", 1, EpochQuery{})
+	if err != nil || art.Report.Partial() || !reflect.DeepEqual(art.Report.Contributed, []int{0, 1, 2}) {
+		t.Fatalf("epoch 1 with switch 1 down: report %v, err %v", art.Report, err)
+	}
+	sameRows(t, "epoch 1 with switch 1 down", art.Rows, want)
+	if est, err := art.Estimate(key); err != nil || est == 0 {
+		t.Fatalf("estimate of a key of the epoch's traffic: %v, %v", est, err)
+	}
+}
+
+// TestRotationStoresOnlyWholeEpochs: a rotation that cannot collect the
+// epoch from every switch — one is down, lays the task out other than the
+// mirror, or answers a target its retention already evicted — stores
+// nothing, and the epoch's next query reads the switches and names the
+// one. The rotation's own error is what it was before rotations collected:
+// only a switch the decree did not reach fails it, and only when
+// AllowPartial is unset.
+func TestRotationStoresOnlyWholeEpochs(t *testing.T) {
+	faults := map[string]func(t *testing.T, fleet *RemoteFleet, clients []*rpc.Client, ctrls []*controlplane.Controller, srvs []*rpc.Server){
+		"down": func(t *testing.T, _ *RemoteFleet, _ []*rpc.Client, _ []*controlplane.Controller, srvs []*rpc.Server) {
+			srvs[1].Close()
+		},
+		"diverged": func(t *testing.T, fleet *RemoteFleet, clients []*rpc.Client, ctrls []*controlplane.Controller, _ []*rpc.Server) {
+			// Redeployed by hand behind an out-of-band task: another group.
+			if err := clients[1].EpochRemove("ep"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ctrls[1].AddTask(cmsSpec("rogue")); err != nil {
+				t.Fatal(err)
+			}
+			et, err := clients[1].EpochDeploy(cmsSpec("ep"))
+			if err != nil || et.Task.Fingerprint == fleet.tasks["ep"].fingerprint {
+				t.Fatalf("setup: switch 1 redeployed as %+v, %v: still aligned", et.Task, err)
+			}
+		},
+		"evicted": func(t *testing.T, _ *RemoteFleet, clients []*rpc.Client, _ []*controlplane.Controller, _ []*rpc.Server) {
+			if _, err := clients[1].EpochRotate("ep", 1+rpc.EpochRetain); err != nil {
+				t.Fatal(err)
+			}
+		},
+	}
+	for _, fault := range []string{"down", "diverged", "evicted"} {
+		for _, partial := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/partial=%v", fault, partial), func(t *testing.T) {
+				check := gateFleetGoroutines(t)
+				t.Cleanup(check)
+				cfg := fleetConfig()
+				ctrls, clients, srvs, _ := resilientDaemons(t, 3, cfg)
+				fleet := NewRemoteFleetOptions(clients, cfg, FleetOptions{AllowPartial: partial})
+				if err := fleet.DeployEpoch(cmsSpec("ep")); err != nil {
+					t.Fatal(err)
+				}
+				epochTraffic(ctrls, 67)
+				faults[fault](t, fleet, clients, ctrls, srvs)
+				target, err := fleet.RotateEpoch("ep")
+				var pf *PartialFailureError
+				if fault == "down" && !partial {
+					if !errors.As(err, &pf) || pf.Op != "epoch_rotate" || !reflect.DeepEqual(pf.Stragglers(), []int{1}) {
+						t.Fatalf("strict rotation past a dead switch = %v, want a PartialFailureError naming switch 1", err)
+					}
+				} else if err != nil {
+					t.Fatalf("rotation: %v", err)
+				}
+				if target != 1 {
+					t.Fatalf("rotated to epoch %d", target)
+				}
+				if n := storedMerges(fleet.epochTask("ep").window[1]); n != 0 {
+					t.Fatalf("the rotation stored %d merges of an epoch it did not collect whole", n)
+				}
+				rows, report, err := fleet.QueryEpochRows("ep", 1, EpochQuery{Policy: StragglerSkip})
+				if _, named := report.Failed[1]; !named || report.Cached {
+					t.Fatalf("next query: report %v, err %v; want switch 1 named, read from the switches", report, err)
+				}
+				if partial != (err == nil) {
+					t.Fatalf("next query (AllowPartial %v): err %v", partial, err)
+				}
+				if partial && (len(rows) == 0 || !reflect.DeepEqual(report.Contributed, []int{0, 2})) {
+					t.Fatalf("next query merged %v into %d rows", report.Contributed, len(rows))
+				}
+			})
+		}
 	}
 }
 
@@ -231,32 +340,43 @@ func TestEpochMergesUnderOwnOp(t *testing.T) {
 }
 
 func TestEpochArtifactSingleFlight(t *testing.T) {
-	// 32 concurrent first queries on a fresh epoch: one fan-out, so exactly
-	// one read_epoch per switch; everyone gets the same complete answer,
-	// and the 31 served from the store still leave a root span behind.
+	// 32 concurrent first queries on an epoch whose rotation is still on
+	// the wire — switch 0's answer is held — wait for the rotation's merge:
+	// one fetch per switch per epoch, the rotation's; everyone gets the
+	// same complete answer, and each still leaves a root span behind.
 	check := gateFleetGoroutines(t)
 	t.Cleanup(check)
 	cfg := fleetConfig()
-	ctrls, clients := startDaemons(t, 4, cfg)
+	var armed atomic.Bool
+	held, release := make(chan struct{}), make(chan struct{})
+	hold := func(write bool) { // switch 0: its rotation answer waits for release
+		if write && armed.CompareAndSwap(true, false) {
+			close(held)
+			<-release
+		}
+	}
+	nop := func(bool) {}
 	tr := tracing.New(4096)
 	tele := &telemetry.FleetStats{}
-	fleet := NewRemoteFleetOptions(clients, cfg, FleetOptions{Telemetry: tele, Tracer: tr})
+	fleet, ctrls := tappedFleet(t, cfg, FleetOptions{Telemetry: tele, Tracer: tr}, hold, nop, nop, nop)
 	if err := fleet.DeployEpoch(cmsSpec("ep")); err != nil {
 		t.Fatal(err)
 	}
 	key := epochTraffic(ctrls, 62)[0]
-	if _, err := fleet.RotateEpoch("ep"); err != nil {
-		t.Fatal(err)
-	}
+	armed.Store(true)
+	rotated := make(chan error, 1)
+	go func() {
+		_, err := fleet.RotateEpoch("ep")
+		rotated <- err
+	}()
+	<-held // the mirror has rotated: epoch 1 is in the window, its merge led
 	const callers = 32
 	ests := make([]uint64, callers)
 	var wg sync.WaitGroup
-	start := make(chan struct{})
 	for g := 0; g < callers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			<-start
 			var (
 				report QueryReport
 				err    error
@@ -271,20 +391,24 @@ func TestEpochArtifactSingleFlight(t *testing.T) {
 			}
 		}(g)
 	}
-	close(start)
+	time.Sleep(20 * time.Millisecond) // let the callers reach the merge they wait on
+	close(release)
 	wg.Wait()
+	if err := <-rotated; err != nil {
+		t.Fatal(err)
+	}
 	for g := 2; g < callers; g += 2 {
 		if ests[g] != ests[0] {
 			t.Fatalf("caller %d estimated %d, caller 0 %d", g, ests[g], ests[0])
 		}
 	}
 	spans, _, _ := tr.Dump()
-	reads := make(map[string]int)
+	fetches := make(map[string]int)
 	roots, cachedRoots := 0, 0
 	for _, sp := range spans {
 		switch sp.Name {
-		case "rpc:read_epoch":
-			reads[sp.Detail]++
+		case "rpc:epoch_rotate", "rpc:read_epoch":
+			fetches[sp.Detail]++
 		case "epoch_query":
 			roots++
 			if strings.Contains(sp.Detail, "cached") {
@@ -292,17 +416,17 @@ func TestEpochArtifactSingleFlight(t *testing.T) {
 			}
 		}
 	}
-	for _, c := range clients {
-		if reads[c.Addr()] != 1 {
-			t.Fatalf("switch %s served %d read_epoch calls, want 1 (all: %v)", c.Addr(), reads[c.Addr()], reads)
+	for _, c := range fleet.clients {
+		if fetches[c.Addr()] != 1 {
+			t.Fatalf("switch %s served %d epoch fetches, want 1 (all: %v)", c.Addr(), fetches[c.Addr()], fetches)
 		}
 	}
-	if roots != callers || cachedRoots != callers-1 {
-		t.Fatalf("%d epoch_query roots, %d cached; want %d and %d", roots, cachedRoots, callers, callers-1)
+	if roots != callers || cachedRoots != callers {
+		t.Fatalf("%d epoch_query roots, %d cached; want %d and %d", roots, cachedRoots, callers, callers)
 	}
 	mt := &tele.MergeTree
-	if mt.EpochCacheMisses.Load() != 1 || mt.EpochCacheHits.Load() != callers-1 {
-		t.Fatalf("hits %d misses %d, want %d and 1", mt.EpochCacheHits.Load(), mt.EpochCacheMisses.Load(), callers-1)
+	if mt.EpochCacheMisses.Load() != 0 || mt.EpochCacheHits.Load() != callers {
+		t.Fatalf("hits %d misses %d, want %d and 0", mt.EpochCacheHits.Load(), mt.EpochCacheMisses.Load(), callers)
 	}
 }
 
@@ -354,7 +478,8 @@ func TestEpochArtifactLifetime(t *testing.T) {
 	}
 
 	// Remove + deploy under the same name: a new task, never the old rows
-	// (the traffic seeds differ, so the oracle would tell).
+	// (the traffic seeds differ, so the oracle would tell). The old task
+	// stored a max merge of epoch 2; the new one's rotation stored only add.
 	if err := fleet.RemoveEpochTask("ep"); err != nil {
 		t.Fatal(err)
 	}
@@ -367,11 +492,16 @@ func TestEpochArtifactLifetime(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rows, report, err := fleet.QueryEpochRows("ep", 2, EpochQuery{})
+	rows, report, err := fleet.QueryEpochRows("ep", 2, EpochQuery{Op: MergeMax})
 	if err != nil || report.Cached {
-		t.Fatalf("first query of the redeployed task: report %+v err %v", report, err)
+		t.Fatalf("first max query of the redeployed task: report %+v err %v", report, err)
 	}
-	sameRows(t, "redeployed", rows, epochOracle(t, clients, "ep", 2, MergeAdd))
+	sameRows(t, "redeployed", rows, epochOracle(t, clients, "ep", 2, MergeMax))
+	rows, _, err = fleet.QueryEpochRows("ep", 2, EpochQuery{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRows(t, "redeployed, stored by its rotation", rows, epochOracle(t, clients, "ep", 2, MergeAdd))
 }
 
 func TestEpochArtifactFreedWithFleet(t *testing.T) {
@@ -411,12 +541,12 @@ func TestEpochArtifactFreedWithFleet(t *testing.T) {
 	}
 }
 
-// TestColdEpochQueryReadsIntoPooledLeaves: a cold query reads each
-// switch's frame straight into a leaf buffer from the fleet's pool. With
-// the pool warm from the previous epoch's merge, the only row storage it
-// allocates is the one leaf its stored merge keeps — not one readout per
-// switch. The least of three cold queries is held to that, so a GC that
-// empties the pool between two of them cannot fail the test.
+// TestColdEpochQueryReadsIntoPooledLeaves: a cold query — here under max,
+// which the rotations did not store — reads each switch's frame straight
+// into a leaf buffer from the fleet's free list. With the list warm from
+// the previous epoch's merge, the only row storage it allocates is the one
+// leaf its stored merge keeps — not one readout per switch. The least of
+// three cold queries is held to that.
 func TestColdEpochQueryReadsIntoPooledLeaves(t *testing.T) {
 	const switches, readout = 4, 4 * 3 * 16384
 	cfg := fleetConfig()
@@ -431,14 +561,14 @@ func TestColdEpochQueryReadsIntoPooledLeaves(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := fleet.QueryEpochRows("ep", 1, EpochQuery{}); err != nil {
+	if _, _, err := fleet.QueryEpochRows("ep", 1, EpochQuery{Op: MergeMax}); err != nil {
 		t.Fatal(err)
 	}
 	least := uint64(1 << 62)
 	for e := 2; e <= 4; e++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		rows, report, err := fleet.QueryEpochRows("ep", e, EpochQuery{})
+		rows, report, err := fleet.QueryEpochRows("ep", e, EpochQuery{Op: MergeMax})
 		runtime.ReadMemStats(&after)
 		if err != nil || report.Cached || len(report.Contributed) != switches || len(rows) != 3 {
 			t.Fatalf("cold query of epoch %d: %d rows, report %+v, err %v", e, len(rows), report, err)

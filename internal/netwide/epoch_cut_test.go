@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"flymon/internal/controlplane"
+	"flymon/internal/core/algorithms"
 	"flymon/internal/faultnet"
 	"flymon/internal/packet"
 	"flymon/internal/rpc"
@@ -15,8 +16,8 @@ import (
 )
 
 // tapListener hands out server connections that call tap after every read
-// (write=false) and write (write=true): a hook between the wire and the
-// daemon, to count requests or to hold one.
+// (write=false) and before every write (write=true): a hook between the
+// wire and the daemon, to count requests or to hold one, or an answer.
 type tapListener struct {
 	net.Listener
 	tap func(write bool)
@@ -42,14 +43,13 @@ func (c *tapConn) Read(b []byte) (int, error) {
 }
 
 func (c *tapConn) Write(b []byte) (int, error) {
-	n, err := c.Conn.Write(b)
 	c.tap(true)
-	return n, err
+	return c.Conn.Write(b)
 }
 
 // tappedFleet builds an in-memory fleet of one daemon per tap, each serving
 // its connections through its tap.
-func tappedFleet(t *testing.T, cfg controlplane.Config, taps ...func(write bool)) (*RemoteFleet, []*controlplane.Controller) {
+func tappedFleet(t *testing.T, cfg controlplane.Config, opts FleetOptions, taps ...func(write bool)) (*RemoteFleet, []*controlplane.Controller) {
 	t.Helper()
 	ctrls := make([]*controlplane.Controller, len(taps))
 	clients := make([]*rpc.Client, len(taps))
@@ -66,34 +66,50 @@ func tappedFleet(t *testing.T, cfg controlplane.Config, taps ...func(write bool)
 		t.Cleanup(func() { c.Close() })
 		clients[i] = c
 	}
-	return NewRemoteFleetOptions(clients, cfg, FleetOptions{}), ctrls
+	return NewRemoteFleetOptions(clients, cfg, opts), ctrls
 }
 
-// TestEpochAnswerIsRotationCut: both switches keep ingesting between the
-// fleet's readouts of them — switch 1 answers, then a burst lands on switch
-// 1 and another on switch 0, then switch 0 is read. A merge of live
-// registers would count switch 0's burst but not switch 1's earlier one, a
-// state the traffic never was in. The epoch answer is the cut the rotation
-// drew: exactly what each switch saw before it; the bursts are the next
-// epoch.
+// TestEpochAnswerIsRotationCut: both switches keep ingesting while the
+// fleet collects an epoch — switch 1 has answered, switch 0's answer is
+// still held, and a burst lands on each. A merge of live registers would
+// count switch 0's burst but not switch 1's, a state the traffic never was
+// in. The epoch answer is the cut the rotation drew: exactly what each
+// switch saw before it; the bursts are the next epoch. The cut holds
+// whether the rotation collects the epoch (its answers held) or a query
+// reads the switches' snapshots afterwards (read_epoch answers held: under
+// max, an op the rotation does not store).
 func TestEpochAnswerIsRotationCut(t *testing.T) {
+	for _, readEpoch := range []bool{false, true} {
+		name := "epoch_rotate"
+		if readEpoch {
+			name = "read_epoch"
+		}
+		t.Run(name, func(t *testing.T) { rotationCut(t, readEpoch) })
+	}
+}
+
+func rotationCut(t *testing.T, readEpoch bool) {
 	check := gateFleetGoroutines(t)
 	t.Cleanup(check)
 	var armed atomic.Bool
-	release := make(chan struct{})
+	held, release := make(chan struct{}, 1), make(chan struct{})
 	answered := make(chan struct{}, 1)
-	fleet, ctrls := tappedFleet(t, fleetConfig(),
-		func(write bool) { // switch 0: held once it has read the request
-			if !write && armed.Load() {
+	signal := func(ch chan struct{}) {
+		select {
+		case ch <- struct{}{}:
+		default:
+		}
+	}
+	fleet, ctrls := tappedFleet(t, fleetConfig(), FleetOptions{},
+		func(write bool) { // switch 0: its answer is held
+			if write && armed.Load() {
+				signal(held)
 				<-release
 			}
 		},
 		func(write bool) { // switch 1: reports its answer
 			if write && armed.Load() {
-				select {
-				case answered <- struct{}{}:
-				default:
-				}
+				signal(answered)
 			}
 		})
 	if err := fleet.DeployEpoch(cmsSpec("freq")); err != nil {
@@ -111,8 +127,22 @@ func TestEpochAnswerIsRotationCut(t *testing.T) {
 	const x1, y1, x2, y2 = 300, 200, 50, 70
 	send(1, &px, x1)
 	send(0, &py, y1)
-	if _, err := fleet.RotateEpoch("freq"); err != nil {
-		t.Fatal(err)
+	collect := func() (EpochArtifact, error) {
+		if _, err := fleet.RotateEpoch("freq"); err != nil {
+			return EpochArtifact{}, err
+		}
+		return fleet.Epoch("freq", 1, EpochQuery{})
+	}
+	if readEpoch {
+		if _, err := fleet.RotateEpoch("freq"); err != nil {
+			t.Fatal(err)
+		}
+		collect = func() (EpochArtifact, error) {
+			rows, report, err := fleet.QueryEpochRows("freq", 1, EpochQuery{Op: MergeMax})
+			// One flow per switch: the max merge answers as the add merge.
+			return EpochArtifact{Rows: rows, Report: report,
+				answers: algorithms.Bind(fleet.epochTask("freq").window[1].handle, rows, 0)}, err
+		}
 	}
 
 	armed.Store(true)
@@ -122,16 +152,17 @@ func TestEpochAnswerIsRotationCut(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		art, err := fleet.Epoch("freq", 1, EpochQuery{})
+		art, err := collect()
 		done <- result{art, err}
 	}()
 	<-answered
+	<-held
 	send(1, &px, x2)
 	send(0, &py, y2)
 	armed.Store(false)
 	close(release)
 	r := <-done
-	if r.err != nil || r.art.Report.Partial() || len(r.art.Report.Contributed) != 2 {
+	if r.err != nil || r.art.Report.Partial() || len(r.art.Report.Contributed) != 2 || r.art.Report.Cached == readEpoch {
 		t.Fatalf("epoch 1: %v, report %v", r.err, r.art.Report)
 	}
 	for _, c := range []struct {
@@ -211,7 +242,7 @@ func TestEpochArtifactOutlivesMirrorCopy(t *testing.T) {
 					reads.Add(1)
 				}
 			}
-			fleet, ctrls := tappedFleet(t, fleetConfig(), count, count, count)
+			fleet, ctrls := tappedFleet(t, fleetConfig(), FleetOptions{}, count, count, count)
 			if err := fleet.DeployEpoch(spec); err != nil {
 				t.Fatal(err)
 			}

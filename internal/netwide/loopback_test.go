@@ -100,7 +100,9 @@ func TestLoopbackFleetMatchesTCPFleet(t *testing.T) {
 func TestLoopbackTransportTakesFaultPlan(t *testing.T) {
 	// The in-memory listener wraps like a TCP one: a fleet assembled by
 	// hand with switch 1 behind a faultnet Gate reports that switch as
-	// failed once the gate partitions, and merges the rest.
+	// failed once the gate partitions, and merges the rest. The gate first
+	// drops only switch 1's answers: it rotates, but its rows never arrive,
+	// so the rotation stores nothing and the query reads the switches.
 	check := gateFleetGoroutines(t)
 	t.Cleanup(check)
 	cfg := fleetConfig()
@@ -132,6 +134,7 @@ func TestLoopbackTransportTakesFaultPlan(t *testing.T) {
 	}
 	tr := trace.Generate(trace.Config{Flows: 300, Packets: 6_000, Seed: 69})
 	spread(ctrls, tr)
+	gate.SetDropWrites(true)
 	if _, err := fleet.RotateEpoch("freq"); err != nil {
 		t.Fatal(err)
 	}

@@ -86,10 +86,14 @@ type RemoteFleet struct {
 
 	epochMu sync.Mutex // serializes epoch rotations across the fleet
 
-	// rowPool recycles leaf row buffers between merge-tree queries: an
-	// epoch read lands its frame in a pooled buffer (ReadEpochInto), so a
-	// cold query allocates only the leaf its stored merge keeps.
-	rowPool sync.Pool
+	// free is the fleet's leaf free list, at most 2 × the fleet size: an
+	// epoch fetch — a rotation's (EpochRotateInto) or a query's
+	// (ReadEpochInto) — lands its frame in a buffer taken from it, and the
+	// merge tree returns every leaf it folds away. Unlike a sync.Pool it
+	// outlives a GC, so in steady state a rotation allocates only the root
+	// its stored merge keeps.
+	freeMu sync.Mutex
+	free   [][][]uint32
 }
 
 // fleetTask is one row of the task table: an epoch task, its mirror
@@ -441,11 +445,32 @@ func (f *RemoteFleet) mergeStats() *telemetry.MergeTreeStats {
 	return &f.opts.Telemetry.MergeTree
 }
 
-// putRowBuf returns a consumed leaf buffer to the pool. Safe for
-// concurrent use (merge workers recycle sources as they fold).
+// getRowBuf takes a leaf buffer from the free list (nil when it is empty:
+// the fetch then reads into fresh rows).
+func (f *RemoteFleet) getRowBuf() [][]uint32 {
+	f.freeMu.Lock()
+	defer f.freeMu.Unlock()
+	n := len(f.free)
+	if n == 0 {
+		return nil
+	}
+	rows := f.free[n-1]
+	f.free[n-1] = nil
+	f.free = f.free[:n-1]
+	return rows
+}
+
+// putRowBuf returns a consumed leaf buffer to the free list, or to the GC
+// once the list holds 2 × the fleet size. Safe for concurrent use (merge
+// workers recycle sources as they fold).
 func (f *RemoteFleet) putRowBuf(rows [][]uint32) {
-	if rows != nil {
-		f.rowPool.Put(rows)
+	if rows == nil {
+		return
+	}
+	f.freeMu.Lock()
+	defer f.freeMu.Unlock()
+	if len(f.free) < 2*len(f.clients) {
+		f.free = append(f.free, rows)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 
 // startDaemons boots n flymond-equivalent servers and returns their
 // controllers (the test's ingress handles) and connected clients.
-func startDaemons(t *testing.T, n int, cfg controlplane.Config) ([]*controlplane.Controller, []*rpc.Client) {
+func startDaemons(t testing.TB, n int, cfg controlplane.Config) ([]*controlplane.Controller, []*rpc.Client) {
 	t.Helper()
 	cfgs := make([]controlplane.Config, n)
 	for i := range cfgs {
@@ -23,7 +23,7 @@ func startDaemons(t *testing.T, n int, cfg controlplane.Config) ([]*controlplane
 }
 
 // startDaemonsWith boots one daemon per configuration.
-func startDaemonsWith(t *testing.T, cfgs ...controlplane.Config) ([]*controlplane.Controller, []*rpc.Client) {
+func startDaemonsWith(t testing.TB, cfgs ...controlplane.Config) ([]*controlplane.Controller, []*rpc.Client) {
 	t.Helper()
 	n := len(cfgs)
 	ctrls := make([]*controlplane.Controller, n)

@@ -46,8 +46,10 @@ const (
 	// plane). A daemon hosts an epoch.Rotator per epoch task: epoch_deploy
 	// creates it, epoch_rotate advances it to a target epoch (idempotent —
 	// safe to re-send, and a straggler catches up in one call) caching a
-	// register snapshot per completed epoch, read_epoch serves a
-	// cached snapshot, and epoch_remove reclaims both copies.
+	// register snapshot per completed epoch and answering with the target
+	// epoch's snapshot (the fleet collects an epoch as it rotates it),
+	// read_epoch serves a cached snapshot, and epoch_remove reclaims both
+	// copies.
 	MethodEpochDeploy = "epoch_deploy"
 	MethodEpochRotate = "epoch_rotate"
 	MethodReadEpoch   = "read_epoch"
@@ -247,8 +249,8 @@ type EpochRotateParams struct {
 	ToEpoch int    `json:"to_epoch,omitempty"`
 }
 
-// EpochTaskResult describes an epoch task: the active copy and the
-// rotation state.
+// EpochTaskResult describes a freshly deployed epoch task: the active copy
+// and the rotation state.
 type EpochTaskResult struct {
 	Task  TaskResult `json:"task"`
 	Epoch int        `json:"epoch"`

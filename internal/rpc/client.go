@@ -517,10 +517,19 @@ func (c *Client) EpochDeploy(spec controlplane.TaskSpec, parent ...tracing.SpanC
 	return r, err
 }
 
-// EpochRotate advances an epoch task to toEpoch (0 = advance by one).
-// With an explicit target the call is idempotent and safe to re-send.
-func (c *Client) EpochRotate(name string, toEpoch int, parent ...tracing.SpanContext) (EpochTaskResult, error) {
-	var r EpochTaskResult
+// EpochRotate advances an epoch task to toEpoch (0 = advance by one) and
+// returns the daemon's answer: the target epoch's snapshot, as ReadEpoch
+// returns it, or no rows under the daemon's latest epoch when the target's
+// snapshot was already evicted. With an explicit target the call is
+// idempotent and safe to re-send.
+func (c *Client) EpochRotate(name string, toEpoch int, parent ...tracing.SpanContext) (EpochRegistersResult, error) {
+	return c.EpochRotateInto(name, toEpoch, nil, parent...)
+}
+
+// EpochRotateInto is EpochRotate reading the answer's frame into dst, in
+// place when dst has the snapshot's geometry.
+func (c *Client) EpochRotateInto(name string, toEpoch int, dst [][]uint32, parent ...tracing.SpanContext) (EpochRegistersResult, error) {
+	r := EpochRegistersResult{RegistersResult: RegistersResult{rows: dst}}
 	err := c.callCtx(firstCtx(parent), MethodEpochRotate, EpochRotateParams{Name: name, ToEpoch: toEpoch}, &r)
 	return r, err
 }

@@ -19,9 +19,9 @@ const EpochRetain = 4
 
 // epochTask is the daemon-side state of one epoch task: the rotator that
 // owns the double-buffered deployments, plus each recent completed epoch's
-// snapshot. Snapshots are immutable once stored, so read_epoch hands the
-// stored rows straight to the codec (concurrent reads share them): serving
-// an epoch costs zero encoding work.
+// snapshot. Snapshots are immutable once stored, so epoch_rotate and
+// read_epoch hand the stored rows straight to the codec (concurrent reads
+// share them): serving an epoch costs zero encoding work.
 type epochTask struct {
 	rot   *epoch.Rotator
 	snaps map[int]epochSnap // by completed epoch
@@ -76,17 +76,20 @@ func (s *Server) handleEpochDeploy(spec controlplane.TaskSpec) (EpochTaskResult,
 }
 
 // handleEpochRotate advances an epoch task to the target epoch, caching a
-// snapshot of each epoch's registers as it is frozen. Sending the
-// same target twice is a no-op (AdvanceTo is idempotent), so fleet
-// controllers can retry after transport failures, and a daemon that
-// missed rotations catches up — snapshotting every intermediate epoch —
-// in one call.
-func (s *Server) handleEpochRotate(p EpochRotateParams) (EpochTaskResult, error) {
+// snapshot of each epoch's registers as it is frozen, and answers with the
+// target epoch's snapshot — the rows read_epoch serves for it — so the
+// caller collects the epoch in the rotation's own round trip. Sending the
+// same target twice is a no-op (AdvanceTo is idempotent) that answers the
+// same rows, so fleet controllers can retry after transport failures, and a
+// daemon that missed rotations catches up — snapshotting every
+// intermediate epoch — in one call. A target whose snapshot retention has
+// already evicted answers no rows, under the daemon's latest epoch.
+func (s *Server) handleEpochRotate(p EpochRotateParams) (*EpochRegistersResult, error) {
 	s.epochMu.Lock()
 	defer s.epochMu.Unlock()
 	et, err := s.epochTaskLocked(p.Name)
 	if err != nil {
-		return EpochTaskResult{}, err
+		return nil, err
 	}
 	target := p.ToEpoch
 	if target <= 0 {
@@ -106,13 +109,13 @@ func (s *Server) handleEpochRotate(p EpochRotateParams) (EpochTaskResult, error)
 		return nil
 	})
 	if err != nil {
-		return EpochTaskResult{}, err
+		return nil, err
 	}
-	t, err := s.ctrl.Task(et.rot.ActiveID())
-	if err != nil {
-		return EpochTaskResult{}, err
+	snap, ok := et.snaps[target]
+	if !ok {
+		return &EpochRegistersResult{Epoch: et.rot.Epoch()}, nil
 	}
-	return EpochTaskResult{Task: taskResult(t), Epoch: et.rot.Epoch()}, nil
+	return &snap.res, nil
 }
 
 // handleReadEpoch serves one completed epoch's snapshot. Epoch 0

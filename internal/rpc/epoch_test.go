@@ -213,6 +213,80 @@ func TestEpochLifecycleOverRPC(t *testing.T) {
 	}
 }
 
+// TestEpochRotateAnswersTargetSnapshot: a rotation answers with the target
+// epoch's snapshot, the rows read_epoch serves for it. A re-sent rotation
+// answers the same rows; a catch-up from epoch 1 to 4 answers epoch 4's
+// and leaves epochs 1–3 readable; a retry whose target retention already
+// evicted answers no rows, under the daemon's latest epoch.
+func TestEpochRotateAnswersTargetSnapshot(t *testing.T) {
+	s, c := startServer(t)
+	if _, err := c.EpochDeploy(freqSpec("ep")); err != nil {
+		t.Fatal(err)
+	}
+	total := func(rows [][]uint32) (n uint64) {
+		for _, row := range rows {
+			for _, v := range row {
+				n += uint64(v)
+			}
+		}
+		return n
+	}
+	// same holds a rotation's answer to the snapshot read_epoch serves.
+	same := func(what string, got EpochRegistersResult, epoch int) {
+		t.Helper()
+		want, err := c.ReadEpoch("ep", epoch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Epoch != epoch || got.FrozenID != want.FrozenID || got.Fingerprint != want.Fingerprint ||
+			!sameRows(got.FrameRows(nil), want.FrameRows(nil)) {
+			t.Fatalf("%s answered epoch %d (frozen %d, fingerprint %#x); read_epoch serves epoch %d (frozen %d, fingerprint %#x)",
+				what, got.Epoch, got.FrozenID, got.Fingerprint, epoch, want.FrozenID, want.Fingerprint)
+		}
+	}
+	feed(t, s, 5)
+	r1, err := c.EpochRotate("ep", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("rotation to 1", r1, 1)
+	if total(r1.FrameRows(nil)) == 0 {
+		t.Fatal("epoch 1's answer is empty despite traffic")
+	}
+	again, err := c.EpochRotate("ep", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("re-sent rotation to 1", again, 1)
+
+	// Epoch 2 holds the second feed; 3 and 4 are empty.
+	feed(t, s, 6)
+	r4, err := c.EpochRotate("ep", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("catch-up rotation to 4", r4, 4)
+	for e := 1; e <= 3; e++ {
+		snap, err := c.ReadEpoch("ep", e)
+		if err != nil {
+			t.Fatalf("epoch %d unreadable after the catch-up: %v", e, err)
+		}
+		if busy := total(snap.FrameRows(nil)) != 0; busy != (e != 3) {
+			t.Fatalf("epoch %d holds %d counts", e, total(snap.FrameRows(nil)))
+		}
+	}
+
+	// Epochs 5 and 6 evict 1 and 2: a late retry to 1 answers no rows.
+	if _, err := c.EpochRotate("ep", 6); err != nil {
+		t.Fatal(err)
+	}
+	stale, err := c.EpochRotate("ep", 1)
+	if err != nil || stale.Epoch != 6 || len(stale.FrameRows(nil)) != 0 {
+		t.Fatalf("retry to an evicted epoch: epoch %d, %d rows, err %v; want epoch 6, no rows",
+			stale.Epoch, len(stale.FrameRows(nil)), err)
+	}
+}
+
 // TestKeyIndicesMatchDaemonEstimate: the indices key_indices answers read
 // the daemon's own estimate out of the task's rows, on every count-min
 // task — MRAC, a one-row CMS, included.

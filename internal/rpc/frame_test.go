@@ -321,14 +321,25 @@ func TestEpochReadZeroAllocRows(t *testing.T) {
 
 // TestEpochRotateZeroAllocFrame: a daemon rotation allocates the one copy
 // ReadRegisters makes of the frozen registers and little else — the
-// snapshot is its own frame, nothing packs it.
+// snapshot is its own frame, nothing packs it — and its answer, the
+// snapshot's rows, lands in the caller's geometry-matched buffer.
 func TestEpochRotateZeroAllocFrame(t *testing.T) {
 	_, c, size := bigEpoch(t)
+	first, err := c.ReadEpoch("big", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := first.FrameRows(nil)
+	keep := &buf[0][0]
 	next := 1
 	per := allocBytes(4, func() {
 		next++
-		if _, err := c.EpochRotate("big", next); err != nil {
+		res, err := c.EpochRotateInto("big", next, buf)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if rows := res.FrameRows(nil); res.Epoch != next || &rows[0][0] != keep {
+			t.Fatalf("rotation to %d answered epoch %d outside the buffer it was given", next, res.Epoch)
 		}
 	})
 	t.Logf("%.0f B per rotation, readout %d B", per, size)
