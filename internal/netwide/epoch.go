@@ -9,6 +9,7 @@ import (
 	"flymon/internal/dataplane"
 	"flymon/internal/packet"
 	"flymon/internal/rpc"
+	"flymon/internal/telemetry"
 	"flymon/internal/tracing"
 )
 
@@ -243,7 +244,8 @@ func (f *RemoteFleet) EpochOf(name string) (int, error) {
 // op (add for a task whose rows do not merge exactly), so the epoch's first
 // query is a stored read and the epoch stays answerable after a switch goes
 // down. Anything less stores nothing, and the epoch's queries read the
-// switches.
+// switches. The rotation's merge is not a query: the merge-tree telemetry
+// does not count it.
 //
 // The daemon-side advance is idempotent, so transport failures are retried
 // once, and a switch that misses this rotation entirely catches up —
@@ -285,7 +287,7 @@ func (f *RemoteFleet) RotateEpoch(name string) (target int, err error) {
 	lead := make(chan struct{})
 	m.filling = lead
 	et.window[target] = stored
-	// Evicted rows go to the GC, not back into the free list: callers of
+	// Evicted rows go to the GC, not back into rowPool: callers of
 	// QueryEpochRows may still hold them.
 	delete(et.window, target-rpc.EpochRetain)
 	et.mu.Unlock()
@@ -293,7 +295,7 @@ func (f *RemoteFleet) RotateEpoch(name string) (target int, err error) {
 		root.SetDetail(fmt.Sprintf("%s to epoch %d", name, target))
 	}
 	ref := pinnedLayout(stored.fingerprint)
-	rows, report, errs, mergeErr := f.mergeEpoch(root.Context(), name, target, op, f.opts.OpTimeout,
+	rows, report, errs, mergeErr := f.mergeEpoch(root.Context(), name, target, op, f.opts.OpTimeout, nil,
 		func(i int, c *rpc.Client, sc tracing.SpanContext) ([][]uint32, error) {
 			return f.rotateFetch(i, c, name, target, ref, sc)
 		})
@@ -318,14 +320,13 @@ func (f *RemoteFleet) RotateEpoch(name string) (target int, err error) {
 
 // rotateFetch is RotateEpoch's per-switch step: decree the target epoch
 // and take the daemon's answer, the target epoch's frozen rows, into a
-// leaf buffer from the free list. Explicit-target rotation is idempotent,
-// so one immediate retry covers the applied-but-unacknowledged case. An
-// answer the merge may not take — a layout other than ref's, or no rows
-// because the target was evicted before a retry reached it — is no failure:
-// the switch rotated, its epoch is just not collected (nil rows, nil
-// error).
+// pooled leaf buffer. Explicit-target rotation is idempotent, so one
+// immediate retry covers the applied-but-unacknowledged case. An answer
+// the merge may not take — a layout other than ref's, or no rows because
+// the target was evicted before a retry reached it — is no failure: the
+// switch rotated, its epoch is just not collected (nil rows, nil error).
 func (f *RemoteFleet) rotateFetch(i int, c *rpc.Client, name string, target int, ref *layoutRef, sc tracing.SpanContext) ([][]uint32, error) {
-	buf := f.getRowBuf()
+	buf, _ := f.rowPool.Get().([][]uint32)
 	res, err := c.EpochRotateInto(name, target, buf, sc)
 	var te *rpc.TransportError
 	if errors.As(err, &te) {
@@ -361,9 +362,9 @@ func pollInterval(wait time.Duration) time.Duration {
 // is a span under parent: "straggler_wait" covering the whole poll (error
 // = still behind at the bound) or an instant "straggler_skip" under the
 // skip policy. The answer is held to epochN and to ref's layout, and read
-// into a leaf buffer from the free list that a failed fetch returns.
+// into a pooled leaf buffer that a failed fetch returns.
 func (f *RemoteFleet) pollEpoch(i int, c *rpc.Client, name string, epochN int, q EpochQuery, ref *layoutRef, parent tracing.SpanContext) (_ [][]uint32, err error) {
-	buf := f.getRowBuf()
+	buf, _ := f.rowPool.Get().([][]uint32)
 	defer func() {
 		if err != nil {
 			f.putRowBuf(buf)
@@ -585,7 +586,7 @@ func (f *RemoteFleet) queryEpoch(name string, epochN int, q EpochQuery, ref *lay
 	if timeout > 0 && q.Policy != StragglerSkip {
 		timeout += q.Wait
 	}
-	rows, report, errs, err := f.mergeEpoch(root.Context(), name, epochN, q.Op, timeout,
+	rows, report, errs, err := f.mergeEpoch(root.Context(), name, epochN, q.Op, timeout, f.mergeStats(),
 		func(i int, c *rpc.Client, sc tracing.SpanContext) ([][]uint32, error) {
 			return f.pollEpoch(i, c, name, epochN, q, ref, sc)
 		})
@@ -624,10 +625,12 @@ func (f *RemoteFleet) queryEpoch(name string, epochN int, q EpochQuery, ref *lay
 // its switch's answer to the epoch and to a layout reference, so a switch
 // indexed differently is never summed into the wrong buckets — and stream
 // the rows it returns straight into the k-ary merge tree under op (leaf
-// buffers recycled through the fleet's free list); then sort the
+// buffers recycled through the fleet's pool); then sort the
 // per-switch errors into the report, stragglers apart from failures. A
 // switch whose fetch returned neither rows nor an error is in neither.
-func (f *RemoteFleet) mergeEpoch(parent tracing.SpanContext, name string, epochN int, op MergeOp, timeout time.Duration,
+// stats instruments the tree: a query's merge is counted, a rotation's is
+// not (nil), so the merge-tree telemetry keeps counting queries.
+func (f *RemoteFleet) mergeEpoch(parent tracing.SpanContext, name string, epochN int, op MergeOp, timeout time.Duration, stats *telemetry.MergeTreeStats,
 	fetch func(i int, c *rpc.Client, sc tracing.SpanContext) ([][]uint32, error)) (_ [][]uint32, report QueryReport, errs map[int]error, err error) {
 	stream := f.fanOutRows(parent, timeout, fetch)
 	// The converter goroutine finishes all errs writes before closing
@@ -649,7 +652,7 @@ func (f *RemoteFleet) mergeEpoch(parent tracing.SpanContext, name string, epochN
 	res, err := MergeStream(leaves, op, TreeOptions{
 		Task:    name,
 		Arity:   f.opts.MergeArity,
-		Stats:   f.mergeStats(),
+		Stats:   stats,
 		Recycle: f.putRowBuf,
 		Tracer:  f.opts.Tracer,
 		Parent:  parent,

@@ -339,18 +339,33 @@ func TestEpochMergesUnderOwnOp(t *testing.T) {
 	}
 }
 
+// TestEpochArtifactSingleFlight: 32 concurrent first queries of one
+// (epoch, op) fan out once — one fetch per switch per epoch — and everyone
+// gets the same complete answer, each still leaving a root span behind.
+// The lead is the rotation for the task's own op (the queries wait for its
+// merge while switch 0's rotation answer is held) and the first query for
+// an op the rotation does not store (max on a CMS: the other 31 wait while
+// switch 0 holds that query's read_epoch).
 func TestEpochArtifactSingleFlight(t *testing.T) {
-	// 32 concurrent first queries on an epoch whose rotation is still on
-	// the wire — switch 0's answer is held — wait for the rotation's merge:
-	// one fetch per switch per epoch, the rotation's; everyone gets the
-	// same complete answer, and each still leaves a root span behind.
+	for _, queryLed := range []bool{false, true} {
+		name := "rotation-led"
+		if queryLed {
+			name = "query-led"
+		}
+		t.Run(name, func(t *testing.T) { singleFlight(t, queryLed) })
+	}
+}
+
+func singleFlight(t *testing.T, queryLed bool) {
 	check := gateFleetGoroutines(t)
 	t.Cleanup(check)
 	cfg := fleetConfig()
 	var armed atomic.Bool
 	held, release := make(chan struct{}), make(chan struct{})
-	hold := func(write bool) { // switch 0: its rotation answer waits for release
-		if write && armed.CompareAndSwap(true, false) {
+	// Switch 0 holds the lead's fetch: the rotation's answer, or the
+	// leading query's read_epoch once it has read the request.
+	hold := func(write bool) {
+		if write != queryLed && armed.CompareAndSwap(true, false) {
 			close(held)
 			<-release
 		}
@@ -363,15 +378,22 @@ func TestEpochArtifactSingleFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := epochTraffic(ctrls, 62)[0]
-	armed.Store(true)
 	rotated := make(chan error, 1)
-	go func() {
+	if queryLed {
 		_, err := fleet.RotateEpoch("ep")
 		rotated <- err
-	}()
-	<-held // the mirror has rotated: epoch 1 is in the window, its merge led
+		armed.Store(true)
+	} else {
+		armed.Store(true)
+		go func() {
+			_, err := fleet.RotateEpoch("ep")
+			rotated <- err
+		}()
+		<-held // the mirror has rotated: epoch 1 is in the window, its merge led
+	}
 	const callers = 32
 	ests := make([]uint64, callers)
+	rows := make([][][]uint32, callers)
 	var wg sync.WaitGroup
 	for g := 0; g < callers; g++ {
 		wg.Add(1)
@@ -381,34 +403,58 @@ func TestEpochArtifactSingleFlight(t *testing.T) {
 				report QueryReport
 				err    error
 			)
-			if g%2 == 0 {
+			switch {
+			case queryLed:
+				rows[g], report, err = fleet.QueryEpochRows("ep", 1, EpochQuery{Op: MergeMax})
+			case g%2 == 0:
 				ests[g], report, err = fleet.EstimateKeyEpoch("ep", 1, key, EpochQuery{})
-			} else {
-				_, report, err = fleet.QueryEpochRows("ep", 1, EpochQuery{})
+			default:
+				rows[g], report, err = fleet.QueryEpochRows("ep", 1, EpochQuery{})
 			}
 			if err != nil || report.Partial() || len(report.Contributed) != 4 {
 				t.Errorf("caller %d: report %+v err %v", g, report, err)
 			}
 		}(g)
 	}
-	time.Sleep(20 * time.Millisecond) // let the callers reach the merge they wait on
+	waiters := callers
+	if queryLed {
+		<-held
+		waiters--
+	}
+	got := awaitEpochWaiters(waiters) // every caller but the lead waits on it
 	close(release)
 	wg.Wait()
 	if err := <-rotated; err != nil {
 		t.Fatal(err)
 	}
-	for g := 2; g < callers; g += 2 {
-		if ests[g] != ests[0] {
+	if got != waiters {
+		t.Fatalf("%d callers waited on the single-flight lead, want %d", got, waiters)
+	}
+	for g := 0; g < callers; g++ {
+		if g%2 == 0 && ests[g] != ests[0] {
 			t.Fatalf("caller %d estimated %d, caller 0 %d", g, ests[g], ests[0])
+		}
+		if rows[g] != nil && !reflect.DeepEqual(rows[g], rows[1]) {
+			t.Fatalf("caller %d answered other rows than caller 1", g)
 		}
 	}
 	spans, _, _ := tr.Dump()
+	fetch := "rpc:epoch_rotate"
+	if queryLed {
+		fetch = "rpc:read_epoch"
+	}
 	fetches := make(map[string]int)
 	roots, cachedRoots := 0, 0
 	for _, sp := range spans {
 		switch sp.Name {
 		case "rpc:epoch_rotate", "rpc:read_epoch":
-			fetches[sp.Detail]++
+			if sp.Name == fetch {
+				fetches[sp.Detail]++
+			} else if queryLed {
+				continue // the rotation that came before the queries
+			} else {
+				t.Fatalf("a query read switch %s; the rotation collected the epoch", sp.Detail)
+			}
 		case "epoch_query":
 			roots++
 			if strings.Contains(sp.Detail, "cached") {
@@ -418,15 +464,52 @@ func TestEpochArtifactSingleFlight(t *testing.T) {
 	}
 	for _, c := range fleet.clients {
 		if fetches[c.Addr()] != 1 {
-			t.Fatalf("switch %s served %d epoch fetches, want 1 (all: %v)", c.Addr(), fetches[c.Addr()], fetches)
+			t.Fatalf("switch %s served %d %s calls, want 1 (all: %v)", c.Addr(), fetches[c.Addr()], fetch, fetches)
 		}
 	}
-	if roots != callers || cachedRoots != callers {
-		t.Fatalf("%d epoch_query roots, %d cached; want %d and %d", roots, cachedRoots, callers, callers)
+	misses := 0
+	if queryLed {
+		misses = 1
+	}
+	if roots != callers || cachedRoots != callers-misses {
+		t.Fatalf("%d epoch_query roots, %d cached; want %d and %d", roots, cachedRoots, callers, callers-misses)
 	}
 	mt := &tele.MergeTree
-	if mt.EpochCacheMisses.Load() != 0 || mt.EpochCacheHits.Load() != callers {
-		t.Fatalf("hits %d misses %d, want %d and 0", mt.EpochCacheHits.Load(), mt.EpochCacheMisses.Load(), callers)
+	if mt.EpochCacheMisses.Load() != uint64(misses) || mt.EpochCacheHits.Load() != uint64(callers-misses) {
+		t.Fatalf("hits %d misses %d, want %d and %d", mt.EpochCacheHits.Load(), mt.EpochCacheMisses.Load(), callers-misses, misses)
+	}
+	// The rotation's merge is no query: only the leading query's counts.
+	if mt.Queries.Load() != uint64(misses) {
+		t.Fatalf("%d merge-tree queries counted, want %d", mt.Queries.Load(), misses)
+	}
+}
+
+// awaitEpochWaiters blocks until n goroutines wait in RemoteFleet.epoch
+// itself — on another caller's single-flight lead, not inside a fetch or a
+// merge of their own — or for at most 5 s, and returns how many last did.
+func awaitEpochWaiters(n int) int {
+	buf := make([]byte, 1<<20)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		got := 0
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if !strings.Contains(g, "[chan receive") {
+				continue
+			}
+			for _, line := range strings.Split(g, "\n")[1:] {
+				if strings.HasPrefix(line, "runtime.") || strings.HasPrefix(line, "\t") {
+					continue
+				}
+				if strings.HasPrefix(line, "flymon/internal/netwide.(*RemoteFleet).epoch(") {
+					got++
+				}
+				break
+			}
+		}
+		if got == n || time.Now().After(deadline) {
+			return got
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -543,10 +626,11 @@ func TestEpochArtifactFreedWithFleet(t *testing.T) {
 
 // TestColdEpochQueryReadsIntoPooledLeaves: a cold query — here under max,
 // which the rotations did not store — reads each switch's frame straight
-// into a leaf buffer from the fleet's free list. With the list warm from
-// the previous epoch's merge, the only row storage it allocates is the one
+// into a leaf buffer from the fleet's pool. With the pool warm from the
+// previous epoch's merge, the only row storage it allocates is the one
 // leaf its stored merge keeps — not one readout per switch. The least of
-// three cold queries is held to that.
+// three cold queries is held to that, so a GC that empties the pool
+// between two of them cannot fail the test.
 func TestColdEpochQueryReadsIntoPooledLeaves(t *testing.T) {
 	const switches, readout = 4, 4 * 3 * 16384
 	cfg := fleetConfig()

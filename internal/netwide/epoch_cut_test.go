@@ -70,14 +70,16 @@ func tappedFleet(t *testing.T, cfg controlplane.Config, opts FleetOptions, taps 
 }
 
 // TestEpochAnswerIsRotationCut: both switches keep ingesting while the
-// fleet collects an epoch — switch 1 has answered, switch 0's answer is
-// still held, and a burst lands on each. A merge of live registers would
-// count switch 0's burst but not switch 1's, a state the traffic never was
-// in. The epoch answer is the cut the rotation drew: exactly what each
-// switch saw before it; the bursts are the next epoch. The cut holds
-// whether the rotation collects the epoch (its answers held) or a query
-// reads the switches' snapshots afterwards (read_epoch answers held: under
-// max, an op the rotation does not store).
+// fleet collects an epoch — switch 1 has answered, switch 0 is held, and a
+// burst lands on each. A merge of live registers would count switch 0's
+// burst but not switch 1's, a state the traffic never was in. The epoch
+// answer is the cut the rotation drew: exactly what each switch saw before
+// it; the bursts are the next epoch. The cut holds whether the rotation
+// collects the epoch (switch 0's answer held: the decree itself draws the
+// cut, so the bursts must land after it) or a query reads the switches'
+// snapshots afterwards (read_epoch under max, an op the rotation does not
+// store; switch 0 held once it has read the request and before it serves
+// it, so a daemon serving live registers would count its burst).
 func TestEpochAnswerIsRotationCut(t *testing.T) {
 	for _, readEpoch := range []bool{false, true} {
 		name := "epoch_rotate"
@@ -101,8 +103,8 @@ func rotationCut(t *testing.T, readEpoch bool) {
 		}
 	}
 	fleet, ctrls := tappedFleet(t, fleetConfig(), FleetOptions{},
-		func(write bool) { // switch 0: its answer is held
-			if write && armed.Load() {
+		func(write bool) { // switch 0: held before it answers the decree, or before it serves the read
+			if write != readEpoch && armed.Load() {
 				signal(held)
 				<-release
 			}

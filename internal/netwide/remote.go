@@ -86,14 +86,11 @@ type RemoteFleet struct {
 
 	epochMu sync.Mutex // serializes epoch rotations across the fleet
 
-	// free is the fleet's leaf free list, at most 2 × the fleet size: an
-	// epoch fetch — a rotation's (EpochRotateInto) or a query's
-	// (ReadEpochInto) — lands its frame in a buffer taken from it, and the
-	// merge tree returns every leaf it folds away. Unlike a sync.Pool it
-	// outlives a GC, so in steady state a rotation allocates only the root
-	// its stored merge keeps.
-	freeMu sync.Mutex
-	free   [][][]uint32
+	// rowPool recycles leaf row buffers between merges: an epoch fetch —
+	// a rotation's (EpochRotateInto) or a query's (ReadEpochInto) — lands
+	// its frame in a pooled buffer, and the merge tree returns every leaf
+	// it folds away, so a merge allocates only the root its store keeps.
+	rowPool sync.Pool
 }
 
 // fleetTask is one row of the task table: an epoch task, its mirror
@@ -445,32 +442,11 @@ func (f *RemoteFleet) mergeStats() *telemetry.MergeTreeStats {
 	return &f.opts.Telemetry.MergeTree
 }
 
-// getRowBuf takes a leaf buffer from the free list (nil when it is empty:
-// the fetch then reads into fresh rows).
-func (f *RemoteFleet) getRowBuf() [][]uint32 {
-	f.freeMu.Lock()
-	defer f.freeMu.Unlock()
-	n := len(f.free)
-	if n == 0 {
-		return nil
-	}
-	rows := f.free[n-1]
-	f.free[n-1] = nil
-	f.free = f.free[:n-1]
-	return rows
-}
-
-// putRowBuf returns a consumed leaf buffer to the free list, or to the GC
-// once the list holds 2 × the fleet size. Safe for concurrent use (merge
-// workers recycle sources as they fold).
+// putRowBuf returns a consumed leaf buffer to the pool. Safe for
+// concurrent use (merge workers recycle sources as they fold).
 func (f *RemoteFleet) putRowBuf(rows [][]uint32) {
-	if rows == nil {
-		return
-	}
-	f.freeMu.Lock()
-	defer f.freeMu.Unlock()
-	if len(f.free) < 2*len(f.clients) {
-		f.free = append(f.free, rows)
+	if rows != nil {
+		f.rowPool.Put(rows)
 	}
 }
 
